@@ -1,6 +1,10 @@
-//! Ablation A5b: initialization cost — serial vs parallel scan, metadata
-//! policies, and grid granularity (the "data-to-analysis time" the in-situ
-//! paradigm minimizes).
+//! Ablation A5b: initialization cost — the one pipelined build at each
+//! width, metadata policies, and grid granularity (the "data-to-analysis
+//! time" the in-situ paradigm minimizes).
+//!
+//! Every arm runs the same build path and produces the same index bit for
+//! bit; the `width/N` arms spell the parser-thread count out through
+//! `build_parallel`, the others let `build` take the machine's.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pai_bench::default_spec;
@@ -25,7 +29,7 @@ fn bench_init(c: &mut Criterion) {
             domain: Some(spec.domain),
             metadata,
         };
-        group.bench_with_input(BenchmarkId::new("serial", name), &cfg, |b, cfg| {
+        group.bench_with_input(BenchmarkId::new("metadata", name), &cfg, |b, cfg| {
             b.iter(|| build(&file, cfg).expect("init").0.total_objects())
         });
     }
@@ -36,7 +40,7 @@ fn bench_init(c: &mut Criterion) {
             domain: Some(spec.domain),
             metadata: MetadataPolicy::AllNumeric,
         };
-        group.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, &t| {
+        group.bench_with_input(BenchmarkId::new("width", threads), &threads, |b, &t| {
             b.iter(|| {
                 build_parallel(&file, &cfg, t)
                     .expect("init")

@@ -22,6 +22,14 @@ pub enum PaiError {
         /// What was malformed.
         message: String,
     },
+    /// Malformed raw-file content met mid-file — by a partitioned scan, which
+    /// starts at a byte offset and cannot know the line number.
+    ParseAt {
+        /// Byte offset of the record where parsing failed.
+        offset: u64,
+        /// What was malformed.
+        message: String,
+    },
     /// Schema-level misuse (unknown column, axis/non-axis mixup, ...).
     Schema(String),
     /// A query referenced something the engine cannot satisfy
@@ -61,6 +69,14 @@ impl PaiError {
             message: msg.into(),
         }
     }
+
+    /// Shorthand for a parse error in the record at a given byte offset.
+    pub fn parse_at(offset: u64, msg: impl Into<String>) -> Self {
+        PaiError::ParseAt {
+            offset,
+            message: msg.into(),
+        }
+    }
 }
 
 impl fmt::Display for PaiError {
@@ -69,6 +85,9 @@ impl fmt::Display for PaiError {
             PaiError::Io(e) => write!(f, "I/O error: {e}"),
             PaiError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
+            }
+            PaiError::ParseAt { offset, message } => {
+                write!(f, "parse error at byte offset {offset}: {message}")
             }
             PaiError::Schema(m) => write!(f, "schema error: {m}"),
             PaiError::UnsupportedQuery(m) => write!(f, "unsupported query: {m}"),
@@ -105,6 +124,9 @@ mod tests {
         assert!(PaiError::parse(7, "not a number")
             .to_string()
             .contains("line 7"));
+        assert!(PaiError::parse_at(4096, "not a number")
+            .to_string()
+            .contains("byte offset 4096"));
         assert!(PaiError::config("alpha out of range")
             .to_string()
             .contains("configuration"));

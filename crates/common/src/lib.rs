@@ -13,7 +13,9 @@
 //! * [`agg`] — the algebraic aggregate functions of the exploration model;
 //! * [`counters`] — thread-safe I/O accounting (objects/bytes read), the
 //!   hardware-neutral cost metric the paper's evaluation tracks;
-//! * [`error`] — the workspace error type.
+//! * [`error`] — the workspace error type;
+//! * [`pool`] — the ordered, bounded worker pool behind the pipelined index
+//!   build and the overlapped fetch.
 
 #![deny(missing_docs)]
 
@@ -23,6 +25,7 @@ pub mod error;
 pub mod geometry;
 pub mod hist;
 pub mod interval;
+pub mod pool;
 pub mod stats;
 
 pub use agg::{AggregateFunction, AggregateValue};

@@ -603,10 +603,12 @@ fn fetch_units<'p>(
 ///   lands on the same totals.
 /// * `on_plan` runs in strict plan order 0, 1, 2, …, so apply-side state,
 ///   answers, CIs, and trajectories cannot observe fetch completion order.
-/// * Every claimed fetch runs to completion before this returns (the
-///   channel is drained even after an error or an `on_plan` early-out by
-///   the caller's own flag), so an apply-side stop never truncates the
-///   batch's I/O differently than the fetch-then-apply path would.
+/// * Every unit is fetched unless something fails: an `on_plan` early-out
+///   by the caller's own flag leaves the fetches running to completion, so
+///   an apply-side stop never truncates the batch's I/O differently than
+///   the fetch-then-apply path would. After an error (the first one in unit
+///   order is the one returned) no further unit is claimed, and the fetches
+///   in flight are still joined before this returns.
 pub(crate) fn fetch_plans_each(
     file: &dyn RawFile,
     plans: &[BatchPlan],
@@ -634,68 +636,33 @@ pub(crate) fn fetch_plans_each(
         return Ok(());
     }
 
-    // Overlapped: a bounded pool of producer threads claims units in issue
-    // order and streams results back; this thread applies plans the moment
-    // their unit (and every earlier plan's unit) has landed.
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::mpsc;
-    let next = AtomicUsize::new(0);
-    let units = &units;
-    std::thread::scope(|s| {
-        let (tx, rx) = mpsc::channel::<(usize, Result<Vec<Vec<Vec<f64>>>>)>();
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            s.spawn(move || loop {
-                let u = next.fetch_add(1, Ordering::Relaxed);
-                if u >= units.len() {
-                    break;
-                }
-                let (attrs, members) = &units[u];
-                let locs: Vec<&[RowLocator]> =
-                    members.iter().map(|&i| plans[i].locators()).collect();
-                let res = read_row_groups(file, &locs, attrs, pushdown, config.fetch_parallelism);
-                if tx.send((u, res)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        let mut first_err: Option<PaiError> = None;
-        let mut cursor = 0usize;
-        // Exactly one message arrives per unit (the receiver outlives the
-        // loop, so no send ever fails on the success path); draining them
-        // all keeps in-flight fetches running to completion even after an
-        // error, preserving fetch-meter behavior.
-        for _ in 0..units.len() {
-            let Ok((u, res)) = rx.recv() else { break };
-            match res {
-                Ok(fetched) => {
-                    if first_err.is_none() {
-                        for (&i, rows) in units[u].1.iter().zip(fetched) {
-                            out[i] = Some(rows);
-                        }
-                    }
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
+    // Overlapped: pool threads claim units in issue order; this thread takes
+    // delivery in the same order and applies each plan the moment its unit
+    // has landed. A plan's unit is never later than the units of the plans
+    // before it (units are numbered by first appearance), so in-order
+    // delivery delays no apply. Nothing bounds the units in flight: their
+    // results are all kept until applied anyway.
+    let mut cursor = 0usize;
+    pai_common::pool::run_ordered(
+        units.len(),
+        workers,
+        units.len(),
+        |u| {
+            let (attrs, members) = &units[u];
+            let locs: Vec<&[RowLocator]> = members.iter().map(|&i| plans[i].locators()).collect();
+            read_row_groups(file, &locs, attrs, pushdown, config.fetch_parallelism)
+        },
+        |u, fetched| {
+            for (&i, rows) in units[u].1.iter().zip(fetched) {
+                out[i] = Some(rows);
             }
-            while first_err.is_none() && cursor < plans.len() && out[cursor].is_some() {
-                if let Err(e) = on_plan(cursor, out[cursor].as_deref().expect("resolved")) {
-                    first_err = Some(e);
-                    break;
-                }
+            while let Some(values) = out.get(cursor).and_then(|o| o.as_deref()) {
+                on_plan(cursor, values)?;
                 cursor += 1;
             }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    })
+            Ok(())
+        },
+    )
 }
 
 /// Attempts to answer the whole query from block synopses. `Some` means

@@ -267,13 +267,19 @@ impl ValinorIndex {
         Ok(leaf)
     }
 
-    /// Appends a batch of entries belonging to a specific root cell
-    /// (parallel initialization path).
-    pub(crate) fn extend_cell(&mut self, cell: usize, batch: Vec<ObjectEntry>) {
+    /// Hands a root cell the entries accumulated for it (the bulk
+    /// initialization path). An empty leaf — every cell of a fresh index —
+    /// takes the vector itself, trimmed of its growth slack in place, so
+    /// installing a built index copies no entries.
+    pub(crate) fn extend_cell(&mut self, cell: usize, mut batch: Vec<ObjectEntry>) {
         let tid = self.root[cell];
         let n = batch.len() as u64;
         self.version = self.version.wrapping_add(1);
         match &mut self.tiles[tid.index()].state {
+            TileState::Leaf { entries } if entries.is_empty() => {
+                batch.shrink_to_fit();
+                *entries = batch;
+            }
             TileState::Leaf { entries } => entries.extend(batch),
             TileState::Inner { .. } => unreachable!("init-time cells are leaves"),
         }

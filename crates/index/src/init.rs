@@ -1,24 +1,33 @@
 //! Index initialization: the single pass that builds the "crude" index.
 //!
-//! The initial index is a uniform grid over the axis domain. One sequential
-//! scan of the raw file fills it: every record contributes an
-//! [`ObjectEntry`] (axis values + row locator), and — per the configured
-//! [`MetadataPolicy`] — exact per-tile aggregate stats for the chosen
-//! non-axis columns, plus global per-column bounds (the fallback envelope
-//! for confidence intervals).
+//! The initial index is a uniform grid over the axis domain. One scan of the
+//! raw file fills it: every record contributes an [`ObjectEntry`] (axis
+//! values + row locator), and — per the configured [`MetadataPolicy`] —
+//! exact per-tile aggregate stats for the chosen non-axis columns, plus
+//! global per-column bounds (the fallback envelope for confidence
+//! intervals).
 //!
-//! The scan can run on several threads ([`build_parallel`]) over any
-//! backend that shards its sequential pass: workers scan the partitions the
-//! backend hands out via [`RawFile::partitions`], bin their records into
-//! per-cell batches, and the batches merge associatively. CSV files shard
-//! at record boundaries, binary columnar files at row ranges; backends that
-//! cannot shard degrade gracefully to a serial scan.
+//! There is one build path, and it is a pipeline. The file is cut into
+//! partitions whose number depends on its size alone
+//! ([`RawFile::partitions`], ≈ 4 MiB each). Worker threads claim partitions
+//! in file order and parse or decode each into a flat chunk; the calling
+//! thread folds the chunks into the per-cell accumulators **strictly in file
+//! order**, row by row. Every entry sequence, every floating-point sum and
+//! every logical I/O meter is therefore bit-identical at every width — which
+//! is why the width is not an option: [`build`] takes it from
+//! [`std::thread::available_parallelism`], and [`build_parallel`] is the same
+//! function with the width spelled out. A file of one partition (or a
+//! backend that cannot shard) is scanned inline, with no thread spawned.
 
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use pai_common::geometry::{Point2, Rect};
-use pai_common::{PaiError, Result, RunningStats};
+use pai_common::pool::run_ordered;
+use pai_common::{PaiError, Result, RowLocator, RunningStats};
 use pai_storage::raw::RawFile;
+use pai_storage::scan::BLOCK_BYTES;
+use pai_storage::Record;
 
 use crate::config::MetadataPolicy;
 use crate::entry::ObjectEntry;
@@ -63,57 +72,150 @@ pub struct InitReport {
     pub discovered_domain: bool,
 }
 
-/// Per-cell metadata accumulator used during the scan.
-struct CellAcc {
-    entries: Vec<ObjectEntry>,
-    stats: Vec<RunningStats>,
-    nulls: Vec<u64>,
+/// Parsed partitions that may exist at once — claimed by a worker and not
+/// yet folded — whatever the width: with [`BLOCK_BYTES`]-sized partitions,
+/// the 16 MiB the pipeline may hold beyond the index it is building. It
+/// also caps the parsing threads, at one fewer.
+const MAX_CHUNKS: usize = 4;
+
+/// Rows an inline scan parses between folds.
+const FLUSH_ROWS: usize = 4096;
+
+/// The shape of one pass: how many threads parse and into how many
+/// partitions the file is cut. Only the second can change what a pass
+/// charges, and it follows from the file's size.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    width: usize,
+    parts: usize,
 }
 
-impl CellAcc {
-    fn new(n_attrs: usize) -> Self {
-        CellAcc {
-            entries: Vec::new(),
-            stats: vec![RunningStats::new(); n_attrs],
-            nulls: vec![0; n_attrs],
+impl Shape {
+    fn of(file: &dyn RawFile, width: usize) -> Shape {
+        Shape {
+            width,
+            parts: file.size_bytes().div_ceil(BLOCK_BYTES).max(1) as usize,
         }
     }
 
-    #[inline]
-    fn push(&mut self, entry: ObjectEntry, values: &[f64]) {
-        self.entries.push(entry);
-        for ((s, n), &v) in self.stats.iter_mut().zip(self.nulls.iter_mut()).zip(values) {
-            if v.is_nan() {
-                *n += 1;
-            } else {
-                s.push(v);
+    fn auto(file: &dyn RawFile) -> Shape {
+        Shape::of(
+            file,
+            std::thread::available_parallelism().map_or(1, |n| n.get()),
+        )
+    }
+}
+
+/// One pass over `file`, shared by domain discovery and the build.
+///
+/// `row` parses one record into a per-partition batch, on whichever thread
+/// scans that partition; `fold` absorbs a batch (and leaves it empty) on the
+/// calling thread, batches arriving in file order. With `clip` the pass is a
+/// pushdown scan of that window instead, which backends do not shard.
+///
+/// Batches come from `new_batch(rows)`, sized for about `rows` records, and
+/// all of them are made here, by the calling thread, before any worker
+/// starts: one per in-flight slot, handed round and round. The pass
+/// therefore never holds more than that many, allocates nothing per
+/// partition, and gives the memory back to the thread that goes on to
+/// answer queries rather than to threads about to exit.
+fn scan_pass<B: Send>(
+    file: &dyn RawFile,
+    shape: Shape,
+    clip: Option<&Rect>,
+    new_batch: impl Fn(usize) -> B,
+    row: impl Fn(&mut B, RowLocator, &Record<'_>) -> Result<()> + Sync,
+    mut fold: impl FnMut(&mut B),
+) -> Result<()> {
+    let parts = match clip {
+        Some(_) => Vec::new(),
+        None => file.partitions(shape.parts)?,
+    };
+    if parts.len() <= 1 {
+        let mut batch = new_batch(FLUSH_ROWS);
+        let mut pending = 0;
+        let mut handler = |_, loc: RowLocator, rec: &Record<'_>| -> Result<()> {
+            row(&mut batch, loc, rec)?;
+            pending += 1;
+            if pending == FLUSH_ROWS {
+                fold(&mut batch);
+                pending = 0;
             }
+            Ok(())
+        };
+        match clip {
+            Some(window) => file.scan_filtered(window, &mut handler)?,
+            None => file.scan(&mut handler)?,
         }
+        fold(&mut batch);
+        return Ok(());
     }
+    // One chunk per worker in the making and one being folded: the fold is
+    // several times faster than the parse, so a deeper queue buys nothing.
+    let workers = shape.width.min(MAX_CHUNKS - 1);
+    let in_flight = if workers > 1 { workers + 1 } else { 1 };
+    // A partition holds about BLOCK_BYTES of values, text or binary.
+    let rows = BLOCK_BYTES as usize / (8 * file.schema().len().max(1));
+    let spare: Mutex<Vec<B>> = Mutex::new((0..in_flight).map(|_| new_batch(rows)).collect());
+    let spare = || spare.lock().expect("no holder of the spare batches panics");
+    run_ordered(
+        parts.len(),
+        workers,
+        in_flight,
+        |i| {
+            // Claimed means within the in-flight bound, and every partition
+            // in flight holds one batch (a failed one for good).
+            let mut batch = spare().pop().expect("a batch per in-flight slot");
+            file.scan_partition(parts[i], &mut |_, loc, rec| row(&mut batch, loc, rec))?;
+            Ok(batch)
+        },
+        |_, mut batch| {
+            fold(&mut batch);
+            spare().push(batch);
+            Ok(())
+        },
+    )
+}
 
-    fn merge(&mut self, other: CellAcc) {
-        self.entries.extend(other.entries);
-        for (s, o) in self.stats.iter_mut().zip(&other.stats) {
-            s.merge(o);
-        }
-        for (n, o) in self.nulls.iter_mut().zip(&other.nulls) {
-            *n += o;
-        }
-    }
+/// Axis extents and row count of the records seen so far.
+#[derive(Default)]
+struct Extent {
+    xs: RunningStats,
+    ys: RunningStats,
+    rows: u64,
 }
 
 /// Discovers the axis domain with a pre-pass, padding the max edges so that
-/// every object satisfies the half-open containment of its tile.
-pub fn discover_domain(file: &dyn RawFile) -> Result<Rect> {
+/// every object satisfies the half-open containment of its tile. The pass
+/// sees every row, so it returns the row count with the domain.
+pub fn discover_domain(file: &dyn RawFile) -> Result<(Rect, u64)> {
+    discover(file, Shape::auto(file))
+}
+
+fn discover(file: &dyn RawFile, shape: Shape) -> Result<(Rect, u64)> {
     let schema = file.schema();
     let (xi, yi) = (schema.x_axis(), schema.y_axis());
-    let mut xs = RunningStats::new();
-    let mut ys = RunningStats::new();
-    file.scan(&mut |_, _, rec| {
-        xs.push(rec.f64(xi)?);
-        ys.push(rec.f64(yi)?);
-        Ok(())
-    })?;
+    let mut all = Extent::default();
+    scan_pass(
+        file,
+        shape,
+        None,
+        |_| Extent::default(),
+        |part: &mut Extent, _, rec| {
+            part.xs.push(rec.f64(xi)?);
+            part.ys.push(rec.f64(yi)?);
+            part.rows += 1;
+            Ok(())
+        },
+        // Min, max and counts merge exactly, in any grouping.
+        |part| {
+            let part = std::mem::take(part);
+            all.xs.merge(&part.xs);
+            all.ys.merge(&part.ys);
+            all.rows += part.rows;
+        },
+    )?;
+    let (xs, ys) = (all.xs, all.ys);
     if xs.is_empty() {
         return Err(PaiError::schema(
             "cannot discover a domain on an empty file",
@@ -128,7 +230,7 @@ pub fn discover_domain(file: &dyn RawFile) -> Result<Rect> {
     };
     let (x0, x1) = pad(x0, x1);
     let (y0, y1) = pad(y0, y1);
-    Ok(Rect::new(x0, x1, y0, y1))
+    Ok((Rect::new(x0, x1, y0, y1), all.rows))
 }
 
 fn resolve_grid(spec: GridSpec, row_hint: Option<u64>) -> Result<(usize, usize)> {
@@ -155,100 +257,164 @@ fn resolve_grid(spec: GridSpec, row_hint: Option<u64>) -> Result<(usize, usize)>
     }
 }
 
-/// How the single-scan accumulation treats records relative to the
-/// index's domain.
-enum DomainRule {
-    /// Full scan; a record outside the (closed) domain is a data error.
-    ErrorOutside,
-    /// Pushdown scan over the domain; records outside it (half-open, like
-    /// a query window) are silently skipped.
-    ClipOutside,
+/// Per-cell metadata accumulator filled by the fold.
+struct CellAcc {
+    entries: Vec<ObjectEntry>,
+    stats: Vec<RunningStats>,
+    nulls: Vec<u64>,
 }
 
-/// The serial scan shared by [`build`] and [`build_clipped`]: bins every
-/// accepted record into per-root-cell accumulators.
+impl CellAcc {
+    fn new(n_attrs: usize) -> Self {
+        CellAcc {
+            entries: Vec::new(),
+            stats: vec![RunningStats::new(); n_attrs],
+            nulls: vec![0; n_attrs],
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, entry: ObjectEntry, values: &[f64]) {
+        self.entries.push(entry);
+        for ((s, n), &v) in self.stats.iter_mut().zip(self.nulls.iter_mut()).zip(values) {
+            if v.is_nan() {
+                *n += 1;
+            } else {
+                s.push(v);
+            }
+        }
+    }
+}
+
+/// The accepted records of one partition, parsed and flat: row `i` is
+/// `entries[i]`, bound for root cell `cells[i]`, with its metadata values at
+/// `vals[i * n_attrs..][..n_attrs]`.
+struct Chunk {
+    cells: Vec<u32>,
+    entries: Vec<ObjectEntry>,
+    vals: Vec<f64>,
+    /// One row's values on their way into `vals`.
+    row_vals: Vec<f64>,
+}
+
+/// Bins every accepted record of `file` into per-root-cell accumulators.
+///
+/// A full build treats a record outside the (closed) domain as a data error;
+/// a clipped one scans with the domain pushed down and silently skips
+/// records outside it (half-open, like a query window).
 fn accumulate_cells(
     file: &dyn RawFile,
     index: &ValinorIndex,
     attrs: &[usize],
-    rule: DomainRule,
-) -> Result<(Vec<CellAcc>, u64)> {
+    clipped: bool,
+    shape: Shape,
+) -> Result<Vec<CellAcc>> {
     let schema = file.schema();
     let (xi, yi) = (schema.x_axis(), schema.y_axis());
     let domain = *index.domain();
     let mut accs: Vec<CellAcc> = (0..index.root_cells())
         .map(|_| CellAcc::new(attrs.len()))
         .collect();
-    let mut vals = Vec::with_capacity(attrs.len());
-    let mut rows = 0u64;
-    let mut handler = |_: pai_common::RowId,
-                       locator: pai_common::RowLocator,
-                       rec: &pai_storage::Record<'_>|
-     -> Result<()> {
-        let x = rec.f64(xi)?;
-        let y = rec.f64(yi)?;
-        let p = Point2::new(x, y);
-        match rule {
-            DomainRule::ErrorOutside => {
-                if !domain.contains_point_closed(p) {
-                    return Err(PaiError::schema(format!(
-                        "object at {p:?} outside the configured domain {domain}"
-                    )));
-                }
-            }
-            DomainRule::ClipOutside => {
-                // Block skipping is a superset filter: apply the exact
-                // clip here.
+    scan_pass(
+        file,
+        shape,
+        clipped.then_some(&domain),
+        |rows| Chunk {
+            cells: Vec::with_capacity(rows),
+            entries: Vec::with_capacity(rows),
+            vals: Vec::with_capacity(rows * attrs.len()),
+            row_vals: Vec::with_capacity(attrs.len()),
+        },
+        |chunk: &mut Chunk, locator, rec| {
+            let x = rec.f64(xi)?;
+            let y = rec.f64(yi)?;
+            let p = Point2::new(x, y);
+            if clipped {
+                // Block skipping is a superset filter: apply the exact clip
+                // here.
                 if !domain.contains_point(p) {
                     return Ok(());
                 }
+            } else if !domain.contains_point_closed(p) {
+                return Err(PaiError::schema(format!(
+                    "object at {p:?} outside the configured domain {domain}"
+                )));
             }
-        }
-        rec.extract_f64(attrs, &mut vals)?;
-        let cell = index.root_cell_of(p);
-        accs[cell].push(ObjectEntry::new(x, y, locator), &vals);
-        rows += 1;
-        Ok(())
-    };
-    match rule {
-        DomainRule::ErrorOutside => file.scan(&mut handler)?,
-        DomainRule::ClipOutside => file.scan_filtered(&domain, &mut handler)?,
-    }
-    Ok((accs, rows))
+            rec.extract_f64(attrs, &mut chunk.row_vals)?;
+            chunk.vals.extend_from_slice(&chunk.row_vals);
+            chunk.cells.push(index.root_cell_of(p) as u32);
+            chunk.entries.push(ObjectEntry::new(x, y, locator));
+            Ok(())
+        },
+        // The only place accumulators change: one row at a time, in file
+        // order, whichever thread parsed the row.
+        |chunk| {
+            for (i, (&cell, &entry)) in chunk.cells.iter().zip(&chunk.entries).enumerate() {
+                let vals = &chunk.vals[i * attrs.len()..][..attrs.len()];
+                accs[cell as usize].push(entry, vals);
+            }
+            chunk.cells.clear();
+            chunk.entries.clear();
+            chunk.vals.clear();
+        },
+    )?;
+    Ok(accs)
 }
 
-/// Builds the initial index with one sequential scan.
-pub fn build(file: &dyn RawFile, config: &InitConfig) -> Result<(ValinorIndex, InitReport)> {
+/// The one build: resolve the domain (given, clipped to, or discovered),
+/// lay the grid, fill it with one pass, install.
+fn build_with(
+    file: &dyn RawFile,
+    config: &InitConfig,
+    clip: Option<&Rect>,
+    shape: Shape,
+) -> Result<(ValinorIndex, InitReport)> {
     let start = Instant::now();
     let schema = file.schema().clone();
     let attrs = config.metadata.resolve(&schema)?;
-
-    let mut discovered = false;
-    let mut row_hint = None;
-    let domain = match config.domain {
-        Some(d) => d,
-        None => {
-            discovered = true;
-            let d = discover_domain(file)?;
-            // The discovery pass also tells us the row count.
-            row_hint = Some(count_rows(file)?);
-            d
+    let (domain, row_hint) = match (clip, config.domain) {
+        (Some(region), _) if region.is_empty() => {
+            return Err(PaiError::config("clip region must have positive area"));
+        }
+        (Some(region), _) => (*region, None),
+        (None, Some(domain)) => (domain, None),
+        (None, None) => {
+            let (domain, rows) = discover(file, shape)?;
+            (domain, Some(rows))
         }
     };
     let (nx, ny) = resolve_grid(config.grid, row_hint)?;
-    let mut index = ValinorIndex::new(schema.clone(), domain, nx, ny)?;
-
-    let (accs, rows) = accumulate_cells(file, &index, &attrs, DomainRule::ErrorOutside)?;
+    let mut index = ValinorIndex::new(schema, domain, nx, ny)?;
+    let accs = accumulate_cells(file, &index, &attrs, clip.is_some(), shape)?;
     install_cells(&mut index, accs, &attrs);
-
     let report = InitReport {
-        rows,
+        rows: index.total_objects(),
         grid_nx: nx,
         grid_ny: ny,
         elapsed: start.elapsed(),
-        discovered_domain: discovered,
+        discovered_domain: row_hint.is_some(),
     };
     Ok((index, report))
+}
+
+/// Builds the initial index with one scan of the file, pipelined over as
+/// many threads as the machine offers (and the file has partitions for).
+pub fn build(file: &dyn RawFile, config: &InitConfig) -> Result<(ValinorIndex, InitReport)> {
+    build_with(file, config, None, Shape::auto(file))
+}
+
+/// [`build`] with the number of parsing threads spelled out.
+///
+/// The same function, and the same index bit for bit — entry order, metadata
+/// sums, bounds, logical I/O meters — at every `threads`; only the wall time
+/// differs. Works over any backend: the file decides how (and whether) its
+/// scan shards via [`RawFile::partitions`].
+pub fn build_parallel(
+    file: &dyn RawFile,
+    config: &InitConfig,
+    threads: usize,
+) -> Result<(ValinorIndex, InitReport)> {
+    build_with(file, config, None, Shape::of(file, threads.max(1)))
 }
 
 /// Builds an initial index over only the objects inside `region` — a
@@ -268,122 +434,7 @@ pub fn build_clipped(
     config: &InitConfig,
     region: &Rect,
 ) -> Result<(ValinorIndex, InitReport)> {
-    let start = Instant::now();
-    let schema = file.schema().clone();
-    let attrs = config.metadata.resolve(&schema)?;
-    if region.is_empty() {
-        return Err(PaiError::config("clip region must have positive area"));
-    }
-    let (nx, ny) = resolve_grid(config.grid, None)?;
-    let mut index = ValinorIndex::new(schema.clone(), *region, nx, ny)?;
-
-    let (accs, rows) = accumulate_cells(file, &index, &attrs, DomainRule::ClipOutside)?;
-    install_cells(&mut index, accs, &attrs);
-
-    let report = InitReport {
-        rows,
-        grid_nx: nx,
-        grid_ny: ny,
-        elapsed: start.elapsed(),
-        discovered_domain: false,
-    };
-    Ok((index, report))
-}
-
-/// Builds the initial index scanning the file with `threads` workers.
-///
-/// Functionally identical to [`build`] (same index modulo entry order inside
-/// each tile); the domain must be known or discoverable first. Works over
-/// any backend: the file decides how (and whether) its scan shards via
-/// [`RawFile::partitions`].
-pub fn build_parallel(
-    file: &dyn RawFile,
-    config: &InitConfig,
-    threads: usize,
-) -> Result<(ValinorIndex, InitReport)> {
-    if threads <= 1 {
-        return build(file, config);
-    }
-    let start = Instant::now();
-    let schema = file.schema().clone();
-    let attrs = config.metadata.resolve(&schema)?;
-
-    let mut discovered = false;
-    let mut row_hint = None;
-    let domain = match config.domain {
-        Some(d) => d,
-        None => {
-            discovered = true;
-            let d = discover_domain(file)?;
-            row_hint = Some(count_rows(file)?);
-            d
-        }
-    };
-    let (nx, ny) = resolve_grid(config.grid, row_hint)?;
-    let mut index = ValinorIndex::new(schema.clone(), domain, nx, ny)?;
-
-    let parts = file.partitions(threads)?;
-    let (xi, yi) = (schema.x_axis(), schema.y_axis());
-    let n_cells = index.root_cells();
-
-    // Workers bin their partition into per-cell accumulators; the shared
-    // &index is only used for the (immutable) cell mapping.
-    let index_ref = &index;
-    let attrs_ref = &attrs;
-    let results: Vec<Result<(Vec<CellAcc>, u64)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = parts
-            .iter()
-            .map(|&part| {
-                scope.spawn(move || -> Result<(Vec<CellAcc>, u64)> {
-                    let mut accs: Vec<CellAcc> = (0..n_cells)
-                        .map(|_| CellAcc::new(attrs_ref.len()))
-                        .collect();
-                    let mut vals = Vec::with_capacity(attrs_ref.len());
-                    let mut rows = 0u64;
-                    file.scan_partition(part, &mut |_, locator, rec| {
-                        let x = rec.f64(xi)?;
-                        let y = rec.f64(yi)?;
-                        let p = Point2::new(x, y);
-                        if !domain.contains_point_closed(p) {
-                            return Err(PaiError::schema(format!(
-                                "object at {p:?} outside domain {domain}"
-                            )));
-                        }
-                        rec.extract_f64(attrs_ref, &mut vals)?;
-                        let cell = index_ref.root_cell_of(p);
-                        accs[cell].push(ObjectEntry::new(x, y, locator), &vals);
-                        rows += 1;
-                        Ok(())
-                    })?;
-                    Ok((accs, rows))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("init worker panicked"))
-            .collect()
-    });
-
-    let mut merged: Vec<CellAcc> = (0..n_cells).map(|_| CellAcc::new(attrs.len())).collect();
-    let mut rows = 0u64;
-    for res in results {
-        let (accs, r) = res?;
-        rows += r;
-        for (m, a) in merged.iter_mut().zip(accs) {
-            m.merge(a);
-        }
-    }
-    install_cells(&mut index, merged, &attrs);
-
-    let report = InitReport {
-        rows,
-        grid_nx: nx,
-        grid_ny: ny,
-        elapsed: start.elapsed(),
-        discovered_domain: discovered,
-    };
-    Ok((index, report))
+    build_with(file, config, Some(region), Shape::of(file, 1))
 }
 
 /// Moves accumulated entries/metadata into the index tiles and folds global
@@ -415,21 +466,11 @@ fn install_cells(index: &mut ValinorIndex, accs: Vec<CellAcc>, attrs: &[usize]) 
     debug_assert!(index.validate_invariants().is_ok());
 }
 
-/// Counts data rows with a cheap scan (no field parsing beyond the split).
-fn count_rows(file: &dyn RawFile) -> Result<u64> {
-    let mut rows = 0u64;
-    file.scan(&mut |_, _, _| {
-        rows += 1;
-        Ok(())
-    })?;
-    Ok(rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pai_common::Interval;
-    use pai_storage::{CsvFormat, DatasetSpec, MemFile, Schema};
+    use pai_storage::{CsvFormat, MemFile, Schema};
 
     fn tiny_file() -> MemFile {
         // 4 points in [0,10)^2 with col2 known.
@@ -482,6 +523,29 @@ mod tests {
         // No metadata requested -> no global bounds either.
         assert_eq!(idx.global_bounds(2), None);
         idx.validate_invariants().unwrap();
+        // Discovery and the build: two passes, not a third to count rows.
+        assert_eq!(f.counters().snapshot().full_scans, 2);
+    }
+
+    #[test]
+    fn discovered_row_count_sizes_the_grid() {
+        let f = tiny_file();
+        let cfg = InitConfig {
+            grid: GridSpec::TargetObjectsPerTile(1),
+            domain: None,
+            metadata: MetadataPolicy::None,
+        };
+        let (idx, report) = build(&f, &cfg).unwrap();
+        assert_eq!((report.rows, report.grid_nx, report.grid_ny), (4, 2, 2));
+        assert_eq!(idx.leaf_count(), 4);
+        assert_eq!(f.counters().snapshot().full_scans, 2);
+    }
+
+    #[test]
+    fn in_flight_chunks_stay_within_16_mib() {
+        // The pool holds at most `workers + 1 <= MAX_CHUNKS` parsed
+        // partitions of BLOCK_BYTES each (`common::pool` tests the count).
+        assert!(MAX_CHUNKS as u64 * BLOCK_BYTES <= 16 << 20);
     }
 
     #[test]
@@ -514,6 +578,9 @@ mod tests {
     fn discover_domain_empty_file_fails() {
         let f = MemFile::from_text("col0,col1\n", Schema::synthetic(2), CsvFormat::default());
         assert!(discover_domain(&f).is_err());
+        let (domain, rows) = discover_domain(&tiny_file()).unwrap();
+        assert_eq!(rows, 4);
+        assert!(domain.contains_point(Point2::new(9.0, 9.0)));
     }
 
     #[test]
@@ -529,90 +596,6 @@ mod tests {
         let t = idx.leaf_for_point(Point2::new(1.0, 1.0)).unwrap();
         assert!(idx.tile(t).meta.get(2).is_none());
         assert!(idx.tile(t).meta.has_exact(3));
-    }
-
-    #[test]
-    fn parallel_build_matches_serial() {
-        let dir = std::env::temp_dir().join("pai_init_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("par.csv");
-        let spec = DatasetSpec {
-            rows: 5000,
-            columns: 4,
-            seed: 7,
-            ..Default::default()
-        };
-        let file = spec.write_csv(&path, CsvFormat::default()).unwrap();
-
-        let cfg = InitConfig {
-            grid: GridSpec::Fixed { nx: 8, ny: 8 },
-            domain: Some(spec.domain),
-            metadata: MetadataPolicy::AllNumeric,
-        };
-        let (serial, r1) = build(&file, &cfg).unwrap();
-        let (parallel, r2) = build_parallel(&file, &cfg, 4).unwrap();
-        assert_eq!(r1.rows, r2.rows);
-        assert_eq!(serial.total_objects(), parallel.total_objects());
-        assert_eq!(serial.leaf_count(), parallel.leaf_count());
-        parallel.validate_invariants().unwrap();
-
-        // Same per-tile counts and metadata (entry order may differ).
-        for cell in 0..serial.root_cells() {
-            let (a, b) = (serial.root_tile(cell), parallel.root_tile(cell));
-            assert_eq!(
-                serial.tile(a).object_count(),
-                parallel.tile(b).object_count(),
-                "cell {cell}"
-            );
-            for attr in [2usize, 3] {
-                let ma = serial.tile(a).meta.get(attr);
-                let mb = parallel.tile(b).meta.get(attr);
-                match (ma, mb) {
-                    (Some(x), Some(y)) => {
-                        assert_eq!(x.exact_sum().is_some(), y.exact_sum().is_some());
-                        if let (Some(sx), Some(sy)) = (x.exact_sum(), y.exact_sum()) {
-                            assert!((sx - sy).abs() < 1e-9 * (1.0 + sx.abs()));
-                        }
-                        assert_eq!(x.value_bounds(), y.value_bounds());
-                    }
-                    (None, None) => {}
-                    other => panic!("metadata mismatch in cell {cell}: {other:?}"),
-                }
-            }
-        }
-        assert_eq!(serial.global_bounds(2), parallel.global_bounds(2));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn parallel_build_matches_serial_on_bin_backend() {
-        let spec = DatasetSpec {
-            rows: 5000,
-            columns: 4,
-            seed: 7,
-            ..Default::default()
-        };
-        let file = spec.build_bin_mem().unwrap();
-        let cfg = InitConfig {
-            grid: GridSpec::Fixed { nx: 8, ny: 8 },
-            domain: Some(spec.domain),
-            metadata: MetadataPolicy::AllNumeric,
-        };
-        let (serial, r1) = build(&file, &cfg).unwrap();
-        let (parallel, r2) = build_parallel(&file, &cfg, 4).unwrap();
-        assert_eq!(r1.rows, r2.rows);
-        assert_eq!(serial.total_objects(), parallel.total_objects());
-        assert_eq!(serial.leaf_count(), parallel.leaf_count());
-        parallel.validate_invariants().unwrap();
-        for cell in 0..serial.root_cells() {
-            let (a, b) = (serial.root_tile(cell), parallel.root_tile(cell));
-            assert_eq!(
-                serial.tile(a).object_count(),
-                parallel.tile(b).object_count(),
-                "cell {cell}"
-            );
-        }
-        assert_eq!(serial.global_bounds(2), parallel.global_bounds(2));
     }
 
     #[test]
@@ -673,25 +656,10 @@ mod tests {
         zone.scan(&mut |_, _, _| Ok(())).unwrap();
         assert!(clipped_bytes < zone.counters().bytes_read());
     }
-
-    #[test]
-    fn parallel_single_thread_delegates() {
-        let dir = std::env::temp_dir().join("pai_init_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("single.csv");
-        let spec = DatasetSpec {
-            rows: 100,
-            columns: 3,
-            ..Default::default()
-        };
-        let file = spec.write_csv(&path, CsvFormat::default()).unwrap();
-        let cfg = InitConfig {
-            grid: GridSpec::Fixed { nx: 2, ny: 2 },
-            domain: Some(spec.domain),
-            metadata: MetadataPolicy::AllNumeric,
-        };
-        let (idx, _) = build_parallel(&file, &cfg, 1).unwrap();
-        assert_eq!(idx.total_objects(), 100);
-        std::fs::remove_file(&path).ok();
-    }
 }
+
+/// Width × backend bit-identity and first-error tests of the pipeline, with
+/// partition counts small files would never get from their size.
+#[cfg(test)]
+#[path = "init_pipeline_tests.rs"]
+mod pipeline_tests;

@@ -505,9 +505,13 @@ impl BinFile {
     }
 
     /// Scans rows `[start, end)`, the engine of both `scan` and
-    /// `scan_partition`. `counters` bytes/seeks/objects are metered here;
-    /// the full-scan tick is the caller's business.
+    /// `scan_partition`. Everything is metered here; the range that begins
+    /// the file carries the `full_scans` tick, so the partitions of one
+    /// `partitions` call charge between them what one `scan` charges.
     fn scan_rows(&self, start: u64, end: u64, handler: &mut RowHandler<'_>) -> Result<()> {
+        if start == 0 {
+            self.counters.add_full_scan();
+        }
         if start >= end {
             return Ok(());
         }
@@ -544,16 +548,24 @@ impl BinFile {
                         .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
                 );
             }
+            // Objects are metered once per page (also when the handler
+            // stops the scan), not with one shared atomic per row.
+            let page_row0 = local_row;
+            let mut outcome = Ok(());
             for i in 0..batch as usize {
                 for (v, page) in values.iter_mut().zip(&pages) {
                     *v = page[i];
                 }
                 let row = row0 + i as u64;
                 let rec = Record::from_values(&values, row);
-                handler(local_row, RowLocator::new(row), &rec)?;
+                outcome = handler(local_row, RowLocator::new(row), &rec);
+                if outcome.is_err() {
+                    break;
+                }
                 local_row += 1;
-                self.counters.add_objects(1);
             }
+            self.counters.add_objects(local_row - page_row0);
+            outcome?;
             row0 += batch;
         }
         Ok(())
@@ -578,7 +590,6 @@ impl RawFile for BinFile {
     }
 
     fn scan(&self, handler: &mut RowHandler<'_>) -> Result<()> {
-        self.counters.add_full_scan();
         self.scan_rows(0, self.n_rows, handler)
     }
 
@@ -670,8 +681,12 @@ impl RawFile for BinFile {
         if self.n_rows == 0 {
             return Ok(Vec::new());
         }
-        let n = (n as u64).min(self.n_rows);
-        let per = self.n_rows.div_ceil(n);
+        // Whole pages per shard: the paged reader then fetches (and meters
+        // as `blocks_read`) exactly the pages one full scan does.
+        let pages = self.n_rows.div_ceil(PAGE_ROWS);
+        let page_bytes = PAGE_ROWS * 8 * self.schema.len() as u64;
+        let per_pages = crate::scan::units_per_shard(pages, page_bytes, n);
+        let (n, per) = (pages.div_ceil(per_pages), per_pages * PAGE_ROWS);
         Ok((0..n)
             .map(|i| ScanPartition {
                 start: i * per,
@@ -685,7 +700,7 @@ impl RawFile for BinFile {
         // Honor the trait-level "everything" sentinel so generic callers can
         // treat all backends uniformly.
         if partition == ScanPartition::WHOLE {
-            return self.scan_rows(0, self.n_rows, handler);
+            return self.scan(handler);
         }
         self.scan_rows(partition.start, partition.end, handler)
     }
@@ -911,6 +926,36 @@ mod tests {
         // More partitions than rows degrades gracefully.
         let tiny = BinFile::from_rows(&Schema::synthetic(2), vec![vec![1.0, 2.0]]).unwrap();
         assert_eq!(tiny.partitions(16).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn partitions_are_whole_pages_of_at_most_one_scan_block() {
+        // 300 000 rows × 2 columns decode to 4.8 MB: more than one scan
+        // block, so even `partitions(1)` shards, at page boundaries.
+        let rows = (0..300_000).map(|i| vec![i as f64, 1.0]);
+        let f = BinFile::from_rows(&Schema::synthetic(2), rows).unwrap();
+        let cap = crate::scan::BLOCK_BYTES / 16;
+        for n in [1usize, 2, 5] {
+            let parts = f.partitions(n).unwrap();
+            assert!(parts.len() >= 2 && parts.len() >= n, "n={n}: {parts:?}");
+            assert_eq!(parts[0].start, 0);
+            assert_eq!(parts.last().unwrap().end, 300_000);
+            for w in parts.windows(2) {
+                assert_eq!(w[0].end, w[1].start);
+            }
+            for p in &parts {
+                assert_eq!(p.start % PAGE_ROWS, 0, "page-aligned: {p:?}");
+                assert!(p.end - p.start <= cap, "{p:?}");
+            }
+        }
+        // Page-aligned shards fetch exactly the pages one scan fetches.
+        f.scan(&mut |_, _, _| Ok(())).unwrap();
+        let serial = f.counters().snapshot();
+        f.counters().reset();
+        for p in f.partitions(5).unwrap() {
+            f.scan_partition(p, &mut |_, _, _| Ok(())).unwrap();
+        }
+        assert_eq!(f.counters().snapshot(), serial);
     }
 
     #[test]

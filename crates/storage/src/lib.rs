@@ -61,8 +61,9 @@
 //! * [`batch`] — cross-tile batched positional reads: many locator groups,
 //!   one coalesced, window-aware `read_rows` call (optionally sharded
 //!   across threads);
-//! * [`scan`] — newline-aligned chunking, the CSV backend's partitioned
-//!   scan machinery;
+//! * [`scan`] — the CSV scanner: line-aligned partitions and the
+//!   block-buffered pass over them that both CSV backends' full and
+//!   partitioned scans share;
 //! * [`gen`] — synthetic dataset generation (the paper's 10-numeric-column
 //!   dataset family: uniform, Gaussian-cluster "dense areas", skewed),
 //!   writable to any backend;

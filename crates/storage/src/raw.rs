@@ -8,8 +8,8 @@
 //!   once per dataset, by index initialization ("crude index" construction),
 //!   and by the ground-truth evaluator in tests/benches. Backends that can
 //!   shard the pass expose [`RawFile::partitions`] +
-//!   [`RawFile::scan_partition`] so initialization can run on several
-//!   threads.
+//!   [`RawFile::scan_partition`] so initialization can parse partitions on
+//!   several threads (and still fold them in file order).
 //! * [`RawFile::read_rows`] — batched positional reads of specific records
 //!   by locator. This is the I/O that adaptation pays for: when a
 //!   partially-contained tile is processed, the engine reads the non-axis
@@ -22,7 +22,7 @@
 //! columnar backend ([`crate::column::BinFile`]) hands out row ids and
 //! resolves them with `row_id * stride` arithmetic. [`MemFile`] serves tests
 //! and examples with CSV semantics over an in-memory buffer (including
-//! metering).
+//! metering and line-aligned partitions — the same scanner, [`crate::scan`]).
 
 use std::fs::File;
 use std::io::{BufRead, BufReader, Cursor, Seek, SeekFrom};
@@ -49,22 +49,46 @@ enum RecordInner<'a> {
     Csv {
         line: &'a [u8],
         ranges: &'a [(usize, usize)],
-        line_no: u64,
+        at: CsvPos,
     },
     /// An already-decoded numeric row (binary columnar backends).
     Values { values: &'a [f64], row: RowId },
 }
 
+/// Where a CSV record sits in its file, for error messages: a full scan
+/// counts lines, a partitioned scan starts mid-file and only knows offsets.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum CsvPos {
+    /// 1-based line number.
+    Line(u64),
+    /// Byte offset of the record's first byte.
+    Offset(u64),
+}
+
+impl CsvPos {
+    fn error(self, msg: String) -> PaiError {
+        match self {
+            CsvPos::Line(n) => PaiError::parse(n, msg),
+            CsvPos::Offset(o) => PaiError::parse_at(o, msg),
+        }
+    }
+
+    /// Stamps this position on a parse error raised by the line-oriented
+    /// [`csv`] helpers (which only take a line number).
+    fn locate(self, e: PaiError) -> PaiError {
+        match e {
+            PaiError::Parse { message, .. } => self.error(message),
+            e => e,
+        }
+    }
+}
+
 impl<'a> Record<'a> {
     /// Assembles a record view from pre-split CSV parts (crate-internal;
     /// used by the CSV scanners).
-    pub(crate) fn from_parts(line: &'a [u8], ranges: &'a [(usize, usize)], line_no: u64) -> Self {
+    pub(crate) fn from_parts(line: &'a [u8], ranges: &'a [(usize, usize)], at: CsvPos) -> Self {
         Record {
-            inner: RecordInner::Csv {
-                line,
-                ranges,
-                line_no,
-            },
+            inner: RecordInner::Csv { line, ranges, at },
         }
     }
 
@@ -87,18 +111,14 @@ impl<'a> Record<'a> {
     /// Parses field `col` as f64 (empty → NaN).
     pub fn f64(&self, col: usize) -> Result<f64> {
         match &self.inner {
-            RecordInner::Csv {
-                line,
-                ranges,
-                line_no,
-            } => {
+            RecordInner::Csv { line, ranges, at } => {
                 let (a, b) = *ranges.get(col).ok_or_else(|| {
-                    PaiError::parse(
-                        *line_no,
-                        format!("record has {} fields, wanted column {col}", ranges.len()),
-                    )
+                    at.error(format!(
+                        "record has {} fields, wanted column {col}",
+                        ranges.len()
+                    ))
                 })?;
-                csv::parse_f64_field(&line[a..b], *line_no)
+                csv::parse_f64_field(&line[a..b], 0).map_err(|e| at.locate(e))
             }
             RecordInner::Values { values, row } => values.get(col).copied().ok_or_else(|| {
                 PaiError::parse(
@@ -112,11 +132,9 @@ impl<'a> Record<'a> {
     /// Extracts several columns as f64 into `out` (cleared first).
     pub fn extract_f64(&self, wanted: &[usize], out: &mut Vec<f64>) -> Result<()> {
         match &self.inner {
-            RecordInner::Csv {
-                line,
-                ranges,
-                line_no,
-            } => csv::extract_f64(line, ranges, wanted, *line_no, out),
+            RecordInner::Csv { line, ranges, at } => {
+                csv::extract_f64(line, ranges, wanted, 0, out).map_err(|e| at.locate(e))
+            }
             RecordInner::Values { .. } => {
                 out.clear();
                 for &col in wanted {
@@ -133,16 +151,12 @@ impl<'a> Record<'a> {
     /// store pure numeric data and return an error.
     pub fn text(&self, col: usize) -> Result<&'a str> {
         match &self.inner {
-            RecordInner::Csv {
-                line,
-                ranges,
-                line_no,
-            } => {
+            RecordInner::Csv { line, ranges, at } => {
                 let (a, b) = *ranges
                     .get(col)
-                    .ok_or_else(|| PaiError::parse(*line_no, format!("no column {col}")))?;
+                    .ok_or_else(|| at.error(format!("no column {col}")))?;
                 std::str::from_utf8(&line[a..b])
-                    .map_err(|_| PaiError::parse(*line_no, "field is not valid UTF-8"))
+                    .map_err(|_| at.error("field is not valid UTF-8".into()))
             }
             RecordInner::Values { .. } => Err(PaiError::unsupported(
                 "binary records hold numeric values only; no text fields",
@@ -568,10 +582,17 @@ pub trait RawFile: Send + Sync {
     /// path that adaptation pays for.
     fn read_rows(&self, locators: &[RowLocator], attrs: &[AttrId]) -> Result<Vec<Vec<f64>>>;
 
-    /// Splits the sequential scan into at most `n` independently scannable
-    /// shards (for parallel initialization). Backends that cannot shard
-    /// return the single [`ScanPartition::WHOLE`] partition, which makes a
-    /// parallel scan degrade gracefully to a serial one.
+    /// Splits the sequential scan into about `n` independently scannable
+    /// shards, in file order (for the pipelined index build): at most `n`,
+    /// unless it takes more to keep every shard within one scan block
+    /// ([`crate::scan::BLOCK_BYTES`]) of decoded values, as the columnar
+    /// backends do. The cut depends on the file and `n` alone, and the
+    /// shards of one call charge between them exactly what one
+    /// [`RawFile::scan`] charges — the shard that begins the file carries
+    /// the `full_scans` tick — so a build's logical meters do not depend on
+    /// how many threads scanned. Backends that cannot shard return the
+    /// single [`ScanPartition::WHOLE`] partition, which makes a partitioned
+    /// scan degrade gracefully to a serial one.
     fn partitions(&self, n: usize) -> Result<Vec<ScanPartition>> {
         let _ = n;
         Ok(vec![ScanPartition::WHOLE])
@@ -580,6 +601,7 @@ pub trait RawFile: Send + Sync {
     /// Scans the records inside one partition returned by
     /// [`RawFile::partitions`]. Row ids passed to the handler are *local* to
     /// the partition; locators are global, exactly as in a full scan.
+    /// [`ScanPartition::WHOLE`] is the full scan on every backend.
     fn scan_partition(&self, partition: ScanPartition, handler: &mut RowHandler<'_>) -> Result<()> {
         if partition == ScanPartition::WHOLE {
             self.scan(handler)
@@ -771,17 +793,9 @@ impl<T: RawFile + ?Sized> RawFile for Box<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Shared CSV implementation over any BufRead + Seek source.
+// Shared CSV positional reads over any BufRead + Seek source (the scans live
+// in `crate::scan`).
 // ---------------------------------------------------------------------------
-
-fn skip_header<R: BufRead>(reader: &mut R, fmt: &CsvFormat) -> Result<u64> {
-    if !fmt.has_header {
-        return Ok(0);
-    }
-    let mut line = Vec::new();
-    let n = reader.read_until(b'\n', &mut line)?;
-    Ok(n as u64)
-}
 
 fn trim_newline(line: &[u8]) -> &[u8] {
     let mut end = line.len();
@@ -789,40 +803,6 @@ fn trim_newline(line: &[u8]) -> &[u8] {
         end -= 1;
     }
     &line[..end]
-}
-
-fn scan_impl<R: BufRead>(
-    reader: &mut R,
-    fmt: &CsvFormat,
-    counters: &IoCounters,
-    handler: &mut RowHandler<'_>,
-) -> Result<()> {
-    counters.add_full_scan();
-    let mut offset = skip_header(reader, fmt)?;
-    counters.add_bytes(offset);
-    let mut line = Vec::with_capacity(256);
-    let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(16);
-    let mut row: RowId = 0;
-    let mut line_no: u64 = if fmt.has_header { 2 } else { 1 };
-    loop {
-        line.clear();
-        let n = reader.read_until(b'\n', &mut line)?;
-        if n == 0 {
-            break;
-        }
-        let body = trim_newline(&line);
-        if !body.is_empty() {
-            csv::split_fields(body, fmt, &mut ranges);
-            let rec = Record::from_parts(body, &ranges, line_no);
-            handler(row, RowLocator::new(offset), &rec)?;
-            row += 1;
-        }
-        counters.add_bytes(n as u64);
-        counters.add_objects(u64::from(!body.is_empty()));
-        offset += n as u64;
-        line_no += 1;
-    }
-    Ok(())
 }
 
 fn read_rows_impl<R: BufRead + Seek>(
@@ -922,6 +902,15 @@ impl CsvFile {
         &self.fmt
     }
 
+    /// A fresh handle for one scan (each scan opens its own, so partitions
+    /// scan concurrently).
+    fn bytes(&self) -> Result<crate::scan::DiskBytes> {
+        Ok(crate::scan::DiskBytes {
+            file: File::open(&self.path)?,
+            len: self.size_bytes,
+        })
+    }
+
     fn reader(&self) -> Result<BufReader<File>> {
         // 256 KiB buffer: positional reads of clustered offsets then mostly
         // stay inside the buffer and need no OS-level seeks.
@@ -946,8 +935,7 @@ impl RawFile for CsvFile {
     }
 
     fn scan(&self, handler: &mut RowHandler<'_>) -> Result<()> {
-        let mut reader = self.reader()?;
-        scan_impl(&mut reader, &self.fmt, &self.counters, handler)
+        self.scan_partition(ScanPartition::WHOLE, handler)
     }
 
     fn read_rows(&self, locators: &[RowLocator], attrs: &[AttrId]) -> Result<Vec<Vec<f64>>> {
@@ -956,16 +944,12 @@ impl RawFile for CsvFile {
     }
 
     fn partitions(&self, n: usize) -> Result<Vec<ScanPartition>> {
-        crate::scan::chunk_ranges(&self.path, &self.fmt, n)
+        crate::scan::chunk_ranges(&mut self.bytes()?, n)
     }
 
     fn scan_partition(&self, partition: ScanPartition, handler: &mut RowHandler<'_>) -> Result<()> {
-        // Honor the trait-level "everything" sentinel uniformly: a full scan
-        // must skip the header line, which scan_range never does.
-        if partition == ScanPartition::WHOLE {
-            return self.scan(handler);
-        }
-        crate::scan::scan_range(&self.path, &self.fmt, partition, &self.counters, handler)
+        let mut src = self.bytes()?;
+        crate::scan::scan_range(&mut src, &self.fmt, partition, &self.counters, handler)
     }
 
     fn block_synopses(&self) -> Option<&[BlockSynopsis]> {
@@ -1045,13 +1029,21 @@ impl RawFile for MemFile {
     }
 
     fn scan(&self, handler: &mut RowHandler<'_>) -> Result<()> {
-        let mut reader = Cursor::new(self.data.as_slice());
-        scan_impl(&mut reader, &self.fmt, &self.counters, handler)
+        self.scan_partition(ScanPartition::WHOLE, handler)
     }
 
     fn read_rows(&self, locators: &[RowLocator], attrs: &[AttrId]) -> Result<Vec<Vec<f64>>> {
         let mut reader = Cursor::new(self.data.as_slice());
         read_rows_impl(&mut reader, &self.fmt, &self.counters, locators, attrs)
+    }
+
+    fn partitions(&self, n: usize) -> Result<Vec<ScanPartition>> {
+        crate::scan::chunk_ranges(&mut self.data.as_slice(), n)
+    }
+
+    fn scan_partition(&self, partition: ScanPartition, handler: &mut RowHandler<'_>) -> Result<()> {
+        let mut src = self.data.as_slice();
+        crate::scan::scan_range(&mut src, &self.fmt, partition, &self.counters, handler)
     }
 
     fn block_synopses(&self) -> Option<&[BlockSynopsis]> {
@@ -1250,7 +1242,26 @@ mod tests {
 
     #[test]
     fn default_partitions_degrade_to_serial_scan() {
-        let f = sample();
+        /// A backend that overrides nothing optional.
+        struct Plain(MemFile);
+        impl RawFile for Plain {
+            fn schema(&self) -> &Schema {
+                self.0.schema()
+            }
+            fn counters(&self) -> &IoCounters {
+                self.0.counters()
+            }
+            fn size_bytes(&self) -> u64 {
+                self.0.size_bytes()
+            }
+            fn scan(&self, handler: &mut RowHandler<'_>) -> Result<()> {
+                self.0.scan(handler)
+            }
+            fn read_rows(&self, locs: &[RowLocator], attrs: &[AttrId]) -> Result<Vec<Vec<f64>>> {
+                self.0.read_rows(locs, attrs)
+            }
+        }
+        let f = Plain(sample());
         let parts = f.partitions(8).unwrap();
         assert_eq!(parts, vec![ScanPartition::WHOLE]);
         let mut rows = 0;
@@ -1263,6 +1274,27 @@ mod tests {
         // A partition this file never handed out is rejected.
         let bogus = ScanPartition { start: 1, end: 2 };
         assert!(f.scan_partition(bogus, &mut |_, _, _| Ok(())).is_err());
+    }
+
+    #[test]
+    fn mem_file_partitions_like_the_csv_file() {
+        let f = sample();
+        let parts = f.partitions(3).unwrap();
+        assert_eq!(parts.len(), 3, "one line-aligned shard per data row");
+        let mut seen = Vec::new();
+        for p in parts {
+            f.scan_partition(p, &mut |_, loc, rec| {
+                seen.push((loc.raw(), rec.f64(2)?));
+                Ok(())
+            })
+            .unwrap();
+        }
+        assert_eq!(seen, vec![(15, 100.0), (24, 200.0), (33, 300.0)]);
+        // Between them the shards charged exactly one full scan.
+        let sharded = f.counters().snapshot();
+        f.counters().reset();
+        f.scan(&mut |_, _, _| Ok(())).unwrap();
+        assert_eq!(sharded, f.counters().snapshot());
     }
 
     #[test]

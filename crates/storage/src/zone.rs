@@ -977,6 +977,11 @@ impl ZoneFile {
         window: Option<&Rect>,
         handler: &mut RowHandler<'_>,
     ) -> Result<()> {
+        // The range that begins the file carries the scan tick, so the
+        // partitions of one `partitions` call charge what one `scan` does.
+        if start == 0 {
+            self.counters.add_full_scan();
+        }
         if start >= end {
             return Ok(());
         }
@@ -1039,16 +1044,24 @@ impl ZoneFile {
                 }
                 let lo = start.max(blk_start);
                 let hi = end.min(blk_start + pages[0].len() as u64);
+                // Objects are metered once per block (also when the handler
+                // stops the scan), not with one shared atomic per row.
+                let blk_row0 = local_row;
+                let mut outcome = Ok(());
                 for row in lo..hi {
                     let i = (row - blk_start) as usize;
                     for (v, page) in values.iter_mut().zip(&pages) {
                         *v = page[i];
                     }
                     let rec = Record::from_values(&values, row);
-                    handler(local_row, RowLocator::new(row), &rec)?;
+                    outcome = handler(local_row, RowLocator::new(row), &rec);
+                    if outcome.is_err() {
+                        break;
+                    }
                     local_row += 1;
-                    self.counters.add_objects(1);
                 }
+                self.counters.add_objects(local_row - blk_row0);
+                outcome?;
             }
         }
         self.counters.add_bytes(m.bytes);
@@ -1190,7 +1203,6 @@ impl RawFile for ZoneFile {
     }
 
     fn scan(&self, handler: &mut RowHandler<'_>) -> Result<()> {
-        self.counters.add_full_scan();
         self.scan_rows(0, self.n_rows, None, handler)
     }
 
@@ -1205,8 +1217,9 @@ impl RawFile for ZoneFile {
         }
         // Shard on block boundaries so no block is decoded by two workers.
         let n_blocks = self.n_blocks();
-        let n = (n as u64).min(n_blocks);
-        let per = n_blocks.div_ceil(n);
+        let block_bytes = self.block_rows as u64 * 8 * self.schema.len() as u64;
+        let per = crate::scan::units_per_shard(n_blocks, block_bytes, n);
+        let n = n_blocks.div_ceil(per);
         Ok((0..n)
             .map(|i| ScanPartition {
                 start: (i * per * self.block_rows as u64).min(self.n_rows),
@@ -1218,7 +1231,7 @@ impl RawFile for ZoneFile {
 
     fn scan_partition(&self, partition: ScanPartition, handler: &mut RowHandler<'_>) -> Result<()> {
         if partition == ScanPartition::WHOLE {
-            return self.scan_rows(0, self.n_rows, None, handler);
+            return self.scan(handler);
         }
         self.scan_rows(partition.start, partition.end, None, handler)
     }
@@ -1236,7 +1249,6 @@ impl RawFile for ZoneFile {
     }
 
     fn scan_filtered(&self, window: &Rect, handler: &mut RowHandler<'_>) -> Result<()> {
-        self.counters.add_full_scan();
         self.scan_rows(0, self.n_rows, Some(window), handler)
     }
 
@@ -1592,6 +1604,30 @@ mod tests {
         })
         .unwrap();
         assert_eq!(rows, 50, "the WHOLE sentinel is honored");
+    }
+
+    #[test]
+    fn partitions_decode_to_at_most_one_scan_block_however_small_the_file() {
+        // Constant columns pack to nothing: 600 000 rows in a few KB. What a
+        // shard decodes to is what bounds it, not the file's size.
+        let rows = (0..600_000).map(|_| vec![1.0, 2.0]);
+        let f = ZoneFile::from_rows(&Schema::synthetic(2), rows).unwrap();
+        assert!(f.size_bytes() < crate::scan::BLOCK_BYTES / 8);
+        let cap = crate::scan::BLOCK_BYTES / 16;
+        let parts = f.partitions(1).unwrap();
+        assert!(parts.len() >= 3, "{parts:?}");
+        for p in &parts {
+            assert_eq!(p.start % f.block_rows() as u64, 0, "block-aligned: {p:?}");
+            assert!(p.end - p.start <= cap, "{p:?}");
+        }
+        // Between them the shards charge exactly one scan.
+        f.scan(&mut |_, _, _| Ok(())).unwrap();
+        let serial = f.counters().snapshot();
+        f.counters().reset();
+        for p in parts {
+            f.scan_partition(p, &mut |_, _, _| Ok(())).unwrap();
+        }
+        assert_eq!(f.counters().snapshot(), serial);
     }
 
     #[test]

@@ -123,14 +123,21 @@ fn parallel_and_serial_init_answer_identically() {
     let mut e2 = ApproximateEngine::new(parallel, &file, EngineConfig::paper_evaluation()).unwrap();
     let r1 = e1.evaluate(&window, &aggs, 0.05).unwrap();
     let r2 = e2.evaluate(&window, &aggs, 0.05).unwrap();
-    // Same classification and metadata -> same counts; sums agree to
-    // floating-point merge order.
+    // One build path, folded in file order at any width: the same index,
+    // so the same answers and intervals to the bit.
     assert_eq!(r1.values[1], r2.values[1]);
     let (s1, s2) = (
         r1.values[0].as_f64().unwrap(),
         r2.values[0].as_f64().unwrap(),
     );
-    assert!((s1 - s2).abs() < 1e-6 * (1.0 + s1.abs()));
+    assert_eq!(s1.to_bits(), s2.to_bits());
+    let bits = |r: &ApproxResult| -> Vec<_> {
+        r.cis
+            .iter()
+            .map(|ci| ci.map(|ci| (ci.lo().to_bits(), ci.hi().to_bits())))
+            .collect()
+    };
+    assert_eq!(bits(&r1), bits(&r2));
 }
 
 #[test]

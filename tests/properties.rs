@@ -470,6 +470,102 @@ proptest! {
     }
 }
 
+/// Every record a scan of `file` delivers, as (locator, field texts): a
+/// full scan when `parts` is `None`, else the partitions of `partitions(n)`
+/// scanned one after the other.
+fn scanned_records(file: &dyn RawFile, parts: Option<usize>) -> Vec<(u64, Vec<String>)> {
+    let mut seen = Vec::new();
+    let mut handler = |_, loc: RowLocator, rec: &pai_storage::Record<'_>| {
+        let fields = (0..rec.num_fields())
+            .map(|c| rec.text(c).map(str::to_owned))
+            .collect::<Result<Vec<_>>>()?;
+        seen.push((loc.raw(), fields));
+        Ok(())
+    };
+    match parts {
+        None => file.scan(&mut handler).unwrap(),
+        Some(n) => {
+            let parts = file.partitions(n).unwrap();
+            assert!(parts.len() <= n);
+            for w in parts.windows(2) {
+                assert_eq!(w[0].end, w[1].start, "partitions are contiguous");
+            }
+            for part in parts {
+                file.scan_partition(part, &mut handler).unwrap();
+            }
+        }
+    }
+    seen
+}
+
+/// Line bodies the adversarial CSV texts are drawn from.
+const LINE_SHAPES: [&str; 8] = [
+    "1,2,3",
+    "-0.5,1e3,",
+    "",
+    "\"a,b\",2,\"x\"\"y\"",
+    "7,\"q\",8",
+    ",,",
+    "1234567.890123,42,0.000001",
+    "\r",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The partitioned CSV scan is the serial scan: the same (locator,
+    /// fields) sequence and the same meters for *every* partition count —
+    /// which puts the cut guesses on, one byte before and one byte after
+    /// every newline, and makes partitions smaller than one record — over
+    /// text with CRLF endings, blank lines, quoted fields holding
+    /// delimiters, and no trailing newline; in memory and on disk.
+    #[test]
+    fn prop_partitioned_csv_scan_matches_serial_scan(
+        lines in prop::collection::vec(0usize..LINE_SHAPES.len(), 0..9),
+        crlf in prop::collection::vec(0u32..2, 9..10),
+        trailing_newline in 0u32..2,
+        has_header in 0u32..2,
+    ) {
+        let (trailing_newline, has_header) = (trailing_newline == 1, has_header == 1);
+        let mut text = String::new();
+        if has_header {
+            text.push_str("col0,col1,col2\n");
+        }
+        for (i, &shape) in lines.iter().enumerate() {
+            text.push_str(LINE_SHAPES[shape]);
+            if i + 1 < lines.len() || trailing_newline {
+                text.push_str(if crlf[i] == 1 { "\r\n" } else { "\n" });
+            }
+        }
+        let fmt = CsvFormat { has_header, ..CsvFormat::default() };
+        let schema = Schema::synthetic(3);
+        let dir = std::env::temp_dir().join("pai_properties_scan");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("case-{}-{}.csv", std::process::id(), text.len()));
+        std::fs::write(&path, &text).unwrap();
+        let open: [&dyn Fn() -> Box<dyn RawFile>; 2] = [
+            &|| Box::new(MemFile::from_text(text.clone(), schema.clone(), fmt)),
+            &|| Box::new(CsvFile::open(&path, schema.clone(), fmt).unwrap()),
+        ];
+        for open in open {
+            let serial_file = open();
+            let serial = scanned_records(&serial_file, None);
+            let serial_io = serial_file.counters().snapshot();
+            prop_assert_eq!(serial_io.bytes_read, text.len() as u64);
+            for n in 1..=text.len() + 2 {
+                let file = open();
+                let got = scanned_records(&file, Some(n));
+                prop_assert_eq!(&got, &serial, "{} partitions of {:?}", n, text);
+                let io = file.counters().snapshot();
+                if !text.is_empty() {
+                    prop_assert_eq!(io, serial_io, "{} partitions of {:?}", n, text);
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
 /// Deterministic (non-proptest) regression: FullTile read policy answers
 /// identically to WindowOnly, just with different I/O.
 #[test]
