@@ -29,7 +29,12 @@
 //!   logical meters are byte-identical to the uncached run, each session
 //!   issues strictly fewer ranged GETs than the previous one, and the hot
 //!   third session stays at or below 25 % of the uncached GETs *and* wire
-//!   bytes.
+//!   bytes. A constrained leg then mirrors the repo benchmark's
+//!   `remote-reexplore`: a cache a quarter of the working set, every
+//!   session a fresh index build *plus* its queries, all metered — still
+//!   byte-identical, session 2 strictly cheaper in GETs than session 1,
+//!   and fewer pages evicted than fetched after every session (a scan
+//!   cycles one slot instead of flushing the tier).
 //!
 //! Every gated configuration's wall-clock, GET count, wire bytes, and
 //! overlap ratio land in a `BENCH_remote.json` artifact at the repo root
@@ -127,7 +132,9 @@ fn write_bench_json(rows: &[BenchRow]) {
 
 /// Writes the cache gate's per-session artifact (`BENCH_cache.json`, path
 /// overridable via `PAI_BENCH_CACHE_JSON_PATH`); hand-rolled JSON like
-/// [`write_bench_json`].
+/// [`write_bench_json`]. `cache_hits`/`cache_misses` count page lookups
+/// (one per distinct 16 KiB page of each span batch), `hit_frac` is their
+/// ratio, `cache_evictions` pages dropped from either tier.
 fn write_cache_json(rows: &[(String, Outcome)]) {
     let path = std::env::var("PAI_BENCH_CACHE_JSON_PATH").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cache.json").to_string()
@@ -137,13 +144,15 @@ fn write_cache_json(rows: &[(String, Outcome)]) {
         s.push_str(&format!(
             "    {{\"config\": \"{}\", \"wall_secs\": {:.6}, \"gets\": {}, \
              \"wire_bytes\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
-             \"cache_mem_bytes\": {}}}{}\n",
+             \"hit_frac\": {:.4}, \"cache_evictions\": {}, \"cache_mem_bytes\": {}}}{}\n",
             config,
             o.elapsed.as_secs_f64(),
             o.requests,
             o.wire_bytes,
             o.io.cache_hits,
             o.io.cache_misses,
+            o.io.cache_hits as f64 / (o.io.cache_hits + o.io.cache_misses).max(1) as f64,
+            o.io.cache_evictions,
             o.io.cache_mem_bytes,
             if i + 1 < rows.len() { "," } else { "" }
         ));
@@ -157,6 +166,19 @@ fn write_cache_json(rows: &[(String, Outcome)]) {
 /// snapshots the transport meters. `workers` feeds the engine's overlapped
 /// fetch/apply pipeline (`EngineConfig::fetch_workers`).
 fn run_verified(file: &dyn RawFile, setup: &Fig2Setup, batch: usize, workers: usize) -> Outcome {
+    run_session(file, setup, batch, workers, false)
+}
+
+/// [`run_verified`], optionally metering the index build along with the
+/// queries (`meter_build`) — what a whole exploration session costs.
+fn run_session(
+    file: &dyn RawFile,
+    setup: &Fig2Setup,
+    batch: usize,
+    workers: usize,
+    meter_build: bool,
+) -> Outcome {
+    file.counters().reset();
     let (index, _) = build(file, &setup.init).expect("init");
     let cfg = EngineConfig {
         adapt_batch: batch,
@@ -164,7 +186,9 @@ fn run_verified(file: &dyn RawFile, setup: &Fig2Setup, batch: usize, workers: us
         ..setup.engine.clone()
     };
     let mut engine = ApproximateEngine::new(index, file, cfg).expect("engine");
-    file.counters().reset();
+    if !meter_build {
+        file.counters().reset();
+    }
     let t0 = Instant::now();
     let results: Vec<ApproxResult> = setup
         .workload
@@ -564,11 +588,79 @@ fn assert_cache_reexploration_win() {
         100.0 * hot.requests as f64 / uncached.requests as f64,
         hot.io.cache_hits
     );
+    // The working set: what the ample cache held after its cold session.
+    let working_set = sessions[0].io.cache_mem_bytes;
     let mut rows = vec![("uncached".to_string(), uncached)];
     for (i, s) in sessions.into_iter().enumerate() {
         rows.push((format!("cached session={}", i + 1), s));
     }
+    assert_constrained_cache_sessions(&setup, &open, working_set, &mut rows);
     write_cache_json(&rows);
+}
+
+/// The constrained leg of the cache gate, shaped like the repo benchmark's
+/// `remote-reexplore`: the memory tier holds a quarter of the working set,
+/// and each of three sessions is a fresh index build (a full streaming
+/// scan) plus the zipf queries, build included in the meters. The cache
+/// stays transport-only, the second session is strictly cheaper in GETs
+/// than the first (the hot set survives the rebuild's scan), and the
+/// sessions evict fewer pages than they fetched.
+fn assert_constrained_cache_sessions(
+    setup: &Fig2Setup,
+    open: &dyn Fn() -> HttpFile,
+    working_set: u64,
+    rows: &mut Vec<(String, Outcome)>,
+) {
+    let uncached = run_session(&open(), setup, 8, 1, true);
+    let budget = working_set / 4;
+    let cached = CachedFile::with_config(Box::new(open()), CacheConfig::new(budget, 0));
+    let sessions: Vec<Outcome> = (0..3)
+        .map(|_| run_session(&cached, setup, 8, 1, true))
+        .collect();
+    // Running totals: an admission displaces at most the slot it takes,
+    // so evictions trail the pages fetched by what the tier holds.
+    let (mut evicted, mut fetched) = (0, 0);
+    for (i, s) in sessions.iter().enumerate() {
+        let label = format!("constrained session {} vs uncached", i + 1);
+        assert_equivalent(&label, s, &uncached);
+        assert_logical_meters_equal(&label, &s.io, &uncached.io);
+        assert!(
+            s.io.cache_mem_bytes <= budget,
+            "{label}: memory tier over budget"
+        );
+        evicted += s.io.cache_evictions;
+        fetched += s.io.cache_misses;
+        assert!(
+            evicted < fetched,
+            "{label}: {evicted} evictions for {fetched} pages fetched so far"
+        );
+    }
+    assert!(
+        sessions[0].io.cache_evictions > 0,
+        "the working set must not fit a {budget}-byte tier"
+    );
+    assert!(
+        sessions[1].requests < sessions[0].requests,
+        "session 2 must issue strictly fewer GETs than session 1: {} -> {} -> {}",
+        sessions[0].requests,
+        sessions[1].requests,
+        sessions[2].requests
+    );
+    println!(
+        "remote gate (cache, constrained to {budget} B of a {working_set} B working set): \
+         uncached {} GETs per session, cached {} -> {} -> {} GETs, {} -> {} -> {} evictions",
+        uncached.requests,
+        sessions[0].requests,
+        sessions[1].requests,
+        sessions[2].requests,
+        sessions[0].io.cache_evictions,
+        sessions[1].io.cache_evictions,
+        sessions[2].io.cache_evictions
+    );
+    rows.push(("constrained uncached".to_string(), uncached));
+    for (i, s) in sessions.into_iter().enumerate() {
+        rows.push((format!("constrained session={}", i + 1), s));
+    }
 }
 
 fn bench_remote(c: &mut Criterion) {

@@ -69,11 +69,13 @@ struct Inner {
     /// Times the adaptive part sizer changed an object's effective
     /// coalescing parameters after observing a new span-gap distribution.
     parts_resized: AtomicU64,
-    /// Spans served from the block cache instead of the transport. Each hit
-    /// is a span the fetch path subtracted *before* coalescing, so a hit
-    /// never contributes to `http_requests`/`http_bytes`.
+    /// Page lookups the block cache served instead of the transport: one
+    /// per distinct page a span batch covers, added once per batch. Each
+    /// hit is a page the fetch path subtracted *before* coalescing, so a
+    /// hit never contributes to `http_requests`/`http_bytes`.
     cache_hits: AtomicU64,
-    /// Spans the block cache could not serve and handed to the transport.
+    /// Page lookups the block cache could not serve: pages handed to the
+    /// transport (same unit and cadence as `cache_hits`).
     cache_misses: AtomicU64,
     /// Cache entries evicted to stay inside the memory + disk budgets.
     cache_evictions: AtomicU64,
@@ -148,9 +150,10 @@ pub struct IoSnapshot {
     pub fetch_wall_us: u64,
     /// Adaptive part-sizer parameter changes.
     pub parts_resized: u64,
-    /// Spans served from the block cache (0 when no cache is attached).
+    /// Page lookups served from the block cache, one per distinct page of
+    /// each span batch (0 when no cache is attached).
     pub cache_hits: u64,
-    /// Spans the block cache handed to the transport.
+    /// Page lookups the block cache handed to the transport.
     pub cache_misses: u64,
     /// Cache entries evicted under budget pressure.
     pub cache_evictions: u64,
@@ -347,13 +350,13 @@ impl IoCounters {
         self.inner.parts_resized.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records `n` spans served from the block cache.
+    /// Records `n` page lookups served from the block cache.
     #[inline]
     pub fn add_cache_hits(&self, n: u64) {
         self.inner.cache_hits.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records `n` spans the block cache handed to the transport.
+    /// Records `n` page lookups the block cache handed to the transport.
     #[inline]
     pub fn add_cache_misses(&self, n: u64) {
         self.inner.cache_misses.fetch_add(n, Ordering::Relaxed);
@@ -497,12 +500,12 @@ impl IoCounters {
         self.inner.parts_resized.load(Ordering::Relaxed)
     }
 
-    /// Spans served from the block cache so far.
+    /// Page lookups served from the block cache so far.
     pub fn cache_hits(&self) -> u64 {
         self.inner.cache_hits.load(Ordering::Relaxed)
     }
 
-    /// Spans handed to the transport after a cache miss so far.
+    /// Pages handed to the transport after a cache miss so far.
     pub fn cache_misses(&self) -> u64 {
         self.inner.cache_misses.load(Ordering::Relaxed)
     }

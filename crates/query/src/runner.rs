@@ -66,10 +66,10 @@ pub struct QueryRecord {
     pub overlap_ratio: f64,
     /// Adaptive part-sizer parameter changes during this query.
     pub parts_resized: u64,
-    /// Spans served from the block cache during this query (0 uncached) —
-    /// the meter the tiered cache raises on re-exploration.
+    /// Page lookups served from the block cache during this query (0
+    /// uncached) — the meter the tiered cache raises on re-exploration.
     pub cache_hits: u64,
-    /// Spans the cache handed to the transport during this query.
+    /// Page lookups the cache handed to the transport during this query.
     pub cache_misses: u64,
     /// Cache entries evicted under budget pressure during this query.
     pub cache_evictions: u64,
@@ -195,7 +195,7 @@ impl MethodRun {
         self.records.iter().map(|r| r.parts_resized).sum()
     }
 
-    /// Total cache-served spans across the run (0 uncached).
+    /// Total cache-served page lookups across the run (0 uncached).
     pub fn total_cache_hits(&self) -> u64 {
         self.records.iter().map(|r| r.cache_hits).sum()
     }
