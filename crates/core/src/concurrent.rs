@@ -214,6 +214,8 @@ impl<F: RawFile> SharedIndex<F> {
         // round folds these instead of re-reading (tile ids are never
         // reused, so stale keys are merely ignored).
         let mut resolved: HashMap<TileId, Vec<RunningStats>> = HashMap::new();
+        // Every fetch of the query lands in the same buffers.
+        let mut fetched = Vec::new();
         let mut step = 0usize;
         let (mut tiles_processed, mut tiles_split, mut tiles_enriched) = (0usize, 0usize, 0usize);
         // Initial-classification shape, captured on the first round so the
@@ -285,7 +287,8 @@ impl<F: RawFile> SharedIndex<F> {
             // apply moment: a fast path when nothing changed since
             // planning, a slow path while the tile is still a leaf (leaf
             // entries never change except by splitting the leaf).
-            fetch_plans_each(&self.file, &plans, window, config, |i, values| {
+            let file = &self.file;
+            fetch_plans_each(file, &plans, window, config, &mut fetched, |i, values| {
                 let plan = &plans[i];
                 let lw = Instant::now();
                 let mut index = self.index.write();

@@ -27,7 +27,7 @@ use pai_index::{
     apply_enrich, apply_plan, fetch_window, plan_enrich, plan_tile, EnrichPlan, ReadPolicy, TileId,
     TilePlan, ValinorIndex,
 };
-use pai_storage::batch::read_row_groups;
+use pai_storage::batch::{read_row_groups, RowBatch};
 use pai_storage::raw::{BlockSynopsis, RawFile};
 
 use crate::bound::upper_error_bound;
@@ -237,7 +237,9 @@ impl EvalCtx<'_> {
         };
 
         // The partial-adaptation loop, pipelined per iteration as
-        // plan (pure) → coalesced fetch → apply + re-check.
+        // plan (pure) → coalesced fetch → apply + re-check. Every fetch of
+        // the query lands in the same buffers.
+        let mut fetched = Vec::new();
         let mut step = 0usize;
         let (mut estimates, mut bound) = assess(self.config, aggs, &state);
         if let Some(t) = trace.as_deref_mut() {
@@ -313,7 +315,8 @@ impl EvalCtx<'_> {
             // the tile-at-a-time loop at any `fetch_workers` count.
             let file = self.file;
             let mut stopped = false;
-            fetch_plans_each(file, &plans, window, self.config, |i, values| {
+            let config = self.config;
+            fetch_plans_each(file, &plans, window, config, &mut fetched, |i, values| {
                 if stopped {
                     return Ok(());
                 }
@@ -379,7 +382,7 @@ impl EvalCtx<'_> {
                 let all: Vec<usize> = (0..state.candidates.len()).collect();
                 let views = candidate_views(self.index, self.config, aggs, &state, &all);
                 let pick = self.config.policy.pick(&views, step);
-                self.process_candidate(&mut state, pick, window, &attrs, &mut stats)?;
+                self.process_candidate(&mut state, pick, window, &attrs, &mut fetched, &mut stats)?;
                 step += 1;
                 done += 1;
             }
@@ -412,6 +415,7 @@ impl EvalCtx<'_> {
         pick: usize,
         window: &Rect,
         attrs: &[usize],
+        fetched: &mut Vec<RowBatch>,
         stats: &mut QueryStats,
     ) -> Result<()> {
         let plan = plan_candidate(
@@ -421,8 +425,11 @@ impl EvalCtx<'_> {
             attrs,
             self.config,
         )?;
-        let fetched = fetch_plans(self.file, std::slice::from_ref(&plan), window, self.config)?;
-        self.apply_one(state, &plan, &fetched[0], window, stats)
+        let (file, config) = (self.file, self.config);
+        let plans = std::slice::from_ref(&plan);
+        fetch_plans_each(file, plans, window, config, fetched, |_, values| {
+            self.apply_one(state, &plan, values, window, stats)
+        })
     }
 
     /// Applies one fetched plan, folding the now-exact contribution into
@@ -431,7 +438,7 @@ impl EvalCtx<'_> {
         &mut self,
         state: &mut QueryState,
         plan: &BatchPlan,
-        values: &[Vec<f64>],
+        values: &[f64],
         window: &Rect,
         stats: &mut QueryStats,
     ) -> Result<()> {
@@ -515,41 +522,6 @@ pub(crate) fn plan_candidate(
     })
 }
 
-/// Stage 2 of the pipeline: fetches every plan's locators with as few
-/// `read_rows` calls as possible — one coalesced cross-tile call per
-/// distinct attribute set (plans with no attributes to read are answered
-/// without touching the file). Returns per-plan value rows, positionally
-/// aligned with each plan's locators.
-///
-/// The query `window` is pushed down to the storage backend when every
-/// plan's locator set is provably window-only: enrichment plans always are
-/// (their tiles are fully contained in the window), partial-tile plans are
-/// under [`ReadPolicy::WindowOnly`] (the default). Under
-/// [`ReadPolicy::FullTile`] the hint is withheld — those plans consume
-/// out-of-window values for child enrichment, which a zone-map skip would
-/// corrupt.
-pub(crate) fn fetch_plans(
-    file: &dyn RawFile,
-    plans: &[BatchPlan],
-    window: &Rect,
-    config: &EngineConfig,
-) -> Result<Vec<Vec<Vec<f64>>>> {
-    let pushdown = batch_pushdown(plans, window, config);
-    let mut out: Vec<Option<Vec<Vec<f64>>>> = plans.iter().map(|_| None).collect();
-    let units = fetch_units(plans, &mut out);
-    for (attrs, members) in units {
-        let locs: Vec<&[RowLocator]> = members.iter().map(|&i| plans[i].locators()).collect();
-        let fetched = read_row_groups(file, &locs, attrs, pushdown, config.fetch_parallelism)?;
-        for (i, rows) in members.into_iter().zip(fetched) {
-            out[i] = Some(rows);
-        }
-    }
-    Ok(out
-        .into_iter()
-        .map(|o| o.expect("every plan fetched"))
-        .collect())
-}
-
 /// The batch's window pushdown hint. The window-only safety rule has one
 /// home: `pai_index::fetch_window`. The batch-level extension on top: an
 /// all-enrichment batch is safe under any read policy (enrich tiles are
@@ -568,32 +540,49 @@ fn batch_pushdown<'w>(
     })
 }
 
+/// One fetch unit: the attribute set its plans share, and those plans.
+type FetchUnit<'p> = (&'p [AttrId], Vec<usize>);
+
 /// Groups plan indices by attribute set, preserving first-seen order — one
-/// returned unit is one `read_rows` call. COUNT-only style plans (no
-/// attributes to read) charge no I/O: their slot in `out` is prefilled with
-/// synthesized empty rows and they join no unit.
-fn fetch_units<'p>(
-    plans: &'p [BatchPlan],
-    out: &mut [Option<Vec<Vec<f64>>>],
-) -> Vec<(&'p [AttrId], Vec<usize>)> {
-    let mut units: Vec<(&[AttrId], Vec<usize>)> = Vec::new();
+/// returned unit is one coalesced read — and says where each plan's rows will
+/// be: its unit, and its place among the unit's members. COUNT-only style
+/// plans (no attributes to read) share a unit like any others;
+/// [`read_row_groups`] answers it with zero-width rows and no I/O.
+fn fetch_units(plans: &[BatchPlan]) -> (Vec<FetchUnit<'_>>, Vec<(usize, usize)>) {
+    let mut units: Vec<FetchUnit<'_>> = Vec::new();
+    let mut places = Vec::with_capacity(plans.len());
     for (i, plan) in plans.iter().enumerate() {
-        if plan.read_attrs().is_empty() {
-            out[i] = Some(vec![Vec::new(); plan.locators().len()]);
-            continue;
-        }
-        match units.iter_mut().find(|(a, _)| *a == plan.read_attrs()) {
-            Some((_, members)) => members.push(i),
-            None => units.push((plan.read_attrs(), vec![i])),
-        }
+        let u = match units.iter().position(|(a, _)| *a == plan.read_attrs()) {
+            Some(u) => u,
+            None => {
+                units.push((plan.read_attrs(), Vec::new()));
+                units.len() - 1
+            }
+        };
+        places.push((u, units[u].1.len()));
+        units[u].1.push(i);
     }
-    units
+    (units, places)
 }
 
-/// Streamed fetch + apply: fetches every plan exactly as [`fetch_plans`]
-/// would and invokes `on_plan(i, values)` for each plan **in plan order**,
-/// overlapping later fetch units with earlier applies when
+/// Stage 2 of the pipeline: fetches every plan's locators with as few
+/// `read_rows` calls as possible — one coalesced cross-tile call per
+/// distinct attribute set — and invokes `on_plan(i, values)` for each plan
+/// **in plan order** with its rows, positionally aligned with the plan's
+/// locators. Later fetch units overlap earlier applies when
 /// `config.fetch_workers > 1`.
+///
+/// The query `window` is pushed down to the storage backend when every
+/// plan's locator set is provably window-only: enrichment plans always are
+/// (their tiles are fully contained in the window), partial-tile plans are
+/// under [`ReadPolicy::WindowOnly`] (the default). Under
+/// [`ReadPolicy::FullTile`] the hint is withheld — those plans consume
+/// out-of-window values for child enrichment, which a zone-map skip would
+/// corrupt.
+///
+/// `scratch` holds the fetched rows, one flat batch per unit; a caller that
+/// fetches again and again (the tiles of a query) passes the same one and
+/// the buffers are reused whenever the fetch is sequential.
 ///
 /// Equivalence guarantees, at any worker count:
 /// * The same fetch units are issued — grouping, pushdown, and the
@@ -614,24 +603,28 @@ pub(crate) fn fetch_plans_each(
     plans: &[BatchPlan],
     window: &Rect,
     config: &EngineConfig,
-    mut on_plan: impl FnMut(usize, &[Vec<f64>]) -> Result<()>,
+    scratch: &mut Vec<RowBatch>,
+    mut on_plan: impl FnMut(usize, &[f64]) -> Result<()>,
 ) -> Result<()> {
     let pushdown = batch_pushdown(plans, window, config);
-    let mut out: Vec<Option<Vec<Vec<f64>>>> = plans.iter().map(|_| None).collect();
-    let units = fetch_units(plans, &mut out);
+    let (units, places) = fetch_units(plans);
+    // One unit's coalesced read; where each member's rows start in `out`.
+    let fetch = |u: usize, out: &mut RowBatch| {
+        let (attrs, members) = &units[u];
+        let locs: Vec<&[RowLocator]> = members.iter().map(|&i| plans[i].locators()).collect();
+        read_row_groups(file, &locs, attrs, pushdown, config.fetch_parallelism, out)
+    };
     let workers = config.fetch_workers.min(units.len());
     if workers <= 1 {
-        // Sequential: fetch every unit, then apply in plan order — exactly
-        // the fetch-then-apply loop this helper generalizes.
-        for (attrs, members) in units {
-            let locs: Vec<&[RowLocator]> = members.iter().map(|&i| plans[i].locators()).collect();
-            let fetched = read_row_groups(file, &locs, attrs, pushdown, config.fetch_parallelism)?;
-            for (i, rows) in members.into_iter().zip(fetched) {
-                out[i] = Some(rows);
-            }
+        // Sequential: fetch every unit, then apply in plan order.
+        if scratch.len() < units.len() {
+            scratch.resize_with(units.len(), RowBatch::default);
         }
-        for (i, values) in out.iter().enumerate() {
-            on_plan(i, values.as_deref().expect("every plan fetched"))?;
+        let starts = (0..units.len())
+            .map(|u| fetch(u, &mut scratch[u]))
+            .collect::<Result<Vec<_>>>()?;
+        for (i, &(u, k)) in places.iter().enumerate() {
+            on_plan(i, scratch[u].rows(starts[u][k]..starts[u][k + 1]))?;
         }
         return Ok(());
     }
@@ -642,22 +635,22 @@ pub(crate) fn fetch_plans_each(
     // before it (units are numbered by first appearance), so in-order
     // delivery delays no apply. Nothing bounds the units in flight: their
     // results are all kept until applied anyway.
+    let mut landed: Vec<(RowBatch, Vec<usize>)> = Vec::with_capacity(units.len());
     let mut cursor = 0usize;
     pai_common::pool::run_ordered(
         units.len(),
         workers,
         units.len(),
         |u| {
-            let (attrs, members) = &units[u];
-            let locs: Vec<&[RowLocator]> = members.iter().map(|&i| plans[i].locators()).collect();
-            read_row_groups(file, &locs, attrs, pushdown, config.fetch_parallelism)
+            let mut out = RowBatch::default();
+            let starts = fetch(u, &mut out)?;
+            Ok((out, starts))
         },
-        |u, fetched| {
-            for (&i, rows) in units[u].1.iter().zip(fetched) {
-                out[i] = Some(rows);
-            }
-            while let Some(values) = out.get(cursor).and_then(|o| o.as_deref()) {
-                on_plan(cursor, values)?;
+        |_, unit| {
+            landed.push(unit);
+            while let Some(&(u, k)) = places.get(cursor).filter(|p| p.0 < landed.len()) {
+                let (rows, starts) = &landed[u];
+                on_plan(cursor, rows.rows(starts[k]..starts[k + 1]))?;
                 cursor += 1;
             }
             Ok(())

@@ -32,6 +32,7 @@
 
 use pai_common::geometry::Rect;
 use pai_common::{AttrId, PaiError, Result, RowLocator, RunningStats};
+use pai_storage::batch::{read_row_groups, RowBatch};
 use pai_storage::raw::RawFile;
 
 use crate::config::{AdaptConfig, ReadPolicy};
@@ -101,32 +102,84 @@ impl TilePlan {
     }
 
     /// Exact in-window statistics for the query's attributes, computed
-    /// purely from the fetched `values` (one row per locator, in locator
-    /// order). Never touches the index — the data in the raw file is
-    /// immutable, so these statistics are correct even if the tile was
-    /// concurrently split after planning.
-    pub fn in_window_stats(&self, values: &[Vec<f64>]) -> Result<Vec<RunningStats>> {
-        if values.len() != self.locators.len() {
-            return Err(PaiError::internal(format!(
-                "plan for {:?} expected {} fetched rows, got {}",
-                self.tile,
-                self.locators.len(),
-                values.len()
-            )));
-        }
+    /// purely from the fetched `values` (one row of `read_attrs` values per
+    /// locator, in locator order). Never touches the index — the data in
+    /// the raw file is immutable, so these statistics are correct even if
+    /// the tile was concurrently split after planning.
+    pub fn in_window_stats(&self, values: &[f64]) -> Result<Vec<RunningStats>> {
+        let width = self.read_attrs.len();
+        check_shape(self.tile, self.locators.len(), width, values)?;
         let mut stats = vec![RunningStats::new(); self.attr_pos.len()];
-        for (vals, &ei) in values.iter().zip(&self.entry_of) {
+        for (vals, &ei) in rows_of(values, width).zip(&self.entry_of) {
             if !self.in_window[ei as usize] {
                 continue;
             }
             for (s, &pos) in stats.iter_mut().zip(&self.attr_pos) {
-                let v = *vals.get(pos).ok_or_else(|| {
-                    PaiError::internal("fetched row shorter than the plan's attribute list")
-                })?;
-                s.push(v);
+                s.push(vals[pos]);
             }
         }
         Ok(stats)
+    }
+}
+
+/// Fetched `values` must be one row of `width` values per locator: a wrong
+/// shape is an error, not a misalignment.
+fn check_shape(tile: TileId, rows: usize, width: usize, values: &[f64]) -> Result<()> {
+    if values.len() == rows * width {
+        return Ok(());
+    }
+    Err(PaiError::internal(format!(
+        "plan for {tile:?} expected {rows} fetched rows of {width} values, got {} values",
+        values.len()
+    )))
+}
+
+/// The rows of a flat run of fetched values; none when there is nothing in
+/// them (`width == 0`: a COUNT-only read).
+fn rows_of(values: &[f64], width: usize) -> impl Iterator<Item = &[f64]> {
+    values.chunks_exact(width.max(1))
+}
+
+/// Exact statistics of every read attribute over the rows pushed so far,
+/// folded a row at a time — in push order, so they equal
+/// [`AttrMeta::exact_from_values`] over the same rows column by column.
+#[derive(Clone)]
+struct ExactFold {
+    stats: Vec<RunningStats>,
+    rows: u64,
+}
+
+impl ExactFold {
+    fn new(width: usize) -> Self {
+        ExactFold {
+            stats: vec![RunningStats::new(); width],
+            rows: 0,
+        }
+    }
+
+    /// The fold over every row of a flat run of values.
+    fn over(values: &[f64], width: usize) -> Self {
+        let mut fold = ExactFold::new(width);
+        rows_of(values, width).for_each(|row| fold.push(row));
+        fold
+    }
+
+    fn push(&mut self, row: &[f64]) {
+        for (s, &v) in self.stats.iter_mut().zip(row) {
+            s.push(v);
+        }
+        self.rows += 1;
+    }
+
+    /// Installs the statistics as `tile`'s exact metadata for `read_attrs`.
+    fn install(self, index: &mut ValinorIndex, tile: TileId, read_attrs: &[AttrId]) {
+        for (&attr, stats) in read_attrs.iter().zip(self.stats) {
+            let nulls = self.rows - stats.count();
+            index
+                .tile_mut(tile)
+                .meta
+                .set(attr, AttrMeta::Exact { stats, nulls });
+        }
     }
 }
 
@@ -219,7 +272,7 @@ pub fn apply_plan(
     plan: &TilePlan,
     query: &Rect,
     cfg: &AdaptConfig,
-    values: &[Vec<f64>],
+    values: &[f64],
 ) -> Result<ProcessOutcome> {
     let tile = index.tile(plan.tile);
     if !tile.is_leaf() {
@@ -234,30 +287,12 @@ pub fn apply_plan(
     // Exact in-window statistics, from the positionally aligned rows.
     let stats = plan.in_window_stats(values)?;
 
-    // Locator -> fetched-row lookup for redistributing values onto split
-    // children: one sort of the (small) locator batch, then binary search —
-    // no per-object hashing.
-    let mut by_locator: Vec<(u64, u32)> = plan
-        .locators
-        .iter()
-        .enumerate()
-        .map(|(vi, l)| (l.raw(), vi as u32))
-        .collect();
-    by_locator.sort_unstable_by_key(|&(raw, _)| raw);
-    let value_of = |loc: RowLocator| -> Option<&Vec<f64>> {
-        by_locator
-            .binary_search_by_key(&loc.raw(), |&(raw, _)| raw)
-            .ok()
-            .map(|i| &values[by_locator[i].1 as usize])
-    };
-
     // Split decision: worth it only for populous, still-divisible tiles,
     // and only while the memory budget (if any) has headroom.
     let within_budget = cfg
         .max_index_bytes
         .is_none_or(|budget| index.memory_bytes() < budget);
-    let mut did_split = false;
-    let mut new_leaves = Vec::new();
+    let (mut new_leaves, mut child_of) = (Vec::new(), Vec::new());
     if within_budget && plan.entries.len() as u64 >= cfg.min_split_objects && depth < cfg.max_depth
     {
         if let Some(rects) = cfg.split.child_rects(&tile_rect, query, &plan.entries) {
@@ -265,57 +300,43 @@ pub fn apply_plan(
                 .iter()
                 .all(|r| r.width() >= cfg.min_tile_extent && r.height() >= cfg.min_tile_extent);
             if extent_ok && rects.len() >= 2 {
-                new_leaves = index.split_leaf(plan.tile, rects)?;
-                did_split = true;
+                (new_leaves, child_of) = index.split_leaf(plan.tile, rects)?;
             }
         }
     }
 
+    let (width, did_split) = (plan.read_attrs.len(), !new_leaves.is_empty());
     if did_split {
         // Children whose entries were all read get exact metadata for the
         // read attributes; the rest keep the inherited bounds installed by
-        // `split_leaf`.
-        for &child in &new_leaves {
-            let child_entries = index.tile(child).entries();
-            if child_entries.is_empty() {
-                continue;
-            }
-            let all_read = child_entries.iter().all(|e| value_of(e.locator).is_some());
-            if !all_read {
-                continue;
-            }
-            let mut per_attr: Vec<Vec<f64>> =
-                vec![Vec::with_capacity(child_entries.len()); plan.read_attrs.len()];
-            for e in child_entries {
-                let vals = value_of(e.locator).expect("all_read checked above");
-                for (bucket, &v) in per_attr.iter_mut().zip(vals.iter()) {
-                    bucket.push(v);
+        // `split_leaf`. The split hands the entries out in order, so one walk
+        // over them folds each child's rows in that child's entry order. An
+        // entry ingested since planning has no row, like one not read.
+        let mut row_of = vec![u32::MAX; plan.entries.len()];
+        for (row, &ei) in plan.entry_of.iter().enumerate() {
+            row_of[ei as usize] = row as u32;
+        }
+        let mut folds = vec![Some(ExactFold::new(width)); new_leaves.len()];
+        for (ei, &child) in child_of.iter().enumerate() {
+            match row_of.get(ei) {
+                Some(&row) if row != u32::MAX => {
+                    if let Some(fold) = &mut folds[child as usize] {
+                        fold.push(&values[row as usize * width..][..width]);
+                    }
                 }
+                _ => folds[child as usize] = None,
             }
-            for (i, attr) in plan.read_attrs.iter().enumerate() {
-                index
-                    .tile_mut(child)
-                    .meta
-                    .set(*attr, AttrMeta::exact_from_values(&per_attr[i]));
+        }
+        for (&child, fold) in new_leaves.iter().zip(folds) {
+            if let Some(fold) = fold.filter(|f| f.rows > 0) {
+                fold.install(index, child, &plan.read_attrs);
             }
         }
     } else if plan.locators.len() == plan.entries.len() && !plan.entries.is_empty() {
         // No split, but the whole tile was read (FullTile policy, or a
         // window that happens to select every object): enrich in place.
-        let mut per_attr: Vec<Vec<f64>> =
-            vec![Vec::with_capacity(plan.entries.len()); plan.read_attrs.len()];
         // Locators cover every entry here, in entry order.
-        for vals in values {
-            for (bucket, &v) in per_attr.iter_mut().zip(vals.iter()) {
-                bucket.push(v);
-            }
-        }
-        for (i, attr) in plan.read_attrs.iter().enumerate() {
-            index
-                .tile_mut(plan.tile)
-                .meta
-                .set(*attr, AttrMeta::exact_from_values(&per_attr[i]));
-        }
+        ExactFold::over(values, width).install(index, plan.tile, &plan.read_attrs);
     }
 
     Ok(ProcessOutcome {
@@ -327,35 +348,12 @@ pub fn apply_plan(
     })
 }
 
-/// Reads a plan's locators, synthesizing empty rows when no attributes are
-/// needed (a COUNT-only query answers from in-index axis values alone, so
-/// it charges no I/O).
-///
-/// `window` is the pushdown hint forwarded to
-/// [`RawFile::read_rows_window`]. Pass the query window **only when every
-/// requested locator is in-window** (the [`ReadPolicy::WindowOnly`] plans,
-/// whose locator set is filtered against the window at plan time) — the
-/// backend may answer provably-out-of-window rows with NaN, which
-/// full-tile plans would then feed into child metadata. [`fetch_window`]
-/// computes the right hint from a config.
-pub fn fetch_values(
-    file: &dyn RawFile,
-    locators: &[RowLocator],
-    read_attrs: &[AttrId],
-    window: Option<&Rect>,
-) -> Result<Vec<Vec<f64>>> {
-    if read_attrs.is_empty() {
-        Ok(vec![Vec::new(); locators.len()])
-    } else {
-        file.read_rows_window(locators, read_attrs, window)
-    }
-}
-
-/// The pushdown hint a tile-processing fetch may safely carry: the query
-/// window under [`ReadPolicy::WindowOnly`] (plan locators are all
-/// in-window, so a zone-map skip can never touch a row whose value is
-/// consumed), nothing under [`ReadPolicy::FullTile`] (out-of-window rows
-/// feed child enrichment and must be materialized).
+/// The pushdown hint a tile-processing fetch may safely carry
+/// ([`RawFile::read_rows_into`]): the query window under
+/// [`ReadPolicy::WindowOnly`] (plan locators are all in-window, so a
+/// zone-map skip can never touch a row whose value is consumed), nothing
+/// under [`ReadPolicy::FullTile`] (out-of-window rows feed child enrichment
+/// and must be materialized, not answered with NaN).
 pub fn fetch_window<'q>(cfg: &AdaptConfig, query: &'q Rect) -> Option<&'q Rect> {
     match cfg.read {
         ReadPolicy::WindowOnly => Some(query),
@@ -378,13 +376,18 @@ pub fn process_tile(
     cfg: &AdaptConfig,
 ) -> Result<ProcessOutcome> {
     let plan = plan_tile(index, tile_id, query, attrs, cfg)?;
-    let values = fetch_values(
+    let mut values = RowBatch::default();
+    // With no attributes to read (COUNT-only) this touches no file.
+    let window = fetch_window(cfg, query);
+    read_row_groups(
         file,
-        &plan.locators,
+        &[&plan.locators],
         &plan.read_attrs,
-        fetch_window(cfg, query),
+        window,
+        1,
+        &mut values,
     )?;
-    apply_plan(index, &plan, query, cfg, &values)
+    apply_plan(index, &plan, query, cfg, values.values())
 }
 
 /// Where one query attribute's exact statistics come from when an
@@ -433,22 +436,21 @@ impl EnrichPlan {
     /// plan-time metadata snapshot with the fetched columns. Pure — usable
     /// even when the structural apply was skipped due to a concurrent
     /// split.
-    pub fn resolved_stats(&self, values: &[Vec<f64>]) -> Result<Vec<RunningStats>> {
-        self.sources
+    pub fn resolved_stats(&self, values: &[f64]) -> Result<Vec<RunningStats>> {
+        let width = self.read_attrs.len();
+        check_shape(self.tile, self.locators.len(), width, values)?;
+        Ok(self
+            .sources
             .iter()
             .map(|src| match src {
-                EnrichSource::Exact(stats) => Ok(*stats),
+                EnrichSource::Exact(stats) => *stats,
                 EnrichSource::Fetched(col) => {
                     let mut s = RunningStats::new();
-                    for row in values {
-                        s.push(*row.get(*col).ok_or_else(|| {
-                            PaiError::internal("fetched row shorter than the enrich attribute list")
-                        })?);
-                    }
-                    Ok(s)
+                    rows_of(values, width).for_each(|row| s.push(row[*col]));
+                    s
                 }
             })
-            .collect()
+            .collect())
     }
 }
 
@@ -498,11 +500,7 @@ pub fn plan_enrich(index: &ValinorIndex, tile_id: TileId, attrs: &[AttrId]) -> R
 
 /// Installs the fetched enrichment values as exact metadata — the mutation
 /// stage of [`enrich_tile`]. Returns the number of objects the plan read.
-pub fn apply_enrich(
-    index: &mut ValinorIndex,
-    plan: &EnrichPlan,
-    values: &[Vec<f64>],
-) -> Result<u64> {
+pub fn apply_enrich(index: &mut ValinorIndex, plan: &EnrichPlan, values: &[f64]) -> Result<u64> {
     if plan.read_attrs.is_empty() {
         return Ok(0);
     }
@@ -512,27 +510,9 @@ pub fn apply_enrich(
             plan.tile
         )));
     }
-    if values.len() != plan.locators.len() {
-        return Err(PaiError::internal(format!(
-            "enrich plan for {:?} expected {} fetched rows, got {}",
-            plan.tile,
-            plan.locators.len(),
-            values.len()
-        )));
-    }
-    let mut per_attr: Vec<Vec<f64>> =
-        vec![Vec::with_capacity(plan.locators.len()); plan.read_attrs.len()];
-    for vals in values {
-        for (bucket, &v) in per_attr.iter_mut().zip(vals.iter()) {
-            bucket.push(v);
-        }
-    }
-    for (i, attr) in plan.read_attrs.iter().enumerate() {
-        index
-            .tile_mut(plan.tile)
-            .meta
-            .set(*attr, AttrMeta::exact_from_values(&per_attr[i]));
-    }
+    let width = plan.read_attrs.len();
+    check_shape(plan.tile, plan.locators.len(), width, values)?;
+    ExactFold::over(values, width).install(index, plan.tile, &plan.read_attrs);
     Ok(plan.locators.len() as u64)
 }
 
@@ -553,7 +533,7 @@ pub fn enrich_tile(
         return Ok(0);
     }
     let values = file.read_rows(&plan.locators, &plan.read_attrs)?;
-    apply_enrich(index, &plan, &values)
+    apply_enrich(index, &plan, values.values())
 }
 
 /// Test/diagnostic helper: entry counts per leaf under a rectangle.
@@ -594,6 +574,13 @@ mod tests {
         };
         let (idx, _) = build(&f, &cfg).unwrap();
         (f, idx)
+    }
+
+    /// The plan's rows, fetched into a fresh batch.
+    fn fetch(f: &MemFile, plan: &TilePlan) -> RowBatch {
+        let mut values = RowBatch::default();
+        read_row_groups(f, &[&plan.locators], &plan.read_attrs, None, 1, &mut values).unwrap();
+        values
     }
 
     fn adapt_cfg(split: SplitPolicy, read: ReadPolicy) -> AdaptConfig {
@@ -682,6 +669,66 @@ mod tests {
             idx.tile(bounded).meta.get(2).unwrap().value_bounds(),
             Some(pai_common::Interval::new(10.0, 20.0))
         );
+    }
+
+    #[test]
+    fn child_metadata_folds_the_read_rows_in_the_childs_entry_order() {
+        // One cell, objects in file order zig-zagging across x = 5; the
+        // query selects the left half, so the split reads the left child
+        // whole and the right child not at all. Values are chosen so that a
+        // sum folded in another order rounds differently.
+        let vals = [1e16, 3.0, -1e16, 5.0, 0.1, f64::NAN, 0.2, 7.0];
+        let rows: Vec<Vec<f64>> = (0..8)
+            .map(|i| {
+                vec![
+                    if i % 2 == 0 { 1.0 } else { 6.0 } + i as f64 * 0.1,
+                    5.0,
+                    vals[i],
+                ]
+            })
+            .collect();
+        let f = MemFile::from_rows(Schema::synthetic(3), CsvFormat::default(), rows).unwrap();
+        let init = InitConfig {
+            grid: GridSpec::Fixed { nx: 1, ny: 1 },
+            domain: Some(Rect::new(0.0, 10.0, 0.0, 10.0)),
+            metadata: crate::config::MetadataPolicy::AllNumeric,
+        };
+        let (mut idx, _) = build(&f, &init).unwrap();
+        let q = Rect::new(0.0, 5.0, 0.0, 10.0);
+        let cfg = adapt_cfg(SplitPolicy::QueryAligned, ReadPolicy::WindowOnly);
+        // Two attributes, so rows are wider than one value.
+        let out = process_tile(&mut idx, &f, TileId(0), &q, &[2, 0], &cfg).unwrap();
+        assert!(out.did_split);
+        assert_eq!(out.objects_read, 4);
+        let (mut exact, mut bounded) = (0, 0);
+        for &c in &out.new_leaves {
+            let entries = idx.tile(c).entries();
+            if entries.is_empty() {
+                continue;
+            }
+            if !entries[0].in_window(&q) {
+                assert!(!idx.tile(c).meta.has_exact(2), "unread child stays bounded");
+                bounded += 1;
+                continue;
+            }
+            // The child's own values, in its entry order (= file order).
+            let locs: Vec<RowLocator> = entries.iter().map(|e| e.locator).collect();
+            let own = f.read_rows(&locs, &[2, 0]).unwrap();
+            for (col, attr) in [(0, 2), (1, 0)] {
+                let column: Vec<f64> = own.iter().map(|r| r[col]).collect();
+                assert_eq!(
+                    idx.tile(c).meta.get(attr),
+                    Some(&AttrMeta::exact_from_values(&column)),
+                    "attr {attr}"
+                );
+            }
+            assert_eq!(
+                idx.tile(c).meta.get(2).unwrap().exact_sum(),
+                Some(0.1 + 0.2)
+            );
+            exact += 1;
+        }
+        assert_eq!((exact, bounded), (1, 1));
     }
 
     #[test]
@@ -778,10 +825,10 @@ mod tests {
         assert_eq!(plan.objects_to_read(), 1);
         assert_eq!(plan.read_attrs, vec![2]);
 
-        let values = fetch_values(&f, &plan.locators, &plan.read_attrs, None).unwrap();
+        let values = fetch(&f, &plan);
         // The pure stats match what apply reports.
-        let pure = plan.in_window_stats(&values).unwrap();
-        let out = apply_plan(&mut idx, &plan, &q, &cfg, &values).unwrap();
+        let pure = plan.in_window_stats(values.values()).unwrap();
+        let out = apply_plan(&mut idx, &plan, &q, &cfg, values.values()).unwrap();
         assert_eq!(out.in_window, pure);
         assert_eq!(out.in_window[0].sum(), 40.0);
         assert!(out.did_split);
@@ -796,14 +843,17 @@ mod tests {
         let centre = idx.leaf_for_point(Point2::new(15.0, 15.0)).unwrap();
         let cfg = adapt_cfg(SplitPolicy::QueryAligned, ReadPolicy::WindowOnly);
         let plan = plan_tile(&idx, centre, &q, &[2], &cfg).unwrap();
-        let values = fetch_values(&f, &plan.locators, &plan.read_attrs, None).unwrap();
+        let values = fetch(&f, &plan);
+        let fresh = plan.in_window_stats(values.values()).unwrap();
         // Another writer splits the tile between plan and apply.
         process_tile(&mut idx, &f, centre, &q, &[2], &cfg).unwrap();
-        assert!(idx.version() != plan.planned_version);
-        let err = apply_plan(&mut idx, &plan, &q, &cfg, &values).unwrap_err();
+        assert!(!still_applies(&idx, plan.tile, plan.planned_version));
+        let err = apply_plan(&mut idx, &plan, &q, &cfg, values.values()).unwrap_err();
         assert!(err.to_string().contains("non-leaf"), "{err}");
-        // The fetched values still resolve the contribution purely.
-        let stats = plan.in_window_stats(&values).unwrap();
+        // The batch still resolves the contribution purely, to the same
+        // statistics as before the plan went stale.
+        let stats = plan.in_window_stats(values.values()).unwrap();
+        assert_eq!(stats, fresh);
         assert_eq!(stats[0].sum(), 40.0);
     }
 
@@ -822,10 +872,10 @@ mod tests {
         let plan = plan_enrich(&idx, t, &[2]).unwrap();
         assert_eq!(plan.objects_to_read(), 2);
         let values = f.read_rows(&plan.locators, &plan.read_attrs).unwrap();
-        let read = apply_enrich(&mut idx, &plan, &values).unwrap();
+        let read = apply_enrich(&mut idx, &plan, values.values()).unwrap();
         assert_eq!(read, 2);
         assert!(idx.tile(t).meta.has_exact(2));
-        let resolved = plan.resolved_stats(&values).unwrap();
+        let resolved = plan.resolved_stats(values.values()).unwrap();
         assert_eq!(
             Some(&resolved[0]),
             idx.tile(t).meta.get(2).unwrap().exact_stats(),
@@ -844,11 +894,14 @@ mod tests {
         let plan = plan_tile(&idx, t, &q, &[2], &cfg).unwrap();
         assert_eq!(plan.locators.len(), 2);
         let values = f.read_rows(&plan.locators, &plan.read_attrs).unwrap();
-        let stats = plan.in_window_stats(&values).unwrap();
+        let stats = plan.in_window_stats(values.values()).unwrap();
         assert_eq!(stats[0].sum(), 130.0);
         assert_eq!(stats[0].count(), 2);
-        // Wrong-shaped values are an error, not a misalignment.
-        assert!(plan.in_window_stats(&values[..1]).is_err());
+        // Wrong-shaped values are an error, not a misalignment: too few
+        // rows, or rows of another width.
+        assert!(plan.in_window_stats(values.rows(0..1)).is_err());
+        let wide = f.read_rows(&plan.locators, &[2, 0]).unwrap();
+        assert!(plan.in_window_stats(wide.values()).is_err());
     }
 
     #[test]

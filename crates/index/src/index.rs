@@ -400,9 +400,15 @@ impl ValinorIndex {
     /// Splits a leaf into the given child rectangles, redistributing its
     /// entries and installing inherited (demoted) metadata on each child.
     ///
-    /// Returns the new child ids. The caller (adaptation) is expected to
-    /// overwrite child metadata with exact stats where it has values.
-    pub(crate) fn split_leaf(&mut self, id: TileId, child_rects: Vec<Rect>) -> Result<Vec<TileId>> {
+    /// Returns the new child ids and, for each entry of the split leaf in
+    /// order, which child (by position) took it — entries keep their order
+    /// within a child. The caller (adaptation) is expected to overwrite child
+    /// metadata with exact stats where it has values.
+    pub(crate) fn split_leaf(
+        &mut self,
+        id: TileId,
+        child_rects: Vec<Rect>,
+    ) -> Result<(Vec<TileId>, Vec<u32>)> {
         debug_assert!(child_rects.len() >= 2, "split needs at least two children");
         let depth = self.tile(id).depth;
         let parent_rect = self.tile(id).rect;
@@ -431,21 +437,18 @@ impl ValinorIndex {
         // Redistribute entries. Half-open containment first; entries sitting
         // on the parent's max edge (domain-boundary clamping) fall through
         // to closed containment.
+        let mut child_of = Vec::with_capacity(entries.len());
         for e in entries {
             let p = e.point();
-            let target = child_ids
+            let slot = child_rects
                 .iter()
-                .find(|&&c| self.tile(c).rect.contains_point(p))
-                .or_else(|| {
-                    child_ids
-                        .iter()
-                        .find(|&&c| self.tile(c).rect.contains_point_closed(p))
-                })
-                .copied()
+                .position(|r| r.contains_point(p))
+                .or_else(|| child_rects.iter().position(|r| r.contains_point_closed(p)))
                 .ok_or_else(|| {
                     PaiError::internal(format!("entry at {p:?} fits no child of {parent_rect}"))
                 })?;
-            match &mut self.tile_mut(target).state {
+            child_of.push(slot as u32);
+            match &mut self.tile_mut(child_ids[slot]).state {
                 TileState::Leaf { entries } => entries.push(e),
                 TileState::Inner { .. } => unreachable!("children are fresh leaves"),
             }
@@ -455,7 +458,7 @@ impl ValinorIndex {
             children: child_ids.clone(),
         };
         self.splits_performed += 1;
-        Ok(child_ids)
+        Ok((child_ids, child_of))
     }
 
     // -- diagnostics ---------------------------------------------------------
@@ -627,9 +630,21 @@ mod tests {
         let target = idx.classify(&q).partial[0].tile;
         let rect = idx.tile(target).rect;
         let before = idx.total_objects();
-        let children = idx.split_leaf(target, rect.split_grid(2, 2)).unwrap();
+        let entries = idx.tile(target).entries().to_vec();
+        let (children, child_of) = idx.split_leaf(target, rect.split_grid(2, 2)).unwrap();
         assert_eq!(children.len(), 4);
         assert!(!idx.tile(target).is_leaf());
+        // The assignment replays the split: each child holds, in order, the
+        // entries it was assigned.
+        for (slot, &child) in children.iter().enumerate() {
+            let assigned: Vec<ObjectEntry> = entries
+                .iter()
+                .zip(&child_of)
+                .filter(|&(_, &c)| c as usize == slot)
+                .map(|(e, _)| *e)
+                .collect();
+            assert_eq!(idx.tile(child).entries(), assigned);
+        }
         assert_eq!(idx.total_objects(), before);
         assert_eq!(idx.splits_performed(), 1);
         idx.validate_invariants().unwrap();

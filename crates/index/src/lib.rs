@@ -34,8 +34,8 @@ pub mod testutil;
 pub mod tile;
 
 pub use adapt::{
-    apply_enrich, apply_plan, enrich_tile, fetch_values, fetch_window, plan_enrich, plan_tile,
-    process_tile, still_applies, EnrichPlan, ProcessOutcome, TilePlan,
+    apply_enrich, apply_plan, enrich_tile, fetch_window, plan_enrich, plan_tile, process_tile,
+    still_applies, EnrichPlan, ProcessOutcome, TilePlan,
 };
 pub use config::{AdaptConfig, EnrichPolicy, MetadataPolicy, ReadPolicy};
 pub use entry::ObjectEntry;

@@ -123,7 +123,7 @@ mod tests {
         let t = index.leaf_for_point(Point2::new(1.0, 1.0)).unwrap();
         let loc = index.tile(t).entries()[0].locator;
         let vals = file.read_rows(&[loc], &[2]).unwrap();
-        assert_eq!(vals[0][0], 5.0);
+        assert_eq!(vals.values(), [5.0]);
         // Metadata installed.
         assert!(index.tile(t).meta.has_exact(2));
         assert_eq!(index.global_bounds(2).unwrap().hi(), 9.0);

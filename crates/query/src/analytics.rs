@@ -110,7 +110,7 @@ pub fn filtered_aggregate(
 
     let mut selected = 0u64;
     let mut stats = vec![RunningStats::new(); attrs.len()];
-    for row in &values {
+    for row in values.iter() {
         if filter_pos.iter().all(|(pos, f)| f.accepts(row[*pos])) {
             selected += 1;
             for (s, &v) in stats.iter_mut().zip(row.iter()) {
@@ -153,7 +153,12 @@ pub fn histogram(
     index.schema().require_numeric(attr)?;
     let locators = selected_locators(index, window);
     let rows = file.read_rows(&locators, &[attr])?;
-    let vals: Vec<f64> = rows.iter().map(|r| r[0]).filter(|v| !v.is_nan()).collect();
+    let vals: Vec<f64> = rows
+        .values()
+        .iter()
+        .copied()
+        .filter(|v| !v.is_nan())
+        .collect();
 
     let range = match range {
         Some(r) => r,
@@ -205,7 +210,7 @@ pub fn pearson(
 
     let mut n = 0u64;
     let (mut sa, mut sb, mut saa, mut sbb, mut sab) = (0.0, 0.0, 0.0, 0.0, 0.0);
-    for r in &rows {
+    for r in rows.iter() {
         let (a, b) = (r[0], r[1]);
         if a.is_nan() || b.is_nan() {
             continue;
@@ -241,11 +246,7 @@ pub fn summary(
     index.schema().require_numeric(attr)?;
     let locators = selected_locators(index, window);
     let rows = file.read_rows(&locators, &[attr])?;
-    let mut s = RunningStats::new();
-    for r in &rows {
-        s.push(r[0]);
-    }
-    Ok(s)
+    Ok(RunningStats::from_values(rows.values()))
 }
 
 #[cfg(test)]

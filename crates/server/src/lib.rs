@@ -151,13 +151,42 @@ mod tests {
         ));
     }
 
+    /// An engine whose evaluations announce themselves and then wait to be
+    /// let go — how a test holds a worker without timing anything.
+    struct Held {
+        inner: Arc<SharedIndex<MemFile>>,
+        entered: std::sync::mpsc::Sender<()>,
+        /// Yields once per token sent, and for good once the sender is gone.
+        release: std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl ServeEngine for Held {
+        fn evaluate(
+            &self,
+            window: &Rect,
+            aggs: &[AggregateFunction],
+            phi: f64,
+        ) -> pai_common::Result<pai_core::ApproxResult> {
+            self.entered.send(()).ok();
+            self.release.lock().unwrap().recv().ok();
+            self.inner.evaluate(window, aggs, phi)
+        }
+    }
+
     #[test]
     fn full_queue_yields_busy_and_recovers() {
         let (engine, window) = shared_engine(4000, 23);
-        // One worker, one in-flight, queue of one: the third rapid-fire
-        // query from a second connection must see Busy.
+        let (entered, worker_entered) = std::sync::mpsc::channel();
+        let (let_go, release) = std::sync::mpsc::channel();
+        // One worker, one in-flight, queue of one: with the worker held on
+        // the first query and the second one queued, every further query of
+        // the burst must see Busy.
         let server = PaiServer::serve(
-            engine,
+            Arc::new(Held {
+                inner: engine,
+                entered,
+                release: std::sync::Mutex::new(release),
+            }),
             ServerConfig {
                 workers: 1,
                 queue_depth: 1,
@@ -173,7 +202,7 @@ mod tests {
         use pai_storage::netio::{write_frame, ConnBuf};
         use std::net::TcpStream;
         let mut conns = Vec::new();
-        for _ in 0..6 {
+        for i in 0..6 {
             let mut stream = TcpStream::connect(server.addr()).unwrap();
             let hello = protocol::Request::Hello {
                 version: protocol::PROTOCOL_VERSION,
@@ -193,20 +222,44 @@ mod tests {
                 aggs: aggs.to_vec(),
             };
             write_frame(&mut stream, &q.encode()).unwrap();
+            if i == 0 {
+                // The rest of the burst arrives while the worker is inside
+                // this query.
+                worker_entered.recv().unwrap();
+            }
             conns.push((stream, buf));
         }
         // Every connection gets exactly one reply: Answer or Busy, no
-        // hangs and no dropped connections.
+        // hangs and no dropped connections. While the worker is held only
+        // rejections can come back — one query in flight and one queued
+        // leave four of them — and the admitted two follow once it is let go.
         let mut answers = 0u64;
         let mut busy = 0u64;
-        for (mut stream, mut buf) in conns {
-            let frame = buf.read_frame(&mut stream).unwrap().unwrap();
-            match protocol::Response::decode(frame).unwrap() {
-                protocol::Response::Answer { .. } => answers += 1,
-                protocol::Response::Busy { .. } => busy += 1,
-                other => panic!("unexpected reply {other:?}"),
+        let (reply, replies) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            for (mut stream, mut buf) in conns {
+                let reply = reply.clone();
+                s.spawn(move || {
+                    let frame = buf.read_frame(&mut stream).unwrap().unwrap();
+                    reply
+                        .send(protocol::Response::decode(frame).unwrap())
+                        .unwrap();
+                });
             }
-        }
+            let mut let_go = Some(let_go);
+            for i in 0..6 {
+                if i == 4 {
+                    let_go.take();
+                }
+                // The wait only bounds a failure; nothing here is timed.
+                let within = std::time::Duration::from_secs(60);
+                match replies.recv_timeout(within).expect("a reply per query") {
+                    protocol::Response::Answer { .. } if i >= 4 => answers += 1,
+                    protocol::Response::Busy { .. } => busy += 1,
+                    other => panic!("unexpected reply {i}: {other:?}"),
+                }
+            }
+        });
         assert_eq!(answers + busy, 6);
         assert!(busy > 0, "a 1-deep queue must reject a 6-query burst");
         assert_eq!(server.stats().busy_rejections, busy);

@@ -1,45 +1,116 @@
-//! Cross-tile batched positional reads.
+//! The flat row batch, and cross-tile batched positional reads into it.
+//!
+//! Positional reads produce a [`RowBatch`]: the values of every requested
+//! row, row-major, in one allocation the caller owns and hands to read after
+//! read — a query's tiles reuse one buffer instead of allocating a `Vec` per
+//! object. Consumers borrow runs of its rows as plain `&[f64]`.
 //!
 //! The adaptation pipeline processes a *batch* of tiles per iteration; each
-//! tile contributes a group of [`RowLocator`]s it needs values for. Issuing
-//! one `read_rows` per tile wastes the backends' internal coalescing: every
-//! call sorts and merges only its own locators. [`read_row_groups`] instead
-//! concatenates all groups into **one** `read_rows` call, so
-//!
-//! * on [`crate::BinFile`], adjacent rows from *different* tiles coalesce
-//!   into shared runs (one seek + one read per run, across tile boundaries);
-//! * on CSV backends, one pass over the sorted offsets replaces per-tile
-//!   passes — fewer syscalls and no repeated buffer warm-up.
-//!
-//! Results come back sliced per group, positionally aligned with the input
-//! locators, so callers never re-associate rows by key.
+//! tile contributes a group of [`RowLocator`]s it needs values for. One read
+//! per tile would sort and merge only its own locators; [`read_row_groups`]
+//! concatenates all groups into **one** call, so adjacent rows from
+//! *different* tiles share runs and block reads, and returns where each
+//! group's rows start — nothing is re-associated by key or re-sliced.
 //!
 //! For very large batches the flat read can optionally be sharded across
 //! threads ([`std::thread::scope`]): every [`RawFile`] serves concurrent
 //! readers (each access opens its own handle), so partitioned fetching is
-//! safe on any backend. Sharding trades one `read_rows` call for
-//! `parallelism` concurrent ones — wall-clock for call count — which is why
-//! it is opt-in.
+//! safe on any backend. Sharding trades one call for `parallelism`
+//! concurrent ones — wall-clock for call count — which is why it is opt-in.
+
+use std::ops::Range;
 
 use pai_common::geometry::Rect;
 use pai_common::{AttrId, Result, RowLocator};
 
 use crate::raw::RawFile;
 
+/// The values of a positional read: `len` rows of `width` values each,
+/// row-major in one allocation. A zero-width batch (no attributes asked
+/// for) still has its rows.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RowBatch {
+    width: usize,
+    len: usize,
+    values: Vec<f64>,
+}
+
+impl RowBatch {
+    /// Makes this `len` zeroed rows of `width` values, keeping the
+    /// allocation, and lends them to be filled in place — how every backend
+    /// starts a read.
+    pub fn reset(&mut self, width: usize, len: usize) -> &mut [f64] {
+        self.width = width;
+        self.len = len;
+        self.values.clear();
+        self.values.resize(width * len, 0.0);
+        &mut self.values
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the batch has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Values per row.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Every value, row after row.
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// The values of the rows in `range`, row after row — what the
+    /// plan/apply stages consume, one run per plan.
+    pub fn rows(&self, range: Range<usize>) -> &[f64] {
+        assert!(range.end <= self.len, "rows {range:?} of {}", self.len);
+        &self.values[range.start * self.width..range.end * self.width]
+    }
+
+    /// Row `i`.
+    pub fn row(&self, i: usize) -> &[f64] {
+        self.rows(i..i + 1)
+    }
+
+    /// The rows in order.
+    pub fn iter(&self) -> impl Iterator<Item = &[f64]> {
+        (0..self.len).map(|i| self.row(i))
+    }
+
+    /// Appends the rows of `other` (same width, or this batch is empty).
+    fn append(&mut self, other: &RowBatch) {
+        debug_assert!(self.len == 0 || self.width == other.width);
+        self.width = other.width;
+        self.len += other.len;
+        self.values.extend_from_slice(&other.values);
+    }
+}
+
 /// Below this many locators per thread, sharding costs more than it saves;
 /// the fetch degrades to a single call.
 const MIN_LOCATORS_PER_THREAD: usize = 256;
 
-/// Reads several locator groups in one coalesced `read_rows` call (or, with
-/// `parallelism > 1` and a large enough batch, a few concurrent calls over
+/// Reads several locator groups into `out` with one coalesced read (or, with
+/// `parallelism > 1` and a large enough batch, a few concurrent ones over
 /// contiguous shards).
 ///
-/// Returns one `Vec` of value rows per input group, each aligned with that
-/// group's locators in order — exactly what a per-group `read_rows` would
-/// have returned, minus the per-call overhead.
+/// The groups' rows land back to back, each aligned with its group's
+/// locators in order — exactly what a read per group would have produced.
+/// Returns where each group starts in `out`, plus the total as a final
+/// entry: group `g` is rows `starts[g]..starts[g + 1]`.
+///
+/// With no `attrs` to read (a COUNT-only query answers from in-index axis
+/// values alone) the rows are zero-width and no I/O is charged.
 ///
 /// `window` is the active query window, pushed down to the backend
-/// ([`RawFile::read_rows_window`]): zone-mapped backends may answer rows in
+/// ([`RawFile::read_rows_into`]): zone-mapped backends may answer rows in
 /// blocks provably disjoint from it with NaN instead of touching storage.
 /// Pass `Some` only when every caller-side consumer ignores the values of
 /// out-of-window rows (the engine's window-only read policy does); pass
@@ -50,19 +121,22 @@ pub fn read_row_groups(
     attrs: &[AttrId],
     window: Option<&Rect>,
     parallelism: usize,
-) -> Result<Vec<Vec<Vec<f64>>>> {
-    let total: usize = groups.iter().map(|g| g.len()).sum();
-    let mut flat = Vec::with_capacity(total);
+    out: &mut RowBatch,
+) -> Result<Vec<usize>> {
+    let mut starts = Vec::with_capacity(groups.len() + 1);
+    let mut total = 0;
     for g in groups {
-        flat.extend_from_slice(g);
+        starts.push(total);
+        total += g.len();
     }
-    let rows = read_flat(file, &flat, attrs, window, parallelism)?;
-    debug_assert_eq!(rows.len(), total);
-    let mut rows = rows.into_iter();
-    Ok(groups
-        .iter()
-        .map(|g| rows.by_ref().take(g.len()).collect())
-        .collect())
+    starts.push(total);
+    if attrs.is_empty() {
+        out.reset(0, total);
+        return Ok(starts);
+    }
+    read_flat(file, &groups.concat(), attrs, window, parallelism, out)?;
+    debug_assert_eq!(out.len(), total);
+    Ok(starts)
 }
 
 /// One flat batched read, optionally sharded across scoped threads.
@@ -72,29 +146,50 @@ fn read_flat(
     attrs: &[AttrId],
     window: Option<&Rect>,
     parallelism: usize,
-) -> Result<Vec<Vec<f64>>> {
+    out: &mut RowBatch,
+) -> Result<()> {
     let shards = parallelism
         .min(locators.len() / MIN_LOCATORS_PER_THREAD)
         .max(1);
     if shards <= 1 {
-        return file.read_rows_window(locators, attrs, window);
+        return file.read_rows_into(locators, attrs, window, out);
     }
     let chunk = locators.len().div_ceil(shards);
-    let results: Vec<Result<Vec<Vec<f64>>>> = std::thread::scope(|s| {
+    let parts: Vec<Result<RowBatch>> = std::thread::scope(|s| {
         let handles: Vec<_> = locators
             .chunks(chunk)
-            .map(|c| s.spawn(move || file.read_rows_window(c, attrs, window)))
+            .map(|c| {
+                s.spawn(move || {
+                    let mut part = RowBatch::default();
+                    file.read_rows_into(c, attrs, window, &mut part)?;
+                    Ok(part)
+                })
+            })
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("fetch shard panicked"))
             .collect()
     });
-    let mut out = Vec::with_capacity(locators.len());
-    for r in results {
-        out.extend(r?);
+    out.reset(attrs.len(), 0);
+    for part in parts {
+        out.append(&part?);
     }
-    Ok(out)
+    Ok(())
+}
+
+/// A windowed read into a fresh batch, for the backends' tests.
+#[cfg(test)]
+pub(crate) fn read_window(
+    file: &dyn RawFile,
+    locators: &[RowLocator],
+    attrs: &[AttrId],
+    window: Option<&Rect>,
+) -> RowBatch {
+    let mut out = RowBatch::default();
+    file.read_rows_into(locators, attrs, window, &mut out)
+        .expect("windowed read");
+    out
 }
 
 #[cfg(test)]
@@ -109,15 +204,31 @@ mod tests {
         BinFile::from_rows(&Schema::synthetic(3), data).unwrap()
     }
 
+    /// Reads `groups` into a fresh batch; the rows and where each group starts.
+    fn grouped(
+        f: &dyn RawFile,
+        groups: &[&[RowLocator]],
+        attrs: &[AttrId],
+        window: Option<&Rect>,
+        parallelism: usize,
+    ) -> (RowBatch, Vec<usize>) {
+        let mut out = RowBatch::default();
+        let starts = read_row_groups(f, groups, attrs, window, parallelism, &mut out).unwrap();
+        (out, starts)
+    }
+
+    fn locs(rows: impl IntoIterator<Item = u64>) -> Vec<RowLocator> {
+        rows.into_iter().map(RowLocator::new).collect()
+    }
+
     #[test]
     fn groups_come_back_aligned() {
         let f = sample(10);
-        let g1: Vec<RowLocator> = [3u64, 1].iter().map(|&r| RowLocator::new(r)).collect();
-        let g2: Vec<RowLocator> = [9u64, 0, 4].iter().map(|&r| RowLocator::new(r)).collect();
-        let out = read_row_groups(&f, &[&g1, &g2], &[2], None, 1).unwrap();
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0], vec![vec![30.0], vec![10.0]]);
-        assert_eq!(out[1], vec![vec![90.0], vec![0.0], vec![40.0]]);
+        let (g1, g2) = (locs([3, 1]), locs([9, 0, 4]));
+        let (out, starts) = grouped(&f, &[&g1, &g2], &[2], None, 1);
+        assert_eq!(starts, [0, 2, 5]);
+        assert_eq!(out.values(), [30.0, 10.0, 90.0, 0.0, 40.0]);
+        assert_eq!(out.rows(2..5), [90.0, 0.0, 40.0]);
         assert_eq!(f.counters().read_calls(), 1, "one call for both groups");
     }
 
@@ -126,11 +237,10 @@ mod tests {
         let f = sample(8);
         // Two tiles covering adjacent row ranges: together they are one
         // contiguous run, so the batched read needs a single seek.
-        let g1: Vec<RowLocator> = (0..4).map(RowLocator::new).collect();
-        let g2: Vec<RowLocator> = (4..8).map(RowLocator::new).collect();
+        let (g1, g2) = (locs(0..4), locs(4..8));
         f.counters().reset();
-        let out = read_row_groups(&f, &[&g1, &g2], &[2], None, 1).unwrap();
-        assert_eq!(out[0].len() + out[1].len(), 8);
+        let (out, _) = grouped(&f, &[&g1, &g2], &[2], None, 1);
+        assert_eq!(out.len(), 8);
         assert_eq!(f.counters().seeks(), 1, "adjacent groups fuse into one run");
 
         // The same groups fetched separately cannot fuse.
@@ -142,23 +252,43 @@ mod tests {
     }
 
     #[test]
-    fn empty_groups_are_fine() {
+    fn an_empty_group_in_the_middle_keeps_its_place() {
         let f = sample(4);
-        let g1: Vec<RowLocator> = Vec::new();
-        let g2: Vec<RowLocator> = vec![RowLocator::new(2)];
-        let out = read_row_groups(&f, &[&g1, &g2, &g1], &[0], None, 1).unwrap();
-        assert!(out[0].is_empty());
-        assert_eq!(out[1], vec![vec![2.0]]);
-        assert!(out[2].is_empty());
+        let (g1, none, g2) = (locs([2]), locs([]), locs([0, 3]));
+        let (out, starts) = grouped(&f, &[&none, &g1, &none, &g2, &none], &[0, 2], None, 1);
+        assert_eq!(starts, [0, 0, 1, 1, 3, 3]);
+        assert_eq!(out.width(), 2);
+        assert_eq!(out.values(), [2.0, 20.0, 0.0, 0.0, 3.0, 30.0]);
+        let group = |g: usize| out.rows(starts[g]..starts[g + 1]);
+        assert!(group(0).is_empty() && group(2).is_empty() && group(4).is_empty());
+        assert_eq!(group(3), [0.0, 0.0, 3.0, 30.0]);
+    }
+
+    #[test]
+    fn a_count_only_read_has_its_rows_and_touches_nothing() {
+        let f = sample(8);
+        let (g1, g2) = (locs([5, 1, 6]), locs([2]));
+        let mut out = RowBatch::default();
+        // A batch that held wider rows before is reshaped, not appended to.
+        f.read_rows_into(&g1, &[0, 1], None, &mut out).unwrap();
+        f.counters().reset();
+        let starts = read_row_groups(&f, &[&g1, &g2], &[], None, 4, &mut out).unwrap();
+        assert_eq!(starts, [0, 3, 4]);
+        assert_eq!((out.len(), out.width()), (4, 0));
+        assert!(out.values().is_empty());
+        assert_eq!(out.iter().count(), 4);
+        assert!(out.iter().all(|row| row.is_empty()) && out.rows(3..4).is_empty());
+        assert_eq!(f.counters().snapshot(), Default::default(), "no I/O");
     }
 
     #[test]
     fn parallel_fetch_matches_serial() {
         let f = sample(4096);
-        let g: Vec<RowLocator> = (0..4096).rev().map(RowLocator::new).collect();
-        let serial = read_row_groups(&f, &[&g], &[0, 2], None, 1).unwrap();
-        let parallel = read_row_groups(&f, &[&g], &[0, 2], None, 4).unwrap();
+        let g = locs((0..4096).rev());
+        let serial = grouped(&f, &[&g], &[0, 2], None, 1);
+        let parallel = grouped(&f, &[&g], &[0, 2], None, 4);
         assert_eq!(serial, parallel, "sharding must not change results");
+        assert_eq!(serial.0.row(0), [4095.0, 40950.0]);
     }
 
     #[test]
@@ -167,21 +297,20 @@ mod tests {
         // come back NaN without I/O, in-window groups are untouched.
         let data: Vec<Vec<f64>> = (0..32).map(|i| vec![i as f64, 0.5, i as f64]).collect();
         let f = crate::ZoneFile::from_rows_with_block(&Schema::synthetic(3), data, 4).unwrap();
-        let dead: Vec<RowLocator> = (0..4).map(RowLocator::new).collect();
-        let live: Vec<RowLocator> = (20..24).map(RowLocator::new).collect();
-        let window = pai_common::geometry::Rect::new(20.0, 24.0, 0.0, 1.0);
-        let out = read_row_groups(&f, &[&dead, &live], &[2], Some(&window), 1).unwrap();
-        assert!(out[0].iter().all(|v| v[0].is_nan()));
-        assert_eq!(out[1], vec![vec![20.0], vec![21.0], vec![22.0], vec![23.0]]);
+        let (dead, live) = (locs(0..4), locs(20..24));
+        let window = Rect::new(20.0, 24.0, 0.0, 1.0);
+        let (out, _) = grouped(&f, &[&dead, &live], &[2], Some(&window), 1);
+        assert!(out.values()[..4].iter().all(|v| v.is_nan()));
+        assert_eq!(out.values()[4..], [20.0, 21.0, 22.0, 23.0]);
         assert_eq!(f.counters().blocks_skipped(), 1);
     }
 
     #[test]
     fn small_batches_stay_single_call() {
         let f = sample(16);
-        let g: Vec<RowLocator> = (0..16).map(RowLocator::new).collect();
+        let g = locs(0..16);
         f.counters().reset();
-        read_row_groups(&f, &[&g], &[1], None, 8).unwrap();
+        grouped(&f, &[&g], &[1], None, 8);
         assert_eq!(
             f.counters().read_calls(),
             1,

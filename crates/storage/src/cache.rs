@@ -58,6 +58,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use pai_common::geometry::Rect;
 use pai_common::{AttrId, IoCounters, Result, RowLocator};
 
+use crate::batch::RowBatch;
 use crate::raw::{
     AppendReceipt, BlockStats, BlockSynopsis, CompactionReport, RawFile, RowHandler, ScanPartition,
 };
@@ -530,8 +531,14 @@ impl RawFile for CachedFile {
         self.inner.scan(handler)
     }
 
-    fn read_rows(&self, locators: &[RowLocator], attrs: &[AttrId]) -> Result<Vec<Vec<f64>>> {
-        self.inner.read_rows(locators, attrs)
+    fn read_rows_into(
+        &self,
+        locators: &[RowLocator],
+        attrs: &[AttrId],
+        window: Option<&Rect>,
+        out: &mut RowBatch,
+    ) -> Result<()> {
+        self.inner.read_rows_into(locators, attrs, window, out)
     }
 
     fn partitions(&self, n: usize) -> Result<Vec<ScanPartition>> {
@@ -556,15 +563,6 @@ impl RawFile for CachedFile {
 
     fn scan_filtered(&self, window: &Rect, handler: &mut RowHandler<'_>) -> Result<()> {
         self.inner.scan_filtered(window, handler)
-    }
-
-    fn read_rows_window(
-        &self,
-        locators: &[RowLocator],
-        attrs: &[AttrId],
-        window: Option<&Rect>,
-    ) -> Result<Vec<Vec<f64>>> {
-        self.inner.read_rows_window(locators, attrs, window)
     }
 
     fn attach_cache(&self, cache: Arc<BlockCache>) -> bool {

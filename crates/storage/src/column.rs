@@ -49,8 +49,10 @@ use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::Arc;
 
+use pai_common::geometry::Rect;
 use pai_common::{AttrId, IoCounters, PaiError, Result, RowId, RowLocator};
 
+use crate::batch::RowBatch;
 use crate::cache::CacheMode;
 use crate::fetch::{SpanFetcher, SpanMeters};
 use crate::raw::{RawFile, Record, RowHandler, ScanPartition};
@@ -593,7 +595,13 @@ impl RawFile for BinFile {
         self.scan_rows(0, self.n_rows, handler)
     }
 
-    fn read_rows(&self, locators: &[RowLocator], attrs: &[AttrId]) -> Result<Vec<Vec<f64>>> {
+    fn read_rows_into(
+        &self,
+        locators: &[RowLocator],
+        attrs: &[AttrId],
+        _window: Option<&Rect>,
+        out: &mut RowBatch,
+    ) -> Result<()> {
         self.counters.add_read_call();
         for &a in attrs {
             if a >= self.schema.len() {
@@ -615,10 +623,11 @@ impl RawFile for BinFile {
             }
         }
 
-        let mut out: Vec<Vec<f64>> = vec![vec![0.0; attrs.len()]; locators.len()];
+        let width = attrs.len();
+        let out = out.reset(width, locators.len());
         if locators.is_empty() || attrs.is_empty() {
             self.counters.add_objects(locators.len() as u64);
-            return Ok(out);
+            return Ok(());
         }
 
         let mut fetcher = self.fetcher()?;
@@ -664,7 +673,7 @@ impl RawFile for BinFile {
             for (&(i, j), buf) in runs.iter().zip(&bufs) {
                 for &(slot, row) in &order[i..j] {
                     let o = (row - order[i].1) as usize * 8;
-                    out[slot][ai] =
+                    out[slot * width + ai] =
                         f64::from_le_bytes(buf[o..o + 8].try_into().expect("8-byte value"));
                 }
             }
@@ -673,7 +682,7 @@ impl RawFile for BinFile {
         self.counters.add_bytes(m.bytes);
         self.counters.add_seeks(m.seeks);
         self.counters.add_blocks_read(blocks);
-        Ok(out)
+        Ok(())
     }
 
     fn partitions(&self, n: usize) -> Result<Vec<ScanPartition>> {
@@ -759,10 +768,8 @@ mod tests {
         let f = sample();
         let locs: Vec<RowLocator> = [3u64, 0, 2].iter().map(|&r| RowLocator::new(r)).collect();
         let vals = f.read_rows(&locs, &[2, 0]).unwrap();
-        assert_eq!(
-            vals,
-            vec![vec![400.0, 4.0], vec![100.0, 1.0], vec![300.0, 3.0]]
-        );
+        assert_eq!(vals.width(), 2);
+        assert_eq!(vals.values(), [400.0, 4.0, 100.0, 1.0, 300.0, 3.0]);
         assert_eq!(f.counters().objects_read(), 3);
         // 3 rows × 2 attrs × 8 bytes: positional reads fetch values only.
         assert_eq!(f.counters().bytes_read(), 3 * 2 * 8);
@@ -774,7 +781,7 @@ mod tests {
         f.counters().reset();
         let locs: Vec<RowLocator> = (0..4).map(RowLocator::new).collect();
         let vals = f.read_rows(&locs, &[1]).unwrap();
-        assert_eq!(vals.iter().flatten().copied().sum::<f64>(), 100.0);
+        assert_eq!(vals.values().iter().sum::<f64>(), 100.0);
         assert_eq!(
             f.counters().seeks(),
             1,
@@ -788,7 +795,7 @@ mod tests {
         let f = sample();
         let locs = [RowLocator::new(1), RowLocator::new(1)];
         let vals = f.read_rows(&locs, &[2]).unwrap();
-        assert_eq!(vals, vec![vec![200.0], vec![200.0]]);
+        assert_eq!(vals.values(), [200.0, 200.0]);
     }
 
     #[test]
@@ -809,8 +816,11 @@ mod tests {
         let vals = f
             .read_rows(&[RowLocator::new(0), RowLocator::new(1)], &[2])
             .unwrap();
-        assert!(vals[0][0].is_nan(), "NaN (NULL) survives the binary format");
-        assert_eq!(vals[1][0], 5.0);
+        assert!(
+            vals.row(0)[0].is_nan(),
+            "NaN (NULL) survives the binary format"
+        );
+        assert_eq!(vals.row(1), [5.0]);
     }
 
     #[test]
@@ -855,7 +865,7 @@ mod tests {
         assert_eq!(bin.path(), Some(path.as_path()));
         assert_eq!(bin.n_rows(), 4);
         let vals = bin.read_rows(&[RowLocator::new(2)], &[2]).unwrap();
-        assert_eq!(vals, vec![vec![300.0]]);
+        assert_eq!(vals.values(), [300.0]);
         // Reopening validates header + size.
         let reopened = BinFile::open(&path).unwrap();
         assert_eq!(reopened.n_rows(), 4);

@@ -49,7 +49,7 @@
 //! lend slices for the file's lifetime, which a mutating file cannot do —
 //! and half-coverage (base-only blocks) would silently drop appended rows
 //! from synopsis-built answers. Pruning still happens *inside*
-//! `scan_filtered`/`read_rows_window` (metered as `blocks_read`/
+//! `scan_filtered`/`read_rows_into` (metered as `blocks_read`/
 //! `blocks_skipped`), which is the only pruning the engine's window-only
 //! read policy needs. Owned snapshots for tests and tooling come from
 //! [`AppendableFile::delta_synopses`]/[`AppendableFile::delta_block_stats`].
@@ -59,6 +59,7 @@ use std::sync::{Arc, RwLock};
 use pai_common::geometry::{Point2, Rect};
 use pai_common::{AttrId, IoCounters, PaiError, Result, RowLocator};
 
+use crate::batch::RowBatch;
 use crate::gen::morton_key;
 use crate::raw::{
     build_block_synopses, AppendReceipt, BlockStats, BlockSynopsis, CompactionReport, RawFile,
@@ -362,29 +363,35 @@ impl<F: RawFile> AppendableFile<F> {
         (base, delta)
     }
 
-    /// Reads delta rows by append index into `out[slot]`, optionally pruning
-    /// whole blocks a window proves disjoint (skipped rows come back as NaN
-    /// without touching the store, mirroring the zone backend's contract).
+    /// Reads delta rows by append index into row `slot` of `out`
+    /// (`attrs.len()` values a row), optionally pruning whole blocks a window
+    /// proves disjoint (skipped rows come back as NaN without touching the
+    /// store, mirroring the zone backend's contract).
     fn read_delta_rows(
         &self,
         requests: &[(usize, u64)],
         attrs: &[AttrId],
         window: Option<&Rect>,
-        out: &mut [Vec<f64>],
+        out: &mut [f64],
     ) -> Result<()> {
         if requests.is_empty() {
             return Ok(());
         }
+        let width = attrs.len();
+        let gather = |cols: &[Vec<f64>], i: usize, row: &mut [f64]| -> Result<()> {
+            for (v, &a) in row.iter_mut().zip(attrs) {
+                *v = cols
+                    .get(a)
+                    .map(|c| c[i])
+                    .ok_or_else(|| PaiError::internal(format!("no column {a} in delta store")))?;
+            }
+            Ok(())
+        };
         // Resolve positions under the read lock; copy open-tail values
         // immediately (the tail may seal right after we release), keep
         // sealed blocks as Arc handles.
-        struct Resolved {
-            slot: usize,
-            block: Option<Arc<SealedBlock>>,
-            offset: u32,
-            open_vals: Vec<f64>,
-        }
-        let mut resolved = Vec::with_capacity(requests.len());
+        let mut sealed: Vec<(usize, Arc<SealedBlock>, u32)> = Vec::new();
+        let mut rows_out = 0u64;
         {
             let st = self.state.read().unwrap();
             for &(slot, d) in requests {
@@ -392,41 +399,18 @@ impl<F: RawFile> AppendableFile<F> {
                     PaiError::internal(format!("delta locator {d} was never appended"))
                 })?;
                 if pos.block == OPEN_BLOCK {
-                    let i = pos.offset as usize;
-                    let vals = attrs
-                        .iter()
-                        .map(|&a| {
-                            st.open_cols.get(a).map(|c| c[i]).ok_or_else(|| {
-                                PaiError::internal(format!("no column {a} in delta store"))
-                            })
-                        })
-                        .collect::<Result<Vec<f64>>>()?;
-                    resolved.push(Resolved {
-                        slot,
-                        block: None,
-                        offset: pos.offset,
-                        open_vals: vals,
-                    });
+                    let row = &mut out[slot * width..][..width];
+                    gather(&st.open_cols, pos.offset as usize, row)?;
+                    rows_out += 1;
                 } else {
-                    resolved.push(Resolved {
-                        slot,
-                        block: Some(st.sealed[pos.block as usize].clone()),
-                        offset: pos.offset,
-                        open_vals: Vec::new(),
-                    });
+                    sealed.push((slot, st.sealed[pos.block as usize].clone(), pos.offset));
                 }
             }
         }
         let (x_axis, y_axis) = (self.schema.x_axis(), self.schema.y_axis());
         // Per distinct sealed block, decide read-vs-skip once and meter once.
         let mut touched: Vec<(*const SealedBlock, bool)> = Vec::new();
-        let mut rows_out = 0u64;
-        for r in resolved {
-            let Some(block) = r.block else {
-                out[r.slot] = r.open_vals;
-                rows_out += 1;
-                continue;
-            };
+        for (slot, block, offset) in sealed {
             let key = Arc::as_ptr(&block);
             let keep = match touched.iter().find(|(p, _)| *p == key) {
                 Some(&(_, keep)) => keep,
@@ -442,45 +426,18 @@ impl<F: RawFile> AppendableFile<F> {
                     keep
                 }
             };
+            let row = &mut out[slot * width..][..width];
             if keep {
-                let i = r.offset as usize;
-                let vals = attrs
-                    .iter()
-                    .map(|&a| {
-                        block.cols.get(a).map(|c| c[i]).ok_or_else(|| {
-                            PaiError::internal(format!("no column {a} in delta store"))
-                        })
-                    })
-                    .collect::<Result<Vec<f64>>>()?;
-                out[r.slot] = vals;
+                gather(&block.cols, offset as usize, row)?;
                 rows_out += 1;
             } else {
-                out[r.slot] = vec![f64::NAN; attrs.len()];
+                row.fill(f64::NAN);
             }
         }
         self.counters.add_read_call();
         self.counters.add_objects(rows_out);
-        self.counters.add_bytes(8 * attrs.len() as u64 * rows_out);
+        self.counters.add_bytes(8 * width as u64 * rows_out);
         Ok(())
-    }
-
-    fn read_rows_inner(
-        &self,
-        locators: &[RowLocator],
-        attrs: &[AttrId],
-        window: Option<&Rect>,
-    ) -> Result<Vec<Vec<f64>>> {
-        let (base_reqs, delta_reqs) = self.split_locators(locators);
-        let mut out: Vec<Vec<f64>> = vec![Vec::new(); locators.len()];
-        if !base_reqs.is_empty() {
-            let locs: Vec<RowLocator> = base_reqs.iter().map(|&(_, l)| l).collect();
-            let vals = self.base.read_rows_window(&locs, attrs, window)?;
-            for ((slot, _), v) in base_reqs.into_iter().zip(vals) {
-                out[slot] = v;
-            }
-        }
-        self.read_delta_rows(&delta_reqs, attrs, window, &mut out)?;
-        Ok(out)
     }
 }
 
@@ -514,8 +471,30 @@ impl<F: RawFile> RawFile for AppendableFile<F> {
         self.emit_rows(&open_dids, &open_cols, handler)
     }
 
-    fn read_rows(&self, locators: &[RowLocator], attrs: &[AttrId]) -> Result<Vec<Vec<f64>>> {
-        self.read_rows_inner(locators, attrs, None)
+    fn read_rows_into(
+        &self,
+        locators: &[RowLocator],
+        attrs: &[AttrId],
+        window: Option<&Rect>,
+        out: &mut RowBatch,
+    ) -> Result<()> {
+        let (base_reqs, delta_reqs) = self.split_locators(locators);
+        if delta_reqs.is_empty() && !base_reqs.is_empty() {
+            // Base locators pass through verbatim, in request order.
+            return self.base.read_rows_into(locators, attrs, window, out);
+        }
+        let mut base_vals = RowBatch::default();
+        if !base_reqs.is_empty() {
+            let locs: Vec<RowLocator> = base_reqs.iter().map(|&(_, l)| l).collect();
+            self.base
+                .read_rows_into(&locs, attrs, window, &mut base_vals)?;
+        }
+        let width = attrs.len();
+        let values = out.reset(width, locators.len());
+        for (&(slot, _), row) in base_reqs.iter().zip(base_vals.iter()) {
+            values[slot * width..][..width].copy_from_slice(row);
+        }
+        self.read_delta_rows(&delta_reqs, attrs, window, values)
     }
 
     fn partitions(&self, n: usize) -> Result<Vec<ScanPartition>> {
@@ -565,15 +544,6 @@ impl<F: RawFile> RawFile for AppendableFile<F> {
         // The open tail has no sealed stats yet: always emitted (callers
         // keep their exact per-record filter by contract).
         self.emit_rows(&open_dids, &open_cols, handler)
-    }
-
-    fn read_rows_window(
-        &self,
-        locators: &[RowLocator],
-        attrs: &[AttrId],
-        window: Option<&Rect>,
-    ) -> Result<Vec<Vec<f64>>> {
-        self.read_rows_inner(locators, attrs, window)
     }
 
     fn attach_cache(&self, cache: std::sync::Arc<crate::cache::BlockCache>) -> bool {
@@ -844,14 +814,10 @@ mod tests {
             base_locs[2],
         ];
         let vals = f.read_rows(&req, &[2, 0]).unwrap();
+        assert_eq!(vals.width(), 2);
         assert_eq!(
-            vals,
-            vec![
-                vec![500.0, 5.0],
-                vec![100.0, 1.0],
-                vec![600.0, 6.0],
-                vec![300.0, 3.0]
-            ]
+            vals.values(),
+            [500.0, 5.0, 100.0, 1.0, 600.0, 6.0, 300.0, 3.0]
         );
     }
 
@@ -870,12 +836,11 @@ mod tests {
             .unwrap();
         f.counters().reset();
         let w = Rect::new(3.5, 6.0, 0.0, 2.0); // selects only block 0
-        let vals = f.read_rows_window(&r.locators, &[2], Some(&w)).unwrap();
-        assert_eq!(vals[0], vec![400.0]);
-        assert_eq!(vals[1], vec![500.0]);
-        assert!(vals[2][0].is_nan(), "disjoint block answers NaN");
-        assert!(vals[3][0].is_nan());
-        assert_eq!(vals[4], vec![9000.0], "open tail is never pruned");
+        let vals = crate::batch::read_window(&f, &r.locators, &[2], Some(&w));
+        assert_eq!(vals.values()[..2], [400.0, 500.0]);
+        assert!(vals.row(2)[0].is_nan(), "disjoint block answers NaN");
+        assert!(vals.row(3)[0].is_nan());
+        assert_eq!(vals.row(4), [9000.0], "open tail is never pruned");
         assert_eq!(f.counters().blocks_read(), 1);
         assert_eq!(f.counters().blocks_skipped(), 1);
     }
@@ -956,9 +921,7 @@ mod tests {
         // blocks, so a low-x window prunes at least one block.
         f.counters().reset();
         let w = Rect::new(0.0, 20.0, 0.0, 20.0);
-        let _ = f
-            .read_rows_window(&receipt.locators, &[2], Some(&w))
-            .unwrap();
+        crate::batch::read_window(&f, &receipt.locators, &[2], Some(&w));
         assert!(
             f.counters().blocks_skipped() >= 1,
             "z-order re-clustering must restore pruning"

@@ -30,6 +30,7 @@ use std::time::Duration;
 use pai_common::geometry::Rect;
 use pai_common::{AttrId, IoCounters, Result, RowLocator};
 
+use crate::batch::RowBatch;
 use crate::raw::{BlockStats, BlockSynopsis, RawFile, RowHandler, ScanPartition};
 use crate::schema::Schema;
 
@@ -101,8 +102,14 @@ impl RawFile for LatencyFile {
         res
     }
 
-    fn read_rows(&self, locators: &[RowLocator], attrs: &[AttrId]) -> Result<Vec<Vec<f64>>> {
-        let res = self.inner.read_rows(locators, attrs);
+    fn read_rows_into(
+        &self,
+        locators: &[RowLocator],
+        attrs: &[AttrId],
+        window: Option<&Rect>,
+        out: &mut RowBatch,
+    ) -> Result<()> {
+        let res = self.inner.read_rows_into(locators, attrs, window, out);
         self.stall();
         res
     }
@@ -131,17 +138,6 @@ impl RawFile for LatencyFile {
 
     fn scan_filtered(&self, window: &Rect, handler: &mut RowHandler<'_>) -> Result<()> {
         let res = self.inner.scan_filtered(window, handler);
-        self.stall();
-        res
-    }
-
-    fn read_rows_window(
-        &self,
-        locators: &[RowLocator],
-        attrs: &[AttrId],
-        window: Option<&Rect>,
-    ) -> Result<Vec<Vec<f64>>> {
-        let res = self.inner.read_rows_window(locators, attrs, window);
         self.stall();
         res
     }
@@ -199,7 +195,7 @@ mod tests {
         assert_eq!(f.schema().len(), 3);
         let locs: Vec<RowLocator> = (0..4).map(RowLocator::new).collect();
         let vals = f.read_rows(&locs, &[2]).unwrap();
-        assert_eq!(vals[3], vec![30.0]);
+        assert_eq!(vals.row(3), [30.0]);
         assert_eq!(f.counters().objects_read(), 4, "inner meters visible");
         assert!(f.block_stats().is_some(), "zone maps pass through");
 

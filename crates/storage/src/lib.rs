@@ -8,13 +8,13 @@
 //!
 //! Everything above this crate speaks the backend-agnostic [`RawFile`]
 //! trait — now including block-level statistics ([`BlockStats`] zone maps)
-//! and predicate pushdown (`scan_filtered` / `read_rows_window`), which
+//! and predicate pushdown (`scan_filtered` / `read_rows_into`), which
 //! degrade gracefully on backends without block structure. The production
 //! backends:
 //!
 //! * **CSV** ([`CsvFile`] on disk, [`MemFile`] in memory) — text records
 //!   accessed in situ, locators are byte offsets, every positional read
-//!   re-parses a line;
+//!   re-parses the wanted fields of a line, in place in a block read;
 //! * **PaiBin** ([`BinFile`], [`mod@column`]) — fixed-stride binary columnar,
 //!   locators are row ids, positional reads are `row_id * stride`
 //!   arithmetic fetching exactly the requested values; opens zero-copy via
@@ -58,12 +58,12 @@
 //!   [`HttpFile`] backend over it;
 //! * [`mod@objstore`] — the in-process object-store test server (`GET` +
 //!   `Range`, keep-alive, chunk latency, fault injection);
-//! * [`batch`] — cross-tile batched positional reads: many locator groups,
-//!   one coalesced, window-aware `read_rows` call (optionally sharded
-//!   across threads);
-//! * [`scan`] — the CSV scanner: line-aligned partitions and the
+//! * [`batch`] — the flat [`RowBatch`] positional reads fill, and
+//!   cross-tile batched reads into it: many locator groups, one coalesced,
+//!   window-aware call (optionally sharded across threads);
+//! * [`scan`] — the CSV scanner and reader: line-aligned partitions, the
 //!   block-buffered pass over them that both CSV backends' full and
-//!   partitioned scans share;
+//!   partitioned scans share, and the span-coalescing positional read;
 //! * [`gen`] — synthetic dataset generation (the paper's 10-numeric-column
 //!   dataset family: uniform, Gaussian-cluster "dense areas", skewed),
 //!   writable to any backend;
@@ -92,7 +92,7 @@ pub mod scan;
 pub mod schema;
 pub mod zone;
 
-pub use batch::read_row_groups;
+pub use batch::{read_row_groups, RowBatch};
 pub use cache::{BlockCache, CacheConfig, CacheMode, CachedFile};
 pub use column::{convert_to_bin, write_bin, BinFile, StorageBackend};
 pub use csv::{CsvFormat, CsvWriter};

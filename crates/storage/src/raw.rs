@@ -10,12 +10,12 @@
 //!   shard the pass expose [`RawFile::partitions`] +
 //!   [`RawFile::scan_partition`] so initialization can parse partitions on
 //!   several threads (and still fold them in file order).
-//! * [`RawFile::read_rows`] — batched positional reads of specific records
-//!   by locator. This is the I/O that adaptation pays for: when a
-//!   partially-contained tile is processed, the engine reads the non-axis
-//!   values of the objects inside it. Locators are internally sorted so the
-//!   access pattern degrades gracefully to near-sequential for clustered
-//!   tiles; every materialized row is metered.
+//! * [`RawFile::read_rows_into`] — batched positional reads of specific
+//!   records by locator, into one flat [`RowBatch`]. This is the I/O that
+//!   adaptation pays for: when a partially-contained tile is processed, the
+//!   engine reads the non-axis values of the objects inside it. Locators are
+//!   served in file order, so clustered tiles read near-sequentially; every
+//!   materialized row is metered.
 //!
 //! What a locator *means* is private to the backend: [`CsvFile`] hands out
 //! byte offsets (records are variable-length text), while the binary
@@ -25,13 +25,13 @@
 //! metering and line-aligned partitions — the same scanner, [`crate::scan`]).
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, Cursor, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 use pai_common::geometry::Rect;
 use pai_common::{AttrId, IoCounters, PaiError, Result, RowId, RowLocator};
 
+use crate::batch::RowBatch;
 use crate::csv::{self, CsvFormat};
 use crate::schema::Schema;
 
@@ -66,7 +66,7 @@ pub(crate) enum CsvPos {
 }
 
 impl CsvPos {
-    fn error(self, msg: String) -> PaiError {
+    pub(crate) fn error(self, msg: String) -> PaiError {
         match self {
             CsvPos::Line(n) => PaiError::parse(n, msg),
             CsvPos::Offset(o) => PaiError::parse_at(o, msg),
@@ -574,13 +574,35 @@ pub trait RawFile: Send + Sync {
     /// Full sequential scan, invoking `handler` for every data record.
     fn scan(&self, handler: &mut RowHandler<'_>) -> Result<()>;
 
-    /// Reads the records named by `locators` and returns, for each (in input
-    /// order), the values of `attrs`.
+    /// [`RawFile::read_rows_into`] a fresh batch, with no window: for callers
+    /// with no batch to reuse.
+    fn read_rows(&self, locators: &[RowLocator], attrs: &[AttrId]) -> Result<RowBatch> {
+        let mut out = RowBatch::default();
+        self.read_rows_into(locators, attrs, None, &mut out)?;
+        Ok(out)
+    }
+
+    /// Reads the records named by `locators` into `out`, which it reshapes:
+    /// one row per locator, in input order, holding the values of `attrs`.
     ///
     /// Locators must have been handed out by this file's [`RawFile::scan`]
     /// (or [`RawFile::scan_partition`]). This is the metered random-access
     /// path that adaptation pays for.
-    fn read_rows(&self, locators: &[RowLocator], attrs: &[AttrId]) -> Result<Vec<Vec<f64>>>;
+    ///
+    /// `window` is an axis-window pushdown hint. Every requested row whose
+    /// block *may* intersect it is materialized exactly as without it; a row
+    /// living in a block that the backend's zone maps prove disjoint from
+    /// the window may come back as a row of NaNs without touching storage
+    /// (metered as `blocks_skipped`) — callers therefore pass a window only
+    /// when they will never consume values of out-of-window rows (the
+    /// engine's window-only read policy). Block-less backends ignore it.
+    fn read_rows_into(
+        &self,
+        locators: &[RowLocator],
+        attrs: &[AttrId],
+        window: Option<&Rect>,
+        out: &mut RowBatch,
+    ) -> Result<()>;
 
     /// Splits the sequential scan into about `n` independently scannable
     /// shards, in file order (for the pipelined index build): at most `n`,
@@ -652,26 +674,6 @@ pub trait RawFile: Send + Sync {
         self.scan(handler)
     }
 
-    /// [`RawFile::read_rows`] with an axis-window pushdown hint.
-    ///
-    /// Contract: every requested row whose block *may* intersect `window`
-    /// is materialized exactly as `read_rows` would. A row living in a block
-    /// that the backend's zone maps prove disjoint from the window may come
-    /// back as a row of NaNs without touching storage (metered as
-    /// `blocks_skipped`) — callers therefore pass a window only when they
-    /// will never consume values of out-of-window rows (the engine's
-    /// window-only read policy). `None` (and the default implementation)
-    /// degrades to a plain `read_rows`.
-    fn read_rows_window(
-        &self,
-        locators: &[RowLocator],
-        attrs: &[AttrId],
-        window: Option<&Rect>,
-    ) -> Result<Vec<Vec<f64>>> {
-        let _ = window;
-        self.read_rows(locators, attrs)
-    }
-
     /// Binds a shared [`crate::cache::BlockCache`] to this backend's
     /// transport, so span-batch fetches serve hits from the cache and
     /// subtract them before issuing transport requests. Returns `true` if
@@ -738,8 +740,14 @@ impl<T: RawFile + ?Sized> RawFile for Box<T> {
         (**self).scan(handler)
     }
 
-    fn read_rows(&self, locators: &[RowLocator], attrs: &[AttrId]) -> Result<Vec<Vec<f64>>> {
-        (**self).read_rows(locators, attrs)
+    fn read_rows_into(
+        &self,
+        locators: &[RowLocator],
+        attrs: &[AttrId],
+        window: Option<&Rect>,
+        out: &mut RowBatch,
+    ) -> Result<()> {
+        (**self).read_rows_into(locators, attrs, window, out)
     }
 
     fn partitions(&self, n: usize) -> Result<Vec<ScanPartition>> {
@@ -766,15 +774,6 @@ impl<T: RawFile + ?Sized> RawFile for Box<T> {
         (**self).scan_filtered(window, handler)
     }
 
-    fn read_rows_window(
-        &self,
-        locators: &[RowLocator],
-        attrs: &[AttrId],
-        window: Option<&Rect>,
-    ) -> Result<Vec<Vec<f64>>> {
-        (**self).read_rows_window(locators, attrs, window)
-    }
-
     fn attach_cache(&self, cache: std::sync::Arc<crate::cache::BlockCache>) -> bool {
         (**self).attach_cache(cache)
     }
@@ -790,71 +789,6 @@ impl<T: RawFile + ?Sized> RawFile for Box<T> {
     fn compact_once(&self, domain: &Rect, min_run: usize) -> Result<Option<CompactionReport>> {
         (**self).compact_once(domain, min_run)
     }
-}
-
-// ---------------------------------------------------------------------------
-// Shared CSV positional reads over any BufRead + Seek source (the scans live
-// in `crate::scan`).
-// ---------------------------------------------------------------------------
-
-fn trim_newline(line: &[u8]) -> &[u8] {
-    let mut end = line.len();
-    while end > 0 && (line[end - 1] == b'\n' || line[end - 1] == b'\r') {
-        end -= 1;
-    }
-    &line[..end]
-}
-
-fn read_rows_impl<R: BufRead + Seek>(
-    reader: &mut R,
-    fmt: &CsvFormat,
-    counters: &IoCounters,
-    locators: &[RowLocator],
-    attrs: &[AttrId],
-) -> Result<Vec<Vec<f64>>> {
-    counters.add_read_call();
-    // Sort the requests by offset so the access pattern is monotone; remember
-    // each request's slot in the output.
-    let mut order: Vec<(usize, u64)> = locators.iter().map(|l| l.raw()).enumerate().collect();
-    order.sort_by_key(|&(_, off)| off);
-
-    let mut out: Vec<Vec<f64>> = vec![Vec::new(); locators.len()];
-    let mut line = Vec::with_capacity(256);
-    let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(16);
-    let mut pos: Option<u64> = None; // current stream position, if known
-    let mut seeks = 0u64;
-    let mut bytes = 0u64;
-
-    for (slot, off) in order {
-        match pos {
-            Some(p) if p == off => {
-                // Already positioned (consecutive records): free.
-            }
-            _ => {
-                reader.seek(SeekFrom::Start(off))?;
-                seeks += 1;
-            }
-        }
-        line.clear();
-        let n = reader.read_until(b'\n', &mut line)?;
-        if n == 0 {
-            return Err(PaiError::internal(format!(
-                "positional read at offset {off} hit EOF"
-            )));
-        }
-        let body = trim_newline(&line);
-        csv::split_fields(body, fmt, &mut ranges);
-        let mut vals = Vec::with_capacity(attrs.len());
-        csv::extract_f64(body, &ranges, attrs, 0, &mut vals)?;
-        out[slot] = vals;
-        bytes += n as u64;
-        pos = Some(off + n as u64);
-    }
-
-    counters.add_objects(locators.len() as u64);
-    counters.add_bytes(bytes);
-    counters.add_seeks(seeks);
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -902,22 +836,13 @@ impl CsvFile {
         &self.fmt
     }
 
-    /// A fresh handle for one scan (each scan opens its own, so partitions
-    /// scan concurrently).
+    /// A fresh handle for one scan or read (each opens its own, so
+    /// partitions scan, and readers read, concurrently).
     fn bytes(&self) -> Result<crate::scan::DiskBytes> {
         Ok(crate::scan::DiskBytes {
             file: File::open(&self.path)?,
             len: self.size_bytes,
         })
-    }
-
-    fn reader(&self) -> Result<BufReader<File>> {
-        // 256 KiB buffer: positional reads of clustered offsets then mostly
-        // stay inside the buffer and need no OS-level seeks.
-        Ok(BufReader::with_capacity(
-            256 * 1024,
-            File::open(&self.path)?,
-        ))
     }
 }
 
@@ -938,9 +863,15 @@ impl RawFile for CsvFile {
         self.scan_partition(ScanPartition::WHOLE, handler)
     }
 
-    fn read_rows(&self, locators: &[RowLocator], attrs: &[AttrId]) -> Result<Vec<Vec<f64>>> {
-        let mut reader = self.reader()?;
-        read_rows_impl(&mut reader, &self.fmt, &self.counters, locators, attrs)
+    fn read_rows_into(
+        &self,
+        locators: &[RowLocator],
+        attrs: &[AttrId],
+        _window: Option<&Rect>,
+        out: &mut RowBatch,
+    ) -> Result<()> {
+        let mut src = self.bytes()?;
+        crate::scan::read_rows(&mut src, &self.fmt, &self.counters, locators, attrs, out)
     }
 
     fn partitions(&self, n: usize) -> Result<Vec<ScanPartition>> {
@@ -1032,9 +963,15 @@ impl RawFile for MemFile {
         self.scan_partition(ScanPartition::WHOLE, handler)
     }
 
-    fn read_rows(&self, locators: &[RowLocator], attrs: &[AttrId]) -> Result<Vec<Vec<f64>>> {
-        let mut reader = Cursor::new(self.data.as_slice());
-        read_rows_impl(&mut reader, &self.fmt, &self.counters, locators, attrs)
+    fn read_rows_into(
+        &self,
+        locators: &[RowLocator],
+        attrs: &[AttrId],
+        _window: Option<&Rect>,
+        out: &mut RowBatch,
+    ) -> Result<()> {
+        let mut src = self.data.as_slice();
+        crate::scan::read_rows(&mut src, &self.fmt, &self.counters, locators, attrs, out)
     }
 
     fn partitions(&self, n: usize) -> Result<Vec<ScanPartition>> {
@@ -1112,7 +1049,7 @@ mod tests {
 
         // Request out of order; expect results in request order.
         let vals = f.read_rows(&[locs[2], locs[0]], &[2]).unwrap();
-        assert_eq!(vals, vec![vec![300.0], vec![100.0]]);
+        assert_eq!(vals.values(), [300.0, 100.0]);
         assert_eq!(f.counters().objects_read(), 2);
         // Sorted internally: first seek to locs[0], read, then locs[2] needs
         // a second seek (rows are not adjacent).
@@ -1148,7 +1085,7 @@ mod tests {
         })
         .unwrap();
         let vals = f.read_rows(&[locs[1]], &[2, 0, 1]).unwrap();
-        assert_eq!(vals, vec![vec![200.0, 2.0, 20.0]]);
+        assert_eq!(vals.row(0), [200.0, 2.0, 20.0]);
     }
 
     #[test]
@@ -1178,7 +1115,7 @@ mod tests {
         .unwrap();
         assert_eq!(xs, vec![1.0, 2.0]);
         let vals = f.read_rows(&[locs[1]], &[2]).unwrap();
-        assert_eq!(vals, vec![vec![200.0]]);
+        assert_eq!(vals.values(), [200.0]);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1257,8 +1194,14 @@ mod tests {
             fn scan(&self, handler: &mut RowHandler<'_>) -> Result<()> {
                 self.0.scan(handler)
             }
-            fn read_rows(&self, locs: &[RowLocator], attrs: &[AttrId]) -> Result<Vec<Vec<f64>>> {
-                self.0.read_rows(locs, attrs)
+            fn read_rows_into(
+                &self,
+                locs: &[RowLocator],
+                attrs: &[AttrId],
+                window: Option<&Rect>,
+                out: &mut RowBatch,
+            ) -> Result<()> {
+                self.0.read_rows_into(locs, attrs, window, out)
             }
         }
         let f = Plain(sample());
@@ -1336,10 +1279,9 @@ mod tests {
         })
         .unwrap();
         let plain = f.read_rows(&locs, &[2]).unwrap();
-        let hinted = f
-            .read_rows_window(&locs, &[2], Some(&Rect::new(0.0, 1.0, 0.0, 1.0)))
-            .unwrap();
-        assert_eq!(plain, hinted, "default read_rows_window ignores the hint");
+        let hinted =
+            crate::batch::read_window(&f, &locs, &[2], Some(&Rect::new(0.0, 1.0, 0.0, 1.0)));
+        assert_eq!(plain, hinted, "CSV reads ignore the window hint");
     }
 
     #[test]

@@ -65,6 +65,7 @@ use std::time::{Duration, Instant};
 use pai_common::geometry::Rect;
 use pai_common::{AttrId, IoCounters, PaiError, Result, RowLocator};
 
+use crate::batch::RowBatch;
 use crate::cache::{BlockCache, CacheConfig, CacheMode, Page, PAGE_BYTES};
 use crate::column::{BinFile, PAIBIN_MAGIC};
 use crate::raw::{BlockStats, BlockSynopsis, RawFile, RowHandler, ScanPartition};
@@ -1067,8 +1068,14 @@ impl RawFile for HttpFile {
         self.as_raw().scan(handler)
     }
 
-    fn read_rows(&self, locators: &[RowLocator], attrs: &[AttrId]) -> Result<Vec<Vec<f64>>> {
-        self.as_raw().read_rows(locators, attrs)
+    fn read_rows_into(
+        &self,
+        locators: &[RowLocator],
+        attrs: &[AttrId],
+        window: Option<&Rect>,
+        out: &mut RowBatch,
+    ) -> Result<()> {
+        self.as_raw().read_rows_into(locators, attrs, window, out)
     }
 
     fn partitions(&self, n: usize) -> Result<Vec<ScanPartition>> {
@@ -1093,15 +1100,6 @@ impl RawFile for HttpFile {
 
     fn scan_filtered(&self, window: &Rect, handler: &mut RowHandler<'_>) -> Result<()> {
         self.as_raw().scan_filtered(window, handler)
-    }
-
-    fn read_rows_window(
-        &self,
-        locators: &[RowLocator],
-        attrs: &[AttrId],
-        window: Option<&Rect>,
-    ) -> Result<Vec<Vec<f64>>> {
-        self.as_raw().read_rows_window(locators, attrs, window)
     }
 
     fn attach_cache(&self, cache: Arc<BlockCache>) -> bool {
@@ -1267,11 +1265,11 @@ mod tests {
 
         // Windowed positional reads agree with the local twin bit-for-bit.
         let locs: Vec<RowLocator> = (0..8).chain(100..108).map(RowLocator::new).collect();
-        let remote = f.read_rows_window(&locs, &[2], Some(&window)).unwrap();
-        let expect = local.read_rows_window(&locs, &[2], Some(&window)).unwrap();
+        let remote = crate::batch::read_window(&f, &locs, &[2], Some(&window));
+        let expect = crate::batch::read_window(&local, &locs, &[2], Some(&window));
         assert_eq!(remote.len(), expect.len());
-        for (r, e) in remote.iter().zip(&expect) {
-            assert_eq!(r[0].to_bits(), e[0].to_bits(), "NaN-exact parity");
+        for (r, e) in remote.values().iter().zip(expect.values()) {
+            assert_eq!(r.to_bits(), e.to_bits(), "NaN-exact parity");
         }
     }
 

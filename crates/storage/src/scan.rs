@@ -1,5 +1,5 @@
-//! The CSV scanner: line-aligned partitions and a block-buffered pass over
-//! them.
+//! The CSV scanner and reader: line-aligned partitions, a block-buffered
+//! pass over them, and positional reads through the same splitter.
 //!
 //! Index initialization is the one unavoidable full pass over the raw file.
 //! To keep data-to-analysis time low (the whole point of the in-situ
@@ -16,12 +16,18 @@
 //! one full scan charges: every byte once (header included), every record
 //! once, and one `full_scans` tick — carried by the range that starts at
 //! byte 0, which is also the one that skips the header line.
+//!
+//! Positional reads ([`RawFile::read_rows_into`](crate::RawFile::read_rows_into),
+//! `read_rows` here) are what a query pays afterwards: the wanted records,
+//! grouped into spans that are each read once and parsed in place, no further
+//! into a record than the last wanted field.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 
-use pai_common::{IoCounters, Result, RowId, RowLocator};
+use pai_common::{AttrId, IoCounters, PaiError, Result, RowId, RowLocator};
 
+use crate::batch::RowBatch;
 use crate::csv::{self, CsvFormat};
 use crate::raw::{CsvPos, Record, RowHandler};
 
@@ -206,7 +212,7 @@ impl ScanState {
         let mut skip = base == 0 && fmt.has_header;
         let mut outcome = Ok(());
         while pos < block.len() {
-            let (body_end, next) = split_line(block, pos, fmt, &mut self.ranges);
+            let (body_end, next) = split_line(block, pos, fmt, usize::MAX, &mut self.ranges);
             if skip {
                 skip = false;
             } else if body_end > pos {
@@ -228,6 +234,110 @@ impl ScanState {
         counters.add_objects(self.row - row0);
         outcome
     }
+}
+
+/// Wanted records whose starts are further apart than this begin a new
+/// span: up to about here, reading through what lies between costs less than
+/// one more positional read. A constant, like [`BLOCK_BYTES`]: both trade a
+/// copy against a system call, which the data does not change.
+pub const SPAN_GAP_BYTES: u64 = 16 << 10;
+
+/// How far past its last record's start a span reads at first, to hold that
+/// record's end; doubled for the rest of the call whenever a record runs
+/// past it.
+pub const SPAN_TAIL_BYTES: u64 = 1 << 10;
+
+/// Positional reads: the values of `attrs` for the record at each of
+/// `locators` (byte offsets), into `out` in request order.
+///
+/// The request is served in offset order (sorted once, unless it already is)
+/// by spans: runs of offsets no more than [`SPAN_GAP_BYTES`] apart and
+/// [`BLOCK_BYTES`] long, each read with one positional read. Records are
+/// parsed where they lie, no further than the last wanted field, by the
+/// scanner's own splitter.
+///
+/// The meters count the request, not the spans: one call, one object per
+/// locator, each record's bytes line end included, and one seek per record
+/// that does not start where the one before it (in offset order) ended.
+/// Nothing but the call is charged when the read fails.
+pub(crate) fn read_rows(
+    src: &mut impl ReadAt,
+    fmt: &CsvFormat,
+    counters: &IoCounters,
+    locators: &[RowLocator],
+    attrs: &[AttrId],
+    out: &mut RowBatch,
+) -> Result<()> {
+    counters.add_read_call();
+    let (n, width, len) = (locators.len(), attrs.len(), src.len());
+    let values = out.reset(width, n);
+    let limit = attrs.iter().max().map_or(0, |&last| last.saturating_add(1));
+
+    // The requests in offset order, each with its row in `out`; tile entries
+    // mostly come in file order as they are.
+    let mut order: Vec<(u64, usize)> = Vec::new();
+    let sorted = locators.is_sorted_by_key(|l| l.raw());
+    if !sorted {
+        order.extend(locators.iter().enumerate().map(|(row, l)| (l.raw(), row)));
+        order.sort_unstable();
+    }
+    let at = |i: usize| {
+        if sorted {
+            (locators[i].raw(), i)
+        } else {
+            order[i]
+        }
+    };
+    if n > 0 && at(n - 1).0 >= len {
+        return Err(PaiError::internal(format!(
+            "positional read at offset {} hit EOF",
+            at(n - 1).0
+        )));
+    }
+
+    let (mut buf, mut ranges) = (Vec::new(), Vec::with_capacity(16));
+    let mut tail = SPAN_TAIL_BYTES;
+    let (mut bytes, mut seeks, mut prev_end) = (0u64, 0u64, None);
+    let mut i = 0;
+    while i < n {
+        let first = at(i).0;
+        let mut j = i + 1;
+        while j < n && at(j).0 - at(j - 1).0 <= SPAN_GAP_BYTES && at(j).0 - first < BLOCK_BYTES {
+            j += 1;
+        }
+        // From one byte early: a record starts at byte 0 or after a newline.
+        let base = first.saturating_sub(1);
+        let end = (at(j - 1).0 + tail).min(len);
+        let block = src.read_at(base, end, &mut buf)?;
+        while i < j {
+            let (off, row) = at(i);
+            let pos = CsvPos::Offset(off);
+            let start = (off - base) as usize;
+            if start > 0 && block[start - 1] != b'\n' {
+                return Err(pos.error("locator does not start a record".into()));
+            }
+            let (_, next) = split_line(block, start, fmt, limit, &mut ranges);
+            if block[next - 1] != b'\n' && end < len {
+                // The span ends inside this record: read on from it, with
+                // more slack.
+                tail *= 2;
+                break;
+            }
+            let record = Record::from_parts(&block[start..], &ranges, pos);
+            for (v, &col) in values[row * width..][..width].iter_mut().zip(attrs) {
+                *v = record.f64(col)?;
+            }
+            let rec_end = base + next as u64;
+            seeks += u64::from(prev_end != Some(off));
+            bytes += rec_end - off;
+            prev_end = Some(rec_end);
+            i += 1;
+        }
+    }
+    counters.add_objects(n as u64);
+    counters.add_bytes(bytes);
+    counters.add_seeks(seeks);
+    Ok(())
 }
 
 const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
@@ -259,51 +369,60 @@ fn find_newline(hay: &[u8]) -> Option<usize> {
         .map(|i| tail + i)
 }
 
-/// Finds the line that starts at `block[start]` and splits it into `out`
-/// (field ranges relative to `start`), in one pass over its bytes. Returns
-/// where the line's body ends — the line without its `\n` and any `\r`s
-/// before it — and where the next line starts.
+/// Finds the line that starts at `block[start]` and splits its first `limit`
+/// fields (or more) into `out` (field ranges relative to `start`), in one
+/// pass over its bytes. Returns where the line's body ends — the line without
+/// its `\n` and any `\r`s before it — and where the next line starts.
 ///
-/// Exactly [`csv::split_fields`] on that body; a line with a quoted field is
-/// handed to `split_fields` itself.
+/// Those fields are exactly what [`csv::split_fields`] finds on that body; a
+/// line with a quoted field among them is handed to `split_fields` itself.
 fn split_line(
     block: &[u8],
     start: usize,
     fmt: &CsvFormat,
+    limit: usize,
     out: &mut Vec<(usize, usize)>,
 ) -> (usize, usize) {
     out.clear();
-    match split_unquoted(block, start, fmt, out) {
-        Some((last_field, stop)) => {
+    let newline_from = |pos: usize| find_newline(&block[pos..]).map_or(block.len(), |i| pos + i);
+    let stop = match split_unquoted(block, start, fmt, limit, out) {
+        Some((last_field, stop)) if out.len() < limit => {
             // Trailing `\r`s belong to the line end, not to the last field
             // (they cannot reach past its start: the byte before it is a
             // delimiter).
             let body_end = trim_cr(block, start, stop);
             out.push((last_field - start, body_end.max(last_field) - start));
-            (body_end, (stop + 1).min(block.len()))
+            stop
         }
+        Some((rest, _)) => newline_from(rest),
         None => {
-            let stop = find_newline(&block[start..]).map_or(block.len(), |i| start + i);
-            let body_end = trim_cr(block, start, stop);
-            csv::split_fields(&block[start..body_end], fmt, out);
-            (body_end, (stop + 1).min(block.len()))
+            let stop = newline_from(start);
+            csv::split_fields(&block[start..trim_cr(block, start, stop)], fmt, out);
+            stop
         }
-    }
+    };
+    (trim_cr(block, start, stop), (stop + 1).min(block.len()))
 }
 
 /// The fast path of [`split_line`]: looks for delimiters and the newline
-/// together, eight bytes at a time, pushing every field but the last.
-/// Returns where the last field starts and the index of the `\n` (or of the
-/// end of `block`) that stops the line — or `None` on meeting a quoted field
-/// (a quote at a field's first byte), inside which delimiters do not split.
+/// together, eight bytes at a time, pushing every field but the last — and
+/// no more than `limit` fields. Returns where the last field starts and the
+/// index of the `\n` (or of the end of `block`) that stops the line; with
+/// `limit` fields pushed, where the rest of the line starts, twice; or `None`
+/// on meeting a quoted field (a quote at a field's first byte), inside which
+/// delimiters do not split.
 fn split_unquoted(
     block: &[u8],
     start: usize,
     fmt: &CsvFormat,
+    limit: usize,
     out: &mut Vec<(usize, usize)>,
 ) -> Option<(usize, usize)> {
     let quoted = |field: usize| block.get(field) == Some(&fmt.quote);
     let mut field = start;
+    if limit == 0 {
+        return Some((start, start));
+    }
     if quoted(field) {
         return None;
     }
@@ -319,6 +438,9 @@ fn split_unquoted(
             }
             out.push((field - start, j - start));
             field = j + 1;
+            if out.len() == limit {
+                return Some((field, field));
+            }
             if quoted(field) {
                 return None;
             }
@@ -332,6 +454,9 @@ fn split_unquoted(
         if b == fmt.delimiter {
             out.push((field - start, j - start));
             field = j + 1;
+            if out.len() == limit {
+                return Some((field, field));
+            }
             if quoted(field) {
                 return None;
             }
@@ -429,7 +554,7 @@ mod tests {
             for pad in ["", "x\n", "1234567\n"] {
                 for ending in ["\n", "\r\n", "", "\nnext,line\n"] {
                     let text = format!("{pad}{line}{ending}");
-                    let got = split_line(text.as_bytes(), pad.len(), &fmt, &mut ranges);
+                    let got = split_line(text.as_bytes(), pad.len(), &fmt, usize::MAX, &mut ranges);
                     let want = split_line_reference(text.as_bytes(), pad.len());
                     // An empty body is skipped by the scanner; its ranges
                     // are never looked at.
@@ -437,6 +562,15 @@ mod tests {
                         assert_eq!((got.0, got.1, ranges.clone()), want, "{text:?}");
                     } else {
                         assert_eq!(got, (want.0, want.1), "{text:?}");
+                    }
+                    // Asked for its first fields only, the line ends where
+                    // it did and those fields are the same.
+                    for limit in 0..4 {
+                        let got = split_line(text.as_bytes(), pad.len(), &fmt, limit, &mut ranges);
+                        assert_eq!(got, (want.0, want.1), "{text:?} limit {limit}");
+                        let k = limit.min(want.2.len());
+                        assert!(ranges.len() >= k, "{text:?} limit {limit}");
+                        assert_eq!(ranges[..k], want.2[..k], "{text:?} limit {limit}");
                     }
                 }
             }
@@ -523,6 +657,130 @@ mod tests {
         assert!(xs.iter().enumerate().all(|(i, &x)| x == i as f64));
         assert_eq!(counters.bytes_read(), src.len() as u64);
         assert_eq!(counters.objects_read(), rows);
+    }
+
+    /// Reads `offsets` of `src` through the positional kernel.
+    fn read_of(
+        mut src: &[u8],
+        counters: &IoCounters,
+        offsets: &[u64],
+        attrs: &[AttrId],
+    ) -> Result<RowBatch> {
+        let locs: Vec<RowLocator> = offsets.iter().map(|&o| RowLocator::new(o)).collect();
+        let mut out = RowBatch::default();
+        read_rows(
+            &mut src,
+            &CsvFormat::default(),
+            counters,
+            &locs,
+            attrs,
+            &mut out,
+        )?;
+        Ok(out)
+    }
+
+    #[test]
+    fn positional_reads_meter_the_request_not_the_spans() {
+        let src = text(100); // "i,10i" records after a 10-byte header
+        let (_, locs) = scan_of(&src, ChunkRange::WHOLE, &IoCounters::new());
+        let counters = IoCounters::new();
+        // Two runs and a duplicate, out of order: 40..43, 7, 7, 90..92.
+        let req: Vec<u64> = [90, 91, 7, 40, 41, 42, 7]
+            .iter()
+            .map(|&r| locs[r])
+            .collect();
+        let out = read_of(&src, &counters, &req, &[1, 0]).unwrap();
+        assert_eq!(out.row(0), [900.0, 90.0]);
+        assert_eq!(out.row(2), [70.0, 7.0]);
+        assert_eq!(out.row(5), [420.0, 42.0]);
+        assert_eq!(out.row(6), [70.0, 7.0]);
+        assert_eq!(counters.read_calls(), 1);
+        assert_eq!(counters.objects_read(), 7);
+        // 7, its duplicate, 40 and 90 each start somewhere new; one span
+        // serves them all.
+        assert_eq!(counters.seeks(), 4);
+        let len = |r: usize| locs[r + 1] - locs[r];
+        assert_eq!(
+            counters.bytes_read(),
+            2 * len(7) + len(40) + len(41) + len(42) + len(90) + len(91)
+        );
+    }
+
+    #[test]
+    fn positional_reads_cross_block_and_tail_boundaries() {
+        // Records of ~3 KiB (past a span's first tail) and a run of them
+        // longer than one block: spans close at BLOCK_BYTES and the read is
+        // extended, never the field cut.
+        let mut src = String::from("col0,col1,col2\n");
+        let pad = "9".repeat(3000);
+        let mut offsets = Vec::new();
+        while (src.len() as u64) < BLOCK_BYTES + BLOCK_BYTES / 4 {
+            offsets.push(src.len() as u64);
+            src.push_str(&format!(
+                "{},0.{pad},{}\n",
+                offsets.len(),
+                offsets.len() * 2
+            ));
+        }
+        src.truncate(src.len() - 1); // and no newline ends the last record
+        let counters = IoCounters::new();
+        let out = read_of(src.as_bytes(), &counters, &offsets, &[2, 1]).unwrap();
+        let want: f64 = format!("0.{pad}").parse().unwrap();
+        for (i, row) in out.iter().enumerate() {
+            assert_eq!(row, [(i + 1) as f64 * 2.0, want]);
+        }
+        assert_eq!(counters.seeks(), 1, "one run, however many spans");
+        assert_eq!(counters.bytes_read(), src.len() as u64 - offsets[0]);
+        // Alone, the last record is read to the end of the file.
+        let last = read_of(
+            src.as_bytes(),
+            &counters,
+            &offsets[offsets.len() - 1..],
+            &[2],
+        );
+        assert_eq!(last.unwrap().values(), [offsets.len() as f64 * 2.0]);
+    }
+
+    #[test]
+    fn bad_locators_and_records_are_errors_that_name_the_offset() {
+        let src = b"col0,col1,col2\n1,2,3\n4,5\nbad,6,7\n8,\"q,q\",9";
+        let err = |offsets: &[u64], attrs: &[AttrId]| {
+            let counters = IoCounters::new();
+            let e = read_of(src, &counters, offsets, attrs)
+                .unwrap_err()
+                .to_string();
+            assert_eq!(counters.read_calls(), 1);
+            assert_eq!(counters.objects_read() + counters.bytes_read(), 0, "{e}");
+            e
+        };
+        // At or past the end of the file.
+        assert!(err(&[15, src.len() as u64], &[0]).contains("hit EOF"));
+        assert!(err(&[9_999_999], &[]).contains("offset 9999999 hit EOF"));
+        // Inside a record — also as the first of its span, and with nothing
+        // to parse.
+        let inside = err(&[15, 17], &[0]);
+        assert!(inside.contains("byte offset 17") && inside.contains("start a record"));
+        assert!(err(&[17], &[]).contains("byte offset 17"));
+        // Fewer fields than wanted.
+        let short = err(&[15, 21], &[0, 2]);
+        assert!(
+            short.contains("byte offset 21") && short.contains("has 2 fields, wanted column 2")
+        );
+        // Not a number: the record's offset, not "line 0".
+        let bad = err(&[25], &[1, 0]);
+        assert!(
+            bad.contains("byte offset 25") && bad.contains("'bad'"),
+            "{bad}"
+        );
+        // Quoted text is not a number either; its delimiter did not split.
+        assert!(err(&[33], &[1]).contains("'q,q'"));
+        // What can be read still is: past a quoted field, the short
+        // record's first field, and a last record with no newline.
+        let ok = |offsets: &[u64], attrs: &[AttrId]| {
+            read_of(src, &IoCounters::new(), offsets, attrs).unwrap()
+        };
+        assert_eq!(ok(&[33, 21], &[0]).values(), [8.0, 4.0]);
+        assert_eq!(ok(&[33], &[2, 0]).values(), [9.0, 8.0]);
     }
 
     #[test]

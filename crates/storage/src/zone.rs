@@ -15,7 +15,7 @@
 //!   per-column min/max. A scan carrying a query window
 //!   ([`crate::RawFile::scan_filtered`]) skips whole blocks whose axis
 //!   envelopes are disjoint from the window, and a windowed positional read
-//!   ([`crate::RawFile::read_rows_window`]) can prove requested rows
+//!   ([`crate::RawFile::read_rows_into`]) can prove requested rows
 //!   irrelevant without touching storage. Skips are metered
 //!   (`blocks_skipped`) next to the blocks actually fetched (`blocks_read`).
 //!
@@ -65,6 +65,7 @@ use std::sync::Arc;
 use pai_common::geometry::Rect;
 use pai_common::{AttrId, IoCounters, PaiError, Result, RowId, RowLocator};
 
+use crate::batch::RowBatch;
 use crate::cache::CacheMode;
 use crate::fetch::{SpanFetcher, SpanMeters};
 use crate::mapped::Mapping;
@@ -1068,15 +1069,32 @@ impl ZoneFile {
         self.counters.add_seeks(m.seeks);
         Ok(())
     }
+}
 
-    /// The shared positional-read engine (`read_rows` and
-    /// `read_rows_window`).
-    fn read_rows_impl(
+impl RawFile for ZoneFile {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn counters(&self) -> &IoCounters {
+        &self.counters
+    }
+
+    fn size_bytes(&self) -> u64 {
+        self.size_bytes
+    }
+
+    fn scan(&self, handler: &mut RowHandler<'_>) -> Result<()> {
+        self.scan_rows(0, self.n_rows, None, handler)
+    }
+
+    fn read_rows_into(
         &self,
         locators: &[RowLocator],
         attrs: &[AttrId],
         window: Option<&Rect>,
-    ) -> Result<Vec<Vec<f64>>> {
+        out: &mut RowBatch,
+    ) -> Result<()> {
         self.counters.add_read_call();
         for &a in attrs {
             if a >= self.schema.len() {
@@ -1096,10 +1114,11 @@ impl ZoneFile {
                 )));
             }
         }
-        let mut out: Vec<Vec<f64>> = vec![vec![0.0; attrs.len()]; locators.len()];
+        let width = attrs.len();
+        let out = out.reset(width, locators.len());
         if locators.is_empty() || attrs.is_empty() {
             self.counters.add_objects(locators.len() as u64);
-            return Ok(out);
+            return Ok(());
         }
 
         let (xi, yi) = (self.schema.x_axis(), self.schema.y_axis());
@@ -1129,7 +1148,7 @@ impl ZoneFile {
                 if let Some(w) = window {
                     if !self.stats[blk as usize].may_intersect_window(xi, yi, w) {
                         for &(slot, _) in &order[i..j] {
-                            out[slot][ai] = f64::NAN;
+                            out[slot * width + ai] = f64::NAN;
                         }
                         self.counters.add_blocks_skipped(1);
                         i = j;
@@ -1142,7 +1161,7 @@ impl ZoneFile {
                 if meta.width == 0 {
                     let v = dec_f64(meta.min_enc);
                     for &(slot, _) in &order[i..j] {
-                        out[slot][ai] = v;
+                        out[slot * width + ai] = v;
                     }
                     i = j;
                     continue;
@@ -1175,7 +1194,7 @@ impl ZoneFile {
                 for &(slot, row) in &order[k..m] {
                     let local = (row - blk_start) as usize;
                     let bit = local * w - first_byte * 8;
-                    out[slot][ai] = dec_f64(
+                    out[slot * width + ai] = dec_f64(
                         meta.min_enc
                             .wrapping_add(extract_bits(buf, bit, meta.width)),
                     );
@@ -1185,29 +1204,7 @@ impl ZoneFile {
         self.counters.add_objects(locators.len() as u64);
         self.counters.add_bytes(sm.bytes);
         self.counters.add_seeks(sm.seeks);
-        Ok(out)
-    }
-}
-
-impl RawFile for ZoneFile {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn counters(&self) -> &IoCounters {
-        &self.counters
-    }
-
-    fn size_bytes(&self) -> u64 {
-        self.size_bytes
-    }
-
-    fn scan(&self, handler: &mut RowHandler<'_>) -> Result<()> {
-        self.scan_rows(0, self.n_rows, None, handler)
-    }
-
-    fn read_rows(&self, locators: &[RowLocator], attrs: &[AttrId]) -> Result<Vec<Vec<f64>>> {
-        self.read_rows_impl(locators, attrs, None)
+        Ok(())
     }
 
     fn partitions(&self, n: usize) -> Result<Vec<ScanPartition>> {
@@ -1251,20 +1248,12 @@ impl RawFile for ZoneFile {
     fn scan_filtered(&self, window: &Rect, handler: &mut RowHandler<'_>) -> Result<()> {
         self.scan_rows(0, self.n_rows, Some(window), handler)
     }
-
-    fn read_rows_window(
-        &self,
-        locators: &[RowLocator],
-        attrs: &[AttrId],
-        window: Option<&Rect>,
-    ) -> Result<Vec<Vec<f64>>> {
-        self.read_rows_impl(locators, attrs, window)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::read_window;
     use crate::csv::CsvFormat;
     use crate::raw::MemFile;
 
@@ -1383,10 +1372,8 @@ mod tests {
         let f = sample();
         let locs: Vec<RowLocator> = [3u64, 0, 2].iter().map(|&r| RowLocator::new(r)).collect();
         let vals = f.read_rows(&locs, &[2, 0]).unwrap();
-        assert_eq!(
-            vals,
-            vec![vec![400.0, 4.0], vec![100.0, 1.0], vec![300.0, 3.0]]
-        );
+        assert_eq!(vals.width(), 2);
+        assert_eq!(vals.values(), [400.0, 4.0, 100.0, 1.0, 300.0, 3.0]);
         assert_eq!(f.counters().objects_read(), 3);
         assert_eq!(f.counters().blocks_read(), 2, "one block touch per attr");
     }
@@ -1396,7 +1383,7 @@ mod tests {
         let f = sample();
         let locs = [RowLocator::new(1), RowLocator::new(1)];
         let vals = f.read_rows(&locs, &[2]).unwrap();
-        assert_eq!(vals, vec![vec![200.0], vec![200.0]]);
+        assert_eq!(vals.values(), [200.0, 200.0]);
     }
 
     #[test]
@@ -1418,10 +1405,11 @@ mod tests {
         let f = ZoneFile::from_rows_with_block(&Schema::synthetic(3), data.clone(), 2).unwrap();
         let locs: Vec<RowLocator> = (0..4).map(RowLocator::new).collect();
         let vals = f.read_rows(&locs, &[2]).unwrap();
-        assert!(vals[0][0].is_nan());
-        assert_eq!(vals[1][0], -5.5);
-        assert_eq!(vals[2][0].to_bits(), 0.0f64.to_bits());
-        assert_eq!(vals[3][0].to_bits(), (-0.0f64).to_bits());
+        let vals = vals.values();
+        assert!(vals[0].is_nan());
+        assert_eq!(vals[1], -5.5);
+        assert_eq!(vals[2].to_bits(), 0.0f64.to_bits());
+        assert_eq!(vals[3].to_bits(), (-0.0f64).to_bits());
         // The scan agrees bit-exactly too.
         let mut got = Vec::new();
         f.scan(&mut |_, _, rec| {
@@ -1443,7 +1431,7 @@ mod tests {
         f.counters().reset();
         let locs: Vec<RowLocator> = (0..16).map(RowLocator::new).collect();
         let vals = f.read_rows(&locs, &[2]).unwrap();
-        assert!(vals.iter().all(|v| v[0] == 42.0));
+        assert!(vals.values().iter().all(|&v| v == 42.0));
         assert_eq!(
             f.counters().bytes_read(),
             0,
@@ -1493,7 +1481,7 @@ mod tests {
         assert_eq!(zone.path(), Some(path.as_path()));
         assert_eq!(zone.n_rows(), 4);
         let vals = zone.read_rows(&[RowLocator::new(2)], &[2]).unwrap();
-        assert_eq!(vals, vec![vec![300.0]]);
+        assert_eq!(vals.values(), [300.0]);
 
         let reopened = ZoneFile::open(&path).unwrap();
         assert_eq!(reopened.n_rows(), 4);
@@ -1501,7 +1489,7 @@ mod tests {
         let mapped = ZoneFile::open_mapped(&path).unwrap();
         assert!(mapped.is_mapped());
         let vals = mapped.read_rows(&[RowLocator::new(1)], &[0, 2]).unwrap();
-        assert_eq!(vals, vec![vec![2.0, 200.0]]);
+        assert_eq!(vals.row(0), [2.0, 200.0]);
         let mut n = 0;
         mapped
             .scan(&mut |_, _, _| {
@@ -1560,18 +1548,18 @@ mod tests {
         // (block 10) are inside it.
         let window = Rect::new(40.0, 44.0, -1.0, 8.0);
         let locs: Vec<RowLocator> = (0..4).chain(40..44).map(RowLocator::new).collect();
-        let vals = f.read_rows_window(&locs, &[2], Some(&window)).unwrap();
-        for v in &vals[..4] {
-            assert!(v[0].is_nan(), "dead-block rows come back as NaN");
+        let vals = read_window(&f, &locs, &[2], Some(&window));
+        for v in vals.rows(0..4) {
+            assert!(v.is_nan(), "dead-block rows come back as NaN");
         }
-        assert_eq!(vals[4], vec![400.0]);
-        assert_eq!(vals[7], vec![430.0]);
+        assert_eq!(vals.row(4), [400.0]);
+        assert_eq!(vals.row(7), [430.0]);
         assert_eq!(f.counters().blocks_skipped(), 1);
         assert_eq!(f.counters().blocks_read(), 1);
         // Without the window, identical request reads both blocks.
         f.counters().reset();
-        let plain = f.read_rows_window(&locs, &[2], None).unwrap();
-        assert_eq!(plain[0], vec![0.0]);
+        let plain = read_window(&f, &locs, &[2], None);
+        assert_eq!(plain.row(0), [0.0]);
         assert_eq!(f.counters().blocks_read(), 2);
         assert_eq!(f.counters().blocks_skipped(), 0);
     }
@@ -1780,7 +1768,7 @@ mod tests {
         assert!(old.block_synopses().is_none(), "v1 = no synopses");
         assert!(old.block_stats().is_some(), "zone maps survive");
         let vals = old.read_rows(&[RowLocator::new(5)], &[2]).unwrap();
-        assert_eq!(vals, vec![vec![50.0]]);
+        assert_eq!(vals.values(), [50.0]);
         // And the v2 original answers identically.
         let vals2 = f.read_rows(&[RowLocator::new(5)], &[2]).unwrap();
         assert_eq!(vals, vals2);

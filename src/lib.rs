@@ -87,8 +87,8 @@ pub mod prelude {
         convert_to_bin, convert_to_zone, convert_to_zone_spec, write_bin, write_zone, BinFile,
         BlockCache, BlockStats, BlockSynopsis, CacheConfig, CachedFile, ColumnSynopsis, CsvFile,
         CsvFormat, DatasetSpec, Fault, FaultPlan, HttpFile, HttpOptions, LatencyFile, MemFile,
-        ObjectStore, PointDistribution, RawFile, RowOrder, Schema, StorageBackend, SynopsisSpec,
-        ValueModel, ZoneFile,
+        ObjectStore, PointDistribution, RawFile, RowBatch, RowOrder, Schema, StorageBackend,
+        SynopsisSpec, ValueModel, ZoneFile,
     };
 }
 
