@@ -39,10 +39,10 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use pai_common::geometry::{Point2, Rect};
-use pai_common::{AggregateFunction, PaiError, Result, RunningStats};
+use pai_common::geometry::Rect;
+use pai_common::{AggregateFunction, Result, RunningStats};
 use pai_index::eval::{query_attrs, QueryStats};
-use pai_index::{apply_enrich, apply_plan, still_applies, ObjectEntry, TileId, ValinorIndex};
+use pai_index::{apply_enrich, apply_plan, still_applies, TileId, ValinorIndex};
 use pai_storage::raw::{AppendReceipt, RawFile};
 use parking_lot::RwLock;
 
@@ -346,43 +346,22 @@ impl<F: RawFile> SharedIndex<F> {
     /// as queries: the batch appends to the raw file with **no lock held**
     /// (the backend has its own append latching), then the new entries
     /// extend the index under one short write lock. Readers observe either
-    /// none or all of the batch; adaptive writers racing this method are
-    /// protected by the same version counter their plans already check.
+    /// none or all of the batch; adaptive writers racing this method keep
+    /// their plans (ingest only appends to a leaf's entries) and their
+    /// applies install no whole-tile statistics on a leaf that grew since
+    /// planning (see [`pai_index::still_applies`]).
     ///
-    /// The whole batch is validated against the index domain *before* any
-    /// mutation, so a rejected batch neither appends nor indexes — callers
-    /// can retry or drop it without tearing state. Entries are indexed in
-    /// append order, which keeps a streamed session's index trajectory
-    /// identical to one built statically from the same base+appended rows.
+    /// The whole batch is validated — arity and index domain, which is all
+    /// that can make an insert fail and does not depend on how far the index
+    /// has been refined — *before* any mutation, so a rejected batch neither
+    /// appends nor indexes: callers can retry or drop it without tearing
+    /// state. Entries are indexed in append order, which keeps a streamed
+    /// session's index trajectory identical to one built statically from
+    /// the same base+appended rows.
     pub fn ingest(&self, rows: &[Vec<f64>]) -> Result<AppendReceipt> {
-        let schema = self.file.schema();
-        let (ax, ay) = (schema.x_axis(), schema.y_axis());
-        {
-            let index = self.index.read();
-            for (i, row) in rows.iter().enumerate() {
-                if row.len() != schema.len() {
-                    return Err(PaiError::config(format!(
-                        "ingest row {i} has {} values, schema has {} columns",
-                        row.len(),
-                        schema.len()
-                    )));
-                }
-                let p = Point2::new(row[ax], row[ay]);
-                if index.leaf_for_point(p).is_none() {
-                    return Err(PaiError::config(format!(
-                        "ingest row {i} at ({}, {}) lies outside the index domain {}",
-                        p.x,
-                        p.y,
-                        index.domain()
-                    )));
-                }
-            }
-        }
+        self.index.read().check_ingest_rows(rows)?;
         let receipt = self.file.append_rows(rows)?;
-        let mut index = self.index.write();
-        for (row, &locator) in rows.iter().zip(receipt.locators.iter()) {
-            index.ingest_entry(ObjectEntry::new(row[ax], row[ay], locator), row)?;
-        }
+        self.index.write().ingest_rows(rows, &receipt.locators)?;
         Ok(receipt)
     }
 

@@ -1,13 +1,13 @@
 //! Per-query bookkeeping for the partial-adaptation loop.
 //!
-//! A query's answer decomposes into an **exact part** (fully-contained tiles
-//! with exact metadata, plus every tile processed so far) and a set of
+//! A query's answer decomposes into an **exact part** (covered tiles with
+//! exact metadata, plus every tile processed so far) and a set of
 //! **candidates** — tiles whose contribution is still only bounded. The
 //! [`QueryState`] holds both; each processing step moves one candidate into
 //! the exact part, monotonically tightening every confidence interval.
 
 use pai_common::geometry::Rect;
-use pai_common::{AttrId, Interval, PaiError, Result, RunningStats};
+use pai_common::{AttrId, Interval, Result, RunningStats};
 use pai_index::{AttrMeta, Classification, TileId, ValinorIndex};
 
 /// What kind of work "processing" this candidate means.
@@ -16,9 +16,10 @@ pub enum CandidateKind {
     /// Partially-contained tile: process = read selected objects + split
     /// (the paper's `process(t)`).
     Partial,
-    /// Fully-contained tile that only has bounded metadata for some
-    /// requested attribute (possible after window-only splits or with
-    /// metadata-free initialization): process = enrichment read.
+    /// Covered leaf that only has bounded metadata for some requested
+    /// attribute, under no ancestor exact for all of them (possible after
+    /// window-only splits or with metadata-free initialization): process =
+    /// enrichment read.
     ///
     /// The paper assumes full tiles always carry exact metadata; this
     /// generalization keeps the engine sound when they do not.
@@ -79,7 +80,8 @@ pub struct QueryState {
     pub exact: Vec<RunningStats>,
     /// Tiles whose contribution is still bounded.
     pub candidates: Vec<Candidate>,
-    /// Fully-contained tiles answered directly from exact metadata.
+    /// Covered tiles — leaves or inner tiles — answered directly from exact
+    /// metadata.
     pub full_exact_tiles: usize,
 }
 
@@ -117,27 +119,24 @@ impl QueryState {
             full_exact_tiles: 0,
         };
 
-        for &tid in &classification.full {
-            let tile = index.tile(tid);
-            let all_exact = attrs.iter().all(|&a| tile.meta.has_exact(a));
-            if all_exact {
-                for (i, &a) in attrs.iter().enumerate() {
-                    let stats = tile
-                        .meta
-                        .get(a)
-                        .and_then(AttrMeta::exact_stats)
-                        .ok_or_else(|| PaiError::internal("exact metadata vanished"))?;
-                    state.exact[i].merge(stats);
+        for &covering in &classification.full {
+            index.resolve_covered(covering, attrs, &mut |tid, exact| {
+                let tile = index.tile(tid);
+                if exact {
+                    for (acc, &a) in state.exact.iter_mut().zip(attrs) {
+                        let stats = tile.meta.get(a).and_then(AttrMeta::exact_stats);
+                        acc.merge(stats.expect("resolve_covered said exact"));
+                    }
+                    state.full_exact_tiles += 1;
+                } else {
+                    state.candidates.push(Candidate {
+                        tile: tid,
+                        selected: tile.object_count(),
+                        kind: CandidateKind::FullBounded,
+                        meta: Self::meta_view(index, tid, attrs),
+                    });
                 }
-                state.full_exact_tiles += 1;
-            } else {
-                state.candidates.push(Candidate {
-                    tile: tid,
-                    selected: tile.object_count(),
-                    kind: CandidateKind::FullBounded,
-                    meta: Self::meta_view(index, tid, attrs),
-                });
-            }
+            });
         }
 
         for pt in &classification.partial {
@@ -241,8 +240,8 @@ mod tests {
     use super::*;
     use pai_index::{build_test_index, TestIndexSpec};
 
-    fn test_state(metadata: bool) -> (ValinorIndex, QueryState) {
-        let spec = TestIndexSpec {
+    fn spec(metadata: bool) -> TestIndexSpec {
+        TestIndexSpec {
             domain: Rect::new(0.0, 30.0, 0.0, 30.0),
             grid: (3, 3),
             // (x, y, value) triples; col2 is the value attribute.
@@ -253,8 +252,11 @@ mod tests {
                 (25.0, 25.0, 40.0),
             ],
             with_metadata: metadata,
-        };
-        let index = build_test_index(&spec);
+        }
+    }
+
+    fn test_state(metadata: bool) -> (ValinorIndex, QueryState) {
+        let index = build_test_index(&spec(metadata));
         let window = Rect::new(0.0, 12.0, 0.0, 12.0);
         let (_, state) = classify_and_build(&index, &window, &[2]).unwrap();
         (index, state)
@@ -288,6 +290,34 @@ mod tests {
         assert!(index.global_bounds(2).is_some());
         let c = &state.candidates[0];
         assert_eq!(c.value_bounds(0), Some(Interval::new(10.0, 40.0)));
+    }
+
+    #[test]
+    fn covered_inner_tiles_fold_without_a_descent() {
+        let (index, file) = pai_index::build_test_index_with_file(&spec(true));
+        // An exact query cutting the middle-bottom cell splits it; the
+        // out-of-window child keeps only inherited bounds.
+        let adapt = pai_index::AdaptConfig {
+            min_split_objects: 1,
+            ..Default::default()
+        };
+        let mut engine = pai_index::ExactEngine::new(index, &file, adapt).unwrap();
+        let cut = Rect::new(0.0, 12.0, 0.0, 6.0);
+        engine
+            .evaluate(&cut, &[pai_common::AggregateFunction::Sum(2)])
+            .unwrap();
+        let index = engine.into_index();
+        let window = Rect::new(0.0, 20.0, 0.0, 10.0);
+        let (c, state) = classify_and_build(&index, &window, &[2]).unwrap();
+        assert!(c.full.iter().any(|&t| !index.tile(t).is_leaf()));
+        assert_eq!(c.full.len(), 2, "one covering tile a root cell");
+        // The split cell answers from the stats it kept, bounded child and
+        // all; a COUNT-only query stops at every covering tile by definition.
+        assert!(state.candidates.is_empty());
+        assert_eq!(state.full_exact_tiles, 2);
+        assert_eq!((state.exact[0].sum(), state.selected_total), (60.0, 3));
+        let (_, counting) = classify_and_build(&index, &window, &[]).unwrap();
+        assert_eq!(counting.full_exact_tiles, 2);
     }
 
     #[test]

@@ -171,15 +171,10 @@ impl ExactFold {
         self.rows += 1;
     }
 
-    /// Installs the statistics as `tile`'s exact metadata for `read_attrs`.
+    /// Installs the statistics as `tile`'s exact metadata for `read_attrs`
+    /// (and as far up its ancestors as they now follow from the children).
     fn install(self, index: &mut ValinorIndex, tile: TileId, read_attrs: &[AttrId]) {
-        for (&attr, stats) in read_attrs.iter().zip(self.stats) {
-            let nulls = self.rows - stats.count();
-            index
-                .tile_mut(tile)
-                .meta
-                .set(attr, AttrMeta::Exact { stats, nulls });
-        }
+        index.install_exact(tile, read_attrs, self.stats, self.rows);
     }
 }
 
@@ -248,11 +243,14 @@ pub fn plan_tile(
 
 /// The optimistic-concurrency applicability check, in one place: a plan
 /// computed at `planned_version` still applies if nothing changed since
-/// planning, or — since leaf entries never change except by splitting the
-/// leaf — if its tile is still a leaf. Concurrent writers call this under
-/// the write lock immediately before [`apply_plan`] / [`apply_enrich`];
-/// a `false` means another writer split the tile underneath the plan, which
-/// must then be discarded (the region re-plans from the refined children).
+/// planning, or — since the entries a plan snapshotted never leave a leaf
+/// except by splitting it — if its tile is still a leaf. Concurrent writers
+/// call this under the write lock immediately before [`apply_plan`] /
+/// [`apply_enrich`]; a `false` means another writer split the tile
+/// underneath the plan, which must then be discarded (the region re-plans
+/// from the refined children). A leaf an ingest *grew* since planning still
+/// applies: the apply resolves the query from the fetched values and installs
+/// no whole-tile statistics, which would miss the new rows.
 pub fn still_applies(index: &ValinorIndex, tile: TileId, planned_version: u64) -> bool {
     index.version() == planned_version || index.tile(tile).is_leaf()
 }
@@ -332,10 +330,15 @@ pub fn apply_plan(
                 fold.install(index, child, &plan.read_attrs);
             }
         }
-    } else if plan.locators.len() == plan.entries.len() && !plan.entries.is_empty() {
+    } else if plan.locators.len() == plan.entries.len()
+        && !plan.entries.is_empty()
+        && index.tile(plan.tile).entries().len() == plan.entries.len()
+    {
         // No split, but the whole tile was read (FullTile policy, or a
         // window that happens to select every object): enrich in place.
-        // Locators cover every entry here, in entry order.
+        // Locators cover every entry here, in entry order — unless an ingest
+        // grew the leaf since planning, and then its metadata, which folded
+        // the new rows in, is left alone.
         ExactFold::over(values, width).install(index, plan.tile, &plan.read_attrs);
     }
 
@@ -400,8 +403,8 @@ enum EnrichSource {
     Fetched(usize),
 }
 
-/// A pure enrichment plan for one fully-contained leaf tile whose metadata
-/// is missing (or only bounded for) some requested attribute.
+/// A pure enrichment plan for one covered leaf tile whose metadata is
+/// missing (or only bounded for) some requested attribute.
 ///
 /// Like [`TilePlan`], the plan is computed against an immutable index view
 /// and carries enough snapshot state ([`EnrichPlan::resolved_stats`]) to
@@ -500,11 +503,17 @@ pub fn plan_enrich(index: &ValinorIndex, tile_id: TileId, attrs: &[AttrId]) -> R
 
 /// Installs the fetched enrichment values as exact metadata — the mutation
 /// stage of [`enrich_tile`]. Returns the number of objects the plan read.
+///
+/// A leaf an ingest grew since planning keeps its metadata as it is (it
+/// folded the new rows in; the fetched values do not hold them): the query
+/// resolves from [`EnrichPlan::resolved_stats`], the tile stays a candidate
+/// for the next one.
 pub fn apply_enrich(index: &mut ValinorIndex, plan: &EnrichPlan, values: &[f64]) -> Result<u64> {
     if plan.read_attrs.is_empty() {
         return Ok(0);
     }
-    if !index.tile(plan.tile).is_leaf() {
+    let tile = index.tile(plan.tile);
+    if !tile.is_leaf() {
         return Err(PaiError::internal(format!(
             "apply_enrich on non-leaf {:?} (tile split since planning?)",
             plan.tile
@@ -512,7 +521,9 @@ pub fn apply_enrich(index: &mut ValinorIndex, plan: &EnrichPlan, values: &[f64])
     }
     let width = plan.read_attrs.len();
     check_shape(plan.tile, plan.locators.len(), width, values)?;
-    ExactFold::over(values, width).install(index, plan.tile, &plan.read_attrs);
+    if tile.entries().len() == plan.locators.len() {
+        ExactFold::over(values, width).install(index, plan.tile, &plan.read_attrs);
+    }
     Ok(plan.locators.len() as u64)
 }
 
@@ -577,7 +588,7 @@ mod tests {
     }
 
     /// The plan's rows, fetched into a fresh batch.
-    fn fetch(f: &MemFile, plan: &TilePlan) -> RowBatch {
+    fn fetch(f: &dyn RawFile, plan: &TilePlan) -> RowBatch {
         let mut values = RowBatch::default();
         read_row_groups(f, &[&plan.locators], &plan.read_attrs, None, 1, &mut values).unwrap();
         values
@@ -881,6 +892,131 @@ mod tests {
             idx.tile(t).meta.get(2).unwrap().exact_stats(),
             "pure resolution equals the installed metadata"
         );
+    }
+
+    /// A one-cell, metadata-free index over eight objects, two a quadrant,
+    /// and its appendable file.
+    fn quadrants() -> (pai_storage::AppendableFile<MemFile>, ValinorIndex) {
+        let vals = [1e16, 3.0, -1e16, 5.0, 0.1, f64::NAN, 0.2, 7.0];
+        let at = [1.0, 6.0, 3.0, 8.0];
+        let rows: Vec<Vec<f64>> = (0..8)
+            .map(|i| vec![at[i % 4], at[(i / 2) % 4], vals[i]])
+            .collect();
+        let base = MemFile::from_rows(Schema::synthetic(3), CsvFormat::default(), rows).unwrap();
+        let file = pai_storage::AppendableFile::new(base).unwrap();
+        let init = InitConfig {
+            grid: GridSpec::Fixed { nx: 1, ny: 1 },
+            domain: Some(Rect::new(0.0, 10.0, 0.0, 10.0)),
+            metadata: crate::config::MetadataPolicy::None,
+        };
+        let (idx, _) = build(&file, &init).unwrap();
+        (file, idx)
+    }
+
+    fn exact_stats(idx: &ValinorIndex, t: TileId, attr: AttrId) -> Option<RunningStats> {
+        idx.tile(t).meta.get(attr)?.exact_stats().copied()
+    }
+
+    #[test]
+    fn enriching_the_last_bounded_child_makes_the_parent_exact() {
+        let (f, mut idx) = quadrants();
+        // A corner window reads one object: the quadrant split leaves every
+        // child without exact stats, and the cell has none to begin with.
+        let cfg = adapt_cfg(
+            SplitPolicy::Grid { rows: 2, cols: 2 },
+            ReadPolicy::WindowOnly,
+        );
+        let q = Rect::new(0.0, 2.0, 0.0, 2.0);
+        let out = process_tile(&mut idx, &f, TileId(0), &q, &[2], &cfg).unwrap();
+        assert_eq!((out.did_split, out.objects_read), (true, 1));
+        let children = out.new_leaves;
+        assert!(children.iter().all(|&c| idx.tile(c).object_count() == 2));
+        for &c in &children {
+            assert_eq!(exact_stats(&idx, TileId(0), 2), None, "{c:?} still bounded");
+            assert_eq!(enrich_tile(&mut idx, &f, c, &[2]).unwrap(), 2);
+        }
+        // The cell's stats are the merge of its children's, in child order:
+        // with these values any other order rounds the sum differently.
+        let mut merged = RunningStats::new();
+        for &c in &children {
+            merged.merge(&exact_stats(&idx, c, 2).unwrap());
+        }
+        let got = exact_stats(&idx, TileId(0), 2).expect("pulled up");
+        assert_eq!(got.sum().to_bits(), merged.sum().to_bits());
+        assert_eq!(got, merged);
+        assert_eq!(idx.tile(TileId(0)).meta.get(2).unwrap().nulls(), 1);
+        idx.validate_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_leaf_grown_since_planning_keeps_its_folded_metadata() {
+        let (f, mut idx) = quadrants();
+        let cfg = adapt_cfg(
+            SplitPolicy::Grid { rows: 2, cols: 2 },
+            ReadPolicy::WindowOnly,
+        );
+        let q = Rect::new(0.0, 2.0, 0.0, 2.0);
+        let children = process_tile(&mut idx, &f, TileId(0), &q, &[2], &cfg)
+            .unwrap()
+            .new_leaves;
+        // Three children exact, the enrichment of the fourth planned — and
+        // then a row lands in it before the plan applies.
+        for &c in &children[..3] {
+            enrich_tile(&mut idx, &f, c, &[2]).unwrap();
+        }
+        let last = children[3];
+        let plan = plan_enrich(&idx, last, &[2]).unwrap();
+        let values = f.read_rows(&plan.locators, &plan.read_attrs).unwrap();
+        let p = idx.tile(last).rect.center();
+        let row = vec![p.x, p.y, 1000.0];
+        let receipt = f.append_rows(std::slice::from_ref(&row)).unwrap();
+        let entry = crate::entry::ObjectEntry::new(p.x, p.y, receipt.locators[0]);
+        assert_eq!(idx.ingest_entry(entry, &row).unwrap(), last);
+        assert!(still_applies(&idx, last, plan.planned_version));
+
+        // The plan read two of the leaf's three objects: the query it was
+        // made for resolves from them, the leaf's metadata is not touched —
+        // exact stats over two objects would be a lie about three, and the
+        // cell above would take the lie for its own.
+        assert_eq!(apply_enrich(&mut idx, &plan, values.values()).unwrap(), 2);
+        assert_eq!(plan.resolved_stats(values.values()).unwrap()[0].count(), 2);
+        assert_eq!(exact_stats(&idx, last, 2), None);
+        assert_eq!(exact_stats(&idx, TileId(0), 2), None);
+        idx.validate_invariants().unwrap();
+
+        // The same for a whole-tile read that does not split.
+        let no_split = adapt_cfg(SplitPolicy::NoSplit, ReadPolicy::FullTile);
+        let slice = Rect::new(5.0, 10.0, 5.0, 9.5);
+        let plan = plan_tile(&idx, last, &slice, &[2], &no_split).unwrap();
+        let values = fetch(&f, &plan);
+        let row = vec![p.x, p.y, -1000.0];
+        let receipt = f.append_rows(std::slice::from_ref(&row)).unwrap();
+        let entry = crate::entry::ObjectEntry::new(p.x, p.y, receipt.locators[0]);
+        idx.ingest_entry(entry, &row).unwrap();
+        let out = apply_plan(&mut idx, &plan, &slice, &no_split, values.values()).unwrap();
+        assert_eq!((out.did_split, out.objects_read), (false, 3));
+        assert_eq!(exact_stats(&idx, last, 2), None);
+        idx.validate_invariants().unwrap();
+
+        // A following exact query over the grown leaf reads all four of its
+        // objects and equals the scan; only then is the cell exact.
+        let mut engine = crate::eval::ExactEngine::new(idx, &f, cfg).unwrap();
+        let window = engine.index().tile(last).rect;
+        let aggs = [
+            pai_common::AggregateFunction::Count,
+            pai_common::AggregateFunction::Sum(2),
+        ];
+        let res = engine.evaluate(&window, &aggs).unwrap();
+        let truth = &pai_storage::ground_truth::window_truth(&f, &window, &[2]).unwrap()[0];
+        assert_eq!(res.stats.io.objects_read, 4);
+        assert_eq!(res.values[0].as_f64(), Some(truth.selected as f64));
+        assert_eq!(res.values[1].as_f64(), Some(truth.stats.sum()));
+        assert_eq!(
+            exact_stats(engine.index(), TileId(0), 2).map(|s| s.count()),
+            Some(9),
+            "ten objects, one of them NULL"
+        );
+        engine.index().validate_invariants().unwrap();
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Exact query answering — the paper's baseline method.
 //!
-//! For every query, the exact engine (a) answers fully-contained tiles from
-//! their exact metadata, enriching them with one tile-wide read when the
-//! requested attribute's stats are missing, and (b) **processes every
+//! For every query, the exact engine (a) answers covered tiles from their
+//! exact metadata — an inner tile's for its whole subtree — enriching the
+//! leaves below them with one tile-wide read where the requested
+//! attribute's stats are missing, and (b) **processes every
 //! partially-contained tile**: reads the selected objects, splits the tile,
 //! and computes subtile metadata. This is the adaptive-indexing behaviour of
 //! V ALINOR/RawVis; the approximate engine in `pai-core` differs only in
@@ -27,7 +28,11 @@ pub struct QueryStats {
     pub io: IoSnapshot,
     /// Objects selected by the window (exact).
     pub selected: u64,
-    /// Fully-contained tiles answered from metadata.
+    /// Covering tiles of the classification ([`Classification::full`]):
+    /// the highest tiles fully inside the window, leaves or inner tiles —
+    /// not the number of leaves the window covers.
+    ///
+    /// [`Classification::full`]: crate::Classification::full
     pub tiles_full: usize,
     /// Partially-contained tiles in the classification.
     pub tiles_partial: usize,
@@ -35,7 +40,7 @@ pub struct QueryStats {
     pub tiles_processed: usize,
     /// Tiles split during this query.
     pub tiles_split: usize,
-    /// Fully-contained tiles that needed an enrichment read.
+    /// Covered leaves that needed an enrichment read.
     pub tiles_enriched: usize,
     /// Time spent waiting to acquire index locks (zero for engines that
     /// own their index; populated by `pai-core`'s `SharedIndex`).
@@ -157,10 +162,15 @@ impl<'f> ExactEngine<'f> {
             ..Default::default()
         };
 
-        // Fully-contained tiles: metadata, enriching when stats are missing.
+        // Covered tiles: metadata, enriching the leaves whose stats are
+        // missing.
+        let mut covered = Vec::new();
         for &tid in &classification.full {
-            let read = enrich_tile(&mut self.index, self.file, tid, &attrs)?;
-            if read > 0 {
+            self.index
+                .resolve_covered(tid, &attrs, &mut |id, exact| covered.push((id, exact)));
+        }
+        for (tid, exact) in covered {
+            if !exact && enrich_tile(&mut self.index, self.file, tid, &attrs)? > 0 {
                 stats.tiles_enriched += 1;
             }
             let tile = self.index.tile(tid);
@@ -280,6 +290,46 @@ mod tests {
             second.values[0].as_f64().unwrap()
         );
         assert!(second.stats.tiles_processed <= second.stats.tiles_partial);
+    }
+
+    #[test]
+    fn covered_split_cell_answers_from_its_own_metadata() {
+        let file = random_file(3000, 5);
+        let mut engine = engine_for(&file, 4, MetadataPolicy::AllNumeric);
+        let aggs = [AggregateFunction::Count, AggregateFunction::Sum(2)];
+        // A window cutting through one root cell splits it; window-only
+        // reads leave the children outside the window with inherited bounds.
+        let cell = engine.index().tile(crate::TileId(5)).rect;
+        let cut = Rect::new(
+            cell.x_min,
+            cell.center().x,
+            cell.y_min - 1.0,
+            cell.y_max + 1.0,
+        );
+        engine.evaluate(&cut, &aggs).unwrap();
+        let index = engine.index();
+        let root = index.tile(crate::TileId(5));
+        assert!(!root.is_leaf() && root.meta.has_exact(2));
+        let bounded = index
+            .leaves_overlapping(&cell)
+            .into_iter()
+            .filter(|&l| index.tile(l).object_count() > 0 && !index.tile(l).meta.has_exact(2))
+            .count();
+        assert!(bounded > 0, "some child kept only its inherited bounds");
+
+        // The whole cell inside a window: it is one covering tile, and its
+        // own exact stats — true for everything below it — answer without a
+        // read, where a leaf-by-leaf walk would enrich the bounded children.
+        let c = index.classify(&cell);
+        assert_eq!(c.full, vec![crate::TileId(5)]);
+        assert!(c.partial.is_empty());
+        let res = engine.evaluate(&cell, &aggs).unwrap();
+        assert_eq!((res.stats.io.bytes_read, res.stats.io.read_calls), (0, 0));
+        assert_eq!((res.stats.tiles_full, res.stats.tiles_enriched), (1, 0));
+        let truth = &window_truth(&file, &cell, &[2]).unwrap()[0];
+        assert_eq!(res.values[0], AggregateValue::Count(truth.selected));
+        let sum = res.values[1].as_f64().unwrap();
+        assert!((sum - truth.stats.sum()).abs() < 1e-6 * (1.0 + sum.abs()));
     }
 
     #[test]

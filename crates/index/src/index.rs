@@ -5,11 +5,12 @@
 //! driven adaptation then splits individual leaves into sub-hierarchies, so
 //! lookup is: O(1) root-cell arithmetic, then a short descent.
 
-use pai_common::geometry::{Overlap, Point2, Rect};
-use pai_common::{AttrId, Interval, PaiError, Result};
+use pai_common::geometry::{Point2, Rect};
+use pai_common::{AttrId, Interval, PaiError, Result, RowLocator, RunningStats};
 use pai_storage::Schema;
 
 use crate::entry::ObjectEntry;
+use crate::metadata::AttrMeta;
 use crate::tile::{Tile, TileId, TileState};
 
 /// A partially-contained tile in a query's classification, along with the
@@ -21,16 +22,20 @@ pub struct PartialTile {
     pub selected: u64,
 }
 
-/// Outcome of classifying the index's leaves against a query window.
+/// Outcome of classifying the index's tiles against a query window.
 #[derive(Debug, Clone, Default)]
 pub struct Classification {
-    /// Leaves fully contained in the window, with at least one object.
+    /// The covering tiles: each the highest tile of its subtree that lies
+    /// fully inside the window, with at least one object below it. A
+    /// covering tile may be a leaf or an inner tile; what it contributes for
+    /// a query's attributes is [`ValinorIndex::resolve_covered`]'s to say.
     pub full: Vec<TileId>,
     /// Leaves partially overlapping the window with ≥1 selected object.
     pub partial: Vec<PartialTile>,
     /// Total number of selected objects (exact, from axis values).
     pub selected_total: u64,
-    /// Overlapping leaves skipped because they contribute no object.
+    /// Covering tiles and partially overlapping leaves skipped because they
+    /// contribute no object.
     pub skipped_empty: usize,
 }
 
@@ -223,9 +228,11 @@ impl ValinorIndex {
     /// the leaf that currently owns the point, and it keeps the index's
     /// metadata claims true as the dataset grows:
     ///
-    /// * the leaf's per-attribute metadata absorbs the row's values —
-    ///   exact stats stay exact, bounded envelopes widen to cover the new
-    ///   value (see [`AttrMeta::fold_value`](crate::metadata::AttrMeta));
+    /// * the per-attribute metadata of the leaf **and of every inner tile
+    ///   passed on the way down** absorbs the row's values — exact stats
+    ///   stay exact, bounded envelopes widen to cover the new value (see
+    ///   [`AttrMeta::fold_value`](crate::metadata::AttrMeta)) — and each
+    ///   passed tile's subtree count grows by one;
     /// * global column bounds fold the values in, so the `Bounded`
     ///   fallback envelope stays sound for every row ever seen.
     ///
@@ -234,34 +241,100 @@ impl ValinorIndex {
     /// domain — streaming ingest never grows the indexed domain, callers
     /// must reject or route such rows.
     pub fn ingest_entry(&mut self, entry: ObjectEntry, row: &[f64]) -> Result<TileId> {
-        if row.len() != self.schema.len() {
+        self.check_ingest(0, row.len(), entry.point())?;
+        self.version = self.version.wrapping_add(1);
+        let attrs = self.schema.non_axis_numeric();
+        self.ingest_checked(entry, row, &attrs, &mut Vec::new())
+    }
+
+    /// Ingests a batch of appended rows with their locators, in order: what
+    /// [`Self::ingest_entry`] does for each, with the per-row costs paid
+    /// once. The whole batch is checked ([`Self::check_ingest_rows`]) before
+    /// anything is touched, so a rejected batch changes nothing.
+    pub fn ingest_rows(&mut self, rows: &[Vec<f64>], locators: &[RowLocator]) -> Result<()> {
+        if rows.len() != locators.len() {
+            return Err(PaiError::internal(format!(
+                "{} ingested rows came with {} locators",
+                rows.len(),
+                locators.len()
+            )));
+        }
+        self.check_ingest_rows(rows)?;
+        let (ax, ay) = (self.schema.x_axis(), self.schema.y_axis());
+        self.version = self.version.wrapping_add(1);
+        let attrs = self.schema.non_axis_numeric();
+        let mut path = Vec::new();
+        for (row, &locator) in rows.iter().zip(locators) {
+            let entry = ObjectEntry::new(row[ax], row[ay], locator);
+            self.ingest_checked(entry, row, &attrs, &mut path)?;
+        }
+        Ok(())
+    }
+
+    /// What makes a batch of rows ingestible: every row is schema-wide and
+    /// lies inside the domain. O(1) a row and independent of the tree — the
+    /// domain never changes, and [`Self::leaf_for_point`] finds a leaf for
+    /// every point inside it — so the answer holds however the index is
+    /// refined before the rows are ingested.
+    pub fn check_ingest_rows(&self, rows: &[Vec<f64>]) -> Result<()> {
+        let (ax, ay) = (self.schema.x_axis(), self.schema.y_axis());
+        rows.iter().enumerate().try_for_each(|(i, row)| {
+            // Arity first: an under-wide row may lack its axis values.
+            let axis = |a: AttrId| row.get(a).copied().unwrap_or(f64::NAN);
+            self.check_ingest(i, row.len(), Point2::new(axis(ax), axis(ay)))
+        })
+    }
+
+    fn check_ingest(&self, i: usize, width: usize, p: Point2) -> Result<()> {
+        if width != self.schema.len() {
             return Err(PaiError::config(format!(
-                "ingested row has {} values, schema has {} columns",
-                row.len(),
+                "ingested row {i} has {width} values, schema has {} columns",
                 self.schema.len()
             )));
         }
-        let p = entry.point();
-        let leaf = self.leaf_for_point(p).ok_or_else(|| {
-            PaiError::config(format!(
-                "ingested point ({}, {}) lies outside the index domain {}",
+        if !self.domain.contains_point_closed(p) {
+            return Err(PaiError::config(format!(
+                "ingested row {i} at ({}, {}) lies outside the index domain {}",
                 p.x, p.y, self.domain
-            ))
-        })?;
-        let attrs = self.schema.non_axis_numeric();
-        for &a in &attrs {
+            )));
+        }
+        Ok(())
+    }
+
+    /// Inserts one checked row: folds it into the global bounds, into every
+    /// inner tile on the way to its leaf, and into the leaf. `path` is
+    /// scratch for the tiles passed.
+    fn ingest_checked(
+        &mut self,
+        entry: ObjectEntry,
+        row: &[f64],
+        attrs: &[AttrId],
+        path: &mut Vec<TileId>,
+    ) -> Result<TileId> {
+        path.clear();
+        let leaf = self
+            .descend(entry.point(), |inner| path.push(inner))
+            .ok_or_else(|| {
+                PaiError::internal(format!(
+                    "no leaf holds ({}, {}) inside the domain {}",
+                    entry.x, entry.y, self.domain
+                ))
+            })?;
+        for &a in attrs {
             self.fold_global_bound(a, row[a]);
         }
-        self.version = self.version.wrapping_add(1);
-        let tile = &mut self.tiles[leaf.index()];
-        for &a in &attrs {
-            if let Some(meta) = tile.meta.get_mut(a) {
-                meta.fold_value(row[a]);
+        path.push(leaf);
+        for &id in path.iter() {
+            let tile = &mut self.tiles[id.index()];
+            for &a in attrs {
+                if let Some(meta) = tile.meta.get_mut(a) {
+                    meta.fold_value(row[a]);
+                }
             }
-        }
-        match &mut tile.state {
-            TileState::Leaf { entries } => entries.push(entry),
-            TileState::Inner { .. } => unreachable!("leaf_for_point returns leaves"),
+            match &mut tile.state {
+                TileState::Leaf { entries } => entries.push(entry),
+                TileState::Inner { count, .. } => *count += 1,
+            }
         }
         self.total_objects += 1;
         Ok(leaf)
@@ -304,38 +377,40 @@ impl ValinorIndex {
 
     /// The leaf whose rectangle holds `p` (descending through splits).
     pub fn leaf_for_point(&self, p: Point2) -> Option<TileId> {
+        self.descend(p, |_| {})
+    }
+
+    /// Descends from `p`'s root cell to the leaf holding it, telling
+    /// `passed` each inner tile on the way.
+    fn descend(&self, p: Point2, mut passed: impl FnMut(TileId)) -> Option<TileId> {
         if !self.domain.contains_point_closed(p) {
             return None;
         }
         let mut id = self.root[self.root_cell(p)];
         loop {
-            let tile = self.tile(id);
-            match &tile.state {
+            let children = match &self.tile(id).state {
                 TileState::Leaf { .. } => return Some(id),
-                TileState::Inner { children } => {
-                    let next = children
+                TileState::Inner { children, .. } => children,
+            };
+            passed(id);
+            id = *children
+                .iter()
+                .find(|&&c| self.tile(c).rect.contains_point(p))
+                // Points on the parent's max edge: closed match.
+                .or_else(|| {
+                    children
                         .iter()
-                        .find(|&&c| self.tile(c).rect.contains_point(p))
-                        .or_else(|| {
-                            // Points on the parent's max edge: closed match.
-                            children
-                                .iter()
-                                .find(|&&c| self.tile(c).rect.contains_point_closed(p))
-                        });
-                    match next {
-                        Some(&c) => id = c,
-                        None => return None,
-                    }
-                }
-            }
+                        .find(|&&c| self.tile(c).rect.contains_point_closed(p))
+                })?;
         }
     }
 
-    /// All leaves whose rectangle overlaps `rect`.
-    pub fn leaves_overlapping(&self, rect: &Rect) -> Vec<TileId> {
-        let mut out = Vec::new();
+    /// Walks the tiles whose rectangle overlaps `rect`, root cell by root
+    /// cell and parents before children; `visit` says of each whether the
+    /// walk goes on into its children.
+    fn walk_overlapping(&self, rect: &Rect, mut visit: impl FnMut(TileId, &Tile) -> bool) {
         let Some(clipped) = rect.intersection(&self.domain) else {
-            return out;
+            return;
         };
         // Root-cell range covering the clipped rect.
         let fx0 = (clipped.x_min - self.domain.x_min) / self.domain.width();
@@ -352,53 +427,92 @@ impl ValinorIndex {
                 stack.push(self.root[iy * self.grid_nx + ix]);
                 while let Some(id) = stack.pop() {
                     let tile = self.tile(id);
-                    if !tile.rect.intersects(rect) {
-                        continue;
-                    }
-                    match &tile.state {
-                        TileState::Leaf { .. } => out.push(id),
-                        TileState::Inner { children } => stack.extend(children.iter().copied()),
+                    if tile.rect.intersects(rect) && visit(id, tile) {
+                        stack.extend(tile.children().iter().copied());
                     }
                 }
             }
         }
+    }
+
+    /// All leaves whose rectangle overlaps `rect`.
+    pub fn leaves_overlapping(&self, rect: &Rect) -> Vec<TileId> {
+        let mut out = Vec::new();
+        self.walk_overlapping(rect, |id, tile| {
+            if tile.is_leaf() {
+                out.push(id);
+            }
+            true
+        });
         out
     }
 
-    /// Classifies the window against the current leaves (§3's first step).
+    /// Classifies the window against the tile hierarchy (§3's first step).
+    ///
+    /// The walk stops at the highest tile that lies fully inside the window
+    /// — its stored object count is its contribution to `selected_total` —
+    /// and goes down to the leaves only along the window's border, where a
+    /// leaf's selected objects are counted from its entries. The cost is in
+    /// the tiles the window's perimeter crosses, not in those it covers.
     pub fn classify(&self, query: &Rect) -> Classification {
         let mut c = Classification::default();
-        for id in self.leaves_overlapping(query) {
-            let tile = self.tile(id);
-            match tile.rect.classify_against(query) {
-                Overlap::Disjoint => {}
-                Overlap::FullyContained => {
-                    let n = tile.object_count();
-                    if n == 0 {
-                        c.skipped_empty += 1;
-                    } else {
-                        c.selected_total += n;
-                        c.full.push(id);
-                    }
-                }
-                Overlap::Partial => {
-                    let selected = tile.selected_count(query);
-                    if selected == 0 {
-                        c.skipped_empty += 1;
-                    } else {
-                        c.selected_total += selected;
-                        c.partial.push(PartialTile { tile: id, selected });
-                    }
-                }
+        self.walk_overlapping(query, |id, tile| {
+            let covered = query.contains_rect(&tile.rect);
+            if !covered && !tile.is_leaf() {
+                return true;
+            }
+            let selected = if covered {
+                tile.object_count()
+            } else {
+                tile.selected_count(query)
+            };
+            c.selected_total += selected;
+            if selected == 0 {
+                c.skipped_empty += 1;
+            } else if covered {
+                c.full.push(id);
+            } else {
+                c.partial.push(PartialTile { tile: id, selected });
+            }
+            false
+        });
+        c
+    }
+
+    /// Resolves a covering tile (see [`Classification::full`]) for a query's
+    /// attributes — the one place that decides what such a tile contributes.
+    /// `visit(id, true)` names a tile whose metadata is exact for every one
+    /// of `attrs`: its stored statistics are the exact answer for everything
+    /// below it, whatever the metadata of its descendants. An inner tile
+    /// that is not exact is resolved through its children, in child order;
+    /// a leaf that is not is `visit(id, false)`: an enrichment read away
+    /// from exact. Empty subtrees contribute nothing and are not visited.
+    pub fn resolve_covered(
+        &self,
+        id: TileId,
+        attrs: &[AttrId],
+        visit: &mut impl FnMut(TileId, bool),
+    ) {
+        let tile = self.tile(id);
+        if tile.object_count() == 0 {
+            return;
+        }
+        let exact = attrs.iter().all(|&a| tile.meta.has_exact(a));
+        if exact || tile.is_leaf() {
+            visit(id, exact);
+        } else {
+            for &child in tile.children() {
+                self.resolve_covered(child, attrs, visit);
             }
         }
-        c
     }
 
     // -- mutation -----------------------------------------------------------
 
     /// Splits a leaf into the given child rectangles, redistributing its
     /// entries and installing inherited (demoted) metadata on each child.
+    /// The split tile keeps its own metadata and its object count: the same
+    /// objects are below it as were in it.
     ///
     /// Returns the new child ids and, for each entry of the split leaf in
     /// order, which child (by position) took it — entries keep their order
@@ -430,6 +544,7 @@ impl ValinorIndex {
             let cid = TileId(self.tiles.len() as u32);
             let mut child = Tile::leaf(*rect, n_cols, depth + 1);
             child.meta = inherited.clone();
+            child.parent = Some(id);
             self.tiles.push(child);
             child_ids.push(cid);
         }
@@ -437,6 +552,7 @@ impl ValinorIndex {
         // Redistribute entries. Half-open containment first; entries sitting
         // on the parent's max edge (domain-boundary clamping) fall through
         // to closed containment.
+        let count = entries.len() as u64;
         let mut child_of = Vec::with_capacity(entries.len());
         for e in entries {
             let p = e.point();
@@ -456,9 +572,72 @@ impl ValinorIndex {
 
         self.tile_mut(id).state = TileState::Inner {
             children: child_ids.clone(),
+            count,
         };
         self.splits_performed += 1;
         Ok((child_ids, child_of))
+    }
+
+    /// Installs exact statistics as `tile`'s metadata for `attrs` and keeps
+    /// the ancestors' metadata as strong as their children allow: a parent
+    /// whose non-empty children are now all exact for an attribute it only
+    /// had bounds for takes the merge of theirs, in child order, and so on up
+    /// the parent chain until an ancestor has another child still bounded.
+    /// (An ancestor already exact keeps its own statistics; every tile that
+    /// turns exact passes through here, so nothing above it is waiting.)
+    ///
+    /// `stats` must cover every object of `tile`, `rows` of them.
+    pub(crate) fn install_exact(
+        &mut self,
+        tile: TileId,
+        attrs: &[AttrId],
+        stats: Vec<RunningStats>,
+        rows: u64,
+    ) {
+        debug_assert_eq!(rows, self.tile(tile).object_count());
+        let meta = &mut self.tile_mut(tile).meta;
+        for (&attr, stats) in attrs.iter().zip(stats) {
+            let nulls = rows - stats.count();
+            meta.set(attr, AttrMeta::Exact { stats, nulls });
+        }
+        let (mut id, mut pending) = (tile, attrs.to_vec());
+        while let Some(parent) = self.tile(id).parent {
+            let merged: Vec<(AttrId, AttrMeta)> = pending
+                .iter()
+                .filter(|&&a| !self.tile(parent).meta.has_exact(a))
+                .filter_map(|&a| Some((a, self.merged_children(parent, a)?)))
+                .collect();
+            if merged.is_empty() {
+                return;
+            }
+            pending = merged.iter().map(|&(a, _)| a).collect();
+            let meta = &mut self.tiles[parent.index()].meta;
+            for (a, m) in merged {
+                meta.set(a, m);
+            }
+            id = parent;
+        }
+    }
+
+    /// The merge, in child order, of the exact statistics `parent`'s
+    /// non-empty children hold for `attr`; `None` while any of them is not
+    /// exact.
+    fn merged_children(&self, parent: TileId, attr: AttrId) -> Option<AttrMeta> {
+        let (mut stats, mut nulls) = (RunningStats::new(), 0);
+        for &c in self.tile(parent).children() {
+            let child = self.tile(c);
+            if child.object_count() == 0 {
+                continue;
+            }
+            match child.meta.get(attr)? {
+                AttrMeta::Exact { stats: s, nulls: n } => {
+                    stats.merge(s);
+                    nulls += n;
+                }
+                AttrMeta::Bounded(_) => return None,
+            }
+        }
+        Some(AttrMeta::Exact { stats, nulls })
     }
 
     // -- diagnostics ---------------------------------------------------------
@@ -482,8 +661,10 @@ impl ValinorIndex {
     /// Checks structural invariants; used by tests and debug assertions.
     ///
     /// Verified: entry containment (closed) in its leaf, children partition
-    /// their parent's area, object conservation, root coverage of the
-    /// domain.
+    /// their parent's area and link back to it, an inner tile's count is the
+    /// sum of its children's, every exact metadata slot — on a leaf or an
+    /// inner tile — accounts for exactly the tile's objects, object
+    /// conservation, root coverage of the domain.
     pub fn validate_invariants(&self) -> Result<()> {
         let mut seen_objects = 0u64;
         for (i, tile) in self.tiles.iter().enumerate() {
@@ -499,7 +680,7 @@ impl ValinorIndex {
                         }
                     }
                 }
-                TileState::Inner { children } => {
+                TileState::Inner { children, count } => {
                     let area: f64 = children.iter().map(|&c| self.tile(c).rect.area()).sum();
                     if (area - tile.rect.area()).abs() > 1e-6 * tile.rect.area().max(1.0) {
                         return Err(PaiError::internal(format!(
@@ -507,10 +688,22 @@ impl ValinorIndex {
                             tile.rect.area()
                         )));
                     }
+                    let below: u64 = children.iter().map(|&c| self.tile(c).object_count()).sum();
+                    if below != *count {
+                        return Err(PaiError::internal(format!(
+                            "tile {i} counts {count} objects, its children hold {below}"
+                        )));
+                    }
                     for (a, &ca) in children.iter().enumerate() {
                         if !tile.rect.contains_rect(&self.tile(ca).rect) {
                             return Err(PaiError::internal(format!(
                                 "child {ca:?} escapes parent {i}"
+                            )));
+                        }
+                        if self.tile(ca).parent != Some(TileId(i as u32)) {
+                            return Err(PaiError::internal(format!(
+                                "child {ca:?} of tile {i} links to parent {:?}",
+                                self.tile(ca).parent
                             )));
                         }
                         for &cb in children.iter().skip(a + 1) {
@@ -523,11 +716,28 @@ impl ValinorIndex {
                     }
                 }
             }
+            for attr in tile.meta.known_attrs() {
+                if let Some(AttrMeta::Exact { stats, nulls }) = tile.meta.get(attr) {
+                    if stats.count() + nulls != tile.object_count() {
+                        return Err(PaiError::internal(format!(
+                            "tile {i} holds {} objects, its exact metadata for \
+                             attribute {attr} covers {} values and {nulls} nulls",
+                            tile.object_count(),
+                            stats.count()
+                        )));
+                    }
+                }
+            }
         }
         if seen_objects != self.total_objects {
             return Err(PaiError::internal(format!(
                 "object conservation violated: leaves hold {seen_objects}, expected {}",
                 self.total_objects
+            )));
+        }
+        if let Some(&linked) = self.root.iter().find(|&&c| self.tile(c).parent.is_some()) {
+            return Err(PaiError::internal(format!(
+                "root tile {linked:?} links to a parent"
             )));
         }
         let root_area: f64 = self.root.iter().map(|&c| self.tile(c).rect.area()).sum();
@@ -697,6 +907,12 @@ mod tests {
             .unwrap();
         assert_ne!(child, t, "landed in a child, not the split parent");
         assert!(idx.tile(child).is_leaf());
+        // The split parent it passed keeps answering for its subtree: its
+        // count grew and its exact stats absorbed the row (here a NULL).
+        assert_eq!(idx.tile(child).parent, Some(t));
+        assert_eq!(idx.tile(t).object_count(), 3);
+        let m = idx.tile(t).meta.get(2).unwrap();
+        assert_eq!((m.exact_sum(), m.nulls()), (Some(42.0), 1));
         idx.validate_invariants().unwrap();
 
         // Out-of-domain points and wrong-width rows are rejected, and
@@ -712,6 +928,178 @@ mod tests {
             .ingest_entry(ObjectEntry::new(1.0, 1.0, RowLocator::new(1)), &[1.0])
             .is_err());
         assert_eq!(idx.total_objects(), n);
+    }
+
+    #[test]
+    fn ingest_rows_checks_the_whole_batch_before_touching_anything() {
+        let mut idx = small_index();
+        let (n, v0) = (idx.total_objects(), idx.version());
+        let good = vec![6.0, 6.0, 1.0];
+        let loc = [RowLocator::new(900), RowLocator::new(901)];
+        for bad in [vec![99.0, 0.0, 0.0], vec![f64::NAN, 1.0, 0.0], vec![1.0]] {
+            let err = idx.ingest_rows(&[good.clone(), bad], &loc).unwrap_err();
+            assert!(err.to_string().contains("row 1"), "{err}");
+        }
+        assert!(
+            idx.ingest_rows(std::slice::from_ref(&good), &loc).is_err(),
+            "one locator a row"
+        );
+        assert_eq!((idx.total_objects(), idx.version()), (n, v0));
+
+        idx.ingest_rows(&[good.clone(), good], &loc).unwrap();
+        assert_eq!(idx.total_objects(), n + 2);
+        assert_eq!(idx.version(), v0 + 1, "one bump a batch");
+        let t = idx.leaf_for_point(Point2::new(6.0, 6.0)).unwrap();
+        assert_eq!(idx.tile(t).entries().last().unwrap().locator, loc[1]);
+        assert_eq!(idx.global_bounds(2), Some(Interval::point(1.0)));
+        idx.validate_invariants().unwrap();
+    }
+
+    /// Splits the cell holding (5,5) into quadrants, then its lower-left
+    /// quadrant again; hands back the cell, that quadrant and its children.
+    fn twice_split() -> (ValinorIndex, TileId, TileId, Vec<TileId>) {
+        let mut idx = small_index();
+        for (i, (x, y)) in [(1.0, 1.0), (2.0, 4.0), (6.0, 2.0), (7.0, 8.0)]
+            .iter()
+            .enumerate()
+        {
+            idx.insert_entry(ObjectEntry::new(*x, *y, RowLocator::new(100 + i as u64)));
+        }
+        let cell = idx.leaf_for_point(Point2::new(5.0, 5.0)).unwrap();
+        let rect = idx.tile(cell).rect;
+        let (quads, _) = idx.split_leaf(cell, rect.split_grid(2, 2)).unwrap();
+        let quad = quads[0];
+        let rect = idx.tile(quad).rect;
+        let (subs, _) = idx.split_leaf(quad, rect.split_grid(2, 2)).unwrap();
+        idx.validate_invariants().unwrap();
+        (idx, cell, quad, subs)
+    }
+
+    #[test]
+    fn classification_stops_at_the_highest_covered_tile() {
+        let (idx, cell, quad, _) = twice_split();
+        // The whole cell inside the window: one covering tile, counted from
+        // its stored subtree count.
+        let c = idx.classify(&Rect::new(0.0, 10.0, 0.0, 12.0));
+        assert_eq!(c.full, vec![cell]);
+        assert_eq!(idx.tile(cell).object_count(), 5);
+        assert_eq!(c.selected_total, 5);
+        // The window's border through the cell: the walk goes down there,
+        // and stops again at the covered quadrant, itself an inner tile.
+        let c = idx.classify(&Rect::new(0.0, 5.0, 0.0, 5.0));
+        assert_eq!(c.full, vec![quad]);
+        assert!(c.partial.is_empty());
+        assert_eq!(c.selected_total, idx.tile(quad).object_count());
+        // An empty covered subtree is skipped as one tile.
+        let empty = idx.leaf_for_point(Point2::new(25.0, 5.0)).unwrap();
+        let c = idx.classify(&idx.tile(empty).rect);
+        assert_eq!((c.full.len(), c.skipped_empty), (0, 1));
+    }
+
+    #[test]
+    fn covered_tiles_resolve_by_their_metadata() {
+        let (mut idx, cell, quad, subs) = twice_split();
+        let resolved = |idx: &ValinorIndex, id, attrs: &[AttrId]| {
+            let mut out = Vec::new();
+            idx.resolve_covered(id, attrs, &mut |t, exact| out.push((t, exact)));
+            out
+        };
+        // A COUNT-only query asks for no attribute: every covered tile
+        // answers it, however deep its subtree.
+        assert_eq!(resolved(&idx, cell, &[]), vec![(cell, true)]);
+        // No metadata anywhere: the walk bottoms out at the non-empty
+        // leaves, in child order, each an enrichment away from exact.
+        let leaves = resolved(&idx, cell, &[2]);
+        assert!(leaves
+            .iter()
+            .all(|&(t, exact)| !exact && idx.tile(t).is_leaf()));
+        let below: u64 = leaves
+            .iter()
+            .map(|&(t, _)| idx.tile(t).object_count())
+            .sum();
+        assert_eq!(below, 5, "empty subtrees are not visited");
+        // An exact inner tile answers for everything below it.
+        let n = idx.tile(quad).object_count();
+        idx.install_exact(quad, &[2], vec![RunningStats::from_values(&[1.0, 2.0])], n);
+        let with_quad = resolved(&idx, cell, &[2]);
+        assert!(with_quad.contains(&(quad, true)));
+        assert!(subs
+            .iter()
+            .all(|s| !with_quad.iter().any(|&(t, _)| t == *s)));
+        // ... but only for the attributes it is exact for.
+        assert!(!resolved(&idx, cell, &[2, 1]).contains(&(quad, true)));
+    }
+
+    #[test]
+    fn exactness_is_pulled_up_while_every_child_has_it() {
+        let (mut idx, cell, quad, subs) = twice_split();
+        let exact_of = |idx: &ValinorIndex, id: TileId| {
+            let values: Vec<f64> = idx.tile(id).entries().iter().map(|e| e.x * 0.1).collect();
+            (RunningStats::from_values(&values), values.len() as u64)
+        };
+        let stats_of = |idx: &ValinorIndex, id: TileId| match idx.tile(id).meta.get(2) {
+            Some(AttrMeta::Exact { stats, .. }) => Some(*stats),
+            _ => None,
+        };
+        let live: Vec<TileId> = subs
+            .iter()
+            .copied()
+            .filter(|&s| idx.tile(s).object_count() > 0)
+            .collect();
+        assert!(
+            live.len() >= 2 && live.len() < subs.len(),
+            "one empty child"
+        );
+        for (k, &s) in live.iter().enumerate() {
+            assert_eq!(stats_of(&idx, quad), None, "child {k} still bounded");
+            let (stats, rows) = exact_of(&idx, s);
+            idx.install_exact(s, &[2], vec![stats], rows);
+        }
+        // The last non-empty child made the quadrant exact: the merge of its
+        // children, in child order, bit for bit.
+        let mut merged = RunningStats::new();
+        for &s in &live {
+            merged.merge(&stats_of(&idx, s).unwrap());
+        }
+        let got = stats_of(&idx, quad).expect("pulled up");
+        assert_eq!(got.sum().to_bits(), merged.sum().to_bits());
+        assert_eq!(got, merged);
+        // ... and the pull-up stopped there: the cell has other quadrants
+        // that are not exact.
+        assert_eq!(stats_of(&idx, cell), None);
+        idx.validate_invariants().unwrap();
+        // Once they are, it reaches the cell.
+        for &q in idx.tile(cell).children().to_vec().iter().skip(1) {
+            if idx.tile(q).object_count() > 0 {
+                let (stats, rows) = exact_of(&idx, q);
+                idx.install_exact(q, &[2], vec![stats], rows);
+            }
+        }
+        assert_eq!(stats_of(&idx, cell).unwrap().count(), 5);
+        idx.validate_invariants().unwrap();
+    }
+
+    #[test]
+    fn invariants_catch_a_stale_count_link_or_exact_claim() {
+        let (idx, cell, quad, subs) = twice_split();
+        let mut broken = idx.clone();
+        if let TileState::Inner { count, .. } = &mut broken.tiles[quad.index()].state {
+            *count += 1;
+        }
+        let err = broken.validate_invariants().unwrap_err().to_string();
+        assert!(err.contains("counts"), "{err}");
+
+        let mut broken = idx.clone();
+        broken.tiles[subs[0].index()].parent = Some(cell);
+        let err = broken.validate_invariants().unwrap_err().to_string();
+        assert!(err.contains("links to parent"), "{err}");
+
+        let mut broken = idx.clone();
+        broken.tiles[quad.index()]
+            .meta
+            .set(2, AttrMeta::exact_from_values(&[1.0]));
+        let err = broken.validate_invariants().unwrap_err().to_string();
+        assert!(err.contains("exact metadata"), "{err}");
     }
 
     #[test]

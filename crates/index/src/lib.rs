@@ -14,6 +14,12 @@
 //!   global column range — enough for the AQP confidence intervals of
 //!   `pai-core`).
 //!
+//! A split tile stays in the hierarchy as an inner tile that keeps answering
+//! for its subtree — its object count and its metadata stay true for
+//! everything below it — so classifying a window ([`ValinorIndex::classify`])
+//! stops at the highest tile the window covers instead of visiting its
+//! leaves.
+//!
 //! The index starts as a "crude" uniform grid ([`init`]) and refines itself
 //! query by query ([`adapt`]): partially-contained tiles are split, their
 //! objects reorganized, and metadata computed for the new subtiles. The

@@ -130,9 +130,9 @@ fn describe(index: &ValinorIndex, id: TileId, depth: usize, out: &mut String) {
                 meta_str
             ));
         }
-        TileState::Inner { children } => {
+        TileState::Inner { children, count } => {
             out.push_str(&format!(
-                "{indent}node {} rect {} children {}\n",
+                "{indent}node {} rect {} children {} objects {count} meta [{meta_str}]\n",
                 id.0,
                 tile.rect,
                 children.len()

@@ -1,11 +1,15 @@
 //! Tiles and the tile arena.
 //!
 //! Tiles live in a flat arena (`Vec<Tile>`) addressed by [`TileId`]; the
-//! hierarchy is encoded by [`TileState::Inner`] holding child ids. Splitting
-//! never removes tiles — a split leaf becomes an inner node and its entries
-//! move into fresh child leaves — so `TileId`s stay valid for the lifetime
-//! of the index, which keeps classification results usable across the
-//! adaptation steps of a single query.
+//! hierarchy is encoded by [`TileState::Inner`] holding child ids and by each
+//! tile's [`Tile::parent`] link. Splitting never removes tiles — a split leaf
+//! becomes an inner node and its entries move into fresh child leaves — so
+//! `TileId`s stay valid for the lifetime of the index, which keeps
+//! classification results usable across the adaptation steps of a single
+//! query. An inner tile keeps answering for its subtree: it stores the
+//! subtree's object count, and its metadata stays true for every object
+//! below it (see `docs/ARCHITECTURE.md`, "Classification and the metadata
+//! hierarchy").
 
 use pai_common::geometry::Rect;
 use pai_common::RowLocator;
@@ -29,8 +33,9 @@ impl TileId {
 pub enum TileState {
     /// A leaf holding object entries.
     Leaf { entries: Vec<ObjectEntry> },
-    /// An inner node; its area is exactly partitioned by `children`.
-    Inner { children: Vec<TileId> },
+    /// An inner node; its area is exactly partitioned by `children`, and
+    /// `count` is the number of objects in the leaves below it.
+    Inner { children: Vec<TileId>, count: u64 },
 }
 
 /// One tile of the index.
@@ -41,6 +46,8 @@ pub struct Tile {
     pub meta: TileMetadata,
     /// Nesting depth: 0 for the initial grid tiles.
     pub depth: u16,
+    /// The tile this one was split out of; `None` for the initial grid tiles.
+    pub parent: Option<TileId>,
 }
 
 impl Tile {
@@ -53,6 +60,7 @@ impl Tile {
             },
             meta: TileMetadata::new(n_columns),
             depth,
+            parent: None,
         }
     }
 
@@ -68,15 +76,19 @@ impl Tile {
         }
     }
 
-    /// Number of objects in this leaf (0 for inner tiles).
+    /// Number of objects in this tile: a leaf's entries, or every object in
+    /// the leaves below an inner tile.
     pub fn object_count(&self) -> u64 {
-        self.entries().len() as u64
+        match &self.state {
+            TileState::Leaf { entries } => entries.len() as u64,
+            TileState::Inner { count, .. } => *count,
+        }
     }
 
     /// Children of an inner tile; empty slice for leaves.
     pub fn children(&self) -> &[TileId] {
         match &self.state {
-            TileState::Inner { children } => children,
+            TileState::Inner { children, .. } => children,
             TileState::Leaf { .. } => &[],
         }
     }
@@ -140,12 +152,15 @@ mod tests {
             rect: Rect::new(0.0, 1.0, 0.0, 1.0),
             state: TileState::Inner {
                 children: vec![TileId(1), TileId(2)],
+                count: 7,
             },
             meta: TileMetadata::new(2),
             depth: 0,
+            parent: None,
         };
         assert!(!t.is_leaf());
-        assert_eq!(t.object_count(), 0);
+        assert!(t.entries().is_empty());
+        assert_eq!(t.object_count(), 7, "an inner tile counts its subtree");
         assert_eq!(t.children(), &[TileId(1), TileId(2)]);
     }
 

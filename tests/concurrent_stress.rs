@@ -720,6 +720,9 @@ fn ingest_while_explore_race_stays_sound_over_one_shared_cache() {
             "final sum {got} drifted from {sum}"
         );
     }
+    // Counts, parent links and every exact claim up the hierarchy survived
+    // the race and the quiesced enrichments.
+    shared.with_index(|idx| idx.validate_invariants().unwrap());
     assert!(
         shared.file().counters().cache_hits() > 0,
         "the shared cache actually served spans"

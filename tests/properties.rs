@@ -158,6 +158,142 @@ proptest! {
     }
 }
 
+/// One step of a session that explores and ingests.
+#[derive(Debug, Clone)]
+enum Step {
+    Approx(Rect, f64),
+    Exact(Rect),
+    Ingest(Vec<(f64, f64, f64, f64)>),
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (
+            window_strategy(),
+            prop_oneof![Just(0.05), Just(0.01), Just(0.0)]
+        )
+            .prop_map(|(w, phi)| Step::Approx(w, phi)),
+        window_strategy().prop_map(Step::Exact),
+        prop::collection::vec(
+            (
+                0.0f64..1000.0,
+                0.0f64..1000.0,
+                -100.0f64..100.0,
+                0.0f64..50.0
+            ),
+            1..40
+        )
+        .prop_map(Step::Ingest),
+    ]
+}
+
+/// The window's selected count the way a leaf-only classification takes it:
+/// every overlapping leaf, whole when covered, entry by entry when not.
+fn leafwise_selected(index: &ValinorIndex, window: &Rect) -> u64 {
+    index
+        .leaves_overlapping(window)
+        .into_iter()
+        .map(|id| {
+            let tile = index.tile(id);
+            if window.contains_rect(&tile.rect) {
+                tile.object_count()
+            } else {
+                tile.selected_count(window)
+            }
+        })
+        .sum()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The metadata hierarchy under every interleaving a single owner can
+    /// produce: approximate queries, exact-engine queries and ingest
+    /// batches in random order over one index. After every step the
+    /// structural invariants hold — inner counts, parent links, every exact
+    /// claim on a leaf or an inner tile accounting for exactly the objects
+    /// below it — every CI contains the truth of the rows ingested so far,
+    /// φ = 0 equals it, and the hierarchical classification counts what a
+    /// leaf-by-leaf one does.
+    #[test]
+    fn prop_inner_metadata_stays_true_under_queries_and_ingest(
+        steps in prop::collection::vec(step_strategy(), 1..10),
+        seed in 0u64..3,
+        metadata in prop_oneof![Just(MetadataPolicy::AllNumeric), Just(MetadataPolicy::None)],
+    ) {
+        let (base, spec) = fixture(seed);
+        let file = pai_storage::AppendableFile::with_base_rows(base, spec.rows).unwrap();
+        let init = InitConfig {
+            grid: GridSpec::Fixed { nx: 3, ny: 3 },
+            domain: Some(spec.domain),
+            metadata,
+        };
+        let mut index = build(&file, &init).unwrap().0;
+        let config = EngineConfig {
+            adapt: AdaptConfig { min_split_objects: 4, ..Default::default() },
+            ..EngineConfig::paper_evaluation()
+        };
+        let aggs = [
+            AggregateFunction::Count,
+            AggregateFunction::Sum(2),
+            AggregateFunction::Mean(2),
+            AggregateFunction::Min(3),
+            AggregateFunction::Max(3),
+        ];
+        let mut ingested = 0u64;
+        for (i, step) in steps.iter().enumerate() {
+            let probe = match step {
+                Step::Approx(window, phi) => {
+                    let mut engine = ApproximateEngine::new(index, &file, config.clone()).unwrap();
+                    let res = engine.evaluate(window, &aggs, *phi).unwrap();
+                    index = engine.into_index();
+                    prop_assert!(res.met_constraint, "step {i}");
+                    let report = verify_against_truth(
+                        &file, window, &aggs, &res, NormalizationMode::Estimate,
+                    ).unwrap();
+                    prop_assert!(report.all_ok(), "step {i} {step:?}: {report:?}");
+                    if *phi == 0.0 {
+                        prop_assert!(report.max_realized_error() <= 1e-9, "step {i}: {report:?}");
+                    }
+                    *window
+                }
+                Step::Exact(window) => {
+                    let mut engine = ExactEngine::new(index, &file, config.adapt.clone()).unwrap();
+                    let res = engine
+                        .evaluate(window, &[AggregateFunction::Count, AggregateFunction::Sum(2)])
+                        .unwrap();
+                    index = engine.into_index();
+                    let truth = &window_truth(&file, window, &[2]).unwrap()[0];
+                    prop_assert_eq!(res.values[0], AggregateValue::Count(truth.selected));
+                    let sum = res.values[1].as_f64().unwrap();
+                    prop_assert!(
+                        (sum - truth.stats.sum()).abs() < 1e-6 * (1.0 + sum.abs()),
+                        "step {i} {step:?}: {sum} vs {}", truth.stats.sum()
+                    );
+                    *window
+                }
+                Step::Ingest(rows) => {
+                    let rows: Vec<Vec<f64>> =
+                        rows.iter().map(|&(x, y, a, b)| vec![x, y, a, b]).collect();
+                    let receipt = file.append_rows(&rows).unwrap();
+                    index.ingest_rows(&rows, &receipt.locators).unwrap();
+                    ingested += rows.len() as u64;
+                    spec.domain
+                }
+            };
+            if let Err(e) = index.validate_invariants() {
+                panic!("step {i} {step:?}: {e}");
+            }
+            prop_assert_eq!(
+                index.classify(&probe).selected_total,
+                leafwise_selected(&index, &probe),
+                "step {i}"
+            );
+        }
+        prop_assert_eq!(index.total_objects(), spec.rows + ingested);
+    }
+}
+
 /// Coordinate values biased toward the edge cases that break pruning and
 /// histogram math: NaN, signed zero, exact boundary magnitudes, plus a
 /// continuous range.
