@@ -36,13 +36,12 @@
 //! The raw file itself needs no locking: [`RawFile`] implementations open
 //! independent handles per batch and their meters are atomic.
 
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use pai_common::geometry::Rect;
-use pai_common::{AggregateFunction, Result, RunningStats};
-use pai_index::eval::{query_attrs, QueryStats};
-use pai_index::{apply_enrich, apply_plan, still_applies, TileId, ValinorIndex};
+use pai_common::{AggregateFunction, Result};
+use pai_index::eval::{query_attrs, QueryStats, StageClock, StageTimes};
+use pai_index::{apply_enrich, apply_plan, still_applies, ValinorIndex};
 use pai_storage::raw::{AppendReceipt, RawFile};
 use parking_lot::RwLock;
 
@@ -51,7 +50,7 @@ use crate::engine::{
     assess, candidate_views, estimate_readonly, evaluate_on, fetch_plans_each, plan_candidate,
     synopsis_hit, ApproxResult, BatchPlan,
 };
-use crate::state::QueryState;
+use crate::state::{QueryState, ResolvedTiles};
 
 /// A thread-safe wrapper around one index + raw file + engine config.
 pub struct SharedIndex<F: RawFile> {
@@ -159,7 +158,8 @@ impl<F: RawFile> SharedIndex<F> {
         phi: f64,
     ) -> Result<ApproxResult> {
         validate_phi(phi)?;
-        let t0 = Instant::now();
+        let mut clock = StageClock::start();
+        let mut stages = StageTimes::default();
         let io0 = self.file.counters().snapshot();
         let attrs = query_attrs(self.file.schema(), aggs)?;
         let config = &self.config;
@@ -186,7 +186,8 @@ impl<F: RawFile> SharedIndex<F> {
                 let index = self.index.read();
                 lock_wait += lw.elapsed();
                 let classification = index.classify(window);
-                if let Some(hit) = synopsis_hit(
+                stages.classify += clock.lap();
+                let hit = synopsis_hit(
                     &index,
                     &self.file,
                     config,
@@ -195,13 +196,16 @@ impl<F: RawFile> SharedIndex<F> {
                     aggs,
                     classification.selected_total,
                     phi,
-                ) {
+                );
+                stages.assess += clock.lap();
+                if let Some(hit) = hit {
                     let stats = QueryStats {
                         selected: classification.selected_total,
                         tiles_full: classification.full.len(),
                         tiles_partial: classification.partial.len(),
                         io: self.file.counters().snapshot().since(&io0),
-                        elapsed: t0.elapsed(),
+                        elapsed: clock.elapsed(),
+                        stages,
                         lock_wait,
                         ..Default::default()
                     };
@@ -210,10 +214,11 @@ impl<F: RawFile> SharedIndex<F> {
             }
         }
         // In-window stats of partial tiles this query already processed,
-        // keyed by tile. Rebuilding the state from a fresh snapshot each
-        // round folds these instead of re-reading (tile ids are never
-        // reused, so stale keys are merely ignored).
-        let mut resolved: HashMap<TileId, Vec<RunningStats>> = HashMap::new();
+        // keyed by tile, each with the object count it was computed over.
+        // Rebuilding the state from a fresh snapshot each round folds these
+        // instead of re-reading, for as long as the tile still selects that
+        // many (tile ids are never reused, so stale keys are merely ignored).
+        let mut resolved = ResolvedTiles::new();
         // Every fetch of the query lands in the same buffers.
         let mut fetched = Vec::new();
         let mut step = 0usize;
@@ -240,7 +245,9 @@ impl<F: RawFile> SharedIndex<F> {
                 &attrs,
                 &resolved,
             )?;
+            stages.classify += clock.lap();
             let (estimates, bound) = assess(config, aggs, &state);
+            stages.assess += clock.lap();
             if state.candidates.is_empty() || bound <= phi {
                 let met_constraint = bound <= phi;
                 let (values, cis) = estimates.into_iter().map(|e| (e.value, e.ci)).unzip();
@@ -252,7 +259,8 @@ impl<F: RawFile> SharedIndex<F> {
                     tiles_split,
                     tiles_enriched,
                     io: self.file.counters().snapshot().since(&io0),
-                    elapsed: t0.elapsed(),
+                    elapsed: clock.elapsed(),
+                    stages,
                     lock_wait,
                     plan_conflicts,
                 };
@@ -276,6 +284,7 @@ impl<F: RawFile> SharedIndex<F> {
                 .map(|&p| plan_candidate(&index, &state.candidates[p], window, &attrs, config))
                 .collect::<Result<_>>()?;
             drop(index);
+            stages.plan += clock.lap();
 
             // ---- Stages 2 + 3, overlapped: fetch with no lock held, apply
             // each plan under its own short write lock as its fetch unit
@@ -290,6 +299,7 @@ impl<F: RawFile> SharedIndex<F> {
             let file = &self.file;
             fetch_plans_each(file, &plans, window, config, &mut fetched, |i, values| {
                 let plan = &plans[i];
+                stages.fetch += clock.lap();
                 let lw = Instant::now();
                 let mut index = self.index.write();
                 lock_wait += lw.elapsed();
@@ -298,7 +308,7 @@ impl<F: RawFile> SharedIndex<F> {
                         BatchPlan::Partial(p) => {
                             let out = apply_plan(&mut index, p, window, &config.adapt, values)?;
                             tiles_split += usize::from(out.did_split);
-                            resolved.insert(p.tile, out.in_window);
+                            resolved.insert(p.tile, (p.selected, out.in_window));
                             tiles_processed += 1;
                         }
                         BatchPlan::Enrich(p) => {
@@ -316,6 +326,8 @@ impl<F: RawFile> SharedIndex<F> {
                     // bounded by one batch per losing writer.
                     plan_conflicts += 1;
                 }
+                drop(index);
+                stages.apply += clock.lap();
                 step += 1;
                 Ok(())
             })?;

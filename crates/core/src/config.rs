@@ -73,11 +73,6 @@ pub struct EngineConfig {
     /// still re-checks the accuracy stop rule after every tile, so answers
     /// and confidence intervals are identical to the sequential loop.
     pub adapt_batch: usize,
-    /// Threads the batched fetch may shard a large locator batch across
-    /// (`std::thread::scope`). `1` (the default) keeps the one-call
-    /// guarantee that the equivalence tests gate on; raise it to trade
-    /// call count for wall-clock on high-latency backends.
-    pub fetch_parallelism: usize,
     /// Overlap the fetch and apply stages: with `> 1`, a batch's fetch
     /// units (one coalesced call per distinct attribute set) are issued by
     /// a producer thread and streamed into the apply stage as they
@@ -118,7 +113,6 @@ impl Default for EngineConfig {
             assume_non_null: true,
             eager: EagerRefinement::Off,
             adapt_batch: 1,
-            fetch_parallelism: 1,
             fetch_workers: 1,
             cache: None,
             synopsis: false,
@@ -169,11 +163,6 @@ impl EngineConfig {
         if self.adapt_batch == 0 {
             return Err(PaiError::config(
                 "adapt_batch must be >= 1 (1 = sequential tile-at-a-time)",
-            ));
-        }
-        if self.fetch_parallelism == 0 {
-            return Err(PaiError::config(
-                "fetch_parallelism must be >= 1 (1 = single batched call)",
             ));
         }
         if self.fetch_workers == 0 {
@@ -231,18 +220,12 @@ mod tests {
         };
         assert!(cfg.validate().is_err());
         let cfg = EngineConfig {
-            fetch_parallelism: 0,
-            ..Default::default()
-        };
-        assert!(cfg.validate().is_err());
-        let cfg = EngineConfig {
             fetch_workers: 0,
             ..Default::default()
         };
         assert!(cfg.validate().is_err());
         let cfg = EngineConfig {
             adapt_batch: 8,
-            fetch_parallelism: 4,
             fetch_workers: 8,
             ..Default::default()
         };

@@ -22,7 +22,7 @@ use pai_common::geometry::Rect;
 use pai_common::{
     AggregateFunction, AggregateValue, AttrId, Interval, PaiError, Result, RowLocator,
 };
-use pai_index::eval::{query_attrs, QueryStats};
+use pai_index::eval::{query_attrs, QueryStats, StageClock};
 use pai_index::{
     apply_enrich, apply_plan, fetch_window, plan_enrich, plan_tile, EnrichPlan, ReadPolicy, TileId,
     TilePlan, ValinorIndex,
@@ -163,6 +163,16 @@ enum StopRule {
     IoBudget { remaining: u64 },
 }
 
+impl StopRule {
+    /// Whether a bound this low ends the loop.
+    fn met(&self, bound: f64) -> bool {
+        match *self {
+            StopRule::Accuracy { phi } => bound <= phi,
+            StopRule::IoBudget { .. } => bound <= 0.0,
+        }
+    }
+}
+
 /// The shared per-query evaluation context: everything the loop needs,
 /// borrowed from whichever owner (engine or shared index) drives it.
 struct EvalCtx<'a> {
@@ -179,17 +189,24 @@ impl EvalCtx<'_> {
         mut stop: StopRule,
         mut trace: Option<&mut Vec<ProgressStep>>,
     ) -> Result<ApproxResult> {
-        let t0 = Instant::now();
+        let mut clock = StageClock::start();
         let io0 = self.file.counters().snapshot();
         let attrs = query_attrs(self.index.schema(), aggs)?;
 
         let classification = self.index.classify(window);
+        let mut stats = QueryStats {
+            selected: classification.selected_total,
+            tiles_full: classification.full.len(),
+            tiles_partial: classification.partial.len(),
+            ..Default::default()
+        };
 
         // Synopsis-first: before any fetch is planned, try to answer the
         // query from the backend's per-block synopses. Even on a miss the
         // pass seeds global attribute bounds for metadata-free cold starts,
         // which must happen before candidates capture their metadata view.
         if self.config.synopsis {
+            stats.stages.classify += clock.lap();
             if let Some(blocks) = self.file.block_synopses() {
                 crate::synopsis::seed_missing_global_bounds(self.index, blocks, &attrs);
                 if let StopRule::Accuracy { phi } = stop {
@@ -203,14 +220,9 @@ impl EvalCtx<'_> {
                         classification.selected_total,
                         phi,
                     ) {
-                        let mut stats = QueryStats {
-                            selected: classification.selected_total,
-                            tiles_full: classification.full.len(),
-                            tiles_partial: classification.partial.len(),
-                            ..Default::default()
-                        };
                         stats.io = self.file.counters().snapshot().since(&io0);
-                        stats.elapsed = t0.elapsed();
+                        stats.stages.assess += clock.lap();
+                        stats.elapsed = clock.elapsed();
                         if let Some(t) = trace.as_deref_mut() {
                             t.push(ProgressStep {
                                 tiles_processed: 0,
@@ -226,15 +238,12 @@ impl EvalCtx<'_> {
                     }
                 }
             }
+            // A pass that missed was still an attempt at the answer.
+            stats.stages.assess += clock.lap();
         }
 
         let mut state = QueryState::from_classification(self.index, &classification, &attrs)?;
-        let mut stats = QueryStats {
-            selected: classification.selected_total,
-            tiles_full: classification.full.len(),
-            tiles_partial: classification.partial.len(),
-            ..Default::default()
-        };
+        stats.stages.classify += clock.lap();
 
         // The partial-adaptation loop, pipelined per iteration as
         // plan (pure) → coalesced fetch → apply + re-check. Every fetch of
@@ -251,16 +260,14 @@ impl EvalCtx<'_> {
             });
         }
         'outer: loop {
-            if state.candidates.is_empty() {
+            if state.candidates.is_empty() || stop.met(bound) {
                 break;
             }
+            stats.stages.assess += clock.lap();
             // Stage 1 — plan: select the batch the sequential loop would
             // process next and compute each tile's pure refinement plan.
             let picks = match stop {
-                StopRule::Accuracy { phi } => {
-                    if bound <= phi {
-                        break;
-                    }
+                StopRule::Accuracy { .. } => {
                     let (index, config) = (&*self.index, self.config);
                     config.policy.pick_batch(
                         state.candidates.len(),
@@ -270,9 +277,6 @@ impl EvalCtx<'_> {
                     )
                 }
                 StopRule::IoBudget { ref mut remaining } => {
-                    if bound <= 0.0 {
-                        break;
-                    }
                     // Costs must be re-checked against the shrinking budget
                     // per tile, so budgeted evaluation stays tile-at-a-time.
                     // Among candidates that fit the budget, let the policy
@@ -303,6 +307,7 @@ impl EvalCtx<'_> {
                     )
                 })
                 .collect::<Result<_>>()?;
+            stats.stages.plan += clock.lap();
 
             // Stage 2 + 3 — fetch and apply, overlapped when configured:
             // the batch's fetch units (one coalesced read per distinct
@@ -320,7 +325,11 @@ impl EvalCtx<'_> {
                 if stopped {
                     return Ok(());
                 }
+                // Since the last lap this thread fetched, or waited for the
+                // fetchers.
+                stats.stages.fetch += clock.lap();
                 self.apply_one(&mut state, &plans[i], values, window, &mut stats)?;
+                stats.stages.apply += clock.lap();
                 step += 1;
                 (estimates, bound) = assess(self.config, aggs, &state);
                 if let Some(t) = trace.as_deref_mut() {
@@ -352,21 +361,13 @@ impl EvalCtx<'_> {
                         synopsis_bytes: io.synopsis_bytes,
                     });
                 }
-                match stop {
-                    StopRule::Accuracy { phi } => {
-                        if bound <= phi {
-                            stopped = true;
-                        }
-                    }
-                    StopRule::IoBudget { .. } => {
-                        if bound <= 0.0 {
-                            stopped = true;
-                        }
-                    }
-                }
+                stopped = stop.met(bound);
+                stats.stages.assess += clock.lap();
                 Ok(())
             })?;
             if stopped {
+                // Fetches the stop rule left unapplied still ran to their end.
+                stats.stages.fetch += clock.lap();
                 break 'outer;
             }
         }
@@ -382,7 +383,19 @@ impl EvalCtx<'_> {
                 let all: Vec<usize> = (0..state.candidates.len()).collect();
                 let views = candidate_views(self.index, self.config, aggs, &state, &all);
                 let pick = self.config.policy.pick(&views, step);
-                self.process_candidate(&mut state, pick, window, &attrs, &mut fetched, &mut stats)?;
+                // One more tile, as a batch of one: its contribution
+                // becomes exact and the index keeps what was learned.
+                let cand = &state.candidates[pick];
+                let plan = plan_candidate(self.index, cand, window, &attrs, self.config)?;
+                stats.stages.plan += clock.lap();
+                let (file, config) = (self.file, self.config);
+                let plans = std::slice::from_ref(&plan);
+                fetch_plans_each(file, plans, window, config, &mut fetched, |_, values| {
+                    stats.stages.fetch += clock.lap();
+                    self.apply_one(&mut state, &plan, values, window, &mut stats)?;
+                    stats.stages.apply += clock.lap();
+                    Ok(())
+                })?;
                 step += 1;
                 done += 1;
             }
@@ -392,7 +405,8 @@ impl EvalCtx<'_> {
         }
 
         stats.io = self.file.counters().snapshot().since(&io0);
-        stats.elapsed = t0.elapsed();
+        stats.stages.assess += clock.lap();
+        stats.elapsed = clock.elapsed();
         let (values, cis) = estimates.into_iter().map(|e| (e.value, e.ci)).unzip();
         Ok(ApproxResult {
             values,
@@ -401,34 +415,6 @@ impl EvalCtx<'_> {
             phi,
             met_constraint,
             stats,
-        })
-    }
-
-    /// Processes candidate `pick` as a one-tile batch: partial tiles go
-    /// through the paper's `process(t)` (plan + read + split + reorganize +
-    /// metadata); full-but-bounded tiles get an enrichment read. Either way
-    /// the candidate's contribution becomes exact. Used by the sequential
-    /// paths (eager refinement) that pick one tile at a time.
-    fn process_candidate(
-        &mut self,
-        state: &mut QueryState,
-        pick: usize,
-        window: &Rect,
-        attrs: &[usize],
-        fetched: &mut Vec<RowBatch>,
-        stats: &mut QueryStats,
-    ) -> Result<()> {
-        let plan = plan_candidate(
-            self.index,
-            &state.candidates[pick],
-            window,
-            attrs,
-            self.config,
-        )?;
-        let (file, config) = (self.file, self.config);
-        let plans = std::slice::from_ref(&plan);
-        fetch_plans_each(file, plans, window, config, fetched, |_, values| {
-            self.apply_one(state, &plan, values, window, stats)
         })
     }
 
@@ -612,7 +598,7 @@ pub(crate) fn fetch_plans_each(
     let fetch = |u: usize, out: &mut RowBatch| {
         let (attrs, members) = &units[u];
         let locs: Vec<&[RowLocator]> = members.iter().map(|&i| plans[i].locators()).collect();
-        read_row_groups(file, &locs, attrs, pushdown, config.fetch_parallelism, out)
+        read_row_groups(file, &locs, attrs, pushdown, out)
     };
     let workers = config.fetch_workers.min(units.len());
     if workers <= 1 {

@@ -69,6 +69,11 @@ impl Candidate {
     }
 }
 
+/// Partial tiles one query has already processed: per tile, how many objects
+/// its plan selected and their exact in-window statistics, one per query
+/// attribute.
+pub(crate) type ResolvedTiles = std::collections::HashMap<TileId, (u64, Vec<RunningStats>)>;
+
 /// The evolving state of one approximate query evaluation.
 #[derive(Debug, Clone)]
 pub struct QueryState {
@@ -104,12 +109,17 @@ impl QueryState {
     /// (`crate::concurrent::SharedIndex`): an evaluation that rebuilds its
     /// state from a fresh index snapshot each round must not re-read tiles
     /// it already processed — values in the raw file are immutable, so the
-    /// remembered stats stay exact forever.
+    /// remembered stats stay exact for the objects they were computed over.
+    /// Those are the tile's in-window objects *as planned*: each entry of
+    /// `resolved` carries that count, and folds only while the fresh
+    /// classification still selects as many. A tile an ingest has grown
+    /// inside the window since is a candidate again — its count would
+    /// otherwise include a row its sums do not.
     pub(crate) fn from_classification_resolved(
         index: &ValinorIndex,
         classification: &Classification,
         attrs: &[AttrId],
-        resolved: &std::collections::HashMap<TileId, Vec<RunningStats>>,
+        resolved: &ResolvedTiles,
     ) -> Result<QueryState> {
         let mut state = QueryState {
             attrs: attrs.to_vec(),
@@ -140,7 +150,7 @@ impl QueryState {
         }
 
         for pt in &classification.partial {
-            if let Some(stats) = resolved.get(&pt.tile) {
+            if let Some((_, stats)) = resolved.get(&pt.tile).filter(|r| r.0 == pt.selected) {
                 debug_assert_eq!(stats.len(), attrs.len());
                 for (acc, s) in state.exact.iter_mut().zip(stats) {
                     acc.merge(s);
@@ -318,6 +328,34 @@ mod tests {
         assert_eq!((state.exact[0].sum(), state.selected_total), (60.0, 3));
         let (_, counting) = classify_and_build(&index, &window, &[]).unwrap();
         assert_eq!(counting.full_exact_tiles, 2);
+    }
+
+    #[test]
+    fn remembered_stats_fold_only_while_the_tile_selects_as_many_objects() {
+        let (index, state) = test_state(true);
+        let classification = index.classify(&Rect::new(0.0, 12.0, 0.0, 12.0));
+        let tile = state.candidates[0].tile;
+        let stats = vec![RunningStats::from_values(&[20.0, 30.0])];
+        let build = |remembered: u64| {
+            let resolved = ResolvedTiles::from([(tile, (remembered, stats.clone()))]);
+            QueryState::from_classification_resolved(&index, &classification, &[2], &resolved)
+                .unwrap()
+        };
+        // Remembered over the two objects the window still selects: folded.
+        let same = build(2);
+        assert!(same.fully_resolved());
+        assert_eq!((same.exact[0].sum(), same.exact[0].count()), (60.0, 3));
+        // Remembered over one: the tile has grown inside the window since
+        // (an ingest between two rounds), and answering from the remembered
+        // sums would count an object they do not hold.
+        let grown = build(1);
+        assert_eq!(grown.candidates.len(), 1);
+        assert_eq!(
+            (grown.candidates[0].tile, grown.candidates[0].selected),
+            (tile, 2)
+        );
+        assert_eq!((grown.exact[0].sum(), grown.exact[0].count()), (10.0, 1));
+        assert_eq!(grown.selected_total, same.selected_total);
     }
 
     #[test]

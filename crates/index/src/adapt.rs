@@ -13,7 +13,7 @@
 //!    Plans from several tiles can be fetched together in one batched read
 //!    (`pai_storage::batch`), and planning never blocks concurrent readers.
 //! 2. The caller fetches the plan's `locators`/`read_attrs` however it likes
-//!    (single call, cross-tile batch, sharded threads).
+//!    (single call, cross-tile batch).
 //! 3. [`apply_plan`] — installs the split, reorganized entries, and subtile
 //!    metadata, returning the [`ProcessOutcome`] with the *exact* in-window
 //!    statistics so the engine can swap this tile's contribution from a
@@ -36,6 +36,7 @@ use pai_storage::batch::{read_row_groups, RowBatch};
 use pai_storage::raw::RawFile;
 
 use crate::config::{AdaptConfig, ReadPolicy};
+use crate::eval::{StageClock, StageTimes};
 use crate::index::ValinorIndex;
 use crate::metadata::AttrMeta;
 use crate::tile::TileId;
@@ -200,25 +201,22 @@ pub fn plan_tile(
     let entries = tile.entries().to_vec();
 
     let read_attrs = cfg.enrich.resolve(attrs);
-    let in_window: Vec<bool> = entries.iter().map(|e| e.in_window(query)).collect();
-    let selected = in_window.iter().filter(|&&b| b).count() as u64;
-
-    // Which objects to read from the file, remembering each locator's
-    // entry so fetched rows align back positionally.
-    let (locators, entry_of): (Vec<RowLocator>, Vec<u32>) = match cfg.read {
-        ReadPolicy::WindowOnly => entries
-            .iter()
-            .enumerate()
-            .zip(&in_window)
-            .filter(|&(_, &sel)| sel)
-            .map(|((i, e), _)| (e.locator, i as u32))
-            .unzip(),
-        ReadPolicy::FullTile => entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.locator, i as u32))
-            .unzip(),
-    };
+    // One walk over the entries: window membership, and which objects to
+    // read from the file, remembering each locator's entry so fetched rows
+    // align back positionally.
+    let whole_tile = cfg.read == ReadPolicy::FullTile;
+    let mut in_window = Vec::with_capacity(entries.len());
+    let (mut locators, mut entry_of) = (Vec::new(), Vec::new());
+    let mut selected = 0u64;
+    for (i, e) in entries.iter().enumerate() {
+        let sel = e.in_window(query);
+        in_window.push(sel);
+        selected += u64::from(sel);
+        if sel || whole_tile {
+            locators.push(e.locator);
+            entry_of.push(i as u32);
+        }
+    }
     let attr_pos: Vec<usize> = attrs
         .iter()
         .map(|a| {
@@ -378,7 +376,25 @@ pub fn process_tile(
     attrs: &[AttrId],
     cfg: &AdaptConfig,
 ) -> Result<ProcessOutcome> {
+    let (stages, clock) = (&mut StageTimes::default(), &mut StageClock::start());
+    process_tile_timed(index, file, tile_id, query, attrs, cfg, stages, clock)
+}
+
+/// [`process_tile`], charging its three stages to `stages` as `clock` reads
+/// them.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn process_tile_timed(
+    index: &mut ValinorIndex,
+    file: &dyn RawFile,
+    tile_id: TileId,
+    query: &Rect,
+    attrs: &[AttrId],
+    cfg: &AdaptConfig,
+    stages: &mut StageTimes,
+    clock: &mut StageClock,
+) -> Result<ProcessOutcome> {
     let plan = plan_tile(index, tile_id, query, attrs, cfg)?;
+    stages.plan += clock.lap();
     let mut values = RowBatch::default();
     // With no attributes to read (COUNT-only) this touches no file.
     let window = fetch_window(cfg, query);
@@ -387,10 +403,12 @@ pub fn process_tile(
         &[&plan.locators],
         &plan.read_attrs,
         window,
-        1,
         &mut values,
     )?;
-    apply_plan(index, &plan, query, cfg, values.values())
+    stages.fetch += clock.lap();
+    let out = apply_plan(index, &plan, query, cfg, values.values());
+    stages.apply += clock.lap();
+    out
 }
 
 /// Where one query attribute's exact statistics come from when an
@@ -539,12 +557,30 @@ pub fn enrich_tile(
     tile_id: TileId,
     attrs: &[AttrId],
 ) -> Result<u64> {
+    let (stages, clock) = (&mut StageTimes::default(), &mut StageClock::start());
+    enrich_tile_timed(index, file, tile_id, attrs, stages, clock)
+}
+
+/// [`enrich_tile`], charging its three stages to `stages` as `clock` reads
+/// them.
+pub(crate) fn enrich_tile_timed(
+    index: &mut ValinorIndex,
+    file: &dyn RawFile,
+    tile_id: TileId,
+    attrs: &[AttrId],
+    stages: &mut StageTimes,
+    clock: &mut StageClock,
+) -> Result<u64> {
     let plan = plan_enrich(index, tile_id, attrs)?;
+    stages.plan += clock.lap();
     if plan.read_attrs.is_empty() {
         return Ok(0);
     }
     let values = file.read_rows(&plan.locators, &plan.read_attrs)?;
-    apply_enrich(index, &plan, values.values())
+    stages.fetch += clock.lap();
+    let read = apply_enrich(index, &plan, values.values());
+    stages.apply += clock.lap();
+    read
 }
 
 /// Test/diagnostic helper: entry counts per leaf under a rectangle.
@@ -590,7 +626,7 @@ mod tests {
     /// The plan's rows, fetched into a fresh batch.
     fn fetch(f: &dyn RawFile, plan: &TilePlan) -> RowBatch {
         let mut values = RowBatch::default();
-        read_row_groups(f, &[&plan.locators], &plan.read_attrs, None, 1, &mut values).unwrap();
+        read_row_groups(f, &[&plan.locators], &plan.read_attrs, None, &mut values).unwrap();
         values
     }
 

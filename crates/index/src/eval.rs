@@ -16,14 +16,76 @@ use pai_common::geometry::Rect;
 use pai_common::{AggregateFunction, AggregateValue, AttrId, PaiError, Result, RunningStats};
 use pai_storage::raw::RawFile;
 
-use crate::adapt::{enrich_tile, process_tile};
+use crate::adapt::{enrich_tile_timed, process_tile_timed};
 use crate::config::AdaptConfig;
 use crate::index::ValinorIndex;
+
+/// Where one query's time went, stage by stage; the stages add up to
+/// [`QueryStats::elapsed`].
+///
+/// A query that refines in rounds adds every round's share to the same five
+/// stages. Time spent waiting for an index lock sits in the stage that waited
+/// (and, on its own, in [`QueryStats::lock_wait`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageTimes {
+    /// Classifying the window's tiles and folding the covered ones' metadata
+    /// into the query's state.
+    pub classify: Duration,
+    /// Choosing the next tiles and planning their reads.
+    pub plan: Duration,
+    /// Reading the planned objects from the raw file — with an overlapped
+    /// fetch, the time the apply stage waited for them.
+    pub fetch: Duration,
+    /// Installing what was read: splits, reorganized entries, metadata.
+    pub apply: Duration,
+    /// Estimates, confidence intervals and the error bound — a synopsis pass
+    /// included — and, for the exact engine, merging the statistics.
+    pub assess: Duration,
+}
+
+impl StageTimes {
+    /// The five stages together.
+    pub fn total(&self) -> Duration {
+        self.classify + self.plan + self.fetch + self.apply + self.assess
+    }
+}
+
+/// The stopwatch behind [`StageTimes`] and [`QueryStats::elapsed`]: read at
+/// stage boundaries only, each reading is the time since the one before, so
+/// nothing between the first and the last goes uncounted.
+#[derive(Debug)]
+pub struct StageClock {
+    start: Instant,
+    last: Instant,
+}
+
+impl StageClock {
+    /// Starts the clock, and its first lap.
+    pub fn start() -> Self {
+        let start = Instant::now();
+        StageClock { start, last: start }
+    }
+
+    /// The time since the previous lap ended; a new one starts.
+    pub fn lap(&mut self) -> Duration {
+        let now = Instant::now();
+        now - std::mem::replace(&mut self.last, now)
+    }
+
+    /// From the start to the end of the last lap: the laps together.
+    pub fn elapsed(&self) -> Duration {
+        self.last - self.start
+    }
+}
 
 /// Per-query execution metrics, shared by the exact and approximate engines.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueryStats {
     pub elapsed: Duration,
+    /// `elapsed` by stage. The clock is read where one stage hands over to
+    /// the next and nowhere else: three times for an answer from metadata
+    /// alone, about four more for every tile read.
+    pub stages: StageTimes,
     /// Raw-file I/O performed by this query (counter deltas).
     pub io: IoSnapshot,
     /// Objects selected by the window (exact).
@@ -149,7 +211,7 @@ impl<'f> ExactEngine<'f> {
 
     /// Evaluates a window-aggregate query exactly, adapting the index.
     pub fn evaluate(&mut self, window: &Rect, aggs: &[AggregateFunction]) -> Result<ExactResult> {
-        let t0 = Instant::now();
+        let mut clock = StageClock::start();
         let io0 = self.file.counters().snapshot();
         let attrs = query_attrs(self.index.schema(), aggs)?;
 
@@ -170,8 +232,11 @@ impl<'f> ExactEngine<'f> {
                 .resolve_covered(tid, &attrs, &mut |id, exact| covered.push((id, exact)));
         }
         for (tid, exact) in covered {
-            if !exact && enrich_tile(&mut self.index, self.file, tid, &attrs)? > 0 {
-                stats.tiles_enriched += 1;
+            if !exact {
+                stats.stages.classify += clock.lap();
+                let (index, stages) = (&mut self.index, &mut stats.stages);
+                let read = enrich_tile_timed(index, self.file, tid, &attrs, stages, &mut clock)?;
+                stats.tiles_enriched += usize::from(read > 0);
             }
             let tile = self.index.tile(tid);
             for (i, &a) in attrs.iter().enumerate() {
@@ -184,27 +249,33 @@ impl<'f> ExactEngine<'f> {
                 merged[i].merge(s);
             }
         }
+        stats.stages.classify += clock.lap();
 
         // Partially-contained tiles: process every one (exact answering).
+        // Merging what they return is the exact engine's `assess`.
         for pt in &classification.partial {
-            let out = process_tile(
+            let out = process_tile_timed(
                 &mut self.index,
                 self.file,
                 pt.tile,
                 window,
                 &attrs,
                 &self.cfg,
+                &mut stats.stages,
+                &mut clock,
             )?;
             stats.tiles_processed += 1;
             stats.tiles_split += usize::from(out.did_split);
             for (m, s) in merged.iter_mut().zip(&out.in_window) {
                 m.merge(s);
             }
+            stats.stages.assess += clock.lap();
         }
 
         stats.io = self.file.counters().snapshot().since(&io0);
-        stats.elapsed = t0.elapsed();
         let values = finalize_aggregates(aggs, &attrs, &merged, classification.selected_total);
+        stats.stages.assess += clock.lap();
+        stats.elapsed = clock.elapsed();
         Ok(ExactResult { values, stats })
     }
 }

@@ -45,7 +45,7 @@ pub use adapt::{
 };
 pub use config::{AdaptConfig, EnrichPolicy, MetadataPolicy, ReadPolicy};
 pub use entry::ObjectEntry;
-pub use eval::{ExactEngine, ExactResult, QueryStats};
+pub use eval::{ExactEngine, ExactResult, QueryStats, StageTimes};
 pub use index::{Classification, PartialTile, ValinorIndex};
 pub use init::InitConfig;
 pub use metadata::{AttrMeta, TileMetadata};

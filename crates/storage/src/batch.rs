@@ -10,13 +10,9 @@
 //! per tile would sort and merge only its own locators; [`read_row_groups`]
 //! concatenates all groups into **one** call, so adjacent rows from
 //! *different* tiles share runs and block reads, and returns where each
-//! group's rows start — nothing is re-associated by key or re-sliced.
-//!
-//! For very large batches the flat read can optionally be sharded across
-//! threads ([`std::thread::scope`]): every [`RawFile`] serves concurrent
-//! readers (each access opens its own handle), so partitioned fetching is
-//! safe on any backend. Sharding trades one call for `parallelism`
-//! concurrent ones — wall-clock for call count — which is why it is opt-in.
+//! group's rows start — nothing is re-associated by key or re-sliced. How a
+//! backend spends the machine's threads on that one call is its own business
+//! (the CSV reader parses a long request in parts, `scan::read_rows`).
 
 use std::ops::Range;
 
@@ -83,23 +79,9 @@ impl RowBatch {
     pub fn iter(&self) -> impl Iterator<Item = &[f64]> {
         (0..self.len).map(|i| self.row(i))
     }
-
-    /// Appends the rows of `other` (same width, or this batch is empty).
-    fn append(&mut self, other: &RowBatch) {
-        debug_assert!(self.len == 0 || self.width == other.width);
-        self.width = other.width;
-        self.len += other.len;
-        self.values.extend_from_slice(&other.values);
-    }
 }
 
-/// Below this many locators per thread, sharding costs more than it saves;
-/// the fetch degrades to a single call.
-const MIN_LOCATORS_PER_THREAD: usize = 256;
-
-/// Reads several locator groups into `out` with one coalesced read (or, with
-/// `parallelism > 1` and a large enough batch, a few concurrent ones over
-/// contiguous shards).
+/// Reads several locator groups into `out` with one coalesced read.
 ///
 /// The groups' rows land back to back, each aligned with its group's
 /// locators in order — exactly what a read per group would have produced.
@@ -120,7 +102,6 @@ pub fn read_row_groups(
     groups: &[&[RowLocator]],
     attrs: &[AttrId],
     window: Option<&Rect>,
-    parallelism: usize,
     out: &mut RowBatch,
 ) -> Result<Vec<usize>> {
     let mut starts = Vec::with_capacity(groups.len() + 1);
@@ -134,48 +115,18 @@ pub fn read_row_groups(
         out.reset(0, total);
         return Ok(starts);
     }
-    read_flat(file, &groups.concat(), attrs, window, parallelism, out)?;
+    // A lone group (every tile-at-a-time read) is the request as it is.
+    let joined;
+    let locators = match groups {
+        [only] => *only,
+        _ => {
+            joined = groups.concat();
+            joined.as_slice()
+        }
+    };
+    file.read_rows_into(locators, attrs, window, out)?;
     debug_assert_eq!(out.len(), total);
     Ok(starts)
-}
-
-/// One flat batched read, optionally sharded across scoped threads.
-fn read_flat(
-    file: &dyn RawFile,
-    locators: &[RowLocator],
-    attrs: &[AttrId],
-    window: Option<&Rect>,
-    parallelism: usize,
-    out: &mut RowBatch,
-) -> Result<()> {
-    let shards = parallelism
-        .min(locators.len() / MIN_LOCATORS_PER_THREAD)
-        .max(1);
-    if shards <= 1 {
-        return file.read_rows_into(locators, attrs, window, out);
-    }
-    let chunk = locators.len().div_ceil(shards);
-    let parts: Vec<Result<RowBatch>> = std::thread::scope(|s| {
-        let handles: Vec<_> = locators
-            .chunks(chunk)
-            .map(|c| {
-                s.spawn(move || {
-                    let mut part = RowBatch::default();
-                    file.read_rows_into(c, attrs, window, &mut part)?;
-                    Ok(part)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fetch shard panicked"))
-            .collect()
-    });
-    out.reset(attrs.len(), 0);
-    for part in parts {
-        out.append(&part?);
-    }
-    Ok(())
 }
 
 /// A windowed read into a fresh batch, for the backends' tests.
@@ -210,10 +161,9 @@ mod tests {
         groups: &[&[RowLocator]],
         attrs: &[AttrId],
         window: Option<&Rect>,
-        parallelism: usize,
     ) -> (RowBatch, Vec<usize>) {
         let mut out = RowBatch::default();
-        let starts = read_row_groups(f, groups, attrs, window, parallelism, &mut out).unwrap();
+        let starts = read_row_groups(f, groups, attrs, window, &mut out).unwrap();
         (out, starts)
     }
 
@@ -225,7 +175,7 @@ mod tests {
     fn groups_come_back_aligned() {
         let f = sample(10);
         let (g1, g2) = (locs([3, 1]), locs([9, 0, 4]));
-        let (out, starts) = grouped(&f, &[&g1, &g2], &[2], None, 1);
+        let (out, starts) = grouped(&f, &[&g1, &g2], &[2], None);
         assert_eq!(starts, [0, 2, 5]);
         assert_eq!(out.values(), [30.0, 10.0, 90.0, 0.0, 40.0]);
         assert_eq!(out.rows(2..5), [90.0, 0.0, 40.0]);
@@ -239,7 +189,7 @@ mod tests {
         // contiguous run, so the batched read needs a single seek.
         let (g1, g2) = (locs(0..4), locs(4..8));
         f.counters().reset();
-        let (out, _) = grouped(&f, &[&g1, &g2], &[2], None, 1);
+        let (out, _) = grouped(&f, &[&g1, &g2], &[2], None);
         assert_eq!(out.len(), 8);
         assert_eq!(f.counters().seeks(), 1, "adjacent groups fuse into one run");
 
@@ -255,7 +205,7 @@ mod tests {
     fn an_empty_group_in_the_middle_keeps_its_place() {
         let f = sample(4);
         let (g1, none, g2) = (locs([2]), locs([]), locs([0, 3]));
-        let (out, starts) = grouped(&f, &[&none, &g1, &none, &g2, &none], &[0, 2], None, 1);
+        let (out, starts) = grouped(&f, &[&none, &g1, &none, &g2, &none], &[0, 2], None);
         assert_eq!(starts, [0, 0, 1, 1, 3, 3]);
         assert_eq!(out.width(), 2);
         assert_eq!(out.values(), [2.0, 20.0, 0.0, 0.0, 3.0, 30.0]);
@@ -272,23 +222,13 @@ mod tests {
         // A batch that held wider rows before is reshaped, not appended to.
         f.read_rows_into(&g1, &[0, 1], None, &mut out).unwrap();
         f.counters().reset();
-        let starts = read_row_groups(&f, &[&g1, &g2], &[], None, 4, &mut out).unwrap();
+        let starts = read_row_groups(&f, &[&g1, &g2], &[], None, &mut out).unwrap();
         assert_eq!(starts, [0, 3, 4]);
         assert_eq!((out.len(), out.width()), (4, 0));
         assert!(out.values().is_empty());
         assert_eq!(out.iter().count(), 4);
         assert!(out.iter().all(|row| row.is_empty()) && out.rows(3..4).is_empty());
         assert_eq!(f.counters().snapshot(), Default::default(), "no I/O");
-    }
-
-    #[test]
-    fn parallel_fetch_matches_serial() {
-        let f = sample(4096);
-        let g = locs((0..4096).rev());
-        let serial = grouped(&f, &[&g], &[0, 2], None, 1);
-        let parallel = grouped(&f, &[&g], &[0, 2], None, 4);
-        assert_eq!(serial, parallel, "sharding must not change results");
-        assert_eq!(serial.0.row(0), [4095.0, 40950.0]);
     }
 
     #[test]
@@ -299,22 +239,9 @@ mod tests {
         let f = crate::ZoneFile::from_rows_with_block(&Schema::synthetic(3), data, 4).unwrap();
         let (dead, live) = (locs(0..4), locs(20..24));
         let window = Rect::new(20.0, 24.0, 0.0, 1.0);
-        let (out, _) = grouped(&f, &[&dead, &live], &[2], Some(&window), 1);
+        let (out, _) = grouped(&f, &[&dead, &live], &[2], Some(&window));
         assert!(out.values()[..4].iter().all(|v| v.is_nan()));
         assert_eq!(out.values()[4..], [20.0, 21.0, 22.0, 23.0]);
         assert_eq!(f.counters().blocks_skipped(), 1);
-    }
-
-    #[test]
-    fn small_batches_stay_single_call() {
-        let f = sample(16);
-        let g = locs(0..16);
-        f.counters().reset();
-        grouped(&f, &[&g], &[1], None, 8);
-        assert_eq!(
-            f.counters().read_calls(),
-            1,
-            "a tiny batch is not worth sharding"
-        );
     }
 }

@@ -60,10 +60,11 @@
 //!   `Range`, keep-alive, chunk latency, fault injection);
 //! * [`batch`] — the flat [`RowBatch`] positional reads fill, and
 //!   cross-tile batched reads into it: many locator groups, one coalesced,
-//!   window-aware call (optionally sharded across threads);
+//!   window-aware call;
 //! * [`scan`] — the CSV scanner and reader: line-aligned partitions, the
 //!   block-buffered pass over them that both CSV backends' full and
-//!   partitioned scans share, and the span-coalescing positional read;
+//!   partitioned scans share, and the span-coalescing positional read, cut
+//!   into parts parsed at once when it is long;
 //! * [`gen`] — synthetic dataset generation (the paper's 10-numeric-column
 //!   dataset family: uniform, Gaussian-cluster "dense areas", skewed),
 //!   writable to any backend;

@@ -870,8 +870,8 @@ impl RawFile for CsvFile {
         _window: Option<&Rect>,
         out: &mut RowBatch,
     ) -> Result<()> {
-        let mut src = self.bytes()?;
-        crate::scan::read_rows(&mut src, &self.fmt, &self.counters, locators, attrs, out)
+        let open = || self.bytes();
+        crate::scan::read_rows(open, &self.fmt, &self.counters, locators, attrs, out)
     }
 
     fn partitions(&self, n: usize) -> Result<Vec<ScanPartition>> {
@@ -970,8 +970,8 @@ impl RawFile for MemFile {
         _window: Option<&Rect>,
         out: &mut RowBatch,
     ) -> Result<()> {
-        let mut src = self.data.as_slice();
-        crate::scan::read_rows(&mut src, &self.fmt, &self.counters, locators, attrs, out)
+        let open = || Ok(self.data.as_slice());
+        crate::scan::read_rows(open, &self.fmt, &self.counters, locators, attrs, out)
     }
 
     fn partitions(&self, n: usize) -> Result<Vec<ScanPartition>> {

@@ -68,6 +68,11 @@ fn main() -> Result<()> {
                     res.stats.lock_wait,
                     res.stats.plan_conflicts
                 );
+                let t = res.stats.stages;
+                println!(
+                    "            {:?} = classify {:?} + plan {:?} + fetch {:?} + apply {:?} + assess {:?}",
+                    res.stats.elapsed, t.classify, t.plan, t.fetch, t.apply, t.assess
+                );
             }
         });
         for view in 0..3 {
@@ -127,6 +132,11 @@ fn main() -> Result<()> {
         res.values[0],
         res.error_bound * 100.0,
         res.stats.tiles_processed
+    );
+    let t = res.stats.stages;
+    println!(
+        "  where the {:?} went: classify {:?}, plan {:?}, fetch {:?}, apply {:?}, assess {:?}",
+        res.stats.elapsed, t.classify, t.plan, t.fetch, t.apply, t.assess
     );
     Ok(())
 }

@@ -225,3 +225,55 @@ fn discovered_domain_round_trip() {
     assert_eq!(index.total_objects(), 5_000);
     index.validate_invariants().unwrap();
 }
+
+/// Every driver splits its `elapsed` into the five stages and leaves nothing
+/// out: an answer from metadata alone has no plan, fetch or apply share, an
+/// adapting one has all five, and either way they add up to the whole.
+#[test]
+fn stage_times_sum_to_elapsed_in_every_driver() {
+    use pai_index::eval::QueryStats;
+    use std::time::Duration;
+
+    fn check(stats: &QueryStats, adapting: bool, who: &str) {
+        let t = stats.stages;
+        assert_eq!(adapting, stats.io.objects_read > 0, "{who}");
+        assert!(
+            t.classify > Duration::ZERO && t.assess > Duration::ZERO,
+            "{who}: {t:?}"
+        );
+        let moved = [t.plan, t.fetch, t.apply].map(|d| d > Duration::ZERO);
+        assert_eq!(moved, [adapting; 3], "{who}: {t:?}");
+        // Laps of the one clock `elapsed` is read from: no tolerance needed.
+        assert_eq!(t.total(), stats.elapsed, "{who}: {t:?}");
+    }
+
+    let spec = DatasetSpec {
+        rows: 20_000,
+        columns: 4,
+        seed: 23,
+        ..Default::default()
+    };
+    let file = spec.build_mem(CsvFormat::default()).unwrap();
+    let index = || build(&file, &init_cfg(&spec, 6)).unwrap().0;
+    let config = EngineConfig::paper_evaluation;
+    let window = Rect::new(130.0, 610.0, 220.0, 700.0);
+    let aggs = [AggregateFunction::Mean(2), AggregateFunction::Sum(3)];
+    // A first exact pass adapts; its repeat is answered from metadata.
+    let mut approx = ApproximateEngine::new(index(), &file, config()).unwrap();
+    let stats = approx.evaluate(&window, &aggs, 0.0).unwrap().stats;
+    check(&stats, true, "engine, cold");
+    let stats = approx.evaluate(&window, &aggs, 0.0).unwrap().stats;
+    check(&stats, false, "engine, warm");
+
+    let shared = SharedIndex::new(index(), file.clone(), config()).unwrap();
+    let stats = shared.evaluate(&window, &aggs, 0.0).unwrap().stats;
+    check(&stats, true, "shared, cold");
+    let stats = shared.evaluate(&window, &aggs, 0.0).unwrap().stats;
+    check(&stats, false, "shared, warm");
+
+    let mut exact = ExactEngine::new(index(), &file, AdaptConfig::default()).unwrap();
+    let stats = exact.evaluate(&window, &aggs).unwrap().stats;
+    check(&stats, true, "exact, cold");
+    let stats = exact.evaluate(&window, &aggs).unwrap().stats;
+    check(&stats, false, "exact, warm");
+}
