@@ -493,9 +493,9 @@ impl BinFile {
     /// the shared remote blob (coalescing ranged GETs).
     fn fetcher(&self) -> Result<SpanFetcher<'_>> {
         Ok(match &self.source {
-            BinSource::Disk(path) => SpanFetcher::Local(Box::new(File::open(path)?)),
-            BinSource::Mem(bytes) => SpanFetcher::Local(Box::new(Cursor::new(bytes.as_slice()))),
-            BinSource::Mapped(map) => SpanFetcher::Local(Box::new(Cursor::new(&map[..]))),
+            BinSource::Disk(path) => SpanFetcher::File(File::open(path)?),
+            BinSource::Mem(bytes) => SpanFetcher::Bytes(bytes),
+            BinSource::Mapped(map) => SpanFetcher::Bytes(map),
             BinSource::Remote(blob) => SpanFetcher::Remote(blob),
         })
     }
@@ -539,11 +539,11 @@ impl BinFile {
             spans.clear();
             spans.extend((0..n_cols).map(|col| (self.position(row0, col), batch * 8)));
             let mut m = SpanMeters::default();
-            fetcher.read_spans(&spans, &mut bufs, &mut m, CacheMode::Stream)?;
+            let fetched = fetcher.read_spans(&spans, &mut bufs, &mut m, CacheMode::Stream)?;
             self.counters.add_seeks(m.seeks);
             self.counters.add_bytes(m.bytes);
             self.counters.add_blocks_read(n_cols as u64);
-            for (page, buf) in pages.iter_mut().zip(&bufs) {
+            for (page, buf) in pages.iter_mut().zip(fetched.iter()) {
                 page.clear();
                 page.extend(
                     buf.chunks_exact(8)
@@ -669,8 +669,8 @@ impl RawFile for BinFile {
                 spans.push((self.position(order[i].1, attr), run_rows as u64 * 8));
                 i = j;
             }
-            fetcher.read_spans(&spans, &mut bufs, &mut m, CacheMode::Admit)?;
-            for (&(i, j), buf) in runs.iter().zip(&bufs) {
+            let fetched = fetcher.read_spans(&spans, &mut bufs, &mut m, CacheMode::Admit)?;
+            for (&(i, j), buf) in runs.iter().zip(fetched.iter()) {
                 for &(slot, row) in &order[i..j] {
                     let o = (row - order[i].1) as usize * 8;
                     out[slot * width + ai] =

@@ -2,8 +2,10 @@
 //! backends ([`crate::column::BinFile`], [`crate::zone::ZoneFile`]) pull
 //! byte spans from wherever their bytes live.
 //!
-//! Local sources (disk, memory, mapping) serve each span with a seek + an
-//! exact read. The remote source hands the whole batch to
+//! A source already in memory (a buffer, a mapping) lends each span as a
+//! slice of itself; a file on disk serves each span with a seek + an exact
+//! read into a buffer the caller keeps across batches. The remote source
+//! hands the whole batch to
 //! [`crate::remote::HttpBlob::read_spans`], which coalesces adjacent spans
 //! into as few ranged GETs as possible — which is why the backends collect
 //! spans into batches before decoding instead of reading one span at a
@@ -19,17 +21,13 @@
 //! metering here is deliberately tier-blind, which is what keeps the cache
 //! transport-only.
 
+use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 
 use pai_common::{PaiError, Result};
 
 use crate::cache::CacheMode;
 use crate::remote::HttpBlob;
-
-/// Positional byte source: one trait object for file-, buffer- and
-/// mapping-backed readers.
-pub(crate) trait ReadSeek: Read + Seek {}
-impl<T: Read + Seek> ReadSeek for T {}
 
 /// Byte/seek accumulators for one logical access (flushed to the shared
 /// counters once per call by the owning backend).
@@ -41,44 +39,98 @@ pub(crate) struct SpanMeters {
 
 /// One logical access's byte-span reader over a local or remote source.
 pub(crate) enum SpanFetcher<'a> {
-    /// Seek + exact read per span against a local handle.
-    Local(Box<dyn ReadSeek + 'a>),
+    /// Bytes already in memory (a buffer, a mapping): spans are lent.
+    Bytes(&'a [u8]),
+    /// Seek + exact read per span against an open file.
+    File(File),
     /// Batched, coalescing ranged GETs against a remote object.
     Remote(&'a HttpBlob),
 }
 
+/// The spans of one batch, in input order: slices of the source itself, or
+/// of the buffers they were read into.
+pub(crate) enum Spans<'s> {
+    Lent(&'s [u8], &'s [(u64, u64)]),
+    Read(&'s [Vec<u8>]),
+}
+
+impl<'s> Spans<'s> {
+    /// The bytes of the batch's `i`-th span.
+    pub fn get(&self, i: usize) -> &'s [u8] {
+        match *self {
+            Spans::Lent(bytes, spans) => {
+                let (off, len) = spans[i];
+                &bytes[off as usize..][..len as usize]
+            }
+            Spans::Read(bufs) => &bufs[i],
+        }
+    }
+
+    /// Every span of the batch, in input order.
+    pub fn iter(&self) -> impl Iterator<Item = &'s [u8]> + '_ {
+        let n = match *self {
+            Spans::Lent(_, spans) => spans.len(),
+            Spans::Read(bufs) => bufs.len(),
+        };
+        (0..n).map(|i| self.get(i))
+    }
+}
+
+fn short() -> PaiError {
+    PaiError::internal("data region shorter than header claims")
+}
+
 impl SpanFetcher<'_> {
-    /// Reads a batch of `(offset, len)` spans into `out` (resized to match,
-    /// in input order). Metering is per span — one seek plus `len` bytes
-    /// each, identical to reading the spans one at a time — but a remote
-    /// source coalesces adjacent spans of the batch into shared ranged
-    /// GETs. Callers keep one `out` alive across batches so local reads
-    /// reuse its buffers instead of allocating per span; `mode` is the
-    /// cache-admission rule for a remote source (ignored locally).
-    pub fn read_spans(
-        &mut self,
-        spans: &[(u64, u64)],
-        out: &mut Vec<Vec<u8>>,
+    /// Fetches a batch of `(offset, len)` spans. Metering is per span — one
+    /// seek plus `len` bytes each, identical to reading the spans one at a
+    /// time — but a remote source coalesces adjacent spans of the batch
+    /// into shared ranged GETs. Callers keep one `bufs` alive across batches
+    /// so file reads reuse its buffers instead of allocating per span;
+    /// `mode` is the cache-admission rule for a remote source (ignored
+    /// locally).
+    pub fn read_spans<'s>(
+        &'s mut self,
+        spans: &'s [(u64, u64)],
+        bufs: &'s mut Vec<Vec<u8>>,
         m: &mut SpanMeters,
         mode: CacheMode,
-    ) -> Result<()> {
-        match self {
-            SpanFetcher::Local(reader) => {
-                out.resize_with(spans.len(), Vec::new);
-                for (buf, &(off, len)) in out.iter_mut().zip(spans) {
-                    buf.resize(len as usize, 0);
-                    reader.seek(SeekFrom::Start(off))?;
-                    reader.read_exact(buf).map_err(|_| {
-                        PaiError::internal("data region shorter than header claims")
-                    })?;
+    ) -> Result<Spans<'s>> {
+        let got = match self {
+            SpanFetcher::Bytes(bytes) => {
+                let size = bytes.len() as u64;
+                if spans
+                    .iter()
+                    .any(|&(off, len)| off.checked_add(len).is_none_or(|end| end > size))
+                {
+                    return Err(short());
                 }
+                Spans::Lent(bytes, spans)
             }
-            SpanFetcher::Remote(blob) => *out = blob.read_spans_mode(spans, mode)?,
-        }
+            SpanFetcher::File(file) => {
+                bufs.resize_with(spans.len(), Vec::new);
+                for (buf, &(off, len)) in bufs.iter_mut().zip(spans) {
+                    // `read_to_end` fills spare capacity as it is — no
+                    // zeroing pass over bytes about to be overwritten — and
+                    // doubles a buffer it outgrows: size it first.
+                    buf.clear();
+                    buf.reserve_exact(len as usize);
+                    file.seek(SeekFrom::Start(off))?;
+                    let got = (&mut *file).take(len).read_to_end(buf)?;
+                    if (got as u64) < len {
+                        return Err(short());
+                    }
+                }
+                Spans::Read(bufs)
+            }
+            SpanFetcher::Remote(blob) => {
+                *bufs = blob.read_spans_mode(spans, mode)?;
+                Spans::Read(bufs)
+            }
+        };
         for &(_, len) in spans {
             m.bytes += len;
             m.seeks += 1;
         }
-        Ok(())
+        Ok(got)
     }
 }

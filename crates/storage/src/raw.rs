@@ -135,10 +135,15 @@ impl<'a> Record<'a> {
             RecordInner::Csv { line, ranges, at } => {
                 csv::extract_f64(line, ranges, wanted, 0, out).map_err(|e| at.locate(e))
             }
-            RecordInner::Values { .. } => {
+            RecordInner::Values { values, .. } => {
                 out.clear();
+                // The row is decoded already: a copy per field, and the
+                // error (a column id past its end) built only when met.
                 for &col in wanted {
-                    out.push(self.f64(col)?);
+                    match values.get(col) {
+                        Some(&v) => out.push(v),
+                        None => return self.f64(col).map(drop),
+                    }
                 }
                 Ok(())
             }

@@ -76,6 +76,10 @@ use crate::raw::{
 use crate::remote::{BlobReader, HttpBlob};
 use crate::schema::{Column, Schema};
 
+mod codec;
+
+use codec::packed_len;
+
 /// v1 file magic: no synopsis section (still readable).
 pub const PAIZONE_MAGIC: [u8; 8] = *b"PAIZONE1";
 
@@ -106,7 +110,7 @@ fn corrupt(what: impl Into<String>) -> PaiError {
 }
 
 // ---------------------------------------------------------------------------
-// Order-preserving f64 <-> u64 mapping and bit packing.
+// Order-preserving f64 <-> u64 mapping (the bit packing lives in `codec`).
 // ---------------------------------------------------------------------------
 
 const SIGN: u64 = 1 << 63;
@@ -138,55 +142,6 @@ pub fn dec_f64(e: u64) -> f64 {
 #[inline]
 fn bits_for(delta: u64) -> u8 {
     (64 - delta.leading_zeros()) as u8
-}
-
-#[inline]
-fn width_mask(width: u8) -> u64 {
-    if width >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    }
-}
-
-/// Appends `deltas` to `out` as a little-endian bit stream of fixed-width
-/// values, padded to a whole byte at the end.
-fn pack_deltas(deltas: &[u64], width: u8, out: &mut Vec<u8>) {
-    if width == 0 {
-        return;
-    }
-    let start = out.len();
-    out.resize(start + packed_len(deltas.len() as u64, width) as usize, 0);
-    let mut bit = 0usize;
-    for &d in deltas {
-        let first = start + bit / 8;
-        let shift = bit % 8;
-        let v = (d as u128) << shift;
-        let nbytes = (shift + width as usize).div_ceil(8);
-        for k in 0..nbytes {
-            out[first + k] |= (v >> (8 * k)) as u8;
-        }
-        bit += width as usize;
-    }
-}
-
-/// Reads the fixed-width value whose first bit is `bit_off` bits into `buf`.
-#[inline]
-fn extract_bits(buf: &[u8], bit_off: usize, width: u8) -> u64 {
-    let first = bit_off / 8;
-    let shift = bit_off % 8;
-    let nbytes = (shift + width as usize).div_ceil(8);
-    let mut v: u128 = 0;
-    for (k, &byte) in buf[first..first + nbytes].iter().enumerate() {
-        v |= (byte as u128) << (8 * k);
-    }
-    ((v >> shift) as u64) & width_mask(width)
-}
-
-/// Bytes a block of `rows` values packed at `width` bits occupies.
-#[inline]
-fn packed_len(rows: u64, width: u8) -> u64 {
-    (rows * width as u64).div_ceil(8)
 }
 
 // ---------------------------------------------------------------------------
@@ -641,7 +596,7 @@ fn encode_zone_columns_spec(
             let min_enc = mins[ci][b as usize];
             deltas.clear();
             deltas.extend(col[start..end].iter().map(|&v| enc_f64(v) - min_enc));
-            pack_deltas(&deltas, widths[ci][b as usize], &mut out);
+            codec::pack(&deltas, widths[ci][b as usize], &mut out);
         }
     }
     Ok(out)
@@ -933,36 +888,29 @@ impl ZoneFile {
     /// GETs and retries transient faults).
     fn fetcher(&self) -> Result<SpanFetcher<'_>> {
         Ok(match &self.source {
-            ZoneSource::Disk(path) => SpanFetcher::Local(Box::new(File::open(path)?)),
-            ZoneSource::Mem(bytes) => SpanFetcher::Local(Box::new(Cursor::new(bytes.as_slice()))),
-            ZoneSource::Mapped(map) => SpanFetcher::Local(Box::new(Cursor::new(&map[..]))),
+            ZoneSource::Disk(path) => SpanFetcher::File(File::open(path)?),
+            ZoneSource::Mem(bytes) => SpanFetcher::Bytes(bytes),
+            ZoneSource::Mapped(map) => SpanFetcher::Bytes(map),
             ZoneSource::Remote(blob) => SpanFetcher::Remote(blob),
         })
     }
 
     /// Decodes one fetched (column, block) buffer into `page` (cleared
-    /// first). `buf` is `None` for width-0 constant blocks, which decode
-    /// from the header alone.
-    fn unpack_block(&self, col: usize, blk: u64, buf: Option<&[u8]>, page: &mut Vec<f64>) {
+    /// first). `buf` is empty for width-0 constant blocks, which decode from
+    /// the header alone; a buffer of any other length than the header's
+    /// arithmetic gives is a corrupt payload.
+    fn unpack_block(&self, col: usize, blk: u64, buf: &[u8], page: &mut Vec<f64>) -> Result<()> {
         let meta = &self.cols[col][blk as usize];
         let rows = rows_in_block(self.n_rows, self.block_rows, blk) as usize;
         page.clear();
-        match buf {
-            None => page.resize(rows, dec_f64(meta.min_enc)),
-            Some(buf) => {
-                let w = meta.width;
-                // Wrapping add: crafted data bits cannot panic (the decoded
-                // value is garbage either way on a corrupt file; validation
-                // bounds the width).
-                page.extend((0..rows).map(|i| {
-                    dec_f64(
-                        meta.min_enc
-                            .wrapping_add(extract_bits(buf, i * w as usize, w)),
-                    )
-                }));
-            }
-        }
+        page.resize(rows, 0.0);
+        // Wrapping add: crafted data bits cannot panic (the decoded value is
+        // garbage either way on a corrupt file; validation bounds the width).
+        codec::unpack(buf, 0, meta.width, rows, |i, delta| {
+            page[i] = dec_f64(meta.min_enc.wrapping_add(delta))
+        })?;
         self.counters.add_blocks_read(1);
+        Ok(())
     }
 
     /// Scans rows `[start, end)` — the engine of `scan`/`scan_partition`.
@@ -1036,12 +984,12 @@ impl ZoneFile {
                     }
                 }
             }
-            fetcher.read_spans(&spans, &mut bufs, &mut m, CacheMode::Stream)?;
+            let fetched = fetcher.read_spans(&spans, &mut bufs, &mut m, CacheMode::Stream)?;
             for (gi, &b) in group.iter().enumerate() {
                 let blk_start = b * self.block_rows as u64;
                 for (col, page) in pages.iter_mut().enumerate() {
-                    let buf = span_of[col * group.len() + gi].map(|si| bufs[si].as_slice());
-                    self.unpack_block(col, b, buf, page);
+                    let buf = span_of[col * group.len() + gi].map_or(&[][..], |si| fetched.get(si));
+                    self.unpack_block(col, b, buf, page)?;
                 }
                 let lo = start.max(blk_start);
                 let hi = end.min(blk_start + pages[0].len() as u64);
@@ -1104,20 +1052,37 @@ impl RawFile for ZoneFile {
                 )));
             }
         }
-        let mut order: Vec<(usize, u64)> = locators.iter().map(|l| l.raw()).enumerate().collect();
-        order.sort_by_key(|&(_, row)| row);
-        if let Some(&(_, max_row)) = order.last() {
-            if max_row >= self.n_rows {
-                return Err(PaiError::internal(format!(
-                    "positional read of row {max_row} hit EOF ({} rows)",
-                    self.n_rows
-                )));
+        // The requests in row order, each with its slot in `out`; tile
+        // entries mostly come in row order as they are, and then the
+        // permutation is the identity and is not materialised.
+        let n = locators.len();
+        let sorted = locators.is_sorted_by_key(|l| l.raw());
+        let mut order: Vec<(u64, usize)> = Vec::new();
+        if !sorted {
+            order.extend(locators.iter().enumerate().map(|(slot, l)| (l.raw(), slot)));
+            // The merge sort: a request is mostly several tiles' entries
+            // end to end, each in row order, and it merges those runs.
+            order.sort();
+        }
+        let row_at = |i: usize| {
+            if sorted {
+                locators[i].raw()
+            } else {
+                order[i].0
             }
+        };
+        let slot_at = |i: usize| if sorted { i } else { order[i].1 };
+        if n > 0 && row_at(n - 1) >= self.n_rows {
+            return Err(PaiError::internal(format!(
+                "positional read of row {} hit EOF ({} rows)",
+                row_at(n - 1),
+                self.n_rows
+            )));
         }
         let width = attrs.len();
-        let out = out.reset(width, locators.len());
-        if locators.is_empty() || attrs.is_empty() {
-            self.counters.add_objects(locators.len() as u64);
+        let out = out.reset(width, n);
+        if n == 0 || attrs.is_empty() {
+            self.counters.add_objects(n as u64);
             return Ok(());
         }
 
@@ -1125,11 +1090,17 @@ impl RawFile for ZoneFile {
         let mut fetcher = self.fetcher()?;
         let mut sm = SpanMeters::default();
         // Per-run decode work deferred until its batch of spans is fetched:
-        // (first request index, one-past-last, block, run's first byte).
+        // (first request index, one-past-last, block, bits into the span's
+        // first byte the run starts at).
         let mut runs: Vec<(usize, usize, u64, usize)> = Vec::new();
         let mut spans: Vec<(u64, u64)> = Vec::new();
         let mut bufs: Vec<Vec<u8>> = Vec::new();
         for (ai, &attr) in attrs.iter().enumerate() {
+            let mut fill = |i: usize, j: usize, v: f64| {
+                for k in i..j {
+                    out[slot_at(k) * width + ai] = v;
+                }
+            };
             // Group requested rows by block, then coalesce adjacent runs
             // inside each block (fixed width makes a run one byte-span
             // read); the whole attribute's runs go out as one span batch so
@@ -1137,19 +1108,18 @@ impl RawFile for ZoneFile {
             runs.clear();
             spans.clear();
             let mut i = 0;
-            while i < order.len() {
-                let blk = order[i].1 / self.block_rows as u64;
+            while i < n {
+                let blk = row_at(i) / self.block_rows as u64;
+                let blk_start = blk * self.block_rows as u64;
                 let mut j = i + 1;
-                while j < order.len() && order[j].1 / self.block_rows as u64 == blk {
+                while j < n && row_at(j) - blk_start < self.block_rows as u64 {
                     j += 1;
                 }
                 // Pushdown: a block provably outside the window answers all
                 // its requested rows with NaN, free of any I/O.
                 if let Some(w) = window {
                     if !self.stats[blk as usize].may_intersect_window(xi, yi, w) {
-                        for &(slot, _) in &order[i..j] {
-                            out[slot * width + ai] = f64::NAN;
-                        }
+                        fill(i, j, f64::NAN);
                         self.counters.add_blocks_skipped(1);
                         i = j;
                         continue;
@@ -1157,12 +1127,8 @@ impl RawFile for ZoneFile {
                 }
                 self.counters.add_blocks_read(1);
                 let meta = &self.cols[attr][blk as usize];
-                let blk_start = blk * self.block_rows as u64;
                 if meta.width == 0 {
-                    let v = dec_f64(meta.min_enc);
-                    for &(slot, _) in &order[i..j] {
-                        out[slot * width + ai] = v;
-                    }
+                    fill(i, j, dec_f64(meta.min_enc));
                     i = j;
                     continue;
                 }
@@ -1170,35 +1136,27 @@ impl RawFile for ZoneFile {
                 let mut k = i;
                 while k < j {
                     let mut m = k + 1;
-                    while m < j && order[m].1 == order[m - 1].1 + 1 {
+                    while m < j && row_at(m) == row_at(m - 1) + 1 {
                         m += 1;
                     }
-                    let a = (order[k].1 - blk_start) as usize;
-                    let b = (order[m - 1].1 - blk_start) as usize + 1;
-                    let first_byte = (a * w) / 8;
-                    let end_byte = (b * w).div_ceil(8);
-                    runs.push((k, m, blk, first_byte));
+                    let first_bit = (row_at(k) - blk_start) as usize * w;
+                    let end_bit = first_bit + (m - k) * w;
+                    let first_byte = first_bit / 8;
+                    runs.push((k, m, blk, first_bit % 8));
                     spans.push((
                         meta.data_off + first_byte as u64,
-                        (end_byte - first_byte) as u64,
+                        (end_bit.div_ceil(8) - first_byte) as u64,
                     ));
                     k = m;
                 }
                 i = j;
             }
-            fetcher.read_spans(&spans, &mut bufs, &mut sm, CacheMode::Admit)?;
-            for (&(k, m, blk, first_byte), buf) in runs.iter().zip(&bufs) {
+            let fetched = fetcher.read_spans(&spans, &mut bufs, &mut sm, CacheMode::Admit)?;
+            for (&(k, m, blk, shift), buf) in runs.iter().zip(fetched.iter()) {
                 let meta = &self.cols[attr][blk as usize];
-                let blk_start = blk * self.block_rows as u64;
-                let w = meta.width as usize;
-                for &(slot, row) in &order[k..m] {
-                    let local = (row - blk_start) as usize;
-                    let bit = local * w - first_byte * 8;
-                    out[slot * width + ai] = dec_f64(
-                        meta.min_enc
-                            .wrapping_add(extract_bits(buf, bit, meta.width)),
-                    );
-                }
+                codec::unpack(buf, shift, meta.width, m - k, |i, delta| {
+                    out[slot_at(k + i) * width + ai] = dec_f64(meta.min_enc.wrapping_add(delta));
+                })?;
             }
         }
         self.counters.add_objects(locators.len() as u64);
@@ -1266,6 +1224,9 @@ mod tests {
         ]
     }
 
+    /// `(length, FNV-1a)` of `golden_rows()` encoded at 4 rows a block.
+    const GOLDEN_IMAGE: (usize, u64) = (5303, 0xccd9_0ec6_b22b_ce88);
+
     fn sample() -> ZoneFile {
         ZoneFile::from_rows(&Schema::synthetic(3), rows()).unwrap()
     }
@@ -1313,24 +1274,132 @@ mod tests {
     #[test]
     fn bit_packing_round_trips_every_width() {
         for width in 0u8..=64 {
-            let mask = width_mask(width);
+            let mask = 1u64.checked_shl(width as u32).map_or(u64::MAX, |m| m - 1);
             let deltas: Vec<u64> = (0..100u64)
                 .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) & mask)
                 .collect();
             let mut buf = Vec::new();
-            pack_deltas(&deltas, width, &mut buf);
+            codec::pack(&deltas, width, &mut buf);
             assert_eq!(buf.len() as u64, packed_len(100, width), "width {width}");
-            if width == 0 {
-                continue;
-            }
-            for (i, &d) in deltas.iter().enumerate() {
-                assert_eq!(
-                    extract_bits(&buf, i * width as usize, width),
-                    d,
-                    "width {width}, value {i}"
-                );
+            let mut got = Vec::new();
+            codec::unpack(&buf, 0, width, 100, |_, d| got.push(d)).unwrap();
+            assert_eq!(got, deltas, "width {width}");
+        }
+    }
+
+    /// Rows whose columns pack at widths 0, a few bits, ~52 and 64 and hold
+    /// every kind of float; blocks of 4 with a short last one.
+    fn golden_rows() -> Vec<Vec<f64>> {
+        let odd = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::from_bits(1),
+            -f64::MIN_POSITIVE,
+        ];
+        (0..23u64)
+            .map(|i| {
+                vec![
+                    i as f64,
+                    42.0,
+                    f64::from_bits((i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                    100.0 - i as f64 / 3.0,
+                    odd[i as usize % odd.len()],
+                ]
+            })
+            .collect()
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    #[test]
+    fn the_format_did_not_move() {
+        let schema = Schema::synthetic(5);
+        let rows = golden_rows();
+        let bytes = encode_zone_rows_with(&schema, rows.clone(), 4).unwrap();
+        // The image the byte-at-a-time packer wrote before the word kernels
+        // replaced it (length and FNV-1a, taken at that commit).
+        assert_eq!((bytes.len(), fnv1a(&bytes)), GOLDEN_IMAGE);
+
+        // The data region, rebuilt with the reference packer.
+        let f = ZoneFile::from_bytes(bytes.clone()).unwrap();
+        let mut data = Vec::new();
+        for (c, blocks) in f.cols.iter().enumerate() {
+            for (b, meta) in blocks.iter().enumerate() {
+                let deltas: Vec<u64> = rows[b * 4..rows.len().min(b * 4 + 4)]
+                    .iter()
+                    .map(|r| enc_f64(r[c]) - meta.min_enc)
+                    .collect();
+                codec::reference::pack(&deltas, 0, meta.width, &mut data);
             }
         }
+        assert_eq!(bytes[bytes.len() - data.len()..], data[..]);
+        // The dataset covers the codec's cases: nothing stored, a value
+        // inside one word, a value that spills into a ninth byte, 64 bits.
+        let widths: Vec<u8> = f.cols.iter().flatten().map(|m| m.width).collect();
+        for case in [0..=0, 1..=57, 58..=63, 64..=64] {
+            assert!(
+                widths.iter().any(|w| case.contains(w)),
+                "{case:?}: {widths:?}"
+            );
+        }
+
+        // And it decodes to the bits that went in, as v2 and as v1.
+        let pos = sect_len_pos(5, 6);
+        let sect_len = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap()) as usize;
+        let mut v1 = bytes.clone();
+        v1.drain(pos..pos + 8 + sect_len);
+        v1[..8].copy_from_slice(&PAIZONE_MAGIC);
+        for image in [bytes, v1] {
+            let f = ZoneFile::from_bytes(image).unwrap();
+            let mut got = Vec::new();
+            f.scan(&mut |_, _, rec| {
+                let mut v = Vec::new();
+                rec.extract_f64(&[0, 1, 2, 3, 4], &mut v)?;
+                got.push(v);
+                Ok(())
+            })
+            .unwrap();
+            let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+                rows.iter()
+                    .map(|r| r.iter().map(|v| v.to_bits()).collect())
+                    .collect()
+            };
+            assert_eq!(bits(&got), bits(&rows));
+        }
+    }
+
+    #[test]
+    fn a_short_block_payload_is_an_error_on_the_scan_and_the_positional_path() {
+        // A whole file that short is refused at open, so hand the kernels
+        // the payload directly: block 1 of column 2, one byte short.
+        let f = ZoneFile::from_rows_with_block(&Schema::synthetic(5), golden_rows(), 4).unwrap();
+        let ZoneSource::Mem(bytes) = &f.source else {
+            panic!("from_rows builds in memory");
+        };
+        let meta = &f.cols[2][1];
+        let payload = &bytes[meta.data_off as usize..][..meta.data_len as usize];
+        let mut page = Vec::new();
+        f.unpack_block(2, 1, payload, &mut page).unwrap();
+        assert_eq!(page[3].to_bits(), golden_rows()[7][2].to_bits());
+        let err = f
+            .unpack_block(2, 1, &payload[..payload.len() - 1], &mut page)
+            .unwrap_err();
+        assert!(err.to_string().contains("block payload"), "{err}");
+        // The positional path decodes rows 1..4 of the block as one run
+        // that starts `width % 8` bits into its span.
+        let w = meta.width as usize;
+        let run = &payload[w / 8..];
+        codec::unpack(run, w % 8, meta.width, 3, |_, _| {}).unwrap();
+        let err =
+            codec::unpack(&run[..run.len() - 1], w % 8, meta.width, 3, |_, _| {}).unwrap_err();
+        assert!(err.to_string().contains("block payload"), "{err}");
     }
 
     #[test]
