@@ -351,3 +351,42 @@ fn the_first_error_in_file_order_wins_at_every_width() {
     .unwrap_err();
     assert!(err.to_string().contains("byte offset"), "{err}");
 }
+
+/// A 200-row file whose row 57 spells its third field `value`.
+fn text_with_value(value: &str) -> MemFile {
+    let mut text = String::from("col0,col1,col2\n");
+    for i in 0..200 {
+        let (x, y) = (5 * i, 1000 - 5 * i);
+        match i {
+            57 => text.push_str(&format!("{x},{y},{value}\n")),
+            _ => text.push_str(&format!("{x},{y},{}.5\n", 100 + i)),
+        }
+    }
+    MemFile::from_text(text, Schema::synthetic(3), CsvFormat::default())
+}
+
+#[test]
+fn an_infinite_field_is_a_parse_error_that_names_the_record() {
+    let cfg = InitConfig {
+        grid: GridSpec::Fixed { nx: 4, ny: 4 },
+        domain: Some(Rect::new(0.0, 1000.0, 0.0, 1000.0)),
+        metadata: MetadataPolicy::AllNumeric,
+    };
+    // Built over, an infinite value answers `Mean(2)` with a zero error
+    // bound beside an interval that ends at infinity.
+    for spelled in ["inf", "-inf", " Infinity ", "1e999", "-1e999"] {
+        let err = build(&text_with_value(spelled), &cfg)
+            .map(|_| ())
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("line 59") && err.contains("not a finite number"),
+            "{spelled}: {err}"
+        );
+    }
+    // NULLs, as `CsvWriter` spells them and as an empty field, still build.
+    for spelled in ["NaN", "nan", "", "157.5"] {
+        let (index, _) = build(&text_with_value(spelled), &cfg).unwrap();
+        assert_eq!(index.total_objects(), 200, "{spelled:?}");
+    }
+}

@@ -72,15 +72,6 @@ impl CsvPos {
             CsvPos::Offset(o) => PaiError::parse_at(o, msg),
         }
     }
-
-    /// Stamps this position on a parse error raised by the line-oriented
-    /// [`csv`] helpers (which only take a line number).
-    fn locate(self, e: PaiError) -> PaiError {
-        match e {
-            PaiError::Parse { message, .. } => self.error(message),
-            e => e,
-        }
-    }
 }
 
 impl<'a> Record<'a> {
@@ -112,20 +103,15 @@ impl<'a> Record<'a> {
     pub fn f64(&self, col: usize) -> Result<f64> {
         match &self.inner {
             RecordInner::Csv { line, ranges, at } => {
-                let (a, b) = *ranges.get(col).ok_or_else(|| {
-                    at.error(format!(
-                        "record has {} fields, wanted column {col}",
-                        ranges.len()
-                    ))
-                })?;
-                csv::parse_f64_field(&line[a..b], 0).map_err(|e| at.locate(e))
+                let (a, b) = *ranges
+                    .get(col)
+                    .ok_or_else(|| at.error(csv::missing_column(ranges.len(), col)))?;
+                csv::parse_f64_field(&line[a..b]).map_err(|msg| at.error(msg))
             }
-            RecordInner::Values { values, row } => values.get(col).copied().ok_or_else(|| {
-                PaiError::parse(
-                    *row,
-                    format!("record has {} fields, wanted column {col}", values.len()),
-                )
-            }),
+            RecordInner::Values { values, row } => values
+                .get(col)
+                .copied()
+                .ok_or_else(|| PaiError::parse(*row, csv::missing_column(values.len(), col))),
         }
     }
 
@@ -133,7 +119,7 @@ impl<'a> Record<'a> {
     pub fn extract_f64(&self, wanted: &[usize], out: &mut Vec<f64>) -> Result<()> {
         match &self.inner {
             RecordInner::Csv { line, ranges, at } => {
-                csv::extract_f64(line, ranges, wanted, 0, out).map_err(|e| at.locate(e))
+                csv::extract_f64(line, ranges, wanted, out).map_err(|msg| at.error(msg))
             }
             RecordInner::Values { values, .. } => {
                 out.clear();

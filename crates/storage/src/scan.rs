@@ -31,7 +31,7 @@ use std::sync::OnceLock;
 use pai_common::{AttrId, IoCounters, PaiError, Result, RowId, RowLocator};
 
 use crate::batch::RowBatch;
-use crate::csv::{self, CsvFormat};
+use crate::csv::{self, bytes_equal, CsvFormat};
 use crate::raw::{CsvPos, Record, RowHandler};
 
 /// A byte range `[start, end)` of a file that begins at a record boundary —
@@ -464,17 +464,6 @@ fn read_part(
         seeks,
         end: prev_end.unwrap_or(0),
     })
-}
-
-const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
-
-/// `0x80` in exactly the bytes of `word` that equal `byte`.
-#[inline]
-fn bytes_equal(word: u64, byte: u8) -> u64 {
-    let x = word ^ (u64::from(byte) * 0x0101_0101_0101_0101);
-    // Adding 0x7f carries into a byte's top bit iff its low seven bits are
-    // not all zero; no carry leaves the byte, so every lane is exact.
-    !(((x & LOW7) + LOW7) | x | LOW7)
 }
 
 /// Index of the first `\n` in `hay`, eight bytes at a time.

@@ -47,7 +47,7 @@ fn reference(text: &[u8], fmt: &CsvFormat, offsets: &[u64], attrs: &[AttrId]) ->
             body = head;
         }
         csv::split_fields(body, fmt, &mut ranges);
-        csv::extract_f64(body, &ranges, attrs, 0, &mut vals).unwrap();
+        csv::extract_f64(body, &ranges, attrs, &mut vals).unwrap();
         for (slot, v) in bits[row * width..][..width].iter_mut().zip(&vals) {
             *slot = v.to_bits();
         }

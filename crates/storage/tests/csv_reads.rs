@@ -6,11 +6,15 @@
 //! rows, one row, none, no attributes — the values equal, bit for bit and in
 //! request order, what a line-at-a-time reader returns, and `objects`,
 //! `bytes`, `seeks` and `read_calls` are exactly what that reader charges.
+//!
+//! A second property feeds both kernels hostile bytes: valid text with bytes
+//! flipped, inserted and deleted. Nothing panics, and scans and reads make of
+//! every record what the same line-at-a-time reader makes of it.
 
 use pai_common::{IoCounters, RowLocator};
 use pai_storage::csv::{extract_f64, split_fields};
-use pai_storage::scan::SPAN_GAP_BYTES;
-use pai_storage::{CsvFile, CsvFormat, MemFile, RawFile, Schema};
+use pai_storage::scan::{PART_MIN_RECORDS, SPAN_GAP_BYTES};
+use pai_storage::{CsvFile, CsvFormat, MemFile, RawFile, ScanPartition, Schema};
 use proptest::prelude::*;
 
 /// What one positional read returned and charged.
@@ -48,7 +52,7 @@ fn reference(text: &[u8], fmt: &CsvFormat, offsets: &[u64], attrs: &[usize]) -> 
             body = head;
         }
         split_fields(body, fmt, &mut ranges);
-        extract_f64(body, &ranges, attrs, 0, &mut vals).ok()?;
+        extract_f64(body, &ranges, attrs, &mut vals).ok()?;
         rows[slot] = vals.iter().map(|v| v.to_bits()).collect();
         bytes += n as u64;
         pos = Some(off + n as u64);
@@ -103,6 +107,45 @@ fn text_field(kind: usize, len: usize) -> String {
         _ => format!("\"say \"\"{fill}\"\"\""),
     }
 }
+
+/// Where the records of `text` start: a line per `\n`, the header's skipped,
+/// and so is a line with nothing before its line end.
+fn record_offsets(text: &[u8], fmt: &CsvFormat) -> Vec<u64> {
+    let mut offsets = Vec::new();
+    let (mut pos, mut header) = (0, fmt.has_header);
+    while pos < text.len() {
+        let line = text[pos..].split_inclusive(|&b| b == b'\n').next().unwrap();
+        let blank = line.iter().all(|&b| b == b'\r' || b == b'\n');
+        if !std::mem::take(&mut header) && !blank {
+            offsets.push(pos as u64);
+        }
+        pos += line.len();
+    }
+    offsets
+}
+
+/// What a scan of `part` finds: every record's offset, and the bits of its
+/// `attrs` where they parse.
+fn scanned(file: &MemFile, part: ScanPartition, attrs: &[usize]) -> Vec<(u64, Option<Vec<u64>>)> {
+    let (mut found, mut vals) = (Vec::new(), Vec::new());
+    file.scan_partition(part, &mut |_, loc, rec| {
+        let bits = rec.extract_f64(attrs, &mut vals).ok();
+        found.push((
+            loc.raw(),
+            bits.map(|()| vals.iter().map(|v| v.to_bits()).collect()),
+        ));
+        Ok(())
+    })
+    .unwrap();
+    found
+}
+
+/// Bytes that mean something to a CSV reader or a number parser, and some
+/// that mean nothing to either.
+const HOSTILE: [u8; 20] = [
+    0xff, 0x80, 0xc3, 0, b'"', b'\r', b'\n', b',', b' ', b'-', b'+', b'.', b'e', b'E', b'i', b'n',
+    b'0', b'7', b'9', b'x',
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -211,5 +254,74 @@ proptest! {
         let got = read(&disk, &request, &attrs);
         std::fs::remove_dir_all(&dir).ok();
         prop_assert_eq!(&got, &want, "CsvFile");
+    }
+
+    #[test]
+    fn hostile_bytes_never_panic_and_read_as_the_line_reader_reads_them(
+        has_header in any::<bool>(),
+        crlf in any::<bool>(),
+        n_cols in 2usize..6,
+        lines in prop::collection::vec(prop::collection::vec((0usize..8, 0.0f64..1.0), 6..7), 1..40),
+        // (what, where, which byte): flip, insert, delete, or a run of 40 digits.
+        mutations in prop::collection::vec((0usize..4, 0.0f64..1.0, 0usize..HOSTILE.len()), 0..12),
+        attrs in prop::collection::vec(0usize..6, 1..4),
+    ) {
+        let eol = if crlf { "\r\n" } else { "\n" };
+        let mut text = String::new();
+        if has_header {
+            text.push_str(&"a,b,c,d,e,f"[..2 * n_cols - 1]);
+            text.push_str(eol);
+        }
+        for fields in &lines {
+            let rendered: Vec<String> = fields[..n_cols].iter().map(|&(kind, v)| number(kind, v)).collect();
+            text.push_str(&rendered.join(","));
+            text.push_str(eol);
+        }
+        let mut text = text.into_bytes();
+        for (what, at, byte) in mutations {
+            let at = ((at * text.len() as f64) as usize).min(text.len().saturating_sub(1));
+            match what {
+                _ if text.is_empty() => {}
+                0 => text[at] = HOSTILE[byte],
+                1 => text.insert(at, HOSTILE[byte]),
+                2 => drop(text.remove(at)),
+                _ => drop(text.splice(at..at, [b'0' + (byte % 10) as u8; 40])),
+            }
+        }
+        let attrs: Vec<usize> = attrs.into_iter().map(|a| a % n_cols).collect();
+        let fmt = CsvFormat { has_header, ..CsvFormat::default() };
+        let mem = MemFile::from_text(text.clone(), Schema::synthetic(n_cols), fmt);
+
+        // The scan, whole and in two parts: the reader's records, each with
+        // the reader's values or none.
+        let offsets = record_offsets(&text, &fmt);
+        let alone: Vec<Option<Outcome>> =
+            offsets.iter().map(|&off| reference(&text, &fmt, &[off], &attrs)).collect();
+        let want: Vec<(u64, Option<Vec<u64>>)> = offsets
+            .iter()
+            .zip(&alone)
+            .map(|(&off, read)| (off, read.as_ref().map(|o| o.rows[0].clone())))
+            .collect();
+        prop_assert_eq!(&scanned(&mem, ScanPartition::WHOLE, &attrs), &want);
+        let halves: Vec<_> = mem
+            .partitions(2)
+            .unwrap()
+            .into_iter()
+            .flat_map(|part| scanned(&mem, part, &attrs))
+            .collect();
+        prop_assert_eq!(&halves, &want);
+
+        // Positional reads: each record alone — an error where the reader
+        // has one — then all the readable ones at once, and often enough
+        // over for the call to be cut into parts.
+        for (&off, want) in offsets.iter().zip(&alone) {
+            prop_assert_eq!(&read(&mem, &[off], &attrs), want);
+        }
+        let readable: Vec<u64> = want.iter().filter(|(_, bits)| bits.is_some()).map(|&(off, _)| off).collect();
+        prop_assert_eq!(read(&mem, &readable, &attrs), reference(&text, &fmt, &readable, &attrs));
+        if !readable.is_empty() {
+            let many: Vec<u64> = readable.iter().rev().cycle().take(2 * PART_MIN_RECORDS + 7).copied().collect();
+            prop_assert_eq!(read(&mem, &many, &attrs), reference(&text, &fmt, &many, &attrs));
+        }
     }
 }
