@@ -388,8 +388,24 @@ impl BlockCache {
     /// spill bytes are charged to `c` (the calling file's meters), and the
     /// memory-tier gauge is republished.
     pub fn admit(&self, object: u64, page: u64, data: Page, mode: CacheMode, c: &IoCounters) {
+        self.admit_with(object, page, data.len() as u64, mode, c, || data)
+    }
+
+    /// [`BlockCache::admit`] for a page of `len` bytes that still lie inside
+    /// a larger buffer (a ranged-GET body): `copy` is called only once the
+    /// admission rule has accepted the page, so a page the cache refuses —
+    /// a streaming scan's first touch, a page over the budget — is never
+    /// copied out.
+    pub fn admit_with(
+        &self,
+        object: u64,
+        page: u64,
+        len: u64,
+        mode: CacheMode,
+        c: &IoCounters,
+        copy: impl FnOnce() -> Page,
+    ) {
         let key = Key { object, page };
-        let len = data.len() as u64;
         let mut lru = self.lock();
         if mode == CacheMode::Stream {
             if lru.ghosts.len() >= GHOST_CAP {
@@ -411,6 +427,8 @@ impl BlockCache {
             let coldest = lru.slots[MEM].prev;
             victims.push(lru.remove(coldest));
         }
+        let data = copy();
+        debug_assert_eq!(data.len() as u64, len, "the page `copy` was sized for");
         lru.insert(key, Some(data), len, 0, mode == CacheMode::Admit);
         c.set_cache_mem_bytes(lru.bytes[MEM]);
         c.add_cache_evictions(victims.len() as u64);

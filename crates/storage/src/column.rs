@@ -64,7 +64,7 @@ pub const PAIBIN_MAGIC: [u8; 8] = *b"PAIBIN01";
 
 /// Rows fetched per column per step of a sequential scan (the page size of
 /// the paged reader, in rows; 4096 rows = 32 KiB per column page).
-const PAGE_ROWS: u64 = 4096;
+pub(crate) const PAGE_ROWS: u64 = 4096;
 
 /// Upper bound on the column count a header may declare; anything above is
 /// treated as corruption (real schemas top out in the dozens).
@@ -496,7 +496,7 @@ impl BinFile {
             BinSource::Disk(path) => SpanFetcher::File(File::open(path)?),
             BinSource::Mem(bytes) => SpanFetcher::Bytes(bytes),
             BinSource::Mapped(map) => SpanFetcher::Bytes(map),
-            BinSource::Remote(blob) => SpanFetcher::Remote(blob),
+            BinSource::Remote(blob) => SpanFetcher::remote(blob),
         })
     }
 
@@ -525,50 +525,64 @@ impl BinFile {
         }
         let n_cols = self.schema.len();
         let mut fetcher = self.fetcher()?;
-        // Paged reading: per step, one contiguous fetch per column, all
-        // columns' page spans batched into one fetch call (a remote source
-        // turns the batch into pipelined ranged GETs on one connection).
+        // Paged reading, a group of pages per fetch call — as many as a
+        // partition holds at most (`partitions`), so a partition is one
+        // group: one span per (column, page), ordered column-major, so a
+        // remote source merges a column's adjacent pages into one ranged
+        // GET, while metering stays per page.
+        let page_bytes = PAGE_ROWS * 8 * n_cols as u64;
+        let group_rows_max = crate::scan::units_per_shard(u64::MAX, page_bytes, 1) * PAGE_ROWS;
         let mut pages: Vec<Vec<f64>> = vec![Vec::new(); n_cols];
         let mut values = vec![0.0f64; n_cols];
         let mut local_row: RowId = 0;
         let mut row0 = start;
-        let mut spans: Vec<(u64, u64)> = Vec::with_capacity(n_cols);
+        let mut spans: Vec<(u64, u64)> = Vec::new();
         let mut bufs: Vec<Vec<u8>> = Vec::new();
         while row0 < end {
-            let batch = PAGE_ROWS.min(end - row0);
+            let group_rows = group_rows_max.min(end - row0);
+            let group_pages = group_rows.div_ceil(PAGE_ROWS) as usize;
+            let page_rows = |p: usize| PAGE_ROWS.min(group_rows - p as u64 * PAGE_ROWS);
             spans.clear();
-            spans.extend((0..n_cols).map(|col| (self.position(row0, col), batch * 8)));
+            for col in 0..n_cols {
+                spans.extend((0..group_pages).map(|p| {
+                    let at = self.position(row0 + p as u64 * PAGE_ROWS, col);
+                    (at, page_rows(p) * 8)
+                }));
+            }
             let mut m = SpanMeters::default();
             let fetched = fetcher.read_spans(&spans, &mut bufs, &mut m, CacheMode::Stream)?;
             self.counters.add_seeks(m.seeks);
             self.counters.add_bytes(m.bytes);
-            self.counters.add_blocks_read(n_cols as u64);
-            for (page, buf) in pages.iter_mut().zip(fetched.iter()) {
-                page.clear();
-                page.extend(
-                    buf.chunks_exact(8)
-                        .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
-                );
-            }
-            // Objects are metered once per page (also when the handler
-            // stops the scan), not with one shared atomic per row.
-            let page_row0 = local_row;
-            let mut outcome = Ok(());
-            for i in 0..batch as usize {
-                for (v, page) in values.iter_mut().zip(&pages) {
-                    *v = page[i];
+            self.counters.add_blocks_read((n_cols * group_pages) as u64);
+            for p in 0..group_pages {
+                for (col, page) in pages.iter_mut().enumerate() {
+                    let buf = fetched.get(col * group_pages + p);
+                    page.clear();
+                    page.extend(
+                        buf.chunks_exact(8)
+                            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
+                    );
                 }
-                let row = row0 + i as u64;
-                let rec = Record::from_values(&values, row);
-                outcome = handler(local_row, RowLocator::new(row), &rec);
-                if outcome.is_err() {
-                    break;
+                // Objects are metered once per page (also when the handler
+                // stops the scan), not with one shared atomic per row.
+                let page_row0 = local_row;
+                let mut outcome = Ok(());
+                for i in 0..page_rows(p) as usize {
+                    for (v, page) in values.iter_mut().zip(&pages) {
+                        *v = page[i];
+                    }
+                    let row = row0 + p as u64 * PAGE_ROWS + i as u64;
+                    let rec = Record::from_values(&values, row);
+                    outcome = handler(local_row, RowLocator::new(row), &rec);
+                    if outcome.is_err() {
+                        break;
+                    }
+                    local_row += 1;
                 }
-                local_row += 1;
+                self.counters.add_objects(local_row - page_row0);
+                outcome?;
             }
-            self.counters.add_objects(local_row - page_row0);
-            outcome?;
-            row0 += batch;
+            row0 += group_rows;
         }
         Ok(())
     }

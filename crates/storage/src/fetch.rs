@@ -6,17 +6,19 @@
 //! slice of itself; a file on disk serves each span with a seek + an exact
 //! read into a buffer the caller keeps across batches. The remote source
 //! hands the whole batch to
-//! [`crate::remote::HttpBlob::read_spans`], which coalesces adjacent spans
+//! [`crate::remote::HttpBlob::lend_spans`], which coalesces adjacent spans
 //! into as few ranged GETs as possible — which is why the backends collect
 //! spans into batches before decoding instead of reading one span at a
-//! time. Logical metering (bytes, seeks) is identical either way: one seek
-//! and `len` bytes per span, so a remote file reports the same logical I/O
-//! as its local twin while the transport meters (`http_requests`,
+//! time — and lends each span out of the response (or the cached page) it
+//! arrived in. Logical metering (bytes, seeks) is identical either way: one
+//! seek and `len` bytes per span, so a remote file reports the same logical
+//! I/O as its local twin while the transport meters (`http_requests`,
 //! `http_bytes`, `retries`) tell the remote story.
 //!
 //! Every batch carries a [`CacheMode`]: positional reads (the adaptation
 //! layer's chosen tiles) pass [`CacheMode::Admit`], streaming scans pass
-//! [`CacheMode::Stream`]. A remote source with a bound block cache serves
+//! [`CacheMode::Stream`]. A remote source sizes its requests by it (a scan's
+//! contiguous runs are wanted whole) and, with a bound block cache, serves
 //! hits locally and admits misses under that rule; the per-span logical
 //! metering here is deliberately tier-blind, which is what keeps the cache
 //! transport-only.
@@ -27,7 +29,7 @@ use std::io::{Read, Seek, SeekFrom};
 use pai_common::{PaiError, Result};
 
 use crate::cache::CacheMode;
-use crate::remote::HttpBlob;
+use crate::remote::{HttpBlob, SpanBatch};
 
 /// Byte/seek accumulators for one logical access (flushed to the shared
 /// counters once per call by the owning backend).
@@ -43,15 +45,17 @@ pub(crate) enum SpanFetcher<'a> {
     Bytes(&'a [u8]),
     /// Seek + exact read per span against an open file.
     File(File),
-    /// Batched, coalescing ranged GETs against a remote object.
-    Remote(&'a HttpBlob),
+    /// Batched, coalescing ranged GETs against a remote object, and the
+    /// last batch fetched (whose buffers the spans are lent from).
+    Remote(&'a HttpBlob, SpanBatch),
 }
 
-/// The spans of one batch, in input order: slices of the source itself, or
-/// of the buffers they were read into.
+/// The spans of one batch, in input order: slices of the source itself, of
+/// the buffers they were read into, or of the responses they arrived in.
 pub(crate) enum Spans<'s> {
     Lent(&'s [u8], &'s [(u64, u64)]),
     Read(&'s [Vec<u8>]),
+    Fetched(&'s SpanBatch),
 }
 
 impl<'s> Spans<'s> {
@@ -63,6 +67,7 @@ impl<'s> Spans<'s> {
                 &bytes[off as usize..][..len as usize]
             }
             Spans::Read(bufs) => &bufs[i],
+            Spans::Fetched(batch) => batch.get(i),
         }
     }
 
@@ -71,6 +76,7 @@ impl<'s> Spans<'s> {
         let n = match *self {
             Spans::Lent(_, spans) => spans.len(),
             Spans::Read(bufs) => bufs.len(),
+            Spans::Fetched(batch) => batch.len(),
         };
         (0..n).map(|i| self.get(i))
     }
@@ -80,13 +86,19 @@ fn short() -> PaiError {
     PaiError::internal("data region shorter than header claims")
 }
 
-impl SpanFetcher<'_> {
+impl<'a> SpanFetcher<'a> {
+    /// The fetcher over a remote object.
+    pub fn remote(blob: &'a HttpBlob) -> Self {
+        SpanFetcher::Remote(blob, SpanBatch::default())
+    }
+
     /// Fetches a batch of `(offset, len)` spans. Metering is per span — one
     /// seek plus `len` bytes each, identical to reading the spans one at a
     /// time — but a remote source coalesces adjacent spans of the batch
     /// into shared ranged GETs. Callers keep one `bufs` alive across batches
     /// so file reads reuse its buffers instead of allocating per span;
-    /// `mode` is the cache-admission rule for a remote source (ignored
+    /// `mode` says whether the batch is a scan or a positional read, which a
+    /// remote source sizes its requests and admits to its cache by (ignored
     /// locally).
     pub fn read_spans<'s>(
         &'s mut self,
@@ -122,9 +134,9 @@ impl SpanFetcher<'_> {
                 }
                 Spans::Read(bufs)
             }
-            SpanFetcher::Remote(blob) => {
-                *bufs = blob.read_spans_mode(spans, mode)?;
-                Spans::Read(bufs)
+            SpanFetcher::Remote(blob, batch) => {
+                *batch = blob.lend_spans(spans, mode)?;
+                Spans::Fetched(batch)
             }
         };
         for &(_, len) in spans {

@@ -107,6 +107,6 @@ pub use raw::{
     build_block_synopses, AppendReceipt, BlockStats, BlockSynopsis, ColumnSynopsis,
     CompactionReport, CsvFile, MemFile, RawFile, Record, ScanPartition, SynopsisSpec,
 };
-pub use remote::{HttpBlob, HttpFile, HttpOptions};
+pub use remote::{HttpBlob, HttpFile, HttpOptions, SpanBatch};
 pub use schema::{Column, ColumnType, Schema};
 pub use zone::{convert_to_zone, convert_to_zone_spec, write_zone, ZoneFile};

@@ -5,30 +5,42 @@
 //! that lives behind an HTTP object store (in tests and benches, the
 //! bundled [`crate::objstore::ObjectStore`]) and implements the full
 //! [`crate::RawFile`] surface — scans, positional reads, zone-map pushdown —
-//! by fetching byte ranges on demand. Six client-side mechanisms make
+//! by fetching byte ranges on demand. Seven client-side mechanisms make
 //! that viable when every request pays a round trip:
 //!
-//! * **Request coalescing** ([`HttpBlob::read_spans`]) — the decode layers
+//! * **Request coalescing** ([`HttpBlob::lend_spans`]) — the decode layers
 //!   hand the client *batches* of byte spans (one per block run), and the
 //!   client merges spans that are adjacent or nearly so (gap ≤
-//!   [`HttpOptions::coalesce_gap`]) into single ranged GETs, capped at
-//!   [`HttpOptions::part_bytes`] per request — the "part size" an object
-//!   store serves efficiently. Skipped zone-map blocks never enter a batch,
-//!   so pushdown translates directly into GETs never issued.
+//!   [`HttpOptions::coalesce_gap`]) into single ranged GETs. How far a
+//!   merge may grow depends on what the batch is: a positional read's stops
+//!   at [`HttpOptions::part_bytes`], which bounds its over-fetch and its
+//!   retry size; a streaming scan's runs are wanted whole and merge up to
+//!   1 MiB whatever the part size, so a scan partition costs one GET per
+//!   column run — sequential I/O, as on a local file. Skipped zone-map
+//!   blocks never enter a batch, so pushdown translates directly into GETs
+//!   never issued.
+//! * **The response is the buffer** ([`SpanBatch`]) — a GET's body is read
+//!   once, into unzeroed capacity, and the batch's spans are lent out of it
+//!   (or out of the resident cache page that holds them): a scan decodes its
+//!   blocks straight from the response, and a 16 KiB page is copied out
+//!   only when the cache admits it.
 //! * **Connection reuse** — keep-alive connections are pooled and recycled
 //!   across requests (and across concurrent readers).
 //! * **Bounded retry with exponential backoff** — transient failures (5xx
 //!   responses, dropped connections, short reads) are retried up to
 //!   [`HttpOptions::max_retries`] times, doubling
-//!   [`HttpOptions::backoff`] each attempt. Every retry is metered.
+//!   [`HttpOptions::backoff`] each attempt. Every retry is metered. Every
+//!   socket carries connect, read and write timeouts, so a peer that stalls
+//!   is one more transient failure, and what a response head may claim is
+//!   bounded before it is believed: a line of at most 8 KiB, a
+//!   `Content-Length` of at most the range asked for.
 //! * **Overlapped fetching** ([`HttpOptions::fetch_workers`]) — a bounded
 //!   pool of scoped worker threads issues a span batch's merged GETs
-//!   concurrently and streams each completed group through a channel back
-//!   to the calling thread, which slices arrived groups into their output
-//!   spans while later GETs are still in flight. The groups are computed
-//!   *before* any worker starts, so the request pattern (and every logical
-//!   meter) is byte-identical to the sequential path — only wall-clock
-//!   changes. `fetch_workers = 1` is exactly the old sequential loop.
+//!   concurrently and hands each completed body through a channel back to
+//!   the calling thread. The groups are computed *before* any worker
+//!   starts, so the request pattern (and every logical meter) is
+//!   byte-identical to the sequential path — only wall-clock changes.
+//!   `fetch_workers = 1` is exactly the old sequential loop.
 //! * **Adaptive part sizing** ([`HttpOptions::adaptive`]) — instead of
 //!   trusting the static `coalesce_gap`/`part_bytes` knobs, the client
 //!   learns an effective gap and part size per object from the observed
@@ -39,10 +51,10 @@
 //!   a [`crate::cache::BlockCache`] bound, a batch's spans are mapped to
 //!   their covering [`PAGE_BYTES`] pages, resident pages are subtracted,
 //!   the *missing pages* take the very same coalesce → fetch path above
-//!   (adjacent pages merge up to the part size), and the spans are sliced
-//!   out of pages. The cached request pattern is page-aligned; cold, it
-//!   costs no more GETs or wire bytes than the uncached one on the gated
-//!   workloads, and warm it costs none.
+//!   (adjacent pages merge up to the batch's size limit), and the spans are
+//!   lent out of the responses and the resident pages. The cached request
+//!   pattern is page-aligned; cold, it costs no more GETs or wire bytes
+//!   than the uncached one on the gated workloads, and warm it costs none.
 //!
 //! Metering: the wrapped file's logical meters (`bytes_read`, `seeks`,
 //! `blocks_read`, …) tick exactly as they do on a local `ZoneFile`/`BinFile`
@@ -75,9 +87,15 @@ use crate::zone::{ZoneFile, PAIZONE_MAGIC, PAIZONE_MAGIC_V2};
 /// Client-side tuning for a remote object.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpOptions {
-    /// Target size of one ranged GET — the object store's "part" size.
-    /// Coalescing never grows a merged request beyond this (a single span
-    /// larger than a part is still fetched in one request).
+    /// The most one merged GET of a *positional* batch
+    /// ([`CacheMode::Admit`]: the rows of chosen tiles) may span — the object
+    /// store's "part" size. Such a batch is scattered, so a merge fetches the
+    /// gaps between its spans too and a failed request is retried whole:
+    /// this bounds both (a single span larger than a part is still fetched
+    /// in one request). It does not govern a streaming scan
+    /// ([`CacheMode::Stream`]), whose contiguous runs are wanted in full and
+    /// merge up to 1 MiB (or this, if larger); it also sizes the open-time
+    /// probe and header read-ahead.
     pub part_bytes: u64,
     /// Maximum gap (bytes) bridged when merging adjacent spans into one
     /// request. Gap bytes are fetched and discarded, so this should stay
@@ -224,7 +242,25 @@ pub struct HttpClient {
     /// Sticky flag: some response revealed the object changed generations
     /// since the last observation. Consumed by [`HttpClient::take_etag_change`].
     etag_changed: AtomicBool,
+    /// Connect, read and write timeout of every socket ([`IO_TIMEOUT`];
+    /// tests shorten it).
+    timeout: Duration,
 }
+
+/// Connect, read and write timeout of every client socket. A peer that
+/// accepts and then says nothing fails the attempt — a transient error, so
+/// the bounded retry turns a stalled store into an `Err` — instead of
+/// pinning the caller and a pooled connection for good. It bounds the wait
+/// for the *next* bytes, not a whole response, so it need not scale with
+/// the request size.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
+/// Longest status or header line a response head may carry.
+const MAX_HEAD_LINE: u64 = 8 * 1024;
+/// Most header lines a response head may carry.
+const MAX_HEADERS: usize = 64;
+/// The longest 5xx error body drained to keep a connection reusable; past
+/// it the connection is dropped instead.
+const MAX_ERROR_BODY: u64 = 64 * 1024;
 
 impl HttpClient {
     fn new(addr: SocketAddr, object: String, opts: HttpOptions, counters: IoCounters) -> Self {
@@ -236,7 +272,16 @@ impl HttpClient {
             pool: Mutex::new(Vec::new()),
             etag: Mutex::new(None),
             etag_changed: AtomicBool::new(false),
+            timeout: IO_TIMEOUT,
         }
+    }
+
+    /// This client giving up on a silent socket after `timeout` instead of
+    /// [`IO_TIMEOUT`], so a test of a stalled peer takes milliseconds.
+    #[cfg(test)]
+    fn with_timeout(mut self, timeout: Duration) -> Self {
+        self.timeout = timeout;
+        self
     }
 
     /// Records a response's entity tag; a change against the previously
@@ -260,10 +305,12 @@ impl HttpClient {
         if let Some(conn) = self.pool.lock().expect("conn pool").pop() {
             return Ok(conn);
         }
-        let stream = TcpStream::connect(self.addr)?;
+        let stream = TcpStream::connect_timeout(&self.addr, self.timeout)?;
         // Many small request/response exchanges per connection: Nagle's
         // algorithm would serialize them against delayed ACKs.
         stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(self.timeout))?;
+        stream.set_write_timeout(Some(self.timeout))?;
         Ok(BufReader::new(stream))
     }
 
@@ -325,16 +372,14 @@ impl HttpClient {
             // once the (usually empty) error body is drained — returning it
             // undrained would desync the stream for the next request.
             let reusable = match head.content_length {
-                Some(0) => true,
-                Some(n) => {
-                    let mut sink = vec![0u8; n as usize];
-                    let ok = conn.read_exact(&mut sink).is_ok();
-                    if ok {
-                        self.counters.add_http_bytes(n);
-                    }
-                    ok
+                Some(n) if n <= MAX_ERROR_BODY => {
+                    let drained = std::io::copy(&mut (&mut conn).take(n), &mut std::io::sink());
+                    let drained = drained.unwrap_or(0);
+                    self.counters.add_http_bytes(drained);
+                    drained == n
                 }
-                None => false, // unknown body length: cannot trust the stream
+                // Unknown or absurd body length: cannot trust the stream.
+                _ => false,
             };
             if reusable {
                 self.checkin(conn);
@@ -352,36 +397,56 @@ impl HttpClient {
         let expected = head.content_length.ok_or_else(|| {
             GetError::Permanent(PaiError::internal("response carried no Content-Length"))
         })?;
-        let mut body = vec![0u8; expected as usize];
-        let mut got = 0usize;
-        while got < body.len() {
-            match conn.read(&mut body[got..]) {
-                Ok(0) => {
-                    self.counters.add_http_bytes(got as u64);
-                    return Err(GetError::Transient(format!(
-                        "short read: {got} of {expected} body bytes"
-                    )));
-                }
-                Ok(n) => got += n,
-                Err(e) => {
-                    self.counters.add_http_bytes(got as u64);
-                    return Err(GetError::Transient(format!("recv: {e}")));
-                }
-            }
+        // The length is the peer's word: hold it to the range that was asked
+        // for before it sizes anything. A store that ignores `Range` and
+        // answers with the whole object, or lies, is not worth retrying.
+        if expected > end - start {
+            return Err(GetError::Permanent(PaiError::internal(format!(
+                "remote GET bytes={start}-{}: response advertises {expected} body bytes for a \
+                 {}-byte range",
+                end - 1,
+                end - start
+            ))));
         }
-        self.counters.add_http_bytes(expected);
+        // `read_to_end` fills spare capacity as it is: the body is written
+        // once, by the socket read, into the buffer the spans are lent from.
+        let mut body = Vec::with_capacity(expected as usize);
+        let read = (&mut conn).take(expected).read_to_end(&mut body);
+        self.counters.add_http_bytes(body.len() as u64);
+        if let Err(e) = read {
+            return Err(GetError::Transient(format!("recv: {e}")));
+        }
+        if (body.len() as u64) < expected {
+            return Err(GetError::Transient(format!(
+                "short read: {} of {expected} body bytes",
+                body.len()
+            )));
+        }
         let total = head.total.unwrap_or(expected);
         self.checkin(conn);
         Ok((body, total))
     }
 }
 
+/// Reads one line of a response head into `line` (cleared first), at most
+/// [`MAX_HEAD_LINE`] bytes of it: a peer that never sends `\n` costs one
+/// bounded read, not an unbounded `String`. Empty on a closed connection.
+fn read_head_line(conn: &mut Conn, line: &mut String) -> std::result::Result<(), String> {
+    line.clear();
+    conn.take(MAX_HEAD_LINE)
+        .read_line(line)
+        .map_err(|e| format!("recv: {e}"))?;
+    if line.len() as u64 == MAX_HEAD_LINE && !line.ends_with('\n') {
+        return Err(format!("response head line over {MAX_HEAD_LINE} bytes"));
+    }
+    Ok(())
+}
+
 /// Reads a status line plus headers. Errors are transient (connection-level).
 fn read_head(conn: &mut Conn) -> std::result::Result<ResponseHead, String> {
     let mut line = String::new();
     let mut head_bytes = 0u64;
-    conn.read_line(&mut line)
-        .map_err(|e| format!("recv: {e}"))?;
+    read_head_line(conn, &mut line)?;
     if line.is_empty() {
         return Err("connection closed before any response".into());
     }
@@ -394,10 +459,9 @@ fn read_head(conn: &mut Conn) -> std::result::Result<ResponseHead, String> {
     let mut content_length = None;
     let mut total = None;
     let mut etag = None;
-    loop {
-        let mut header = String::new();
-        conn.read_line(&mut header)
-            .map_err(|e| format!("recv: {e}"))?;
+    let mut header = String::new();
+    for n in 0.. {
+        read_head_line(conn, &mut header)?;
         if header.is_empty() {
             return Err("connection closed inside the response head".into());
         }
@@ -405,6 +469,9 @@ fn read_head(conn: &mut Conn) -> std::result::Result<ResponseHead, String> {
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        if n == MAX_HEADERS {
+            return Err(format!("response head over {MAX_HEADERS} header lines"));
         }
         if let Some((key, value)) = header.split_once(':') {
             let value = value.trim();
@@ -447,8 +514,55 @@ const SIZER_ALPHA: f64 = 0.25;
 /// Gaps above this are cluster breaks, not bridgeable waste — they never
 /// feed the gap EWMA and the learned gap never exceeds it.
 const SIZER_GAP_CEILING: u64 = 16 * 1024;
-/// The learned part size never exceeds what an object store serves well.
-const SIZER_PART_CEILING: u64 = 1 << 20;
+/// What an object store serves well in one request: the learned part size
+/// never exceeds it, and a streaming scan's contiguous runs merge up to it
+/// (see [`HttpBlob::lend_spans`]).
+const PART_CEILING: u64 = 1 << 20;
+
+/// The bytes of one span batch, held in the buffers they arrived in: the
+/// bodies of the batch's ranged GETs and the resident cache pages it hit. A
+/// span that lies inside one of those is a slice of it — a scan decodes its
+/// blocks straight out of the response — and only a span that straddles two
+/// (a resident page beside a fetched one, two GETs) is stitched into a
+/// buffer of its own.
+#[derive(Debug, Default)]
+pub struct SpanBatch {
+    bufs: Vec<Page>,
+    /// Per span, in input order: the buffer, the offset into it, the length.
+    at: Vec<(usize, usize, usize)>,
+}
+
+impl SpanBatch {
+    /// How many spans the batch holds.
+    pub fn len(&self) -> usize {
+        self.at.len()
+    }
+
+    /// Whether the batch holds no span.
+    pub fn is_empty(&self) -> bool {
+        self.at.is_empty()
+    }
+
+    /// The bytes of the batch's `i`-th span.
+    pub fn get(&self, i: usize) -> &[u8] {
+        let (buf, a, len) = self.at[i];
+        // A zero-length span names no buffer (the batch may hold none).
+        self.bufs.get(buf).map_or(&[], |b| &b[a..a + len])
+    }
+
+    /// Every span of the batch, in input order.
+    pub fn iter(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+}
+
+/// What one coalesced fetch brought back.
+struct Fetched {
+    /// The merged GETs' bodies, in offset order.
+    bodies: Vec<Vec<u8>>,
+    /// Per request, in input order: the body it lies in and where.
+    at: Vec<(usize, usize)>,
+}
 
 /// A remote object addressed as a flat byte blob: the span-fetch layer the
 /// binary backends read through when their bytes live behind HTTP.
@@ -501,7 +615,10 @@ impl HttpBlob {
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| PaiError::config("object store address resolves to nothing"))?;
-        let client = HttpClient::new(addr, object.into(), opts, counters);
+        HttpBlob::open_client(HttpClient::new(addr, object.into(), opts, counters))
+    }
+
+    fn open_client(client: HttpClient) -> Result<HttpBlob> {
         let chunk = client.opts.part_bytes.clamp(4096, 1 << 20);
         let (prefix, len) = client.get_range(0, chunk)?;
         let blob = HttpBlob {
@@ -578,34 +695,57 @@ impl HttpBlob {
     /// each exactly `len` bytes. Spans must lie inside the object.
     ///
     /// With `fetch_workers > 1` the merged GETs are issued by a bounded
-    /// pool of scoped threads and each completed group is sliced into its
-    /// output spans while later GETs are still in flight; the groups
-    /// themselves are computed up front either way, so the request pattern
-    /// is identical at every worker count. The naive client takes exactly
-    /// this path with single-span groups — retry, backoff, and every meter
-    /// are shared between the naive and coalesced modes by construction.
+    /// pool of scoped threads; the groups themselves are computed up front
+    /// either way, so the request pattern is identical at every worker
+    /// count. The naive client takes exactly this path with single-span
+    /// groups — retry, backoff, and every meter are shared between the
+    /// naive and coalesced modes by construction.
     ///
     /// Misses admit to a bound cache under [`CacheMode::Admit`]; scan
-    /// paths use [`HttpBlob::read_spans_mode`] to opt into the one-touch
-    /// streaming rule instead.
+    /// paths use [`HttpBlob::lend_spans`] with [`CacheMode::Stream`] to opt
+    /// into the one-touch streaming rule (and the streaming request size)
+    /// instead.
     pub fn read_spans(&self, spans: &[(u64, u64)]) -> Result<Vec<Vec<u8>>> {
         self.read_spans_mode(spans, CacheMode::Admit)
     }
 
-    /// [`HttpBlob::read_spans`] with an explicit cache-admission mode.
+    /// [`HttpBlob::read_spans`] with an explicit batch mode: the bytes of
+    /// [`HttpBlob::lend_spans`], copied out into one buffer per span.
+    pub fn read_spans_mode(&self, spans: &[(u64, u64)], mode: CacheMode) -> Result<Vec<Vec<u8>>> {
+        let batch = self.lend_spans(spans, mode)?;
+        Ok(batch.iter().map(<[u8]>::to_vec).collect())
+    }
+
+    /// Fetches a span batch and lends its bytes out of the buffers they
+    /// arrived in — the bodies of the ranged GETs and the resident cache
+    /// pages — instead of copying each span out (see [`SpanBatch`]).
+    ///
+    /// `mode` says what kind of traffic the batch is, which sets two rules:
+    ///
+    /// * *Request size.* A [`CacheMode::Admit`] batch is positional — the
+    ///   rows of chosen tiles, scattered — and its merged GETs stop at
+    ///   [`HttpOptions::part_bytes`], which bounds what a merge over-fetches
+    ///   across gaps and what one failed request costs to retry. A
+    ///   [`CacheMode::Stream`] batch is a scan: every byte between its first
+    ///   and last is wanted, so contiguous wanted bytes (the same
+    ///   [`HttpOptions::coalesce_gap`] rule: a block the zone maps skipped
+    ///   is still never fetched) merge up to 1 MiB (`PART_CEILING`), whatever
+    ///   `part_bytes` says. A scan partition's column run is then one GET,
+    ///   as it is one sequential read on a local file.
+    /// * *Admission*, when a cache is bound (see [`CacheMode`]).
     ///
     /// When a cache is bound, the batch is served page by page (see
     /// [`crate::cache::PAGE_BYTES`]): the spans' covering pages are looked
     /// up *before* sorting, adaptive sizing, and coalescing, so only the
-    /// missing pages shape the merged GETs, and the caller's spans are
-    /// sliced out of pages. A fully-cached batch does zero HTTP work (and
-    /// adds zero fetch wall time). The request pattern of a cached client
-    /// is therefore page-aligned, not the uncached client's; what the
-    /// tests and the `remote_bench` gates pin instead is that a cold
-    /// cached session never issues more GETs or wire bytes than the
+    /// missing pages shape the merged GETs. A fully-cached batch does zero
+    /// HTTP work (and adds zero fetch wall time). The request pattern of a
+    /// cached client is therefore page-aligned, not the uncached client's;
+    /// what the tests and the `remote_bench` gates pin instead is that a
+    /// cold cached session never issues more GETs or wire bytes than the
     /// uncached one. Fetched pages are offered to the cache under `mode`'s
-    /// admission rule; `cache_hits`/`cache_misses` count page lookups,
-    /// added once per batch.
+    /// admission rule, and copied out of the GET body only if it takes
+    /// them; `cache_hits`/`cache_misses` count page lookups, added once per
+    /// batch.
     ///
     /// Staleness guard: if any GET in the batch reveals a changed `ETag`
     /// (the store replaced the object mid-session), every cached page of
@@ -614,9 +754,9 @@ impl HttpBlob {
     /// batch is refetched once against the emptied cache. The result
     /// therefore never mixes generations that a single GET could tell
     /// apart.
-    pub fn read_spans_mode(&self, spans: &[(u64, u64)], mode: CacheMode) -> Result<Vec<Vec<u8>>> {
+    pub fn lend_spans(&self, spans: &[(u64, u64)], mode: CacheMode) -> Result<SpanBatch> {
         self.maybe_revalidate()?;
-        let (out, had_hits) = self.read_spans_attempt(spans, mode)?;
+        let (out, had_hits) = self.lend_attempt(spans, mode)?;
         if self.client.take_etag_change() {
             self.invalidate_cached_spans();
             if had_hits {
@@ -624,7 +764,7 @@ impl HttpBlob {
                 // empty for this object, so one retry fetches everything
                 // fresh (and its GETs re-observe the *new* tag, so this
                 // cannot recurse).
-                let (out, _) = self.read_spans_attempt(spans, mode)?;
+                let (out, _) = self.lend_attempt(spans, mode)?;
                 return Ok(out);
             }
         }
@@ -669,17 +809,15 @@ impl HttpBlob {
     }
 
     /// One pass of the span-batch fetch. Uncached, the spans themselves go
-    /// to the coalescer. With a cache bound, the spans are mapped to their
-    /// covering pages, resident pages are subtracted, the *missing pages*
-    /// go to the same coalescer (adjacent pages have gap 0, so they merge
-    /// up to the part size), are offered to the cache under `mode`, and the
-    /// spans are sliced out of pages. Returns the output buffers and
+    /// to the coalescer and are lent out of the GET bodies. With a cache
+    /// bound, the spans are mapped to their covering pages, resident pages
+    /// are subtracted, the *missing pages* go to the same coalescer
+    /// (adjacent pages have gap 0, so they merge up to the part size) and
+    /// are offered to the cache under `mode`; a span is then lent from the
+    /// GET body or the resident page that holds all of it, and stitched
+    /// together page by page only when none does. Returns the batch and
     /// whether any page was served from the cache.
-    fn read_spans_attempt(
-        &self,
-        spans: &[(u64, u64)],
-        mode: CacheMode,
-    ) -> Result<(Vec<Vec<u8>>, bool)> {
+    fn lend_attempt(&self, spans: &[(u64, u64)], mode: CacheMode) -> Result<(SpanBatch, bool)> {
         for &(off, len) in spans {
             if off.checked_add(len).is_none_or(|end| end > self.len) {
                 return Err(PaiError::internal(format!(
@@ -689,7 +827,13 @@ impl HttpBlob {
             }
         }
         let Some(b) = self.cache.get() else {
-            return Ok((self.fetch_coalesced(spans)?, false));
+            let got = self.fetch_coalesced(spans, mode)?;
+            let at = spans.iter().zip(&got.at);
+            let at = at
+                .map(|(&(_, len), &(g, a))| (g, a, len as usize))
+                .collect();
+            let bufs = got.bodies.into_iter().map(Arc::new).collect();
+            return Ok((SpanBatch { bufs, at }, false));
         };
         let counters = &self.client.counters;
         let mut pages: Vec<u64> = spans
@@ -699,89 +843,130 @@ impl HttpBlob {
             .collect();
         pages.sort_unstable();
         pages.dedup();
-        let mut bufs: Vec<Option<Page>> = pages
+        let resident: Vec<Option<Page>> = pages
             .iter()
             .map(|&page| b.cache.lookup(b.object, page))
             .collect();
-        let missing: Vec<usize> = (0..pages.len()).filter(|&k| bufs[k].is_none()).collect();
+        let missing: Vec<usize> = (0..pages.len())
+            .filter(|&k| resident[k].is_none())
+            .collect();
         let hits = pages.len() - missing.len();
         counters.add_cache_hits(hits as u64);
         counters.add_cache_misses(missing.len() as u64);
-        let wanted: Vec<(u64, u64)> = missing
-            .iter()
-            .map(|&k| {
-                let off = pages[k] * PAGE_BYTES;
-                (off, PAGE_BYTES.min(self.len - off))
-            })
-            .collect();
-        for (&k, bytes) in missing.iter().zip(self.fetch_coalesced(&wanted)?) {
-            let data = Arc::new(bytes);
-            b.cache
-                .admit(b.object, pages[k], Arc::clone(&data), mode, counters);
-            bufs[k] = Some(data);
+        let page_span = |k: usize| {
+            let off = pages[k] * PAGE_BYTES;
+            (off, PAGE_BYTES.min(self.len - off))
+        };
+        let wanted: Vec<(u64, u64)> = missing.iter().map(|&k| page_span(k)).collect();
+        let got = self.fetch_coalesced(&wanted, mode)?;
+        // Where a missing page's bytes are: the GET body and the offset.
+        let mut fetched: Vec<Option<(usize, usize)>> = vec![None; pages.len()];
+        for (&k, &at) in missing.iter().zip(&got.at) {
+            fetched[k] = Some(at);
         }
-        let out = spans
+        let page_bytes = |k: usize| match (&resident[k], fetched[k]) {
+            (Some(page), _) => page.as_slice(),
+            (None, Some((g, a))) => &got.bodies[g][a..a + page_span(k).1 as usize],
+            (None, None) => unreachable!("a page is resident or was just fetched"),
+        };
+        for &k in &missing {
+            let bytes = page_bytes(k);
+            let copy = || Arc::new(bytes.to_vec());
+            b.cache
+                .admit_with(b.object, pages[k], bytes.len() as u64, mode, counters, copy);
+        }
+        // The GET bodies are the batch's first buffers; resident pages and
+        // stitched spans follow as spans ask for them.
+        let n_bodies = got.bodies.len();
+        let mut extra: Vec<Page> = Vec::new();
+        let mut lent_page = vec![usize::MAX; pages.len()];
+        let at = spans
             .iter()
             .map(|&(off, len)| {
-                let mut buf = Vec::with_capacity(len as usize);
-                let (mut at, end) = (off, off + len);
-                // The span's covering pages sit consecutively in `pages`.
-                let mut k = pages.partition_point(|&page| page < off / PAGE_BYTES);
-                while at < end {
-                    let page = bufs[k].as_ref().expect("resident or just fetched");
-                    let a = (at % PAGE_BYTES) as usize;
-                    let n = (page.len() - a).min((end - at) as usize);
-                    buf.extend_from_slice(&page[a..a + n]);
-                    at += n as u64;
-                    k += 1;
+                let (a, len) = ((off % PAGE_BYTES) as usize, len as usize);
+                if len == 0 {
+                    return (0, 0, 0);
                 }
-                buf
+                // The span's covering pages sit consecutively in `pages`.
+                let k0 = pages.partition_point(|&page| page < off / PAGE_BYTES);
+                match (&resident[k0], fetched[k0]) {
+                    // A scan's case: the run was fetched whole.
+                    (_, Some((g, page_at))) if page_at + a + len <= got.bodies[g].len() => {
+                        return (g, page_at + a, len);
+                    }
+                    (Some(page), _) if a + len <= page.len() => {
+                        if lent_page[k0] == usize::MAX {
+                            lent_page[k0] = n_bodies + extra.len();
+                            extra.push(Arc::clone(page));
+                        }
+                        return (lent_page[k0], a, len);
+                    }
+                    _ => {}
+                }
+                // Straddles a resident page and a fetched one, or two GETs.
+                let mut buf = Vec::with_capacity(len);
+                let (mut a, mut k) = (a, k0);
+                while buf.len() < len {
+                    let page = page_bytes(k);
+                    let n = (page.len() - a).min(len - buf.len());
+                    buf.extend_from_slice(&page[a..a + n]);
+                    (a, k) = (0, k + 1);
+                }
+                extra.push(Arc::new(buf));
+                (n_bodies + extra.len() - 1, 0, len)
             })
             .collect();
-        Ok((out, hits > 0))
+        let mut bufs: Vec<Page> = got.bodies.into_iter().map(Arc::new).collect();
+        bufs.append(&mut extra);
+        Ok((SpanBatch { bufs, at }, hits > 0))
     }
 
     /// Fetches `(offset, len)` requests — a caller's spans, or the pages a
-    /// cached batch is missing — in as few ranged GETs as the options
-    /// allow, returning one buffer per request in input order.
-    fn fetch_coalesced(&self, spans: &[(u64, u64)]) -> Result<Vec<Vec<u8>>> {
+    /// cached batch is missing — in as few ranged GETs as the options and
+    /// the batch's `mode` allow (see [`HttpBlob::lend_spans`]).
+    fn fetch_coalesced(&self, reqs: &[(u64, u64)], mode: CacheMode) -> Result<Fetched> {
         let opts = &self.client.opts;
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); spans.len()];
-        let mut idx: Vec<usize> = (0..spans.len()).filter(|&i| spans[i].1 > 0).collect();
-        idx.sort_by_key(|&i| spans[i].0);
+        let mut idx: Vec<usize> = (0..reqs.len()).filter(|&i| reqs[i].1 > 0).collect();
+        idx.sort_by_key(|&i| reqs[i].0);
         let (gap, part) = if opts.adaptive && opts.coalesce {
-            self.adapt_sizing(spans, &idx)
+            self.adapt_sizing(reqs, &idx)
         } else {
             (opts.coalesce_gap, opts.part_bytes)
         };
-        // Greedy merge over offset-sorted spans: bridge gaps up to the
-        // effective gap, stop growing a request at the effective part size.
-        let mut groups: Vec<(u64, u64, Vec<usize>)> = Vec::new();
+        let part = match mode {
+            CacheMode::Admit => part,
+            CacheMode::Stream => part.max(PART_CEILING),
+        };
+        // Greedy merge over offset-sorted requests: bridge gaps up to the
+        // effective gap, stop growing a GET at the effective part size.
+        let mut groups: Vec<(u64, u64)> = Vec::new();
+        let mut at = vec![(0usize, 0usize); reqs.len()];
         for &i in &idx {
-            let (off, len) = spans[i];
+            let (off, len) = reqs[i];
             let end = off + len;
             match groups.last_mut() {
-                Some((g_start, g_end, members))
+                Some((g_start, g_end))
                     if opts.coalesce
                         && off <= g_end.saturating_add(gap)
                         && end.max(*g_end) - *g_start <= part =>
                 {
                     *g_end = (*g_end).max(end);
-                    members.push(i);
                 }
-                _ => groups.push((off, end, vec![i])),
+                _ => groups.push((off, end)),
             }
+            let g = groups.len() - 1;
+            at[i] = (g, (off - groups[g].0) as usize);
         }
-        if groups.is_empty() {
-            return Ok(out);
+        let mut bodies: Vec<Vec<u8>> = vec![Vec::new(); groups.len()];
+        if !groups.is_empty() {
+            let wall = Instant::now();
+            let result = self.fetch_groups(&groups, &mut bodies);
+            self.client
+                .counters
+                .add_fetch_wall_us(wall.elapsed().as_micros() as u64);
+            result?;
         }
-        let wall = Instant::now();
-        let result = self.fetch_groups(spans, &groups, &mut out);
-        self.client
-            .counters
-            .add_fetch_wall_us(wall.elapsed().as_micros() as u64);
-        result?;
-        Ok(out)
+        Ok(Fetched { bodies, at })
     }
 
     /// Learns the effective `(gap, part)` for this batch: feeds the batch's
@@ -830,7 +1015,7 @@ impl HttpBlob {
         // Twice the typical worst cluster, capped at what a store serves
         // well, floored at the static knob.
         let part = ((sizer.extent_ewma * 2.0) as u64)
-            .min(SIZER_PART_CEILING)
+            .min(PART_CEILING)
             .max(opts.part_bytes);
         let eff = (gap, part);
         if sizer.last != Some(eff) {
@@ -840,35 +1025,21 @@ impl HttpBlob {
         eff
     }
 
-    /// Fetches every merged group and slices each into its output spans.
-    /// Sequential when one worker suffices; otherwise a bounded scoped
-    /// worker pool overlaps the GETs and the calling thread consumes
-    /// completed groups off a channel as they land. Either way every group
-    /// is fetched exactly once and every span sliced exactly once, and on
-    /// failure the remaining workers stop claiming new groups, the channel
-    /// drains, and the first error surfaces.
-    fn fetch_groups(
-        &self,
-        spans: &[(u64, u64)],
-        groups: &[(u64, u64, Vec<usize>)],
-        out: &mut [Vec<u8>],
-    ) -> Result<()> {
+    /// Fetches every merged group's body. Sequential when one worker
+    /// suffices; otherwise a bounded scoped worker pool overlaps the GETs
+    /// and the calling thread files completed bodies off a channel as they
+    /// land. Either way every group is fetched exactly once, and on failure
+    /// the remaining workers stop claiming new groups, the channel drains,
+    /// and the first error surfaces.
+    fn fetch_groups(&self, groups: &[(u64, u64)], bodies: &mut [Vec<u8>]) -> Result<()> {
         let counters = &self.client.counters;
-        let scatter = |out: &mut [Vec<u8>], g_start: u64, members: &[usize], bytes: &[u8]| {
-            for &i in members {
-                let (off, len) = spans[i];
-                let a = (off - g_start) as usize;
-                out[i] = bytes[a..a + len as usize].to_vec();
-            }
-        };
         let workers = self.client.opts.fetch_workers.min(groups.len()).max(1);
         if workers == 1 {
             counters.note_fetch_inflight(1);
-            for (g_start, g_end, members) in groups {
+            for (&(g_start, g_end), body) in groups.iter().zip(bodies) {
                 let t0 = Instant::now();
-                let bytes = self.fetch(*g_start, g_end - g_start)?;
+                *body = self.fetch(g_start, g_end - g_start)?;
                 counters.add_fetch_request_us(t0.elapsed().as_micros() as u64);
-                scatter(out, *g_start, members, &bytes);
             }
             return Ok(());
         }
@@ -890,7 +1061,7 @@ impl HttpBlob {
                     }
                     let now = inflight.fetch_add(1, Ordering::Relaxed) + 1;
                     counters.note_fetch_inflight(now as u64);
-                    let (g_start, g_end, _) = groups[g];
+                    let (g_start, g_end) = groups[g];
                     let t0 = Instant::now();
                     let res = self.fetch(g_start, g_end - g_start);
                     counters.add_fetch_request_us(t0.elapsed().as_micros() as u64);
@@ -904,13 +1075,12 @@ impl HttpBlob {
                 });
             }
             drop(tx);
-            // Consume completed groups while later GETs are in flight: the
-            // channel closes once every worker has exited, so this drains
-            // all outstanding work even after a failure.
+            // The channel closes once every worker has exited, so this
+            // drains all outstanding work even after a failure.
             let mut first_err = None;
             while let Ok((g, res)) = rx.recv() {
                 match res {
-                    Ok(bytes) => scatter(out, groups[g].0, &groups[g].2, &bytes),
+                    Ok(bytes) => bodies[g] = bytes,
                     Err(e) => {
                         if first_err.is_none() {
                             first_err = Some(e);
@@ -1799,5 +1969,386 @@ mod tests {
         assert_eq!(va, vb);
         assert_eq!(b.counters().http_requests() - before, 0);
         assert!(b.counters().cache_hits() > 0);
+    }
+
+    // ---- A scan's request pattern, as counts (`fetch_workers = 1`) ----
+
+    const SCAN_BLOCKS: u64 = 40;
+    const ZONE_BLOCK_ROWS: u32 = 1024;
+
+    /// Three wide columns (every block of each some kilobytes, so the
+    /// columns' runs lie far apart), `x` confined per block to one of four
+    /// bands of 1 000 so a window over band 0 keeps every fourth block.
+    fn wide_rows(block_rows: u64) -> Vec<Vec<f64>> {
+        (0..SCAN_BLOCKS * block_rows)
+            .map(|i| {
+                let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let band = (i / block_rows % 4) as f64 * 1000.0;
+                vec![
+                    band + (h >> 44) as f64 / 1048.576,
+                    (h >> 24 & 0xFFFF_FFFF) as f64,
+                    (h & 0xFF_FFFF) as f64,
+                ]
+            })
+            .collect()
+    }
+
+    /// The fixture as an image to serve and its local twin.
+    fn wide_image(zone: bool) -> (Vec<u8>, Box<dyn RawFile>) {
+        let schema = Schema::synthetic(3);
+        if zone {
+            let rows = wide_rows(ZONE_BLOCK_ROWS as u64);
+            let image = encode_zone_rows_with(&schema, rows.clone(), ZONE_BLOCK_ROWS).unwrap();
+            let local = ZoneFile::from_rows_with_block(&schema, rows, ZONE_BLOCK_ROWS).unwrap();
+            (image, Box::new(local))
+        } else {
+            let rows = wide_rows(crate::column::PAGE_ROWS);
+            let image = crate::column::encode_rows(&schema, rows.clone()).unwrap();
+            (image, Box::new(BinFile::from_rows(&schema, rows).unwrap()))
+        }
+    }
+
+    fn scan_opts(part_bytes: u64, cached: bool) -> HttpOptions {
+        let opts = HttpOptions {
+            part_bytes,
+            backoff: Duration::ZERO,
+            ..HttpOptions::default()
+        };
+        if cached {
+            opts.with_cache(CacheConfig::new(64 << 20, 0))
+        } else {
+            opts
+        }
+    }
+
+    /// Scans `f` partition by partition (four of them), returning the rows
+    /// and the GETs each partition issued.
+    fn scan_by_partition(f: &dyn RawFile) -> (Vec<(u64, Vec<u64>)>, Vec<u64>) {
+        let mut rows = Vec::new();
+        let mut gets = Vec::new();
+        for part in f.partitions(4).unwrap() {
+            let before = f.counters().http_requests();
+            f.scan_partition(part, &mut |_, loc, rec| {
+                let mut vals = Vec::new();
+                rec.extract_f64(&[0, 1, 2], &mut vals)?;
+                rows.push((loc.raw(), vals.iter().map(|v| v.to_bits()).collect()));
+                Ok(())
+            })
+            .unwrap();
+            gets.push(f.counters().http_requests() - before);
+        }
+        (rows, gets)
+    }
+
+    fn logical_meters(f: &dyn RawFile) -> [u64; 4] {
+        let c = f.counters();
+        [c.bytes_read(), c.seeks(), c.objects_read(), c.blocks_read()]
+    }
+
+    #[test]
+    fn a_scan_issues_one_get_per_column_run_whatever_the_part_size() {
+        for zone in [true, false] {
+            let (image, local) = wide_image(zone);
+            let store = ObjectStore::serve().unwrap();
+            store.put("wide", image);
+            let (expect_rows, _) = scan_by_partition(local.as_ref());
+            for cached in [false, true] {
+                for part_bytes in [4 << 10, 64 << 10, 1 << 20] {
+                    let label = format!("zone={zone} cached={cached} part_bytes={part_bytes}");
+                    let f = HttpFile::open(store.addr(), "wide", scan_opts(part_bytes, cached))
+                        .unwrap();
+                    let open = f.counters().snapshot();
+                    let (rows, gets) = scan_by_partition(&f);
+                    assert!(rows == expect_rows, "{label}: rows differ");
+                    // Four partitions of ten blocks; a partition's run of one
+                    // column is contiguous, some tens of kilobytes, and far
+                    // from the next column's: one GET each, whether the
+                    // client was told parts of 4 KiB or of 1 MiB, and whether
+                    // the runs went out as block spans or as 16 KiB pages.
+                    assert_eq!(gets, [3, 3, 3, 3], "{label}");
+                    let io = f.counters().snapshot().since(&open);
+                    assert_eq!(
+                        [io.bytes_read, io.seeks, io.objects_read, io.blocks_read],
+                        logical_meters(local.as_ref()),
+                        "{label}: logical meters"
+                    );
+                    assert_eq!(io.retries, 0, "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_window_scan_issues_no_get_for_a_skipped_block() {
+        let (image, local) = wide_image(true);
+        let store = ObjectStore::serve().unwrap();
+        store.put("wide", image);
+        // Band 0: blocks 0, 4, 8, …, 36 survive, three skipped between each.
+        let window = Rect::new(0.0, 999.5, -1.0, 1e12);
+        let scan = |f: &dyn RawFile| {
+            let mut rows = Vec::new();
+            f.scan_filtered(&window, &mut |_, loc, _| {
+                rows.push(loc.raw());
+                Ok(())
+            })
+            .unwrap();
+            rows
+        };
+        let expect = scan(local.as_ref());
+        assert_eq!(expect.len() as u64, 10 * ZONE_BLOCK_ROWS as u64);
+        for part_bytes in [4 << 10, 1 << 20] {
+            let f = HttpFile::open(store.addr(), "wide", scan_opts(part_bytes, false)).unwrap();
+            let open = f.counters().snapshot();
+            assert_eq!(scan(&f), expect);
+            let io = f.counters().snapshot().since(&open);
+            assert_eq!(io.blocks_skipped, 30 * 3);
+            // Ten surviving blocks a column, none adjacent to the next: the
+            // streaming cap merges nothing across the skipped ones.
+            assert_eq!(io.http_requests, 30, "part_bytes={part_bytes}");
+            assert!(
+                io.http_bytes < io.bytes_read + 30 * 512,
+                "only the surviving blocks' bytes (plus heads) crossed the wire: {} for {}",
+                io.http_bytes,
+                io.bytes_read
+            );
+            // Page-aligned, the cached client may fetch a little more of each
+            // block's neighbours, but no more requests.
+            let cached = HttpFile::open(store.addr(), "wide", scan_opts(part_bytes, true)).unwrap();
+            let open = cached.counters().snapshot();
+            assert_eq!(scan(&cached), expect);
+            let io = cached.counters().snapshot().since(&open);
+            assert!(io.http_requests <= 30, "{} GETs", io.http_requests);
+        }
+    }
+
+    #[test]
+    fn stream_batches_merge_to_the_ceiling_and_positional_ones_to_the_part() {
+        let len = (5 * PART_CEILING / 2) as usize;
+        let store = ObjectStore::serve().unwrap();
+        let payload: Vec<u8> = (0..len).map(|i| ((i * 31) >> 3) as u8).collect();
+        store.put("blob", payload.clone());
+        // Forty adjacent 64 KiB spans: one run of 2.5 MiB.
+        let spans: Vec<(u64, u64)> = (0..40).map(|i| (i * (64 << 10), 64 << 10)).collect();
+        for cached in [false, true] {
+            for coalesce in [true, false] {
+                let opts = HttpOptions {
+                    coalesce,
+                    ..scan_opts(128 << 10, cached)
+                };
+                let blob = HttpBlob::open(store.addr(), "blob", opts, IoCounters::new()).unwrap();
+                let gets = |mode| {
+                    let before = blob.counters().http_requests();
+                    let batch = blob.lend_spans(&spans, mode).unwrap();
+                    for (&(off, n), got) in spans.iter().zip(batch.iter()) {
+                        assert!(got == &payload[off as usize..(off + n) as usize]);
+                    }
+                    blob.counters().http_requests() - before
+                };
+                let label = format!("cached={cached} coalesce={coalesce}");
+                // One GET per span — or per page — without coalescing; with
+                // it, ⌈2.5 MiB / 1 MiB⌉ for the scan and 2.5 MiB / 128 KiB
+                // for the positional batch, which keeps its pattern.
+                let per_request = if cached { 160 } else { 40 };
+                let (stream, admit) = if coalesce {
+                    (3, 20)
+                } else {
+                    (per_request, per_request)
+                };
+                assert_eq!(gets(CacheMode::Stream), stream, "{label}: stream");
+                if cached {
+                    // The scan's first touch admitted nothing.
+                    assert_eq!(blob.cache().unwrap().entries(), 0, "{label}");
+                }
+                assert_eq!(gets(CacheMode::Admit), admit, "{label}: positional");
+            }
+        }
+    }
+
+    #[test]
+    fn scans_survive_periodic_faults_inside_the_large_gets() {
+        for zone in [true, false] {
+            let (image, local) = wide_image(zone);
+            let (expect_rows, _) = scan_by_partition(local.as_ref());
+            for fault in [Fault::ShortRead, Fault::Status5xx, Fault::Drop] {
+                let plan = FaultPlan::Periodic { fault, every: 3 };
+                let store = ObjectStore::serve_with(Duration::ZERO, plan).unwrap();
+                store.put("wide", image.clone());
+                for cached in [false, true] {
+                    let label = format!("zone={zone} {fault:?} cached={cached}");
+                    let f =
+                        HttpFile::open(store.addr(), "wide", scan_opts(64 << 10, cached)).unwrap();
+                    let open = f.counters().snapshot();
+                    let (rows, gets) = scan_by_partition(&f);
+                    assert!(rows == expect_rows, "{label}: rows differ");
+                    let io = f.counters().snapshot().since(&open);
+                    assert_eq!(
+                        [io.bytes_read, io.seeks, io.objects_read, io.blocks_read],
+                        logical_meters(local.as_ref()),
+                        "{label}: logical meters"
+                    );
+                    // Twelve column runs, every third request faulted: each
+                    // failed attempt is one metered retry on top of them.
+                    assert!(io.retries >= 4, "{label}: {} retries", io.retries);
+                    assert_eq!(gets.iter().sum::<u64>(), 12 + io.retries, "{label}");
+                }
+            }
+        }
+    }
+
+    // ---- Hostile and stalled peers: stub servers on a bare listener ----
+
+    /// A peer scripted per connection: `serve(n, stream)` handles the `n`-th
+    /// accepted connection on the accept thread and hands back the stream if
+    /// it is to stay open (silent) until the stub is dropped.
+    struct StubPeer {
+        addr: SocketAddr,
+        stop: Arc<AtomicBool>,
+        thread: Option<std::thread::JoinHandle<()>>,
+    }
+
+    impl StubPeer {
+        fn serve(
+            mut serve: impl FnMut(usize, TcpStream) -> Option<TcpStream> + Send + 'static,
+        ) -> StubPeer {
+            let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+            let addr = listener.local_addr().unwrap();
+            let stop = Arc::new(AtomicBool::new(false));
+            let stopped = Arc::clone(&stop);
+            let thread = std::thread::spawn(move || {
+                let mut held = Vec::new();
+                for (n, conn) in listener.incoming().enumerate() {
+                    if stopped.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    held.extend(conn.ok().and_then(|stream| serve(n, stream)));
+                }
+            });
+            StubPeer {
+                addr,
+                stop,
+                thread: Some(thread),
+            }
+        }
+    }
+
+    impl Drop for StubPeer {
+        fn drop(&mut self) {
+            self.stop.store(true, Ordering::SeqCst);
+            // Unblock the accept loop with one throwaway connection.
+            let _ = TcpStream::connect(self.addr);
+            if let Some(thread) = self.thread.take() {
+                let _ = thread.join();
+            }
+        }
+    }
+
+    /// Reads one request head off `stream` (to its blank line).
+    fn read_request_head(stream: &mut TcpStream) {
+        let mut seen = Vec::new();
+        let mut byte = [0u8; 1];
+        while !seen.ends_with(b"\r\n\r\n") && stream.read(&mut byte).is_ok_and(|n| n == 1) {
+            seen.push(byte[0]);
+        }
+    }
+
+    fn open_stub(peer: &StubPeer, timeout: Duration) -> Result<HttpBlob> {
+        let client = HttpClient::new(
+            peer.addr,
+            "blob".into(),
+            scan_opts(64 << 10, false),
+            IoCounters::new(),
+        );
+        HttpBlob::open_client(client.with_timeout(timeout))
+    }
+
+    #[test]
+    fn a_content_length_above_the_range_is_refused_before_it_sizes_anything() {
+        // Answers every ranged request with `200` and a body of 2^40 bytes —
+        // so it says.
+        let peer = StubPeer::serve(|_, mut stream| {
+            read_request_head(&mut stream);
+            let head = format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n", 1u64 << 40);
+            let _ = stream.write_all(head.as_bytes());
+            Some(stream)
+        });
+        let client = HttpClient::new(
+            peer.addr,
+            "blob".into(),
+            scan_opts(64 << 10, false),
+            IoCounters::new(),
+        );
+        let counters = client.counters.clone();
+        let err = HttpBlob::open_client(client).unwrap_err();
+        assert!(
+            err.to_string().contains("advertises 1099511627776"),
+            "{err}"
+        );
+        assert_eq!(counters.retries(), 0, "a lying length is not retried");
+        assert_eq!(counters.http_requests(), 1);
+    }
+
+    #[test]
+    fn a_header_line_without_end_is_a_bounded_error() {
+        // Streams `x` for as long as the client keeps the connection.
+        let peer = StubPeer::serve(|_, mut stream| {
+            read_request_head(&mut stream);
+            let chunk = [b'x'; 4096];
+            while stream.write_all(&chunk).is_ok() {}
+            None
+        });
+        let client = HttpClient::new(
+            peer.addr,
+            "blob".into(),
+            scan_opts(64 << 10, false),
+            IoCounters::new(),
+        );
+        let counters = client.counters.clone();
+        let err = HttpBlob::open_client(client).unwrap_err();
+        assert!(
+            err.to_string().contains("head line over 8192 bytes"),
+            "{err}"
+        );
+        assert_eq!(counters.retries(), 4, "transient: retried, then surfaced");
+        assert!(
+            counters.http_bytes() < 5 * (MAX_HEAD_LINE + 1024),
+            "each attempt read at most one capped line: {} bytes",
+            counters.http_bytes()
+        );
+    }
+
+    #[test]
+    fn a_silent_peer_is_an_error_in_bounded_time_never_a_hang() {
+        let timeout = Duration::from_millis(40);
+        // Five attempts of one timeout each, and slack for a loaded box.
+        let bound = Duration::from_secs(5);
+
+        // Accepts, reads nothing, sends nothing.
+        let mute = StubPeer::serve(|_, stream| Some(stream));
+        let t0 = Instant::now();
+        let err = open_stub(&mute, timeout).unwrap_err();
+        assert!(err.to_string().contains("after 4 retries"), "{err}");
+        assert!(t0.elapsed() >= 5 * timeout && t0.elapsed() < bound);
+
+        // Answers the open probe like a store holding 64 bytes would, then
+        // goes quiet — on that connection, which the client has pooled, and
+        // on every later one.
+        let fades = StubPeer::serve(|n, mut stream| {
+            if n == 0 {
+                read_request_head(&mut stream);
+                let head = "HTTP/1.1 206 Partial Content\r\nContent-Length: 64\r\n\
+                            Content-Range: bytes 0-63/64\r\n\r\n";
+                let _ = stream.write_all(head.as_bytes());
+                let _ = stream.write_all(&[7u8; 64]);
+            }
+            Some(stream)
+        });
+        let blob = open_stub(&fades, timeout).unwrap();
+        assert_eq!(blob.len(), 64);
+        assert_eq!(blob.client.pool.lock().unwrap().len(), 1, "pooled");
+        let t0 = Instant::now();
+        let err = blob.read_spans(&[(8, 16)]).unwrap_err();
+        assert!(err.to_string().contains("after 4 retries"), "{err}");
+        assert!(t0.elapsed() < bound);
+        assert_eq!(blob.counters().retries(), 4);
     }
 }

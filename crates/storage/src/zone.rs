@@ -891,7 +891,7 @@ impl ZoneFile {
             ZoneSource::Disk(path) => SpanFetcher::File(File::open(path)?),
             ZoneSource::Mem(bytes) => SpanFetcher::Bytes(bytes),
             ZoneSource::Mapped(map) => SpanFetcher::Bytes(map),
-            ZoneSource::Remote(blob) => SpanFetcher::Remote(blob),
+            ZoneSource::Remote(blob) => SpanFetcher::remote(blob),
         })
     }
 

@@ -3,8 +3,12 @@
 //! the admission mode, a cached read returns exactly the bytes a direct
 //! slice of the object would, the memory budget holds after every call, a
 //! warmed ample cache does zero HTTP work, and the request pattern does not
-//! depend on how many workers issue it.
+//! depend on how many workers issue it. A scan's batches — long contiguous
+//! runs cut into blocks, `CacheMode::Stream`, lent out of the responses
+//! instead of copied — are held to the same slices, to one GET per run of
+//! missing pages whatever the part size, and to the one-touch admission rule.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use pai_common::IoCounters;
@@ -128,4 +132,170 @@ proptest! {
             }
         }
     }
+}
+
+/// The pages `spans` touch.
+fn pages_of(spans: &[(u64, u64)]) -> BTreeSet<u64> {
+    let touched = spans.iter().filter(|&&(_, n)| n > 0);
+    touched
+        .flat_map(|&(off, n)| off / PAGE_BYTES..=(off + n - 1) / PAGE_BYTES)
+        .collect()
+}
+
+/// How many maximal runs of consecutive page numbers `pages` holds.
+fn page_runs(pages: &BTreeSet<u64>) -> u64 {
+    let starts = pages
+        .iter()
+        .filter(|&&p| p == 0 || !pages.contains(&(p - 1)));
+    starts.count() as u64
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn stream_runs_lend_direct_slices_and_admit_on_the_second_touch(
+        n_pages in 8u64..40,
+        tail in 0u64..PAGE_BYTES,
+        seed in any::<u64>(),
+        runs in prop::collection::vec((0.0f64..1.0, 1usize..12, 0.2f64..2.0), 1..4),
+        warm in prop::collection::vec((0usize..4, 0.0f64..1.0), 0..6),
+    ) {
+        let len = n_pages * PAGE_BYTES + tail;
+        let store = ObjectStore::serve().unwrap();
+        let payload = blob_bytes(len as usize, seed);
+        store.put("blob", payload.clone());
+        // A scan's batch: each run a column's adjacent blocks, back to back.
+        let mut spans: Vec<(u64, u64)> = Vec::new();
+        let mut extents: Vec<(u64, u64)> = Vec::new();
+        for &(at, blocks, size) in &runs {
+            let start = ((at * len as f64) as u64).min(len - 1);
+            let block = ((size * PAGE_BYTES as f64) as u64).max(1);
+            let mut off = start;
+            for _ in 0..blocks {
+                let n = block.min(len - off);
+                spans.push((off, n));
+                off += n;
+            }
+            extents.push((start, off - start));
+        }
+        // Positional reads that came before it: pages resident inside the runs.
+        let warm: Vec<(u64, u64)> = warm
+            .iter()
+            .map(|&(run, frac)| {
+                let (start, extent) = extents[run % extents.len()];
+                let off = (start + (frac * extent as f64) as u64).min(len - 1);
+                (off, 64.min(len - off))
+            })
+            .collect();
+        let resident = pages_of(&warm);
+        let touched = pages_of(&spans);
+        let missing: BTreeSet<u64> = touched.difference(&resident).copied().collect();
+        let ample = (n_pages + 2) * PAGE_BYTES;
+        for mem_bytes in [0, PAGE_BYTES, 3 * PAGE_BYTES, ample] {
+            for coalesce in [true, false] {
+                let mut patterns: Vec<Vec<(u64, u64)>> = Vec::new();
+                for workers in [1, 2, 8] {
+                    let opts = HttpOptions {
+                        part_bytes: 2 * PAGE_BYTES,
+                        coalesce,
+                        ..HttpOptions::default()
+                    }
+                    .with_fetch_workers(workers);
+                    let blob = HttpBlob::open(store.addr(), "blob", opts, IoCounters::new())
+                        .unwrap();
+                    let cache = Arc::new(BlockCache::new(CacheConfig::new(mem_bytes, 0)));
+                    prop_assert!(blob.attach_cache(Arc::clone(&cache)));
+                    let label =
+                        format!("len={len} mem={mem_bytes} coalesce={coalesce} workers={workers}");
+                    blob.read_spans_mode(&warm, CacheMode::Admit).unwrap();
+                    let mut pattern = Vec::new();
+                    for read in 0..3 {
+                        let io = blob.counters().snapshot();
+                        let batch = blob.lend_spans(&spans, CacheMode::Stream).unwrap();
+                        let io = blob.counters().snapshot().since(&io);
+                        pattern.push((io.http_requests, io.http_bytes));
+                        prop_assert_eq!(batch.len(), spans.len());
+                        for (k, &(off, n)) in spans.iter().enumerate() {
+                            prop_assert!(
+                                batch.get(k) == &payload[off as usize..(off + n) as usize],
+                                "{label}: read {read}, span {k} {:?} differs",
+                                spans[k]
+                            );
+                        }
+                        prop_assert!(cache.mem_used() <= mem_bytes, "{}", label);
+                        if mem_bytes < ample {
+                            continue;
+                        }
+                        // With room for everything the rule can be read off
+                        // from outside: the first touch of a page is
+                        // remembered and admits nothing, the second admits
+                        // it, the third finds it. A run of missing pages is
+                        // one GET, though the part size is two pages.
+                        let (gets, entries) = match read {
+                            0 => (missing.len(), resident.len()),
+                            1 => (missing.len(), resident.len() + missing.len()),
+                            _ => (0, resident.len() + missing.len()),
+                        };
+                        let runs = if gets == 0 { 0 } else { page_runs(&missing) };
+                        prop_assert_eq!(io.cache_misses, gets as u64, "{}: read {}", label, read);
+                        prop_assert_eq!(
+                            io.http_requests,
+                            if coalesce { runs } else { gets as u64 },
+                            "{}: read {}", label, read
+                        );
+                        prop_assert_eq!(cache.entries(), entries, "{}: read {}", label, read);
+                    }
+                    patterns.push(pattern);
+                }
+                prop_assert!(
+                    patterns.iter().all(|p| *p == patterns[0]),
+                    "mem={mem_bytes} coalesce={coalesce}: request pattern differs across \
+                     worker counts: {patterns:?}"
+                );
+            }
+        }
+    }
+}
+
+/// The second half of the rule: the page a scan's second touch admits enters
+/// at the cold end, so it — not the oldest positional page — makes room for
+/// the next admission.
+#[test]
+fn a_streamed_page_enters_at_the_cold_end() {
+    let store = ObjectStore::serve().unwrap();
+    let payload = blob_bytes(12 * PAGE_BYTES as usize, 3);
+    store.put("blob", payload);
+    let blob = HttpBlob::open(
+        store.addr(),
+        "blob",
+        HttpOptions::default(),
+        IoCounters::new(),
+    )
+    .unwrap();
+    let cache = Arc::new(BlockCache::new(CacheConfig::new(4 * PAGE_BYTES, 0)));
+    assert!(blob.attach_cache(Arc::clone(&cache)));
+    let in_page = |p: u64| [(p * PAGE_BYTES + 100, 64)];
+    let gets = |spans: &[(u64, u64)], mode| {
+        let before = blob.counters().http_requests();
+        blob.lend_spans(spans, mode).unwrap();
+        blob.counters().http_requests() - before
+    };
+    for p in 0..3 {
+        assert_eq!(gets(&in_page(p), CacheMode::Admit), 1);
+    }
+    assert_eq!(gets(&in_page(8), CacheMode::Stream), 1, "first touch");
+    assert_eq!(cache.entries(), 3, "remembered, not admitted");
+    assert_eq!(gets(&in_page(8), CacheMode::Stream), 1, "second touch");
+    assert_eq!(cache.entries(), 4, "admitted");
+    // The tier is full: page 3 displaces the streamed page, not page 0.
+    assert_eq!(gets(&in_page(3), CacheMode::Admit), 1);
+    for p in 0..4 {
+        assert_eq!(gets(&in_page(p), CacheMode::Admit), 0, "page {p} stayed");
+    }
+    assert_eq!(
+        gets(&in_page(8), CacheMode::Admit),
+        1,
+        "the scan's page left"
+    );
 }
