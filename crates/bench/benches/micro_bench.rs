@@ -9,7 +9,6 @@ use pai_common::geometry::Rect;
 use pai_common::AggregateFunction;
 use pai_core::bound::{upper_error_bound, NormalizationMode};
 use pai_core::ci::estimate_aggregate;
-use pai_core::config::ValueEstimator;
 use pai_core::policy::{CandidateView, SelectionPolicy};
 use pai_core::state::QueryState;
 use pai_index::init::build;
@@ -37,18 +36,8 @@ fn bench_micro(c: &mut Criterion) {
     let state = QueryState::from_classification(&index, &classification, &[2]).unwrap();
     c.bench_function("ci_assembly_sum_mean", |b| {
         b.iter(|| {
-            let s = estimate_aggregate(
-                &AggregateFunction::Sum(2),
-                &state,
-                ValueEstimator::Midpoint,
-                true,
-            );
-            let m = estimate_aggregate(
-                &AggregateFunction::Mean(2),
-                &state,
-                ValueEstimator::Midpoint,
-                true,
-            );
+            let s = estimate_aggregate(&AggregateFunction::Sum(2), &state, true);
+            let m = estimate_aggregate(&AggregateFunction::Mean(2), &state, true);
             (s.ci, m.ci)
         })
     });

@@ -13,13 +13,12 @@
 //!   bounds (`var ≤ (range/2)²`), collapsing to exact values once every
 //!   contribution is resolved.
 //!
-//! The *approximate value* uses exact contributions where available and a
-//! configurable point estimate (default: interval midpoint, the paper's
-//! "mean value derived from min and max") for bounded tiles.
+//! The *approximate value* uses exact contributions where available and the
+//! interval midpoint for bounded tiles (the paper's "mean value derived from
+//! min and max").
 
 use pai_common::{AggregateFunction, AggregateValue, Interval};
 
-use crate::config::ValueEstimator;
 use crate::state::QueryState;
 
 /// An aggregate's approximate value together with its confidence interval.
@@ -68,7 +67,6 @@ impl AggregateEstimate {
 pub fn estimate_aggregate(
     agg: &AggregateFunction,
     state: &QueryState,
-    estimator: ValueEstimator,
     assume_non_null: bool,
 ) -> AggregateEstimate {
     match *agg {
@@ -76,34 +74,21 @@ pub fn estimate_aggregate(
             AggregateValue::Count(state.selected_total),
             Some(state.selected_total as f64),
         ),
-        AggregateFunction::Sum(a) => {
-            sum_estimate(state, state.attr_pos(a), estimator, assume_non_null)
-        }
-        AggregateFunction::Mean(a) => {
-            mean_estimate(state, state.attr_pos(a), estimator, assume_non_null)
-        }
+        AggregateFunction::Sum(a) => sum_estimate(state, state.attr_pos(a), assume_non_null),
+        AggregateFunction::Mean(a) => mean_estimate(state, state.attr_pos(a), assume_non_null),
         AggregateFunction::Min(a) => {
-            extremum_estimate(state, state.attr_pos(a), estimator, assume_non_null, true)
+            extremum_estimate(state, state.attr_pos(a), assume_non_null, true)
         }
         AggregateFunction::Max(a) => {
-            extremum_estimate(state, state.attr_pos(a), estimator, assume_non_null, false)
+            extremum_estimate(state, state.attr_pos(a), assume_non_null, false)
         }
-        AggregateFunction::Variance(a) => {
-            variance_estimate(state, state.attr_pos(a), estimator, false)
-        }
-        AggregateFunction::StdDev(a) => {
-            variance_estimate(state, state.attr_pos(a), estimator, true)
-        }
+        AggregateFunction::Variance(a) => variance_estimate(state, state.attr_pos(a), false),
+        AggregateFunction::StdDev(a) => variance_estimate(state, state.attr_pos(a), true),
     }
 }
 
 /// Sum: exact accumulator + per-candidate `count·[min,max]` intervals.
-fn sum_estimate(
-    state: &QueryState,
-    i: usize,
-    estimator: ValueEstimator,
-    assume_non_null: bool,
-) -> AggregateEstimate {
+fn sum_estimate(state: &QueryState, i: usize, assume_non_null: bool) -> AggregateEstimate {
     let exact_part = state.exact[i].sum();
     let mut ci = Interval::point(exact_part);
     let mut estimate = exact_part;
@@ -112,7 +97,7 @@ fn sum_estimate(
         match c.sum_bounds(i, assume_non_null) {
             Some(iv) => {
                 ci = ci.add(&iv);
-                estimate += estimator.pick(&iv);
+                estimate += iv.midpoint();
             }
             None => unbounded = true,
         }
@@ -131,18 +116,13 @@ fn sum_estimate(
 /// conservative NULL model the non-null count is unknown, so the CI widens
 /// to the hull of the per-value bounds (the mean of any value multiset lies
 /// within its value range).
-fn mean_estimate(
-    state: &QueryState,
-    i: usize,
-    estimator: ValueEstimator,
-    assume_non_null: bool,
-) -> AggregateEstimate {
+fn mean_estimate(state: &QueryState, i: usize, assume_non_null: bool) -> AggregateEstimate {
     if state.selected_total == 0 {
         return AggregateEstimate::empty();
     }
     let n = state.selected_total as f64;
     if assume_non_null {
-        let sum = sum_estimate(state, i, estimator, true);
+        let sum = sum_estimate(state, i, true);
         if sum.unbounded {
             return AggregateEstimate::unbounded_with(match sum.value {
                 AggregateValue::Float(v) => AggregateValue::Float(v / n),
@@ -171,13 +151,11 @@ fn mean_estimate(
     }
     match (hull, unbounded) {
         (Some(h), false) => AggregateEstimate {
-            value: AggregateValue::Float(estimator.pick(&h)),
+            value: AggregateValue::Float(h.midpoint()),
             ci: Some(h),
             unbounded: false,
         },
-        (Some(h), true) => {
-            AggregateEstimate::unbounded_with(AggregateValue::Float(estimator.pick(&h)))
-        }
+        (Some(h), true) => AggregateEstimate::unbounded_with(AggregateValue::Float(h.midpoint())),
         (None, _) => AggregateEstimate::empty(),
     }
 }
@@ -189,7 +167,6 @@ fn mean_estimate(
 fn extremum_estimate(
     state: &QueryState,
     i: usize,
-    estimator: ValueEstimator,
     assume_non_null: bool,
     is_min: bool,
 ) -> AggregateEstimate {
@@ -238,7 +215,7 @@ fn extremum_estimate(
                 if assume_non_null || c.certainly_non_null(i) {
                     fold(&mut certain, if is_min { iv.hi() } else { iv.lo() });
                 }
-                fold(&mut est, estimator.pick(&iv));
+                fold(&mut est, iv.midpoint());
             }
             None => unbounded = true,
         }
@@ -264,12 +241,7 @@ fn extremum_estimate(
 /// Variance / standard deviation (extension): exact when fully resolved;
 /// otherwise the Popoviciu bound `var ∈ [0, (range/2)²]` over the hull of
 /// all value envelopes.
-fn variance_estimate(
-    state: &QueryState,
-    i: usize,
-    estimator: ValueEstimator,
-    sqrt: bool,
-) -> AggregateEstimate {
+fn variance_estimate(state: &QueryState, i: usize, sqrt: bool) -> AggregateEstimate {
     if state.selected_total == 0 {
         return AggregateEstimate::empty();
     }
@@ -301,10 +273,10 @@ fn variance_estimate(
         ci_var
     };
     if unbounded {
-        return AggregateEstimate::unbounded_with(AggregateValue::Float(estimator.pick(&ci)));
+        return AggregateEstimate::unbounded_with(AggregateValue::Float(ci.midpoint()));
     }
     AggregateEstimate {
-        value: AggregateValue::Float(estimator.pick(&ci)),
+        value: AggregateValue::Float(ci.midpoint()),
         ci: Some(ci),
         unbounded: false,
     }
@@ -348,12 +320,7 @@ mod tests {
 
     #[test]
     fn sum_ci_matches_paper_formula() {
-        let e = estimate_aggregate(
-            &AggregateFunction::Sum(2),
-            &state(),
-            ValueEstimator::Midpoint,
-            true,
-        );
+        let e = estimate_aggregate(&AggregateFunction::Sum(2), &state(), true);
         // Exact 30 + 3·[0,10] = [30, 60]; midpoint estimate 30 + 3·5 = 45.
         assert_eq!(e.ci, Some(Interval::new(30.0, 60.0)));
         assert_eq!(e.value, AggregateValue::Float(45.0));
@@ -361,49 +328,22 @@ mod tests {
     }
 
     #[test]
-    fn sum_estimators() {
-        for (est, expect) in [
-            (ValueEstimator::Lower, 30.0),
-            (ValueEstimator::Upper, 60.0),
-            (ValueEstimator::Midpoint, 45.0),
-        ] {
-            let e = estimate_aggregate(&AggregateFunction::Sum(2), &state(), est, true);
-            assert_eq!(e.value, AggregateValue::Float(expect), "{est:?}");
-        }
-    }
-
-    #[test]
     fn mean_ci_divides_by_selected() {
-        let e = estimate_aggregate(
-            &AggregateFunction::Mean(2),
-            &state(),
-            ValueEstimator::Midpoint,
-            true,
-        );
+        let e = estimate_aggregate(&AggregateFunction::Mean(2), &state(), true);
         assert_eq!(e.ci, Some(Interval::new(6.0, 12.0)));
         assert_eq!(e.value, AggregateValue::Float(9.0));
     }
 
     #[test]
     fn mean_conservative_uses_value_hull() {
-        let e = estimate_aggregate(
-            &AggregateFunction::Mean(2),
-            &state(),
-            ValueEstimator::Midpoint,
-            false,
-        );
+        let e = estimate_aggregate(&AggregateFunction::Mean(2), &state(), false);
         // hull([10,20] exact range, [0,10] candidate) = [0,20].
         assert_eq!(e.ci, Some(Interval::new(0.0, 20.0)));
     }
 
     #[test]
     fn min_ci_combines_exact_and_bounded() {
-        let e = estimate_aggregate(
-            &AggregateFunction::Min(2),
-            &state(),
-            ValueEstimator::Midpoint,
-            true,
-        );
+        let e = estimate_aggregate(&AggregateFunction::Min(2), &state(), true);
         // Lower: min(10, lo=0) = 0. Upper: min(10 achieved, candidate hi=10) = 10.
         assert_eq!(e.ci, Some(Interval::new(0.0, 10.0)));
         // Estimate: min(10, midpoint 5) = 5.
@@ -412,12 +352,7 @@ mod tests {
 
     #[test]
     fn max_ci_combines_exact_and_bounded() {
-        let e = estimate_aggregate(
-            &AggregateFunction::Max(2),
-            &state(),
-            ValueEstimator::Midpoint,
-            true,
-        );
+        let e = estimate_aggregate(&AggregateFunction::Max(2), &state(), true);
         // Upper: max(20, hi=10) = 20. Lower certain: max(20, lo=0) = 20.
         assert_eq!(e.ci, Some(Interval::point(20.0)));
         assert_eq!(e.value, AggregateValue::Float(20.0));
@@ -427,12 +362,7 @@ mod tests {
     fn min_conservative_null_handling() {
         // Without the non-null assumption the Bounded candidate cannot
         // certify a contribution, but the exact part still can.
-        let e = estimate_aggregate(
-            &AggregateFunction::Min(2),
-            &state(),
-            ValueEstimator::Midpoint,
-            false,
-        );
+        let e = estimate_aggregate(&AggregateFunction::Min(2), &state(), false);
         assert_eq!(e.ci, Some(Interval::new(0.0, 10.0)));
         // With no exact part at all the upper bound disappears.
         let no_exact = QueryState::synthetic(
@@ -441,23 +371,13 @@ mod tests {
             vec![RunningStats::new()],
             vec![cand(3, 0.0, 10.0)],
         );
-        let e2 = estimate_aggregate(
-            &AggregateFunction::Min(2),
-            &no_exact,
-            ValueEstimator::Midpoint,
-            false,
-        );
+        let e2 = estimate_aggregate(&AggregateFunction::Min(2), &no_exact, false);
         assert!(e2.unbounded);
     }
 
     #[test]
     fn count_is_always_exact() {
-        let e = estimate_aggregate(
-            &AggregateFunction::Count,
-            &state(),
-            ValueEstimator::Midpoint,
-            true,
-        );
+        let e = estimate_aggregate(&AggregateFunction::Count, &state(), true);
         assert_eq!(e.value, AggregateValue::Count(5));
         assert_eq!(e.ci, Some(Interval::point(5.0)));
     }
@@ -476,7 +396,7 @@ mod tests {
             AggregateFunction::Min(2),
             AggregateFunction::Variance(2),
         ] {
-            let e = estimate_aggregate(&agg, &s, ValueEstimator::Midpoint, true);
+            let e = estimate_aggregate(&agg, &s, true);
             assert!(e.unbounded, "{agg}");
             assert_eq!(e.ci, None, "{agg}");
         }
@@ -492,7 +412,7 @@ mod tests {
             AggregateFunction::Max(2),
             AggregateFunction::Variance(2),
         ] {
-            let e = estimate_aggregate(&agg, &s, ValueEstimator::Midpoint, true);
+            let e = estimate_aggregate(&agg, &s, true);
             if matches!(agg, AggregateFunction::Sum(_)) {
                 // Sum over empty selection is 0, exactly.
                 assert_eq!(e.value, AggregateValue::Float(0.0));
@@ -511,34 +431,14 @@ mod tests {
             vec![RunningStats::from_values(&[1.0, 2.0, 6.0])],
             vec![],
         );
-        let sum = estimate_aggregate(
-            &AggregateFunction::Sum(2),
-            &s,
-            ValueEstimator::Midpoint,
-            true,
-        );
+        let sum = estimate_aggregate(&AggregateFunction::Sum(2), &s, true);
         assert_eq!(sum.ci, Some(Interval::point(9.0)));
-        let mean = estimate_aggregate(
-            &AggregateFunction::Mean(2),
-            &s,
-            ValueEstimator::Midpoint,
-            true,
-        );
+        let mean = estimate_aggregate(&AggregateFunction::Mean(2), &s, true);
         assert_eq!(mean.ci, Some(Interval::point(3.0)));
-        let var = estimate_aggregate(
-            &AggregateFunction::Variance(2),
-            &s,
-            ValueEstimator::Midpoint,
-            true,
-        );
+        let var = estimate_aggregate(&AggregateFunction::Variance(2), &s, true);
         let expected_var = s.exact[0].variance().unwrap();
         assert_eq!(var.ci, Some(Interval::point(expected_var)));
-        let sd = estimate_aggregate(
-            &AggregateFunction::StdDev(2),
-            &s,
-            ValueEstimator::Midpoint,
-            true,
-        );
+        let sd = estimate_aggregate(&AggregateFunction::StdDev(2), &s, true);
         assert_eq!(sd.value, AggregateValue::Float(expected_var.sqrt()));
     }
 
@@ -546,12 +446,7 @@ mod tests {
     fn variance_bound_contains_truth() {
         // Candidate values could be anything in [0,10]; whatever they are,
         // the variance of the combined multiset is <= (range/2)^2.
-        let e = estimate_aggregate(
-            &AggregateFunction::Variance(2),
-            &state(),
-            ValueEstimator::Midpoint,
-            true,
-        );
+        let e = estimate_aggregate(&AggregateFunction::Variance(2), &state(), true);
         let ci = e.ci.unwrap();
         assert_eq!(ci.lo(), 0.0);
         // hull([10,20], [0,10]) = [0,20] -> upper (20/2)^2 = 100.
@@ -564,18 +459,16 @@ mod tests {
 
     #[test]
     fn estimate_always_inside_ci() {
-        // Even with Lower/Upper estimators, reported values clamp into CI.
-        for est in [ValueEstimator::Lower, ValueEstimator::Upper] {
-            for agg in [
-                AggregateFunction::Sum(2),
-                AggregateFunction::Mean(2),
-                AggregateFunction::Min(2),
-                AggregateFunction::Max(2),
-            ] {
-                let e = estimate_aggregate(&agg, &state(), est, true);
-                let (v, ci) = (e.value.as_f64().unwrap(), e.ci.unwrap());
-                assert!(ci.contains(v), "{agg} {est:?}: {v} not in {ci}");
-            }
+        // Reported values are clamped into the CI.
+        for agg in [
+            AggregateFunction::Sum(2),
+            AggregateFunction::Mean(2),
+            AggregateFunction::Min(2),
+            AggregateFunction::Max(2),
+        ] {
+            let e = estimate_aggregate(&agg, &state(), true);
+            let (v, ci) = (e.value.as_f64().unwrap(), e.ci.unwrap());
+            assert!(ci.contains(v), "{agg}: {v} not in {ci}");
         }
     }
 }

@@ -3,35 +3,33 @@
 //! An exploration dashboard typically renders several linked views at once
 //! (map window, heatmap, summary panel) while the user keeps interacting.
 //! [`SharedIndex`] supports that pattern with a `parking_lot` read-write
-//! lock and the **plan → fetch → apply** pipeline:
+//! lock:
 //!
 //! * any number of **readers** run [`SharedIndex::estimate`] concurrently —
 //!   metadata-only answers with confidence intervals, zero file I/O;
-//! * **adaptive queries** ([`SharedIndex::evaluate`]) never hold a lock
-//!   across file I/O. Each refinement round
-//!   1. *plans* under the **read lock**: classifies the window, selects a
-//!      batch of candidate tiles, and computes their pure refinement plans
-//!      (entry snapshots + locators) — readers keep running;
-//!   2. *fetches* the batched values with **no lock held** — the expensive
-//!      stage, and the one that used to stall every reader. With
+//! * **adaptive queries** ([`SharedIndex::evaluate`]) run the engine's one
+//!   evaluation loop — the loop behind [`crate::ApproximateEngine`] — through
+//!   a handle that guards each of its index views with the lock and never
+//!   holds it across file I/O:
+//!   1. *classify and plan* under the **read lock** — readers keep running;
+//!   2. *fetch* with **no lock held** — the expensive stage. With
 //!      `fetch_workers > 1` the batch's fetch units stream in overlapped,
 //!      each unit's plans applying while later units are still in flight;
-//!   3. *applies* each plan under **its own short write lock** with an
+//!   3. *apply* each plan under **its own short write lock**, after the
 //!      optimistic version check ([`pai_index::still_applies`]) at that
-//!      plan's apply moment: if the index changed underneath a plan
-//!      (another writer split the tile), the plan is discarded and the
-//!      affected region re-plans from the refined children on the next
-//!      round. Answers stay sound either way; the conflicted fetch is the
-//!      price of optimism, bounded by one batch per losing writer and
-//!      surfaced in the stats. Per-plan locks mean readers interleave
-//!      between every apply — no reader ever waits behind a whole batch.
+//!      plan's apply moment: if another writer split the tile underneath a
+//!      plan, the plan is discarded and the region re-plans from the refined
+//!      children. Readers interleave between every apply — no reader ever
+//!      waits behind a whole batch.
+//!
+//!   While no other writer moves the index the loop updates its state in
+//!   place, exactly as a single owner does, so a served answer equals the
+//!   library's bit for bit; after a foreign write it re-classifies and
+//!   rebuilds the state, folding the tiles it already processed.
 //!
 //! Lock-wait time and plan conflicts are surfaced in
 //! [`QueryStats::lock_wait`] / [`QueryStats::plan_conflicts`] so dashboards
-//! can watch contention. [`SharedIndex::evaluate_locked`] retains the
-//! pre-pipeline behaviour (write lock across the whole query) as the
-//! sequential-consistency baseline the concurrency benchmarks compare
-//! against.
+//! can watch contention.
 //!
 //! The raw file itself needs no locking: [`RawFile`] implementations open
 //! independent handles per batch and their meters are atomic.
@@ -40,17 +38,38 @@ use std::time::{Duration, Instant};
 
 use pai_common::geometry::Rect;
 use pai_common::{AggregateFunction, Result};
-use pai_index::eval::{query_attrs, QueryStats, StageClock, StageTimes};
-use pai_index::{apply_enrich, apply_plan, still_applies, ValinorIndex};
+use pai_index::eval::{query_attrs, QueryStats};
+use pai_index::ValinorIndex;
 use pai_storage::raw::{AppendReceipt, RawFile};
 use parking_lot::RwLock;
 
-use crate::config::{validate_phi, EngineConfig};
-use crate::engine::{
-    assess, candidate_views, estimate_readonly, evaluate_on, fetch_plans_each, plan_candidate,
-    synopsis_hit, ApproxResult, BatchPlan,
-};
-use crate::state::{QueryState, ResolvedTiles};
+use crate::config::EngineConfig;
+use crate::engine::{estimate_readonly, synopsis_hit, ApproxResult, EvalCtx, IndexHandle};
+
+/// The evaluation loop's view of a locked index: a read lock for each
+/// shared view, a write lock for each mutable one, and the time spent
+/// waiting for both.
+struct Shared<'a>(&'a RwLock<ValinorIndex>, Duration);
+
+impl IndexHandle for Shared<'_> {
+    fn read<R>(&mut self, f: impl FnOnce(&ValinorIndex) -> R) -> R {
+        let t0 = Instant::now();
+        let index = self.0.read();
+        self.1 += t0.elapsed();
+        f(&index)
+    }
+
+    fn write<R>(&mut self, f: impl FnOnce(&mut ValinorIndex) -> R) -> R {
+        let t0 = Instant::now();
+        let mut index = self.0.write();
+        self.1 += t0.elapsed();
+        f(&mut index)
+    }
+
+    fn lock_wait(&self) -> Duration {
+        self.1
+    }
+}
 
 /// A thread-safe wrapper around one index + raw file + engine config.
 pub struct SharedIndex<F: RawFile> {
@@ -137,221 +156,30 @@ impl<F: RawFile> SharedIndex<F> {
         Ok(Some(ApproxResult { stats, ..hit }))
     }
 
-    /// Accuracy-constrained evaluation through the non-blocking pipeline;
-    /// adapts the shared index so every subsequent reader starts tighter.
+    /// Accuracy-constrained evaluation through the engine's evaluation
+    /// loop, under the read-write lock; adapts the shared index so every
+    /// subsequent reader starts tighter.
     ///
     /// Readers are never blocked by this method's file I/O: locks are held
-    /// only for pure planning (read lock) and the in-memory apply (write
-    /// lock). Concurrent writers may refine the same region; plans whose
-    /// tile changed underneath them are detected by an index version check
-    /// and discarded (counted in `QueryStats::plan_conflicts`), and the
+    /// only to classify and plan (read lock) and for each in-memory apply
+    /// (write lock). Concurrent writers may refine the same region; plans
+    /// whose tile changed underneath them are detected by an index version
+    /// check and discarded (counted in `QueryStats::plan_conflicts`), and the
     /// affected region re-plans against the winner's refined tiles on the
-    /// next round.
-    ///
-    /// The per-round state rebuild means the exact float merge order can
-    /// differ in the last ulp from [`crate::ApproximateEngine::evaluate`];
-    /// the confidence intervals remain sound bounds either way.
+    /// next round. With no other writer the answer, its trajectory and its
+    /// meters are those of [`crate::ApproximateEngine::evaluate`].
     pub fn evaluate(
         &self,
         window: &Rect,
         aggs: &[AggregateFunction],
         phi: f64,
     ) -> Result<ApproxResult> {
-        validate_phi(phi)?;
-        let mut clock = StageClock::start();
-        let mut stages = StageTimes::default();
-        let io0 = self.file.counters().snapshot();
-        let attrs = query_attrs(self.file.schema(), aggs)?;
-        let config = &self.config;
-
-        let mut lock_wait = Duration::ZERO;
-        let mut plan_conflicts = 0usize;
-
-        // Synopsis-first: seed metadata-free cold starts (brief write lock,
-        // only when some attribute has no global bounds) and try a zero-I/O
-        // answer under the read lock before entering the adaptation loop.
-        if config.synopsis {
-            if let Some(blocks) = self.file.block_synopses() {
-                let need_seed = {
-                    let index = self.index.read();
-                    attrs.iter().any(|&a| index.global_bounds(a).is_none())
-                };
-                if need_seed {
-                    let lw = Instant::now();
-                    let mut index = self.index.write();
-                    lock_wait += lw.elapsed();
-                    crate::synopsis::seed_missing_global_bounds(&mut index, blocks, &attrs);
-                }
-                let lw = Instant::now();
-                let index = self.index.read();
-                lock_wait += lw.elapsed();
-                let classification = index.classify(window);
-                stages.classify += clock.lap();
-                let hit = synopsis_hit(
-                    &index,
-                    &self.file,
-                    config,
-                    blocks,
-                    window,
-                    aggs,
-                    classification.selected_total,
-                    phi,
-                );
-                stages.assess += clock.lap();
-                if let Some(hit) = hit {
-                    let stats = QueryStats {
-                        selected: classification.selected_total,
-                        tiles_full: classification.full.len(),
-                        tiles_partial: classification.partial.len(),
-                        io: self.file.counters().snapshot().since(&io0),
-                        elapsed: clock.elapsed(),
-                        stages,
-                        lock_wait,
-                        ..Default::default()
-                    };
-                    return Ok(ApproxResult { stats, ..hit });
-                }
-            }
+        EvalCtx {
+            index: Shared(&self.index, Duration::ZERO),
+            file: &self.file,
+            config: &self.config,
         }
-        // In-window stats of partial tiles this query already processed,
-        // keyed by tile, each with the object count it was computed over.
-        // Rebuilding the state from a fresh snapshot each round folds these
-        // instead of re-reading, for as long as the tile still selects that
-        // many (tile ids are never reused, so stale keys are merely ignored).
-        let mut resolved = ResolvedTiles::new();
-        // Every fetch of the query lands in the same buffers.
-        let mut fetched = Vec::new();
-        let mut step = 0usize;
-        let (mut tiles_processed, mut tiles_split, mut tiles_enriched) = (0usize, 0usize, 0usize);
-        // Initial-classification shape, captured on the first round so the
-        // reported stats mean the same thing as the sequential engine's
-        // (what the query *found*, not what it left behind).
-        let mut initial_shape: Option<(u64, usize, usize)> = None;
-
-        loop {
-            // ---- Stage 1: plan under the read lock (pure). ----
-            let lw = Instant::now();
-            let index = self.index.read();
-            lock_wait += lw.elapsed();
-            let classification = index.classify(window);
-            let (selected, tiles_full, tiles_partial) = *initial_shape.get_or_insert((
-                classification.selected_total,
-                classification.full.len(),
-                classification.partial.len(),
-            ));
-            let state = QueryState::from_classification_resolved(
-                &index,
-                &classification,
-                &attrs,
-                &resolved,
-            )?;
-            stages.classify += clock.lap();
-            let (estimates, bound) = assess(config, aggs, &state);
-            stages.assess += clock.lap();
-            if state.candidates.is_empty() || bound <= phi {
-                let met_constraint = bound <= phi;
-                let (values, cis) = estimates.into_iter().map(|e| (e.value, e.ci)).unzip();
-                let stats = QueryStats {
-                    selected,
-                    tiles_full,
-                    tiles_partial,
-                    tiles_processed,
-                    tiles_split,
-                    tiles_enriched,
-                    io: self.file.counters().snapshot().since(&io0),
-                    elapsed: clock.elapsed(),
-                    stages,
-                    lock_wait,
-                    plan_conflicts,
-                };
-                return Ok(ApproxResult {
-                    values,
-                    cis,
-                    error_bound: bound,
-                    phi,
-                    met_constraint,
-                    stats,
-                });
-            }
-            let picks = config.policy.pick_batch(
-                state.candidates.len(),
-                step,
-                config.adapt_batch,
-                |alive| candidate_views(&index, config, aggs, &state, alive),
-            );
-            let plans: Vec<BatchPlan> = picks
-                .iter()
-                .map(|&p| plan_candidate(&index, &state.candidates[p], window, &attrs, config))
-                .collect::<Result<_>>()?;
-            drop(index);
-            stages.plan += clock.lap();
-
-            // ---- Stages 2 + 3, overlapped: fetch with no lock held, apply
-            // each plan under its own short write lock as its fetch unit
-            // lands (later units may still be in flight). Readers — and
-            // competing writers' apply stages — interleave between every
-            // apply, so no one ever waits behind this writer's I/O *or*
-            // behind the rest of its batch. The optimistic version check
-            // runs per plan, against the index as it is at that plan's
-            // apply moment: a fast path when nothing changed since
-            // planning, a slow path while the tile is still a leaf (leaf
-            // entries never change except by splitting the leaf).
-            let file = &self.file;
-            fetch_plans_each(file, &plans, window, config, &mut fetched, |i, values| {
-                let plan = &plans[i];
-                stages.fetch += clock.lap();
-                let lw = Instant::now();
-                let mut index = self.index.write();
-                lock_wait += lw.elapsed();
-                if still_applies(&index, plan.tile(), plan.planned_version()) {
-                    match plan {
-                        BatchPlan::Partial(p) => {
-                            let out = apply_plan(&mut index, p, window, &config.adapt, values)?;
-                            tiles_split += usize::from(out.did_split);
-                            resolved.insert(p.tile, (p.selected, out.in_window));
-                            tiles_processed += 1;
-                        }
-                        BatchPlan::Enrich(p) => {
-                            apply_enrich(&mut index, p, values)?;
-                            tiles_processed += 1;
-                            tiles_enriched += 1;
-                        }
-                    }
-                } else {
-                    // Concurrently split: the other writer already refined
-                    // this tile, so discard the plan — its id never
-                    // classifies again (children carry new ids), and the
-                    // region re-plans from the refined children next round.
-                    // The conflicted fetch is the price of optimism,
-                    // bounded by one batch per losing writer.
-                    plan_conflicts += 1;
-                }
-                drop(index);
-                stages.apply += clock.lap();
-                step += 1;
-                Ok(())
-            })?;
-        }
-    }
-
-    /// Accuracy-constrained evaluation holding the **write lock for the
-    /// whole query** — the pre-pipeline behaviour, preserved as the strict
-    /// sequential baseline. Readers stall for the full evaluation,
-    /// including all file I/O; `concurrent_bench` measures exactly that
-    /// difference. Use [`SharedIndex::evaluate`] unless you need the
-    /// single-owner engine's byte-for-byte trajectory on a shared index.
-    pub fn evaluate_locked(
-        &self,
-        window: &Rect,
-        aggs: &[AggregateFunction],
-        phi: f64,
-    ) -> Result<ApproxResult> {
-        let lw = Instant::now();
-        let mut index = self.index.write();
-        let wait = lw.elapsed();
-        let mut res = evaluate_on(&mut index, &self.file, &self.config, window, aggs, phi)?;
-        res.stats.lock_wait = wait;
-        Ok(res)
+        .accuracy(window, aggs, phi, None)
     }
 
     /// Streaming ingest through the same plan → fetch → apply discipline
@@ -392,6 +220,7 @@ impl<F: RawFile> SharedIndex<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ApproximateEngine;
     use pai_index::init::{build, GridSpec, InitConfig};
     use pai_index::MetadataPolicy;
     use pai_storage::ground_truth::window_truth;
@@ -471,24 +300,57 @@ mod tests {
         shared.with_index(|idx| idx.validate_invariants().unwrap());
     }
 
+    /// An engine over a copy of `shared`'s index, on the same file and
+    /// config.
+    fn engine_beside(shared: &SharedIndex<MemFile>) -> ApproximateEngine<'_> {
+        let index = shared.with_index(ValinorIndex::clone);
+        ApproximateEngine::new(index, shared.file(), shared.config().clone()).unwrap()
+    }
+
     #[test]
-    fn pipelined_exact_matches_locked_exact() {
-        // phi = 0 fully resolves every tile under both protocols, so the
-        // values must agree to float-merge tolerance.
-        let (a, _) = shared(2500);
-        let (b, _) = shared(2500);
+    fn shared_exact_matches_engine_exact() {
+        // With no other writer the shared index runs the engine's loop: at
+        // phi = 0 every tile resolves, in the same order, to the same bits.
+        let (shared, _) = shared(2500);
+        let mut engine = engine_beside(&shared);
         let window = Rect::new(120.0, 640.0, 120.0, 640.0);
         let aggs = [AggregateFunction::Sum(3), AggregateFunction::Count];
-        let ra = a.evaluate(&window, &aggs, 0.0).unwrap();
-        let rb = b.evaluate_locked(&window, &aggs, 0.0).unwrap();
-        assert_eq!(ra.error_bound, 0.0);
-        assert_eq!(rb.error_bound, 0.0);
-        let (x, y) = (
-            ra.values[0].as_f64().unwrap(),
-            rb.values[0].as_f64().unwrap(),
+        let rs = shared.evaluate(&window, &aggs, 0.0).unwrap();
+        let re = engine.evaluate(&window, &aggs, 0.0).unwrap();
+        assert_eq!(rs.error_bound, 0.0);
+        let bits = |r: &ApproxResult| -> Vec<Option<u64>> {
+            r.values
+                .iter()
+                .map(|v| v.as_f64().map(f64::to_bits))
+                .collect()
+        };
+        assert_eq!(bits(&rs), bits(&re));
+        assert_eq!(rs.cis, re.cis);
+        assert_eq!(rs.stats.tiles_processed, re.stats.tiles_processed);
+        assert!(rs.stats.tiles_processed > 0, "the window must adapt");
+    }
+
+    #[test]
+    fn shared_evaluate_honours_eager_refinement() {
+        let eager = EngineConfig {
+            eager: crate::EagerRefinement::ExtraTiles(3),
+            ..EngineConfig::paper_evaluation()
+        };
+        let (lazy, _) = shared(4000);
+        let (shared, _) = shared_with(4000, eager);
+        let mut engine = engine_beside(&shared);
+        let window = Rect::new(100.0, 700.0, 100.0, 700.0);
+        let aggs = [AggregateFunction::Mean(2)];
+        let rl = lazy.evaluate(&window, &aggs, 0.10).unwrap();
+        let rs = shared.evaluate(&window, &aggs, 0.10).unwrap();
+        let re = engine.evaluate(&window, &aggs, 0.10).unwrap();
+        assert_eq!(rs.stats.tiles_processed, re.stats.tiles_processed);
+        assert!(
+            rs.stats.tiles_processed > rl.stats.tiles_processed,
+            "eager refinement processed nothing extra: {} vs {}",
+            rs.stats.tiles_processed,
+            rl.stats.tiles_processed
         );
-        assert!((x - y).abs() <= 1e-9 * (1.0 + y.abs()), "{x} vs {y}");
-        assert_eq!(ra.values[1].as_f64(), rb.values[1].as_f64());
     }
 
     #[test]

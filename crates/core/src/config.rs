@@ -7,32 +7,6 @@ use pai_storage::CacheConfig;
 use crate::bound::NormalizationMode;
 use crate::policy::SelectionPolicy;
 
-/// How a partially-contained tile's contribution is point-estimated inside
-/// its confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ValueEstimator {
-    /// Midpoint of the tile interval — the paper's estimator ("the tile's
-    /// mean value derived from its min and max").
-    #[default]
-    Midpoint,
-    /// Lower endpoint (pessimistic for sums of positive attributes).
-    Lower,
-    /// Upper endpoint (optimistic).
-    Upper,
-}
-
-impl ValueEstimator {
-    /// Picks the estimate from an interval.
-    #[inline]
-    pub fn pick(&self, iv: &pai_common::Interval) -> f64 {
-        match self {
-            ValueEstimator::Midpoint => iv.midpoint(),
-            ValueEstimator::Lower => iv.lo(),
-            ValueEstimator::Upper => iv.hi(),
-        }
-    }
-}
-
 /// Extra adaptation after the accuracy constraint is met.
 ///
 /// The paper's future work proposes "enabling more index adaptation even if
@@ -58,8 +32,6 @@ pub struct EngineConfig {
     pub policy: SelectionPolicy,
     /// Error-bound normalization (paper leaves the denominator open).
     pub normalization: NormalizationMode,
-    /// Point estimator for bounded tiles.
-    pub estimator: ValueEstimator,
     /// Assume attribute values contain no NULLs (the paper's setting).
     /// Disable for conservative interval handling on dirty data.
     pub assume_non_null: bool,
@@ -109,7 +81,6 @@ impl Default for EngineConfig {
             adapt: AdaptConfig::default(),
             policy: SelectionPolicy::default(),
             normalization: NormalizationMode::default(),
-            estimator: ValueEstimator::default(),
             assume_non_null: true,
             eager: EagerRefinement::Off,
             adapt_batch: 1,
@@ -196,15 +167,6 @@ pub fn validate_phi(phi: f64) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pai_common::Interval;
-
-    #[test]
-    fn estimator_picks() {
-        let iv = Interval::new(2.0, 6.0);
-        assert_eq!(ValueEstimator::Midpoint.pick(&iv), 4.0);
-        assert_eq!(ValueEstimator::Lower.pick(&iv), 2.0);
-        assert_eq!(ValueEstimator::Upper.pick(&iv), 6.0);
-    }
 
     #[test]
     fn default_config_valid() {

@@ -7,16 +7,22 @@
 //! (split + metadata), so later queries in the same area start tighter:
 //! adaptation is *partial* per query but cumulative across the session.
 //!
-//! Three evaluation modes share the same loop:
-//! * [`ApproximateEngine::evaluate`] — accuracy-constrained (the paper);
+//! The loop exists once, generic over how it reaches the index: a single
+//! owner's plain borrows here, or the read-write lock of
+//! [`crate::SharedIndex`]. Two stop rules drive it:
+//! * accuracy-constrained (the paper: [`ApproximateEngine::evaluate`],
+//!   [`crate::SharedIndex::evaluate`]), followed by any configured
+//!   [`EagerRefinement`];
 //! * [`ApproximateEngine::evaluate_with_io_budget`] — the dual problem:
 //!   spend at most a given number of object reads and report the best
 //!   achievable bound (interactivity-first, as the paper's introduction
-//!   motivates);
-//! * [`estimate_readonly`] — metadata only, zero I/O, no adaptation (used
-//!   by concurrent readers and overview visualizations).
+//!   motivates).
+//!
+//! [`estimate_readonly`] answers from metadata only — zero I/O, no
+//! adaptation — for concurrent readers and overview visualizations.
 
-use std::time::Instant;
+use std::ops::ControlFlow;
+use std::time::{Duration, Instant};
 
 use pai_common::geometry::Rect;
 use pai_common::{
@@ -24,8 +30,8 @@ use pai_common::{
 };
 use pai_index::eval::{query_attrs, QueryStats, StageClock};
 use pai_index::{
-    apply_enrich, apply_plan, fetch_window, plan_enrich, plan_tile, EnrichPlan, ReadPolicy, TileId,
-    TilePlan, ValinorIndex,
+    apply_enrich, apply_plan, fetch_window, plan_enrich, plan_tile, still_applies, EnrichPlan,
+    ReadPolicy, TileId, TilePlan, ValinorIndex,
 };
 use pai_storage::batch::{read_row_groups, RowBatch};
 use pai_storage::raw::{BlockSynopsis, RawFile};
@@ -34,12 +40,13 @@ use crate::bound::upper_error_bound;
 use crate::ci::{estimate_aggregate, AggregateEstimate};
 use crate::config::{validate_phi, EagerRefinement, EngineConfig};
 use crate::policy::CandidateView;
-use crate::state::{Candidate, CandidateKind, QueryState};
+use crate::state::{Candidate, CandidateKind, QueryState, ResolvedTiles};
+use crate::synopsis::seed_missing_global_bounds;
 
 /// One step of a progressive evaluation trace: the state of the answer
 /// after `tiles_processed` tiles — what a progressive-visualization client
 /// (see the survey line of related work in the paper) would render.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ProgressStep {
     /// Tiles processed so far for this query (0 = metadata-only answer).
     pub tiles_processed: usize,
@@ -106,35 +113,6 @@ pub struct ProgressStep {
     pub synopsis_bytes: u64,
 }
 
-/// An all-zero step, the base for struct-update construction of steps that
-/// only carry a few live fields (the metadata-only step 0, synopsis hits).
-const ZERO_STEP: ProgressStep = ProgressStep {
-    tiles_processed: 0,
-    error_bound: 0.0,
-    estimate: None,
-    objects_read: 0,
-    bytes_read: 0,
-    read_calls: 0,
-    blocks_read: 0,
-    blocks_skipped: 0,
-    http_requests: 0,
-    http_bytes: 0,
-    retries: 0,
-    fetch_inflight_peak: 0,
-    overlap_ratio: 0.0,
-    parts_resized: 0,
-    cache_hits: 0,
-    cache_misses: 0,
-    cache_evictions: 0,
-    cache_spill_bytes: 0,
-    cache_mem_bytes: 0,
-    fetch_p50_us: 0,
-    fetch_p99_us: 0,
-    synopsis_hits: 0,
-    synopsis_blocks: 0,
-    synopsis_bytes: 0,
-};
-
 /// Result of one approximate evaluation.
 #[derive(Debug, Clone)]
 pub struct ApproxResult {
@@ -157,170 +135,255 @@ pub struct ApproxResult {
 
 /// How long the adaptation loop may keep processing tiles.
 enum StopRule {
-    /// Until the bound drops to `phi` (the paper's constraint).
-    Accuracy { phi: f64 },
+    /// Until the bound drops to `phi` (the paper's constraint), then `extra`
+    /// tiles more ([`EagerRefinement`]) while it stays there. `met_at` is the
+    /// step at which the bound last reached `phi`.
+    Accuracy {
+        phi: f64,
+        extra: usize,
+        met_at: Option<usize>,
+    },
     /// Until the next candidate would exceed the remaining object budget.
     IoBudget { remaining: u64 },
 }
 
 impl StopRule {
-    /// Whether a bound this low ends the loop.
-    fn met(&self, bound: f64) -> bool {
-        match *self {
-            StopRule::Accuracy { phi } => bound <= phi,
+    /// Whether the loop ends at this bound, `step` tiles into the query.
+    fn met(&mut self, bound: f64, step: usize) -> bool {
+        match self {
+            StopRule::Accuracy { phi, extra, met_at } => {
+                if bound > *phi {
+                    *met_at = None;
+                    return false;
+                }
+                step >= *met_at.get_or_insert(step) + *extra
+            }
             StopRule::IoBudget { .. } => bound <= 0.0,
         }
     }
 }
 
-/// The shared per-query evaluation context: everything the loop needs,
-/// borrowed from whichever owner (engine or shared index) drives it.
-struct EvalCtx<'a> {
-    index: &'a mut ValinorIndex,
-    file: &'a dyn RawFile,
-    config: &'a EngineConfig,
+/// How the loop reaches the index it adapts: a shared view to classify and
+/// plan against, a mutable one for each apply. The handles differ only in
+/// what guards those views.
+pub(crate) trait IndexHandle {
+    fn read<R>(&mut self, f: impl FnOnce(&ValinorIndex) -> R) -> R;
+    fn write<R>(&mut self, f: impl FnOnce(&mut ValinorIndex) -> R) -> R;
+    /// Time spent waiting for views so far ([`QueryStats::lock_wait`]).
+    fn lock_wait(&self) -> Duration {
+        Duration::ZERO
+    }
 }
 
-impl EvalCtx<'_> {
+/// A single owner's index: both views are plain borrows, and no other
+/// writer can move the index between them.
+struct Exclusive<'a>(&'a mut ValinorIndex);
+
+impl IndexHandle for Exclusive<'_> {
+    fn read<R>(&mut self, f: impl FnOnce(&ValinorIndex) -> R) -> R {
+        f(self.0)
+    }
+
+    fn write<R>(&mut self, f: impl FnOnce(&mut ValinorIndex) -> R) -> R {
+        f(self.0)
+    }
+}
+
+/// One query's evaluation: the handle on the index it adapts, and the file
+/// and config it adapts with.
+pub(crate) struct EvalCtx<'a, H> {
+    pub(crate) index: H,
+    pub(crate) file: &'a dyn RawFile,
+    pub(crate) config: &'a EngineConfig,
+}
+
+impl<H: IndexHandle> EvalCtx<'_, H> {
+    /// The accuracy-constrained evaluation: the loop at `phi`, then the
+    /// configured eager refinement.
+    pub(crate) fn accuracy(
+        self,
+        window: &Rect,
+        aggs: &[AggregateFunction],
+        phi: f64,
+        trace: Option<&mut Vec<ProgressStep>>,
+    ) -> Result<ApproxResult> {
+        validate_phi(phi)?;
+        let extra = match self.config.eager {
+            EagerRefinement::Off => 0,
+            EagerRefinement::ExtraTiles(n) => n,
+        };
+        let stop = StopRule::Accuracy {
+            phi,
+            extra,
+            met_at: None,
+        };
+        self.run(window, aggs, stop, trace)
+    }
+
+    /// The adaptation loop, pipelined per round as plan (pure, on a shared
+    /// view) → coalesced fetch (no view held) → apply (one mutable view per
+    /// plan) + re-check.
+    ///
+    /// The query's state is updated in place for as long as the index
+    /// version is the one this query's own last apply left behind. When
+    /// another writer has moved the index, the next round re-classifies and
+    /// rebuilds the state, folding the partial tiles already processed
+    /// instead of reading them again; every apply is checked by
+    /// [`still_applies`], and a plan another writer's split overtook is
+    /// discarded and counted in [`QueryStats::plan_conflicts`]. The answer
+    /// comes from a state checked current on a shared view.
     fn run(
-        &mut self,
+        mut self,
         window: &Rect,
         aggs: &[AggregateFunction],
         mut stop: StopRule,
         mut trace: Option<&mut Vec<ProgressStep>>,
     ) -> Result<ApproxResult> {
+        let (file, config) = (self.file, self.config);
         let mut clock = StageClock::start();
-        let io0 = self.file.counters().snapshot();
-        let attrs = query_attrs(self.index.schema(), aggs)?;
-
-        let classification = self.index.classify(window);
-        let mut stats = QueryStats {
-            selected: classification.selected_total,
-            tiles_full: classification.full.len(),
-            tiles_partial: classification.partial.len(),
-            ..Default::default()
-        };
+        let io0 = file.counters().snapshot();
+        let attrs = query_attrs(file.schema(), aggs)?;
+        let mut stats = QueryStats::default();
 
         // Synopsis-first: before any fetch is planned, try to answer the
         // query from the backend's per-block synopses. Even on a miss the
         // pass seeds global attribute bounds for metadata-free cold starts,
         // which must happen before candidates capture their metadata view.
-        if self.config.synopsis {
-            stats.stages.classify += clock.lap();
-            if let Some(blocks) = self.file.block_synopses() {
-                crate::synopsis::seed_missing_global_bounds(self.index, blocks, &attrs);
-                if let StopRule::Accuracy { phi } = stop {
-                    if let Some(hit) = synopsis_hit(
-                        self.index,
-                        self.file,
-                        self.config,
-                        blocks,
-                        window,
-                        aggs,
-                        classification.selected_total,
-                        phi,
-                    ) {
-                        stats.io = self.file.counters().snapshot().since(&io0);
-                        stats.stages.assess += clock.lap();
-                        stats.elapsed = clock.elapsed();
-                        if let Some(t) = trace.as_deref_mut() {
-                            t.push(ProgressStep {
-                                tiles_processed: 0,
-                                error_bound: hit.error_bound,
-                                estimate: hit.values.first().and_then(|v| v.as_f64()),
-                                synopsis_hits: stats.io.synopsis_hits,
-                                synopsis_blocks: stats.io.synopsis_blocks,
-                                synopsis_bytes: stats.io.synopsis_bytes,
-                                ..ZERO_STEP
-                            });
-                        }
-                        return Ok(ApproxResult { stats, ..hit });
-                    }
-                }
-            }
-            // A pass that missed was still an attempt at the answer.
-            stats.stages.assess += clock.lap();
+        let blocks = config.synopsis.then(|| file.block_synopses()).flatten();
+        let unseeded = |i: &ValinorIndex| attrs.iter().any(|&a| i.global_bounds(a).is_none());
+        if let Some(blocks) = blocks.filter(|_| self.index.read(unseeded)) {
+            self.index
+                .write(|i| seed_missing_global_bounds(i, blocks, &attrs));
         }
 
-        let mut state = QueryState::from_classification(self.index, &classification, &attrs)?;
-        stats.stages.classify += clock.lap();
-
-        // The partial-adaptation loop, pipelined per iteration as
-        // plan (pure) → coalesced fetch → apply + re-check. Every fetch of
-        // the query lands in the same buffers.
+        // In-window stats of the partial tiles this query processed, each
+        // with the object count it was computed over: what a rebuild folds
+        // instead of reading them again.
+        let mut resolved = ResolvedTiles::new();
+        // Every fetch of the query lands in the same buffers.
         let mut fetched = Vec::new();
         let mut step = 0usize;
-        let (mut estimates, mut bound) = assess(self.config, aggs, &state);
-        if let Some(t) = trace.as_deref_mut() {
-            t.push(ProgressStep {
-                tiles_processed: 0,
-                error_bound: bound,
-                estimate: estimates.first().and_then(|e| e.value.as_f64()),
-                ..ZERO_STEP
-            });
-        }
-        'outer: loop {
-            if state.candidates.is_empty() || stop.met(bound) {
-                break;
-            }
-            stats.stages.assess += clock.lap();
-            // Stage 1 — plan: select the batch the sequential loop would
-            // process next and compute each tile's pure refinement plan.
-            let picks = match stop {
-                StopRule::Accuracy { .. } => {
-                    let (index, config) = (&*self.index, self.config);
-                    config.policy.pick_batch(
+        // The query's state, and the index version it describes: none until
+        // the first round has classified the window.
+        let (mut state, mut known) = (QueryState::default(), None);
+        let (mut estimates, mut bound, mut stopped) = (Vec::new(), f64::INFINITY, false);
+        loop {
+            // Stage 1 — plan, on a shared view: (re)build the state on the
+            // first round and whenever another writer has moved the index,
+            // then select the batch the sequential loop would process next
+            // and compute each tile's pure refinement plan.
+            let round = self.index.read(|index| {
+                if known != Some(index.version()) {
+                    let classification = index.classify(window);
+                    if known.is_none() {
+                        stats.selected = classification.selected_total;
+                        stats.tiles_full = classification.full.len();
+                        stats.tiles_partial = classification.partial.len();
+                        if let (Some(blocks), StopRule::Accuracy { phi, .. }) = (blocks, &stop) {
+                            stats.stages.classify += clock.lap();
+                            let selected = classification.selected_total;
+                            let hit = synopsis_hit(
+                                index, file, config, blocks, window, aggs, selected, *phi,
+                            );
+                            // A pass that missed was still an attempt at the
+                            // answer.
+                            stats.stages.assess += clock.lap();
+                            if let Some(hit) = hit {
+                                return Ok(ControlFlow::Break(hit));
+                            }
+                        }
+                    }
+                    state = QueryState::from_classification_resolved(
+                        index,
+                        &classification,
+                        &attrs,
+                        &resolved,
+                    )?;
+                    stats.stages.classify += clock.lap();
+                    (estimates, bound) = assess(config, aggs, &state);
+                    if let (None, Some(t)) = (known, trace.as_deref_mut()) {
+                        t.push(ProgressStep {
+                            tiles_processed: 0,
+                            error_bound: bound,
+                            estimate: estimates.first().and_then(|e| e.value.as_f64()),
+                            ..Default::default()
+                        });
+                    }
+                    known = Some(index.version());
+                    stopped = stop.met(bound, step);
+                }
+                if stopped || state.candidates.is_empty() {
+                    return Ok(ControlFlow::Continue(Vec::new()));
+                }
+                stats.stages.assess += clock.lap();
+                let picks = match stop {
+                    StopRule::Accuracy { .. } => config.policy.pick_batch(
                         state.candidates.len(),
                         step,
                         config.adapt_batch,
                         |alive| candidate_views(index, config, aggs, &state, alive),
-                    )
-                }
-                StopRule::IoBudget { ref mut remaining } => {
-                    // Costs must be re-checked against the shrinking budget
-                    // per tile, so budgeted evaluation stays tile-at-a-time.
-                    // Among candidates that fit the budget, let the policy
-                    // choose; stop when nothing fits.
-                    let all: Vec<usize> = (0..state.candidates.len()).collect();
-                    let views = candidate_views(self.index, self.config, aggs, &state, &all);
-                    let affordable: Vec<usize> = (0..views.len())
-                        .filter(|&i| views[i].cost <= *remaining)
-                        .collect();
-                    if affordable.is_empty() {
-                        break;
+                    ),
+                    StopRule::IoBudget { ref mut remaining } => {
+                        // Costs must be re-checked against the shrinking
+                        // budget per tile, so budgeted evaluation stays
+                        // tile-at-a-time. Among candidates that fit the
+                        // budget, let the policy choose; stop when nothing
+                        // fits.
+                        let all: Vec<usize> = (0..state.candidates.len()).collect();
+                        let views = candidate_views(index, config, aggs, &state, &all);
+                        let affordable: Vec<usize> = (0..views.len())
+                            .filter(|&i| views[i].cost <= *remaining)
+                            .collect();
+                        if affordable.is_empty() {
+                            return Ok(ControlFlow::Continue(Vec::new()));
+                        }
+                        let sub: Vec<CandidateView> =
+                            affordable.iter().map(|&i| views[i]).collect();
+                        let chosen = affordable[config.policy.pick(&sub, step)];
+                        *remaining = remaining.saturating_sub(views[chosen].cost);
+                        vec![chosen]
                     }
-                    let sub: Vec<CandidateView> = affordable.iter().map(|&i| views[i]).collect();
-                    let chosen = affordable[self.config.policy.pick(&sub, step)];
-                    *remaining = remaining.saturating_sub(views[chosen].cost);
-                    vec![chosen]
+                };
+                picks
+                    .iter()
+                    .map(|&p| plan_candidate(index, &state.candidates[p], window, &attrs, config))
+                    .collect::<Result<_>>()
+                    .map(ControlFlow::Continue)
+            })?;
+            let plans: Vec<BatchPlan> = match round {
+                ControlFlow::Continue(plans) if plans.is_empty() => break,
+                ControlFlow::Continue(plans) => plans,
+                ControlFlow::Break(hit) => {
+                    stats.io = file.counters().snapshot().since(&io0);
+                    stats.lock_wait = self.index.lock_wait();
+                    stats.elapsed = clock.elapsed();
+                    if let Some(t) = trace {
+                        t.push(ProgressStep {
+                            tiles_processed: 0,
+                            error_bound: hit.error_bound,
+                            estimate: hit.values.first().and_then(|v| v.as_f64()),
+                            synopsis_hits: stats.io.synopsis_hits,
+                            synopsis_blocks: stats.io.synopsis_blocks,
+                            synopsis_bytes: stats.io.synopsis_bytes,
+                            ..Default::default()
+                        });
+                    }
+                    return Ok(ApproxResult { stats, ..hit });
                 }
             };
-            let plans: Vec<BatchPlan> = picks
-                .iter()
-                .map(|&p| {
-                    plan_candidate(
-                        self.index,
-                        &state.candidates[p],
-                        window,
-                        &attrs,
-                        self.config,
-                    )
-                })
-                .collect::<Result<_>>()?;
             stats.stages.plan += clock.lap();
 
-            // Stage 2 + 3 — fetch and apply, overlapped when configured:
-            // the batch's fetch units (one coalesced read per distinct
-            // attribute set) stream into the apply stage as they complete,
-            // and each plan is installed in sequential pick order with the
-            // stop rule re-evaluated after every tile. Plans fetched past
-            // the stop point are discarded unapplied — and their fetches
-            // still run to completion — so the processed-tile trajectory,
-            // every answer and CI, and every logical meter are identical to
-            // the tile-at-a-time loop at any `fetch_workers` count.
-            let file = self.file;
-            let mut stopped = false;
-            let config = self.config;
+            // Stage 2 + 3 — fetch with no view held and apply, overlapped
+            // when configured: the batch's fetch units (one coalesced read
+            // per distinct attribute set) stream into the apply stage as
+            // they complete, and each plan is installed on its own mutable
+            // view in sequential pick order with the stop rule re-evaluated
+            // after every tile. Plans fetched past the stop point are
+            // discarded unapplied — and their fetches still run to
+            // completion — so the processed-tile trajectory, every answer
+            // and CI, and every logical meter are identical to the
+            // tile-at-a-time loop at any `fetch_workers` count.
+            let index = &mut self.index;
             fetch_plans_each(file, &plans, window, config, &mut fetched, |i, values| {
                 if stopped {
                     return Ok(());
@@ -328,10 +391,52 @@ impl EvalCtx<'_> {
                 // Since the last lap this thread fetched, or waited for the
                 // fetchers.
                 stats.stages.fetch += clock.lap();
-                self.apply_one(&mut state, &plans[i], values, window, &mut stats)?;
+                let plan = &plans[i];
+                let exact = index.write(|index| -> Result<Option<_>> {
+                    if !still_applies(index, plan.tile(), plan.planned_version()) {
+                        return Ok(None);
+                    }
+                    let current = known == Some(index.version());
+                    let exact = match plan {
+                        BatchPlan::Partial(p) => {
+                            let out = apply_plan(index, p, window, &config.adapt, values)?;
+                            stats.tiles_split += usize::from(out.did_split);
+                            out.in_window
+                        }
+                        BatchPlan::Enrich(p) => {
+                            apply_enrich(index, p, values)?;
+                            stats.tiles_enriched += 1;
+                            p.resolved_stats(values)?
+                        }
+                    };
+                    if current {
+                        known = Some(index.version());
+                    }
+                    Ok(Some(exact))
+                })?;
+                let Some(exact) = exact else {
+                    // Another writer split the tile since planning: its id
+                    // never classifies again, and the region re-plans from
+                    // the refined children next round.
+                    stats.plan_conflicts += 1;
+                    stats.stages.apply += clock.lap();
+                    return Ok(());
+                };
+                let pick = state
+                    .candidates
+                    .iter()
+                    .position(|c| c.tile == plan.tile())
+                    .ok_or_else(|| {
+                        PaiError::internal("batch plan names an already-resolved candidate")
+                    })?;
+                state.resolve(pick, &exact);
+                if let BatchPlan::Partial(p) = plan {
+                    resolved.insert(p.tile, (p.selected, exact));
+                }
+                stats.tiles_processed += 1;
                 stats.stages.apply += clock.lap();
                 step += 1;
-                (estimates, bound) = assess(self.config, aggs, &state);
+                (estimates, bound) = assess(config, aggs, &state);
                 if let Some(t) = trace.as_deref_mut() {
                     let io = file.counters().snapshot().since(&io0);
                     t.push(ProgressStep {
@@ -361,50 +466,22 @@ impl EvalCtx<'_> {
                         synopsis_bytes: io.synopsis_bytes,
                     });
                 }
-                stopped = stop.met(bound);
+                stopped = stop.met(bound, step);
                 stats.stages.assess += clock.lap();
                 Ok(())
             })?;
             if stopped {
                 // Fetches the stop rule left unapplied still ran to their end.
                 stats.stages.fetch += clock.lap();
-                break 'outer;
             }
         }
         let (phi, met_constraint) = match stop {
-            StopRule::Accuracy { phi } => (phi, bound <= phi),
+            StopRule::Accuracy { phi, .. } => (phi, bound <= phi),
             StopRule::IoBudget { .. } => (f64::INFINITY, true),
         };
 
-        // Future-work knob: keep adapting after the constraint is met.
-        if let (EagerRefinement::ExtraTiles(extra), true) = (self.config.eager, met_constraint) {
-            let mut done = 0;
-            while done < extra && !state.candidates.is_empty() {
-                let all: Vec<usize> = (0..state.candidates.len()).collect();
-                let views = candidate_views(self.index, self.config, aggs, &state, &all);
-                let pick = self.config.policy.pick(&views, step);
-                // One more tile, as a batch of one: its contribution
-                // becomes exact and the index keeps what was learned.
-                let cand = &state.candidates[pick];
-                let plan = plan_candidate(self.index, cand, window, &attrs, self.config)?;
-                stats.stages.plan += clock.lap();
-                let (file, config) = (self.file, self.config);
-                let plans = std::slice::from_ref(&plan);
-                fetch_plans_each(file, plans, window, config, &mut fetched, |_, values| {
-                    stats.stages.fetch += clock.lap();
-                    self.apply_one(&mut state, &plan, values, window, &mut stats)?;
-                    stats.stages.apply += clock.lap();
-                    Ok(())
-                })?;
-                step += 1;
-                done += 1;
-            }
-            if done > 0 {
-                (estimates, bound) = assess(self.config, aggs, &state);
-            }
-        }
-
-        stats.io = self.file.counters().snapshot().since(&io0);
+        stats.io = file.counters().snapshot().since(&io0);
+        stats.lock_wait = self.index.lock_wait();
         stats.stages.assess += clock.lap();
         stats.elapsed = clock.elapsed();
         let (values, cis) = estimates.into_iter().map(|e| (e.value, e.ci)).unzip();
@@ -417,60 +494,26 @@ impl EvalCtx<'_> {
             stats,
         })
     }
-
-    /// Applies one fetched plan, folding the now-exact contribution into
-    /// the query state.
-    fn apply_one(
-        &mut self,
-        state: &mut QueryState,
-        plan: &BatchPlan,
-        values: &[f64],
-        window: &Rect,
-        stats: &mut QueryStats,
-    ) -> Result<()> {
-        let pick = state
-            .candidates
-            .iter()
-            .position(|c| c.tile == plan.tile())
-            .ok_or_else(|| PaiError::internal("batch plan names an already-resolved candidate"))?;
-        match plan {
-            BatchPlan::Partial(p) => {
-                let out = apply_plan(self.index, p, window, &self.config.adapt, values)?;
-                stats.tiles_processed += 1;
-                stats.tiles_split += usize::from(out.did_split);
-                state.resolve(pick, &out.in_window);
-            }
-            BatchPlan::Enrich(p) => {
-                apply_enrich(self.index, p, values)?;
-                stats.tiles_processed += 1;
-                stats.tiles_enriched += 1;
-                let exact = p.resolved_stats(values)?;
-                state.resolve(pick, &exact);
-            }
-        }
-        Ok(())
-    }
 }
 
 /// One candidate's refinement plan: either the full `process(t)` of a
 /// partially-contained tile or the enrichment read of a fully-contained
 /// tile with missing metadata. Both variants are pure plans computed
-/// against an immutable index view; `pai-core::concurrent` fetches them
-/// without holding any lock.
-pub(crate) enum BatchPlan {
+/// against a shared index view, and fetched with no view held.
+enum BatchPlan {
     Partial(TilePlan),
     Enrich(EnrichPlan),
 }
 
 impl BatchPlan {
-    pub(crate) fn tile(&self) -> TileId {
+    fn tile(&self) -> TileId {
         match self {
             BatchPlan::Partial(p) => p.tile,
             BatchPlan::Enrich(p) => p.tile,
         }
     }
 
-    pub(crate) fn planned_version(&self) -> u64 {
+    fn planned_version(&self) -> u64 {
         match self {
             BatchPlan::Partial(p) => p.planned_version,
             BatchPlan::Enrich(p) => p.planned_version,
@@ -493,7 +536,7 @@ impl BatchPlan {
 }
 
 /// Plans the processing of one candidate (pure, `&index`).
-pub(crate) fn plan_candidate(
+fn plan_candidate(
     index: &ValinorIndex,
     cand: &Candidate,
     window: &Rect,
@@ -584,7 +627,7 @@ fn fetch_units(plans: &[BatchPlan]) -> (Vec<FetchUnit<'_>>, Vec<(usize, usize)>)
 ///   the fetch-then-apply path would. After an error (the first one in unit
 ///   order is the one returned) no further unit is claimed, and the fetches
 ///   in flight are still joined before this returns.
-pub(crate) fn fetch_plans_each(
+fn fetch_plans_each(
     file: &dyn RawFile,
     plans: &[BatchPlan],
     window: &Rect,
@@ -694,14 +737,14 @@ pub(crate) fn synopsis_hit(
 }
 
 /// Current estimates and the combined (max-over-aggregates) bound.
-pub(crate) fn assess(
+fn assess(
     config: &EngineConfig,
     aggs: &[AggregateFunction],
     state: &QueryState,
 ) -> (Vec<AggregateEstimate>, f64) {
     let estimates: Vec<AggregateEstimate> = aggs
         .iter()
-        .map(|agg| estimate_aggregate(agg, state, config.estimator, config.assume_non_null))
+        .map(|agg| estimate_aggregate(agg, state, config.assume_non_null))
         .collect();
     let bound = estimates
         .iter()
@@ -710,7 +753,7 @@ pub(crate) fn assess(
     (estimates, bound)
 }
 
-pub(crate) fn bound_of(config: &EngineConfig, e: &AggregateEstimate) -> f64 {
+fn bound_of(config: &EngineConfig, e: &AggregateEstimate) -> f64 {
     if e.unbounded {
         return f64::INFINITY;
     }
@@ -731,7 +774,7 @@ pub(crate) fn bound_of(config: &EngineConfig, e: &AggregateEstimate) -> f64 {
 /// [`crate::SelectionPolicy::pick_batch`] reproduce the sequential pick
 /// order exactly: after each simulated removal the remaining candidates are
 /// re-normalized just as the one-at-a-time loop would.
-pub(crate) fn candidate_views(
+fn candidate_views(
     index: &ValinorIndex,
     config: &EngineConfig,
     aggs: &[AggregateFunction],
@@ -863,6 +906,15 @@ impl<'f> ApproximateEngine<'f> {
         self.index
     }
 
+    /// The evaluation loop over this engine's own index.
+    fn ctx(&mut self) -> EvalCtx<'_, Exclusive<'_>> {
+        EvalCtx {
+            index: Exclusive(&mut self.index),
+            file: self.file,
+            config: &self.config,
+        }
+    }
+
     /// Evaluates a window-aggregate query with accuracy constraint `phi`
     /// (relative upper error bound, e.g. `0.05` for the paper's "5 %").
     pub fn evaluate(
@@ -871,13 +923,7 @@ impl<'f> ApproximateEngine<'f> {
         aggs: &[AggregateFunction],
         phi: f64,
     ) -> Result<ApproxResult> {
-        validate_phi(phi)?;
-        EvalCtx {
-            index: &mut self.index,
-            file: self.file,
-            config: &self.config,
-        }
-        .run(window, aggs, StopRule::Accuracy { phi }, None)
+        self.ctx().accuracy(window, aggs, phi, None)
     }
 
     /// Like [`Self::evaluate`], additionally returning the progressive
@@ -890,14 +936,8 @@ impl<'f> ApproximateEngine<'f> {
         aggs: &[AggregateFunction],
         phi: f64,
     ) -> Result<(ApproxResult, Vec<ProgressStep>)> {
-        validate_phi(phi)?;
         let mut trace = Vec::new();
-        let res = EvalCtx {
-            index: &mut self.index,
-            file: self.file,
-            config: &self.config,
-        }
-        .run(window, aggs, StopRule::Accuracy { phi }, Some(&mut trace))?;
+        let res = self.ctx().accuracy(window, aggs, phi, Some(&mut trace))?;
         Ok((res, trace))
     }
 
@@ -924,19 +964,10 @@ impl<'f> ApproximateEngine<'f> {
         aggs: &[AggregateFunction],
         max_objects: u64,
     ) -> Result<ApproxResult> {
-        EvalCtx {
-            index: &mut self.index,
-            file: self.file,
-            config: &self.config,
-        }
-        .run(
-            window,
-            aggs,
-            StopRule::IoBudget {
-                remaining: max_objects,
-            },
-            None,
-        )
+        let stop = StopRule::IoBudget {
+            remaining: max_objects,
+        };
+        self.ctx().run(window, aggs, stop, None)
     }
 
     /// Metadata-only estimate against the engine's current index state
@@ -944,26 +975,6 @@ impl<'f> ApproximateEngine<'f> {
     pub fn estimate(&self, window: &Rect, aggs: &[AggregateFunction]) -> Result<ApproxResult> {
         estimate_readonly(&self.index, &self.config, window, aggs)
     }
-}
-
-/// Runs one accuracy-constrained evaluation against an externally owned
-/// index (the building block for [`crate::concurrent::SharedIndex`]).
-pub fn evaluate_on(
-    index: &mut ValinorIndex,
-    file: &dyn RawFile,
-    config: &EngineConfig,
-    window: &Rect,
-    aggs: &[AggregateFunction],
-    phi: f64,
-) -> Result<ApproxResult> {
-    config.validate()?;
-    validate_phi(phi)?;
-    EvalCtx {
-        index,
-        file,
-        config,
-    }
-    .run(window, aggs, StopRule::Accuracy { phi }, None)
 }
 
 #[cfg(test)]

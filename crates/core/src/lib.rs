@@ -11,8 +11,8 @@
 //! score `s(t) = α·w(t) + (1−α)/count(t∩Q)` with both terms normalized.
 //!
 //! Module map:
-//! * [`config`] — engine knobs (α, estimator, normalization, eager
-//!   refinement, NULL assumption);
+//! * [`config`] — engine knobs (α, normalization, eager refinement, NULL
+//!   assumption);
 //! * [`state`] — the per-query bookkeeping: exact accumulators plus the
 //!   still-bounded candidate tiles;
 //! * [`ci`] — confidence-interval assembly and approximate-value estimation
@@ -47,8 +47,8 @@ pub use compactor::{
     compact_now, spawn_compactor, CompactorConfig, CompactorHandle, CompactorStats,
 };
 pub use concurrent::SharedIndex;
-pub use config::{EagerRefinement, EngineConfig, ValueEstimator};
-pub use engine::{estimate_readonly, evaluate_on, ApproxResult, ApproximateEngine};
+pub use config::{EagerRefinement, EngineConfig};
+pub use engine::{estimate_readonly, ApproxResult, ApproximateEngine};
 pub use policy::SelectionPolicy;
 pub use state::{Candidate, CandidateKind, QueryState};
 pub use synopsis::{predict_query_io, seed_missing_global_bounds, IoPrediction};

@@ -75,7 +75,7 @@ impl Candidate {
 pub(crate) type ResolvedTiles = std::collections::HashMap<TileId, (u64, Vec<RunningStats>)>;
 
 /// The evolving state of one approximate query evaluation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QueryState {
     /// Distinct non-axis attributes the query aggregates over.
     pub attrs: Vec<AttrId>,
@@ -105,10 +105,10 @@ impl QueryState {
     /// `resolved` fold their (previously computed) exact in-window stats
     /// into the exact part instead of becoming candidates again.
     ///
-    /// This is the re-planning primitive of the concurrent pipeline
-    /// (`crate::concurrent::SharedIndex`): an evaluation that rebuilds its
-    /// state from a fresh index snapshot each round must not re-read tiles
-    /// it already processed — values in the raw file are immutable, so the
+    /// This is the re-planning primitive of the evaluation loop: a query
+    /// that rebuilds its state after another writer moved the index (only
+    /// possible through `crate::concurrent::SharedIndex`) must not re-read
+    /// tiles it already processed — values in the raw file are immutable, so the
     /// remembered stats stay exact for the objects they were computed over.
     /// Those are the tile's in-window objects *as planned*: each entry of
     /// `resolved` carries that count, and folds only while the fresh

@@ -34,7 +34,7 @@ use pai_index::{ReadPolicy, ValinorIndex};
 use pai_storage::raw::{BlockSynopsis, RawFile};
 
 use crate::ci::AggregateEstimate;
-use crate::config::{EngineConfig, ValueEstimator};
+use crate::config::EngineConfig;
 use crate::state::CandidateKind;
 
 /// A synopsis-only answer: one estimate per aggregate plus the accounting
@@ -138,7 +138,6 @@ fn estimate_one(
     n: u64,
     config: &EngineConfig,
 ) -> Option<AggregateEstimate> {
-    let est = config.estimator;
     let non_null = config.assume_non_null;
     if let AggregateFunction::Count = agg {
         return Some(AggregateEstimate {
@@ -165,10 +164,10 @@ fn estimate_one(
     }
     match *agg {
         AggregateFunction::Count => unreachable!("handled above"),
-        AggregateFunction::Sum(a) => sum_estimate(a, blocks, covered, partial, est),
+        AggregateFunction::Sum(a) => sum_estimate(a, blocks, covered, partial),
         AggregateFunction::Mean(a) => {
             if non_null {
-                let sum = sum_estimate(a, blocks, covered, partial, est)?;
+                let sum = sum_estimate(a, blocks, covered, partial)?;
                 let ci = sum.ci?.div_scalar(n as f64);
                 let v = match sum.value {
                     AggregateValue::Float(v) => ci.clamp(v / n as f64),
@@ -182,22 +181,18 @@ fn estimate_one(
             } else {
                 let h = value_hull(a, blocks, covered, partial)?;
                 Some(AggregateEstimate {
-                    value: AggregateValue::Float(est.pick(&h)),
+                    value: AggregateValue::Float(h.midpoint()),
                     ci: Some(h),
                     unbounded: false,
                 })
             }
         }
-        AggregateFunction::Min(a) => {
-            extremum_estimate(a, blocks, covered, partial, est, non_null, true)
-        }
+        AggregateFunction::Min(a) => extremum_estimate(a, blocks, covered, partial, non_null, true),
         AggregateFunction::Max(a) => {
-            extremum_estimate(a, blocks, covered, partial, est, non_null, false)
+            extremum_estimate(a, blocks, covered, partial, non_null, false)
         }
-        AggregateFunction::Variance(a) => {
-            variance_estimate(a, blocks, covered, partial, est, false)
-        }
-        AggregateFunction::StdDev(a) => variance_estimate(a, blocks, covered, partial, est, true),
+        AggregateFunction::Variance(a) => variance_estimate(a, blocks, covered, partial, false),
+        AggregateFunction::StdDev(a) => variance_estimate(a, blocks, covered, partial, true),
     }
 }
 
@@ -215,7 +210,6 @@ fn sum_estimate(
     blocks: &[BlockSynopsis],
     covered: &[usize],
     partial: &[(usize, u64, u64)],
-    est: ValueEstimator,
 ) -> Option<AggregateEstimate> {
     let mut exact = 0.0;
     for &i in covered {
@@ -225,7 +219,7 @@ fn sum_estimate(
     let mut estimate = exact;
     for &(i, c_lo, c_hi) in partial {
         let iv = partial_sum_bounds(&blocks[i], a, c_lo, c_hi)?;
-        estimate += est.pick(&iv);
+        estimate += iv.midpoint();
         ci = ci.add(&iv);
     }
     Some(AggregateEstimate {
@@ -293,7 +287,6 @@ fn extremum_estimate(
     blocks: &[BlockSynopsis],
     covered: &[usize],
     partial: &[(usize, u64, u64)],
-    est: ValueEstimator,
     assume_non_null: bool,
     is_min: bool,
 ) -> Option<AggregateEstimate> {
@@ -337,7 +330,7 @@ fn extremum_estimate(
         if c_lo >= 1 && (assume_non_null || col.count == blocks[i].rows()) {
             fold(&mut certain, if is_min { iv.hi() } else { iv.lo() });
         }
-        fold(&mut estv, est.pick(&iv));
+        fold(&mut estv, iv.midpoint());
     }
     match (outer, certain) {
         (Some(o), Some(c)) => {
@@ -361,7 +354,6 @@ fn variance_estimate(
     blocks: &[BlockSynopsis],
     covered: &[usize],
     partial: &[(usize, u64, u64)],
-    est: ValueEstimator,
     sqrt: bool,
 ) -> Option<AggregateEstimate> {
     if partial.is_empty() {
@@ -398,7 +390,7 @@ fn variance_estimate(
         Interval::new(0.0, hi_var)
     };
     Some(AggregateEstimate {
-        value: AggregateValue::Float(est.pick(&ci)),
+        value: AggregateValue::Float(ci.midpoint()),
         ci: Some(ci),
         unbounded: false,
     })

@@ -64,8 +64,6 @@ pub enum EnrichPolicy {
     /// The attributes the triggering query aggregates over (default).
     #[default]
     QueryAttrs,
-    /// The query's attributes plus the listed extras.
-    QueryAttrsPlus(Vec<AttrId>),
 }
 
 impl EnrichPolicy {
@@ -73,15 +71,6 @@ impl EnrichPolicy {
     pub fn resolve(&self, query_attrs: &[AttrId]) -> Vec<AttrId> {
         match self {
             EnrichPolicy::QueryAttrs => query_attrs.to_vec(),
-            EnrichPolicy::QueryAttrsPlus(extra) => {
-                let mut out = query_attrs.to_vec();
-                for &a in extra {
-                    if !out.contains(&a) {
-                        out.push(a);
-                    }
-                }
-                out
-            }
         }
     }
 }
@@ -158,10 +147,6 @@ mod tests {
     #[test]
     fn enrich_policy_resolution() {
         assert_eq!(EnrichPolicy::QueryAttrs.resolve(&[2, 3]), vec![2, 3]);
-        assert_eq!(
-            EnrichPolicy::QueryAttrsPlus(vec![3, 5]).resolve(&[2, 3]),
-            vec![2, 3, 5]
-        );
     }
 
     #[test]

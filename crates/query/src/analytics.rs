@@ -16,7 +16,6 @@ use pai_common::{
     AggregateFunction, AggregateValue, AttrId, Interval, PaiError, Result, RowLocator, RunningStats,
 };
 use pai_core::ci::estimate_aggregate;
-use pai_core::config::ValueEstimator;
 use pai_core::state::QueryState;
 use pai_index::ValinorIndex;
 use pai_storage::raw::RawFile;
@@ -60,7 +59,7 @@ pub fn heatmap(
     for rect in window.split_grid(ny, nx) {
         let classification = index.classify(&rect);
         let state = QueryState::from_classification(index, &classification, &attrs)?;
-        let est = estimate_aggregate(&agg, &state, ValueEstimator::Midpoint, true);
+        let est = estimate_aggregate(&agg, &state, true);
         cells.push(HeatCell {
             rect,
             count: classification.selected_total,

@@ -219,6 +219,8 @@ enum GetError {
 struct ResponseHead {
     status: u16,
     content_length: Option<u64>,
+    /// The bytes `[a, b + 1)` of `Content-Range: bytes a-b/total`.
+    range: Option<(u64, u64)>,
     /// Total object size from `Content-Range: bytes a-b/total`.
     total: Option<u64>,
     /// The object's entity tag (quotes stripped), if the store sent one.
@@ -408,6 +410,22 @@ impl HttpClient {
                 end - start
             ))));
         }
+        // So is where the body sits in the object: a `Content-Range` must
+        // name exactly the bytes asked for, or their prefix when the object
+        // ends there, or they would decode into wrong values rather than
+        // fail. A `200` without one is the whole object, from its first byte.
+        let total = head.total.unwrap_or(expected);
+        let (from, to) = match head.range {
+            Some(range) => range,
+            None if head.status == 200 => (0, expected),
+            None => (start, start),
+        };
+        if (from, to) != (start, start + expected) || (to < end && to != total) {
+            return Err(GetError::Permanent(PaiError::internal(format!(
+                "remote GET bytes={start}-{}: response holds bytes {from}..{to} of {total}",
+                end - 1
+            ))));
+        }
         // `read_to_end` fills spare capacity as it is: the body is written
         // once, by the socket read, into the buffer the spans are lent from.
         let mut body = Vec::with_capacity(expected as usize);
@@ -422,7 +440,6 @@ impl HttpClient {
                 body.len()
             )));
         }
-        let total = head.total.unwrap_or(expected);
         self.checkin(conn);
         Ok((body, total))
     }
@@ -457,6 +474,7 @@ fn read_head(conn: &mut Conn) -> std::result::Result<ResponseHead, String> {
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| format!("malformed status line {line:?}"))?;
     let mut content_length = None;
+    let mut range = None;
     let mut total = None;
     let mut etag = None;
     let mut header = String::new();
@@ -479,7 +497,15 @@ fn read_head(conn: &mut Conn) -> std::result::Result<ResponseHead, String> {
                 content_length = value.parse().ok();
             } else if key.eq_ignore_ascii_case("content-range") {
                 // `bytes a-b/total` or `bytes */total`.
-                total = value.rsplit('/').next().and_then(|t| t.parse().ok());
+                let (span, size) = value.rsplit_once('/').unwrap_or((value, ""));
+                total = size.parse().ok();
+                range = span
+                    .trim_start_matches("bytes")
+                    .trim()
+                    .split_once('-')
+                    .and_then(|(a, b)| {
+                        Some((a.parse().ok()?, b.parse::<u64>().ok()?.checked_add(1)?))
+                    });
             } else if key.eq_ignore_ascii_case("etag") {
                 etag = Some(value.trim_matches('"').to_string());
             }
@@ -488,6 +514,7 @@ fn read_head(conn: &mut Conn) -> std::result::Result<ResponseHead, String> {
     Ok(ResponseHead {
         status,
         content_length,
+        range,
         total,
         etag,
         head_bytes,
@@ -2285,6 +2312,44 @@ mod tests {
         );
         assert_eq!(counters.retries(), 0, "a lying length is not retried");
         assert_eq!(counters.http_requests(), 1);
+    }
+
+    #[test]
+    fn a_range_other_than_the_one_asked_for_is_refused() {
+        // Answers with the length of the range asked for, but the first
+        // connection's bytes sit 8 further into the object than asked.
+        let peer = StubPeer::serve(|n, mut stream| {
+            read_request_head(&mut stream);
+            let at = if n == 0 { 24 } else { 16 };
+            let head = format!(
+                "HTTP/1.1 206 Partial Content\r\nContent-Length: 32\r\n\
+                 Content-Range: bytes {at}-{}/64\r\n\r\n",
+                at + 31
+            );
+            let _ = stream.write_all(head.as_bytes());
+            let _ = stream.write_all(&[at as u8; 32]);
+            Some(stream)
+        });
+        let client = HttpClient::new(
+            peer.addr,
+            "blob".into(),
+            scan_opts(64 << 10, false),
+            IoCounters::new(),
+        );
+        let err = client.get_range(16, 48).unwrap_err();
+        assert!(
+            err.to_string().contains("holds bytes 24..56 of 64"),
+            "{err}"
+        );
+        assert_eq!(
+            client.counters.retries(),
+            0,
+            "a shifted range is not retried"
+        );
+        assert_eq!(client.counters.http_requests(), 1);
+        // The same answer at the right place is taken.
+        let (body, total) = client.get_range(16, 48).unwrap();
+        assert_eq!((body, total), (vec![16u8; 32], 64));
     }
 
     #[test]

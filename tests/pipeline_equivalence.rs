@@ -25,7 +25,10 @@
 //!    CIs, error bounds, and trajectories on every backend, and the
 //!    *logical* meters (objects/bytes/seeks/read_calls/blocks) are
 //!    byte-identical to the sequential path per query — overlap may only
-//!    move wall-clock and the transport-side `fetch_*` meters.
+//!    move wall-clock and the transport-side `fetch_*` meters;
+//! 5. a `SharedIndex` driven from one thread runs the same loop under its
+//!    lock strategy, so it answers exactly like the engine: equal bits,
+//!    tile counts, logical meters and resulting tree.
 
 use partial_adaptive_indexing::prelude::*;
 use proptest::prelude::*;
@@ -224,6 +227,121 @@ fn assert_batch_equivalent(seq: &BatchRun, batched: &BatchRun, batch: usize) {
                 "query {i}: {p1} tiles processed but batch {batch} did not \
                  coalesce calls ({ck} vs {c1})"
             );
+        }
+    }
+}
+
+/// The logical meters of one query: what a query asks of storage, with the
+/// transport-side meters (http_*, retries, fetch_*) left out.
+fn logical_io(io: &IoSnapshot) -> [u64; 7] {
+    [
+        io.objects_read,
+        io.bytes_read,
+        io.seeks,
+        io.read_calls,
+        io.blocks_read,
+        io.blocks_skipped,
+        io.full_scans,
+    ]
+}
+
+/// Opens a fresh handle on one dataset.
+type Open<'a> = &'a dyn Fn() -> Box<dyn RawFile>;
+
+/// A `SharedIndex` and an `ApproximateEngine` over the same index, each on
+/// its own handle of the same data, answer the same windows at every
+/// batch × worker combination: equal bits in every value, CI and bound,
+/// equal tile counts and logical meters per query, and the same tree.
+fn assert_shared_equals_engine(
+    name: &str,
+    open: Open<'_>,
+    spec: &DatasetSpec,
+    windows: &[Rect],
+    phi: f64,
+) {
+    let aggs = [
+        AggregateFunction::Count,
+        AggregateFunction::Sum(2),
+        AggregateFunction::Mean(2),
+    ];
+    let bits = |r: &ApproxResult| -> Vec<Option<u64>> {
+        let values = r.values.iter().map(|v| v.as_f64());
+        let cis = r
+            .cis
+            .iter()
+            .flat_map(|ci| [ci.map(|c| c.lo()), ci.map(|c| c.hi())]);
+        values
+            .chain(cis)
+            .chain([Some(r.error_bound)])
+            .map(|x| x.map(f64::to_bits))
+            .collect()
+    };
+    for batch in [1usize, 8] {
+        for workers in [1usize, 2] {
+            let config = EngineConfig {
+                adapt_batch: batch,
+                fetch_workers: workers,
+                ..EngineConfig::paper_evaluation()
+            };
+            let init = InitConfig {
+                grid: GridSpec::Fixed { nx: 5, ny: 5 },
+                domain: Some(spec.domain),
+                metadata: MetadataPolicy::AllNumeric,
+            };
+            let file = open();
+            let (index, _) = build(&*file, &init).expect("init");
+            let shared = SharedIndex::new(index.clone(), open(), config.clone()).expect("shared");
+            let mut engine = ApproximateEngine::new(index, &*file, config).expect("engine");
+            for (i, w) in windows.iter().enumerate() {
+                let label = format!("{name} query {i} phi {phi}, batch {batch}, workers {workers}");
+                let e = engine.evaluate(w, &aggs, phi).expect("engine");
+                let s = shared.evaluate(w, &aggs, phi).expect("shared");
+                assert_eq!(bits(&e), bits(&s), "{label}: answer bits");
+                let tiles = |r: &ApproxResult| {
+                    let t = &r.stats;
+                    (t.tiles_processed, t.tiles_split, t.tiles_enriched)
+                };
+                assert_eq!(tiles(&e), tiles(&s), "{label}: tiles");
+                assert_eq!(
+                    logical_io(&e.stats.io),
+                    logical_io(&s.stats.io),
+                    "{label}: logical meters"
+                );
+            }
+            assert_eq!(
+                engine.index().leaf_count(),
+                shared.with_index(|idx| idx.leaf_count()),
+                "{name} batch {batch}, workers {workers}: leaf count"
+            );
+        }
+    }
+}
+
+#[test]
+fn shared_index_equals_engine_bit_for_bit() {
+    let spec = dataset(800, 3, 4);
+    let csv = spec.build_mem(CsvFormat::default()).unwrap();
+    let image = convert_to_zone(&csv).unwrap();
+    let store = ObjectStore::serve().unwrap();
+    store.put("data.paizone", image.clone());
+    let backends: [(&str, Open<'_>); 3] = [
+        ("csv", &|| Box::new(csv.clone())),
+        ("zone", &|| {
+            Box::new(ZoneFile::from_bytes(image.clone()).unwrap())
+        }),
+        ("http", &|| {
+            let opts = HttpOptions::default();
+            Box::new(HttpFile::open(store.addr(), "data.paizone", opts).unwrap())
+        }),
+    ];
+    let windows = [
+        Rect::new(100.0, 500.0, 100.0, 500.0),
+        Rect::new(250.0, 750.0, 200.0, 650.0),
+        Rect::new(120.0, 480.0, 80.0, 520.0),
+    ];
+    for (name, open) in backends {
+        for phi in [0.0, 0.02] {
+            assert_shared_equals_engine(name, open, &spec, &windows, phi);
         }
     }
 }
