@@ -200,7 +200,8 @@ pub fn plan_tile(
     // Snapshot entries: cheap copies, and they stay valid across the split.
     let entries = tile.entries().to_vec();
 
-    let read_attrs = cfg.enrich.resolve(attrs);
+    // The tile's metadata is enriched with exactly the query's attributes.
+    let read_attrs = attrs.to_vec();
     // One walk over the entries: window membership, and which objects to
     // read from the file, remembering each locator's entry so fetched rows
     // align back positionally.
@@ -595,7 +596,6 @@ pub fn leaf_population(index: &ValinorIndex, rect: &Rect) -> Vec<(TileId, u64)> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EnrichPolicy;
     use crate::init::{build, GridSpec, InitConfig};
     use crate::split::SplitPolicy;
     use pai_common::geometry::Point2;
@@ -634,7 +634,6 @@ mod tests {
         AdaptConfig {
             split,
             read,
-            enrich: EnrichPolicy::QueryAttrs,
             min_split_objects: 1,
             min_tile_extent: 1e-9,
             max_depth: 16,

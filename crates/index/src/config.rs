@@ -58,29 +58,13 @@ pub enum ReadPolicy {
     FullTile,
 }
 
-/// Which attributes get exact metadata computed when a tile is processed.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum EnrichPolicy {
-    /// The attributes the triggering query aggregates over (default).
-    #[default]
-    QueryAttrs,
-}
-
-impl EnrichPolicy {
-    /// Concrete attribute list for a query over `query_attrs`.
-    pub fn resolve(&self, query_attrs: &[AttrId]) -> Vec<AttrId> {
-        match self {
-            EnrichPolicy::QueryAttrs => query_attrs.to_vec(),
-        }
-    }
-}
-
-/// Adaptation parameters shared by the exact and approximate engines.
+/// Adaptation parameters shared by the exact and approximate engines. A
+/// processed tile gets exact metadata for the attributes the triggering
+/// query aggregates over.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptConfig {
     pub split: SplitPolicy,
     pub read: ReadPolicy,
-    pub enrich: EnrichPolicy,
     /// A tile with fewer objects is read but not split (splitting overhead
     /// would not be repaid; mirrors the paper's "considers factors related
     /// to I/O cost in order to decide whether to perform a split").
@@ -102,7 +86,6 @@ impl Default for AdaptConfig {
         AdaptConfig {
             split: SplitPolicy::default(),
             read: ReadPolicy::default(),
-            enrich: EnrichPolicy::default(),
             min_split_objects: 32,
             min_tile_extent: 1e-9,
             max_depth: 32,
@@ -142,11 +125,6 @@ mod tests {
         assert!(MetadataPolicy::None.resolve(&s).unwrap().is_empty());
         assert!(MetadataPolicy::Attrs(vec![0]).resolve(&s).is_err(), "axis");
         assert!(MetadataPolicy::Attrs(vec![99]).resolve(&s).is_err());
-    }
-
-    #[test]
-    fn enrich_policy_resolution() {
-        assert_eq!(EnrichPolicy::QueryAttrs.resolve(&[2, 3]), vec![2, 3]);
     }
 
     #[test]

@@ -10,24 +10,28 @@
 //! There is one build path, and it is a pipeline. The file is cut into
 //! partitions whose number depends on its size alone
 //! ([`RawFile::partitions`], ≈ 4 MiB each). Worker threads claim partitions
-//! in file order and parse or decode each into a flat chunk; the calling
-//! thread folds the chunks into the per-cell accumulators **strictly in file
-//! order**, row by row. Every entry sequence, every floating-point sum and
-//! every logical I/O meter is therefore bit-identical at every width — which
-//! is why the width is not an option: [`build`] takes it from
-//! [`std::thread::available_parallelism`], and [`build_parallel`] is the same
-//! function with the width spelled out. A file of one partition (or a
-//! backend that cannot shard) is scanned inline, with no thread spawned.
+//! in file order and scan each with [`RawFile::scan_batches`], which lends
+//! the axis and metadata columns a storage block at a time; the worker bins
+//! every batch's rows into root cells and appends them to a flat chunk. The
+//! calling thread folds the chunks into the per-cell accumulators **strictly
+//! in file order**, a run of consecutive rows bound for one cell at a time.
+//! Every entry sequence, every floating-point sum and every logical I/O meter
+//! is therefore bit-identical at every width — which is why the width is not
+//! an option: [`build`] takes it from [`std::thread::available_parallelism`],
+//! and [`build_parallel`] is the same function with the width spelled out. A
+//! file of one partition (or a backend that cannot shard) is scanned on the
+//! calling thread, each batch folded as it arrives.
 
+use std::ops::Range;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use pai_common::geometry::{Point2, Rect};
 use pai_common::pool::run_ordered;
-use pai_common::{PaiError, Result, RowLocator, RunningStats};
+use pai_common::{AttrId, PaiError, Result, RunningStats};
 use pai_storage::raw::RawFile;
-use pai_storage::scan::BLOCK_BYTES;
-use pai_storage::Record;
+use pai_storage::scan::{BLOCK_BYTES, SCAN_BATCH_ROWS};
+use pai_storage::{ScanBatch, ScanPartition, ScanRequest};
 
 use crate::config::MetadataPolicy;
 use crate::entry::ObjectEntry;
@@ -78,9 +82,6 @@ pub struct InitReport {
 /// also caps the parsing threads, at one fewer.
 const MAX_CHUNKS: usize = 4;
 
-/// Rows an inline scan parses between folds.
-const FLUSH_ROWS: usize = 4096;
-
 /// The shape of one pass: how many threads parse and into how many
 /// partitions the file is cut. Only the second can change what a pass
 /// charges, and it follows from the file's size.
@@ -106,72 +107,71 @@ impl Shape {
     }
 }
 
-/// One pass over `file`, shared by domain discovery and the build.
+/// One pass over `file`, decoding `attrs`, shared by domain discovery and
+/// the build.
 ///
-/// `row` parses one record into a per-partition batch, on whichever thread
-/// scans that partition; `fold` absorbs a batch (and leaves it empty) on the
-/// calling thread, batches arriving in file order. With `clip` the pass is a
-/// pushdown scan of that window instead, which backends do not shard.
+/// `take` moves one scanned batch into a chunk, on whichever thread scans
+/// it; `fold` absorbs a chunk (and leaves it empty) on the calling thread,
+/// chunks arriving in file order. With `clip` the pass is a pushdown scan of
+/// that window instead, which backends do not shard.
 ///
-/// Batches come from `new_batch(rows)`, sized for about `rows` records, and
-/// all of them are made here, by the calling thread, before any worker
+/// A pass over several partitions takes each into its own chunk on a
+/// worker. Chunks come from `new_chunk(rows)`, sized for about `rows` rows,
+/// and all of them are made here, by the calling thread, before any worker
 /// starts: one per in-flight slot, handed round and round. The pass
 /// therefore never holds more than that many, allocates nothing per
 /// partition, and gives the memory back to the thread that goes on to
-/// answer queries rather than to threads about to exit.
-fn scan_pass<B: Send>(
+/// answer queries rather than to threads about to exit. A pass over one
+/// partition runs on the calling thread with one chunk, folded after every
+/// batch.
+fn scan_pass<C: Send>(
     file: &dyn RawFile,
     shape: Shape,
     clip: Option<&Rect>,
-    new_batch: impl Fn(usize) -> B,
-    row: impl Fn(&mut B, RowLocator, &Record<'_>) -> Result<()> + Sync,
-    mut fold: impl FnMut(&mut B),
+    attrs: &[AttrId],
+    new_chunk: impl Fn(usize) -> C,
+    take: impl Fn(&mut C, &ScanBatch<'_>) -> Result<()> + Sync,
+    mut fold: impl FnMut(&mut C),
 ) -> Result<()> {
     let parts = match clip {
         Some(_) => Vec::new(),
         None => file.partitions(shape.parts)?,
     };
+    let request = |partition| ScanRequest {
+        partition,
+        window: clip,
+        attrs,
+    };
     if parts.len() <= 1 {
-        let mut batch = new_batch(FLUSH_ROWS);
-        let mut pending = 0;
-        let mut handler = |_, loc: RowLocator, rec: &Record<'_>| -> Result<()> {
-            row(&mut batch, loc, rec)?;
-            pending += 1;
-            if pending == FLUSH_ROWS {
-                fold(&mut batch);
-                pending = 0;
-            }
+        let mut chunk = new_chunk(SCAN_BATCH_ROWS);
+        return file.scan_batches(&request(ScanPartition::WHOLE), &mut |batch| {
+            take(&mut chunk, batch)?;
+            fold(&mut chunk);
             Ok(())
-        };
-        match clip {
-            Some(window) => file.scan_filtered(window, &mut handler)?,
-            None => file.scan(&mut handler)?,
-        }
-        fold(&mut batch);
-        return Ok(());
+        });
     }
     // One chunk per worker in the making and one being folded: the fold is
-    // several times faster than the parse, so a deeper queue buys nothing.
+    // several times faster than the scan, so a deeper queue buys nothing.
     let workers = shape.width.min(MAX_CHUNKS - 1);
     let in_flight = if workers > 1 { workers + 1 } else { 1 };
     // A partition holds about BLOCK_BYTES of values, text or binary.
     let rows = BLOCK_BYTES as usize / (8 * file.schema().len().max(1));
-    let spare: Mutex<Vec<B>> = Mutex::new((0..in_flight).map(|_| new_batch(rows)).collect());
-    let spare = || spare.lock().expect("no holder of the spare batches panics");
+    let spare: Mutex<Vec<C>> = Mutex::new((0..in_flight).map(|_| new_chunk(rows)).collect());
+    let spare = || spare.lock().expect("no holder of the spare chunks panics");
     run_ordered(
         parts.len(),
         workers,
         in_flight,
         |i| {
             // Claimed means within the in-flight bound, and every partition
-            // in flight holds one batch (a failed one for good).
-            let mut batch = spare().pop().expect("a batch per in-flight slot");
-            file.scan_partition(parts[i], &mut |_, loc, rec| row(&mut batch, loc, rec))?;
-            Ok(batch)
+            // in flight holds one chunk (a failed one for good).
+            let mut chunk = spare().pop().expect("a chunk per in-flight slot");
+            file.scan_batches(&request(parts[i]), &mut |batch| take(&mut chunk, batch))?;
+            Ok(chunk)
         },
-        |_, mut batch| {
-            fold(&mut batch);
-            spare().push(batch);
+        |_, mut chunk| {
+            fold(&mut chunk);
+            spare().push(chunk);
             Ok(())
         },
     )
@@ -194,17 +194,19 @@ pub fn discover_domain(file: &dyn RawFile) -> Result<(Rect, u64)> {
 
 fn discover(file: &dyn RawFile, shape: Shape) -> Result<(Rect, u64)> {
     let schema = file.schema();
-    let (xi, yi) = (schema.x_axis(), schema.y_axis());
     let mut all = Extent::default();
     scan_pass(
         file,
         shape,
         None,
+        &[schema.x_axis(), schema.y_axis()],
         |_| Extent::default(),
-        |part: &mut Extent, _, rec| {
-            part.xs.push(rec.f64(xi)?);
-            part.ys.push(rec.f64(yi)?);
-            part.rows += 1;
+        |part: &mut Extent, batch| {
+            for (&x, &y) in batch.column(0).iter().zip(batch.column(1)) {
+                part.xs.push(x);
+                part.ys.push(y);
+            }
+            part.rows += batch.len() as u64;
             Ok(())
         },
         // Min, max and counts merge exactly, in any grouping.
@@ -273,28 +275,93 @@ impl CellAcc {
         }
     }
 
-    #[inline]
-    fn push(&mut self, entry: ObjectEntry, values: &[f64]) {
-        self.entries.push(entry);
-        for ((s, n), &v) in self.stats.iter_mut().zip(self.nulls.iter_mut()).zip(values) {
-            if v.is_nan() {
-                *n += 1;
-            } else {
-                s.push(v);
+    /// Appends a run of rows bound for this cell: `entries`, and rows `rows`
+    /// of each metadata column of `vals`, in order.
+    fn extend(&mut self, entries: &[ObjectEntry], vals: &[Vec<f64>], rows: Range<usize>) {
+        self.entries.extend_from_slice(entries);
+        for ((stats, nulls), column) in self.stats.iter_mut().zip(&mut self.nulls).zip(vals) {
+            let (mut s, mut n) = (*stats, *nulls);
+            for &v in &column[rows.clone()] {
+                if v.is_nan() {
+                    n += 1;
+                } else {
+                    s.push(v);
+                }
             }
+            (*stats, *nulls) = (s, n);
         }
     }
 }
 
-/// The accepted records of one partition, parsed and flat: row `i` is
-/// `entries[i]`, bound for root cell `cells[i]`, with its metadata values at
-/// `vals[i * n_attrs..][..n_attrs]`.
+/// The accepted rows of one partition, flat and in file order: row `i` is
+/// `entries[i]`, bound for root cell `cells[i]`, with its value of metadata
+/// attribute `k` at `vals[k][i]`.
 struct Chunk {
     cells: Vec<u32>,
     entries: Vec<ObjectEntry>,
-    vals: Vec<f64>,
-    /// One row's values on their way into `vals`.
-    row_vals: Vec<f64>,
+    vals: Vec<Vec<f64>>,
+    /// The rows of the batch in hand that a clipped pass keeps.
+    kept: Vec<usize>,
+}
+
+impl Chunk {
+    /// Bins the rows of `batch` (the axes, then the metadata attributes)
+    /// into root cells of `index` and appends them. Unclipped, a row outside
+    /// the closed domain is a data error; clipped, a row outside the
+    /// half-open domain (a query window) is skipped.
+    fn take(&mut self, batch: &ScanBatch<'_>, index: &ValinorIndex, clipped: bool) -> Result<()> {
+        let domain = index.domain();
+        self.kept.clear();
+        let before = self.entries.len();
+        for (i, (&x, &y)) in batch.column(0).iter().zip(batch.column(1)).enumerate() {
+            let p = Point2::new(x, y);
+            if clipped {
+                // Block skipping is a superset filter: apply the exact clip
+                // here.
+                if !domain.contains_point(p) {
+                    continue;
+                }
+                self.kept.push(i);
+            } else if !domain.contains_point_closed(p) {
+                return Err(PaiError::schema(format!(
+                    "object at {p:?} outside the configured domain {domain}"
+                )));
+            }
+            self.cells.push(index.root_cell_of(p) as u32);
+            self.entries.push(ObjectEntry::new(x, y, batch.locator(i)));
+        }
+        let every_row = self.entries.len() - before == batch.len();
+        for (k, vals) in self.vals.iter_mut().enumerate() {
+            let column = batch.column(k + 2);
+            if every_row {
+                vals.extend_from_slice(column);
+            } else {
+                vals.extend(self.kept.iter().map(|&i| column[i]));
+            }
+        }
+        Ok(())
+    }
+
+    /// Folds the chunk into `accs` and empties it: a run of consecutive rows
+    /// bound for one cell at a time, so file order holds inside every cell.
+    fn fold_into(&mut self, accs: &mut [CellAcc]) {
+        let mut start = 0;
+        while start < self.cells.len() {
+            let cell = self.cells[start];
+            let run = self.cells[start..]
+                .iter()
+                .take_while(|&&c| c == cell)
+                .count();
+            let rows = start..start + run;
+            accs[cell as usize].extend(&self.entries[rows.clone()], &self.vals, rows);
+            start += run;
+        }
+        self.cells.clear();
+        self.entries.clear();
+        for vals in &mut self.vals {
+            vals.clear();
+        }
+    }
 }
 
 /// Bins every accepted record of `file` into per-root-cell accumulators.
@@ -305,58 +372,33 @@ struct Chunk {
 fn accumulate_cells(
     file: &dyn RawFile,
     index: &ValinorIndex,
-    attrs: &[usize],
+    attrs: &[AttrId],
     clipped: bool,
     shape: Shape,
 ) -> Result<Vec<CellAcc>> {
     let schema = file.schema();
-    let (xi, yi) = (schema.x_axis(), schema.y_axis());
-    let domain = *index.domain();
+    let wanted: Vec<AttrId> = [schema.x_axis(), schema.y_axis()]
+        .into_iter()
+        .chain(attrs.iter().copied())
+        .collect();
     let mut accs: Vec<CellAcc> = (0..index.root_cells())
         .map(|_| CellAcc::new(attrs.len()))
         .collect();
     scan_pass(
         file,
         shape,
-        clipped.then_some(&domain),
+        clipped.then_some(index.domain()),
+        &wanted,
         |rows| Chunk {
             cells: Vec::with_capacity(rows),
             entries: Vec::with_capacity(rows),
-            vals: Vec::with_capacity(rows * attrs.len()),
-            row_vals: Vec::with_capacity(attrs.len()),
+            vals: (0..attrs.len()).map(|_| Vec::with_capacity(rows)).collect(),
+            kept: Vec::new(),
         },
-        |chunk: &mut Chunk, locator, rec| {
-            let x = rec.f64(xi)?;
-            let y = rec.f64(yi)?;
-            let p = Point2::new(x, y);
-            if clipped {
-                // Block skipping is a superset filter: apply the exact clip
-                // here.
-                if !domain.contains_point(p) {
-                    return Ok(());
-                }
-            } else if !domain.contains_point_closed(p) {
-                return Err(PaiError::schema(format!(
-                    "object at {p:?} outside the configured domain {domain}"
-                )));
-            }
-            rec.extract_f64(attrs, &mut chunk.row_vals)?;
-            chunk.vals.extend_from_slice(&chunk.row_vals);
-            chunk.cells.push(index.root_cell_of(p) as u32);
-            chunk.entries.push(ObjectEntry::new(x, y, locator));
-            Ok(())
-        },
-        // The only place accumulators change: one row at a time, in file
-        // order, whichever thread parsed the row.
-        |chunk| {
-            for (i, (&cell, &entry)) in chunk.cells.iter().zip(&chunk.entries).enumerate() {
-                let vals = &chunk.vals[i * attrs.len()..][..attrs.len()];
-                accs[cell as usize].push(entry, vals);
-            }
-            chunk.cells.clear();
-            chunk.entries.clear();
-            chunk.vals.clear();
-        },
+        |chunk: &mut Chunk, batch| chunk.take(batch, index, clipped),
+        // The only place accumulators change: in file order, whichever
+        // thread scanned the rows.
+        |chunk| chunk.fold_into(&mut accs),
     )?;
     Ok(accs)
 }
@@ -422,7 +464,7 @@ pub fn build_parallel(
 ///
 /// Unlike [`build`], records outside `region` are *skipped*, not errors:
 /// the index's domain becomes `region` and the scan pushes the region down
-/// to the storage backend ([`RawFile::scan_filtered`]), so zone-mapped
+/// to the storage backend ([`ScanRequest::window`]), so zone-mapped
 /// files skip whole blocks that provably lie outside it without decoding a
 /// byte. On backends without block statistics this degrades to a full scan
 /// with a per-record filter — same index, no savings.

@@ -8,7 +8,7 @@ use pai_common::IoSnapshot;
 use pai_storage::zone::encode_zone_rows_with;
 use pai_storage::{
     AppendableFile, BinFile, CacheConfig, CachedFile, CsvFormat, DatasetSpec, HttpFile,
-    HttpOptions, MemFile, ObjectStore, ScanPartition, Schema, ZoneFile,
+    HttpOptions, MemFile, ObjectStore, RowOrder, ScanPartition, Schema, ZoneFile,
 };
 
 use crate::tile::TileId;
@@ -140,10 +140,64 @@ fn assert_width_invariant(
     }
 }
 
+/// `(backend, rows, FNV-1a of the fingerprint's `Debug` text)` of the
+/// 20 000-row build in `the_build_did_not_move`, on csv, zone and an
+/// appendable zone file with 300 rows appended — taken while the build still
+/// scanned and folded row by row.
+const GOLDEN_BUILDS: [(&str, u64, u64); 3] = [
+    ("csv", 20_000, 0x2a5c_50a9_05dd_945b),
+    ("zone", 20_000, 0xe170_6821_62a8_19a6),
+    ("appendable", 20_300, 0xb81b_1445_49b8_dd5e),
+];
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
 #[test]
-fn every_backend_builds_the_same_bits_at_every_width() {
+fn the_build_did_not_move() {
     let spec = spec(20_000, 5);
     let cfg = config(&spec);
+    let schema = spec.schema();
+    let rows = spec.rows_physical();
+    let csv_path = temp_path("golden.csv");
+    let image = encode_zone_rows_with(&schema, rows.clone(), 256).unwrap();
+    let appendable =
+        AppendableFile::with_base_rows(ZoneFile::from_bytes(image.clone()).unwrap(), spec.rows)
+            .unwrap();
+    appendable.append_rows(&rows[..300]).unwrap();
+    let files: [(&str, Box<dyn RawFile>); 3] = [
+        (
+            "csv",
+            Box::new(spec.write_csv(&csv_path, CsvFormat::default()).unwrap()),
+        ),
+        ("zone", Box::new(ZoneFile::from_bytes(image).unwrap())),
+        ("appendable", Box::new(appendable)),
+    ];
+    let got = files.map(|(name, file)| {
+        let fp = build_shaped(&file, &cfg, 2, 7);
+        (name, fp.rows, fnv1a(format!("{fp:?}").as_bytes()))
+    });
+    std::fs::remove_file(&csv_path).ok();
+    assert_eq!(got, GOLDEN_BUILDS, "{got:#x?}");
+}
+
+#[test]
+fn every_backend_builds_the_same_bits_at_every_width() {
+    // In generated order a same-cell run is about one row long; in Z-order
+    // runs are long and cross batch and partition boundaries.
+    for order in [RowOrder::Generated, RowOrder::ZOrder] {
+        every_backend_builds_the_same_bits(&DatasetSpec {
+            order,
+            ..spec(20_000, 5)
+        });
+    }
+}
+
+fn every_backend_builds_the_same_bits(spec: &DatasetSpec) {
+    let cfg = config(spec);
     let schema = spec.schema();
     let rows = spec.rows_physical();
 
@@ -290,29 +344,45 @@ fn the_first_error_in_file_order_wins_at_every_width() {
         domain: Some(Rect::new(0.0, 1000.0, 0.0, 1000.0)),
         metadata: MetadataPolicy::AllNumeric,
     };
-    // Rows in the middle of partitions 2 and 3.
+    // Rows in the middle of partitions 2 and 3, and two rows after the first:
+    // a partition of 500 rows is one storage block, so that pair shares one.
     let per = ROWS / PARTS;
     let (in_k, in_k1) = (2 * per + per / 2, 3 * per + per / 2);
-    let cases: [(&[(usize, &str)], &str); 2] = [
+    type Case<'a> = (&'a [(usize, &'a str)], [usize; 2], &'a str);
+    let cases: [Case; 4] = [
         // Malformed row first, out-of-domain point one partition later.
         (
             &[(in_k, "bad_data"), (in_k1, "9999.000")],
+            [2, 3],
             "cannot parse 'bad_data'",
         ),
         // The other way round: the domain error is the first in the file.
         (
             &[(in_k, "9999.000"), (in_k1, "bad_data")],
+            [2, 3],
             "outside the configured domain",
         ),
+        // Both in one batch: a domain error, then a parse error two rows on.
+        (
+            &[(in_k, "9999.000"), (in_k + 2, "bad_data")],
+            [2, 2],
+            "outside the configured domain",
+        ),
+        // ... and the reverse.
+        (
+            &[(in_k, "bad_data"), (in_k + 2, "9999.000")],
+            [2, 2],
+            "cannot parse 'bad_data'",
+        ),
     ];
-    for (spoil, want) in cases {
+    for (spoil, in_parts, want) in cases {
         let error_at = |width: usize| {
             let file = fixed_width_text(ROWS, spoil);
             let parts = file.partitions(PARTS).unwrap();
             assert_eq!(parts.len(), PARTS);
             // Each bad row sits where the case says it does.
             let row_bytes = (file.size_bytes() - 15) / ROWS as u64;
-            for (&(row, _), k) in spoil.iter().zip([2, 3]) {
+            for (&(row, _), k) in spoil.iter().zip(in_parts) {
                 let offset = 15 + row as u64 * row_bytes;
                 assert!(parts[k].start <= offset && offset < parts[k].end);
             }

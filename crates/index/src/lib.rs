@@ -43,7 +43,7 @@ pub use adapt::{
     apply_enrich, apply_plan, enrich_tile, fetch_window, plan_enrich, plan_tile, process_tile,
     still_applies, EnrichPlan, ProcessOutcome, TilePlan,
 };
-pub use config::{AdaptConfig, EnrichPolicy, MetadataPolicy, ReadPolicy};
+pub use config::{AdaptConfig, MetadataPolicy, ReadPolicy};
 pub use entry::ObjectEntry;
 pub use eval::{ExactEngine, ExactResult, QueryStats, StageTimes};
 pub use index::{Classification, PartialTile, ValinorIndex};

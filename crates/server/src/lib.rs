@@ -303,6 +303,91 @@ mod tests {
         server.shutdown();
     }
 
+    /// An engine whose every answer is an error of about a mebibyte — a
+    /// reply that fills socket buffers in a few frames — once a gate the
+    /// test holds lets it go.
+    struct Loud {
+        gate: std::sync::RwLock<()>,
+    }
+
+    impl ServeEngine for Loud {
+        fn evaluate(
+            &self,
+            _: &Rect,
+            _: &[AggregateFunction],
+            _: f64,
+        ) -> pai_common::Result<pai_core::ApproxResult> {
+            drop(self.gate.read());
+            Err(pai_common::PaiError::internal("x".repeat(1 << 20)))
+        }
+    }
+
+    #[test]
+    fn a_client_that_never_reads_cannot_pin_a_worker_or_the_drain() {
+        use pai_storage::netio::{write_frame, MAX_FRAME_BYTES};
+        use std::net::TcpStream;
+        use std::time::{Duration, Instant};
+        const { assert!(2 << 20 < MAX_FRAME_BYTES, "a reply is a legal frame") };
+        let loud = Arc::new(Loud {
+            gate: std::sync::RwLock::new(()),
+        });
+        // One query in flight and 62 queued: the 64th is refused, which is
+        // how the test learns that the other 63 were admitted.
+        let mut server = PaiServer::serve(
+            loud.clone(),
+            ServerConfig {
+                workers: 1,
+                queue_depth: 62,
+                inflight_cap: 1,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        // Declared after the server, so a failing test lets the worker go
+        // before the server's drop drains.
+        let closed = loud.gate.write().unwrap();
+        // Hello and 64 queries, and not one byte read back.
+        let mut client = TcpStream::connect(server.addr()).unwrap();
+        let hello = protocol::Request::Hello {
+            version: protocol::PROTOCOL_VERSION,
+            session: "mute".into(),
+        };
+        write_frame(&mut client, &hello.encode()).unwrap();
+        for id in 0..64 {
+            let q = protocol::Request::Query {
+                id,
+                window: Rect::new(0.0, 1.0, 0.0, 1.0),
+                phi: 0.05,
+                aggs: vec![AggregateFunction::Count],
+            };
+            write_frame(&mut client, &q.encode()).unwrap();
+        }
+        // 63 MiB of replies are owed to a client that reads none, against a
+        // few of socket buffers. (The wait only bounds a failure.)
+        let start = Instant::now();
+        while server.stats().busy_rejections == 0 {
+            assert!(start.elapsed() < Duration::from_secs(60), "no Busy");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (done, stats) = std::sync::mpsc::channel();
+        let drain = std::thread::spawn(move || {
+            server.shutdown();
+            done.send(server.stats()).ok();
+        });
+        drop(closed);
+        // One reply times out; once it has closed the connection every
+        // later one fails at once. (A server that waits on the client for
+        // good leaves `drain` detached: the failure is the missed deadline.)
+        let deadline = server::REPLY_WRITE_TIMEOUT * 3;
+        let stats = stats
+            .recv_timeout(deadline)
+            .expect("shutdown returns although the client never reads");
+        drain.join().unwrap();
+        assert!(stats.dropped_replies >= 1, "{stats:?}");
+        assert_eq!(stats.queries_served, 0);
+        drop(client);
+    }
+
     #[test]
     fn ingest_frames_extend_the_served_session() {
         use pai_storage::AppendableFile;

@@ -22,17 +22,20 @@
 //! acceptor, flips the scheduler to draining (new queries get
 //! `ShuttingDown`), waits until every queued and in-flight query has
 //! been answered, then joins the workers — no submitted work is
-//! dropped.
+//! dropped. A reply that cannot be written within
+//! [`REPLY_WRITE_TIMEOUT`] — the peer stopped reading and the socket
+//! buffers are full — is dropped and its connection closed, so a client
+//! that never reads cannot pin a worker, nor the drain with it.
 //!
 //! [`SharedIndex::evaluate`]: pai_core::SharedIndex::evaluate
 
 use std::collections::{HashMap, VecDeque};
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use pai_common::{AggregateFunction, AtomicHistogram, LatencyHistogram, PaiError, Rect, Result};
 use pai_core::{ApproxResult, SharedIndex};
@@ -40,6 +43,14 @@ use pai_storage::netio::{write_frame, ConnBuf};
 use pai_storage::raw::{AppendReceipt, RawFile};
 
 use crate::protocol::{Request, Response, PROTOCOL_VERSION};
+
+/// How long writing one reply may take before the server gives up on the
+/// connection: the reply is dropped (metered as `dropped_replies` when it
+/// answers a query), the socket is shut down, and the connection's reader
+/// thread exits. A write blocks only once the peer has stopped reading and
+/// the socket buffers are full. A constant, not a [`ServerConfig`] field:
+/// see docs/SERVER.md.
+pub const REPLY_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// The evaluation seam the server drives: anything that can answer an
 /// approximate window query from concurrent callers. Implemented for
@@ -132,7 +143,8 @@ pub struct ServerStats {
     pub errors: u64,
     /// Distinct sessions opened so far.
     pub sessions_opened: u64,
-    /// Answers computed for clients that had already disconnected.
+    /// Answers computed for clients that had already disconnected, or that
+    /// stopped reading for [`REPLY_WRITE_TIMEOUT`].
     pub dropped_replies: u64,
     /// Ingest batches applied (answered `IngestOk`).
     pub ingests_applied: u64,
@@ -237,11 +249,23 @@ impl Shared {
         Submit::Queued
     }
 
-    /// Sends `resp` on `writer`, tolerating a dead client.
+    /// Sends `resp` on `writer`, tolerating a dead client. A failed write —
+    /// the peer is gone, or stopped reading for [`REPLY_WRITE_TIMEOUT`] —
+    /// shuts the connection down: what was half written cannot be framed
+    /// again, later replies fail at once instead of waiting out the timeout
+    /// each, and the connection's reader thread sees the end of its stream.
     fn send(&self, writer: &Arc<Mutex<TcpStream>>, resp: &Response) -> bool {
         let payload = resp.encode();
-        let mut w = writer.lock().expect("connection writer lock");
-        write_frame(&mut *w, &payload).is_ok()
+        let w = writer.lock().expect("connection writer lock");
+        let mut reply = ReplyWriter {
+            stream: &w,
+            until: Instant::now() + REPLY_WRITE_TIMEOUT,
+        };
+        let sent = write_frame(&mut reply, &payload).is_ok();
+        if !sent {
+            let _ = w.shutdown(Shutdown::Both);
+        }
+        sent
     }
 
     fn worker_loop(&self) {
@@ -299,8 +323,9 @@ impl Shared {
                 }
             };
             if !self.send(&job.reply, &resp) {
-                // The client vanished mid-query (kill-client test): the
-                // answer is discarded but the server carries on.
+                // The client vanished mid-query (kill-client test) or
+                // stopped reading: the answer is discarded but the server
+                // carries on.
                 self.meters.dropped_replies.fetch_add(1, Ordering::Relaxed);
             }
 
@@ -349,6 +374,32 @@ impl Shared {
         );
         self.meters.sessions_opened.fetch_add(1, Ordering::Relaxed);
         Ok(id)
+    }
+}
+
+/// A connection's socket with one reply's deadline: every write may block
+/// for what is left of [`REPLY_WRITE_TIMEOUT`] and no longer — also when a
+/// peer that has stopped reading still lets a trickle through, which a
+/// timeout per write would wait out again and again.
+struct ReplyWriter<'a> {
+    stream: &'a TcpStream,
+    until: Instant,
+}
+
+impl Write for ReplyWriter<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let left = self.until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        let mut stream = self.stream;
+        stream.set_write_timeout(Some(left))?;
+        stream.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        let mut stream = self.stream;
+        stream.flush()
     }
 }
 

@@ -60,7 +60,8 @@ use pai_common::{AttrId, IoCounters, Result, RowLocator};
 
 use crate::batch::RowBatch;
 use crate::raw::{
-    AppendReceipt, BlockStats, BlockSynopsis, CompactionReport, RawFile, RowHandler, ScanPartition,
+    AppendReceipt, BatchHandler, BlockStats, BlockSynopsis, CompactionReport, RawFile,
+    ScanPartition, ScanRequest,
 };
 use crate::schema::Schema;
 
@@ -545,8 +546,12 @@ impl RawFile for CachedFile {
         self.inner.size_bytes()
     }
 
-    fn scan(&self, handler: &mut RowHandler<'_>) -> Result<()> {
-        self.inner.scan(handler)
+    fn scan_batches(
+        &self,
+        request: &ScanRequest<'_>,
+        handler: &mut BatchHandler<'_>,
+    ) -> Result<()> {
+        self.inner.scan_batches(request, handler)
     }
 
     fn read_rows_into(
@@ -563,10 +568,6 @@ impl RawFile for CachedFile {
         self.inner.partitions(n)
     }
 
-    fn scan_partition(&self, partition: ScanPartition, handler: &mut RowHandler<'_>) -> Result<()> {
-        self.inner.scan_partition(partition, handler)
-    }
-
     fn block_stats(&self) -> Option<&[BlockStats]> {
         self.inner.block_stats()
     }
@@ -577,10 +578,6 @@ impl RawFile for CachedFile {
 
     fn value_bytes_hint(&self) -> Option<f64> {
         self.inner.value_bytes_hint()
-    }
-
-    fn scan_filtered(&self, window: &Rect, handler: &mut RowHandler<'_>) -> Result<()> {
-        self.inner.scan_filtered(window, handler)
     }
 
     fn attach_cache(&self, cache: Arc<BlockCache>) -> bool {

@@ -34,9 +34,9 @@
 //! ## Access paths
 //!
 //! * **Sequential scan** — a paged reader pulls `PAGE_ROWS` rows of every
-//!   column per step (contiguous per-column reads), reassembles rows, and
-//!   lends them to the handler as decoded-value [`Record`]s. The scan shards
-//!   cleanly on row ranges, so parallel initialization works out of the box.
+//!   requested column per step (contiguous per-column reads) and lends the
+//!   decoded pages to the handler as one batch. The scan shards cleanly on
+//!   row ranges, so parallel initialization works out of the box.
 //! * **Positional reads** — requested row ids are sorted and coalesced into
 //!   maximal runs of adjacent rows per column; each run is one seek + one
 //!   read of exactly `8 · run_len` bytes. Clustered tiles degrade to
@@ -50,12 +50,15 @@ use std::str::FromStr;
 use std::sync::Arc;
 
 use pai_common::geometry::Rect;
-use pai_common::{AttrId, IoCounters, PaiError, Result, RowId, RowLocator};
+use pai_common::{AttrId, IoCounters, PaiError, Result, RowLocator};
 
 use crate::batch::RowBatch;
 use crate::cache::CacheMode;
 use crate::fetch::{SpanFetcher, SpanMeters};
-use crate::raw::{RawFile, Record, RowHandler, ScanPartition};
+use crate::raw::{
+    buffer_columns, check_attrs, distinct_columns, BatchHandler, BatchLocators, RawFile, ScanBatch,
+    ScanPartition, ScanRequest,
+};
 use crate::remote::{BlobReader, HttpBlob};
 use crate::schema::{Column, Schema};
 
@@ -272,33 +275,6 @@ where
     encode_columns(schema, columns)
 }
 
-/// The single conversion pass: scans `src` once, transposing rows into
-/// per-column buffers (the row-major → column-major turn needs either full
-/// buffering or one pass per column; we spend memory — one `f64` per value —
-/// to keep the scan single).
-fn buffer_columns(src: &dyn RawFile) -> Result<(Schema, Vec<Vec<f64>>)> {
-    let schema = src.schema().clone();
-    for col in schema.columns() {
-        if !col.ty.is_numeric() {
-            return Err(PaiError::schema(format!(
-                "cannot convert column '{}' to PaiBin: not numeric",
-                col.name
-            )));
-        }
-    }
-    let wanted: Vec<AttrId> = (0..schema.len()).collect();
-    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); schema.len()];
-    let mut vals = Vec::with_capacity(schema.len());
-    src.scan(&mut |_, _, rec| {
-        rec.extract_f64(&wanted, &mut vals)?;
-        for (col, &v) in columns.iter_mut().zip(&vals) {
-            col.push(v);
-        }
-        Ok(())
-    })?;
-    Ok((schema, columns))
-}
-
 /// One-pass CSV → binary converter: scans `src` once, buffering each column,
 /// and returns the dataset re-encoded as PaiBin bytes.
 ///
@@ -308,7 +284,7 @@ fn buffer_columns(src: &dyn RawFile) -> Result<(Schema, Vec<Vec<f64>>)> {
 /// bytes); prefer [`write_bin`] for large datasets, which streams the
 /// encoded bytes to disk instead of materializing them.
 pub fn convert_to_bin(src: &dyn RawFile) -> Result<Vec<u8>> {
-    let (schema, columns) = buffer_columns(src)?;
+    let (schema, columns) = buffer_columns(src, "PaiBin")?;
     encode_columns(&schema, columns)
 }
 
@@ -318,7 +294,7 @@ pub fn convert_to_bin(src: &dyn RawFile) -> Result<Vec<u8>> {
 /// stream straight to the file: peak memory is one `f64` per dataset value
 /// (the column buffers), not that plus a full serialized copy.
 pub fn write_bin(src: &dyn RawFile, path: impl AsRef<Path>) -> Result<BinFile> {
-    let (schema, columns) = buffer_columns(src)?;
+    let (schema, columns) = buffer_columns(src, "PaiBin")?;
     let n_rows = columns.first().map_or(0, |c| c.len()) as u64;
     let mut out = std::io::BufWriter::with_capacity(1 << 20, File::create(path.as_ref())?);
     use std::io::Write;
@@ -506,11 +482,16 @@ impl BinFile {
         self.data_start + (col as u64 * self.n_rows + row) * 8
     }
 
-    /// Scans rows `[start, end)`, the engine of both `scan` and
-    /// `scan_partition`. Everything is metered here; the range that begins
-    /// the file carries the `full_scans` tick, so the partitions of one
-    /// `partitions` call charge between them what one `scan` charges.
-    fn scan_rows(&self, start: u64, end: u64, handler: &mut RowHandler<'_>) -> Result<()> {
+    /// The engine of `scan_batches`: the rows of the request's partition, a
+    /// page per batch, each requested column decoded into a page and lent.
+    /// Everything is metered here; the range that begins the file carries
+    /// the `full_scans` tick, so the partitions of one `partitions` call
+    /// charge between them what one whole scan charges.
+    fn scan_rows(&self, request: &ScanRequest<'_>, handler: &mut BatchHandler<'_>) -> Result<()> {
+        let (start, end) = match request.partition {
+            ScanPartition::WHOLE => (0, self.n_rows),
+            p => (p.start, p.end),
+        };
         if start == 0 {
             self.counters.add_full_scan();
         }
@@ -523,18 +504,17 @@ impl BinFile {
                 self.n_rows
             )));
         }
-        let n_cols = self.schema.len();
+        check_attrs(request.attrs, self.schema.len())?;
+        let cols = distinct_columns(request.attrs);
         let mut fetcher = self.fetcher()?;
         // Paged reading, a group of pages per fetch call — as many as a
         // partition holds at most (`partitions`), so a partition is one
         // group: one span per (column, page), ordered column-major, so a
         // remote source merges a column's adjacent pages into one ranged
         // GET, while metering stays per page.
-        let page_bytes = PAGE_ROWS * 8 * n_cols as u64;
+        let page_bytes = PAGE_ROWS * 8 * self.schema.len() as u64;
         let group_rows_max = crate::scan::units_per_shard(u64::MAX, page_bytes, 1) * PAGE_ROWS;
-        let mut pages: Vec<Vec<f64>> = vec![Vec::new(); n_cols];
-        let mut values = vec![0.0f64; n_cols];
-        let mut local_row: RowId = 0;
+        let mut pages: Vec<Vec<f64>> = vec![Vec::new(); self.schema.len()];
         let mut row0 = start;
         let mut spans: Vec<(u64, u64)> = Vec::new();
         let mut bufs: Vec<Vec<u8>> = Vec::new();
@@ -543,7 +523,7 @@ impl BinFile {
             let group_pages = group_rows.div_ceil(PAGE_ROWS) as usize;
             let page_rows = |p: usize| PAGE_ROWS.min(group_rows - p as u64 * PAGE_ROWS);
             spans.clear();
-            for col in 0..n_cols {
+            for &col in &cols {
                 spans.extend((0..group_pages).map(|p| {
                     let at = self.position(row0 + p as u64 * PAGE_ROWS, col);
                     (at, page_rows(p) * 8)
@@ -553,34 +533,28 @@ impl BinFile {
             let fetched = fetcher.read_spans(&spans, &mut bufs, &mut m, CacheMode::Stream)?;
             self.counters.add_seeks(m.seeks);
             self.counters.add_bytes(m.bytes);
-            self.counters.add_blocks_read((n_cols * group_pages) as u64);
+            self.counters
+                .add_blocks_read((cols.len() * group_pages) as u64);
             for p in 0..group_pages {
-                for (col, page) in pages.iter_mut().enumerate() {
-                    let buf = fetched.get(col * group_pages + p);
+                for (ci, &col) in cols.iter().enumerate() {
+                    let buf = fetched.get(ci * group_pages + p);
+                    let page = &mut pages[col];
                     page.clear();
                     page.extend(
                         buf.chunks_exact(8)
                             .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
                     );
                 }
-                // Objects are metered once per page (also when the handler
-                // stops the scan), not with one shared atomic per row.
-                let page_row0 = local_row;
-                let mut outcome = Ok(());
-                for i in 0..page_rows(p) as usize {
-                    for (v, page) in values.iter_mut().zip(&pages) {
-                        *v = page[i];
-                    }
-                    let row = row0 + p as u64 * PAGE_ROWS + i as u64;
-                    let rec = Record::from_values(&values, row);
-                    outcome = handler(local_row, RowLocator::new(row), &rec);
-                    if outcome.is_err() {
-                        break;
-                    }
-                    local_row += 1;
-                }
-                self.counters.add_objects(local_row - page_row0);
-                outcome?;
+                // Objects are metered once per page, not with one shared
+                // atomic per row.
+                let rows = page_rows(p);
+                self.counters.add_objects(rows);
+                handler(&ScanBatch::new(
+                    BatchLocators::Run(row0 + p as u64 * PAGE_ROWS),
+                    &pages,
+                    request.attrs,
+                    0..rows as usize,
+                ))?;
             }
             row0 += group_rows;
         }
@@ -605,8 +579,12 @@ impl RawFile for BinFile {
         self.size_bytes
     }
 
-    fn scan(&self, handler: &mut RowHandler<'_>) -> Result<()> {
-        self.scan_rows(0, self.n_rows, handler)
+    fn scan_batches(
+        &self,
+        request: &ScanRequest<'_>,
+        handler: &mut BatchHandler<'_>,
+    ) -> Result<()> {
+        self.scan_rows(request, handler)
     }
 
     fn read_rows_into(
@@ -718,22 +696,13 @@ impl RawFile for BinFile {
             .filter(|p| p.end > p.start)
             .collect())
     }
-
-    fn scan_partition(&self, partition: ScanPartition, handler: &mut RowHandler<'_>) -> Result<()> {
-        // Honor the trait-level "everything" sentinel so generic callers can
-        // treat all backends uniformly.
-        if partition == ScanPartition::WHOLE {
-            return self.scan(handler);
-        }
-        self.scan_rows(partition.start, partition.end, handler)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::csv::CsvFormat;
-    use crate::raw::MemFile;
+    use crate::raw::{part_request, scanned_rows, MemFile};
 
     fn rows() -> Vec<Vec<f64>> {
         vec![
@@ -920,13 +889,16 @@ mod tests {
     #[test]
     fn whole_partition_scans_everything() {
         let f = sample();
-        let mut rows = 0;
-        f.scan_partition(crate::raw::ScanPartition::WHOLE, &mut |_, _, _| {
-            rows += 1;
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(rows, 4, "the trait-level WHOLE sentinel must be honored");
+        let rows = scanned_rows(&f, &ScanRequest::whole(&[2, 0])).unwrap();
+        assert_eq!(
+            rows.len(),
+            4,
+            "the trait-level WHOLE sentinel must be honored"
+        );
+        assert_eq!(rows[3], (3, vec![400.0, 4.0]));
+        // Only the requested columns are fetched and charged.
+        assert_eq!(f.counters().bytes_read(), 2 * 4 * 8);
+        assert_eq!(f.counters().blocks_read(), 2);
     }
 
     #[test]
@@ -937,11 +909,8 @@ mod tests {
             let parts = f.partitions(n).unwrap();
             let mut xs: Vec<f64> = Vec::new();
             for p in &parts {
-                f.scan_partition(*p, &mut |_, _, rec| {
-                    xs.push(rec.f64(0)?);
-                    Ok(())
-                })
-                .unwrap();
+                let rows = scanned_rows(&f, &part_request(*p, &[0])).unwrap();
+                xs.extend(rows.into_iter().map(|(_, v)| v[0]));
             }
             xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
             assert_eq!(xs.len(), 1000, "n={n}");
@@ -977,7 +946,7 @@ mod tests {
         let serial = f.counters().snapshot();
         f.counters().reset();
         for p in f.partitions(5).unwrap() {
-            f.scan_partition(p, &mut |_, _, _| Ok(())).unwrap();
+            scanned_rows(&f, &part_request(p, &[0, 1])).unwrap();
         }
         assert_eq!(f.counters().snapshot(), serial);
     }

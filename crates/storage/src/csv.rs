@@ -374,12 +374,22 @@ pub fn extract_f64(
 ) -> std::result::Result<(), String> {
     out.clear();
     for &col in wanted {
-        let (a, b) = *ranges
-            .get(col)
-            .ok_or_else(|| missing_column(ranges.len(), col))?;
-        out.push(parse_f64_field(&line[a..b])?);
+        out.push(field_f64(line, ranges, col)?);
     }
     Ok(())
+}
+
+/// The value of column `col` of a record split into `ranges` (as
+/// [`extract_f64`] reads each of its columns).
+pub(crate) fn field_f64(
+    line: &[u8],
+    ranges: &[(usize, usize)],
+    col: usize,
+) -> std::result::Result<f64, String> {
+    let (a, b) = *ranges
+        .get(col)
+        .ok_or_else(|| missing_column(ranges.len(), col))?;
+    parse_f64_field(&line[a..b])
 }
 
 /// What asking a record of `fields` fields for column `col` says.

@@ -48,8 +48,8 @@
 //! `block_stats()`/`block_synopses()` return `None`: those trait methods
 //! lend slices for the file's lifetime, which a mutating file cannot do —
 //! and half-coverage (base-only blocks) would silently drop appended rows
-//! from synopsis-built answers. Pruning still happens *inside*
-//! `scan_filtered`/`read_rows_into` (metered as `blocks_read`/
+//! from synopsis-built answers. Pruning still happens *inside* windowed
+//! `scan_batches`/`read_rows_into` (metered as `blocks_read`/
 //! `blocks_skipped`), which is the only pruning the engine's window-only
 //! read policy needs. Owned snapshots for tests and tooling come from
 //! [`AppendableFile::delta_synopses`]/[`AppendableFile::delta_block_stats`].
@@ -62,8 +62,9 @@ use pai_common::{AttrId, IoCounters, PaiError, Result, RowLocator};
 use crate::batch::RowBatch;
 use crate::gen::morton_key;
 use crate::raw::{
-    build_block_synopses, AppendReceipt, BlockStats, BlockSynopsis, CompactionReport, RawFile,
-    RowHandler, ScanPartition, SynopsisSpec,
+    build_block_synopses, check_attrs, distinct_columns, AppendReceipt, BatchHandler,
+    BatchLocators, BlockStats, BlockSynopsis, CompactionReport, RawFile, ScanBatch, ScanPartition,
+    ScanRequest, SynopsisSpec,
 };
 use crate::schema::Schema;
 
@@ -192,8 +193,8 @@ impl<F: RawFile> AppendableFile<F> {
     /// the counting scan downloads the file.
     pub fn new(base: F) -> Result<Self> {
         let mut rows = 0u64;
-        base.scan(&mut |_, _, _| {
-            rows += 1;
+        base.scan_batches(&ScanRequest::whole(&[]), &mut |batch| {
+            rows += batch.len() as u64;
             Ok(())
         })?;
         Self::with_base_rows(base, rows)
@@ -282,16 +283,6 @@ impl<F: RawFile> AppendableFile<F> {
         st.sealed.iter().map(|b| b.synopsis.clone()).collect()
     }
 
-    fn wrap_base_locator(&self, loc: RowLocator) -> Result<RowLocator> {
-        let raw = loc.raw();
-        if raw & DELTA_FLAG != 0 {
-            return Err(PaiError::internal(
-                "base locator collides with the delta-flag bit",
-            ));
-        }
-        Ok(loc)
-    }
-
     /// Seals the open tail into a new block (caller holds the write lock and
     /// has checked the tail is exactly `block_rows` rows).
     fn seal_open(&self, st: &mut DeltaState) {
@@ -324,27 +315,31 @@ impl<F: RawFile> AppendableFile<F> {
         )
     }
 
-    /// Emits the rows of one column-major buffer through `handler`.
-    fn emit_rows(
+    /// Lends the rows of one column-major delta block to `handler` as one
+    /// batch of `attrs`, charging 8 bytes a value of each distinct column.
+    /// `locators` is scratch for the rows' locators.
+    fn lend_block(
         &self,
         dids: &[u64],
         cols: &[Vec<f64>],
-        handler: &mut RowHandler<'_>,
+        attrs: &[AttrId],
+        locators: &mut Vec<RowLocator>,
+        handler: &mut BatchHandler<'_>,
     ) -> Result<()> {
-        let n_cols = cols.len();
-        let mut row_buf = vec![0.0f64; n_cols];
-        for (i, &d) in dids.iter().enumerate() {
-            for (c, col) in cols.iter().enumerate() {
-                row_buf[c] = col[i];
-            }
-            let row = self.base_rows + d;
-            let rec = crate::raw::Record::from_values(&row_buf, row);
-            handler(row, RowLocator::new(DELTA_FLAG | d), &rec)?;
+        if dids.is_empty() {
+            return Ok(());
         }
+        locators.clear();
+        locators.extend(dids.iter().map(|&d| RowLocator::new(DELTA_FLAG | d)));
+        let values = distinct_columns(attrs).len() * dids.len();
         self.counters.add_objects(dids.len() as u64);
-        self.counters
-            .add_bytes(8 * n_cols as u64 * dids.len() as u64);
-        Ok(())
+        self.counters.add_bytes(8 * values as u64);
+        handler(&ScanBatch::new(
+            BatchLocators::List(locators),
+            cols,
+            attrs,
+            0..dids.len(),
+        ))
     }
 
     /// Splits `locators` into base locators (kept verbatim) and delta append
@@ -455,20 +450,60 @@ impl<F: RawFile> RawFile for AppendableFile<F> {
         self.base.size_bytes() + 8 * self.schema.len() as u64 * delta_rows
     }
 
-    /// Full scan: the base first (locators pass through verbatim), then the
-    /// delta rows in current physical order. Row ids are stable global row
-    /// ids — contiguous over the base, append-ordered over pre-compaction
-    /// deltas, permuted within compacted blocks.
-    fn scan(&self, handler: &mut RowHandler<'_>) -> Result<()> {
-        self.base.scan(&mut |row, loc, rec| {
-            let loc = self.wrap_base_locator(loc)?;
-            handler(row, loc, rec)
+    /// The base's rows first (locators pass through verbatim), then — for
+    /// [`ScanPartition::WHOLE`] — the delta rows in current physical order,
+    /// a delta block per batch. A window prunes sealed delta blocks by their
+    /// zone maps (metered as `blocks_read`/`blocks_skipped`); the open tail
+    /// has no sealed stats yet and is always lent. Another partition is one
+    /// of the base's, which [`RawFile::partitions`] hands out only while
+    /// nothing is appended.
+    fn scan_batches(
+        &self,
+        request: &ScanRequest<'_>,
+        handler: &mut BatchHandler<'_>,
+    ) -> Result<()> {
+        check_attrs(request.attrs, self.schema.len())?;
+        self.base.scan_batches(request, &mut |batch| {
+            let collides = match batch.locators() {
+                BatchLocators::Run(first) => first + batch.len() as u64 > DELTA_FLAG,
+                BatchLocators::List(locs) => locs.iter().any(|l| l.raw() & DELTA_FLAG != 0),
+            };
+            if collides {
+                return Err(PaiError::internal(
+                    "base locator collides with the delta-flag bit",
+                ));
+            }
+            handler(batch)
         })?;
-        let (sealed, open_dids, open_cols) = self.snapshot_blocks();
-        for block in &sealed {
-            self.emit_rows(&block.dids, &block.cols, handler)?;
+        if request.partition != ScanPartition::WHOLE {
+            return Ok(());
         }
-        self.emit_rows(&open_dids, &open_cols, handler)
+        let (x_axis, y_axis) = (self.schema.x_axis(), self.schema.y_axis());
+        let (sealed, open_dids, open_cols) = self.snapshot_blocks();
+        let mut locators = Vec::new();
+        for block in &sealed {
+            if let Some(window) = request.window {
+                if !block.stats.may_intersect_window(x_axis, y_axis, window) {
+                    self.counters.add_blocks_skipped(1);
+                    continue;
+                }
+                self.counters.add_blocks_read(1);
+            }
+            self.lend_block(
+                &block.dids,
+                &block.cols,
+                request.attrs,
+                &mut locators,
+                handler,
+            )?;
+        }
+        self.lend_block(
+            &open_dids,
+            &open_cols,
+            request.attrs,
+            &mut locators,
+            handler,
+        )
     }
 
     fn read_rows_into(
@@ -507,16 +542,6 @@ impl<F: RawFile> RawFile for AppendableFile<F> {
         }
     }
 
-    fn scan_partition(&self, partition: ScanPartition, handler: &mut RowHandler<'_>) -> Result<()> {
-        if partition == ScanPartition::WHOLE {
-            return self.scan(handler);
-        }
-        self.base.scan_partition(partition, &mut |row, loc, rec| {
-            let loc = self.wrap_base_locator(loc)?;
-            handler(row, loc, rec)
-        })
-    }
-
     // block_stats / block_synopses intentionally stay `None` (trait
     // defaults): lending slices from mutable state is unsound to fake, and
     // base-only coverage would silently drop appended rows from
@@ -524,26 +549,6 @@ impl<F: RawFile> RawFile for AppendableFile<F> {
 
     fn value_bytes_hint(&self) -> Option<f64> {
         self.base.value_bytes_hint()
-    }
-
-    fn scan_filtered(&self, window: &Rect, handler: &mut RowHandler<'_>) -> Result<()> {
-        self.base.scan_filtered(window, &mut |row, loc, rec| {
-            let loc = self.wrap_base_locator(loc)?;
-            handler(row, loc, rec)
-        })?;
-        let (x_axis, y_axis) = (self.schema.x_axis(), self.schema.y_axis());
-        let (sealed, open_dids, open_cols) = self.snapshot_blocks();
-        for block in &sealed {
-            if block.stats.may_intersect_window(x_axis, y_axis, window) {
-                self.counters.add_blocks_read(1);
-                self.emit_rows(&block.dids, &block.cols, handler)?;
-            } else {
-                self.counters.add_blocks_skipped(1);
-            }
-        }
-        // The open tail has no sealed stats yet: always emitted (callers
-        // keep their exact per-record filter by contract).
-        self.emit_rows(&open_dids, &open_cols, handler)
     }
 
     fn attach_cache(&self, cache: std::sync::Arc<crate::cache::BlockCache>) -> bool {
@@ -696,7 +701,7 @@ impl<F: RawFile> RawFile for AppendableFile<F> {
 mod tests {
     use super::*;
     use crate::csv::CsvFormat;
-    use crate::raw::MemFile;
+    use crate::raw::{scanned_rows, MemFile};
     use crate::schema::Schema;
 
     fn base_file() -> MemFile {
@@ -858,17 +863,21 @@ mod tests {
         .unwrap();
         f.counters().reset();
         let w = Rect::new(3.5, 6.0, 0.0, 2.0);
-        let mut xs = Vec::new();
-        f.scan_filtered(&w, &mut |_, _, rec| {
-            xs.push(rec.f64(0).unwrap());
-            Ok(())
-        })
-        .unwrap();
+        let request = ScanRequest {
+            window: Some(&w),
+            ..ScanRequest::whole(&[0, 2])
+        };
+        let rows = scanned_rows(&f, &request).unwrap();
+        let xs: Vec<f64> = rows.iter().map(|(_, v)| v[0]).collect();
         // Base rows always stream (CSV base has no blocks); delta block 1 is
         // pruned, the open tail streams.
-        assert!(xs.contains(&4.0) && xs.contains(&5.0) && xs.contains(&90.0));
-        assert!(!xs.contains(&40.0) && !xs.contains(&50.0));
+        assert_eq!(xs, [1.0, 2.0, 3.0, 4.0, 5.0, 90.0]);
+        assert_eq!(rows[3], (DELTA_FLAG, vec![4.0, 400.0]));
         assert_eq!(f.counters().blocks_skipped(), 1);
+        assert_eq!(f.counters().blocks_read(), 1);
+        // Delta rows charge 8 bytes a requested column.
+        let base_bytes = f.base().size_bytes();
+        assert_eq!(f.counters().bytes_read(), base_bytes + 3 * 2 * 8);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use pai_common::geometry::{Point2, Rect};
 use pai_common::{AttrId, Result, RunningStats};
 
-use crate::raw::RawFile;
+use crate::raw::{RawFile, ScanBatch, ScanRequest};
 
 /// Exact statistics of one attribute over the objects inside a window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,20 +38,13 @@ pub fn window_truth(
     for &a in attrs {
         schema.require_numeric(a)?;
     }
-    let (xi, yi) = (schema.x_axis(), schema.y_axis());
     let mut selected = 0u64;
     let mut stats = vec![RunningStats::new(); attrs.len()];
-    let mut vals = Vec::with_capacity(attrs.len());
-    file.scan_filtered(window, &mut |_, _, rec| {
-        let p = Point2::new(rec.f64(xi)?, rec.f64(yi)?);
-        if window.contains_point(p) {
-            selected += 1;
-            rec.extract_f64(attrs, &mut vals)?;
-            for (s, &v) in stats.iter_mut().zip(vals.iter()) {
-                s.push(v);
-            }
+    scan_window(file, window, attrs, |batch, i| {
+        selected += 1;
+        for (k, s) in stats.iter_mut().enumerate() {
+            s.push(batch.column(k + 2)[i]);
         }
-        Ok(())
     })?;
     Ok(stats
         .into_iter()
@@ -62,17 +55,37 @@ pub fn window_truth(
 /// Exact number of objects inside `window` (window pushed down, like
 /// [`window_truth`]).
 pub fn window_count(file: &dyn RawFile, window: &Rect) -> Result<u64> {
-    let schema = file.schema();
-    let (xi, yi) = (schema.x_axis(), schema.y_axis());
     let mut selected = 0u64;
-    file.scan_filtered(window, &mut |_, _, rec| {
-        let p = Point2::new(rec.f64(xi)?, rec.f64(yi)?);
-        if window.contains_point(p) {
-            selected += 1;
+    scan_window(file, window, &[], |_, _| selected += 1)?;
+    Ok(selected)
+}
+
+/// Scans `file` with `window` pushed down, decoding the axes then `attrs`,
+/// and calls `selected(batch, i)` for every row `i` inside the window.
+fn scan_window(
+    file: &dyn RawFile,
+    window: &Rect,
+    attrs: &[AttrId],
+    mut selected: impl FnMut(&ScanBatch<'_>, usize),
+) -> Result<()> {
+    let schema = file.schema();
+    let wanted: Vec<AttrId> = [schema.x_axis(), schema.y_axis()]
+        .into_iter()
+        .chain(attrs.iter().copied())
+        .collect();
+    let request = ScanRequest {
+        window: Some(window),
+        ..ScanRequest::whole(&wanted)
+    };
+    file.scan_batches(&request, &mut |batch| {
+        let (xs, ys) = (batch.column(0), batch.column(1));
+        for (i, (&x, &y)) in xs.iter().zip(ys).enumerate() {
+            if window.contains_point(Point2::new(x, y)) {
+                selected(batch, i);
+            }
         }
         Ok(())
-    })?;
-    Ok(selected)
+    })
 }
 
 #[cfg(test)]

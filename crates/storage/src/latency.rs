@@ -31,7 +31,7 @@ use pai_common::geometry::Rect;
 use pai_common::{AttrId, IoCounters, Result, RowLocator};
 
 use crate::batch::RowBatch;
-use crate::raw::{BlockStats, BlockSynopsis, RawFile, RowHandler, ScanPartition};
+use crate::raw::{BatchHandler, BlockStats, BlockSynopsis, RawFile, ScanPartition, ScanRequest};
 use crate::schema::Schema;
 
 /// A [`RawFile`] that adds configurable per-operation latency to another
@@ -96,8 +96,12 @@ impl RawFile for LatencyFile {
         self.inner.size_bytes()
     }
 
-    fn scan(&self, handler: &mut RowHandler<'_>) -> Result<()> {
-        let res = self.inner.scan(handler);
+    fn scan_batches(
+        &self,
+        request: &ScanRequest<'_>,
+        handler: &mut BatchHandler<'_>,
+    ) -> Result<()> {
+        let res = self.inner.scan_batches(request, handler);
         self.stall();
         res
     }
@@ -118,12 +122,6 @@ impl RawFile for LatencyFile {
         self.inner.partitions(n)
     }
 
-    fn scan_partition(&self, partition: ScanPartition, handler: &mut RowHandler<'_>) -> Result<()> {
-        let res = self.inner.scan_partition(partition, handler);
-        self.stall();
-        res
-    }
-
     fn block_stats(&self) -> Option<&[BlockStats]> {
         self.inner.block_stats()
     }
@@ -134,12 +132,6 @@ impl RawFile for LatencyFile {
 
     fn value_bytes_hint(&self) -> Option<f64> {
         self.inner.value_bytes_hint()
-    }
-
-    fn scan_filtered(&self, window: &Rect, handler: &mut RowHandler<'_>) -> Result<()> {
-        let res = self.inner.scan_filtered(window, handler);
-        self.stall();
-        res
     }
 
     fn attach_cache(&self, cache: std::sync::Arc<crate::cache::BlockCache>) -> bool {
@@ -261,9 +253,11 @@ mod tests {
         // Filtered scan: ~3 of 16 stripes survive the zone maps.
         let filtered = wrap(0, 2);
         let t0 = Instant::now();
-        filtered
-            .scan_filtered(&window, &mut |_, _, _| Ok(()))
-            .unwrap();
+        let request = ScanRequest {
+            window: Some(&window),
+            ..ScanRequest::whole(&[0, 1, 2])
+        };
+        filtered.scan_batches(&request, &mut |_| Ok(())).unwrap();
         let filtered_elapsed = t0.elapsed();
         assert!(
             filtered_elapsed * 2 < full_elapsed,

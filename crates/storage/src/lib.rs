@@ -7,9 +7,11 @@
 //! pays real I/O, which the [`pai_common::IoCounters`] meter.
 //!
 //! Everything above this crate speaks the backend-agnostic [`RawFile`]
-//! trait — now including block-level statistics ([`BlockStats`] zone maps)
-//! and predicate pushdown (`scan_filtered` / `read_rows_into`), which
-//! degrade gracefully on backends without block structure. The production
+//! trait: batch scans ([`RawFile::scan_batches`], which lend decoded
+//! columns a storage block at a time), positional reads, block-level
+//! statistics ([`BlockStats`] zone maps) and predicate pushdown (the window
+//! of a [`ScanRequest`] and of `read_rows_into`), which degrade gracefully on
+//! backends without block structure. The production
 //! backends:
 //!
 //! * **CSV** ([`CsvFile`] on disk, [`MemFile`] in memory) — text records
@@ -39,9 +41,9 @@
 //! Modules:
 //! * [`schema`] — column definitions and the axis-attribute pair;
 //! * [`csv`] — CSV format config, line splitting/escaping, streaming writer;
-//! * [`raw`] — the [`RawFile`] abstraction: sequential (and partitioned)
-//!   scans, batched locator-based random access, block stats + pushdown,
-//!   with the CSV implementations;
+//! * [`raw`] — the [`RawFile`] abstraction: batch scans of a partition,
+//!   batched locator-based random access, block stats + pushdown, with the
+//!   CSV implementations;
 //! * [`mod@column`] — the binary columnar backend and the one-pass CSV→binary
 //!   converter ([`column::convert_to_bin`] / [`column::write_bin`]);
 //! * [`mod@delta`] — streaming ingest: [`AppendableFile`] wraps any sealed
@@ -104,8 +106,9 @@ pub use mapped::Mapping;
 pub use netio::{write_frame, ConnBuf, MAX_FRAME_BYTES};
 pub use objstore::{Fault, FaultPlan, ObjectStore};
 pub use raw::{
-    build_block_synopses, AppendReceipt, BlockStats, BlockSynopsis, ColumnSynopsis,
-    CompactionReport, CsvFile, MemFile, RawFile, Record, ScanPartition, SynopsisSpec,
+    build_block_synopses, AppendReceipt, BatchHandler, BatchLocators, BlockStats, BlockSynopsis,
+    ColumnSynopsis, CompactionReport, CsvFile, MemFile, RawFile, Record, ScanBatch, ScanPartition,
+    ScanRequest, SynopsisSpec,
 };
 pub use remote::{HttpBlob, HttpFile, HttpOptions, SpanBatch};
 pub use schema::{Column, ColumnType, Schema};

@@ -4,12 +4,15 @@
 //! the axis values and an opaque [`RowLocator`] handed out by the storage
 //! backend. Two access paths mirror how the index uses a file:
 //!
-//! * [`RawFile::scan`] — one sequential pass over every record. Used exactly
-//!   once per dataset, by index initialization ("crude index" construction),
-//!   and by the ground-truth evaluator in tests/benches. Backends that can
-//!   shard the pass expose [`RawFile::partitions`] +
-//!   [`RawFile::scan_partition`] so initialization can parse partitions on
-//!   several threads (and still fold them in file order).
+//! * [`RawFile::scan_batches`] — one sequential pass, a block of rows at a
+//!   time: each [`ScanBatch`] lends the rows' locators and one decoded
+//!   `&[f64]` column per requested attribute. Used once per dataset by index
+//!   initialization ("crude index" construction), and by the ground-truth
+//!   evaluator in tests/benches. A [`ScanRequest`] names a shard of the pass
+//!   (from [`RawFile::partitions`], so initialization can decode partitions
+//!   on several threads and still fold them in file order), an optional
+//!   axis-window pushdown hint, and the columns to decode.
+//!   [`RawFile::scan`] is the same pass a row at a time, over every column.
 //! * [`RawFile::read_rows_into`] — batched positional reads of specific
 //!   records by locator, into one flat [`RowBatch`]. This is the I/O that
 //!   adaptation pays for: when a partially-contained tile is processed, the
@@ -25,6 +28,7 @@
 //! metering and line-aligned partitions — the same scanner, [`crate::scan`]).
 
 use std::fs::File;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
@@ -35,133 +39,171 @@ use crate::batch::RowBatch;
 use crate::csv::{self, CsvFormat};
 use crate::schema::Schema;
 
-/// A borrowed view over one record, lending field access without copying.
-///
-/// Backends produce records in their native representation: the CSV backends
-/// lend pre-split byte ranges of a text line; binary backends lend a decoded
-/// `f64` row. Consumers see one uniform accessor surface either way.
+/// One row of a [`RawFile::scan`], decoded: the value of every column.
 pub struct Record<'a> {
-    inner: RecordInner<'a>,
-}
-
-enum RecordInner<'a> {
-    /// A CSV line split into field byte ranges.
-    Csv {
-        line: &'a [u8],
-        ranges: &'a [(usize, usize)],
-        at: CsvPos,
-    },
-    /// An already-decoded numeric row (binary columnar backends).
-    Values { values: &'a [f64], row: RowId },
-}
-
-/// Where a CSV record sits in its file, for error messages: a full scan
-/// counts lines, a partitioned scan starts mid-file and only knows offsets.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum CsvPos {
-    /// 1-based line number.
-    Line(u64),
-    /// Byte offset of the record's first byte.
-    Offset(u64),
-}
-
-impl CsvPos {
-    pub(crate) fn error(self, msg: String) -> PaiError {
-        match self {
-            CsvPos::Line(n) => PaiError::parse(n, msg),
-            CsvPos::Offset(o) => PaiError::parse_at(o, msg),
-        }
-    }
+    values: &'a [f64],
+    row: RowId,
 }
 
 impl<'a> Record<'a> {
-    /// Assembles a record view from pre-split CSV parts (crate-internal;
-    /// used by the CSV scanners).
-    pub(crate) fn from_parts(line: &'a [u8], ranges: &'a [(usize, usize)], at: CsvPos) -> Self {
-        Record {
-            inner: RecordInner::Csv { line, ranges, at },
-        }
-    }
-
-    /// Assembles a record view over an already-decoded numeric row. This is
-    /// the constructor binary backends use; `row` only labels errors.
+    /// A record over an already-decoded row; `row` only labels errors.
     pub fn from_values(values: &'a [f64], row: RowId) -> Self {
-        Record {
-            inner: RecordInner::Values { values, row },
-        }
+        Record { values, row }
     }
 
     /// Number of fields in the record.
     pub fn num_fields(&self) -> usize {
-        match &self.inner {
-            RecordInner::Csv { ranges, .. } => ranges.len(),
-            RecordInner::Values { values, .. } => values.len(),
-        }
+        self.values.len()
     }
 
-    /// Parses field `col` as f64 (empty → NaN).
+    /// The value of field `col` (a CSV NULL is NaN).
     pub fn f64(&self, col: usize) -> Result<f64> {
-        match &self.inner {
-            RecordInner::Csv { line, ranges, at } => {
-                let (a, b) = *ranges
-                    .get(col)
-                    .ok_or_else(|| at.error(csv::missing_column(ranges.len(), col)))?;
-                csv::parse_f64_field(&line[a..b]).map_err(|msg| at.error(msg))
-            }
-            RecordInner::Values { values, row } => values
-                .get(col)
-                .copied()
-                .ok_or_else(|| PaiError::parse(*row, csv::missing_column(values.len(), col))),
-        }
+        self.values
+            .get(col)
+            .copied()
+            .ok_or_else(|| PaiError::parse(self.row, csv::missing_column(self.values.len(), col)))
     }
 
-    /// Extracts several columns as f64 into `out` (cleared first).
+    /// Copies several fields into `out` (cleared first).
     pub fn extract_f64(&self, wanted: &[usize], out: &mut Vec<f64>) -> Result<()> {
-        match &self.inner {
-            RecordInner::Csv { line, ranges, at } => {
-                csv::extract_f64(line, ranges, wanted, out).map_err(|msg| at.error(msg))
-            }
-            RecordInner::Values { values, .. } => {
-                out.clear();
-                // The row is decoded already: a copy per field, and the
-                // error (a column id past its end) built only when met.
-                for &col in wanted {
-                    match values.get(col) {
-                        Some(&v) => out.push(v),
-                        None => return self.f64(col).map(drop),
-                    }
-                }
-                Ok(())
-            }
+        out.clear();
+        for &col in wanted {
+            out.push(self.f64(col)?);
         }
+        Ok(())
     }
+}
 
-    /// Raw text of field `col` (quotes stripped, `""` escapes not undone).
-    ///
-    /// Only text-capable backends (CSV) support this; binary columnar files
-    /// store pure numeric data and return an error.
-    pub fn text(&self, col: usize) -> Result<&'a str> {
-        match &self.inner {
-            RecordInner::Csv { line, ranges, at } => {
-                let (a, b) = *ranges
-                    .get(col)
-                    .ok_or_else(|| at.error(format!("no column {col}")))?;
-                std::str::from_utf8(&line[a..b])
-                    .map_err(|_| at.error("field is not valid UTF-8".into()))
-            }
-            RecordInner::Values { .. } => Err(PaiError::unsupported(
-                "binary records hold numeric values only; no text fields",
-            )),
+/// Visitor invoked per record by [`RawFile::scan`].
+///
+/// Arguments: row id (0-based over the scanned records), the record's
+/// [`RowLocator`] (redeemable via [`RawFile::read_rows`]), and the decoded
+/// record.
+pub type RowHandler<'h> = dyn FnMut(RowId, RowLocator, &Record<'_>) -> Result<()> + 'h;
+
+/// What one [`RawFile::scan_batches`] call reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ScanRequest<'a> {
+    /// A shard from [`RawFile::partitions`], or [`ScanPartition::WHOLE`].
+    pub partition: ScanPartition,
+    /// An axis-window pushdown hint, kept as a **superset** contract: every
+    /// row whose axis values fall inside the window is delivered, and rows
+    /// outside it *may* be as well — block skipping is coarse, so callers
+    /// keep their exact per-row filter. Zone-mapped backends skip whole
+    /// blocks that [`BlockStats::may_intersect_window`] rules out (metered
+    /// as `blocks_skipped`); block-less backends ignore it.
+    pub window: Option<&'a Rect>,
+    /// The columns to decode, in the order [`ScanBatch::column`] lends them.
+    /// A columnar backend decodes and charges only these (once each, however
+    /// often one is named); an empty list delivers locators alone.
+    pub attrs: &'a [AttrId],
+}
+
+impl<'a> ScanRequest<'a> {
+    /// The whole file, unwindowed, decoding `attrs`.
+    pub fn whole(attrs: &'a [AttrId]) -> Self {
+        ScanRequest {
+            partition: ScanPartition::WHOLE,
+            window: None,
+            attrs,
         }
     }
 }
 
-/// Visitor invoked per record during a sequential scan.
-///
-/// Arguments: row id (0-based over the scanned records), the record's
-/// [`RowLocator`] (redeemable via [`RawFile::read_rows`]), and the parsed
-/// record.
-pub type RowHandler<'h> = dyn FnMut(RowId, RowLocator, &Record<'_>) -> Result<()> + 'h;
+/// The locators of a [`ScanBatch`]'s rows.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum BatchLocators<'a> {
+    /// Consecutive row ids from this one on (columnar files, whose locators
+    /// are row ids).
+    Run(u64),
+    /// One locator per row (CSV byte offsets, delta rows).
+    List(&'a [RowLocator]),
+}
+
+/// Up to one storage block of scanned rows, lent to a [`BatchHandler`]: the
+/// rows' locators and one decoded column per requested attribute, all
+/// `len()` long.
+#[derive(Debug, Clone)]
+pub struct ScanBatch<'a> {
+    locators: BatchLocators<'a>,
+    /// Decoded values by column id; only the requested columns are read.
+    columns: &'a [Vec<f64>],
+    attrs: &'a [AttrId],
+    rows: Range<usize>,
+}
+
+impl<'a> ScanBatch<'a> {
+    /// Lends rows `rows` of `columns` (by column id, each holding at least
+    /// the requested ones) for the request's `attrs`.
+    pub(crate) fn new(
+        locators: BatchLocators<'a>,
+        columns: &'a [Vec<f64>],
+        attrs: &'a [AttrId],
+        rows: Range<usize>,
+    ) -> Self {
+        debug_assert!(attrs.iter().all(|&a| columns[a].len() >= rows.end));
+        debug_assert!(match locators {
+            BatchLocators::List(l) => l.len() == rows.len(),
+            BatchLocators::Run(_) => true,
+        });
+        ScanBatch {
+            locators,
+            columns,
+            attrs,
+            rows,
+        }
+    }
+
+    /// Number of rows in the batch.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the batch holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The values of the request's `i`-th attribute, one per row.
+    pub fn column(&self, i: usize) -> &'a [f64] {
+        &self.columns[self.attrs[i]][self.rows.clone()]
+    }
+
+    /// The rows' locators.
+    pub fn locators(&self) -> BatchLocators<'a> {
+        self.locators
+    }
+
+    /// The locator of row `i`.
+    pub fn locator(&self, i: usize) -> RowLocator {
+        match self.locators {
+            BatchLocators::Run(first) => RowLocator::new(first + i as u64),
+            BatchLocators::List(locators) => locators[i],
+        }
+    }
+}
+
+/// Visitor invoked per batch by [`RawFile::scan_batches`], in file order.
+pub type BatchHandler<'h> = dyn FnMut(&ScanBatch<'_>) -> Result<()> + 'h;
+
+/// Every column of `attrs` exists in a schema of `n_cols` columns.
+pub(crate) fn check_attrs(attrs: &[AttrId], n_cols: usize) -> Result<()> {
+    match attrs.iter().find(|&&a| a >= n_cols) {
+        Some(a) => Err(PaiError::schema(format!(
+            "column id {a} out of range ({n_cols} columns)"
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// The distinct columns of `attrs`, ascending: what a columnar scan decodes
+/// and charges.
+pub(crate) fn distinct_columns(attrs: &[AttrId]) -> Vec<AttrId> {
+    let mut cols = attrs.to_vec();
+    cols.sort_unstable();
+    cols.dedup();
+    cols
+}
 
 /// One backend-defined shard of a sequential scan.
 ///
@@ -491,23 +533,43 @@ pub fn build_block_synopses(
     out
 }
 
+/// Every column of `file`, buffered by one metered batch scan — what the
+/// columnar converters and the CSV backends' lazy synopses start from. A
+/// text column fails the scan.
+pub(crate) fn scan_columns(file: &dyn RawFile) -> Result<Vec<Vec<f64>>> {
+    let wanted: Vec<AttrId> = (0..file.schema().len()).collect();
+    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); wanted.len()];
+    file.scan_batches(&ScanRequest::whole(&wanted), &mut |batch| {
+        for (i, col) in columns.iter_mut().enumerate() {
+            col.extend_from_slice(batch.column(i));
+        }
+        Ok(())
+    })?;
+    Ok(columns)
+}
+
+/// The one pass of a converter to the numeric-only `format`: the schema and
+/// every column of `src` (the row-major → column-major turn needs either
+/// full buffering or one pass per column; this spends one `f64` per value to
+/// keep the scan single). A text column is refused by name before anything
+/// is scanned.
+pub(crate) fn buffer_columns(src: &dyn RawFile, format: &str) -> Result<(Schema, Vec<Vec<f64>>)> {
+    let schema = src.schema().clone();
+    if let Some(col) = schema.columns().iter().find(|c| !c.ty.is_numeric()) {
+        return Err(PaiError::schema(format!(
+            "cannot convert column '{}' to {format}: not numeric",
+            col.name
+        )));
+    }
+    Ok((schema, scan_columns(src)?))
+}
+
 /// Buffers every numeric column of `file` with one metered scan and builds
 /// synthetic-block synopses over it — the lazy path for backends without
 /// block structure. Fails (→ no synopses) on text columns.
 fn compute_scan_synopses(file: &dyn RawFile) -> Result<Vec<BlockSynopsis>> {
-    let n_cols = file.schema().len();
-    let wanted: Vec<AttrId> = (0..n_cols).collect();
-    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); n_cols];
-    let mut vals = Vec::with_capacity(n_cols);
-    file.scan(&mut |_, _, rec| {
-        rec.extract_f64(&wanted, &mut vals)?;
-        for (col, &v) in columns.iter_mut().zip(&vals) {
-            col.push(v);
-        }
-        Ok(())
-    })?;
     Ok(build_block_synopses(
-        &columns,
+        &scan_columns(file)?,
         SYNOPSIS_BLOCK_ROWS,
         &SynopsisSpec::default(),
     ))
@@ -562,8 +624,45 @@ pub trait RawFile: Send + Sync {
     /// Total size of the file in bytes.
     fn size_bytes(&self) -> u64;
 
-    /// Full sequential scan, invoking `handler` for every data record.
-    fn scan(&self, handler: &mut RowHandler<'_>) -> Result<()>;
+    /// Scans the rows of `request.partition` in file order, lending them to
+    /// `handler` a batch at a time: up to one storage block of rows (a
+    /// columnar block or page, a delta block, 4096 CSV records), their
+    /// locators, and the decoded `request.attrs`.
+    ///
+    /// Block-structured backends lend the pages they decoded; CSV parses
+    /// each requested field once, straight into column buffers, splitting a
+    /// record no further than its last requested field. A record that fails
+    /// to parse ends the scan: the rows before it are delivered first, as a
+    /// short batch, so the first error in file order is the one returned —
+    /// the handler's, if it fails on one of those rows.
+    ///
+    /// The partitions of one [`RawFile::partitions`] call, scanned one after
+    /// the other, deliver and charge exactly what one scan of
+    /// [`ScanPartition::WHOLE`] does. See [`ScanRequest`] for the window and
+    /// the columns.
+    fn scan_batches(&self, request: &ScanRequest<'_>, handler: &mut BatchHandler<'_>)
+        -> Result<()>;
+
+    /// Full sequential scan, invoking `handler` for every data record with
+    /// the value of every column: [`RawFile::scan_batches`] of the whole
+    /// file, a row at a time. (A text column fails the scan as a field that
+    /// is not a number.)
+    fn scan(&self, handler: &mut RowHandler<'_>) -> Result<()> {
+        let attrs: Vec<AttrId> = (0..self.schema().len()).collect();
+        let mut values = vec![0.0; attrs.len()];
+        let mut row: RowId = 0;
+        self.scan_batches(&ScanRequest::whole(&attrs), &mut |batch| {
+            let columns: Vec<&[f64]> = (0..attrs.len()).map(|i| batch.column(i)).collect();
+            for i in 0..batch.len() {
+                for (v, column) in values.iter_mut().zip(&columns) {
+                    *v = column[i];
+                }
+                handler(row, batch.locator(i), &Record::from_values(&values, row))?;
+                row += 1;
+            }
+            Ok(())
+        })
+    }
 
     /// [`RawFile::read_rows_into`] a fresh batch, with no window: for callers
     /// with no batch to reuse.
@@ -576,9 +675,8 @@ pub trait RawFile: Send + Sync {
     /// Reads the records named by `locators` into `out`, which it reshapes:
     /// one row per locator, in input order, holding the values of `attrs`.
     ///
-    /// Locators must have been handed out by this file's [`RawFile::scan`]
-    /// (or [`RawFile::scan_partition`]). This is the metered random-access
-    /// path that adaptation pays for.
+    /// Locators must have been handed out by this file's scans. This is the
+    /// metered random-access path that adaptation pays for.
     ///
     /// `window` is an axis-window pushdown hint. Every requested row whose
     /// block *may* intersect it is materialized exactly as without it; a row
@@ -600,29 +698,15 @@ pub trait RawFile: Send + Sync {
     /// unless it takes more to keep every shard within one scan block
     /// ([`crate::scan::BLOCK_BYTES`]) of decoded values, as the columnar
     /// backends do. The cut depends on the file and `n` alone, and the
-    /// shards of one call charge between them exactly what one
-    /// [`RawFile::scan`] charges — the shard that begins the file carries
-    /// the `full_scans` tick — so a build's logical meters do not depend on
-    /// how many threads scanned. Backends that cannot shard return the
-    /// single [`ScanPartition::WHOLE`] partition, which makes a partitioned
-    /// scan degrade gracefully to a serial one.
+    /// shards of one call charge between them exactly what one whole scan
+    /// charges — the shard that begins the file carries the `full_scans`
+    /// tick — so a build's logical meters do not depend on how many threads
+    /// scanned. Backends that cannot shard return the single
+    /// [`ScanPartition::WHOLE`] partition, which makes a partitioned scan
+    /// degrade gracefully to a serial one.
     fn partitions(&self, n: usize) -> Result<Vec<ScanPartition>> {
         let _ = n;
         Ok(vec![ScanPartition::WHOLE])
-    }
-
-    /// Scans the records inside one partition returned by
-    /// [`RawFile::partitions`]. Row ids passed to the handler are *local* to
-    /// the partition; locators are global, exactly as in a full scan.
-    /// [`ScanPartition::WHOLE`] is the full scan on every backend.
-    fn scan_partition(&self, partition: ScanPartition, handler: &mut RowHandler<'_>) -> Result<()> {
-        if partition == ScanPartition::WHOLE {
-            self.scan(handler)
-        } else {
-            Err(PaiError::internal(
-                "this backend only supports the WHOLE scan partition",
-            ))
-        }
     }
 
     /// Per-block zone maps, when the backend maintains them. `None` (the
@@ -648,21 +732,6 @@ pub trait RawFile: Send + Sync {
     /// averages (`size_bytes` over total rows).
     fn value_bytes_hint(&self) -> Option<f64> {
         None
-    }
-
-    /// Sequential scan with an axis-window pushdown hint.
-    ///
-    /// Contract: the handler sees **every** record whose axis values fall
-    /// inside `window`, and *may* additionally see records outside it —
-    /// block skipping is coarse, so callers must keep their exact per-record
-    /// filter. Zone-mapped backends skip whole blocks that
-    /// [`BlockStats::may_intersect_window`] rules out (metering them as
-    /// `blocks_skipped`); the default implementation ignores the hint and
-    /// performs a plain full scan. Row ids passed to the handler are the
-    /// file's row ids (contiguous for a full scan, gapped after a skip).
-    fn scan_filtered(&self, window: &Rect, handler: &mut RowHandler<'_>) -> Result<()> {
-        let _ = window;
-        self.scan(handler)
     }
 
     /// Binds a shared [`crate::cache::BlockCache`] to this backend's
@@ -727,8 +796,12 @@ impl<T: RawFile + ?Sized> RawFile for Box<T> {
         (**self).size_bytes()
     }
 
-    fn scan(&self, handler: &mut RowHandler<'_>) -> Result<()> {
-        (**self).scan(handler)
+    fn scan_batches(
+        &self,
+        request: &ScanRequest<'_>,
+        handler: &mut BatchHandler<'_>,
+    ) -> Result<()> {
+        (**self).scan_batches(request, handler)
     }
 
     fn read_rows_into(
@@ -745,10 +818,6 @@ impl<T: RawFile + ?Sized> RawFile for Box<T> {
         (**self).partitions(n)
     }
 
-    fn scan_partition(&self, partition: ScanPartition, handler: &mut RowHandler<'_>) -> Result<()> {
-        (**self).scan_partition(partition, handler)
-    }
-
     fn block_stats(&self) -> Option<&[BlockStats]> {
         (**self).block_stats()
     }
@@ -759,10 +828,6 @@ impl<T: RawFile + ?Sized> RawFile for Box<T> {
 
     fn value_bytes_hint(&self) -> Option<f64> {
         (**self).value_bytes_hint()
-    }
-
-    fn scan_filtered(&self, window: &Rect, handler: &mut RowHandler<'_>) -> Result<()> {
-        (**self).scan_filtered(window, handler)
     }
 
     fn attach_cache(&self, cache: std::sync::Arc<crate::cache::BlockCache>) -> bool {
@@ -850,8 +915,14 @@ impl RawFile for CsvFile {
         self.size_bytes
     }
 
-    fn scan(&self, handler: &mut RowHandler<'_>) -> Result<()> {
-        self.scan_partition(ScanPartition::WHOLE, handler)
+    fn scan_batches(
+        &self,
+        request: &ScanRequest<'_>,
+        handler: &mut BatchHandler<'_>,
+    ) -> Result<()> {
+        check_attrs(request.attrs, self.schema.len())?;
+        let mut src = self.bytes()?;
+        crate::scan::scan_range(&mut src, &self.fmt, request, &self.counters, handler)
     }
 
     fn read_rows_into(
@@ -867,11 +938,6 @@ impl RawFile for CsvFile {
 
     fn partitions(&self, n: usize) -> Result<Vec<ScanPartition>> {
         crate::scan::chunk_ranges(&mut self.bytes()?, n)
-    }
-
-    fn scan_partition(&self, partition: ScanPartition, handler: &mut RowHandler<'_>) -> Result<()> {
-        let mut src = self.bytes()?;
-        crate::scan::scan_range(&mut src, &self.fmt, partition, &self.counters, handler)
     }
 
     fn block_synopses(&self) -> Option<&[BlockSynopsis]> {
@@ -950,8 +1016,14 @@ impl RawFile for MemFile {
         self.data.len() as u64
     }
 
-    fn scan(&self, handler: &mut RowHandler<'_>) -> Result<()> {
-        self.scan_partition(ScanPartition::WHOLE, handler)
+    fn scan_batches(
+        &self,
+        request: &ScanRequest<'_>,
+        handler: &mut BatchHandler<'_>,
+    ) -> Result<()> {
+        check_attrs(request.attrs, self.schema.len())?;
+        let mut src = self.data.as_slice();
+        crate::scan::scan_range(&mut src, &self.fmt, request, &self.counters, handler)
     }
 
     fn read_rows_into(
@@ -969,15 +1041,38 @@ impl RawFile for MemFile {
         crate::scan::chunk_ranges(&mut self.data.as_slice(), n)
     }
 
-    fn scan_partition(&self, partition: ScanPartition, handler: &mut RowHandler<'_>) -> Result<()> {
-        let mut src = self.data.as_slice();
-        crate::scan::scan_range(&mut src, &self.fmt, partition, &self.counters, handler)
-    }
-
     fn block_synopses(&self) -> Option<&[BlockSynopsis]> {
         self.synopses
             .get_or_init(|| compute_scan_synopses(self).ok())
             .as_deref()
+    }
+}
+
+/// Every row `file` lends for `request`, as (locator, the values of the
+/// requested attributes) — the batches unrolled, for tests.
+#[cfg(test)]
+pub(crate) fn scanned_rows(
+    file: &dyn RawFile,
+    request: &ScanRequest<'_>,
+) -> Result<Vec<(u64, Vec<f64>)>> {
+    let mut rows = Vec::new();
+    file.scan_batches(request, &mut |batch| {
+        for i in 0..batch.len() {
+            let values = (0..request.attrs.len()).map(|k| batch.column(k)[i]);
+            rows.push((batch.locator(i).raw(), values.collect()));
+        }
+        Ok(())
+    })?;
+    Ok(rows)
+}
+
+/// A request for one partition, unwindowed — for tests.
+#[cfg(test)]
+pub(crate) fn part_request(partition: ScanPartition, attrs: &[AttrId]) -> ScanRequest<'_> {
+    ScanRequest {
+        partition,
+        window: None,
+        attrs,
     }
 }
 
@@ -1120,37 +1215,13 @@ mod tests {
     }
 
     #[test]
-    fn record_text_access() {
-        let schema = Schema::new(
-            vec![Column::float("x"), Column::float("y"), Column::text("name")],
-            0,
-            1,
-        )
-        .unwrap();
-        let f = MemFile::from_text("1,2,alpha\n", schema, CsvFormat::headerless());
-        let mut names = Vec::new();
-        f.scan(&mut |_, _, rec| {
-            names.push(rec.text(2)?.to_string());
-            assert_eq!(rec.num_fields(), 3);
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(names, vec!["alpha"]);
-    }
-
-    #[test]
     fn parse_error_carries_line_number() {
         let f = MemFile::from_text(
             "col0,col1\n1,2\nbad,3\n",
             Schema::synthetic(2),
             CsvFormat::default(),
         );
-        let err = f
-            .scan(&mut |_, _, rec| {
-                rec.f64(0)?;
-                Ok(())
-            })
-            .unwrap_err();
+        let err = f.scan(&mut |_, _, _| Ok(())).unwrap_err();
         assert!(err.to_string().contains("line 3"), "{err}");
     }
 
@@ -1165,7 +1236,25 @@ mod tests {
         let mut out = Vec::new();
         rec.extract_f64(&[1, 0], &mut out).unwrap();
         assert_eq!(out, vec![-2.0, 1.5]);
-        assert!(rec.text(0).is_err(), "binary records carry no text");
+    }
+
+    #[test]
+    fn csv_batches_parse_only_the_requested_fields_in_request_order() {
+        // Column 1 is text on the second line: a request without it scans.
+        let f = MemFile::from_text(
+            "1,10,100\n2,x,200\n",
+            Schema::synthetic(3),
+            CsvFormat::headerless(),
+        );
+        let rows = scanned_rows(&f, &ScanRequest::whole(&[2, 0, 2])).unwrap();
+        assert_eq!(
+            rows,
+            vec![(0, vec![100.0, 1.0, 100.0]), (9, vec![200.0, 2.0, 200.0])]
+        );
+        let err = scanned_rows(&f, &ScanRequest::whole(&[1])).unwrap_err();
+        assert!(err.to_string().contains("line 2"), "{err}");
+        // Locators alone: nothing is parsed.
+        assert_eq!(scanned_rows(&f, &ScanRequest::whole(&[])).unwrap().len(), 2);
     }
 
     #[test]
@@ -1182,8 +1271,12 @@ mod tests {
             fn size_bytes(&self) -> u64 {
                 self.0.size_bytes()
             }
-            fn scan(&self, handler: &mut RowHandler<'_>) -> Result<()> {
-                self.0.scan(handler)
+            fn scan_batches(
+                &self,
+                request: &ScanRequest<'_>,
+                handler: &mut BatchHandler<'_>,
+            ) -> Result<()> {
+                self.0.scan_batches(request, handler)
             }
             fn read_rows_into(
                 &self,
@@ -1198,16 +1291,16 @@ mod tests {
         let f = Plain(sample());
         let parts = f.partitions(8).unwrap();
         assert_eq!(parts, vec![ScanPartition::WHOLE]);
-        let mut rows = 0;
-        f.scan_partition(parts[0], &mut |_, _, _| {
-            rows += 1;
+        let rows = scanned_rows(&f, &part_request(parts[0], &[1])).unwrap();
+        assert_eq!(rows.len(), 3);
+        // The row scan is provided over the batch scan.
+        let mut xs = Vec::new();
+        f.scan(&mut |_, _, rec| {
+            xs.push(rec.f64(0)?);
             Ok(())
         })
         .unwrap();
-        assert_eq!(rows, 3);
-        // A partition this file never handed out is rejected.
-        let bogus = ScanPartition { start: 1, end: 2 };
-        assert!(f.scan_partition(bogus, &mut |_, _, _| Ok(())).is_err());
+        assert_eq!(xs, vec![1.0, 2.0, 3.0]);
     }
 
     #[test]
@@ -1217,13 +1310,13 @@ mod tests {
         assert_eq!(parts.len(), 3, "one line-aligned shard per data row");
         let mut seen = Vec::new();
         for p in parts {
-            f.scan_partition(p, &mut |_, loc, rec| {
-                seen.push((loc.raw(), rec.f64(2)?));
-                Ok(())
-            })
-            .unwrap();
+            seen.extend(scanned_rows(&f, &part_request(p, &[0, 1, 2])).unwrap());
         }
-        assert_eq!(seen, vec![(15, 100.0), (24, 200.0), (33, 300.0)]);
+        let values = |r: f64| vec![r, 10.0 * r, 100.0 * r];
+        assert_eq!(
+            seen,
+            vec![(15, values(1.0)), (24, values(2.0)), (33, values(3.0))]
+        );
         // Between them the shards charged exactly one full scan.
         let sharded = f.counters().snapshot();
         f.counters().reset();
@@ -1238,13 +1331,12 @@ mod tests {
         let path = dir.join("whole.csv");
         std::fs::write(&path, "col0,col1\n1,2\n3,4\n").unwrap();
         let f = CsvFile::open(&path, Schema::synthetic(2), CsvFormat::default()).unwrap();
-        let mut xs = Vec::new();
-        f.scan_partition(ScanPartition::WHOLE, &mut |_, _, rec| {
-            xs.push(rec.f64(0)?);
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(xs, vec![1.0, 3.0], "header must not leak as a record");
+        let rows = scanned_rows(&f, &ScanRequest::whole(&[0])).unwrap();
+        assert_eq!(
+            rows,
+            vec![(10, vec![1.0]), (14, vec![3.0])],
+            "header must not leak as a record"
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -1253,13 +1345,12 @@ mod tests {
         // CSV/Mem backends have no block structure: the hints are inert.
         let f = sample();
         assert!(f.block_stats().is_none());
-        let mut rows = 0;
-        f.scan_filtered(&Rect::new(0.0, 1.0, 0.0, 1.0), &mut |_, _, _| {
-            rows += 1;
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(rows, 3, "default scan_filtered is a plain full scan");
+        let request = ScanRequest {
+            window: Some(&Rect::new(0.0, 1.0, 0.0, 1.0)),
+            ..ScanRequest::whole(&[0])
+        };
+        let rows = scanned_rows(&f, &request).unwrap().len();
+        assert_eq!(rows, 3, "a windowed CSV scan is a plain full scan");
         assert_eq!(f.counters().blocks_read(), 0);
         assert_eq!(f.counters().blocks_skipped(), 0);
 
@@ -1427,11 +1518,8 @@ mod tests {
         assert!(parts.len() > 1, "100 rows should shard into several parts");
         let mut xs: Vec<f64> = Vec::new();
         for p in parts {
-            f.scan_partition(p, &mut |_, _, rec| {
-                xs.push(rec.f64(0)?);
-                Ok(())
-            })
-            .unwrap();
+            let rows = scanned_rows(&f, &part_request(p, &[0])).unwrap();
+            xs.extend(rows.into_iter().map(|(_, v)| v[0]));
         }
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(xs.len(), 100);

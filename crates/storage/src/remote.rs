@@ -80,7 +80,7 @@ use pai_common::{AttrId, IoCounters, PaiError, Result, RowLocator};
 use crate::batch::RowBatch;
 use crate::cache::{BlockCache, CacheConfig, CacheMode, Page, PAGE_BYTES};
 use crate::column::{BinFile, PAIBIN_MAGIC};
-use crate::raw::{BlockStats, BlockSynopsis, RawFile, RowHandler, ScanPartition};
+use crate::raw::{BatchHandler, BlockStats, BlockSynopsis, RawFile, ScanPartition, ScanRequest};
 use crate::schema::Schema;
 use crate::zone::{ZoneFile, PAIZONE_MAGIC, PAIZONE_MAGIC_V2};
 
@@ -1261,8 +1261,12 @@ impl RawFile for HttpFile {
         self.as_raw().size_bytes()
     }
 
-    fn scan(&self, handler: &mut RowHandler<'_>) -> Result<()> {
-        self.as_raw().scan(handler)
+    fn scan_batches(
+        &self,
+        request: &ScanRequest<'_>,
+        handler: &mut BatchHandler<'_>,
+    ) -> Result<()> {
+        self.as_raw().scan_batches(request, handler)
     }
 
     fn read_rows_into(
@@ -1279,10 +1283,6 @@ impl RawFile for HttpFile {
         self.as_raw().partitions(n)
     }
 
-    fn scan_partition(&self, partition: ScanPartition, handler: &mut RowHandler<'_>) -> Result<()> {
-        self.as_raw().scan_partition(partition, handler)
-    }
-
     fn block_stats(&self) -> Option<&[BlockStats]> {
         self.as_raw().block_stats()
     }
@@ -1293,10 +1293,6 @@ impl RawFile for HttpFile {
 
     fn value_bytes_hint(&self) -> Option<f64> {
         self.as_raw().value_bytes_hint()
-    }
-
-    fn scan_filtered(&self, window: &Rect, handler: &mut RowHandler<'_>) -> Result<()> {
-        self.as_raw().scan_filtered(window, handler)
     }
 
     fn attach_cache(&self, cache: Arc<BlockCache>) -> bool {
@@ -1441,14 +1437,13 @@ mod tests {
         let f = HttpFile::open(store.addr(), "data.paizone", HttpOptions::default()).unwrap();
         let window = Rect::new(100.0, 120.0, -1.0, 8.0); // rows 100..120 of 256
         let served_before = store.requests_served();
-        let mut rows = Vec::new();
-        f.scan_filtered(&window, &mut |_, loc, _| {
-            rows.push(loc.raw());
-            Ok(())
-        })
-        .unwrap();
+        let request = ScanRequest {
+            window: Some(&window),
+            ..ScanRequest::whole(&[0, 1, 2])
+        };
+        let rows = crate::raw::scanned_rows(&f, &request).unwrap();
         let filtered_reqs = store.requests_served() - served_before;
-        assert!(rows.iter().all(|&r| (100..120).contains(&r)));
+        assert!(rows.iter().all(|(r, _)| (100..120).contains(r)));
         assert!(f.counters().blocks_skipped() > 0, "zone maps pruned");
 
         // The same scan without the window costs strictly more requests.
@@ -2055,13 +2050,10 @@ mod tests {
         let mut gets = Vec::new();
         for part in f.partitions(4).unwrap() {
             let before = f.counters().http_requests();
-            f.scan_partition(part, &mut |_, loc, rec| {
-                let mut vals = Vec::new();
-                rec.extract_f64(&[0, 1, 2], &mut vals)?;
-                rows.push((loc.raw(), vals.iter().map(|v| v.to_bits()).collect()));
-                Ok(())
-            })
-            .unwrap();
+            let request = crate::raw::part_request(part, &[0, 1, 2]);
+            for (loc, vals) in crate::raw::scanned_rows(f, &request).unwrap() {
+                rows.push((loc, vals.iter().map(|v| v.to_bits()).collect()));
+            }
             gets.push(f.counters().http_requests() - before);
         }
         (rows, gets)
@@ -2113,13 +2105,12 @@ mod tests {
         // Band 0: blocks 0, 4, 8, …, 36 survive, three skipped between each.
         let window = Rect::new(0.0, 999.5, -1.0, 1e12);
         let scan = |f: &dyn RawFile| {
-            let mut rows = Vec::new();
-            f.scan_filtered(&window, &mut |_, loc, _| {
-                rows.push(loc.raw());
-                Ok(())
-            })
-            .unwrap();
-            rows
+            let request = ScanRequest {
+                window: Some(&window),
+                ..ScanRequest::whole(&[0, 1, 2])
+            };
+            let rows = crate::raw::scanned_rows(f, &request).unwrap();
+            rows.into_iter().map(|(loc, _)| loc).collect::<Vec<_>>()
         };
         let expect = scan(local.as_ref());
         assert_eq!(expect.len() as u64, 10 * ZONE_BLOCK_ROWS as u64);

@@ -6,10 +6,12 @@
 //! paradigm) the pass is cut into byte ranges aligned on record boundaries
 //! (`chunk_ranges`, behind [`RawFile::partitions`](crate::RawFile::partitions))
 //! that workers scan independently (`scan_range`, behind
-//! [`RawFile::scan_partition`](crate::RawFile::scan_partition)) while one
+//! [`RawFile::scan_batches`](crate::RawFile::scan_batches)) while one
 //! thread folds their results in file order. A range is read with one
-//! positional read per block and its lines are lent to the handler in place
-//! — no per-line copy — and the meters are charged once per block.
+//! positional read per block; its lines are split in place, no further than
+//! the last requested field, and each requested field is parsed once,
+//! straight into a column buffer that is lent to the handler every
+//! [`SCAN_BATCH_ROWS`] records. The meters are charged once per batch.
 //!
 //! The full sequential scan is the same code over the whole file, so the
 //! partitions of one `chunk_ranges` call charge, between them, exactly what
@@ -28,11 +30,11 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::sync::OnceLock;
 
-use pai_common::{AttrId, IoCounters, PaiError, Result, RowId, RowLocator};
+use pai_common::{AttrId, IoCounters, PaiError, Result, RowLocator};
 
 use crate::batch::RowBatch;
 use crate::csv::{self, bytes_equal, CsvFormat};
-use crate::raw::{CsvPos, Record, RowHandler};
+use crate::raw::{BatchHandler, BatchLocators, ScanBatch, ScanRequest};
 
 /// A byte range `[start, end)` of a file that begins at a record boundary —
 /// the CSV backend's concrete reading of the backend-agnostic
@@ -43,6 +45,30 @@ pub use crate::raw::ScanPartition as ChunkRange;
 /// block by block, cut at line ends) — and the partition size the index
 /// build asks for, so one partition is one read.
 pub const BLOCK_BYTES: u64 = 4 << 20;
+
+/// Records a CSV scan parses into its column buffers before lending them as
+/// one batch: the rows of a columnar backend's block, so a batch's columns
+/// stay in cache while the handler walks them.
+pub const SCAN_BATCH_ROWS: usize = 4096;
+
+/// Where a CSV record sits in its file, for error messages: a full scan
+/// counts lines, a partitioned scan starts mid-file and only knows offsets.
+#[derive(Debug, Clone, Copy)]
+enum CsvPos {
+    /// 1-based line number.
+    Line(u64),
+    /// Byte offset of the record's first byte.
+    Offset(u64),
+}
+
+impl CsvPos {
+    fn error(self, msg: String) -> PaiError {
+        match self {
+            CsvPos::Line(n) => PaiError::parse(n, msg),
+            CsvPos::Offset(o) => PaiError::parse_at(o, msg),
+        }
+    }
+}
 
 /// How many units (pages, blocks) of `unit_bytes` decoded bytes each a
 /// columnar backend puts in one shard when asked for `n` shards of a file of
@@ -148,32 +174,29 @@ pub(crate) fn chunk_ranges(src: &mut impl ReadAt, n: usize) -> Result<Vec<ChunkR
         .collect())
 }
 
-/// Scans the records inside one range, invoking `handler` per record with
-/// byte-offset locators relative to the whole file. Row ids are *local* to
-/// the range (0-based); callers that need a stable per-object identity
-/// should use the locators instead, which is what the index does.
+/// Scans the records inside `request.partition` (a byte range), lending
+/// them to `handler` in batches of up to [`SCAN_BATCH_ROWS`]: byte-offset
+/// locators relative to the whole file, and the requested fields parsed into
+/// columns. The window is ignored; text has no block statistics.
 ///
-/// `range.end` is clamped to the source, so [`ChunkRange::WHOLE`] is the
+/// The range's end is clamped to the source, so [`ChunkRange::WHOLE`] is the
 /// full sequential scan. A range starting at byte 0 ticks `full_scans` and
 /// skips the header; its parse errors name the line, any other range's the
 /// record's byte offset (line numbers are unknowable mid-file).
 pub(crate) fn scan_range(
     src: &mut impl ReadAt,
     fmt: &CsvFormat,
-    range: ChunkRange,
+    request: &ScanRequest<'_>,
     counters: &IoCounters,
-    handler: &mut RowHandler<'_>,
+    handler: &mut BatchHandler<'_>,
 ) -> Result<()> {
+    let range = request.partition;
     let end = range.end.min(src.len());
     let mut start = range.start;
     if start == 0 {
         counters.add_full_scan();
     }
-    let mut state = ScanState {
-        row: 0,
-        line: (start == 0).then_some(1),
-        ranges: Vec::with_capacity(16),
-    };
+    let mut state = ScanState::new(request.attrs, start == 0);
     let mut buf = Vec::new();
     while start < end {
         let stop = if end - start <= BLOCK_BYTES {
@@ -189,52 +212,123 @@ pub(crate) fn scan_range(
 }
 
 /// What carries over from one block of a range to the next.
-struct ScanState {
-    /// Next range-local row id.
-    row: RowId,
+struct ScanState<'r> {
+    attrs: &'r [AttrId],
+    /// The requested columns, each once, in request order: a record's
+    /// fields are parsed in this order, so its first bad one is named.
+    fields: Vec<AttrId>,
+    /// How many fields a record is split into: through the last requested.
+    limit: usize,
     /// 1-based number of the next line, when the range began at byte 0.
     line: Option<u64>,
     /// Field ranges of the current line (reused across lines).
     ranges: Vec<(usize, usize)>,
+    /// The values parsed since the last batch, by column id, and their
+    /// records' locators.
+    columns: Vec<Vec<f64>>,
+    locators: Vec<RowLocator>,
 }
 
-impl ScanState {
+impl<'r> ScanState<'r> {
+    fn new(attrs: &'r [AttrId], from_start: bool) -> Self {
+        let mut fields: Vec<AttrId> = Vec::with_capacity(attrs.len());
+        for &a in attrs {
+            if !fields.contains(&a) {
+                fields.push(a);
+            }
+        }
+        let limit = attrs.iter().max().map_or(0, |&last| last + 1);
+        ScanState {
+            attrs,
+            fields,
+            limit,
+            line: from_start.then_some(1),
+            ranges: Vec::with_capacity(16),
+            columns: vec![Vec::new(); limit],
+            locators: Vec::with_capacity(SCAN_BATCH_ROWS),
+        }
+    }
+
     /// Walks the lines of `block` (whole lines, first byte at file offset
-    /// `base`) in place and charges the meters for what it delivered — once,
-    /// also when the handler stops the scan with an error.
+    /// `base`) in place, lending a batch every [`SCAN_BATCH_ROWS`] records
+    /// and at the block's end. A record that does not parse ends the scan
+    /// after the records before it are lent.
     fn scan_block(
         &mut self,
         block: &[u8],
         base: u64,
         fmt: &CsvFormat,
         counters: &IoCounters,
-        handler: &mut RowHandler<'_>,
+        handler: &mut BatchHandler<'_>,
     ) -> Result<()> {
-        let row0 = self.row;
-        let mut pos = 0usize;
+        let (mut pos, mut charged) = (0usize, 0usize);
         let mut skip = base == 0 && fmt.has_header;
-        let mut outcome = Ok(());
         while pos < block.len() {
-            let (body_end, next) = split_line(block, pos, fmt, usize::MAX, &mut self.ranges);
+            let (body_end, next) = split_line(block, pos, fmt, self.limit, &mut self.ranges);
             if skip {
                 skip = false;
             } else if body_end > pos {
                 let offset = base + pos as u64;
-                let at = self.line.map_or(CsvPos::Offset(offset), CsvPos::Line);
-                let rec = Record::from_parts(&block[pos..body_end], &self.ranges, at);
-                outcome = handler(self.row, RowLocator::new(offset), &rec);
-                if outcome.is_err() {
-                    break;
+                if let Err(msg) = self.parse(&block[pos..]) {
+                    self.lend(pos - charged, counters, handler)?;
+                    let at = self.line.map_or(CsvPos::Offset(offset), CsvPos::Line);
+                    return Err(at.error(msg));
                 }
-                self.row += 1;
+                self.locators.push(RowLocator::new(offset));
+                if self.locators.len() == SCAN_BATCH_ROWS {
+                    self.lend(next - charged, counters, handler)?;
+                    charged = next;
+                }
             }
             if let Some(line) = &mut self.line {
                 *line += 1;
             }
             pos = next;
         }
-        counters.add_bytes(pos as u64);
-        counters.add_objects(self.row - row0);
+        self.lend(pos - charged, counters, handler)
+    }
+
+    /// Parses the requested fields of `record`, split into `self.ranges`,
+    /// onto the columns — all of them, or none.
+    fn parse(&mut self, record: &[u8]) -> std::result::Result<(), String> {
+        for (k, &col) in self.fields.iter().enumerate() {
+            match csv::field_f64(record, &self.ranges, col) {
+                Ok(v) => self.columns[col].push(v),
+                Err(msg) => {
+                    for &done in &self.fields[..k] {
+                        self.columns[done].pop();
+                    }
+                    return Err(msg);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Charges `bytes` of text and the records parsed since the last batch,
+    /// then lends those records (if any) to the handler.
+    fn lend(
+        &mut self,
+        bytes: usize,
+        counters: &IoCounters,
+        handler: &mut BatchHandler<'_>,
+    ) -> Result<()> {
+        let rows = self.locators.len();
+        counters.add_bytes(bytes as u64);
+        counters.add_objects(rows as u64);
+        let outcome = match rows {
+            0 => Ok(()),
+            _ => handler(&ScanBatch::new(
+                BatchLocators::List(&self.locators),
+                &self.columns,
+                self.attrs,
+                0..rows,
+            )),
+        };
+        self.locators.clear();
+        for column in &mut self.columns {
+            column.clear();
+        }
         outcome
     }
 }
@@ -447,10 +541,9 @@ fn read_part(
                 tail *= 2;
                 break;
             }
-            let record = Record::from_parts(&block[start..], &ranges, pos);
             let row = i - range.start;
             for (v, &col) in dst[row * width..][..width].iter_mut().zip(attrs) {
-                *v = record.f64(col)?;
+                *v = csv::field_f64(&block[start..], &ranges, col).map_err(|msg| pos.error(msg))?;
             }
             let rec_end = base + next as u64;
             seeks += u64::from(prev_end != Some(off));
@@ -613,9 +706,11 @@ mod tests {
     fn scan_of(mut src: &[u8], range: ChunkRange, counters: &IoCounters) -> (Vec<f64>, Vec<u64>) {
         let (mut xs, mut locs) = (Vec::new(), Vec::new());
         let fmt = CsvFormat::default();
-        scan_range(&mut src, &fmt, range, counters, &mut |_, loc, rec| {
-            xs.push(rec.f64(0)?);
-            locs.push(loc.raw());
+        let request = crate::raw::part_request(range, &[0]);
+        scan_range(&mut src, &fmt, &request, counters, &mut |batch| {
+            assert!((1..=SCAN_BATCH_ROWS).contains(&batch.len()));
+            xs.extend_from_slice(batch.column(0));
+            locs.extend((0..batch.len()).map(|i| batch.locator(i).raw()));
             Ok(())
         })
         .unwrap();
@@ -906,23 +1001,48 @@ mod tests {
     fn mid_file_errors_name_the_byte_offset_and_charge_what_was_read() {
         let src = b"col0,col1\n1,2\nbad,3\n4,5\n";
         let fmt = CsvFormat::default();
-        let parse = |range: ChunkRange, counters: &IoCounters| {
-            scan_range(&mut &src[..], &fmt, range, counters, &mut |_, _, rec| {
-                rec.f64(0).map(|_| ())
-            })
-            .unwrap_err()
-            .to_string()
-        };
+        let request = |range| crate::raw::part_request(range, &[1, 0]);
+        let mut delivered = Vec::new();
         let counters = IoCounters::new();
-        let from_start = parse(ChunkRange::WHOLE, &counters);
+        let from_start = scan_range(
+            &mut &src[..],
+            &fmt,
+            &request(ChunkRange::WHOLE),
+            &counters,
+            &mut |batch| {
+                delivered.push((batch.column(0).to_vec(), batch.column(1).to_vec()));
+                Ok(())
+            },
+        )
+        .unwrap_err()
+        .to_string();
         assert!(from_start.contains("line 3"), "{from_start}");
+        // The row before the bad one came first, as a short batch.
+        assert_eq!(delivered, [(vec![2.0], vec![1.0])]);
         assert_eq!(
             counters.objects_read(),
             1,
             "only the good row was delivered"
         );
         assert_eq!(counters.bytes_read(), 14, "header + the good row");
-        let mid = parse(ChunkRange { start: 14, end: 24 }, &IoCounters::new());
-        assert!(mid.contains("byte offset 14"), "{mid}");
+        let mid = scan_range(
+            &mut &src[..],
+            &fmt,
+            &request(ChunkRange { start: 14, end: 24 }),
+            &IoCounters::new(),
+            &mut |_| Ok(()),
+        )
+        .unwrap_err();
+        assert!(mid.to_string().contains("byte offset 14"), "{mid}");
+        // A handler that fails on that short batch: its error is the first.
+        let first = scan_range(
+            &mut &src[..],
+            &fmt,
+            &request(ChunkRange::WHOLE),
+            &IoCounters::new(),
+            &mut |_| Err(PaiError::schema("the handler's")),
+        )
+        .unwrap_err();
+        assert!(first.to_string().contains("the handler's"), "{first}");
     }
 }

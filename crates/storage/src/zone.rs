@@ -13,7 +13,7 @@
 //!   a block occupies bits `[i·w, (i+1)·w)`.
 //! * **Zone maps + predicate pushdown** — the header stores each block's
 //!   per-column min/max. A scan carrying a query window
-//!   ([`crate::RawFile::scan_filtered`]) skips whole blocks whose axis
+//!   ([`crate::raw::ScanRequest::window`]) skips whole blocks whose axis
 //!   envelopes are disjoint from the window, and a windowed positional read
 //!   ([`crate::RawFile::read_rows_into`]) can prove requested rows
 //!   irrelevant without touching storage. Skips are metered
@@ -63,14 +63,15 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use pai_common::geometry::Rect;
-use pai_common::{AttrId, IoCounters, PaiError, Result, RowId, RowLocator};
+use pai_common::{AttrId, IoCounters, PaiError, Result, RowLocator};
 
 use crate::batch::RowBatch;
 use crate::cache::CacheMode;
 use crate::fetch::{SpanFetcher, SpanMeters};
 use crate::mapped::Mapping;
 use crate::raw::{
-    build_block_synopses, BlockStats, BlockSynopsis, RawFile, Record, RowHandler, ScanPartition,
+    buffer_columns, build_block_synopses, check_attrs, distinct_columns, BatchHandler,
+    BatchLocators, BlockStats, BlockSynopsis, RawFile, ScanBatch, ScanPartition, ScanRequest,
     SynopsisSpec,
 };
 use crate::remote::{BlobReader, HttpBlob};
@@ -602,29 +603,6 @@ fn encode_zone_columns_spec(
     Ok(out)
 }
 
-fn buffer_columns(src: &dyn RawFile) -> Result<(Schema, Vec<Vec<f64>>)> {
-    let schema = src.schema().clone();
-    for col in schema.columns() {
-        if !col.ty.is_numeric() {
-            return Err(PaiError::schema(format!(
-                "cannot convert column '{}' to PaiZone: not numeric",
-                col.name
-            )));
-        }
-    }
-    let wanted: Vec<AttrId> = (0..schema.len()).collect();
-    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); schema.len()];
-    let mut vals = Vec::with_capacity(schema.len());
-    src.scan(&mut |_, _, rec| {
-        rec.extract_f64(&wanted, &mut vals)?;
-        for (col, &v) in columns.iter_mut().zip(&vals) {
-            col.push(v);
-        }
-        Ok(())
-    })?;
-    Ok((schema, columns))
-}
-
 /// Transposes an iterator of rows into per-column buffers, validating row
 /// width against the schema.
 fn buffer_rows<I>(schema: &Schema, rows: I) -> Result<Vec<Vec<f64>>>
@@ -692,7 +670,7 @@ pub fn convert_to_zone(src: &dyn RawFile) -> Result<Vec<u8>> {
 /// [`convert_to_zone`] with an explicit rows-per-block (small blocks = finer
 /// pushdown granularity, bigger header).
 pub fn convert_to_zone_with(src: &dyn RawFile, block_rows: u32) -> Result<Vec<u8>> {
-    let (schema, columns) = buffer_columns(src)?;
+    let (schema, columns) = buffer_columns(src, "PaiZone")?;
     encode_zone_columns(&schema, &columns, block_rows)
 }
 
@@ -702,13 +680,13 @@ pub fn convert_to_zone_spec(
     block_rows: u32,
     spec: &SynopsisSpec,
 ) -> Result<Vec<u8>> {
-    let (schema, columns) = buffer_columns(src)?;
+    let (schema, columns) = buffer_columns(src, "PaiZone")?;
     encode_zone_columns_spec(&schema, &columns, block_rows, spec)
 }
 
 /// Converts `src` to PaiZone on disk at `path` and opens the result.
 pub fn write_zone(src: &dyn RawFile, path: impl AsRef<Path>) -> Result<ZoneFile> {
-    let (schema, columns) = buffer_columns(src)?;
+    let (schema, columns) = buffer_columns(src, "PaiZone")?;
     let bytes = encode_zone_columns(&schema, &columns, DEFAULT_BLOCK_ROWS)?;
     std::fs::write(path.as_ref(), &bytes)?;
     ZoneFile::open(path)
@@ -913,21 +891,20 @@ impl ZoneFile {
         Ok(())
     }
 
-    /// Scans rows `[start, end)` — the engine of `scan`/`scan_partition`.
-    /// With `window: Some`, whole blocks disjoint from the window are
-    /// skipped (their rows are not delivered at all). Surviving blocks are
-    /// prefetched in groups of [`SCAN_GROUP_BLOCKS`], spans ordered
-    /// column-major so a remote source merges a column's adjacent blocks
-    /// into one ranged GET.
-    fn scan_rows(
-        &self,
-        start: u64,
-        end: u64,
-        window: Option<&Rect>,
-        handler: &mut RowHandler<'_>,
-    ) -> Result<()> {
+    /// The engine of `scan_batches`: the rows of the request's partition, a
+    /// block per batch, each requested column decoded once into a page and
+    /// lent. With a window, whole blocks disjoint from it are skipped (their
+    /// rows are not delivered at all). Surviving blocks are prefetched in
+    /// groups of [`SCAN_GROUP_BLOCKS`], spans ordered column-major so a
+    /// remote source merges a column's adjacent blocks into one ranged GET.
+    fn scan_rows(&self, request: &ScanRequest<'_>, handler: &mut BatchHandler<'_>) -> Result<()> {
+        let (start, end) = match request.partition {
+            ScanPartition::WHOLE => (0, self.n_rows),
+            p => (p.start, p.end),
+        };
         // The range that begins the file carries the scan tick, so the
-        // partitions of one `partitions` call charge what one `scan` does.
+        // partitions of one `partitions` call charge what one whole scan
+        // does.
         if start == 0 {
             self.counters.add_full_scan();
         }
@@ -940,12 +917,11 @@ impl ZoneFile {
                 self.n_rows
             )));
         }
-        let n_cols = self.schema.len();
+        check_attrs(request.attrs, self.schema.len())?;
+        let cols = distinct_columns(request.attrs);
         let (xi, yi) = (self.schema.x_axis(), self.schema.y_axis());
         let mut fetcher = self.fetcher()?;
-        let mut pages: Vec<Vec<f64>> = vec![Vec::new(); n_cols];
-        let mut values = vec![0.0f64; n_cols];
-        let mut local_row: RowId = 0;
+        let mut pages: Vec<Vec<f64>> = vec![Vec::new(); self.schema.len()];
         let mut m = SpanMeters::default();
         let first_blk = start / self.block_rows as u64;
         let last_blk = (end - 1) / self.block_rows as u64;
@@ -958,9 +934,9 @@ impl ZoneFile {
         while blk <= last_blk {
             group.clear();
             while blk <= last_blk && group.len() < SCAN_GROUP_BLOCKS {
-                if let Some(w) = window {
+                if let Some(w) = request.window {
                     if !self.stats[blk as usize].may_intersect_window(xi, yi, w) {
-                        self.counters.add_blocks_skipped(n_cols as u64);
+                        self.counters.add_blocks_skipped(cols.len() as u64);
                         blk += 1;
                         continue;
                     }
@@ -973,7 +949,7 @@ impl ZoneFile {
             }
             spans.clear();
             span_of.clear();
-            for col in 0..n_cols {
+            for &col in &cols {
                 for &b in &group {
                     let meta = &self.cols[col][b as usize];
                     if meta.width == 0 {
@@ -987,30 +963,23 @@ impl ZoneFile {
             let fetched = fetcher.read_spans(&spans, &mut bufs, &mut m, CacheMode::Stream)?;
             for (gi, &b) in group.iter().enumerate() {
                 let blk_start = b * self.block_rows as u64;
-                for (col, page) in pages.iter_mut().enumerate() {
-                    let buf = span_of[col * group.len() + gi].map_or(&[][..], |si| fetched.get(si));
-                    self.unpack_block(col, b, buf, page)?;
+                for (ci, &col) in cols.iter().enumerate() {
+                    let buf = span_of[ci * group.len() + gi].map_or(&[][..], |si| fetched.get(si));
+                    self.unpack_block(col, b, buf, &mut pages[col])?;
                 }
+                let blk_rows = rows_in_block(self.n_rows, self.block_rows, b);
                 let lo = start.max(blk_start);
-                let hi = end.min(blk_start + pages[0].len() as u64);
-                // Objects are metered once per block (also when the handler
-                // stops the scan), not with one shared atomic per row.
-                let blk_row0 = local_row;
-                let mut outcome = Ok(());
-                for row in lo..hi {
-                    let i = (row - blk_start) as usize;
-                    for (v, page) in values.iter_mut().zip(&pages) {
-                        *v = page[i];
-                    }
-                    let rec = Record::from_values(&values, row);
-                    outcome = handler(local_row, RowLocator::new(row), &rec);
-                    if outcome.is_err() {
-                        break;
-                    }
-                    local_row += 1;
-                }
-                self.counters.add_objects(local_row - blk_row0);
-                outcome?;
+                let hi = end.min(blk_start + blk_rows);
+                // Objects are metered once per block, not with one shared
+                // atomic per row.
+                self.counters.add_objects(hi - lo);
+                let rows = (lo - blk_start) as usize..(hi - blk_start) as usize;
+                handler(&ScanBatch::new(
+                    BatchLocators::Run(lo),
+                    &pages,
+                    request.attrs,
+                    rows,
+                ))?;
             }
         }
         self.counters.add_bytes(m.bytes);
@@ -1032,8 +1001,12 @@ impl RawFile for ZoneFile {
         self.size_bytes
     }
 
-    fn scan(&self, handler: &mut RowHandler<'_>) -> Result<()> {
-        self.scan_rows(0, self.n_rows, None, handler)
+    fn scan_batches(
+        &self,
+        request: &ScanRequest<'_>,
+        handler: &mut BatchHandler<'_>,
+    ) -> Result<()> {
+        self.scan_rows(request, handler)
     }
 
     fn read_rows_into(
@@ -1184,13 +1157,6 @@ impl RawFile for ZoneFile {
             .collect())
     }
 
-    fn scan_partition(&self, partition: ScanPartition, handler: &mut RowHandler<'_>) -> Result<()> {
-        if partition == ScanPartition::WHOLE {
-            return self.scan(handler);
-        }
-        self.scan_rows(partition.start, partition.end, None, handler)
-    }
-
     fn block_stats(&self) -> Option<&[BlockStats]> {
         Some(&self.stats)
     }
@@ -1202,10 +1168,6 @@ impl RawFile for ZoneFile {
     fn value_bytes_hint(&self) -> Option<f64> {
         Some(self.mean_bits_per_value() / 8.0)
     }
-
-    fn scan_filtered(&self, window: &Rect, handler: &mut RowHandler<'_>) -> Result<()> {
-        self.scan_rows(0, self.n_rows, Some(window), handler)
-    }
 }
 
 #[cfg(test)]
@@ -1214,6 +1176,7 @@ mod tests {
     use crate::batch::read_window;
     use crate::csv::CsvFormat;
     use crate::raw::MemFile;
+    use crate::raw::{part_request, scanned_rows};
 
     fn rows() -> Vec<Vec<f64>> {
         vec![
@@ -1587,21 +1550,31 @@ mod tests {
         let f = striped(64); // 16 blocks, x = row id
                              // Window selecting x in [20, 30): rows 20..30, blocks 5..=7.
         let window = Rect::new(20.0, 30.0, -1.0, 8.0);
-        let mut seen = Vec::new();
-        f.scan_filtered(&window, &mut |_, loc, rec| {
-            let p = pai_common::geometry::Point2::new(rec.f64(0)?, rec.f64(1)?);
-            if window.contains_point(p) {
-                seen.push(loc.raw());
-            }
-            Ok(())
-        })
-        .unwrap();
+        let request = ScanRequest {
+            window: Some(&window),
+            ..ScanRequest::whole(&[0, 1, 2])
+        };
+        let seen: Vec<u64> = scanned_rows(&f, &request)
+            .unwrap()
+            .into_iter()
+            .filter(|(_, v)| window.contains_point(pai_common::geometry::Point2::new(v[0], v[1])))
+            .map(|(loc, _)| loc)
+            .collect();
         assert_eq!(seen, (20..30).collect::<Vec<u64>>(), "every in-window row");
         assert!(
             f.counters().blocks_skipped() >= 13 * 3,
             "at least 13 of 16 stripes provably dead: {}",
             f.counters().blocks_skipped()
         );
+        // A request for fewer columns skips (and charges) only those.
+        let skipped = f.counters().blocks_skipped();
+        f.counters().reset();
+        let axes = ScanRequest {
+            attrs: &[0, 1],
+            ..request
+        };
+        scanned_rows(&f, &axes).unwrap();
+        assert_eq!(3 * f.counters().blocks_skipped(), 2 * skipped);
         // The filtered scan is strictly cheaper than the full scan.
         let filtered_bytes = f.counters().bytes_read();
         f.counters().reset();
@@ -1644,23 +1617,21 @@ mod tests {
                     p.start % 4 == 0,
                     "partition starts on a block boundary: {p:?}"
                 );
-                f.scan_partition(*p, &mut |_, _, rec| {
-                    xs.push(rec.f64(0)?);
-                    Ok(())
-                })
-                .unwrap();
+                let rows = scanned_rows(&f, &part_request(*p, &[0])).unwrap();
+                xs.extend(rows.into_iter().map(|(_, v)| v[0]));
             }
             xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
             assert_eq!(xs.len(), 50, "n={n}");
             assert_eq!(xs[49], 49.0);
         }
-        let mut rows = 0;
-        f.scan_partition(ScanPartition::WHOLE, &mut |_, _, _| {
-            rows += 1;
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(rows, 50, "the WHOLE sentinel is honored");
+        f.counters().reset();
+        let rows = scanned_rows(&f, &part_request(ScanPartition::WHOLE, &[])).unwrap();
+        assert_eq!(rows.len(), 50, "the WHOLE sentinel is honored");
+        assert_eq!(
+            f.counters().bytes_read(),
+            0,
+            "locators alone decode nothing"
+        );
     }
 
     #[test]
@@ -1682,7 +1653,7 @@ mod tests {
         let serial = f.counters().snapshot();
         f.counters().reset();
         for p in parts {
-            f.scan_partition(p, &mut |_, _, _| Ok(())).unwrap();
+            scanned_rows(&f, &part_request(p, &[0, 1])).unwrap();
         }
         assert_eq!(f.counters().snapshot(), serial);
     }

@@ -8,13 +8,14 @@
 //! `bytes`, `seeks` and `read_calls` are exactly what that reader charges.
 //!
 //! A second property feeds both kernels hostile bytes: valid text with bytes
-//! flipped, inserted and deleted. Nothing panics, and scans and reads make of
-//! every record what the same line-at-a-time reader makes of it.
+//! flipped, inserted and deleted. Nothing panics; reads make of every record
+//! what the same line-at-a-time reader makes of it, and scans make that of
+//! every record before the first one it cannot read, and stop there.
 
 use pai_common::{IoCounters, RowLocator};
 use pai_storage::csv::{extract_f64, split_fields};
 use pai_storage::scan::{PART_MIN_RECORDS, SPAN_GAP_BYTES};
-use pai_storage::{CsvFile, CsvFormat, MemFile, RawFile, ScanPartition, Schema};
+use pai_storage::{CsvFile, CsvFormat, MemFile, RawFile, ScanPartition, ScanRequest, Schema};
 use proptest::prelude::*;
 
 /// What one positional read returned and charged.
@@ -124,20 +125,40 @@ fn record_offsets(text: &[u8], fmt: &CsvFormat) -> Vec<u64> {
     offsets
 }
 
-/// What a scan of `part` finds: every record's offset, and the bits of its
-/// `attrs` where they parse.
-fn scanned(file: &MemFile, part: ScanPartition, attrs: &[usize]) -> Vec<(u64, Option<Vec<u64>>)> {
-    let (mut found, mut vals) = (Vec::new(), Vec::new());
-    file.scan_partition(part, &mut |_, loc, rec| {
-        let bits = rec.extract_f64(attrs, &mut vals).ok();
-        found.push((
-            loc.raw(),
-            bits.map(|()| vals.iter().map(|v| v.to_bits()).collect()),
-        ));
+/// Records as offsets, each with the bits of its values, and whether a
+/// record that does not parse came after them.
+type ScanOutcome = (Vec<(u64, Vec<u64>)>, bool);
+
+/// What a batch scan of `part` finds: every record's offset and the bits of
+/// its `attrs`, up to the first record that does not parse, and whether the
+/// scan stopped at one.
+fn scanned(file: &MemFile, partition: ScanPartition, attrs: &[usize]) -> ScanOutcome {
+    let mut found = Vec::new();
+    let request = ScanRequest {
+        partition,
+        window: None,
+        attrs,
+    };
+    let outcome = file.scan_batches(&request, &mut |batch| {
+        for i in 0..batch.len() {
+            let bits = (0..attrs.len()).map(|k| batch.column(k)[i].to_bits());
+            found.push((batch.locator(i).raw(), bits.collect()));
+        }
         Ok(())
-    })
-    .unwrap();
-    found
+    });
+    (found, outcome.is_err())
+}
+
+/// What a scan must make of `records` (each with its values, or `None`
+/// where the line reader cannot read it): the records before the first bad
+/// one, and whether there is one.
+fn until_bad(records: &[(u64, Option<Vec<u64>>)]) -> ScanOutcome {
+    let good: Vec<(u64, Vec<u64>)> = records
+        .iter()
+        .map_while(|(off, bits)| Some((*off, bits.clone()?)))
+        .collect();
+    let stopped = good.len() < records.len();
+    (good, stopped)
 }
 
 /// Bytes that mean something to a CSV reader or a number parser, and some
@@ -211,11 +232,11 @@ proptest! {
         let mem = MemFile::from_text(text.clone(), schema.clone(), fmt);
         // The scan hands out exactly the offsets the generator noted (a
         // record that renders empty is a blank line to it).
-        let mut scanned = Vec::new();
-        mem.scan(&mut |_, loc, _| {
-            scanned.push(loc.raw());
-            Ok(())
-        }).unwrap();
+        let scanned: Vec<u64> = self::scanned(&mem, ScanPartition::WHOLE, &[])
+            .0
+            .into_iter()
+            .map(|(off, _)| off)
+            .collect();
         offsets.retain(|o| scanned.contains(o));
         prop_assert_eq!(&scanned, &offsets);
 
@@ -292,8 +313,9 @@ proptest! {
         let fmt = CsvFormat { has_header, ..CsvFormat::default() };
         let mem = MemFile::from_text(text.clone(), Schema::synthetic(n_cols), fmt);
 
-        // The scan, whole and in two parts: the reader's records, each with
-        // the reader's values or none.
+        // The scan, whole and each of two parts: the reader's records with
+        // the reader's values, up to the first the reader cannot read, where
+        // the scan stops with an error.
         let offsets = record_offsets(&text, &fmt);
         let alone: Vec<Option<Outcome>> =
             offsets.iter().map(|&off| reference(&text, &fmt, &[off], &attrs)).collect();
@@ -302,14 +324,15 @@ proptest! {
             .zip(&alone)
             .map(|(&off, read)| (off, read.as_ref().map(|o| o.rows[0].clone())))
             .collect();
-        prop_assert_eq!(&scanned(&mem, ScanPartition::WHOLE, &attrs), &want);
-        let halves: Vec<_> = mem
-            .partitions(2)
-            .unwrap()
-            .into_iter()
-            .flat_map(|part| scanned(&mem, part, &attrs))
-            .collect();
-        prop_assert_eq!(&halves, &want);
+        prop_assert_eq!(scanned(&mem, ScanPartition::WHOLE, &attrs), until_bad(&want));
+        for part in mem.partitions(2).unwrap() {
+            let inside: Vec<_> = want
+                .iter()
+                .filter(|(off, _)| part.start <= *off && *off < part.end)
+                .cloned()
+                .collect();
+            prop_assert_eq!(scanned(&mem, part, &attrs), until_bad(&inside));
+        }
 
         // Positional reads: each record alone — an error where the reader
         // has one — then all the readable ones at once, and often enough

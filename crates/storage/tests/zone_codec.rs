@@ -9,7 +9,7 @@
 
 use pai_common::{IoSnapshot, RowLocator};
 use pai_storage::zone::{enc_f64, encode_zone_rows_with};
-use pai_storage::{RawFile, Schema, ZoneFile};
+use pai_storage::{RawFile, ScanRequest, Schema, ZoneFile};
 use proptest::prelude::*;
 
 /// Packed width of every `(column, block)`, recomputed from the values.
@@ -68,24 +68,44 @@ fn read_meters(
     want
 }
 
+/// Every row's value bits and what the scan charged: the row scan when
+/// `partitions` is `None`, else batch scans of the partitions of
+/// `partitions(n)` one after the other.
 fn scanned(file: &dyn RawFile, partitions: Option<usize>) -> (Vec<Vec<u64>>, IoSnapshot) {
     let attrs: Vec<usize> = (0..file.schema().len()).collect();
     let mut rows = Vec::new();
     let mut vals = Vec::new();
     let mut next = 0u64;
     file.counters().reset();
-    let mut handler = |_: u64, loc: RowLocator, rec: &pai_storage::Record<'_>| {
+    let mut push = |loc: RowLocator, vals: &[f64]| {
         assert_eq!(loc.raw(), next, "rows arrive in file order");
         next += 1;
-        rec.extract_f64(&attrs, &mut vals)?;
         rows.push(vals.iter().map(|v| v.to_bits()).collect());
-        Ok(())
     };
     match partitions {
-        None => file.scan(&mut handler).unwrap(),
+        None => file
+            .scan(&mut |_, loc, rec| {
+                rec.extract_f64(&attrs, &mut vals)?;
+                push(loc, &vals);
+                Ok(())
+            })
+            .unwrap(),
         Some(n) => {
-            for p in file.partitions(n).unwrap() {
-                file.scan_partition(p, &mut handler).unwrap();
+            for partition in file.partitions(n).unwrap() {
+                let request = ScanRequest {
+                    partition,
+                    window: None,
+                    attrs: &attrs,
+                };
+                file.scan_batches(&request, &mut |batch| {
+                    for i in 0..batch.len() {
+                        vals.clear();
+                        vals.extend(attrs.iter().map(|&k| batch.column(k)[i]));
+                        push(batch.locator(i), &vals);
+                    }
+                    Ok(())
+                })
+                .unwrap();
             }
         }
     }

@@ -74,8 +74,7 @@ pub mod prelude {
     };
     pub use pai_index::init::{build, build_clipped, build_parallel, GridSpec, InitConfig};
     pub use pai_index::{
-        AdaptConfig, EnrichPolicy, ExactEngine, MetadataPolicy, ReadPolicy, SplitPolicy,
-        ValinorIndex,
+        AdaptConfig, ExactEngine, MetadataPolicy, ReadPolicy, SplitPolicy, ValinorIndex,
     };
     pub use pai_query::{
         analytics, report, trace, ExplorationSession, Filter, Method, WindowQuery, Workload,

@@ -10,6 +10,7 @@
 use pai_core::verify::verify_against_truth;
 use pai_storage::build_block_synopses;
 use pai_storage::ground_truth::window_truth;
+use pai_storage::{ScanPartition, ScanRequest};
 use partial_adaptive_indexing::prelude::*;
 use proptest::prelude::*;
 
@@ -606,32 +607,43 @@ proptest! {
     }
 }
 
-/// Every record a scan of `file` delivers, as (locator, field texts): a
-/// full scan when `parts` is `None`, else the partitions of `partitions(n)`
-/// scanned one after the other.
-fn scanned_records(file: &dyn RawFile, parts: Option<usize>) -> Vec<(u64, Vec<String>)> {
+/// Records as (locator, value bits), and whether the scan stopped at a record
+/// that does not parse.
+type Scanned = (Vec<(u64, Vec<u64>)>, bool);
+
+/// What a batch scan of `file` decoding `attrs` delivers, record by record,
+/// and whether it stopped at a bad one: a full scan when `parts` is `None`,
+/// else the partitions of `partitions(n)` scanned one after the other until
+/// one stops.
+fn scanned_records(file: &dyn RawFile, parts: Option<usize>, attrs: &[usize]) -> Scanned {
     let mut seen = Vec::new();
-    let mut handler = |_, loc: RowLocator, rec: &pai_storage::Record<'_>| {
-        let fields = (0..rec.num_fields())
-            .map(|c| rec.text(c).map(str::to_owned))
-            .collect::<Result<Vec<_>>>()?;
-        seen.push((loc.raw(), fields));
-        Ok(())
+    let mut scan = |partition| {
+        let request = ScanRequest {
+            partition,
+            window: None,
+            attrs,
+        };
+        file.scan_batches(&request, &mut |batch| {
+            for i in 0..batch.len() {
+                let bits = (0..attrs.len()).map(|k| batch.column(k)[i].to_bits());
+                seen.push((batch.locator(i).raw(), bits.collect()));
+            }
+            Ok(())
+        })
+        .is_err()
     };
-    match parts {
-        None => file.scan(&mut handler).unwrap(),
+    let stopped = match parts {
+        None => scan(ScanPartition::WHOLE),
         Some(n) => {
             let parts = file.partitions(n).unwrap();
             assert!(parts.len() <= n);
             for w in parts.windows(2) {
                 assert_eq!(w[0].end, w[1].start, "partitions are contiguous");
             }
-            for part in parts {
-                file.scan_partition(part, &mut handler).unwrap();
-            }
+            parts.into_iter().any(&mut scan)
         }
-    }
-    seen
+    };
+    (seen, stopped)
 }
 
 /// Line bodies the adversarial CSV texts are drawn from.
@@ -683,18 +695,22 @@ proptest! {
             &|| Box::new(MemFile::from_text(text.clone(), schema.clone(), fmt)),
             &|| Box::new(CsvFile::open(&path, schema.clone(), fmt).unwrap()),
         ];
-        for open in open {
+        // No field, every field (quoted text stops the scan), some backwards.
+        let requests: [&[usize]; 3] = [&[], &[0, 1, 2], &[2, 0]];
+        for (open, attrs) in open.iter().flat_map(|o| requests.map(|a| (o, a))) {
             let serial_file = open();
-            let serial = scanned_records(&serial_file, None);
+            let serial = scanned_records(&serial_file, None, attrs);
             let serial_io = serial_file.counters().snapshot();
-            prop_assert_eq!(serial_io.bytes_read, text.len() as u64);
+            if !serial.1 {
+                prop_assert_eq!(serial_io.bytes_read, text.len() as u64);
+            }
             for n in 1..=text.len() + 2 {
                 let file = open();
-                let got = scanned_records(&file, Some(n));
-                prop_assert_eq!(&got, &serial, "{} partitions of {:?}", n, text);
+                let got = scanned_records(&file, Some(n), attrs);
+                prop_assert_eq!(&got, &serial, "{} partitions of {:?}, {:?}", n, text, attrs);
                 let io = file.counters().snapshot();
                 if !text.is_empty() {
-                    prop_assert_eq!(io, serial_io, "{} partitions of {:?}", n, text);
+                    prop_assert_eq!(io, serial_io, "{} partitions of {:?}, {:?}", n, text, attrs);
                 }
             }
         }
