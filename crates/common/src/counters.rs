@@ -88,9 +88,10 @@ struct Inner {
     /// Queries answered entirely from block synopses: the CI met the target
     /// before any fetch was planned, so the answer cost zero data I/O.
     synopsis_hits: AtomicU64,
-    /// Block synopses consulted by the synopsis evaluator (hit or miss).
+    /// Block synopses that contributed to synopsis-only answers (added on
+    /// a hit only: a miss ticks no synopsis meter).
     synopsis_blocks: AtomicU64,
-    /// In-memory bytes of synopsis metadata consulted. Synopses live in the
+    /// In-memory bytes of those synopses (on a hit only). Synopses live in the
     /// decoded header, so these bytes never touch the transport — the meter
     /// exists to compare synopsis footprint against the data I/O it saved.
     synopsis_bytes: AtomicU64,
@@ -164,9 +165,9 @@ pub struct IoSnapshot {
     pub cache_mem_bytes: u64,
     /// Queries answered entirely from block synopses (zero data I/O).
     pub synopsis_hits: u64,
-    /// Block synopses consulted by the synopsis evaluator.
+    /// Block synopses that contributed to synopsis-only answers.
     pub synopsis_blocks: u64,
-    /// In-memory synopsis metadata bytes consulted.
+    /// In-memory bytes of those synopses.
     pub synopsis_bytes: u64,
     /// Rows appended through an ingest path.
     pub rows_ingested: u64,
@@ -386,13 +387,13 @@ impl IoCounters {
         self.inner.synopsis_hits.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records `n` block synopses consulted by the synopsis evaluator.
+    /// Records `n` block synopses that contributed to a synopsis-only answer.
     #[inline]
     pub fn add_synopsis_blocks(&self, n: u64) {
         self.inner.synopsis_blocks.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records `n` bytes of synopsis metadata consulted.
+    /// Records `n` bytes of synopsis metadata behind a synopsis-only answer.
     #[inline]
     pub fn add_synopsis_bytes(&self, n: u64) {
         self.inner.synopsis_bytes.fetch_add(n, Ordering::Relaxed);
@@ -530,12 +531,12 @@ impl IoCounters {
         self.inner.synopsis_hits.load(Ordering::Relaxed)
     }
 
-    /// Block synopses consulted so far.
+    /// Block synopses that contributed to synopsis-only answers so far.
     pub fn synopsis_blocks(&self) -> u64 {
         self.inner.synopsis_blocks.load(Ordering::Relaxed)
     }
 
-    /// Synopsis metadata bytes consulted so far.
+    /// Synopsis metadata bytes behind synopsis-only answers so far.
     pub fn synopsis_bytes(&self) -> u64 {
         self.inner.synopsis_bytes.load(Ordering::Relaxed)
     }

@@ -114,9 +114,10 @@ impl<F: RawFile> SharedIndex<F> {
     /// index, ticks only the synopsis meters. `Ok(None)` when the backend
     /// carries no synopses or they cannot bound some requested aggregate.
     /// Works regardless of [`EngineConfig::synopsis`] — the flag gates the
-    /// *adaptive* paths' automatic synopsis-first attempt, while this
-    /// method is the explicit reader entry point (dashboard panels, the
-    /// concurrent stress harness).
+    /// *adaptive* paths' automatic synopsis tier (tried when the index's
+    /// metadata misses φ), while this method is the explicit reader entry
+    /// point (dashboard panels, the concurrent stress harness) and asks the
+    /// synopses whatever the index would answer.
     pub fn estimate_synopsis(
         &self,
         window: &Rect,

@@ -63,15 +63,17 @@ pub struct EngineConfig {
     /// config object describes a full evaluation setup. Transport-only:
     /// answers, CIs, trajectories, and logical meters are unaffected.
     pub cache: Option<CacheConfig>,
-    /// Synopsis-first evaluation: before any fetch is planned, try to
-    /// answer the query from the backend's per-block synopses
-    /// (`RawFile::block_synopses`). When the synopsis confidence interval
-    /// already meets φ the query returns with **zero data I/O**
-    /// (`fetch_wall_us == 0`, `synopsis_hits` metered); otherwise the
-    /// synopsis pass seeds global attribute bounds for a
-    /// `MetadataPolicy::None` cold start and evaluation proceeds
-    /// unchanged. `false` (the default) preserves the historical
-    /// data-first path byte-for-byte.
+    /// Block synopses as a second zero-I/O tier: when the tile index's own
+    /// metadata answer misses φ, and before any fetch is planned, try to
+    /// answer the accuracy-constrained query from the backend's per-block
+    /// synopses (`RawFile::block_synopses`). When the synopsis confidence
+    /// interval meets φ the query returns with **zero data I/O**
+    /// (`fetch_wall_us == 0`, `synopsis_hits` metered); otherwise
+    /// evaluation proceeds unchanged. A query the index answers from
+    /// metadata never consults them. Either way the synopses seed global
+    /// attribute bounds for a `MetadataPolicy::None` cold start. `false`
+    /// (the default) preserves the historical data-first path
+    /// byte-for-byte.
     pub synopsis: bool,
 }
 
@@ -102,7 +104,7 @@ impl EngineConfig {
         }
     }
 
-    /// This config with synopsis-first evaluation switched on.
+    /// This config with the block-synopsis tier switched on.
     pub fn with_synopsis(mut self) -> Self {
         self.synopsis = true;
         self

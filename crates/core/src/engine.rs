@@ -7,6 +7,12 @@
 //! (split + metadata), so later queries in the same area start tighter:
 //! adaptation is *partial* per query but cumulative across the session.
 //!
+//! The first round asks its zero-I/O sources from cheapest to dearest: the
+//! tile index's metadata, then — only when that misses `φ`, and when
+//! [`EngineConfig::synopsis`] is on — the backend's block synopses
+//! ([`crate::synopsis`]), whose hit ends the query with no data read. Only
+//! a miss of both plans I/O.
+//!
 //! The loop exists once, generic over how it reaches the index: a single
 //! owner's plain borrows here, or the read-write lock of
 //! [`crate::SharedIndex`]. Two stop rules drive it:
@@ -106,7 +112,7 @@ pub struct ProgressStep {
     /// Queries answered purely from block synopses so far (0 or 1 within
     /// one query's trace; cumulative in session meters).
     pub synopsis_hits: u64,
-    /// Block synopses consulted by synopsis-path answers.
+    /// Block synopses that contributed to synopsis-only answers.
     pub synopsis_blocks: u64,
     /// Approximate in-memory bytes of those synopses — the metadata
     /// footprint that substituted for data I/O.
@@ -245,9 +251,9 @@ impl<H: IndexHandle> EvalCtx<'_, H> {
         let attrs = query_attrs(file.schema(), aggs)?;
         let mut stats = QueryStats::default();
 
-        // Synopsis-first: before any fetch is planned, try to answer the
-        // query from the backend's per-block synopses. Even on a miss the
-        // pass seeds global attribute bounds for metadata-free cold starts,
+        // The backend's per-block synopses, when configured: the first round
+        // may answer from them (after the index's metadata missed phi), and
+        // they seed global attribute bounds for metadata-free cold starts,
         // which must happen before candidates capture their metadata view.
         let blocks = config.synopsis.then(|| file.block_synopses()).flatten();
         let unseeded = |i: &ValinorIndex| attrs.iter().any(|&a| i.global_bounds(a).is_none());
@@ -279,19 +285,6 @@ impl<H: IndexHandle> EvalCtx<'_, H> {
                         stats.selected = classification.selected_total;
                         stats.tiles_full = classification.full.len();
                         stats.tiles_partial = classification.partial.len();
-                        if let (Some(blocks), StopRule::Accuracy { phi, .. }) = (blocks, &stop) {
-                            stats.stages.classify += clock.lap();
-                            let selected = classification.selected_total;
-                            let hit = synopsis_hit(
-                                index, file, config, blocks, window, aggs, selected, *phi,
-                            );
-                            // A pass that missed was still an attempt at the
-                            // answer.
-                            stats.stages.assess += clock.lap();
-                            if let Some(hit) = hit {
-                                return Ok(ControlFlow::Break(hit));
-                            }
-                        }
                     }
                     state = QueryState::from_classification_resolved(
                         index,
@@ -301,6 +294,23 @@ impl<H: IndexHandle> EvalCtx<'_, H> {
                     )?;
                     stats.stages.classify += clock.lap();
                     (estimates, bound) = assess(config, aggs, &state);
+                    // The synopses are the second zero-I/O tier: consulted
+                    // once, on the first round, only when the index's own
+                    // metadata misses phi. Their time (hit or miss) is
+                    // assessment, like the metadata answer's.
+                    if let (None, Some(blocks), StopRule::Accuracy { phi, .. }) =
+                        (known, blocks, &stop)
+                    {
+                        if bound > *phi {
+                            let selected = classification.selected_total;
+                            let hit = synopsis_hit(
+                                index, file, config, blocks, window, aggs, selected, *phi,
+                            );
+                            if let Some(hit) = hit {
+                                return Ok(ControlFlow::Break(hit));
+                            }
+                        }
+                    }
                     if let (None, Some(t)) = (known, trace.as_deref_mut()) {
                         t.push(ProgressStep {
                             tiles_processed: 0,
@@ -354,6 +364,7 @@ impl<H: IndexHandle> EvalCtx<'_, H> {
                 ControlFlow::Continue(plans) if plans.is_empty() => break,
                 ControlFlow::Continue(plans) => plans,
                 ControlFlow::Break(hit) => {
+                    stats.stages.assess += clock.lap();
                     stats.io = file.counters().snapshot().since(&io0);
                     stats.lock_wait = self.index.lock_wait();
                     stats.elapsed = clock.elapsed();
@@ -689,9 +700,9 @@ fn fetch_plans_each(
 
 /// Attempts to answer the whole query from block synopses. `Some` means
 /// the composed estimates' combined bound already meets `phi`: the query
-/// is done with zero data I/O, and the synopsis meters have been ticked.
-/// The returned result carries default stats — the caller owns the
-/// timing/I/O accounting.
+/// is done with zero data I/O, and the synopsis meters have been ticked
+/// (a miss ticks none). The returned result carries default stats — the
+/// caller owns the timing/I/O accounting.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn synopsis_hit(
     index: &ValinorIndex,
@@ -712,15 +723,8 @@ pub(crate) fn synopsis_hit(
         selected_total,
         aggs,
         config,
+        phi,
     )?;
-    let bound = ans
-        .estimates
-        .iter()
-        .map(|e| bound_of(config, e))
-        .fold(0.0f64, f64::max);
-    if bound > phi {
-        return None;
-    }
     let counters = file.counters();
     counters.add_synopsis_hits(1);
     counters.add_synopsis_blocks(ans.blocks);
@@ -729,7 +733,7 @@ pub(crate) fn synopsis_hit(
     Some(ApproxResult {
         values,
         cis,
-        error_bound: bound,
+        error_bound: ans.bound,
         phi,
         met_constraint: true,
         stats: QueryStats::default(),
@@ -753,7 +757,9 @@ fn assess(
     (estimates, bound)
 }
 
-fn bound_of(config: &EngineConfig, e: &AggregateEstimate) -> f64 {
+/// One aggregate's upper error bound: infinite when unbounded, 0 for an
+/// empty selection.
+pub(crate) fn bound_of(config: &EngineConfig, e: &AggregateEstimate) -> f64 {
     if e.unbounded {
         return f64::INFINITY;
     }
@@ -1522,7 +1528,9 @@ mod tests {
     fn synopsis_hit_answers_with_zero_data_io() {
         let (file, spec) = dataset(3000, 21);
         let cfg = EngineConfig::paper_evaluation().with_synopsis();
-        let mut eng = engine_cfg(&file, &spec, 6, MetadataPolicy::AllNumeric, cfg);
+        // No tile metadata: the index's own answer misses phi, so the
+        // synopses are consulted.
+        let mut eng = engine_cfg(&file, &spec, 6, MetadataPolicy::None, cfg);
         // A window containing every block's envelope: all blocks fully
         // covered, so the synopsis answer is exact and meets any phi.
         let window = Rect::new(-1e9, 1e9, -1e9, 1e9);
@@ -1558,7 +1566,7 @@ mod tests {
     fn synopsis_hit_trace_is_a_single_step() {
         let (file, spec) = dataset(2000, 33);
         let cfg = EngineConfig::paper_evaluation().with_synopsis();
-        let mut eng = engine_cfg(&file, &spec, 5, MetadataPolicy::AllNumeric, cfg);
+        let mut eng = engine_cfg(&file, &spec, 5, MetadataPolicy::None, cfg);
         let window = Rect::new(-1e9, 1e9, -1e9, 1e9);
         let (res, trace) = eng
             .evaluate_traced(&window, &[AggregateFunction::Mean(3)], 0.1)
@@ -1600,6 +1608,125 @@ mod tests {
         assert_eq!(ra.cis, rb.cis);
         assert_eq!(ra.error_bound, rb.error_bound);
         assert_eq!(ra.stats.io.objects_read, rb.stats.io.objects_read);
+    }
+
+    /// Engines with synopses on and off over clones of one index.
+    fn synopses_on_off<'f>(
+        file: &'f MemFile,
+        spec: &DatasetSpec,
+        metadata: MetadataPolicy,
+    ) -> (ApproximateEngine<'f>, ApproximateEngine<'f>) {
+        let init = InitConfig {
+            grid: GridSpec::Fixed { nx: 6, ny: 6 },
+            domain: Some(spec.domain),
+            metadata,
+        };
+        let (index, _) = build(file, &init).unwrap();
+        let off = EngineConfig::paper_evaluation();
+        let on = off.clone().with_synopsis();
+        (
+            ApproximateEngine::new(index.clone(), file, on).unwrap(),
+            ApproximateEngine::new(index, file, off).unwrap(),
+        )
+    }
+
+    /// Every value, CI endpoint and the bound, as bits.
+    fn answer_bits(r: &ApproxResult) -> Vec<Option<u64>> {
+        let values = r.values.iter().map(|v| v.as_f64());
+        let cis = r
+            .cis
+            .iter()
+            .flat_map(|ci| [ci.map(|c| c.lo()), ci.map(|c| c.hi())]);
+        values
+            .chain(cis)
+            .chain([Some(r.error_bound)])
+            .map(|x| x.map(f64::to_bits))
+            .collect()
+    }
+
+    #[test]
+    fn index_answered_query_never_consults_synopses() {
+        let (file, spec) = dataset(3000, 21);
+        let _ = file.block_synopses();
+        let (mut on, mut off) = synopses_on_off(&file, &spec, MetadataPolicy::AllNumeric);
+        // Every tile fully inside, with exact metadata: the index answers
+        // exactly, ahead of the synopses.
+        let window = Rect::new(-1e9, 1e9, -1e9, 1e9);
+        let aggs = [
+            AggregateFunction::Sum(2),
+            AggregateFunction::Mean(2),
+            AggregateFunction::Count,
+        ];
+        let a = on.evaluate(&window, &aggs, 0.05).unwrap();
+        let b = off.evaluate(&window, &aggs, 0.05).unwrap();
+        let io = &a.stats.io;
+        assert_eq!(
+            (io.synopsis_hits, io.synopsis_blocks, io.synopsis_bytes),
+            (0, 0, 0)
+        );
+        assert_eq!(answer_bits(&a), answer_bits(&b));
+        assert_eq!(a.stats.tiles_processed, b.stats.tiles_processed);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// With synopses on, an answer is the synopses-off engine's, bit
+        /// for bit (the index answered, or the synopses missed), or a
+        /// zero-I/O hit that meets phi with truth-containing CIs. Without
+        /// tile metadata the seeding moves the trajectory, so only the
+        /// guarantees are checked.
+        #[test]
+        fn synopsis_tier_is_invisible_or_a_sound_hit(
+            seed in 0u64..4,
+            window in (-100.0f64..1000.0, 0.0f64..1200.0, -100.0f64..1000.0, 0.0f64..1200.0),
+            phi_pick in 0usize..3,
+            whole in 0usize..4,
+        ) {
+            let (file, spec) = dataset(1500, seed);
+            let _ = file.block_synopses();
+            // One window in four covers every row: the index answers it
+            // exactly from AllNumeric metadata, the synopses without any.
+            let (x0, w, y0, h) = window;
+            let window = if whole == 0 {
+                Rect::new(-1.0, 1001.0, -1.0, 1001.0)
+            } else {
+                Rect::new(x0, x0 + w, y0, y0 + h)
+            };
+            let aggs = [
+                AggregateFunction::Sum(2),
+                AggregateFunction::Mean(3),
+                AggregateFunction::Count,
+            ];
+            let phi = [0.0, 0.01, 0.05][phi_pick];
+            let verify = |r: &ApproxResult| {
+                crate::verify::assert_verified(
+                    &file,
+                    &window,
+                    &aggs,
+                    r,
+                    crate::bound::NormalizationMode::Estimate,
+                )
+            };
+
+            let (mut on, mut off) = synopses_on_off(&file, &spec, MetadataPolicy::AllNumeric);
+            let a = on.evaluate(&window, &aggs, phi).unwrap();
+            let b = off.evaluate(&window, &aggs, phi).unwrap();
+            if a.stats.io.synopsis_hits == 0 {
+                proptest::prop_assert_eq!(answer_bits(&a), answer_bits(&b));
+                proptest::prop_assert_eq!(a.stats.tiles_processed, b.stats.tiles_processed);
+                proptest::prop_assert_eq!((a.stats.io.synopsis_blocks, a.stats.io.synopsis_bytes), (0, 0));
+            } else {
+                proptest::prop_assert!(a.met_constraint && a.error_bound <= phi);
+                proptest::prop_assert_eq!(a.stats.io.objects_read, 0);
+                verify(&a);
+            }
+
+            let (mut on, _) = synopses_on_off(&file, &spec, MetadataPolicy::None);
+            let a = on.evaluate(&window, &aggs, phi).unwrap();
+            proptest::prop_assert!(a.met_constraint && a.error_bound <= phi);
+            verify(&a);
+        }
     }
 
     #[test]

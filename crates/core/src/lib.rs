@@ -26,8 +26,9 @@
 //!   including the streaming-ingest entry point;
 //! * [`compactor`] — the background thread re-clustering streamed delta
 //!   blocks into Z-order;
-//! * [`synopsis`] — zero-I/O answers composed from per-block synopses
-//!   (`RawFile::block_synopses`), plus the pre-evaluation I/O predictor;
+//! * [`synopsis`] — the second zero-I/O tier: answers composed from
+//!   per-block synopses (`RawFile::block_synopses`) when tile metadata
+//!   misses `φ`, plus the pre-evaluation I/O predictor;
 //! * [`verify`] — test/bench helpers checking results against ground truth.
 
 pub mod bound;

@@ -1,10 +1,10 @@
-//! Synopsis-first evaluation: zero-I/O approximate answers from per-block
-//! synopses.
+//! The second zero-I/O tier: approximate answers from per-block synopses.
 //!
 //! Zone maps can only *prune* blocks; the per-block synopses behind
 //! [`RawFile::block_synopses`] (count/sum/sum-of-squares moments plus an
-//! equi-width histogram per column) can *answer*. Before any fetch is
-//! planned, the engine composes
+//! equi-width histogram per column) can *answer*. When the tile index's own
+//! metadata answer misses the query's `φ` on the first round, and before any
+//! fetch is planned, the engine composes
 //!
 //! * **fully-covered** blocks (envelope provably inside the half-open query
 //!   window on both axes, no NULL axis values) — their moments fold in
@@ -15,45 +15,54 @@
 //!
 //! into one [`AggregateEstimate`] per aggregate, mirroring the paper's
 //! confidence-interval formulas in [`crate::ci`] block-wise instead of
-//! tile-wise. The exact selected count (`count(t∩Q)` from indexed axis
-//! values) tightens every partial block's count interval globally: the
-//! intervals must sum to the count the index already knows.
+//! tile-wise. Blocks whose axis envelope provably misses the window are
+//! skipped before any histogram is read. The exact selected count
+//! (`count(t∩Q)` from indexed axis values) tightens every partial block's
+//! count interval globally: the intervals must sum to the count the index
+//! already knows.
 //!
-//! When the combined upper error bound already meets the query's `φ`, the
-//! answer returns with **zero data I/O** — no fetch planned, no GET issued,
-//! `fetch_wall_us == 0` — and the `synopsis_hits`/`synopsis_blocks`/
-//! `synopsis_bytes` meters tick. Otherwise evaluation falls through to the
-//! normal plan → fetch → apply adaptation path unchanged, after seeding
-//! global attribute bounds for `MetadataPolicy::None` cold starts (see
-//! [`seed_missing_global_bounds`]).
+//! The pass stops at the first aggregate whose bound exceeds `φ`. When every
+//! one meets it, the answer returns with **zero data I/O** — no fetch
+//! planned, no GET issued, `fetch_wall_us == 0` — and the `synopsis_hits`/
+//! `synopsis_blocks`/`synopsis_bytes` meters tick; a miss ticks none.
+//! Otherwise evaluation falls through to the normal plan → fetch → apply
+//! adaptation path unchanged. Independently of any attempt, the synopses
+//! seed global attribute bounds for `MetadataPolicy::None` cold starts (see
+//! [`seed_missing_global_bounds`]) before the first round classifies.
 
 use pai_common::geometry::Rect;
 use pai_common::{AggregateFunction, AggregateValue, AttrId, Interval, Result};
 use pai_index::eval::query_attrs;
 use pai_index::{ReadPolicy, ValinorIndex};
-use pai_storage::raw::{BlockSynopsis, RawFile};
+use pai_storage::raw::{BlockSynopsis, ColumnSynopsis, RawFile};
 
 use crate::ci::AggregateEstimate;
 use crate::config::EngineConfig;
+use crate::engine::bound_of;
 use crate::state::CandidateKind;
 
-/// A synopsis-only answer: one estimate per aggregate plus the accounting
-/// the meters need.
+/// A synopsis-only answer: one estimate per aggregate, their combined
+/// bound, and the accounting the meters need.
 #[derive(Debug, Clone)]
 pub(crate) struct SynopsisAnswer {
     /// One estimate per requested aggregate, in query order.
     pub estimates: Vec<AggregateEstimate>,
+    /// Upper error bound, the max over the estimates.
+    pub bound: f64,
     /// Blocks whose synopsis contributed (covered + partial).
     pub blocks: u64,
     /// Approximate in-memory bytes of those synopses.
     pub bytes: u64,
 }
 
-/// Attempts to answer the query purely from block synopses. Returns `None`
-/// when the synopses cannot produce a bounded estimate for some aggregate
-/// (corrupt envelope, no certain extremum contribution, or counts
-/// inconsistent with the index's exact selected total) — the caller then
-/// falls through to the normal adaptation path.
+/// Attempts to answer the query purely from block synopses within the
+/// constraint `phi`. Returns `None` when the synopses cannot produce a
+/// bounded estimate for some aggregate (corrupt envelope, no certain
+/// extremum contribution, or counts inconsistent with the index's exact
+/// selected total) or when some aggregate's bound exceeds `phi` — the caller
+/// then falls through to the normal adaptation path. The pass stops at the
+/// first such aggregate; `phi = f64::INFINITY` composes every one.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn try_answer(
     blocks: &[BlockSynopsis],
     x_axis: AttrId,
@@ -62,12 +71,20 @@ pub(crate) fn try_answer(
     selected_total: u64,
     aggs: &[AggregateFunction],
     config: &EngineConfig,
+    phi: f64,
 ) -> Option<SynopsisAnswer> {
     let (covered, partial) = classify_blocks(blocks, x_axis, y_axis, window, selected_total)?;
-    let estimates = aggs
-        .iter()
-        .map(|agg| estimate_one(agg, blocks, &covered, &partial, selected_total, config))
-        .collect::<Option<Vec<_>>>()?;
+    let mut estimates = Vec::with_capacity(aggs.len());
+    let mut bound = 0.0f64;
+    for agg in aggs {
+        let e = estimate_one(agg, blocks, &covered, &partial, selected_total, config)?;
+        let b = bound_of(config, &e);
+        if b > phi {
+            return None;
+        }
+        bound = bound.max(b);
+        estimates.push(e);
+    }
     let bytes = covered
         .iter()
         .copied()
@@ -76,6 +93,7 @@ pub(crate) fn try_answer(
         .sum();
     Some(SynopsisAnswer {
         estimates,
+        bound,
         blocks: (covered.len() + partial.len()) as u64,
         bytes,
     })
@@ -101,6 +119,13 @@ fn classify_blocks(
     for (i, b) in blocks.iter().enumerate() {
         if b.cols.len() <= x_axis.max(y_axis) {
             return None;
+        }
+        // An axis envelope that misses the window selects no row of the
+        // block: skipped before any histogram is read.
+        if b.cols[x_axis].misses(window.x_min, window.x_max)
+            || b.cols[y_axis].misses(window.y_min, window.y_max)
+        {
+            continue;
         }
         if b.covered_by(x_axis, y_axis, window) {
             covered_rows += b.rows();
@@ -199,7 +224,7 @@ fn estimate_one(
 /// Column envelope of a block, `None` when the column holds no (non-NULL)
 /// values there. A corrupt (inverted/NaN) envelope maps to `None` too — the
 /// caller treats the attempt as unanswerable where that matters.
-fn envelope(col: &pai_storage::ColumnSynopsis) -> Option<Interval> {
+fn envelope(col: &ColumnSynopsis) -> Option<Interval> {
     (col.count > 0 && col.min <= col.max).then(|| Interval::new(col.min, col.max))
 }
 
@@ -531,6 +556,7 @@ mod tests {
                 AggregateFunction::Count,
             ],
             &cfg(),
+            f64::INFINITY,
         )
         .expect("fully covered window answers from synopses");
         assert_eq!(ans.blocks, 2);
@@ -557,6 +583,7 @@ mod tests {
             8,
             &[AggregateFunction::Sum(2), AggregateFunction::Mean(2)],
             &cfg(),
+            f64::INFINITY,
         )
         .expect("partial windows still bound");
         // Truth: sum 10*(2+..+9) = 440, mean 55.
@@ -588,7 +615,8 @@ mod tests {
         let blocks = striped_blocks();
         let w = Rect::new(0.0, 8.0, 0.0, 2.0);
         // Claimed selected_total (99) exceeds what the synopses allow.
-        assert!(try_answer(&blocks, 0, 1, &w, 99, &[AggregateFunction::Count], &cfg()).is_none());
+        let count = [AggregateFunction::Count];
+        assert!(try_answer(&blocks, 0, 1, &w, 99, &count, &cfg(), f64::INFINITY).is_none());
     }
 
     #[test]
@@ -603,6 +631,7 @@ mod tests {
             0,
             &[AggregateFunction::Sum(2), AggregateFunction::Mean(2)],
             &cfg(),
+            f64::INFINITY,
         )
         .unwrap();
         assert_eq!(ans.estimates[0].value, AggregateValue::Float(0.0));
@@ -634,5 +663,183 @@ mod tests {
         // Second call is a no-op: the envelope exists now.
         assert_eq!(seed_missing_global_bounds(&mut idx, &blocks, &[2]), 0);
         assert_eq!(idx.global_bounds(2), Some(Interval::new(0.0, 110.0)));
+    }
+
+    /// [`classify_blocks`] without the envelope skip: every block goes
+    /// through `covered_by` / `selected_mass`.
+    #[allow(clippy::type_complexity)]
+    fn classify_all(
+        blocks: &[BlockSynopsis],
+        window: &Rect,
+        selected_total: u64,
+    ) -> Option<(Vec<usize>, Vec<(usize, u64, u64)>)> {
+        let (mut covered, mut partial, mut covered_rows) = (Vec::new(), Vec::new(), 0u64);
+        for (i, b) in blocks.iter().enumerate() {
+            if b.covered_by(0, 1, window) {
+                covered_rows += b.rows();
+                covered.push(i);
+            } else {
+                let (lo, hi) = b.selected_mass(0, 1, window);
+                if hi > 0 {
+                    partial.push((i, lo, hi));
+                }
+            }
+        }
+        let remaining = selected_total.checked_sub(covered_rows)?;
+        let s_lo: u64 = partial.iter().map(|p: &(usize, u64, u64)| p.1).sum();
+        let s_hi: u64 = partial.iter().map(|p| p.2).sum();
+        if remaining < s_lo || remaining > s_hi {
+            return None;
+        }
+        for p in partial.iter_mut() {
+            let (others_hi, others_lo) = (s_hi - p.2, s_lo - p.1);
+            p.1 = p.1.max(remaining.saturating_sub(others_hi));
+            p.2 = p.2.min(remaining - others_lo);
+        }
+        Some((covered, partial))
+    }
+
+    /// The accept-all composition: every block classified, every aggregate
+    /// composed, then the max bound — what the pass computed before it
+    /// learnt to stop early.
+    fn accept_all(
+        blocks: &[BlockSynopsis],
+        window: &Rect,
+        selected_total: u64,
+        aggs: &[AggregateFunction],
+        config: &EngineConfig,
+    ) -> Option<SynopsisAnswer> {
+        let (covered, partial) = classify_all(blocks, window, selected_total)?;
+        let estimates = aggs
+            .iter()
+            .map(|agg| estimate_one(agg, blocks, &covered, &partial, selected_total, config))
+            .collect::<Option<Vec<_>>>()?;
+        let bound = estimates
+            .iter()
+            .map(|e| bound_of(config, e))
+            .fold(0.0f64, f64::max);
+        let bytes = covered
+            .iter()
+            .copied()
+            .chain(partial.iter().map(|p| p.0))
+            .map(|i| blocks[i].approx_bytes())
+            .sum();
+        Some(SynopsisAnswer {
+            estimates,
+            bound,
+            blocks: (covered.len() + partial.len()) as u64,
+            bytes,
+        })
+    }
+
+    type EstimateBits = (
+        std::mem::Discriminant<AggregateValue>,
+        Option<u64>,
+        Option<(u64, u64)>,
+        bool,
+    );
+
+    fn bits(e: &AggregateEstimate) -> EstimateBits {
+        (
+            std::mem::discriminant(&e.value),
+            e.value.as_f64().map(f64::to_bits),
+            e.ci.map(|c| (c.lo().to_bits(), c.hi().to_bits())),
+            e.unbounded,
+        )
+    }
+
+    fn assert_same(got: &SynopsisAnswer, want: &SynopsisAnswer) {
+        let got_bits: Vec<_> = got.estimates.iter().map(bits).collect();
+        let want_bits: Vec<_> = want.estimates.iter().map(bits).collect();
+        assert_eq!(got_bits, want_bits);
+        assert_eq!(got.bound.to_bits(), want.bound.to_bits());
+        assert_eq!((got.blocks, got.bytes), (want.blocks, want.bytes));
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// The envelope skip and the stop at the first aggregate over `phi`
+        /// change no hit and turn no miss into a hit.
+        #[test]
+        fn the_early_exit_is_invisible(
+            // Per row: x, y, value, and a class that makes one value in ten
+            // NULL (NaN).
+            rows in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0, -1.0f64..1.0, 0usize..10), 1..160),
+            block_rows in 1u32..40,
+            constant_block in 0usize..64,
+            nan_block in 0usize..64,
+            nan_axis in 0usize..2,
+            corrupt in 0usize..3,
+            window in (-0.2f64..1.2, 0.0f64..1.4, -0.2f64..1.2, 0.0f64..1.4),
+            phi_pick in 0usize..6,
+            agg_picks in prop::collection::vec(0usize..8, 1..5),
+            non_null in any::<bool>(),
+        ) {
+            // Axes on a 1/16 grid, so values tie and land on bucket edges.
+            let grid = |v: f64| (v * 16.0).floor() / 16.0;
+            let mut x: Vec<f64> = rows.iter().map(|r| grid(r.0)).collect();
+            let y: Vec<f64> = rows.iter().map(|r| grid(r.1)).collect();
+            let v: Vec<f64> = rows.iter().map(|r| if r.3 == 0 { f64::NAN } else { r.2 * 100.0 }).collect();
+            // One block's x axis is constant.
+            let n_blocks = rows.len().div_ceil(block_rows as usize);
+            let start = (constant_block % n_blocks) * block_rows as usize;
+            for xi in x.iter_mut().skip(start).take(block_rows as usize) {
+                *xi = 0.5;
+            }
+            let (x0, w, y0, h) = window;
+            let window = Rect::new(x0, x0 + w, y0, y0 + h);
+            let total = x
+                .iter()
+                .zip(&y)
+                .filter(|&(&xi, &yi)| xi >= window.x_min && xi < window.x_max && yi >= window.y_min && yi < window.y_max)
+                .count() as u64;
+            let spec = SynopsisSpec { buckets: 4, ..SynopsisSpec::default() };
+            let mut blocks = build_block_synopses(&[x, y, v], block_rows, &spec);
+            // Another block's envelope on one axis is NaN, half NaN or
+            // inverted.
+            let col = &mut blocks[nan_block % n_blocks].cols[nan_axis];
+            (col.min, col.max) = match corrupt {
+                0 => (f64::NAN, f64::NAN),
+                1 => (f64::NAN, col.max),
+                _ => (col.max + 0.25, col.min),
+            };
+
+            let all_aggs = [
+                AggregateFunction::Count,
+                AggregateFunction::Sum(2),
+                AggregateFunction::Mean(2),
+                AggregateFunction::Min(2),
+                AggregateFunction::Max(2),
+                AggregateFunction::Variance(2),
+                AggregateFunction::StdDev(2),
+                AggregateFunction::Sum(0),
+            ];
+            let aggs: Vec<_> = agg_picks.iter().map(|&i| all_aggs[i]).collect();
+            let config = EngineConfig { assume_non_null: non_null, ..EngineConfig::default() };
+            let phi = [0.0, 0.01, 0.05, 0.25, 1.0, f64::INFINITY][phi_pick];
+
+            prop_assert_eq!(
+                classify_blocks(&blocks, 0, 1, &window, total),
+                classify_all(&blocks, &window, total)
+            );
+            let got = try_answer(&blocks, 0, 1, &window, total, &aggs, &config, phi);
+            let want = accept_all(&blocks, &window, total, &aggs, &config);
+            prop_assert_eq!(got.is_some(), want.as_ref().is_some_and(|w| w.bound <= phi));
+            if let (Some(got), Some(want)) = (&got, &want) {
+                assert_same(got, want);
+            }
+
+            // A window clear of every block answers COUNT = 0 from no block.
+            let away = Rect::new(5.0, 6.0, 5.0, 6.0);
+            let count = [AggregateFunction::Count];
+            let got = try_answer(&blocks, 0, 1, &away, 0, &count, &config, phi).unwrap();
+            assert_same(&got, &accept_all(&blocks, &away, 0, &count, &config).unwrap());
+            prop_assert_eq!(got.estimates[0].value, AggregateValue::Count(0));
+            prop_assert_eq!(got.estimates[0].ci, Some(Interval::point(0.0)));
+            prop_assert_eq!((got.blocks, got.bytes), (0, 0));
+        }
     }
 }

@@ -19,7 +19,7 @@ use crate::runner::MethodRun;
 /// from the log2-bucketed fetch histogram), or trace the tiered
 /// block cache (cache_hits/cache_misses/cache_evictions/cache_spill_bytes
 /// are per-query deltas; cache_mem_bytes is the memory-tier level after the
-/// query — a gauge, not a delta), audit the synopsis-first path
+/// query — a gauge, not a delta), audit the synopsis tier
 /// (synopsis_hits/synopsis_blocks/synopsis_bytes — a hit is a query
 /// answered with zero data I/O purely from block synopses), or check the
 /// pre-evaluation cost model (predicted_bytes — the bytes an exact run of

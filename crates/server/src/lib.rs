@@ -303,6 +303,50 @@ mod tests {
         server.shutdown();
     }
 
+    /// Reader threads blocked on peers that went quiet exit at shutdown and
+    /// let go of the engine: a peer that sent only `Hello`, and one that
+    /// sent nothing at all.
+    #[test]
+    fn shutdown_lets_go_of_the_engine_behind_silent_peers() {
+        use pai_storage::netio::{write_frame, ConnBuf};
+        use std::net::TcpStream;
+        use std::time::{Duration, Instant};
+
+        for hello in [true, false] {
+            let (engine, _) = shared_engine(500, 41);
+            let mut server = PaiServer::serve(engine.clone(), ServerConfig::default()).unwrap();
+            let mut silent = TcpStream::connect(server.addr()).unwrap();
+            if hello {
+                let hello = protocol::Request::Hello {
+                    version: protocol::PROTOCOL_VERSION,
+                    session: "quiet".into(),
+                };
+                write_frame(&mut silent, &hello.encode()).unwrap();
+                let mut buf = ConnBuf::new();
+                let frame = buf.read_frame(&mut silent).unwrap().unwrap();
+                assert!(matches!(
+                    protocol::Response::decode(frame).unwrap(),
+                    protocol::Response::HelloOk { .. }
+                ));
+            } else {
+                // Connections are accepted in order: once a later one is
+                // greeted, the silent one has its reader thread.
+                PaiClient::connect(server.addr(), "later").unwrap();
+            }
+            server.shutdown();
+            drop(server);
+            let start = Instant::now();
+            while Arc::strong_count(&engine) > 1 {
+                assert!(
+                    start.elapsed() < Duration::from_secs(2),
+                    "hello {hello}: a reader thread still holds the engine"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            drop(silent);
+        }
+    }
+
     /// An engine whose every answer is an error of about a mebibyte — a
     /// reply that fills socket buffers in a few frames — once a gate the
     /// test holds lets it go.

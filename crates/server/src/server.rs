@@ -22,10 +22,13 @@
 //! acceptor, flips the scheduler to draining (new queries get
 //! `ShuttingDown`), waits until every queued and in-flight query has
 //! been answered, then joins the workers — no submitted work is
-//! dropped. A reply that cannot be written within
-//! [`REPLY_WRITE_TIMEOUT`] — the peer stopped reading and the socket
-//! buffers are full — is dropped and its connection closed, so a client
-//! that never reads cannot pin a worker, nor the drain with it.
+//! dropped — and last shuts down every connection still open: a client
+//! that went quiet cannot keep its reader thread, and through it the
+//! engine and its file, alive past shutdown. A reply that cannot be
+//! written within [`REPLY_WRITE_TIMEOUT`] — the peer stopped reading and
+//! the socket buffers are full — is dropped and its connection closed,
+//! so a client that never reads cannot pin a worker, nor the drain with
+//! it.
 //!
 //! [`SharedIndex::evaluate`]: pai_core::SharedIndex::evaluate
 
@@ -208,6 +211,22 @@ struct Shared {
     drain_cv: Condvar,
     shutdown: AtomicBool,
     meters: Meters,
+    /// A clone of every open connection's stream, by connection id: what
+    /// `shutdown()` closes so that readers blocked on silent peers exit.
+    conns: Mutex<HashMap<u64, TcpStream>>,
+}
+
+/// Takes a connection out of the registry when its reader thread ends.
+struct Registered<'a>(&'a Shared, u64);
+
+impl Drop for Registered<'_> {
+    fn drop(&mut self) {
+        self.0
+            .conns
+            .lock()
+            .expect("connection registry lock")
+            .remove(&self.1);
+    }
 }
 
 enum Submit {
@@ -565,8 +584,8 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
 }
 
 /// A running query server. Dropping it (or calling
-/// [`PaiServer::shutdown`]) drains in-flight work and joins the worker
-/// pool.
+/// [`PaiServer::shutdown`]) drains in-flight work, joins the worker
+/// pool and closes every open connection.
 pub struct PaiServer {
     shared: Arc<Shared>,
     addr: SocketAddr,
@@ -589,6 +608,7 @@ impl PaiServer {
             drain_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             meters: Meters::default(),
+            conns: Mutex::new(HashMap::new()),
         });
 
         let workers = (0..config.workers)
@@ -606,18 +626,36 @@ impl PaiServer {
             std::thread::Builder::new()
                 .name("pai-server-accept".into())
                 .spawn(move || {
-                    for stream in listener.incoming() {
+                    for (id, stream) in (0u64..).zip(listener.incoming()) {
                         if shared.shutdown.load(Ordering::Acquire) {
                             return;
                         }
                         let Ok(stream) = stream else { continue };
+                        // Registered here, not by the reader thread, so that
+                        // every connection accepted before shutdown joins the
+                        // acceptor is in the registry shutdown sweeps.
+                        let Ok(clone) = stream.try_clone() else {
+                            continue;
+                        };
+                        let conns = &shared.conns;
+                        conns
+                            .lock()
+                            .expect("connection registry lock")
+                            .insert(id, clone);
                         let conn_shared = Arc::clone(&shared);
                         // Connection readers are detached: they exit on
-                        // client EOF and hold only an Arc on the shared
-                        // state, never a lock across a blocking read.
-                        let _ = std::thread::Builder::new()
+                        // client EOF, or when shutdown closes their stream,
+                        // and hold only an Arc on the shared state, never a
+                        // lock across a blocking read.
+                        let spawned = std::thread::Builder::new()
                             .name("pai-server-conn".into())
-                            .spawn(move || serve_connection(stream, &conn_shared));
+                            .spawn(move || {
+                                let _registered = Registered(&conn_shared, id);
+                                serve_connection(stream, &conn_shared)
+                            });
+                        if spawned.is_err() {
+                            conns.lock().expect("connection registry lock").remove(&id);
+                        }
                     }
                 })?
         };
@@ -652,7 +690,9 @@ impl PaiServer {
     }
 
     /// Graceful shutdown: stop accepting, answer every already-queued
-    /// query, then join the workers. Idempotent.
+    /// query, join the workers, then close every open connection, so that
+    /// each reader thread exits and lets go of the engine even when its
+    /// peer has gone quiet. Idempotent.
     pub fn shutdown(&mut self) {
         if self.shared.shutdown.swap(true, Ordering::AcqRel) {
             return;
@@ -676,6 +716,11 @@ impl PaiServer {
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
+        }
+        // A reader blocked on a silent peer sees the end of its stream.
+        let conns = self.shared.conns.lock().expect("connection registry lock");
+        for stream in conns.values() {
+            let _ = stream.shutdown(Shutdown::Both);
         }
     }
 }

@@ -374,6 +374,15 @@ impl ColumnSynopsis {
         }
     }
 
+    /// Whether the envelope provably misses the half-open interval
+    /// `[lo, hi)` (closed envelope vs half-open interval, the same boundary
+    /// logic as zone-map pruning), so that no value falls in it. A NaN or
+    /// inverted envelope, or a NaN endpoint, proves nothing: `false`.
+    #[inline]
+    pub fn misses(&self, lo: f64, hi: f64) -> bool {
+        !lo.is_nan() && !hi.is_nan() && self.min <= self.max && (self.max < lo || self.min >= hi)
+    }
+
     /// Bounds on how many of this column's non-NaN values fall in the
     /// half-open interval `[lo, hi)`: returns `(lower, upper)` with
     /// `lower <= true count <= upper <= count`.
@@ -385,7 +394,7 @@ impl ColumnSynopsis {
     /// in a bucket between them inclusively. NaN interval endpoints or an
     /// unusable envelope degrade to the conservative `(0, count)`.
     pub fn mass_in(&self, lo: f64, hi: f64) -> (u64, u64) {
-        if self.count == 0 {
+        if self.count == 0 || self.misses(lo, hi) {
             return (0, 0);
         }
         if lo.is_nan()
@@ -395,11 +404,6 @@ impl ColumnSynopsis {
             || self.min > self.max
         {
             return (0, self.count);
-        }
-        // Envelope provably disjoint from the interval (closed envelope vs
-        // half-open interval, the same boundary logic as zone-map pruning).
-        if self.max < lo || self.min >= hi {
-            return (0, 0);
         }
         let width = (self.max - self.min) / self.hist.len() as f64;
         if !width.is_finite() || width <= 0.0 {
@@ -717,8 +721,9 @@ pub trait RawFile: Send + Sync {
     }
 
     /// Per-block answer-bearing synopses, when the backend maintains (or can
-    /// derive) them. `None` (the default) means synopsis-first evaluation is
-    /// unavailable and every query pays data I/O. PaiZone v2 files decode
+    /// derive) them. `None` (the default) means the engine's synopsis tier
+    /// is unavailable and every query the index's metadata cannot answer
+    /// pays data I/O. PaiZone v2 files decode
     /// synopses from the header; CSV backends compute them lazily with one
     /// metered scan; wrappers forward to their inner file.
     fn block_synopses(&self) -> Option<&[BlockSynopsis]> {

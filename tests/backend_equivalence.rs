@@ -56,7 +56,7 @@ fn run_sequence(
 }
 
 /// [`run_sequence`] with the initialization metadata policy and the
-/// synopsis-first evaluation path under the caller's control.
+/// block-synopsis tier under the caller's control.
 #[allow(clippy::type_complexity)]
 fn run_sequence_with(
     file: &dyn RawFile,

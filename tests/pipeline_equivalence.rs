@@ -28,7 +28,9 @@
 //!    move wall-clock and the transport-side `fetch_*` meters;
 //! 5. a `SharedIndex` driven from one thread runs the same loop under its
 //!    lock strategy, so it answers exactly like the engine: equal bits,
-//!    tile counts, logical meters and resulting tree.
+//!    tile counts, logical meters and resulting tree;
+//!    with block synopses on, both ask the index's metadata before the
+//!    synopses.
 
 use partial_adaptive_indexing::prelude::*;
 use proptest::prelude::*;
@@ -245,6 +247,20 @@ fn logical_io(io: &IoSnapshot) -> [u64; 7] {
     ]
 }
 
+/// Every value, CI endpoint and the bound of one answer, as bits.
+fn answer_bits(r: &ApproxResult) -> Vec<Option<u64>> {
+    let values = r.values.iter().map(|v| v.as_f64());
+    let cis = r
+        .cis
+        .iter()
+        .flat_map(|ci| [ci.map(|c| c.lo()), ci.map(|c| c.hi())]);
+    values
+        .chain(cis)
+        .chain([Some(r.error_bound)])
+        .map(|x| x.map(f64::to_bits))
+        .collect()
+}
+
 /// Opens a fresh handle on one dataset.
 type Open<'a> = &'a dyn Fn() -> Box<dyn RawFile>;
 
@@ -264,18 +280,6 @@ fn assert_shared_equals_engine(
         AggregateFunction::Sum(2),
         AggregateFunction::Mean(2),
     ];
-    let bits = |r: &ApproxResult| -> Vec<Option<u64>> {
-        let values = r.values.iter().map(|v| v.as_f64());
-        let cis = r
-            .cis
-            .iter()
-            .flat_map(|ci| [ci.map(|c| c.lo()), ci.map(|c| c.hi())]);
-        values
-            .chain(cis)
-            .chain([Some(r.error_bound)])
-            .map(|x| x.map(f64::to_bits))
-            .collect()
-    };
     for batch in [1usize, 8] {
         for workers in [1usize, 2] {
             let config = EngineConfig {
@@ -296,7 +300,7 @@ fn assert_shared_equals_engine(
                 let label = format!("{name} query {i} phi {phi}, batch {batch}, workers {workers}");
                 let e = engine.evaluate(w, &aggs, phi).expect("engine");
                 let s = shared.evaluate(w, &aggs, phi).expect("shared");
-                assert_eq!(bits(&e), bits(&s), "{label}: answer bits");
+                assert_eq!(answer_bits(&e), answer_bits(&s), "{label}: answer bits");
                 let tiles = |r: &ApproxResult| {
                     let t = &r.stats;
                     (t.tiles_processed, t.tiles_split, t.tiles_enriched)
@@ -343,6 +347,98 @@ fn shared_index_equals_engine_bit_for_bit() {
         for phi in [0.0, 0.02] {
             assert_shared_equals_engine(name, open, &spec, &windows, phi);
         }
+    }
+}
+
+/// The tier order through the lock: with synopses on, a `SharedIndex` asks
+/// the index's metadata first, exactly like the engine. Over the same
+/// windows both answer bit for bit with the same synopsis meters; a window
+/// the index answers consults no synopsis and answers like synopses off,
+/// and without tile metadata the whole-domain window is a zero-I/O
+/// synopsis hit.
+#[test]
+fn shared_index_asks_the_index_before_the_synopses() {
+    let spec = dataset(800, 3, 4);
+    let csv = spec.build_mem(CsvFormat::default()).unwrap();
+    let image = convert_to_zone(&csv).unwrap();
+    let open = || ZoneFile::from_bytes(image.clone()).unwrap();
+    let aggs = [
+        AggregateFunction::Count,
+        AggregateFunction::Sum(2),
+        AggregateFunction::Mean(2),
+    ];
+    let synopsis_meters = |r: &ApproxResult| {
+        let io = &r.stats.io;
+        (io.synopsis_hits, io.synopsis_blocks, io.synopsis_bytes)
+    };
+    let windows = [
+        Rect::new(-1.0, 1001.0, -1.0, 1001.0),
+        Rect::new(100.0, 500.0, 100.0, 500.0),
+        Rect::new(250.0, 750.0, 200.0, 650.0),
+    ];
+    for metadata in [MetadataPolicy::AllNumeric, MetadataPolicy::None] {
+        let init = InitConfig {
+            grid: GridSpec::Fixed { nx: 5, ny: 5 },
+            domain: Some(spec.domain),
+            metadata: metadata.clone(),
+        };
+        let file = open();
+        let (index, _) = build(&file, &init).expect("init");
+        let off = EngineConfig::paper_evaluation();
+        let on = off.clone().with_synopsis();
+        let shared = SharedIndex::new(index.clone(), open(), on.clone()).expect("shared");
+        let shared_off = SharedIndex::new(index.clone(), open(), off).expect("shared off");
+        let mut engine = ApproximateEngine::new(index, &file, on).expect("engine");
+        for (i, w) in windows.iter().enumerate() {
+            let label = format!("{metadata:?} query {i}");
+            let e = engine.evaluate(w, &aggs, 0.05).expect("engine");
+            let s = shared.evaluate(w, &aggs, 0.05).expect("shared");
+            let o = shared_off.evaluate(w, &aggs, 0.05).expect("shared off");
+            assert_eq!(answer_bits(&e), answer_bits(&s), "{label}: answer bits");
+            assert_eq!(
+                synopsis_meters(&e),
+                synopsis_meters(&s),
+                "{label}: synopsis meters"
+            );
+            assert_eq!(
+                e.stats.tiles_processed, s.stats.tiles_processed,
+                "{label}: tiles"
+            );
+            assert_eq!(
+                logical_io(&e.stats.io),
+                logical_io(&s.stats.io),
+                "{label}: logical meters"
+            );
+            let hit = s.stats.io.synopsis_hits == 1;
+            if hit {
+                assert!(s.met_constraint && s.error_bound <= 0.05, "{label}");
+                assert_eq!(s.stats.io.objects_read, 0, "{label}: a hit reads no data");
+            } else {
+                assert_eq!(
+                    synopsis_meters(&s),
+                    (0, 0, 0),
+                    "{label}: a miss ticks nothing"
+                );
+            }
+            if let MetadataPolicy::None = metadata {
+                // Seeded global bounds move the trajectory away from the
+                // off handle's; only the whole domain is a hit.
+                assert_eq!(hit, i == 0, "{label}: hit iff whole domain");
+            } else {
+                assert!(!hit, "{label}: the index answers first");
+                assert_eq!(
+                    answer_bits(&s),
+                    answer_bits(&o),
+                    "{label}: answer bits vs synopses off"
+                );
+                assert_eq!(s.stats.tiles_processed, o.stats.tiles_processed, "{label}");
+            }
+        }
+        assert_eq!(
+            engine.index().leaf_count(),
+            shared.with_index(|idx| idx.leaf_count()),
+            "{metadata:?}: leaf count"
+        );
     }
 }
 
