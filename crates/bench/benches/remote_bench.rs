@@ -459,7 +459,7 @@ fn assert_fault_recovery_is_metered() {
         "retries column missing from the report CSV"
     );
     assert!(
-        run.records.iter().any(|r| r.retries > 0),
+        run.records.iter().any(|r| r.stats.io.retries > 0),
         "per-query retries visible in the CSV rows"
     );
     println!(

@@ -50,8 +50,14 @@ fn run_line(
         "{label:>28}: total {:.4}s | {:>9} objects | {:>5} tiles processed | {:>5} splits",
         run.total_elapsed().as_secs_f64(),
         run.total_objects_read(),
-        run.records.iter().map(|r| r.tiles_processed).sum::<usize>(),
-        run.records.iter().map(|r| r.tiles_split).sum::<usize>(),
+        run.records
+            .iter()
+            .map(|r| r.stats.tiles_processed)
+            .sum::<usize>(),
+        run.records
+            .iter()
+            .map(|r| r.stats.tiles_split)
+            .sum::<usize>(),
     );
 }
 

@@ -2,10 +2,10 @@
 //!
 //! Latency distributions (p50/p99) are first-class observables in this
 //! workspace: per-request fetch times flow into [`IoCounters`] via an
-//! [`AtomicHistogram`], snapshots carry a plain [`LatencyHistogram`]
-//! through `IoSnapshot` → `ProgressStep` → `QueryRecord` → the report
-//! CSV, and the `pai-server` worker pool reuses the same type for
-//! served-query service times.
+//! [`AtomicHistogram`], each `IoSnapshot` carries a plain
+//! [`LatencyHistogram`] (and so does every progress step and run record
+//! that holds one) into the report CSV, and the `pai-server` worker pool
+//! reuses the same type for served-query service times.
 //!
 //! The representation is deliberately coarse: 32 log2-spaced
 //! microsecond buckets (`0`, `[1,2)`, `[2,4)`, … with the last bucket

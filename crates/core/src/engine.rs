@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use pai_common::geometry::Rect;
 use pai_common::{
-    AggregateFunction, AggregateValue, AttrId, Interval, PaiError, Result, RowLocator,
+    AggregateFunction, AggregateValue, AttrId, Interval, IoSnapshot, PaiError, Result, RowLocator,
 };
 use pai_index::eval::{query_attrs, QueryStats, StageClock};
 use pai_index::{
@@ -60,63 +60,30 @@ pub struct ProgressStep {
     pub error_bound: f64,
     /// Estimate of the first aggregate at this point (`None` when empty).
     pub estimate: Option<f64>,
-    /// Cumulative objects read from the file for this query.
-    pub objects_read: u64,
-    /// Cumulative bytes read from the file for this query — the metric that
-    /// separates storage backends (a binary columnar read fetches a few
-    /// values where CSV re-reads a whole text record).
-    pub bytes_read: u64,
-    /// Cumulative `read_rows` calls issued for this query — the metric the
-    /// batched adaptation pipeline improves (many tiles per call).
-    pub read_calls: u64,
-    /// Cumulative storage blocks materialized for this query — the
-    /// block-structured backends' unit of I/O (0 on CSV).
-    pub blocks_read: u64,
-    /// Cumulative blocks a zone-map pushdown proved irrelevant and never
-    /// touched — the metric the `PaiZone` backend improves.
-    pub blocks_skipped: u64,
-    /// Cumulative ranged HTTP requests issued for this query (0 on local
-    /// backends) — the metric request coalescing improves.
-    pub http_requests: u64,
-    /// Cumulative wire bytes those requests moved, both directions.
-    pub http_bytes: u64,
-    /// Cumulative remote requests retried after transient faults.
-    pub retries: u64,
-    /// Peak concurrently in-flight fetch requests observed so far (1 on a
-    /// sequential remote fetch path, 0 on local backends).
-    pub fetch_inflight_peak: u64,
-    /// In-request fetch time over wall fetch time so far: > 1 when the
-    /// overlapped pipeline hid request latency behind other requests, ~1
-    /// sequentially, 0 when nothing was fetched remotely.
-    pub overlap_ratio: f64,
-    /// Cumulative adaptive part-sizer parameter changes.
-    pub parts_resized: u64,
-    /// Cumulative spans served from the block cache (0 uncached) — the
-    /// metric the tiered cache improves on re-exploration.
-    pub cache_hits: u64,
-    /// Cumulative spans the cache handed to the transport.
-    pub cache_misses: u64,
-    /// Cumulative cache entries evicted under budget pressure.
-    pub cache_evictions: u64,
-    /// Cumulative bytes written to the cache's disk-spill tier.
-    pub cache_spill_bytes: u64,
-    /// Bytes resident in the cache's memory tier at this point (a gauge).
-    pub cache_mem_bytes: u64,
-    /// Approximate median per-request fetch latency (µs) over the
-    /// query so far, from the log2-bucketed fetch histogram (0 when no
-    /// remote fetch has run).
-    pub fetch_p50_us: u64,
-    /// Approximate 99th-percentile per-request fetch latency (µs) over
-    /// the query so far (0 when no remote fetch has run).
-    pub fetch_p99_us: u64,
-    /// Queries answered purely from block synopses so far (0 or 1 within
-    /// one query's trace; cumulative in session meters).
-    pub synopsis_hits: u64,
-    /// Block synopses that contributed to synopsis-only answers.
-    pub synopsis_blocks: u64,
-    /// Approximate in-memory bytes of those synopses — the metadata
-    /// footprint that substituted for data I/O.
-    pub synopsis_bytes: u64,
+    /// The query's I/O so far: the window [`QueryStats::io`] covers, closed
+    /// at this step, so the last step's `io` is the query's.
+    pub io: IoSnapshot,
+}
+
+/// Appends the answer's state after `tiles_processed` tiles to `trace`, with
+/// the I/O metered since `io0`.
+fn push_step(
+    trace: Option<&mut Vec<ProgressStep>>,
+    file: &dyn RawFile,
+    io0: &IoSnapshot,
+    tiles_processed: usize,
+    error_bound: f64,
+    estimate: Option<f64>,
+) {
+    if let Some(t) = trace {
+        let io = file.counters().snapshot().since(io0);
+        t.push(ProgressStep {
+            tiles_processed,
+            error_bound,
+            estimate,
+            io,
+        });
+    }
 }
 
 /// Result of one approximate evaluation.
@@ -311,13 +278,9 @@ impl<H: IndexHandle> EvalCtx<'_, H> {
                             }
                         }
                     }
-                    if let (None, Some(t)) = (known, trace.as_deref_mut()) {
-                        t.push(ProgressStep {
-                            tiles_processed: 0,
-                            error_bound: bound,
-                            estimate: estimates.first().and_then(|e| e.value.as_f64()),
-                            ..Default::default()
-                        });
+                    if known.is_none() {
+                        let estimate = estimates.first().and_then(|e| e.value.as_f64());
+                        push_step(trace.as_deref_mut(), file, &io0, 0, bound, estimate);
                     }
                     known = Some(index.version());
                     stopped = stop.met(bound, step);
@@ -368,17 +331,8 @@ impl<H: IndexHandle> EvalCtx<'_, H> {
                     stats.io = file.counters().snapshot().since(&io0);
                     stats.lock_wait = self.index.lock_wait();
                     stats.elapsed = clock.elapsed();
-                    if let Some(t) = trace {
-                        t.push(ProgressStep {
-                            tiles_processed: 0,
-                            error_bound: hit.error_bound,
-                            estimate: hit.values.first().and_then(|v| v.as_f64()),
-                            synopsis_hits: stats.io.synopsis_hits,
-                            synopsis_blocks: stats.io.synopsis_blocks,
-                            synopsis_bytes: stats.io.synopsis_bytes,
-                            ..Default::default()
-                        });
-                    }
+                    let estimate = hit.values.first().and_then(|v| v.as_f64());
+                    push_step(trace, file, &io0, 0, hit.error_bound, estimate);
                     return Ok(ApproxResult { stats, ..hit });
                 }
             };
@@ -448,35 +402,8 @@ impl<H: IndexHandle> EvalCtx<'_, H> {
                 stats.stages.apply += clock.lap();
                 step += 1;
                 (estimates, bound) = assess(config, aggs, &state);
-                if let Some(t) = trace.as_deref_mut() {
-                    let io = file.counters().snapshot().since(&io0);
-                    t.push(ProgressStep {
-                        tiles_processed: step,
-                        error_bound: bound,
-                        estimate: estimates.first().and_then(|e| e.value.as_f64()),
-                        objects_read: io.objects_read,
-                        bytes_read: io.bytes_read,
-                        read_calls: io.read_calls,
-                        blocks_read: io.blocks_read,
-                        blocks_skipped: io.blocks_skipped,
-                        http_requests: io.http_requests,
-                        http_bytes: io.http_bytes,
-                        retries: io.retries,
-                        fetch_inflight_peak: io.fetch_inflight_peak,
-                        overlap_ratio: io.overlap_ratio(),
-                        parts_resized: io.parts_resized,
-                        cache_hits: io.cache_hits,
-                        cache_misses: io.cache_misses,
-                        cache_evictions: io.cache_evictions,
-                        cache_spill_bytes: io.cache_spill_bytes,
-                        cache_mem_bytes: io.cache_mem_bytes,
-                        fetch_p50_us: io.fetch_hist.p50_us(),
-                        fetch_p99_us: io.fetch_hist.p99_us(),
-                        synopsis_hits: io.synopsis_hits,
-                        synopsis_blocks: io.synopsis_blocks,
-                        synopsis_bytes: io.synopsis_bytes,
-                    });
-                }
+                let estimate = estimates.first().and_then(|e| e.value.as_f64());
+                push_step(trace.as_deref_mut(), file, &io0, step, bound, estimate);
                 stopped = stop.met(bound, step);
                 stats.stages.assess += clock.lap();
                 Ok(())
@@ -1337,14 +1264,14 @@ mod tests {
         // Bounds tighten monotonically; I/O grows monotonically.
         for w in trace.windows(2) {
             assert!(w[1].error_bound <= w[0].error_bound + 1e-12);
-            assert!(w[1].objects_read >= w[0].objects_read);
-            assert!(w[1].bytes_read >= w[0].bytes_read);
+            assert!(w[1].io.objects_read >= w[0].io.objects_read);
+            assert!(w[1].io.bytes_read >= w[0].io.bytes_read);
             assert_eq!(w[1].tiles_processed, w[0].tiles_processed + 1);
         }
         // The final step's meters match the result's I/O accounting.
         let last = trace.last().unwrap();
-        assert_eq!(last.objects_read, res.stats.io.objects_read);
-        assert_eq!(last.bytes_read, res.stats.io.bytes_read);
+        assert_eq!(last.io.objects_read, res.stats.io.objects_read);
+        assert_eq!(last.io.bytes_read, res.stats.io.bytes_read);
         assert_eq!(trace.last().unwrap().error_bound, res.error_bound);
         // Every intermediate estimate is within its own (wider) bound of
         // the final answer — the progressive rendering never lies.
@@ -1485,12 +1412,15 @@ mod tests {
             .unwrap();
         assert!(res.met_constraint);
         for w in trace.windows(2) {
-            assert!(w[1].blocks_read >= w[0].blocks_read, "monotone block I/O");
+            assert!(
+                w[1].io.blocks_read >= w[0].io.blocks_read,
+                "monotone block I/O"
+            );
         }
         let last = trace.last().unwrap();
-        assert_eq!(last.blocks_read, res.stats.io.blocks_read);
-        assert_eq!(last.blocks_skipped, res.stats.io.blocks_skipped);
-        assert!(last.blocks_read > 0, "zone fetches are block-metered");
+        assert_eq!(last.io.blocks_read, res.stats.io.blocks_read);
+        assert_eq!(last.io.blocks_skipped, res.stats.io.blocks_skipped);
+        assert!(last.io.blocks_read > 0, "zone fetches are block-metered");
     }
 
     #[test]
@@ -1568,15 +1498,84 @@ mod tests {
         let cfg = EngineConfig::paper_evaluation().with_synopsis();
         let mut eng = engine_cfg(&file, &spec, 5, MetadataPolicy::None, cfg);
         let window = Rect::new(-1e9, 1e9, -1e9, 1e9);
+        let _ = file.block_synopses();
         let (res, trace) = eng
             .evaluate_traced(&window, &[AggregateFunction::Mean(3)], 0.1)
             .unwrap();
         assert_eq!(res.stats.io.synopsis_hits, 1);
         assert_eq!(trace.len(), 1, "hit = one metadata-only step");
         assert_eq!(trace[0].tiles_processed, 0);
-        assert_eq!(trace[0].synopsis_hits, 1);
-        assert!(trace[0].synopsis_bytes > 0);
-        assert_eq!(trace[0].objects_read, 0);
+        assert_eq!(trace[0].io.synopsis_hits, 1);
+        assert!(trace[0].io.synopsis_bytes > 0);
+        assert_eq!(trace[0].io.objects_read, 0);
+    }
+
+    /// Every step's `io` is the query's own I/O window closed at that step:
+    /// no cumulative meter falls from one step to the next, and the last
+    /// step is `stats.io` — also on a cold CSV, whose first query derives the
+    /// synopses inside that window.
+    #[test]
+    fn trace_io_agrees_with_query_stats() {
+        let spec = DatasetSpec {
+            rows: 3000,
+            columns: 4,
+            seed: 52,
+            ..Default::default()
+        };
+        let csv = spec.build_mem(CsvFormat::default()).unwrap();
+        let zone = spec.build_zone_mem().unwrap();
+        let init = InitConfig {
+            grid: GridSpec::Fixed { nx: 6, ny: 6 },
+            domain: Some(spec.domain),
+            metadata: MetadataPolicy::None,
+        };
+        let cfg = EngineConfig {
+            adapt_batch: 1,
+            ..EngineConfig::paper_evaluation().with_synopsis()
+        };
+        // Every block covered (a synopsis hit), then a window that cuts
+        // blocks (at phi = 0 a miss, answered by reading tiles).
+        let all = Rect::new(-1e9, 1e9, -1e9, 1e9);
+        let cut = Rect::new(150.0, 650.0, 200.0, 700.0);
+        // The CSV derives its synopses by a scan on first use; zone reads
+        // them from its header.
+        let files: [(&dyn RawFile, bool); 2] = [(&csv, true), (&zone, false)];
+        for (file, derives) in files {
+            let (idx, _) = build(file, &init).unwrap();
+            let mut eng = ApproximateEngine::new(idx, file, cfg.clone()).unwrap();
+            let (mut hits, mut reads, mut derived) = (0, 0, 0);
+            for (window, phi) in [(all, 0.05), (cut, 0.05), (cut, 0.0)] {
+                let (res, trace) = eng
+                    .evaluate_traced(&window, &[AggregateFunction::Mean(2)], phi)
+                    .unwrap();
+                for w in trace.windows(2) {
+                    let (a, b) = (w[0].io, w[1].io);
+                    // `since` keeps a peak or a gauge and saturates a total:
+                    // backwards, every total is zero unless it fell.
+                    let fallen = IoSnapshot {
+                        fetch_inflight_peak: a.fetch_inflight_peak,
+                        cache_mem_bytes: a.cache_mem_bytes,
+                        delta_blocks: a.delta_blocks,
+                        ..IoSnapshot::default()
+                    };
+                    assert_eq!(a.since(&b), fallen, "phi {phi}: a total fell");
+                    assert!(b.fetch_inflight_peak >= a.fetch_inflight_peak);
+                }
+                assert_eq!(trace.last().unwrap().io, res.stats.io, "phi {phi}");
+                if res.stats.io.synopsis_hits > 0 {
+                    hits += 1;
+                    derived = res.stats.io.objects_read;
+                }
+                reads += u64::from(res.stats.tiles_processed > 0);
+            }
+            assert_eq!(hits, 1, "one synopsis hit");
+            assert!(reads > 0, "a miss went on to read tiles");
+            assert_eq!(
+                derived > 0,
+                derives,
+                "the hit's window holds the derivation"
+            );
+        }
     }
 
     #[test]

@@ -2,89 +2,77 @@
 //! statistics quoted in the paper's text (speedups at a query index,
 //! overall speedups, time-vs-objects correlation).
 
-use crate::runner::MethodRun;
+use crate::runner::{MethodRun, QueryRecord};
 
-/// Per-query CSV with one time, objects, bytes, read-calls, blocks-read,
-/// blocks-skipped, http-requests, http-bytes, retries, fetch-inflight-peak,
-/// overlap-ratio, parts-resized, cache-hits, cache-misses, cache-evictions,
-/// cache-spill-bytes, cache-mem-bytes, and lock-wait column per method;
-/// loadable into any plotting tool to re-draw Figure 2 (times/objects),
-/// compare storage backends (bytes, blocks_read/blocks_skipped — the
-/// zone-map pushdown meters), quantify the batched-pipeline win
-/// (read_calls, lock_wait_ms), audit a remote run (http_requests/http_bytes
-/// — the request-coalescing meters — retries, the fault-recovery meter, and
-/// fetch_inflight_peak/overlap_ratio/parts_resized — the overlapped
-/// fetch-pipeline and adaptive part-sizing meters — and
-/// fetch_p50_us/fetch_p99_us — approximate per-request latency quantiles
-/// from the log2-bucketed fetch histogram), or trace the tiered
-/// block cache (cache_hits/cache_misses/cache_evictions/cache_spill_bytes
-/// are per-query deltas; cache_mem_bytes is the memory-tier level after the
-/// query — a gauge, not a delta), audit the synopsis tier
-/// (synopsis_hits/synopsis_blocks/synopsis_bytes — a hit is a query
-/// answered with zero data I/O purely from block synopses), or check the
-/// pre-evaluation cost model (predicted_bytes — the bytes an exact run of
-/// the query was predicted to read, an upper bound the cost-estimate gate
-/// tracks against the metered bytes), or follow a streaming session
-/// (rows_ingested/compactions/blocks_rewritten/cache_invalidations are
-/// per-query deltas; delta_blocks is the append-order block count still
-/// alive after the query — a gauge the compactor drives back down).
+/// One per-method column of [`to_csv`]: its name after `<label>_`, and its
+/// cell for one query.
+type Column = (&'static str, fn(&QueryRecord) -> String);
+
+/// The cell of an integer read off the query's [`pai_common::IoSnapshot`].
+macro_rules! io {
+    ($($meter:tt)+) => { |r| r.stats.io.$($meter)+.to_string() };
+}
+
+/// The columns of [`to_csv`], in order. The I/O meters are the query's
+/// deltas, except `cache_mem_bytes` and `delta_blocks`, which are levels
+/// after the query (gauges); `fetch_p50_us`/`fetch_p99_us` are approximate
+/// quantiles of the log2-bucketed fetch histogram; `predicted_bytes` is what
+/// an exact run of the query was predicted to read before it ran.
+#[rustfmt::skip]
+const COLUMNS: &[Column] = &[
+    ("time_ms", |r| format!("{:.3}", r.stats.elapsed.as_secs_f64() * 1e3)),
+    ("objects", io!(objects_read)),
+    ("bytes", io!(bytes_read)),
+    ("read_calls", io!(read_calls)),
+    ("blocks_read", io!(blocks_read)),
+    ("blocks_skipped", io!(blocks_skipped)),
+    ("http_requests", io!(http_requests)),
+    ("http_bytes", io!(http_bytes)),
+    ("retries", io!(retries)),
+    ("fetch_inflight_peak", io!(fetch_inflight_peak)),
+    ("overlap_ratio", |r| format!("{:.3}", r.stats.io.overlap_ratio())),
+    ("parts_resized", io!(parts_resized)),
+    ("fetch_p50_us", io!(fetch_hist.p50_us())),
+    ("fetch_p99_us", io!(fetch_hist.p99_us())),
+    ("cache_hits", io!(cache_hits)),
+    ("cache_misses", io!(cache_misses)),
+    ("cache_evictions", io!(cache_evictions)),
+    ("cache_spill_bytes", io!(cache_spill_bytes)),
+    ("cache_mem_bytes", io!(cache_mem_bytes)),
+    ("synopsis_hits", io!(synopsis_hits)),
+    ("synopsis_blocks", io!(synopsis_blocks)),
+    ("synopsis_bytes", io!(synopsis_bytes)),
+    ("rows_ingested", io!(rows_ingested)),
+    ("delta_blocks", io!(delta_blocks)),
+    ("compactions", io!(compactions)),
+    ("blocks_rewritten", io!(blocks_rewritten)),
+    ("cache_invalidations", io!(cache_invalidations)),
+    ("predicted_bytes", |r| r.predicted_bytes.to_string()),
+    ("lock_wait_ms", |r| format!("{:.3}", r.stats.lock_wait.as_secs_f64() * 1e3)),
+];
+
+/// Per-query CSV, one row per query and every `COLUMNS` entry once per
+/// method (blank where a method ran fewer queries): loadable into any
+/// plotting tool to re-draw Figure 2 (times/objects), compare storage
+/// backends, or audit a remote, cached, synopsis or streaming run.
 pub fn to_csv(runs: &[MethodRun]) -> String {
-    let mut header = String::from("query");
+    let mut out = String::from("query");
     for r in runs {
-        header.push_str(&format!(
-            ",{l}_time_ms,{l}_objects,{l}_bytes,{l}_read_calls,{l}_blocks_read,\
-             {l}_blocks_skipped,{l}_http_requests,{l}_http_bytes,{l}_retries,\
-             {l}_fetch_inflight_peak,{l}_overlap_ratio,{l}_parts_resized,\
-             {l}_fetch_p50_us,{l}_fetch_p99_us,\
-             {l}_cache_hits,{l}_cache_misses,{l}_cache_evictions,\
-             {l}_cache_spill_bytes,{l}_cache_mem_bytes,\
-             {l}_synopsis_hits,{l}_synopsis_blocks,{l}_synopsis_bytes,\
-             {l}_rows_ingested,{l}_delta_blocks,{l}_compactions,\
-             {l}_blocks_rewritten,{l}_cache_invalidations,\
-             {l}_predicted_bytes,{l}_lock_wait_ms",
-            l = r.label
-        ));
+        for (name, _) in COLUMNS {
+            out.push_str(&format!(",{}_{name}", r.label));
+        }
     }
-    let n = runs.iter().map(|r| r.records.len()).max().unwrap_or(0);
-    let mut out = header;
     out.push('\n');
+    let n = runs.iter().map(|r| r.records.len()).max().unwrap_or(0);
     for i in 0..n {
         out.push_str(&(i + 1).to_string());
         for r in runs {
-            match r.records.get(i) {
-                Some(rec) => out.push_str(&format!(
-                    ",{:.3},{},{},{},{},{},{},{},{},{},{:.3},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3}",
-                    rec.elapsed.as_secs_f64() * 1e3,
-                    rec.objects_read,
-                    rec.bytes_read,
-                    rec.read_calls,
-                    rec.blocks_read,
-                    rec.blocks_skipped,
-                    rec.http_requests,
-                    rec.http_bytes,
-                    rec.retries,
-                    rec.fetch_inflight_peak,
-                    rec.overlap_ratio,
-                    rec.parts_resized,
-                    rec.fetch_hist.p50_us(),
-                    rec.fetch_hist.p99_us(),
-                    rec.cache_hits,
-                    rec.cache_misses,
-                    rec.cache_evictions,
-                    rec.cache_spill_bytes,
-                    rec.cache_mem_bytes,
-                    rec.synopsis_hits,
-                    rec.synopsis_blocks,
-                    rec.synopsis_bytes,
-                    rec.rows_ingested,
-                    rec.delta_blocks,
-                    rec.compactions,
-                    rec.blocks_rewritten,
-                    rec.cache_invalidations,
-                    rec.predicted_bytes,
-                    rec.lock_wait.as_secs_f64() * 1e3
-                )),
-                None => out.push_str(",,,,,,,,,,,,,,,,,,,,,,,,,,,,,"),
+            let rec = r.records.get(i);
+            for (_, cell) in COLUMNS {
+                out.push(',');
+                if let Some(rec) = rec {
+                    out.push_str(&cell(rec));
+                }
             }
         }
         out.push('\n');
@@ -103,10 +91,8 @@ pub fn time_table(runs: &[MethodRun]) -> String {
     for i in 0..n {
         out.push_str(&format!("{:>5} ", i + 1));
         for r in runs {
-            match r.records.get(i) {
-                Some(rec) => out.push_str(&format!("{:>14.3} ", rec.elapsed.as_secs_f64() * 1e3)),
-                None => out.push_str(&format!("{:>14} ", "-")),
-            }
+            let cell = r.records.get(i).map_or("-".into(), COLUMNS[0].1); // time_ms
+            out.push_str(&format!("{cell:>14} "));
         }
         out.push('\n');
     }
@@ -220,15 +206,7 @@ pub fn summarize(exact: &MethodRun, approx: &MethodRun, focus_query: usize) -> C
         mean(&series[lo..hi])
     };
     let focus0 = focus_query.min(n); // 1-based center, clamped
-    let speedup_at_focus = {
-        let e = window(&et, focus0);
-        let a = window(&at, focus0);
-        if a > 0.0 {
-            e / a
-        } else {
-            f64::INFINITY
-        }
-    };
+    let speedup = |e: f64, a: f64| if a > 0.0 { e / a } else { f64::INFINITY };
 
     let thirds = |series: &[f64]| -> [f64; 3] {
         let k = series.len() / 3;
@@ -242,16 +220,10 @@ pub fn summarize(exact: &MethodRun, approx: &MethodRun, focus_query: usize) -> C
         ]
     };
 
-    let total_e: f64 = et.iter().sum();
-    let total_a: f64 = at.iter().sum();
     ComparisonSummary {
         label: approx.label.clone(),
-        overall_speedup: if total_a > 0.0 {
-            total_e / total_a
-        } else {
-            f64::INFINITY
-        },
-        speedup_at_focus,
+        overall_speedup: speedup(et.iter().sum(), at.iter().sum()),
+        speedup_at_focus: speedup(window(&et, focus0), window(&at, focus0)),
         focus_query,
         phase_means_secs: thirds(&at),
         objects_ratio: approx.total_objects_read() as f64
@@ -264,8 +236,9 @@ pub fn summarize(exact: &MethodRun, approx: &MethodRun, focus_query: usize) -> C
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{Method, QueryRecord};
-    use pai_common::AggregateValue;
+    use crate::runner::Method;
+    use pai_common::{AggregateValue, IoSnapshot};
+    use pai_index::QueryStats;
     use std::time::Duration;
 
     /// Synthetic run for the pure-math helpers (charts, correlation,
@@ -280,38 +253,34 @@ mod tests {
             .enumerate()
             .map(|(i, ((&t, &o), &b))| QueryRecord {
                 query_index: i,
-                elapsed: Duration::from_millis(t),
-                objects_read: o,
-                bytes_read: b,
-                read_calls: 2,
-                blocks_read: 4,
-                blocks_skipped: 1,
-                http_requests: 3,
-                http_bytes: 512,
-                retries: 1,
-                fetch_inflight_peak: 1,
-                overlap_ratio: 1.0,
-                parts_resized: 0,
-                fetch_hist: pai_common::LatencyHistogram::new(),
-                cache_hits: 0,
-                cache_misses: 0,
-                cache_evictions: 0,
-                cache_spill_bytes: 0,
-                cache_mem_bytes: 0,
-                lock_wait: Duration::ZERO,
-                synopsis_hits: 0,
-                synopsis_blocks: 0,
-                synopsis_bytes: 0,
-                rows_ingested: 7,
-                delta_blocks: 5,
-                compactions: 2,
-                blocks_rewritten: 6,
-                cache_invalidations: 3,
+                stats: QueryStats {
+                    elapsed: Duration::from_millis(t),
+                    io: IoSnapshot {
+                        objects_read: o,
+                        bytes_read: b,
+                        read_calls: 2,
+                        blocks_read: 4,
+                        blocks_skipped: 1,
+                        http_requests: 3,
+                        http_bytes: 512,
+                        retries: 1,
+                        fetch_inflight_peak: 1,
+                        fetch_request_us: 10,
+                        fetch_wall_us: 10,
+                        rows_ingested: 7,
+                        delta_blocks: 5,
+                        compactions: 2,
+                        blocks_rewritten: 6,
+                        cache_invalidations: 3,
+                        ..IoSnapshot::default()
+                    },
+                    selected: 100,
+                    tiles_partial: 4,
+                    tiles_processed: 2,
+                    tiles_split: 2,
+                    ..QueryStats::default()
+                },
                 predicted_bytes: 6 * b,
-                selected: 100,
-                tiles_partial: 4,
-                tiles_processed: 2,
-                tiles_split: 2,
                 error_bound: 0.01,
                 values: vec![AggregateValue::Float(1.0)],
             })
@@ -361,6 +330,17 @@ mod tests {
              5.000,50,2048,2,4,1,3,512,1,1,1.000,0,0,0,0,0,0,0,0,0,0,0,7,5,2,6,3,12288,0.000"
         );
         assert_eq!(csv.lines().count(), 3);
+
+        // A method that ran fewer queries leaves its cells blank.
+        let runs = vec![
+            fake_run("exact", &[10, 20], &[100, 200], &[4096, 8192]),
+            fake_run("phi=5%", &[5], &[50], &[2048]),
+        ];
+        assert_eq!(
+            to_csv(&runs).lines().nth(2).unwrap(),
+            "2,20.000,200,8192,2,4,1,3,512,1,1,1.000,0,0,0,0,0,0,0,0,0,0,0,7,5,2,6,3,49152,0.000,\
+             ,,,,,,,,,,,,,,,,,,,,,,,,,,,,"
+        );
     }
 
     #[test]
@@ -412,7 +392,10 @@ mod tests {
         for (i, rec) in run.records.iter().enumerate() {
             let line = csv.lines().nth(i + 1).unwrap();
             assert!(
-                line.contains(&format!(",{},{},", rec.bytes_read, rec.read_calls)),
+                line.contains(&format!(
+                    ",{},{},",
+                    rec.stats.io.bytes_read, rec.stats.io.read_calls
+                )),
                 "row {i} must carry the metered byte and call counts: {line}"
             );
         }
