@@ -15,10 +15,13 @@
 //!
 //! The loop exists once, generic over how it reaches the index: a single
 //! owner's plain borrows here, or the read-write lock of
-//! [`crate::SharedIndex`]. Two stop rules drive it:
+//! [`crate::SharedIndex`]. Three stop rules drive it:
 //! * accuracy-constrained (the paper: [`ApproximateEngine::evaluate`],
 //!   [`crate::SharedIndex::evaluate`]), followed by any configured
 //!   [`EagerRefinement`];
+//! * exhaustive ([`ApproximateEngine::evaluate_exact`]) — the paper's exact
+//!   adaptive-indexing baseline: every partially contained tile, and every
+//!   covered tile lacking exact metadata, is processed;
 //! * [`ApproximateEngine::evaluate_with_io_budget`] — the dual problem:
 //!   spend at most a given number of object reads and report the best
 //!   achievable bound (interactivity-first, as the paper's introduction
@@ -118,6 +121,11 @@ enum StopRule {
     },
     /// Until the next candidate would exceed the remaining object budget.
     IoBudget { remaining: u64 },
+    /// Until no candidate is left: the exact baseline. No bound ends it, so
+    /// it takes candidates in classification order, never asks the synopses,
+    /// and assesses the answer once, at the end (after every tile only for a
+    /// trace).
+    Exhaustive,
 }
 
 impl StopRule {
@@ -132,6 +140,7 @@ impl StopRule {
                 step >= *met_at.get_or_insert(step) + *extra
             }
             StopRule::IoBudget { .. } => bound <= 0.0,
+            StopRule::Exhaustive => false,
         }
     }
 }
@@ -222,7 +231,12 @@ impl<H: IndexHandle> EvalCtx<'_, H> {
         // may answer from them (after the index's metadata missed phi), and
         // they seed global attribute bounds for metadata-free cold starts,
         // which must happen before candidates capture their metadata view.
-        let blocks = config.synopsis.then(|| file.block_synopses()).flatten();
+        // The exhaustive rule reads every candidate anyway: it neither
+        // derives nor seeds from them.
+        let exhaustive = matches!(stop, StopRule::Exhaustive);
+        let blocks = (config.synopsis && !exhaustive)
+            .then(|| file.block_synopses())
+            .flatten();
         let unseeded = |i: &ValinorIndex| attrs.iter().any(|&a| i.global_bounds(a).is_none());
         if let Some(blocks) = blocks.filter(|_| self.index.read(unseeded)) {
             self.index
@@ -240,6 +254,9 @@ impl<H: IndexHandle> EvalCtx<'_, H> {
         // the first round has classified the window.
         let (mut state, mut known) = (QueryState::default(), None);
         let (mut estimates, mut bound, mut stopped) = (Vec::new(), f64::INFINITY, false);
+        // Whether the answer is assessed after every tile: a stop rule that
+        // can end early needs the bound, and so does a trace.
+        let assess_each = !exhaustive || trace.is_some();
         loop {
             // Stage 1 — plan, on a shared view: (re)build the state on the
             // first round and whenever another writer has moved the index,
@@ -259,8 +276,16 @@ impl<H: IndexHandle> EvalCtx<'_, H> {
                         &attrs,
                         &resolved,
                     )?;
+                    if exhaustive {
+                        // Taken from the back, where a resolve removes them
+                        // without moving the rest, the candidates go in
+                        // classification order.
+                        state.candidates.reverse();
+                    }
                     stats.stages.classify += clock.lap();
-                    (estimates, bound) = assess(config, aggs, &state);
+                    if assess_each {
+                        (estimates, bound) = assess(config, aggs, &state);
+                    }
                     // The synopses are the second zero-I/O tier: consulted
                     // once, on the first round, only when the index's own
                     // metadata misses phi. Their time (hit or miss) is
@@ -315,6 +340,10 @@ impl<H: IndexHandle> EvalCtx<'_, H> {
                         let chosen = affordable[config.policy.pick(&sub, step)];
                         *remaining = remaining.saturating_sub(views[chosen].cost);
                         vec![chosen]
+                    }
+                    StopRule::Exhaustive => {
+                        let n = state.candidates.len();
+                        (n.saturating_sub(config.adapt_batch)..n).rev().collect()
                     }
                 };
                 picks
@@ -387,10 +416,11 @@ impl<H: IndexHandle> EvalCtx<'_, H> {
                     stats.stages.apply += clock.lap();
                     return Ok(());
                 };
+                // From the back, where the exhaustive rule's picks are.
                 let pick = state
                     .candidates
                     .iter()
-                    .position(|c| c.tile == plan.tile())
+                    .rposition(|c| c.tile == plan.tile())
                     .ok_or_else(|| {
                         PaiError::internal("batch plan names an already-resolved candidate")
                     })?;
@@ -401,10 +431,12 @@ impl<H: IndexHandle> EvalCtx<'_, H> {
                 stats.tiles_processed += 1;
                 stats.stages.apply += clock.lap();
                 step += 1;
-                (estimates, bound) = assess(config, aggs, &state);
-                let estimate = estimates.first().and_then(|e| e.value.as_f64());
-                push_step(trace.as_deref_mut(), file, &io0, step, bound, estimate);
-                stopped = stop.met(bound, step);
+                if assess_each {
+                    (estimates, bound) = assess(config, aggs, &state);
+                    let estimate = estimates.first().and_then(|e| e.value.as_f64());
+                    push_step(trace.as_deref_mut(), file, &io0, step, bound, estimate);
+                    stopped = stop.met(bound, step);
+                }
                 stats.stages.assess += clock.lap();
                 Ok(())
             })?;
@@ -413,9 +445,13 @@ impl<H: IndexHandle> EvalCtx<'_, H> {
                 stats.stages.fetch += clock.lap();
             }
         }
+        if !assess_each {
+            (estimates, bound) = assess(config, aggs, &state);
+        }
         let (phi, met_constraint) = match stop {
             StopRule::Accuracy { phi, .. } => (phi, bound <= phi),
             StopRule::IoBudget { .. } => (f64::INFINITY, true),
+            StopRule::Exhaustive => (0.0, true),
         };
 
         stats.io = file.counters().snapshot().since(&io0);
@@ -574,6 +610,16 @@ fn fetch_plans_each(
     mut on_plan: impl FnMut(usize, &[f64]) -> Result<()>,
 ) -> Result<()> {
     let pushdown = batch_pushdown(plans, window, config);
+    if let [plan] = plans {
+        // A batch of one (tile-at-a-time adaptation) is its own fetch unit:
+        // the same read as below, with nothing to group.
+        if scratch.is_empty() {
+            scratch.push(RowBatch::default());
+        }
+        let out = &mut scratch[0];
+        read_row_groups(file, &[plan.locators()], plan.read_attrs(), pushdown, out)?;
+        return on_plan(0, out.values());
+    }
     let (units, places) = fetch_units(plans);
     // One unit's coalesced read; where each member's rows start in `out`.
     let fetch = |u: usize, out: &mut RowBatch| {
@@ -874,14 +920,22 @@ impl<'f> ApproximateEngine<'f> {
         Ok((res, trace))
     }
 
-    /// Exact evaluation through the same machinery (`φ = 0`); useful as a
-    /// cross-check against [`pai_index::ExactEngine`].
+    /// Exact adaptive indexing — the paper's baseline method: processes
+    /// every partially contained tile (read the selected objects, split,
+    /// compute subtile metadata) and enriches every covered tile that lacks
+    /// exact metadata, whatever the bound says on the way. Unlike
+    /// [`Self::evaluate`] at `φ = 0`, which stops as soon as the bound is 0
+    /// (a COUNT-only query at once), the whole window ends up refined.
+    ///
+    /// The result is exact (`error_bound == 0`, point CIs) and reports
+    /// `phi = 0`, `met_constraint = true`; `stats.tiles_processed` counts
+    /// the partial tiles and the enrichment reads.
     pub fn evaluate_exact(
         &mut self,
         window: &Rect,
         aggs: &[AggregateFunction],
     ) -> Result<ApproxResult> {
-        self.evaluate(window, aggs, 0.0)
+        self.ctx().run(window, aggs, StopRule::Exhaustive, None)
     }
 
     /// The dual problem: evaluate under an **I/O budget** instead of an
@@ -988,6 +1042,7 @@ mod tests {
         );
     }
 
+    /// The accuracy rule at φ = 0 and the exact method give one answer.
     #[test]
     fn phi_zero_matches_exact_engine() {
         let (file, spec) = dataset(2000, 21);
@@ -999,17 +1054,9 @@ mod tests {
             AggregateFunction::Max(3),
         ];
         let mut approx = engine(&file, &spec, 5);
-        let a = approx.evaluate_exact(&window, &aggs).unwrap();
-
-        let init = InitConfig {
-            grid: GridSpec::Fixed { nx: 5, ny: 5 },
-            domain: Some(spec.domain),
-            metadata: MetadataPolicy::AllNumeric,
-        };
-        let (idx, _) = build(&file, &init).unwrap();
-        let mut exact =
-            pai_index::ExactEngine::new(idx, &file, pai_index::AdaptConfig::default()).unwrap();
-        let e = exact.evaluate(&window, &aggs).unwrap();
+        let a = approx.evaluate(&window, &aggs, 0.0).unwrap();
+        let mut exact = engine(&file, &spec, 5);
+        let e = exact.evaluate_exact(&window, &aggs).unwrap();
 
         for (i, (av, ev)) in a.values.iter().zip(&e.values).enumerate() {
             match (av.as_f64(), ev.as_f64()) {
@@ -1024,6 +1071,30 @@ mod tests {
             }
         }
         assert_eq!(a.error_bound, 0.0);
+        assert_eq!((e.error_bound, e.phi, e.met_constraint), (0.0, 0.0, true));
+        // phi = 0 stops at a zero bound; the exact method processes every
+        // candidate, so it reads at least as much.
+        assert!(e.stats.tiles_processed >= a.stats.tiles_processed);
+        assert!(e.stats.io.objects_read >= a.stats.io.objects_read);
+    }
+
+    #[test]
+    fn exact_count_splits_every_partial_tile() {
+        // A COUNT is exact from the index alone: phi = 0 answers it with no
+        // tile processed, while the exact method still processes (and here
+        // splits) every partial tile, reading no values.
+        let (file, spec) = dataset(3000, 3);
+        let window = Rect::new(130.0, 610.0, 220.0, 700.0);
+        let aggs = [AggregateFunction::Count];
+        let res = engine(&file, &spec, 4)
+            .evaluate_exact(&window, &aggs)
+            .unwrap();
+        assert_eq!(res.stats.io.objects_read, 0);
+        assert!(res.stats.tiles_partial > 0);
+        assert_eq!(res.stats.tiles_processed, res.stats.tiles_partial);
+        assert!(res.stats.tiles_split > 0, "the window refines the index");
+        let truth = pai_storage::ground_truth::window_count(&file, &window).unwrap();
+        assert_eq!(res.values[0], AggregateValue::Count(truth));
     }
 
     #[test]

@@ -37,6 +37,8 @@ pub mod compactor;
 pub mod concurrent;
 pub mod config;
 pub mod engine;
+#[cfg(test)]
+mod eval;
 pub mod policy;
 pub mod state;
 pub mod synopsis;

@@ -6,7 +6,6 @@
 //! [`QueryState`] holds both; each processing step moves one candidate into
 //! the exact part, monotonically tightening every confidence interval.
 
-use pai_common::geometry::Rect;
 use pai_common::{AttrId, Interval, Result, RunningStats};
 use pai_index::{AttrMeta, Classification, TileId, ValinorIndex};
 
@@ -225,30 +224,22 @@ impl QueryState {
     }
 }
 
-/// Width of a candidate's sum-contribution interval for attribute `i` —
-/// the `w(t)` of the tile-selection score (the paper defines the tile
-/// confidence interval for sums as `[count·min, count·max]`).
-pub fn candidate_sum_width(c: &Candidate, i: usize, assume_non_null: bool) -> f64 {
-    c.sum_bounds(i, assume_non_null)
-        .map_or(f64::INFINITY, |iv| iv.width())
-}
-
-/// Convenience: builds the candidate list's classification against a window
-/// and the state in one call (used by tests and the engine).
-pub fn classify_and_build(
-    index: &ValinorIndex,
-    window: &Rect,
-    attrs: &[AttrId],
-) -> Result<(Classification, QueryState)> {
-    let classification = index.classify(window);
-    let state = QueryState::from_classification(index, &classification, attrs)?;
-    Ok((classification, state))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pai_common::geometry::Rect;
     use pai_index::{build_test_index, TestIndexSpec};
+
+    /// A window's classification and the query state built from it.
+    fn classify_and_build(
+        index: &ValinorIndex,
+        window: &Rect,
+        attrs: &[AttrId],
+    ) -> Result<(Classification, QueryState)> {
+        let classification = index.classify(window);
+        let state = QueryState::from_classification(index, &classification, attrs)?;
+        Ok((classification, state))
+    }
 
     fn spec(metadata: bool) -> TestIndexSpec {
         TestIndexSpec {
@@ -311,10 +302,14 @@ mod tests {
             min_split_objects: 1,
             ..Default::default()
         };
-        let mut engine = pai_index::ExactEngine::new(index, &file, adapt).unwrap();
+        let config = crate::EngineConfig {
+            adapt,
+            ..Default::default()
+        };
+        let mut engine = crate::ApproximateEngine::new(index, &file, config).unwrap();
         let cut = Rect::new(0.0, 12.0, 0.0, 6.0);
         engine
-            .evaluate(&cut, &[pai_common::AggregateFunction::Sum(2)])
+            .evaluate_exact(&cut, &[pai_common::AggregateFunction::Sum(2)])
             .unwrap();
         let index = engine.into_index();
         let window = Rect::new(0.0, 20.0, 0.0, 10.0);
@@ -371,7 +366,8 @@ mod tests {
     #[test]
     fn candidate_sum_width_metric() {
         let (_, state) = test_state(true);
-        let w = candidate_sum_width(&state.candidates[0], 0, true);
+        let width = |c: &Candidate| c.sum_bounds(0, true).map_or(f64::INFINITY, |iv| iv.width());
+        let w = width(&state.candidates[0]);
         assert!((w - 20.0).abs() < 1e-12, "2 x (30-20)");
         let unbounded = Candidate {
             tile: TileId(0),
@@ -379,7 +375,7 @@ mod tests {
             kind: CandidateKind::Partial,
             meta: vec![None],
         };
-        assert!(candidate_sum_width(&unbounded, 0, true).is_infinite());
+        assert!(width(&unbounded).is_infinite());
         assert!(unbounded.is_unbounded());
     }
 

@@ -22,21 +22,17 @@
 //!    (the optimistic concurrent applier uses this when the index changed
 //!    underneath a plan).
 //!
-//! [`process_tile`] composes the three stages for one tile — the paper's
-//! original `process(t)` — and is what the exact engine uses.
+//! [`plan_enrich`]/[`apply_enrich`] are the companion stages for
+//! fully-contained tiles whose metadata lacks the requested attribute: one
+//! whole-tile read installs exact stats (the "index enrichment" of §2.2).
 //!
-//! [`enrich_tile`] (and its [`plan_enrich`]/[`apply_enrich`] stages) is the
-//! companion for fully-contained tiles whose metadata lacks the requested
-//! attribute: one whole-tile read installs exact stats (the "index
-//! enrichment" of §2.2).
+//! Both of the paper's methods drive these stages from one loop in
+//! `pai-core`, which fetches the plans of several tiles together.
 
 use pai_common::geometry::Rect;
 use pai_common::{AttrId, PaiError, Result, RowLocator, RunningStats};
-use pai_storage::batch::{read_row_groups, RowBatch};
-use pai_storage::raw::RawFile;
 
 use crate::config::{AdaptConfig, ReadPolicy};
-use crate::eval::{StageClock, StageTimes};
 use crate::index::ValinorIndex;
 use crate::metadata::AttrMeta;
 use crate::tile::TileId;
@@ -194,7 +190,7 @@ pub fn plan_tile(
     let tile = index.tile(tile_id);
     if !tile.is_leaf() {
         return Err(PaiError::internal(format!(
-            "process_tile on non-leaf {tile_id:?}"
+            "plan_tile on non-leaf {tile_id:?}"
         )));
     }
     // Snapshot entries: cheap copies, and they stay valid across the split.
@@ -351,9 +347,9 @@ pub fn apply_plan(
 }
 
 /// The pushdown hint a tile-processing fetch may safely carry
-/// ([`RawFile::read_rows_into`]): the query window under
-/// [`ReadPolicy::WindowOnly`] (plan locators are all in-window, so a
-/// zone-map skip can never touch a row whose value is consumed), nothing
+/// ([`RawFile::read_rows_into`](pai_storage::raw::RawFile::read_rows_into)):
+/// the query window under [`ReadPolicy::WindowOnly`] (plan locators are all
+/// in-window, so a zone-map skip can never touch a row whose value is consumed), nothing
 /// under [`ReadPolicy::FullTile`] (out-of-window rows feed child enrichment
 /// and must be materialized, not answered with NaN).
 pub fn fetch_window<'q>(cfg: &AdaptConfig, query: &'q Rect) -> Option<&'q Rect> {
@@ -361,55 +357,6 @@ pub fn fetch_window<'q>(cfg: &AdaptConfig, query: &'q Rect) -> Option<&'q Rect> 
         ReadPolicy::WindowOnly => Some(query),
         ReadPolicy::FullTile => None,
     }
-}
-
-/// Processes one partially-contained leaf tile against `query`: the
-/// original single-tile `process(t)`, composed as plan → fetch → apply.
-///
-/// `attrs` are the query's aggregate attributes; the [`AdaptConfig`] decides
-/// how much to read ([`ReadPolicy`]), whether/how to split
-/// ([`crate::SplitPolicy`]), and which attributes get metadata.
-pub fn process_tile(
-    index: &mut ValinorIndex,
-    file: &dyn RawFile,
-    tile_id: TileId,
-    query: &Rect,
-    attrs: &[AttrId],
-    cfg: &AdaptConfig,
-) -> Result<ProcessOutcome> {
-    let (stages, clock) = (&mut StageTimes::default(), &mut StageClock::start());
-    process_tile_timed(index, file, tile_id, query, attrs, cfg, stages, clock)
-}
-
-/// [`process_tile`], charging its three stages to `stages` as `clock` reads
-/// them.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn process_tile_timed(
-    index: &mut ValinorIndex,
-    file: &dyn RawFile,
-    tile_id: TileId,
-    query: &Rect,
-    attrs: &[AttrId],
-    cfg: &AdaptConfig,
-    stages: &mut StageTimes,
-    clock: &mut StageClock,
-) -> Result<ProcessOutcome> {
-    let plan = plan_tile(index, tile_id, query, attrs, cfg)?;
-    stages.plan += clock.lap();
-    let mut values = RowBatch::default();
-    // With no attributes to read (COUNT-only) this touches no file.
-    let window = fetch_window(cfg, query);
-    read_row_groups(
-        file,
-        &[&plan.locators],
-        &plan.read_attrs,
-        window,
-        &mut values,
-    )?;
-    stages.fetch += clock.lap();
-    let out = apply_plan(index, &plan, query, cfg, values.values());
-    stages.apply += clock.lap();
-    out
 }
 
 /// Where one query attribute's exact statistics come from when an
@@ -477,14 +424,14 @@ impl EnrichPlan {
 }
 
 /// Plans the enrichment read for a fully-contained tile — the pure first
-/// stage of [`enrich_tile`]. The plan is empty (nothing to fetch) when
+/// stage of the enrichment. The plan is empty (nothing to fetch) when
 /// every requested attribute already has exact stats, or the tile holds no
 /// objects.
 pub fn plan_enrich(index: &ValinorIndex, tile_id: TileId, attrs: &[AttrId]) -> Result<EnrichPlan> {
     let tile = index.tile(tile_id);
     if !tile.is_leaf() {
         return Err(PaiError::internal(format!(
-            "enrich_tile on non-leaf {tile_id:?}"
+            "plan_enrich on non-leaf {tile_id:?}"
         )));
     }
     let mut read_attrs = Vec::new();
@@ -521,7 +468,7 @@ pub fn plan_enrich(index: &ValinorIndex, tile_id: TileId, attrs: &[AttrId]) -> R
 }
 
 /// Installs the fetched enrichment values as exact metadata — the mutation
-/// stage of [`enrich_tile`]. Returns the number of objects the plan read.
+/// stage of the enrichment. Returns the number of objects the plan read.
 ///
 /// A leaf an ingest grew since planning keeps its metadata as it is (it
 /// folded the new rows in; the fetched values do not hold them): the query
@@ -546,59 +493,14 @@ pub fn apply_enrich(index: &mut ValinorIndex, plan: &EnrichPlan, values: &[f64])
     Ok(plan.locators.len() as u64)
 }
 
-/// Reads a whole leaf tile and installs exact metadata for `attrs`:
-/// plan → fetch → apply for the enrichment path.
-///
-/// Used for fully-contained tiles whose metadata is missing or only bounded
-/// for a requested attribute. Returns the number of objects read (0 when the
-/// tile already had exact stats for every requested attribute).
-pub fn enrich_tile(
-    index: &mut ValinorIndex,
-    file: &dyn RawFile,
-    tile_id: TileId,
-    attrs: &[AttrId],
-) -> Result<u64> {
-    let (stages, clock) = (&mut StageTimes::default(), &mut StageClock::start());
-    enrich_tile_timed(index, file, tile_id, attrs, stages, clock)
-}
-
-/// [`enrich_tile`], charging its three stages to `stages` as `clock` reads
-/// them.
-pub(crate) fn enrich_tile_timed(
-    index: &mut ValinorIndex,
-    file: &dyn RawFile,
-    tile_id: TileId,
-    attrs: &[AttrId],
-    stages: &mut StageTimes,
-    clock: &mut StageClock,
-) -> Result<u64> {
-    let plan = plan_enrich(index, tile_id, attrs)?;
-    stages.plan += clock.lap();
-    if plan.read_attrs.is_empty() {
-        return Ok(0);
-    }
-    let values = file.read_rows(&plan.locators, &plan.read_attrs)?;
-    stages.fetch += clock.lap();
-    let read = apply_enrich(index, &plan, values.values());
-    stages.apply += clock.lap();
-    read
-}
-
-/// Test/diagnostic helper: entry counts per leaf under a rectangle.
-pub fn leaf_population(index: &ValinorIndex, rect: &Rect) -> Vec<(TileId, u64)> {
-    index
-        .leaves_overlapping(rect)
-        .into_iter()
-        .map(|id| (id, index.tile(id).object_count()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::init::{build, GridSpec, InitConfig};
     use crate::split::SplitPolicy;
     use pai_common::geometry::Point2;
+    use pai_storage::batch::{read_row_groups, RowBatch};
+    use pai_storage::raw::RawFile;
     use pai_storage::{CsvFormat, MemFile, Schema};
 
     /// 3x3 grid over [0,30)^2; objects mirror the spirit of Figure 1:
@@ -628,6 +530,35 @@ mod tests {
         let mut values = RowBatch::default();
         read_row_groups(f, &[&plan.locators], &plan.read_attrs, None, &mut values).unwrap();
         values
+    }
+
+    /// `process(t)` of one tile: plan → fetch → apply.
+    fn process_tile(
+        idx: &mut ValinorIndex,
+        f: &dyn RawFile,
+        tile: TileId,
+        q: &Rect,
+        attrs: &[AttrId],
+        cfg: &AdaptConfig,
+    ) -> Result<ProcessOutcome> {
+        let plan = plan_tile(idx, tile, q, attrs, cfg)?;
+        apply_plan(idx, &plan, q, cfg, fetch(f, &plan).values())
+    }
+
+    /// The enrichment of one covered tile: plan → fetch → apply. Returns the
+    /// objects read (none when its stats were already exact).
+    fn enrich_tile(
+        idx: &mut ValinorIndex,
+        f: &dyn RawFile,
+        tile: TileId,
+        attrs: &[AttrId],
+    ) -> Result<u64> {
+        let plan = plan_enrich(idx, tile, attrs)?;
+        if plan.read_attrs.is_empty() {
+            return Ok(0);
+        }
+        let values = f.read_rows(&plan.locators, &plan.read_attrs)?;
+        apply_enrich(idx, &plan, values.values())
     }
 
     fn adapt_cfg(split: SplitPolicy, read: ReadPolicy) -> AdaptConfig {
@@ -1033,25 +964,25 @@ mod tests {
         assert_eq!(exact_stats(&idx, last, 2), None);
         idx.validate_invariants().unwrap();
 
-        // A following exact query over the grown leaf reads all four of its
-        // objects and equals the scan; only then is the cell exact.
-        let mut engine = crate::eval::ExactEngine::new(idx, &f, cfg).unwrap();
-        let window = engine.index().tile(last).rect;
-        let aggs = [
-            pai_common::AggregateFunction::Count,
-            pai_common::AggregateFunction::Sum(2),
-        ];
-        let res = engine.evaluate(&window, &aggs).unwrap();
+        // A following exact query over the grown leaf covers it: its
+        // enrichment reads all four of its objects and equals the scan; only
+        // then is the cell exact.
+        let window = idx.tile(last).rect;
+        let c = idx.classify(&window);
+        assert_eq!((c.full, c.partial.len()), (vec![last], 0));
+        assert_eq!(enrich_tile(&mut idx, &f, last, &[2]).unwrap(), 4);
         let truth = &pai_storage::ground_truth::window_truth(&f, &window, &[2]).unwrap()[0];
-        assert_eq!(res.stats.io.objects_read, 4);
-        assert_eq!(res.values[0].as_f64(), Some(truth.selected as f64));
-        assert_eq!(res.values[1].as_f64(), Some(truth.stats.sum()));
+        assert_eq!(idx.tile(last).object_count(), truth.selected);
         assert_eq!(
-            exact_stats(engine.index(), TileId(0), 2).map(|s| s.count()),
+            exact_stats(&idx, last, 2).map(|s| s.sum()),
+            Some(truth.stats.sum())
+        );
+        assert_eq!(
+            exact_stats(&idx, TileId(0), 2).map(|s| s.count()),
             Some(9),
             "ten objects, one of them NULL"
         );
-        engine.index().validate_invariants().unwrap();
+        idx.validate_invariants().unwrap();
     }
 
     #[test]

@@ -22,10 +22,11 @@
 //!
 //! The index starts as a "crude" uniform grid ([`init`]) and refines itself
 //! query by query ([`adapt`]): partially-contained tiles are split, their
-//! objects reorganized, and metadata computed for the new subtiles. The
-//! [`eval`] module implements the paper's *exact* query answering baseline
-//! on top of this machinery; the approximate engine lives in `pai-core` and
-//! reuses the same primitives, processing only a subset of tiles.
+//! objects reorganized, and metadata computed for the new subtiles, in
+//! plan → fetch → apply stages. The evaluation loop that drives them lives in
+//! `pai-core`, for both of the paper's methods: the exact baseline processes
+//! every partially-contained tile, partial adaptation only a subset. The
+//! [`eval`] module holds what both report per query ([`QueryStats`]).
 
 pub mod adapt;
 pub mod config;
@@ -40,12 +41,12 @@ pub mod testutil;
 pub mod tile;
 
 pub use adapt::{
-    apply_enrich, apply_plan, enrich_tile, fetch_window, plan_enrich, plan_tile, process_tile,
-    still_applies, EnrichPlan, ProcessOutcome, TilePlan,
+    apply_enrich, apply_plan, fetch_window, plan_enrich, plan_tile, still_applies, EnrichPlan,
+    ProcessOutcome, TilePlan,
 };
 pub use config::{AdaptConfig, MetadataPolicy, ReadPolicy};
 pub use entry::ObjectEntry;
-pub use eval::{ExactEngine, ExactResult, QueryStats, StageTimes};
+pub use eval::{QueryStats, StageTimes};
 pub use index::{Classification, PartialTile, ValinorIndex};
 pub use init::InitConfig;
 pub use metadata::{AttrMeta, TileMetadata};

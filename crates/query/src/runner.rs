@@ -11,7 +11,7 @@ use std::time::Duration;
 use pai_common::{AggregateValue, PaiError, Result};
 use pai_core::{ApproximateEngine, EngineConfig};
 use pai_index::init::{build, InitConfig};
-use pai_index::{ExactEngine, QueryStats};
+use pai_index::QueryStats;
 use pai_storage::raw::RawFile;
 
 use crate::workload::Workload;
@@ -109,12 +109,6 @@ impl MethodRun {
     }
 }
 
-/// The engine a [`Method`] runs on, with the approximate method's `φ`.
-enum Engine<'f> {
-    Exact(ExactEngine<'f>),
-    Approx(ApproximateEngine<'f>, f64),
-}
-
 /// Runs `workload` under one method, building a fresh index first.
 pub fn run_workload(
     file: &dyn RawFile,
@@ -127,41 +121,27 @@ pub fn run_workload(
         q.validate(file.schema(), false)?;
     }
     let (index, init_report) = build(file, init_cfg)?;
-    let mut engine = match method {
-        Method::Exact => Engine::Exact(ExactEngine::new(index, file, engine_cfg.adapt.clone())?),
-        Method::Approx { phi } => Engine::Approx(
-            ApproximateEngine::new(index, file, engine_cfg.clone())?,
-            phi,
-        ),
-    };
+    let mut engine = ApproximateEngine::new(index, file, engine_cfg.clone())?;
     let mut records = Vec::with_capacity(workload.len());
     for (i, q) in workload.queries.iter().enumerate() {
-        let index = match &engine {
-            Engine::Exact(e) => e.index(),
-            Engine::Approx(e, _) => e.index(),
+        let predicted =
+            pai_core::predict_query_io(engine.index(), file, &q.window, &q.aggs, engine_cfg)?;
+        let res = match method {
+            Method::Exact => engine.evaluate_exact(&q.window, &q.aggs)?,
+            Method::Approx { phi } => engine.evaluate(&q.window, &q.aggs, phi)?,
         };
-        let predicted = pai_core::predict_query_io(index, file, &q.window, &q.aggs, engine_cfg)?;
-        let (stats, error_bound, values) = match &mut engine {
-            Engine::Exact(e) => {
-                let res = e.evaluate(&q.window, &q.aggs)?;
-                (res.stats, 0.0, res.values)
-            }
-            Engine::Approx(e, phi) => {
-                let res = e.evaluate(&q.window, &q.aggs, *phi)?;
-                if !res.met_constraint {
-                    return Err(PaiError::internal(format!(
-                        "query {i} failed to meet phi={phi} after exhausting tiles"
-                    )));
-                }
-                (res.stats, res.error_bound, res.values)
-            }
-        };
+        if !res.met_constraint {
+            return Err(PaiError::internal(format!(
+                "query {i} failed to meet phi={} after exhausting tiles",
+                res.phi
+            )));
+        }
         records.push(QueryRecord {
             query_index: i,
-            stats,
+            stats: res.stats,
             predicted_bytes: predicted.bytes,
-            error_bound,
-            values,
+            error_bound: res.error_bound,
+            values: res.values,
         });
     }
 

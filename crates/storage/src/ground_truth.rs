@@ -1,9 +1,9 @@
-//! Full-scan exact evaluation, the oracle against which both engines are
+//! Full-scan exact evaluation, the oracle against which both methods are
 //! validated.
 //!
 //! This deliberately bypasses every index structure: it reads the whole file
 //! and folds the selected rows into [`RunningStats`]. Tests use it to check
-//! (a) the exact engine returns identical answers and (b) the approximate
+//! (a) the exact method returns identical answers and (b) the approximate
 //! engine's confidence intervals really contain the truth.
 
 use pai_common::geometry::{Point2, Rect};

@@ -99,8 +99,8 @@ fn main() -> Result<()> {
     // ------------------------------------------------- (b) exact adaptation
     let index_b = build_figure1_index(&file)?;
     file.counters().reset();
-    let mut exact = ExactEngine::new(index_b, &file, cfg.adapt.clone())?;
-    let res_b = exact.evaluate(&q, &aggs)?;
+    let mut exact = ApproximateEngine::new(index_b, &file, cfg.clone())?;
+    let res_b = exact.evaluate_exact(&q, &aggs)?;
     println!(
         "(b) exact answering: mean = {}, read {} objects, split {} tiles",
         res_b.values[0], res_b.stats.io.objects_read, res_b.stats.tiles_split

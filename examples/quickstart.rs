@@ -64,13 +64,13 @@ fn main() -> Result<()> {
 
     // --- 4. Compare against the exact baseline on a pan sequence ------------
     let (index2, _) = build(&file, &init)?;
-    let mut exact = ExactEngine::new(index2, &file, AdaptConfig::default())?;
+    let mut exact = ApproximateEngine::new(index2, &file, EngineConfig::default())?;
     let mut w = window;
     let (mut t_exact, mut t_approx) = (0.0f64, 0.0f64);
     let (mut io_exact, mut io_approx) = (0u64, 0u64);
     for _ in 0..10 {
         w = w.shifted(30.0, 15.0).clamped_into(&spec.domain);
-        let e = exact.evaluate(&w, &aggs)?;
+        let e = exact.evaluate_exact(&w, &aggs)?;
         let a = engine.evaluate(&w, &aggs, 0.05)?;
         t_exact += e.stats.elapsed.as_secs_f64();
         t_approx += a.stats.elapsed.as_secs_f64();

@@ -73,9 +73,7 @@ pub mod prelude {
         IoPrediction, NormalizationMode, SelectionPolicy, SharedIndex,
     };
     pub use pai_index::init::{build, build_clipped, build_parallel, GridSpec, InitConfig};
-    pub use pai_index::{
-        AdaptConfig, ExactEngine, MetadataPolicy, ReadPolicy, SplitPolicy, ValinorIndex,
-    };
+    pub use pai_index::{AdaptConfig, MetadataPolicy, ReadPolicy, SplitPolicy, ValinorIndex};
     pub use pai_query::{
         analytics, report, trace, ExplorationSession, Filter, Method, WindowQuery, Workload,
     };

@@ -32,7 +32,7 @@ fn on_disk_exact_engine_matches_ground_truth() {
     let (index, report) = build(&file, &init_cfg(&spec, 8)).unwrap();
     assert_eq!(report.rows, 20_000);
 
-    let mut engine = ExactEngine::new(index, &file, AdaptConfig::default()).unwrap();
+    let mut engine = ApproximateEngine::new(index, &file, EngineConfig::default()).unwrap();
     let windows = [
         Rect::new(100.0, 400.0, 100.0, 400.0),
         Rect::new(350.0, 700.0, 200.0, 900.0),
@@ -41,7 +41,7 @@ fn on_disk_exact_engine_matches_ground_truth() {
     ];
     for w in &windows {
         let res = engine
-            .evaluate(
+            .evaluate_exact(
                 w,
                 &[
                     AggregateFunction::Count,
@@ -271,9 +271,106 @@ fn stage_times_sum_to_elapsed_in_every_driver() {
     let stats = shared.evaluate(&window, &aggs, 0.0).unwrap().stats;
     check(&stats, false, "shared, warm");
 
-    let mut exact = ExactEngine::new(index(), &file, AdaptConfig::default()).unwrap();
-    let stats = exact.evaluate(&window, &aggs).unwrap().stats;
+    let mut exact = ApproximateEngine::new(index(), &file, EngineConfig::default()).unwrap();
+    let stats = exact.evaluate_exact(&window, &aggs).unwrap().stats;
     check(&stats, true, "exact, cold");
-    let stats = exact.evaluate(&window, &aggs).unwrap().stats;
+    let stats = exact.evaluate_exact(&window, &aggs).unwrap().stats;
     check(&stats, false, "exact, warm");
+}
+
+/// The exact method over a 50-query pan, one tile at a time, pinned to the
+/// totals it had while it ran a loop of its own: objects, bytes, blocks and
+/// read calls read, tiles split and enriched, and the leaves it leaves
+/// behind. The block synopses, on or off, do not move it; every answer is
+/// the scan's.
+#[test]
+fn exact_baseline_did_not_move() {
+    let spec = DatasetSpec {
+        rows: 10_000,
+        columns: 4,
+        seed: 7,
+        ..Default::default()
+    };
+    let mem = spec.build_mem(CsvFormat::default()).unwrap();
+    let zone = spec.build_zone_mem().unwrap();
+    let aggs = vec![
+        AggregateFunction::Count,
+        AggregateFunction::Sum(2),
+        AggregateFunction::Mean(3),
+        AggregateFunction::Variance(2),
+    ];
+    let start = Workload::centered_window(&spec.domain, 0.05);
+    let workload = Workload::shifted_sequence(&spec.domain, start, 50, aggs, 42);
+    let off = EngineConfig::paper_evaluation();
+    let on = off.clone().with_synopsis();
+    let (all, none) = (MetadataPolicy::AllNumeric, MetadataPolicy::None);
+    // Objects, bytes, blocks, read calls, splits, enrichments, leaves.
+    let mem_all = [10_339, 750_363, 0, 981, 103, 21, 239];
+    let mem_none = [10_424, 756_546, 0, 986, 103, 26, 239];
+    let cases: [(&dyn RawFile, MetadataPolicy, &EngineConfig, [u64; 7]); 6] = [
+        (&mem, all.clone(), &off, mem_all),
+        (&mem, none.clone(), &off, mem_none),
+        (&mem, all.clone(), &on, mem_all),
+        (&mem, none.clone(), &on, mem_none),
+        (
+            &zone,
+            all,
+            &off,
+            [10_339, 160_154, 4_470, 981, 103, 21, 239],
+        ),
+        (
+            &zone,
+            none,
+            &off,
+            [10_424, 161_462, 4_496, 986, 103, 26, 239],
+        ),
+    ];
+    let close = |got: Option<f64>, want: Option<f64>| match (got, want) {
+        (Some(g), Some(w)) => (g - w).abs() <= 1e-6 * (1.0 + w.abs()),
+        (g, w) => g == w,
+    };
+    for (case, (file, metadata, config, want)) in cases.into_iter().enumerate() {
+        let init = InitConfig {
+            grid: GridSpec::Fixed { nx: 8, ny: 8 },
+            domain: Some(spec.domain),
+            metadata,
+        };
+        let (index, _) = build(file, &init).unwrap();
+        let mut engine = ApproximateEngine::new(index, file, config.clone()).unwrap();
+        let mut got = [0u64; 7];
+        for (i, q) in workload.queries.iter().enumerate() {
+            let res = engine.evaluate_exact(&q.window, &q.aggs).unwrap();
+            assert_eq!(
+                (res.error_bound, res.phi, res.met_constraint),
+                (0.0, 0.0, true)
+            );
+            let (stats, io) = (&res.stats, &res.stats.io);
+            let meters = [
+                io.objects_read,
+                io.bytes_read,
+                io.blocks_read,
+                io.read_calls,
+                stats.tiles_split as u64,
+                stats.tiles_enriched as u64,
+            ];
+            for (total, m) in got.iter_mut().zip(meters) {
+                *total += m;
+            }
+            let truth = window_truth(file, &q.window, &[2, 3]).unwrap();
+            let v = |k: usize| res.values[k].as_f64();
+            assert_eq!(res.values[0], AggregateValue::Count(truth[0].selected));
+            assert!(
+                close(v(1), Some(truth[0].stats.sum())),
+                "case {case} query {i}"
+            );
+            assert!(close(v(2), truth[1].stats.mean()), "case {case} query {i}");
+            assert!(
+                close(v(3), truth[0].stats.variance()),
+                "case {case} query {i}"
+            );
+        }
+        got[6] = engine.index().leaf_count() as u64;
+        assert_eq!(got, want, "case {case}");
+        engine.index().validate_invariants().unwrap();
+    }
 }

@@ -72,8 +72,10 @@ fn figure1_exact_adaptation_splits_both_tiles() {
     let file = MemFile::from_rows(Schema::synthetic(3), CsvFormat::default(), hotels()).unwrap();
     let index = prepared_index(&file);
     file.counters().reset();
-    let mut exact = ExactEngine::new(index, &file, engine_cfg().adapt).unwrap();
-    let res = exact.evaluate(&Q, &[AggregateFunction::Mean(2)]).unwrap();
+    let mut exact = ApproximateEngine::new(index, &file, engine_cfg()).unwrap();
+    let res = exact
+        .evaluate_exact(&Q, &[AggregateFunction::Mean(2)])
+        .unwrap();
     // "This results in reading three objects" — the selected objects of t1
     // and t3.
     assert_eq!(res.stats.io.objects_read, 3);

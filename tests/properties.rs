@@ -123,9 +123,9 @@ proptest! {
     ) {
         let (file, spec) = fixture(seed);
         let index = build_index(&file, &spec, 4);
-        let mut engine = ExactEngine::new(index, &file, AdaptConfig::default()).unwrap();
+        let mut engine = ApproximateEngine::new(index, &file, EngineConfig::default()).unwrap();
         let res = engine
-            .evaluate(&window, &[AggregateFunction::Count, AggregateFunction::Sum(2)])
+            .evaluate_exact(&window, &[AggregateFunction::Count, AggregateFunction::Sum(2)])
             .unwrap();
         let truth = window_truth(&file, &window, &[2]).unwrap();
         prop_assert_eq!(res.values[0], AggregateValue::Count(truth[0].selected));
@@ -259,9 +259,9 @@ proptest! {
                     *window
                 }
                 Step::Exact(window) => {
-                    let mut engine = ExactEngine::new(index, &file, config.adapt.clone()).unwrap();
+                    let mut engine = ApproximateEngine::new(index, &file, config.clone()).unwrap();
                     let res = engine
-                        .evaluate(window, &[AggregateFunction::Count, AggregateFunction::Sum(2)])
+                        .evaluate_exact(window, &[AggregateFunction::Count, AggregateFunction::Sum(2)])
                         .unwrap();
                     index = engine.into_index();
                     let truth = &window_truth(&file, window, &[2]).unwrap()[0];
@@ -559,9 +559,9 @@ proptest! {
             metadata: MetadataPolicy::AllNumeric,
         };
         let (index, _) = build(&file, &init).unwrap();
-        let mut engine = ExactEngine::new(index, &file, AdaptConfig::default()).unwrap();
+        let mut engine = ApproximateEngine::new(index, &file, EngineConfig::default()).unwrap();
         let aggs = [AggregateFunction::Count, AggregateFunction::Sum(2)];
-        let before_engine = engine.evaluate(&window, &aggs).unwrap();
+        let before_engine = engine.evaluate_exact(&window, &aggs).unwrap();
 
         let before = window_truth(&file, &window, &[2]).unwrap();
         let gen_before = file.generation();
@@ -592,14 +592,14 @@ proptest! {
         // locators against the permuted layout without noticing: the same
         // window re-answers identically, and a fresh window still matches
         // a ground-truth scan.
-        let after_engine = engine.evaluate(&window, &aggs).unwrap();
+        let after_engine = engine.evaluate_exact(&window, &aggs).unwrap();
         prop_assert_eq!(&after_engine.values[0], &before_engine.values[0]);
         let (e0, e1) = (
             before_engine.values[1].as_f64().unwrap(),
             after_engine.values[1].as_f64().unwrap(),
         );
         prop_assert!((e0 - e1).abs() <= 1e-9 * (1.0 + e0.abs()), "{e0} vs {e1}");
-        let probed = engine.evaluate(&probe, &aggs).unwrap();
+        let probed = engine.evaluate_exact(&probe, &aggs).unwrap();
         let truth = &window_truth(&file, &probe, &[2]).unwrap()[0];
         prop_assert_eq!(&probed.values[0], &AggregateValue::Count(truth.selected));
         let (p, t) = (probed.values[1].as_f64().unwrap(), truth.stats.sum());
