@@ -1,26 +1,20 @@
-//! Ablation studies A1–A5 from DESIGN.md §4 — the design-choice knobs the
-//! paper calls out (selection score α, tile-selection policy, split/read
-//! policies, data density, value-model smoothness).
+//! Ablation studies A1–A5 (described in `docs/BENCHMARKS.md`):
+//! the design-choice knobs the paper calls out (selection score α,
+//! tile-selection policy, split/read policies, data density, value-model
+//! smoothness).
 //!
 //! Usage:
 //! ```text
 //! cargo run -p pai-bench --release --bin ablations
 //! ```
 
-use pai_bench::{cached_file, default_spec};
+use pai_bench::{cached_csv, default_spec, env_u64};
 use pai_common::AggregateFunction;
 use pai_core::{EngineConfig, SelectionPolicy};
 use pai_index::init::{GridSpec, InitConfig};
 use pai_index::{AdaptConfig, MetadataPolicy, ReadPolicy, SplitPolicy};
 use pai_query::{run_workload, Method, Workload};
 use pai_storage::{DatasetSpec, PointDistribution, ValueModel};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn standard_workload(spec: &DatasetSpec, n: usize) -> Workload {
     let start = Workload::centered_window(&spec.domain, 0.02)
@@ -65,7 +59,7 @@ fn main() {
     let rows = env_u64("PAI_BENCH_ROWS", 100_000);
     let queries = env_u64("PAI_BENCH_QUERIES", 30) as usize;
     let spec = default_spec(rows, 42);
-    let file = cached_file(&spec);
+    let file = cached_csv(&spec);
     let init = init_for(&spec);
     let wl = standard_workload(&spec, queries);
     let phi = Method::Approx { phi: 0.05 };
@@ -175,7 +169,7 @@ fn main() {
             distribution: dist,
             ..default_spec(rows, 42)
         };
-        let file_d = cached_file(&spec_d);
+        let file_d = cached_csv(&spec_d);
         let wl_d = standard_workload(&spec_d, queries);
         run_line(
             name,
@@ -215,7 +209,7 @@ fn main() {
             seed: 43,
             ..default_spec(rows, 43)
         };
-        let file_v = cached_file(&spec_v);
+        let file_v = cached_csv(&spec_v);
         let wl_v = standard_workload(&spec_v, queries);
         run_line(
             name,

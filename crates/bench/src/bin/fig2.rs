@@ -13,13 +13,16 @@
 //! the paper quotes in §4 (speedups at query 20, overall speedups, the
 //! time-vs-objects correlation, early/late phase behaviour).
 
-use pai_bench::{cached_file, fig2_setup};
+use pai_bench::{cached_csv, env_u64, fig2_setup};
 use pai_query::report::{ascii_chart, series_correlation, summarize, to_csv};
 use pai_query::{compare_methods, Method};
 use pai_storage::RawFile;
 
 fn main() {
-    let setup = fig2_setup();
+    let setup = fig2_setup(
+        env_u64("PAI_BENCH_ROWS", 200_000),
+        env_u64("PAI_BENCH_QUERIES", 50) as usize,
+    );
     println!(
         "Figure 2 reproduction: {} rows, {} columns, {} queries, window fraction {:.1}% (paper: 11 GB / ~100K-object windows / 50 queries)",
         setup.spec.rows,
@@ -27,10 +30,9 @@ fn main() {
         setup.workload.len(),
         setup.window_fraction * 100.0,
     );
-    let file = cached_file(&setup.spec);
+    let file = cached_csv(&setup.spec);
     println!(
-        "dataset: backend={} ({:.1} MiB)\n",
-        pai_bench::backend(),
+        "dataset: in-situ CSV ({:.1} MiB)\n",
         file.size_bytes() as f64 / (1024.0 * 1024.0)
     );
 

@@ -1,85 +1,17 @@
-//! Shared fixtures for the benchmark harness.
+//! Shared fixtures for the paper-reproduction binaries and the gate tests.
 //!
-//! Every bench target and binary reproduces an experiment row from
-//! `DESIGN.md` §4. They share: a cached on-disk dataset (so criterion
-//! iterations do not regenerate CSVs), the paper's workload shape, and a
-//! standard engine/init configuration.
+//! The `fig2` and `ablations` binaries regenerate the paper's Figure 2 and
+//! the ablation rows A1–A5; the integration tests under `tests/` hold the
+//! performance gates (`docs/BENCHMARKS.md` lists both). They share: a
+//! cached on-disk dataset per format (so runs do not regenerate files), the
+//! paper's workload shape, and a standard engine/init configuration.
 //!
-//! Scale knobs (environment variables):
-//! * `PAI_BENCH_ROWS`    — dataset rows (default 200 000; the paper used
-//!   ~10⁸ rows / 11 GB — see DESIGN.md on scaling);
-//! * `PAI_BENCH_QUERIES` — queries in the Figure 2 sequence (default 50);
-//! * `PAI_BENCH_SEED`    — RNG seed for data + workload (default 42);
-//! * `PAI_BENCH_BACKEND` — storage backend every bench runs against:
-//!   `csv` (default), `bin` (binary columnar), `mmap` (binary columnar
-//!   behind a zero-copy memory mapping), `zone` (zone-mapped compressed
-//!   columnar with predicate pushdown), `latency` (`zone` behind a
-//!   simulated remote link), or `http` (`zone` served by a real in-process
-//!   HTTP object store over ranged GETs). Benches obtain their dataset
-//!   through [`cached_file`], so one knob flips them all.
-//! * `PAI_BENCH_LATENCY_US` / `PAI_BENCH_SEEK_LATENCY_US` — injected
-//!   per-call / per-seek delay for the `latency` backend (defaults 200/20).
-//! * `PAI_BENCH_HTTP_PART_KB` — ranged-GET part size (KiB) the `http`
-//!   backend coalesces toward (default 64; `0` = the naive client, one GET
-//!   per span).
-//! * `PAI_BENCH_HTTP_ADAPTIVE` — `1` lets the `http` client learn
-//!   coalescing gap and part size from the observed span-gap distribution
-//!   per object instead of using the static knobs (default `0` = fixed).
-//! * `PAI_BENCH_FETCH_WORKERS` — fetch workers for the overlapped
-//!   fetch/apply pipeline, applied to both the HTTP client's span-group
-//!   fetching and `EngineConfig::fetch_workers` (default 1 = sequential
-//!   fetch-then-apply; answers and logical meters are identical at any
-//!   value).
-//! * `PAI_BENCH_HTTP_LATENCY_US` — per-request stall the bench object
-//!   store injects (default 0).
-//! * `PAI_BENCH_HTTP_FAULT` — fault plan of the bench object store:
-//!   `off` (default) or `<5xx|drop|short>:<n>` (every n-th request fails;
-//!   the client retries with backoff and meters `retries`).
-//! * `PAI_BENCH_BATCH` — adaptation batch size (`EngineConfig::adapt_batch`)
-//!   every bench runs with: `1` (default) is the sequential-equivalent
-//!   tile-at-a-time pipeline, larger values coalesce that many tiles per
-//!   `read_rows` call. Benches obtain their engine config through
-//!   [`fig2_setup`]/[`small_setup`], so one knob flips them all.
-//! * `PAI_BENCH_CACHE_MEM_KB` — memory-tier budget (KiB) of the tiered
-//!   block cache wrapped around the `http` backend (default `0` = cache
-//!   off; answers and logical meters are identical either way — the cache
-//!   is transport-only).
-//! * `PAI_BENCH_CACHE_DISK_KB` — disk-spill-tier budget (KiB) for
-//!   memory-tier eviction victims (default 0 = no spill tier; only
-//!   meaningful with a non-zero memory budget).
-//! * `PAI_BENCH_CACHE_DIR` — directory for the spill tier's block files
-//!   (default: a per-cache directory under the system temp dir, removed on
-//!   drop).
-//! * `PAI_BENCH_SERVER_SESSIONS` / `PAI_BENCH_SERVER_CLIENTS` /
-//!   `PAI_BENCH_SERVER_QUERIES` — the server load harness's closed loop:
-//!   named sessions (zipf-popular, default 6), concurrent client
-//!   connections (default 24), and queries each client issues (default 8).
-//! * `PAI_BENCH_SERVER_QUEUE` — per-session queue depth for the saturation
-//!   leg (default 2; small on purpose so backpressure actually fires).
-//! * `PAI_BENCH_SERVER_P99_MULT` — saturation-gate bound: client-observed
-//!   p99 must stay within this multiple of p50 (default 128; the histogram
-//!   buckets are powers of two, so the bound must tolerate the 2× bucket
-//!   over-estimate — an unbounded-queueing bug shows up as 1000×+).
-//! * `PAI_BENCH_SERVER_JSON_PATH` — where `server_bench` writes its
-//!   `BENCH_server.json` artifact (default: the repo root).
-//! * `PAI_BENCH_SYNOPSIS_BUCKETS` / `PAI_BENCH_SYNOPSIS_SAMPLES` —
-//!   per-block synopsis build parameters for the synopsis gates: equi-width
-//!   histogram buckets per column (default 8, min 1) and row samples
-//!   retained per block (default 4; `0` disables sampling).
-//! * `PAI_BENCH_SYNOPSIS_PHI` — the CI target φ the synopsis gates answer
-//!   under (default 0.05; malformed or non-positive values fall back).
-//! * `PAI_BENCH_SYNOPSIS_JSON_PATH` — where `synopsis_bench` writes its
-//!   `BENCH_synopsis.json` artifact (default: the repo root).
-//! * `PAI_BENCH_INGEST_ROWS` / `PAI_BENCH_INGEST_BATCH` — the streaming
-//!   gates' shape: rows streamed through `SharedIndex::ingest` (default
-//!   24 576; the sealed base holds the same row count again) and rows per
-//!   ingest batch (default 1024).
-//! * `PAI_BENCH_INGEST_JSON_PATH` — where `ingest_bench` writes its
-//!   `BENCH_ingest.json` artifact (default: the repo root).
-//!
-//! The full knob table lives in `docs/BENCHMARKS.md`.
+//! The binaries read two scale knobs, `PAI_BENCH_ROWS` and
+//! `PAI_BENCH_QUERIES`, through [`env_u64`]; the gates are fixed in their
+//! test files.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use pai_common::geometry::Rect;
 use pai_common::AggregateFunction;
@@ -88,9 +20,7 @@ use pai_index::init::{GridSpec, InitConfig};
 use pai_index::MetadataPolicy;
 use pai_query::Workload;
 use pai_storage::{
-    BinFile, CacheConfig, CachedFile, CsvFile, CsvFormat, DatasetSpec, FaultPlan, HttpFile,
-    HttpOptions, LatencyFile, ObjectStore, PointDistribution, RawFile, StorageBackend,
-    SynopsisSpec, ValueModel, ZoneFile,
+    BinFile, CsvFile, CsvFormat, DatasetSpec, PointDistribution, RawFile, ValueModel, ZoneFile,
 };
 
 /// Everything a Figure 2 style run needs.
@@ -104,7 +34,9 @@ pub struct Fig2Setup {
     pub window_fraction: f64,
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
+/// The numeric environment variable `name`, or `default` when it is unset
+/// or malformed (never a panic mid-run).
+pub fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
         .ok()
         .and_then(|v| v.parse().ok())
@@ -135,11 +67,10 @@ pub fn default_spec(rows: u64, seed: u64) -> DatasetSpec {
     }
 }
 
-/// The Figure 2 experiment setup, honoring the env knobs.
-pub fn fig2_setup() -> Fig2Setup {
-    let rows = env_u64("PAI_BENCH_ROWS", 200_000);
-    let queries = env_u64("PAI_BENCH_QUERIES", 50) as usize;
-    let seed = env_u64("PAI_BENCH_SEED", 42);
+/// The Figure 2 experiment setup over `rows` rows and a `queries`-query
+/// exploration sequence (seed 42 for data and workload).
+pub fn fig2_setup(rows: u64, queries: usize) -> Fig2Setup {
+    let seed = 42;
     let spec = default_spec(rows, seed);
 
     // A deliberately crude initial index (the paper's premise: early
@@ -166,15 +97,16 @@ pub fn fig2_setup() -> Fig2Setup {
     Fig2Setup {
         spec,
         init,
-        engine: EngineConfig {
-            adapt_batch: batch(),
-            fetch_workers: fetch_workers(),
-            cache: cache_config(),
-            ..EngineConfig::paper_evaluation()
-        },
+        engine: EngineConfig::paper_evaluation(),
         workload,
         window_fraction,
     }
+}
+
+/// The Figure 2 setup over `rows` rows with a 12-query sequence: the shape
+/// every gate test runs.
+pub fn small_setup(rows: u64) -> Fig2Setup {
+    fig2_setup(rows, 12)
 }
 
 /// Directory for cached generated datasets.
@@ -184,59 +116,9 @@ pub fn cache_dir() -> PathBuf {
     dir
 }
 
-/// Storage backend the benches run against, from `PAI_BENCH_BACKEND`
-/// (default CSV; malformed values fall back to the default).
-pub fn backend() -> StorageBackend {
-    std::env::var("PAI_BENCH_BACKEND")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_default()
-}
-
-/// Adaptation batch size the benches run with, from `PAI_BENCH_BATCH`
-/// (default 1 = sequential-equivalent; malformed or zero values fall back
-/// to the default).
-pub fn batch() -> usize {
-    std::env::var("PAI_BENCH_BATCH")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&b| b >= 1)
-        .unwrap_or(1)
-}
-
-/// Fetch workers for the overlapped fetch/apply pipeline, from
-/// `PAI_BENCH_FETCH_WORKERS` (default 1 = sequential fetch-then-apply;
-/// malformed or zero values fall back to the default).
-pub fn fetch_workers() -> usize {
-    std::env::var("PAI_BENCH_FETCH_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&w| w >= 1)
-        .unwrap_or(1)
-}
-
-/// Tiered-block-cache budgets for the `http` backend, from
-/// `PAI_BENCH_CACHE_MEM_KB` / `PAI_BENCH_CACHE_DISK_KB` /
-/// `PAI_BENCH_CACHE_DIR`. `None` (memory knob unset, zero, or malformed)
-/// means cache off — the default, so every existing bench row is
-/// unaffected until the knob is turned.
-pub fn cache_config() -> Option<CacheConfig> {
-    let mem_kb = env_u64("PAI_BENCH_CACHE_MEM_KB", 0);
-    if mem_kb == 0 {
-        return None;
-    }
-    let mut cfg = CacheConfig::new(mem_kb * 1024, env_u64("PAI_BENCH_CACHE_DISK_KB", 0) * 1024);
-    if let Ok(dir) = std::env::var("PAI_BENCH_CACHE_DIR") {
-        if !dir.is_empty() {
-            cfg = cfg.with_spill_dir(dir);
-        }
-    }
-    Some(cfg)
-}
-
-/// Cache file name for `spec` under `backend` (extension encodes the
-/// backend, so both representations of one dataset can coexist).
-fn cache_key(spec: &DatasetSpec, backend: StorageBackend) -> String {
+/// Cache file name for `spec` in the format whose extension is `ext`, so
+/// every representation of one dataset can coexist.
+fn cache_key(spec: &DatasetSpec, ext: &str) -> String {
     let dist_tag = match spec.distribution {
         PointDistribution::Uniform => "uni".to_string(),
         PointDistribution::GaussianClusters {
@@ -258,13 +140,6 @@ fn cache_key(spec: &DatasetSpec, backend: StorageBackend) -> String {
         }
         ValueModel::UniformNoise { lo, hi } => format!("un{}_{}", lo as i64, hi as i64),
     };
-    let ext = match backend {
-        StorageBackend::Csv => "csv",
-        // mmap/latency/http wrap the cached binary formats; they never key
-        // a cache file of their own.
-        StorageBackend::Bin | StorageBackend::Mmap => "paibin",
-        StorageBackend::Zone | StorageBackend::Latency | StorageBackend::Http => "paizone",
-    };
     let ord_tag = match spec.order {
         pai_storage::RowOrder::Generated => "gen",
         pai_storage::RowOrder::ZOrder => "zord",
@@ -275,358 +150,139 @@ fn cache_key(spec: &DatasetSpec, backend: StorageBackend) -> String {
     )
 }
 
+/// Generates a dataset file at `path` without ever exposing a partial one:
+/// `write` fills a uniquely named file beside it, which is then renamed into
+/// place. Concurrent callers each publish a complete file (the last rename
+/// wins), and an interrupted write leaves only its temporary behind.
+fn publish<T>(path: &Path, write: impl FnOnce(&Path) -> pai_common::Result<T>) {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let name = path.file_name().expect("cache file name").to_string_lossy();
+    let tmp = path.with_file_name(format!(
+        ".{name}.{}-{}.tmp",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    write(&tmp).expect("write bench dataset");
+    std::fs::rename(&tmp, path).expect("publish bench dataset");
+}
+
 /// Writes (or reuses) the CSV for `spec` and opens it. Cache key covers the
-/// generation parameters; a stale/partial file is regenerated when its size
-/// is implausible for the row count.
+/// generation parameters; a file whose size is implausible for the row count
+/// is regenerated.
 pub fn cached_csv(spec: &DatasetSpec) -> CsvFile {
-    let path = cache_dir().join(cache_key(spec, StorageBackend::Csv));
-    if path.exists() {
-        if let Ok(file) = CsvFile::open(&path, spec.schema(), CsvFormat::default()) {
-            // Quick sanity: plausibly complete (more bytes than rows).
-            if file.size_bytes() > spec.rows {
-                return file;
-            }
+    let path = cache_dir().join(cache_key(spec, "csv"));
+    let open = || CsvFile::open(&path, spec.schema(), CsvFormat::default());
+    if let Ok(file) = open() {
+        // Quick sanity: plausibly complete (more bytes than rows).
+        if file.size_bytes() > spec.rows {
+            return file;
         }
     }
-    spec.write_csv(&path, CsvFormat::default())
-        .expect("write bench dataset")
+    publish(&path, |tmp| spec.write_csv(tmp, CsvFormat::default()));
+    open().expect("open bench dataset")
 }
 
 /// Writes (or reuses) the binary columnar file for `spec` and opens it.
-/// Opening validates header and exact size, so a stale/partial file is
-/// simply regenerated.
+/// Opening validates header and exact size, so a stale file is simply
+/// regenerated.
 pub fn cached_bin(spec: &DatasetSpec) -> BinFile {
-    let path = cache_dir().join(cache_key(spec, StorageBackend::Bin));
-    if path.exists() {
-        if let Ok(file) = BinFile::open(&path) {
-            if file.n_rows() == spec.rows {
-                return file;
-            }
+    let path = cache_dir().join(cache_key(spec, "paibin"));
+    if let Ok(file) = BinFile::open(&path) {
+        if file.n_rows() == spec.rows {
+            return file;
         }
     }
-    spec.write_bin(&path).expect("write bench dataset")
+    publish(&path, |tmp| spec.write_bin(tmp));
+    BinFile::open(&path).expect("open bench dataset")
 }
 
 /// Writes (or reuses) the zone-mapped compressed file for `spec` and opens
-/// it. Opening validates header, widths, and exact size, so a stale/partial
-/// file is simply regenerated.
+/// it. Opening validates header, widths, and exact size, so a stale file is
+/// simply regenerated.
 pub fn cached_zone(spec: &DatasetSpec) -> ZoneFile {
-    let path = cache_dir().join(cache_key(spec, StorageBackend::Zone));
-    if path.exists() {
-        if let Ok(file) = ZoneFile::open(&path) {
-            if file.n_rows() == spec.rows {
-                return file;
-            }
+    let path = cache_dir().join(cache_key(spec, "paizone"));
+    if let Ok(file) = ZoneFile::open(&path) {
+        if file.n_rows() == spec.rows {
+            return file;
         }
     }
-    spec.write_zone(&path).expect("write bench dataset")
-}
-
-/// The process-wide object store serving `http`-backend datasets: started
-/// on first use, configured once from `PAI_BENCH_HTTP_LATENCY_US` and
-/// `PAI_BENCH_HTTP_FAULT`, and kept alive for the whole bench process so
-/// every fixture (and every criterion iteration) reuses it.
-pub fn http_store() -> &'static ObjectStore {
-    static STORE: std::sync::OnceLock<ObjectStore> = std::sync::OnceLock::new();
-    STORE.get_or_init(|| {
-        let latency = std::time::Duration::from_micros(env_u64("PAI_BENCH_HTTP_LATENCY_US", 0));
-        let plan: FaultPlan = std::env::var("PAI_BENCH_HTTP_FAULT")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_default();
-        ObjectStore::serve_with(latency, plan).expect("start bench object store")
-    })
-}
-
-/// HTTP client tuning from `PAI_BENCH_HTTP_PART_KB` (default 64 KiB parts;
-/// `0` = the naive one-GET-per-span client), `PAI_BENCH_HTTP_ADAPTIVE`
-/// (`1` = learn gap/part from the observed span-gap distribution), and
-/// `PAI_BENCH_FETCH_WORKERS` (overlapped span-group fetching).
-pub fn http_options() -> HttpOptions {
-    HttpOptions::with_part_bytes(env_u64("PAI_BENCH_HTTP_PART_KB", 64) * 1024)
-        .with_adaptive(env_u64("PAI_BENCH_HTTP_ADAPTIVE", 0) != 0)
-        .with_fetch_workers(fetch_workers())
-}
-
-/// Uploads (or reuses) the zone image for `spec` on the bench object store
-/// and opens it over HTTP ranged GETs.
-pub fn cached_http(spec: &DatasetSpec) -> HttpFile {
-    let zone = cached_zone(spec);
-    let path = zone.path().expect("cached zone is on disk");
-    let name = cache_key(spec, StorageBackend::Zone);
-    let store = http_store();
-    if !store.contains(&name) {
-        store.put(&name, std::fs::read(path).expect("read cached zone image"));
-    }
-    HttpFile::open(store.addr(), name, http_options()).expect("open http dataset")
-}
-
-/// Injected latency for the `latency` backend, from `PAI_BENCH_LATENCY_US`
-/// (per call) and `PAI_BENCH_SEEK_LATENCY_US` (per seek).
-pub fn latency_config() -> (std::time::Duration, std::time::Duration) {
-    (
-        std::time::Duration::from_micros(env_u64("PAI_BENCH_LATENCY_US", 200)),
-        std::time::Duration::from_micros(env_u64("PAI_BENCH_SEEK_LATENCY_US", 20)),
-    )
-}
-
-/// Wraps `inner` in the simulated-remote-link backend with the env-knob
-/// delays.
-pub fn with_latency(inner: Box<dyn RawFile>) -> LatencyFile {
-    let (per_call, per_seek) = latency_config();
-    LatencyFile::new(inner, per_call, per_seek)
-}
-
-/// The dataset for `spec` behind whichever backend `PAI_BENCH_BACKEND`
-/// selects. Every bench target goes through this, so the whole suite can be
-/// re-run against any backend with one environment variable.
-pub fn cached_file(spec: &DatasetSpec) -> Box<dyn RawFile> {
-    match backend() {
-        StorageBackend::Csv => Box::new(cached_csv(spec)),
-        StorageBackend::Bin => Box::new(cached_bin(spec)),
-        StorageBackend::Mmap => {
-            let path = cached_bin(spec)
-                .path()
-                .expect("cached bin is on disk")
-                .to_path_buf();
-            Box::new(BinFile::open_mapped(path).expect("map bench dataset"))
-        }
-        StorageBackend::Zone => Box::new(cached_zone(spec)),
-        StorageBackend::Latency => Box::new(with_latency(Box::new(cached_zone(spec)))),
-        StorageBackend::Http => {
-            let file = cached_http(spec);
-            match cache_config() {
-                // The cache rides below the span fetcher, so only the
-                // remote backend gains one; local backends are their own
-                // cache.
-                Some(cfg) => Box::new(CachedFile::with_config(Box::new(file), cfg)),
-                None => Box::new(file),
-            }
-        }
-    }
-}
-
-/// Per-block synopsis build parameters for the synopsis gates, from
-/// `PAI_BENCH_SYNOPSIS_BUCKETS` (histogram buckets per column, default 8,
-/// floored at 1) and `PAI_BENCH_SYNOPSIS_SAMPLES` (row samples per block,
-/// default 4; `0` disables sampling). Malformed values fall back to the
-/// defaults (never a panic mid-bench); the PaiZone encoder clamps to its
-/// format caps.
-pub fn synopsis_spec() -> SynopsisSpec {
-    let default = SynopsisSpec::default();
-    SynopsisSpec {
-        buckets: std::env::var("PAI_BENCH_SYNOPSIS_BUCKETS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&b| b >= 1)
-            .unwrap_or(default.buckets),
-        sample_rows: std::env::var("PAI_BENCH_SYNOPSIS_SAMPLES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default.sample_rows),
-    }
-}
-
-/// The CI target φ the synopsis gates answer under, from
-/// `PAI_BENCH_SYNOPSIS_PHI` (default 0.05; malformed, non-positive, or
-/// non-finite values fall back to the default).
-pub fn synopsis_phi() -> f64 {
-    std::env::var("PAI_BENCH_SYNOPSIS_PHI")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&p: &f64| p > 0.0 && p.is_finite())
-        .unwrap_or(0.05)
-}
-
-/// Rows the streaming-ingest gates push through `SharedIndex::ingest`,
-/// from `PAI_BENCH_INGEST_ROWS` (default 24 576 — 48 sealed delta blocks
-/// at the gates' 512-row block size; the sealed base holds the same row
-/// count again; malformed or zero values fall back to the default).
-pub fn ingest_rows() -> u64 {
-    std::env::var("PAI_BENCH_INGEST_ROWS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&r| r >= 1)
-        .unwrap_or(24_576)
-}
-
-/// Rows per ingest batch the streaming gates issue, from
-/// `PAI_BENCH_INGEST_BATCH` (default 1024; malformed or zero values fall
-/// back to the default).
-pub fn ingest_batch() -> usize {
-    std::env::var("PAI_BENCH_INGEST_BATCH")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&b| b >= 1)
-        .unwrap_or(1024)
-}
-
-/// Closed-loop shape of the server load harness, from the
-/// `PAI_BENCH_SERVER_*` knobs (malformed or zero values fall back to the
-/// defaults, like every other knob — never a panic mid-bench).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServerLoadKnobs {
-    /// Distinct named sessions the clients spread over (zipf-popular).
-    pub sessions: usize,
-    /// Concurrent client connections in the closed loop.
-    pub clients: usize,
-    /// Queries each client issues before disconnecting.
-    pub queries_per_client: usize,
-    /// Per-session queue depth for the saturation leg.
-    pub queue_depth: usize,
-    /// Saturation gate: p99 must stay within this multiple of p50.
-    pub p99_mult: u64,
-}
-
-/// Reads the `PAI_BENCH_SERVER_*` knobs (see the crate docs for the
-/// defaults and `docs/BENCHMARKS.md` for the full table).
-pub fn server_load_knobs() -> ServerLoadKnobs {
-    let nonzero = |name: &str, default: u64| {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&v| v >= 1)
-            .unwrap_or(default)
-    };
-    ServerLoadKnobs {
-        sessions: nonzero("PAI_BENCH_SERVER_SESSIONS", 6) as usize,
-        clients: nonzero("PAI_BENCH_SERVER_CLIENTS", 24) as usize,
-        queries_per_client: nonzero("PAI_BENCH_SERVER_QUERIES", 8) as usize,
-        queue_depth: nonzero("PAI_BENCH_SERVER_QUEUE", 2) as usize,
-        p99_mult: nonzero("PAI_BENCH_SERVER_P99_MULT", 128),
-    }
-}
-
-/// A smaller setup for criterion micro/mid benches (fast iterations).
-pub fn small_setup(rows: u64) -> Fig2Setup {
-    let mut s = fig2_setup();
-    s.spec = default_spec(rows, 42);
-    s.init.domain = Some(s.spec.domain);
-    let start = Workload::centered_window(&s.spec.domain, s.window_fraction)
-        .shifted(-150.0, -150.0)
-        .clamped_into(&s.spec.domain);
-    s.workload = Workload::shifted_sequence(
-        &s.spec.domain,
-        start,
-        12,
-        vec![AggregateFunction::Mean(2)],
-        42,
-    );
-    s
+    publish(&path, |tmp| spec.write_zone(tmp));
+    ZoneFile::open(&path).expect("open bench dataset")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pai_storage::RawFile;
+    use pai_storage::{
+        CacheConfig, CachedFile, FaultPlan, HttpFile, HttpOptions, LatencyFile, ObjectStore,
+    };
+
+    fn collect(f: &dyn RawFile, columns: usize) -> Vec<Vec<f64>> {
+        let mut rows: Vec<Vec<f64>> = Vec::new();
+        let wanted: Vec<usize> = (0..columns).collect();
+        f.scan(&mut |_, _, rec| {
+            let mut vals = Vec::new();
+            rec.extract_f64(&wanted, &mut vals)?;
+            rows.push(vals);
+            Ok(())
+        })
+        .unwrap();
+        rows
+    }
+
+    fn row_count(f: &dyn RawFile) -> u64 {
+        let mut rows = 0;
+        f.scan(&mut |_, _, _| {
+            rows += 1;
+            Ok(())
+        })
+        .unwrap();
+        rows
+    }
+
+    /// The zone image of `spec` on a fresh in-process object store, opened
+    /// over ranged GETs. The store must outlive the file.
+    fn served_zone(spec: &DatasetSpec) -> (ObjectStore, HttpFile) {
+        let zone = cached_zone(spec);
+        let store = ObjectStore::serve_with(std::time::Duration::ZERO, FaultPlan::Off)
+            .expect("start object store");
+        let image = std::fs::read(zone.path().expect("cached zone is on disk")).unwrap();
+        store.put("dataset.paizone", image);
+        let http = HttpFile::open(store.addr(), "dataset.paizone", HttpOptions::default())
+            .expect("open http dataset");
+        (store, http)
+    }
 
     #[test]
     fn setup_is_consistent() {
-        let s = fig2_setup();
+        let s = fig2_setup(1234, 7);
         assert_eq!(s.spec.columns, 10);
-        assert!(!s.workload.is_empty());
+        assert_eq!(s.spec.rows, 1234);
+        assert_eq!(s.workload.len(), 7);
         for q in &s.workload.queries {
             assert!(s.spec.domain.contains_rect(&q.window));
         }
     }
 
     #[test]
-    fn env_knobs_override_defaults() {
-        // The CI-friendly small-default contract: PAI_BENCH_ROWS /
-        // PAI_BENCH_QUERIES / PAI_BENCH_SEED scale every bench without a
-        // rebuild. Other tests in this module tolerate arbitrary knob
-        // values, so briefly setting them here is safe under parallel runs.
-        std::env::set_var("PAI_BENCH_ROWS", "1234");
-        std::env::set_var("PAI_BENCH_QUERIES", "7");
-        std::env::set_var("PAI_BENCH_SEED", "9");
-        let s = fig2_setup();
-        std::env::remove_var("PAI_BENCH_ROWS");
-        std::env::remove_var("PAI_BENCH_QUERIES");
-        std::env::remove_var("PAI_BENCH_SEED");
-        assert_eq!(s.spec.rows, 1234);
-        assert_eq!(s.workload.len(), 7);
-        assert_eq!(s.spec.seed, 9);
-
-        // Defaults kick back in once the knobs are gone.
-        assert_eq!(env_u64("PAI_BENCH_ROWS", 200_000), 200_000);
-        // Malformed values fall back to the default instead of panicking.
-        std::env::set_var("PAI_BENCH_ROWS", "not-a-number");
-        assert_eq!(env_u64("PAI_BENCH_ROWS", 200_000), 200_000);
-        std::env::remove_var("PAI_BENCH_ROWS");
-    }
-
-    #[test]
-    fn backend_knob_selects_storage_backend() {
-        // Same contract as the numeric knobs: unset → default, valid value
-        // → honored, malformed → default (never a panic mid-bench).
-        std::env::remove_var("PAI_BENCH_BACKEND");
-        assert_eq!(backend(), pai_storage::StorageBackend::Csv);
-        std::env::set_var("PAI_BENCH_BACKEND", "bin");
-        assert_eq!(backend(), pai_storage::StorageBackend::Bin);
-        let spec = default_spec(300, 11);
-        let file = cached_file(&spec);
-        assert_eq!(file.schema().len(), spec.columns);
-        let mut rows = 0;
-        file.scan(&mut |_, _, _| {
-            rows += 1;
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(rows, 300, "bin-backed cached_file serves the dataset");
-        std::env::set_var("PAI_BENCH_BACKEND", "http");
-        assert_eq!(backend(), pai_storage::StorageBackend::Http);
-        std::env::set_var("PAI_BENCH_BACKEND", "duckdb");
-        assert_eq!(backend(), pai_storage::StorageBackend::Csv);
-        std::env::remove_var("PAI_BENCH_BACKEND");
-    }
-
-    #[test]
-    fn http_part_knob_selects_client_options() {
-        // Read-only contract check against the default environment (other
-        // tests may run in parallel, so no env mutation here): the default
-        // is a coalescing client with 64 KiB parts, and part 0 is naive.
-        if std::env::var("PAI_BENCH_HTTP_PART_KB").is_err() {
-            let opts = http_options();
-            assert!(opts.coalesce);
-            assert_eq!(opts.part_bytes, 64 * 1024);
-        }
-        assert!(!pai_storage::HttpOptions::with_part_bytes(0).coalesce);
-    }
-
-    #[test]
     fn every_backend_serves_the_same_dataset() {
-        // Exercise each backend's fixture constructor directly — no env
-        // mutation, so this cannot race the knob-parsing test (or wipe the
-        // CI matrix job's PAI_BENCH_BACKEND) under parallel test threads.
         let spec = default_spec(250, 31);
-        let collect = |f: &dyn RawFile| {
-            let mut rows: Vec<Vec<f64>> = Vec::new();
-            let wanted: Vec<usize> = (0..spec.columns).collect();
-            f.scan(&mut |_, _, rec| {
-                let mut vals = Vec::new();
-                rec.extract_f64(&wanted, &mut vals)?;
-                rows.push(vals);
-                Ok(())
-            })
-            .unwrap();
-            rows
-        };
-        let reference = collect(&cached_csv(&spec));
+        let reference = collect(&cached_csv(&spec), spec.columns);
         let bin = cached_bin(&spec);
-        assert_eq!(collect(&bin), reference, "bin");
+        assert_eq!(collect(&bin, spec.columns), reference, "bin");
         let mapped = BinFile::open_mapped(bin.path().expect("cached bin is on disk")).expect("map");
-        assert_eq!(collect(&mapped), reference, "mmap");
+        assert_eq!(collect(&mapped, spec.columns), reference, "mmap");
         let zone = cached_zone(&spec);
-        assert_eq!(collect(&zone), reference, "zone");
+        assert_eq!(collect(&zone, spec.columns), reference, "zone");
         let latency = LatencyFile::new(
             Box::new(zone),
             std::time::Duration::ZERO,
             std::time::Duration::ZERO,
         );
-        assert_eq!(collect(&latency), reference, "latency");
-        let http = cached_http(&spec);
-        assert!(http.is_zone(), "http fixture serves the zone image");
-        assert_eq!(collect(&http), reference, "http");
+        assert_eq!(collect(&latency, spec.columns), reference, "latency");
+        let (_store, http) = served_zone(&spec);
+        assert!(http.is_zone(), "the store serves the zone image");
+        assert_eq!(collect(&http, spec.columns), reference, "http");
         assert!(
             http.counters().http_requests() > 0,
             "http reads went over the wire"
@@ -646,254 +302,24 @@ mod tests {
             "sanity: both caches materialized"
         );
         // Same rows in the same order under both representations.
-        let collect = |f: &dyn RawFile| {
-            let mut rows: Vec<Vec<f64>> = Vec::new();
-            let wanted: Vec<usize> = (0..spec.columns).collect();
-            f.scan(&mut |_, _, rec| {
-                let mut vals = Vec::new();
-                rec.extract_f64(&wanted, &mut vals)?;
-                rows.push(vals);
-                Ok(())
-            })
-            .unwrap();
-            rows
-        };
-        assert_eq!(collect(&csv), collect(&bin));
+        assert_eq!(collect(&csv, spec.columns), collect(&bin, spec.columns));
         // Second call hits the cache (open validates, no rewrite).
         let again = cached_bin(&spec);
         assert_eq!(again.size_bytes(), bin.size_bytes());
     }
 
     #[test]
-    fn batch_knob_selects_adapt_batch() {
-        // Same contract as the other knobs: unset → default, valid value →
-        // honored, malformed/zero → default (never a panic mid-bench).
-        std::env::remove_var("PAI_BENCH_BATCH");
-        assert_eq!(batch(), 1);
-        assert_eq!(fig2_setup().engine.adapt_batch, 1);
-        std::env::set_var("PAI_BENCH_BATCH", "8");
-        assert_eq!(batch(), 8);
-        let s = fig2_setup();
-        assert_eq!(s.engine.adapt_batch, 8);
-        assert!(s.engine.validate().is_ok());
-        std::env::set_var("PAI_BENCH_BATCH", "0");
-        assert_eq!(batch(), 1);
-        std::env::set_var("PAI_BENCH_BATCH", "not-a-number");
-        assert_eq!(batch(), 1);
-        std::env::remove_var("PAI_BENCH_BATCH");
-    }
-
-    #[test]
-    fn fetch_worker_knob_selects_pipeline_width() {
-        // Same contract as the other knobs: unset → default, valid value →
-        // honored, malformed/zero → default (never a panic mid-bench).
-        std::env::remove_var("PAI_BENCH_FETCH_WORKERS");
-        assert_eq!(fetch_workers(), 1);
-        assert_eq!(fig2_setup().engine.fetch_workers, 1);
-        std::env::set_var("PAI_BENCH_FETCH_WORKERS", "4");
-        assert_eq!(fetch_workers(), 4);
-        let s = fig2_setup();
-        assert_eq!(s.engine.fetch_workers, 4);
-        assert!(s.engine.validate().is_ok());
-        std::env::set_var("PAI_BENCH_FETCH_WORKERS", "0");
-        assert_eq!(fetch_workers(), 1);
-        std::env::set_var("PAI_BENCH_FETCH_WORKERS", "not-a-number");
-        assert_eq!(fetch_workers(), 1);
-        std::env::remove_var("PAI_BENCH_FETCH_WORKERS");
-
-        // The adaptive knob flows into the HTTP client options (read-only
-        // against the default environment, like the part-size check).
-        if std::env::var("PAI_BENCH_HTTP_ADAPTIVE").is_err()
-            && std::env::var("PAI_BENCH_FETCH_WORKERS").is_err()
-        {
-            let opts = http_options();
-            assert!(!opts.adaptive);
-            assert_eq!(opts.fetch_workers, 1);
-        }
-    }
-
-    #[test]
-    fn cache_knobs_select_tiered_cache() {
-        // Same contract as the other knobs: unset → default (cache off),
-        // valid value → honored, malformed/zero → default (never a panic
-        // mid-bench).
-        std::env::remove_var("PAI_BENCH_CACHE_MEM_KB");
-        std::env::remove_var("PAI_BENCH_CACHE_DISK_KB");
-        std::env::remove_var("PAI_BENCH_CACHE_DIR");
-        assert_eq!(cache_config(), None);
-        assert_eq!(fig2_setup().engine.cache, None);
-
-        std::env::set_var("PAI_BENCH_CACHE_MEM_KB", "256");
-        let cfg = cache_config().expect("memory knob turns the cache on");
-        assert_eq!(cfg.mem_bytes, 256 * 1024);
-        assert_eq!(cfg.disk_bytes, 0, "no spill tier unless asked");
-        assert_eq!(cfg.spill_dir, None);
-
-        std::env::set_var("PAI_BENCH_CACHE_DISK_KB", "1024");
-        std::env::set_var("PAI_BENCH_CACHE_DIR", "bench-cache-spill");
-        let cfg = cache_config().unwrap();
-        assert_eq!(cfg.disk_bytes, 1024 * 1024);
-        assert_eq!(
-            cfg.spill_dir.as_deref(),
-            Some(std::path::Path::new("bench-cache-spill"))
-        );
-        let s = fig2_setup();
-        assert_eq!(s.engine.cache, Some(cfg));
-        assert!(s.engine.validate().is_ok());
-
-        std::env::set_var("PAI_BENCH_CACHE_MEM_KB", "0");
-        assert_eq!(cache_config(), None, "zero memory budget = cache off");
-        std::env::set_var("PAI_BENCH_CACHE_MEM_KB", "not-a-number");
-        assert_eq!(cache_config(), None);
-        std::env::remove_var("PAI_BENCH_CACHE_MEM_KB");
-        std::env::remove_var("PAI_BENCH_CACHE_DISK_KB");
-        std::env::remove_var("PAI_BENCH_CACHE_DIR");
-    }
-
-    #[test]
-    fn server_knobs_shape_the_load_harness() {
-        // Same contract as the other knobs: unset → default, valid value →
-        // honored, malformed/zero → default (never a panic mid-bench).
-        for name in [
-            "PAI_BENCH_SERVER_SESSIONS",
-            "PAI_BENCH_SERVER_CLIENTS",
-            "PAI_BENCH_SERVER_QUERIES",
-            "PAI_BENCH_SERVER_QUEUE",
-            "PAI_BENCH_SERVER_P99_MULT",
-        ] {
-            std::env::remove_var(name);
-        }
-        let k = server_load_knobs();
-        assert_eq!(
-            k,
-            ServerLoadKnobs {
-                sessions: 6,
-                clients: 24,
-                queries_per_client: 8,
-                queue_depth: 2,
-                p99_mult: 128,
-            }
-        );
-
-        std::env::set_var("PAI_BENCH_SERVER_SESSIONS", "3");
-        std::env::set_var("PAI_BENCH_SERVER_CLIENTS", "96");
-        std::env::set_var("PAI_BENCH_SERVER_QUERIES", "5");
-        std::env::set_var("PAI_BENCH_SERVER_QUEUE", "1");
-        std::env::set_var("PAI_BENCH_SERVER_P99_MULT", "16");
-        let k = server_load_knobs();
-        assert_eq!(k.sessions, 3);
-        assert_eq!(k.clients, 96);
-        assert_eq!(k.queries_per_client, 5);
-        assert_eq!(k.queue_depth, 1);
-        assert_eq!(k.p99_mult, 16);
-
-        // Zero would deadlock the closed loop (or fail ServerConfig
-        // validation), so it falls back like a malformed value.
-        std::env::set_var("PAI_BENCH_SERVER_QUEUE", "0");
-        assert_eq!(server_load_knobs().queue_depth, 2);
-        std::env::set_var("PAI_BENCH_SERVER_CLIENTS", "not-a-number");
-        assert_eq!(server_load_knobs().clients, 24);
-        for name in [
-            "PAI_BENCH_SERVER_SESSIONS",
-            "PAI_BENCH_SERVER_CLIENTS",
-            "PAI_BENCH_SERVER_QUERIES",
-            "PAI_BENCH_SERVER_QUEUE",
-            "PAI_BENCH_SERVER_P99_MULT",
-        ] {
-            std::env::remove_var(name);
-        }
-    }
-
-    #[test]
-    fn synopsis_knobs_shape_the_gates() {
-        // Same contract as the other knobs: unset → default, valid value →
-        // honored, malformed/zero-bucket → default (never a panic
-        // mid-bench).
-        for name in [
-            "PAI_BENCH_SYNOPSIS_BUCKETS",
-            "PAI_BENCH_SYNOPSIS_SAMPLES",
-            "PAI_BENCH_SYNOPSIS_PHI",
-        ] {
-            std::env::remove_var(name);
-        }
-        assert_eq!(synopsis_spec(), SynopsisSpec::default());
-        assert_eq!(synopsis_phi(), 0.05);
-
-        std::env::set_var("PAI_BENCH_SYNOPSIS_BUCKETS", "32");
-        std::env::set_var("PAI_BENCH_SYNOPSIS_SAMPLES", "0");
-        std::env::set_var("PAI_BENCH_SYNOPSIS_PHI", "0.1");
-        let spec = synopsis_spec();
-        assert_eq!(spec.buckets, 32);
-        assert_eq!(spec.sample_rows, 0, "zero samples = sampling off");
-        assert_eq!(synopsis_phi(), 0.1);
-
-        // Zero buckets would make the histograms meaningless; it falls back
-        // like a malformed value. A non-positive or non-finite φ falls back
-        // too (the gates must always have a real target to answer under).
-        std::env::set_var("PAI_BENCH_SYNOPSIS_BUCKETS", "0");
-        assert_eq!(synopsis_spec().buckets, SynopsisSpec::default().buckets);
-        std::env::set_var("PAI_BENCH_SYNOPSIS_BUCKETS", "not-a-number");
-        assert_eq!(synopsis_spec().buckets, SynopsisSpec::default().buckets);
-        std::env::set_var("PAI_BENCH_SYNOPSIS_PHI", "-0.05");
-        assert_eq!(synopsis_phi(), 0.05);
-        std::env::set_var("PAI_BENCH_SYNOPSIS_PHI", "inf");
-        assert_eq!(synopsis_phi(), 0.05);
-        for name in [
-            "PAI_BENCH_SYNOPSIS_BUCKETS",
-            "PAI_BENCH_SYNOPSIS_SAMPLES",
-            "PAI_BENCH_SYNOPSIS_PHI",
-        ] {
-            std::env::remove_var(name);
-        }
-    }
-
-    #[test]
-    fn ingest_knobs_shape_the_stream() {
-        // Same contract as the other knobs: unset → default, valid value →
-        // honored, malformed/zero → default (never a panic mid-bench).
-        std::env::remove_var("PAI_BENCH_INGEST_ROWS");
-        std::env::remove_var("PAI_BENCH_INGEST_BATCH");
-        assert_eq!(ingest_rows(), 24_576);
-        assert_eq!(ingest_batch(), 1024);
-
-        std::env::set_var("PAI_BENCH_INGEST_ROWS", "6144");
-        std::env::set_var("PAI_BENCH_INGEST_BATCH", "512");
-        assert_eq!(ingest_rows(), 6144);
-        assert_eq!(ingest_batch(), 512);
-
-        // Zero rows/batch would make the stream degenerate; both fall back
-        // like malformed values.
-        std::env::set_var("PAI_BENCH_INGEST_ROWS", "0");
-        assert_eq!(ingest_rows(), 24_576);
-        std::env::set_var("PAI_BENCH_INGEST_BATCH", "not-a-number");
-        assert_eq!(ingest_batch(), 1024);
-        std::env::remove_var("PAI_BENCH_INGEST_ROWS");
-        std::env::remove_var("PAI_BENCH_INGEST_BATCH");
-    }
-
-    #[test]
     fn cached_backend_serves_the_dataset_through_the_block_cache() {
-        // Exercise the cached_file Http arm's wrapper directly — no env
-        // mutation (parallel-test safe): the wrapped fixture must serve the
-        // same rows as the raw zone file while the second pass over the
-        // same spans stays off the wire.
+        // The served zone image behind the tiered block cache serves the
+        // same rows as the raw zone file.
         let spec = default_spec(250, 31);
-        let http = cached_http(&spec);
+        let (_store, http) = served_zone(&spec);
         let cached = CachedFile::with_config(Box::new(http), CacheConfig::new(4 << 20, 0));
         assert!(cached.is_attached(), "http backend binds the cache");
-        let collect = |f: &dyn RawFile| {
-            let mut rows: Vec<Vec<f64>> = Vec::new();
-            let wanted: Vec<usize> = (0..spec.columns).collect();
-            f.scan(&mut |_, _, rec| {
-                let mut vals = Vec::new();
-                rec.extract_f64(&wanted, &mut vals)?;
-                rows.push(vals);
-                Ok(())
-            })
-            .unwrap();
-            rows
-        };
-        assert_eq!(collect(&cached), collect(&cached_zone(&spec)));
+        assert_eq!(
+            collect(&cached, spec.columns),
+            collect(&cached_zone(&spec), spec.columns)
+        );
     }
 
     #[test]
@@ -912,12 +338,41 @@ mod tests {
         let size_a = a.size_bytes();
         let b = cached_csv(&spec); // second call must hit the cache
         assert_eq!(size_a, b.size_bytes());
-        let mut rows = 0;
-        b.scan(&mut |_, _, _| {
-            rows += 1;
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(rows, 500);
+        assert_eq!(row_count(&b), 500);
+    }
+
+    #[test]
+    fn racing_first_writers_never_open_a_partial_dataset() {
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .subsec_nanos();
+        let seed = (u64::from(std::process::id()) << 32) | u64::from(nanos);
+        // A spec no earlier run cached (its seed is unique to this run),
+        // in generation order, so a writer streams its rows out while it
+        // generates them.
+        let spec = DatasetSpec {
+            order: pai_storage::RowOrder::Generated,
+            ..default_spec(20_000, seed)
+        };
+        let path = cache_dir().join(cache_key(&spec, "csv"));
+        assert!(!path.exists(), "the spec must not be cached yet");
+
+        let counts: Vec<u64> = std::thread::scope(|sc| {
+            let handles: Vec<_> = (0..4)
+                .map(|i| {
+                    let spec = &spec;
+                    sc.spawn(move || {
+                        // Staggered starts: the later threads find the
+                        // first one's dataset while it is being written.
+                        std::thread::sleep(std::time::Duration::from_millis(30 * i));
+                        row_count(&cached_csv(spec))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(counts, vec![spec.rows; 4], "a thread read a partial CSV");
+        std::fs::remove_file(&path).expect("remove the test's dataset");
     }
 }

@@ -1,28 +1,19 @@
-//! Storage-backend comparison: `read_rows` throughput and whole-engine I/O
-//! across CSV, the binary columnar (`PaiBin`) format, and the zone-mapped
-//! compressed (`PaiZone`) format, over the **same dataset**.
+//! Storage-backend gates over the **same dataset** behind CSV, the binary
+//! columnar (`PaiBin`) format, and the zone-mapped compressed (`PaiZone`)
+//! format.
 //!
-//! Two parts:
-//! * criterion groups timing batched positional reads across batch sizes
-//!   (the adaptation hot path) and the full initialization scan;
-//! * correctness/efficiency gates run once at startup: the same query
-//!   workload executed end-to-end on every backend must produce identical
-//!   approximate answers while `PaiBin` reads strictly fewer bytes than
-//!   CSV, and `PaiZone` — including the per-query ground-truth
-//!   verification pass, which exercises zone-map pushdown — reads strictly
-//!   fewer bytes *and blocks* than `PaiBin`. A regression here aborts the
-//!   bench run.
+//! The same query workload executed end to end on every backend must
+//! produce identical approximate answers while `PaiBin` reads strictly fewer
+//! bytes than CSV, and `PaiZone` — including the per-query ground-truth
+//! verification pass, which exercises zone-map pushdown — reads strictly
+//! fewer bytes *and blocks* than `PaiBin`. Every gate compares meters, not
+//! wall-clock, so all of them run in debug builds too.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pai_bench::{cached_bin, cached_csv, cached_zone, small_setup};
 use pai_common::RowLocator;
-use pai_core::ApproximateEngine;
-use pai_index::init::build;
 use pai_query::{run_workload, Method, MethodRun};
 use pai_storage::ground_truth::window_truth;
 use pai_storage::RawFile;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 const READ_ATTRS: [usize; 2] = [2, 3];
 
@@ -37,8 +28,9 @@ fn locators_of(file: &dyn RawFile) -> Vec<RowLocator> {
     locs
 }
 
-/// Gate: identical answers, strictly fewer bytes on the binary backend.
-fn assert_binary_backend_io_advantage() {
+/// Identical answers, strictly fewer bytes on the binary backend.
+#[test]
+fn binary_backend_io_advantage() {
     let setup = small_setup(20_000);
     let csv = cached_csv(&setup.spec);
     let bin = cached_bin(&setup.spec);
@@ -76,11 +68,12 @@ fn assert_binary_backend_io_advantage() {
     );
 }
 
-/// Gate: identical answers and CIs on `PaiZone`, strictly fewer bytes and
-/// blocks than `PaiBin` once the workload's per-query ground-truth
-/// verification (the pushdown-scanning consumer) is included, and zone maps
-/// actually skipping.
-fn assert_zone_backend_io_advantage() {
+/// Identical answers and CIs on `PaiZone`, strictly fewer bytes and blocks
+/// than `PaiBin` once the workload's per-query ground-truth verification
+/// (the pushdown-scanning consumer) is included, and zone maps actually
+/// skipping.
+#[test]
+fn zone_backend_io_advantage() {
     let setup = small_setup(20_000);
     let bin = cached_bin(&setup.spec);
     let zone = cached_zone(&setup.spec);
@@ -157,45 +150,16 @@ fn assert_zone_backend_io_advantage() {
     );
 }
 
-fn bench_read_rows(c: &mut Criterion) {
-    assert_binary_backend_io_advantage();
-    assert_zone_backend_io_advantage();
-
+/// One positional sweep (every seventh row) per backend: the identical
+/// logical read costs strictly fewer bytes on `PaiBin` than on CSV.
+#[test]
+fn binary_positional_sweep_is_cheaper_in_bytes() {
     let setup = small_setup(50_000);
     let csv = cached_csv(&setup.spec);
     let bin = cached_bin(&setup.spec);
-    let zone = cached_zone(&setup.spec);
     let csv_locs = locators_of(&csv);
     let bin_locs = locators_of(&bin);
-    let zone_locs = locators_of(&zone);
 
-    let mut group = c.benchmark_group("read_rows");
-    for &batch in &[16usize, 256, 4096] {
-        // The same scattered rows for both backends (indices, not locators,
-        // are shared: each backend addresses rows its own way).
-        let mut rng = StdRng::seed_from_u64(42 + batch as u64);
-        let idx: Vec<usize> = (0..batch)
-            .map(|_| rng.gen_range(0..csv_locs.len()))
-            .collect();
-        let cl: Vec<RowLocator> = idx.iter().map(|&i| csv_locs[i]).collect();
-        let bl: Vec<RowLocator> = idx.iter().map(|&i| bin_locs[i]).collect();
-        let zl: Vec<RowLocator> = idx.iter().map(|&i| zone_locs[i]).collect();
-
-        group.throughput(Throughput::Elements(batch as u64));
-        group.bench_with_input(BenchmarkId::new("csv", batch), &cl, |b, locs| {
-            b.iter(|| csv.read_rows(locs, &READ_ATTRS).expect("csv read").len())
-        });
-        group.bench_with_input(BenchmarkId::new("bin", batch), &bl, |b, locs| {
-            b.iter(|| bin.read_rows(locs, &READ_ATTRS).expect("bin read").len())
-        });
-        group.bench_with_input(BenchmarkId::new("zone", batch), &zl, |b, locs| {
-            b.iter(|| zone.read_rows(locs, &READ_ATTRS).expect("zone read").len())
-        });
-    }
-    group.finish();
-
-    // One full positional sweep per backend to compare the metered cost of
-    // an identical logical workload.
     let sweep: Vec<usize> = (0..csv_locs.len()).step_by(7).collect();
     let cl: Vec<RowLocator> = sweep.iter().map(|&i| csv_locs[i]).collect();
     let bl: Vec<RowLocator> = sweep.iter().map(|&i| bin_locs[i]).collect();
@@ -208,59 +172,3 @@ fn bench_read_rows(c: &mut Criterion) {
         "binary positional sweep must be cheaper in bytes"
     );
 }
-
-fn bench_init_scan(c: &mut Criterion) {
-    let setup = small_setup(50_000);
-    let csv = cached_csv(&setup.spec);
-    let bin = cached_bin(&setup.spec);
-    let zone = cached_zone(&setup.spec);
-    let mut group = c.benchmark_group("init_scan");
-    group.sample_size(10);
-    group.bench_function(BenchmarkId::new("csv", "build"), |b| {
-        b.iter(|| build(&csv, &setup.init).expect("csv build").1.rows)
-    });
-    group.bench_function(BenchmarkId::new("bin", "build"), |b| {
-        b.iter(|| build(&bin, &setup.init).expect("bin build").1.rows)
-    });
-    group.bench_function(BenchmarkId::new("zone", "build"), |b| {
-        b.iter(|| build(&zone, &setup.init).expect("zone build").1.rows)
-    });
-    group.finish();
-}
-
-fn bench_engine_query(c: &mut Criterion) {
-    let setup = small_setup(50_000);
-    let csv = cached_csv(&setup.spec);
-    let bin = cached_bin(&setup.spec);
-    let window = pai_common::geometry::Rect::new(250.0, 450.0, 250.0, 450.0);
-    let aggs = [pai_common::AggregateFunction::Mean(2)];
-    let mut group = c.benchmark_group("first_query_adaptation");
-    group.sample_size(10);
-    group.bench_function(BenchmarkId::new("csv", "phi5"), |b| {
-        b.iter(|| {
-            let (idx, _) = build(&csv, &setup.init).expect("init");
-            let mut eng = ApproximateEngine::new(idx, &csv, setup.engine.clone()).expect("engine");
-            eng.evaluate(&window, &aggs, 0.05)
-                .expect("eval")
-                .error_bound
-        })
-    });
-    group.bench_function(BenchmarkId::new("bin", "phi5"), |b| {
-        b.iter(|| {
-            let (idx, _) = build(&bin, &setup.init).expect("init");
-            let mut eng = ApproximateEngine::new(idx, &bin, setup.engine.clone()).expect("engine");
-            eng.evaluate(&window, &aggs, 0.05)
-                .expect("eval")
-                .error_bound
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_read_rows,
-    bench_init_scan,
-    bench_engine_query
-);
-criterion_main!(benches);

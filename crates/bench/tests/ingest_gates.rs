@@ -1,9 +1,6 @@
-//! Streaming-ingest evaluation: the delta-block / compactor acceptance
-//! gates.
-//!
-//! Two gates run once at startup against an [`AppendableFile`] whose delta
-//! section is streamed through `SharedIndex::ingest` in
-//! `PAI_BENCH_INGEST_BATCH`-row batches:
+//! Streaming-ingest gates: delta blocks and the compactor, against an
+//! [`AppendableFile`] whose delta section is streamed through
+//! `SharedIndex::ingest` in [`INGEST_BATCH`]-row batches:
 //!
 //! * **skipping recovery** — append order scatters the stream across the
 //!   domain, so the sealed delta blocks' zone maps prune almost nothing.
@@ -19,22 +16,12 @@
 //!   row physically lives. Full-domain φ = 0 counts are additionally
 //!   checked against the exact running row count after every batch.
 //!
-//! Every gated configuration's wall-clock and ingest meters land in a
-//! `BENCH_ingest.json` artifact at the repo root (override with
-//! `PAI_BENCH_INGEST_JSON_PATH`); CI archives it.
-//!
-//! The criterion group then times the streaming hot paths: one ingest
-//! batch through the shared index, and a φ = 0 window query against the
-//! compacted session.
-//!
-//! Knobs: `PAI_BENCH_INGEST_ROWS`, `PAI_BENCH_INGEST_BATCH`,
-//! `PAI_BENCH_INGEST_JSON_PATH` (see `docs/BENCHMARKS.md`).
+//! Both compare meters and answers, not wall-clock, so both run in debug
+//! builds too.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use pai_bench::{ingest_batch, ingest_rows};
 use pai_common::geometry::Rect;
 use pai_common::{AggregateFunction, IoSnapshot};
 use pai_core::{
@@ -46,8 +33,15 @@ use pai_storage::ground_truth::window_truth;
 use pai_storage::raw::SynopsisSpec;
 use pai_storage::{AppendableFile, CsvFormat, DatasetSpec, MemFile, RawFile};
 
-/// Sealed-delta-block size for the gates: small enough that the knob-sized
-/// stream seals dozens of blocks, so skipping ratios are measured on a real
+/// Rows the stream appends on top of the sealed base (which holds the same
+/// row count again): twelve sealed delta blocks.
+const INGEST_ROWS: u64 = 6144;
+
+/// Rows per `SharedIndex::ingest` batch.
+const INGEST_BATCH: usize = 512;
+
+/// Sealed-delta-block size for the gates: small enough that the stream seals
+/// a dozen blocks, so skipping ratios are measured on a real
 /// population rather than two or three blocks.
 const DELTA_BLOCK_ROWS: u32 = 512;
 
@@ -61,7 +55,7 @@ const AGGS: [AggregateFunction; 3] = [
 /// The sealed base half of every gate's file.
 fn base_spec() -> DatasetSpec {
     DatasetSpec {
-        rows: ingest_rows(),
+        rows: INGEST_ROWS,
         columns: 4,
         seed: 77,
         ..Default::default()
@@ -90,8 +84,8 @@ fn stream_rows(spec: &DatasetSpec, n: usize, salt: u64) -> Vec<Vec<f64>> {
 
 /// The whole stream, pre-cut into ingest batches (one salt per batch).
 fn stream_batches(spec: &DatasetSpec) -> Vec<Vec<Vec<f64>>> {
-    let total = ingest_rows() as usize;
-    let batch = ingest_batch();
+    let total = INGEST_ROWS as usize;
+    let batch = INGEST_BATCH;
     let mut out = Vec::new();
     let mut produced = 0usize;
     while produced < total {
@@ -142,12 +136,8 @@ fn gate_windows(spec: &DatasetSpec) -> Vec<Rect> {
 /// window-only fetches request in-window locators whose blocks always
 /// intersect the window, so `blocks_skipped` is a scan-path meter by
 /// design). Returns each window's exact (count, sum of column 2).
-fn run_workload(
-    file: &AppendableFile<MemFile>,
-    windows: &[Rect],
-) -> (Vec<(u64, f64)>, Duration, IoSnapshot) {
+fn run_workload(file: &AppendableFile<MemFile>, windows: &[Rect]) -> (Vec<(u64, f64)>, IoSnapshot) {
     file.counters().reset();
-    let t0 = Instant::now();
     let results = windows
         .iter()
         .map(|w| {
@@ -156,67 +146,15 @@ fn run_workload(
             (t.selected, t.stats.sum())
         })
         .collect();
-    (results, t0.elapsed(), file.counters().snapshot())
+    (results, file.counters().snapshot())
 }
 
-/// One gated configuration's measurements, destined for
-/// `BENCH_ingest.json`.
-struct BenchRow {
-    config: String,
-    wall_secs: f64,
-    blocks_skipped: u64,
-    rows_ingested: u64,
-    delta_blocks: u64,
-    compactions: u64,
-    blocks_rewritten: u64,
-}
-
-impl BenchRow {
-    fn of(config: &str, wall: Duration, io: &IoSnapshot) -> BenchRow {
-        BenchRow {
-            config: config.to_string(),
-            wall_secs: wall.as_secs_f64(),
-            blocks_skipped: io.blocks_skipped,
-            rows_ingested: io.rows_ingested,
-            delta_blocks: io.delta_blocks,
-            compactions: io.compactions,
-            blocks_rewritten: io.blocks_rewritten,
-        }
-    }
-}
-
-/// Writes the per-config measurement artifact (hand-rolled JSON — the
-/// workspace deliberately carries no serialization dependency).
-fn write_bench_json(rows: &[BenchRow]) {
-    let path = std::env::var("PAI_BENCH_INGEST_JSON_PATH").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingest.json").to_string()
-    });
-    let mut s = String::from("{\n  \"bench\": \"ingest\",\n  \"configs\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"config\": \"{}\", \"wall_secs\": {:.6}, \"blocks_skipped\": {}, \
-             \"rows_ingested\": {}, \"delta_blocks\": {}, \"compactions\": {}, \
-             \"blocks_rewritten\": {}}}{}\n",
-            r.config,
-            r.wall_secs,
-            r.blocks_skipped,
-            r.rows_ingested,
-            r.delta_blocks,
-            r.compactions,
-            r.blocks_rewritten,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(&path, s).expect("write BENCH_ingest.json");
-    println!("ingest bench artifact: {path}");
-}
-
-/// Gate 1: after one compaction pass, the streamed session's zone-map
-/// skipping recovers at least 80% of what a statically Z-ordered twin of
-/// the same rows achieves — and the un-compacted stream must skip less,
-/// or the recovery claim is vacuous.
-fn assert_compaction_recovers_skipping(rows: &mut Vec<BenchRow>) {
+/// After one compaction pass, the streamed session's zone-map skipping
+/// recovers at least 80% of what a statically Z-ordered twin of the same
+/// rows achieves — and the un-compacted stream must skip less, or the
+/// recovery claim is vacuous.
+#[test]
+fn compaction_recovers_skipping() {
     let spec = base_spec();
     let batches = stream_batches(&spec);
     let windows = gate_windows(&spec);
@@ -232,7 +170,7 @@ fn assert_compaction_recovers_skipping(rows: &mut Vec<BenchRow>) {
         .compact_once(&spec.domain, 1)
         .expect("compact reference")
         .expect("reference had sealed blocks");
-    let (ref_res, ref_wall, ref_io) = run_workload(&reference, &windows);
+    let (ref_res, ref_io) = run_workload(&reference, &windows);
     assert!(
         ref_io.blocks_skipped > 0,
         "the reference workload must exercise zone-map pruning at all"
@@ -263,12 +201,12 @@ fn assert_compaction_recovers_skipping(rows: &mut Vec<BenchRow>) {
         );
     }
 
-    let (raw_res, raw_wall, raw_io) = run_workload(shared.file(), &windows);
+    let (raw_res, raw_io) = run_workload(shared.file(), &windows);
     let report = compact_now(&shared, 1)
         .expect("compact streamed")
         .expect("streamed session had a cold run");
     assert!(report.generation >= 1);
-    let (cmp_res, cmp_wall, cmp_io) = run_workload(shared.file(), &windows);
+    let (cmp_res, cmp_io) = run_workload(shared.file(), &windows);
 
     assert!(
         raw_io.blocks_skipped < cmp_io.blocks_skipped,
@@ -312,9 +250,6 @@ fn assert_compaction_recovers_skipping(rows: &mut Vec<BenchRow>) {
         ref_io.blocks_skipped,
         report.blocks_rewritten
     );
-    rows.push(BenchRow::of("static z-order reference", ref_wall, &ref_io));
-    rows.push(BenchRow::of("streamed un-compacted", raw_wall, &raw_io));
-    rows.push(BenchRow::of("streamed compacted", cmp_wall, &cmp_io));
 }
 
 /// One scripted ingest-while-explore session: ingest a batch, query a
@@ -374,16 +309,17 @@ fn scripted_session(
     let truth = window_truth(shared.file(), &spec.domain, &[2]).expect("ground truth");
     assert_eq!(
         truth.first().expect("one truth row").stats.count(),
-        spec.rows + ingest_rows(),
+        spec.rows + INGEST_ROWS,
         "the file holds exactly base + streamed rows"
     );
     let io = shared.file().counters().snapshot();
     (answers, wall, io)
 }
 
-/// Gate 2: with the compactor racing the session, every answer is
-/// bit-identical to the compactor-free run — values, CIs, and bounds.
-fn assert_concurrent_compaction_is_invisible(rows: &mut Vec<BenchRow>) {
+/// With the compactor racing the session, every answer is bit-identical to
+/// the compactor-free run — values, CIs, and bounds.
+#[test]
+fn concurrent_compaction_is_invisible() {
     let spec = base_spec();
     let batches = stream_batches(&spec);
     let windows = gate_windows(&spec);
@@ -426,55 +362,4 @@ fn assert_concurrent_compaction_is_invisible(rows: &mut Vec<BenchRow>) {
         racing_wall,
         quiet_wall
     );
-    rows.push(BenchRow::of(
-        "ingest-while-explore compactor racing",
-        racing_wall,
-        &racing_io,
-    ));
-    rows.push(BenchRow::of(
-        "ingest-while-explore quiet",
-        quiet_wall,
-        &quiet_io,
-    ));
 }
-
-fn bench_ingest(c: &mut Criterion) {
-    let mut rows = Vec::new();
-    assert_compaction_recovers_skipping(&mut rows);
-    assert_concurrent_compaction_is_invisible(&mut rows);
-    write_bench_json(&rows);
-
-    // Timing: the streaming hot paths on a compacted live session.
-    let spec = base_spec();
-    let batches = stream_batches(&spec);
-    let windows = gate_windows(&spec);
-    let file = fresh_appendable(&spec);
-    let (index, _) = build(&file, &init_config(&spec)).expect("init");
-    let shared =
-        Arc::new(SharedIndex::new(index, file, EngineConfig::paper_evaluation()).expect("shared"));
-    for batch in &batches {
-        shared.ingest(batch).expect("ingest");
-    }
-    compact_now(&shared, 1).expect("compact").expect("cold run");
-
-    let batch = &batches[0];
-    let mut group = c.benchmark_group("ingest");
-    group.sample_size(20);
-    group.throughput(Throughput::Elements(batch.len() as u64));
-    group.bench_function("append_batch", |b| {
-        b.iter(|| {
-            let receipt = shared.ingest(batch).expect("ingest");
-            std::hint::black_box(receipt.start_row)
-        })
-    });
-    group.bench_function("window_query_phi0", |b| {
-        b.iter(|| {
-            let res = shared.evaluate(&windows[0], &AGGS, 0.0).expect("evaluate");
-            std::hint::black_box(res.error_bound)
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_ingest);
-criterion_main!(benches);

@@ -1,8 +1,6 @@
-//! Zone-map pushdown and remote-latency benchmarks.
-//!
-//! Two wall-clock gates run once at startup, both over the simulated
-//! remote link ([`pai_storage::LatencyFile`], per-call + per-seek delay —
-//! the object-store cost model):
+//! Zone-map pushdown and batched-fetch gates over the simulated remote link
+//! ([`pai_storage::LatencyFile`], per-call + per-seek delay — the
+//! object-store cost model):
 //!
 //! * **batched fetch** — the same workload with `adapt_batch = 8` must beat
 //!   `adapt_batch = 1` outright: coalescing tiles into one `read_rows`
@@ -10,16 +8,12 @@
 //! * **pushdown** — per-query ground-truth scans on `PaiZone` must beat
 //!   `PaiBin`: skipped blocks are round trips never paid.
 //!
-//! The criterion groups then time the pushdown scan itself (no injected
-//! latency): exact window truth per backend, across window selectivities.
-//!
-//! Run the whole suite against the remote cost model with
-//! `PAI_BENCH_BACKEND=latency` (delays via `PAI_BENCH_LATENCY_US` /
-//! `PAI_BENCH_SEEK_LATENCY_US`).
+//! Both compare wall-clock, so both run in release builds only:
+//! `cargo test --release -p pai-bench --test pushdown_gates --
+//! --include-ignored --test-threads=1`.
 
 use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pai_bench::{cached_bin, cached_zone, small_setup};
 use pai_core::EngineConfig;
 use pai_query::{run_workload, Method};
@@ -38,8 +32,10 @@ fn seek_bound_remote(inner: Box<dyn RawFile>) -> LatencyFile {
     LatencyFile::new(inner, Duration::from_millis(1), Duration::from_micros(200))
 }
 
-/// Gate: batched fetch beats tile-at-a-time under injected latency.
-fn assert_batched_fetch_wins_under_latency() {
+/// Batched fetch beats tile-at-a-time under injected latency.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "wall-clock gate: run with --release")]
+fn batched_fetch_wins_under_latency() {
     let setup = small_setup(20_000);
     let method = Method::Approx { phi: 0.05 };
     let timed_run = |batch: usize| -> (Duration, u64) {
@@ -73,8 +69,10 @@ fn assert_batched_fetch_wins_under_latency() {
     );
 }
 
-/// Gate: pushdown truth scans beat full scans under injected latency.
-fn assert_pushdown_wins_under_latency() {
+/// Pushdown truth scans beat full scans under injected latency.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "wall-clock gate: run with --release")]
+fn pushdown_wins_under_latency() {
     // 50k rows = 13 blocks: enough zone-map granularity for the ~2%-area
     // workload windows to prove most stripes dead.
     let setup = small_setup(50_000);
@@ -104,35 +102,3 @@ fn assert_pushdown_wins_under_latency() {
         zone.counters().blocks_skipped()
     );
 }
-
-fn bench_pushdown_truth(c: &mut Criterion) {
-    assert_batched_fetch_wins_under_latency();
-    assert_pushdown_wins_under_latency();
-
-    let setup = small_setup(50_000);
-    let bin = cached_bin(&setup.spec);
-    let zone = cached_zone(&setup.spec);
-    let domain = &setup.spec.domain;
-
-    let mut group = c.benchmark_group("window_truth");
-    group.sample_size(10);
-    // Window selectivity sweep: the narrower the window, the more blocks
-    // the zone maps can prove dead.
-    for &frac in &[0.02f64, 0.10, 0.50] {
-        let window = pai_query::Workload::centered_window(domain, frac);
-        group.bench_with_input(
-            BenchmarkId::new("bin", format!("{:.0}%", frac * 100.0)),
-            &window,
-            |b, w| b.iter(|| window_truth(&bin, w, &[2]).expect("truth")[0].selected),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("zone", format!("{:.0}%", frac * 100.0)),
-            &window,
-            |b, w| b.iter(|| window_truth(&zone, w, &[2]).expect("truth")[0].selected),
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_pushdown_truth);
-criterion_main!(benches);

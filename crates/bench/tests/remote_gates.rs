@@ -1,17 +1,13 @@
-//! Remote object-store benchmarks: the HTTP backend's acceptance gates.
+//! Remote object-store gates: the HTTP backend against the bundled
+//! in-process object store ([`pai_storage::ObjectStore`]).
 //!
-//! Five gates run once at startup against the bundled in-process object
-//! store ([`pai_storage::ObjectStore`]):
-//!
-//! * **equivalence** — the same workload (plus its per-query ground-truth
-//!   verification) over HTTP yields byte-identical answers, CIs, error
-//!   bounds, and adaptation trajectories to the local `PaiZone` file, at
-//!   batch sizes 1 and 8, for both the naive and the coalescing client;
-//! * **coalescing + pushdown** — with fault injection off and a
-//!   per-request latency injected at the server, the coalescing client
-//!   issues strictly fewer ranged GETs, moves strictly fewer wire bytes,
-//!   and finishes the workload strictly faster than the naive
-//!   one-GET-per-span client;
+//! * **coalescing + pushdown** — the same workload (plus its per-query
+//!   ground-truth verification) over HTTP yields byte-identical answers,
+//!   CIs, error bounds, and adaptation trajectories to the local `PaiZone`
+//!   file at batch sizes 1 and 8, for both the naive and the coalescing
+//!   client; with 500 µs injected per request, the coalescing client issues
+//!   strictly fewer ranged GETs, moves strictly fewer wire bytes, and
+//!   finishes strictly faster than the naive one-GET-per-span client;
 //! * **overlap** — under the same injected latency, the overlapped fetch
 //!   pipeline (`fetch_workers > 1`) finishes the workload strictly faster
 //!   than the sequential client at batch sizes 1 and 8, with byte-identical
@@ -36,24 +32,13 @@
 //!   and fewer pages evicted than fetched after every session (a scan
 //!   cycles one slot instead of flushing the tier).
 //!
-//! Every gated configuration's wall-clock, GET count, wire bytes, and
-//! overlap ratio land in a `BENCH_remote.json` artifact at the repo root
-//! (override the path with `PAI_BENCH_JSON_PATH`); the cache gate's
-//! per-session measurements land in a sibling `BENCH_cache.json` (override
-//! with `PAI_BENCH_CACHE_JSON_PATH`); CI archives both.
-//!
-//! The criterion group then times the pushdown truth scan over HTTP
-//! (naive vs coalesced vs local) with no injected latency.
-//!
-//! Knobs: `PAI_BENCH_HTTP_PART_KB`, `PAI_BENCH_HTTP_LATENCY_US`,
-//! `PAI_BENCH_HTTP_FAULT`, `PAI_BENCH_FETCH_WORKERS`,
-//! `PAI_BENCH_HTTP_ADAPTIVE` steer the shared fixtures
-//! (`PAI_BENCH_BACKEND=http`); this bench pins its own stores so the gates
-//! stay deterministic.
+//! The first two compare wall-clock and run in release builds only:
+//! `cargo test --release -p pai-bench --test remote_gates --
+//! --include-ignored --test-threads=1`. The others compare GET counts and
+//! meters and run in debug builds too.
 
 use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pai_bench::{cached_zone, small_setup, Fig2Setup};
 use pai_common::geometry::Rect;
 use pai_common::{AggregateFunction, IoSnapshot};
@@ -62,8 +47,12 @@ use pai_index::init::build;
 use pai_query::{report, run_workload, Method, WindowQuery, Workload};
 use pai_storage::ground_truth::window_truth;
 use pai_storage::{
-    CacheConfig, CachedFile, FaultPlan, HttpFile, HttpOptions, ObjectStore, RawFile,
+    CacheConfig, CachedFile, Fault, FaultPlan, HttpFile, HttpOptions, ObjectStore, RawFile,
 };
+
+/// Injected per-request latency for the latency-sensitive gates: the
+/// round-trip cost the overlap/coalescing wins must hide.
+const GATE_LATENCY: Duration = Duration::from_micros(500);
 
 const OBJECT: &str = "remote-bench.paizone";
 
@@ -83,83 +72,6 @@ struct Outcome {
     requests: u64,
     wire_bytes: u64,
     io: IoSnapshot,
-}
-
-/// One gated configuration's measurements, destined for `BENCH_remote.json`.
-struct BenchRow {
-    config: String,
-    wall_secs: f64,
-    gets: u64,
-    wire_bytes: u64,
-    overlap_ratio: f64,
-}
-
-impl BenchRow {
-    fn of(config: &str, o: &Outcome) -> BenchRow {
-        BenchRow {
-            config: config.to_string(),
-            wall_secs: o.elapsed.as_secs_f64(),
-            gets: o.requests,
-            wire_bytes: o.wire_bytes,
-            overlap_ratio: o.io.overlap_ratio(),
-        }
-    }
-}
-
-/// Writes the per-config measurement artifact (hand-rolled JSON — the
-/// workspace deliberately carries no serialization dependency).
-fn write_bench_json(rows: &[BenchRow]) {
-    let path = std::env::var("PAI_BENCH_JSON_PATH").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_remote.json").to_string()
-    });
-    let mut s = String::from("{\n  \"bench\": \"remote\",\n  \"configs\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"config\": \"{}\", \"wall_secs\": {:.6}, \"gets\": {}, \
-             \"wire_bytes\": {}, \"overlap_ratio\": {:.3}}}{}\n",
-            r.config,
-            r.wall_secs,
-            r.gets,
-            r.wire_bytes,
-            r.overlap_ratio,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(&path, s).expect("write BENCH_remote.json");
-    println!("remote bench artifact: {path}");
-}
-
-/// Writes the cache gate's per-session artifact (`BENCH_cache.json`, path
-/// overridable via `PAI_BENCH_CACHE_JSON_PATH`); hand-rolled JSON like
-/// [`write_bench_json`]. `cache_hits`/`cache_misses` count page lookups
-/// (one per distinct 16 KiB page of each span batch), `hit_frac` is their
-/// ratio, `cache_evictions` pages dropped from either tier.
-fn write_cache_json(rows: &[(String, Outcome)]) {
-    let path = std::env::var("PAI_BENCH_CACHE_JSON_PATH").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cache.json").to_string()
-    });
-    let mut s = String::from("{\n  \"bench\": \"cache\",\n  \"configs\": [\n");
-    for (i, (config, o)) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"config\": \"{}\", \"wall_secs\": {:.6}, \"gets\": {}, \
-             \"wire_bytes\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
-             \"hit_frac\": {:.4}, \"cache_evictions\": {}, \"cache_mem_bytes\": {}}}{}\n",
-            config,
-            o.elapsed.as_secs_f64(),
-            o.requests,
-            o.wire_bytes,
-            o.io.cache_hits,
-            o.io.cache_misses,
-            o.io.cache_hits as f64 / (o.io.cache_hits + o.io.cache_misses).max(1) as f64,
-            o.io.cache_evictions,
-            o.io.cache_mem_bytes,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(&path, s).expect("write BENCH_cache.json");
-    println!("cache bench artifact: {path}");
 }
 
 /// Runs the workload (φ = 5 %) plus a per-query truth verification and
@@ -254,23 +166,13 @@ fn assert_equivalent(label: &str, a: &Outcome, b: &Outcome) {
     assert_eq!(a.truths, b.truths, "{label}: verification truths");
 }
 
-/// Injected per-request latency for the latency-sensitive gates:
-/// `PAI_BENCH_HTTP_LATENCY_US`, floored at 500 µs so the round-trip cost
-/// the overlap/coalescing wins must hide is always real.
-fn gate_latency() -> Duration {
-    let us = std::env::var("PAI_BENCH_HTTP_LATENCY_US")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0u64)
-        .max(500);
-    Duration::from_micros(us)
-}
-
-/// Gates 1 + 2: equivalence at both batch sizes, then the strict
-/// coalescing win under injected per-request latency.
-fn assert_coalescing_and_pushdown_win(rows: &mut Vec<BenchRow>) {
+/// Equivalence at both batch sizes, then the strict coalescing win under
+/// injected per-request latency.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "wall-clock gate: run with --release")]
+fn coalescing_and_pushdown_win() {
     let setup = small_setup(50_000);
-    let store = serve(&setup, gate_latency(), FaultPlan::Off);
+    let store = serve(&setup, GATE_LATENCY, FaultPlan::Off);
 
     let zone = cached_zone(&setup.spec);
     let local1 = run_verified(&zone, &setup, 1, 1);
@@ -314,9 +216,6 @@ fn assert_coalescing_and_pushdown_win(rows: &mut Vec<BenchRow>) {
         coal8.elapsed,
         naive8.elapsed.as_secs_f64() / coal8.elapsed.as_secs_f64()
     );
-    rows.push(BenchRow::of("naive batch=8", &naive8));
-    rows.push(BenchRow::of("coalesced batch=1", &coal1));
-    rows.push(BenchRow::of("coalesced batch=8", &coal8));
 }
 
 /// Overlap gate: under injected latency the overlapped fetch pipeline beats
@@ -324,9 +223,11 @@ fn assert_coalescing_and_pushdown_win(rows: &mut Vec<BenchRow>) {
 /// while answers, CIs, trajectories, and every logical meter stay
 /// byte-identical (the request pattern is computed before any worker
 /// starts, so even the GET count matches).
-fn assert_overlap_win(rows: &mut Vec<BenchRow>) {
+#[test]
+#[cfg_attr(debug_assertions, ignore = "wall-clock gate: run with --release")]
+fn overlap_win() {
     let setup = small_setup(50_000);
-    let store = serve(&setup, gate_latency(), FaultPlan::Off);
+    let store = serve(&setup, GATE_LATENCY, FaultPlan::Off);
     let open = |opts: HttpOptions| HttpFile::open(store.addr(), OBJECT, opts).expect("open http");
 
     for batch in [1usize, 8] {
@@ -364,15 +265,14 @@ fn assert_overlap_win(rows: &mut Vec<BenchRow>) {
             ovl.io.fetch_inflight_peak,
             ovl.io.overlap_ratio()
         );
-        rows.push(BenchRow::of(&format!("sequential batch={batch}"), &seq));
-        rows.push(BenchRow::of(&format!("overlapped batch={batch}"), &ovl));
     }
 }
 
 /// Adaptive-sizing gate: on the fig2-style workload the per-object adaptive
 /// sizer must issue no more ranged GETs than the best hand-tuned static
 /// part size from a sweep, with no answer drift.
-fn assert_adaptive_sizing_wins(rows: &mut Vec<BenchRow>) {
+#[test]
+fn adaptive_sizing_wins() {
     let setup = small_setup(50_000);
     let store = serve(&setup, Duration::ZERO, FaultPlan::Off);
     let open = |opts: HttpOptions| HttpFile::open(store.addr(), OBJECT, opts).expect("open http");
@@ -389,7 +289,6 @@ fn assert_adaptive_sizing_wins(rows: &mut Vec<BenchRow>) {
         if best.is_none_or(|(r, _)| o.requests < r) {
             best = Some((o.requests, part_kb * 1024));
         }
-        rows.push(BenchRow::of(&format!("static part={part_kb}KiB"), &o));
         reference.get_or_insert(o);
     }
     let (best_requests, best_part) = best.expect("sweep ran");
@@ -421,14 +320,18 @@ fn assert_adaptive_sizing_wins(rows: &mut Vec<BenchRow>) {
          adaptive -> {} GETs ({} resizes)",
         best_part, best_requests, adaptive.requests, adaptive.io.parts_resized
     );
-    rows.push(BenchRow::of("adaptive sizing", &adaptive));
 }
 
-/// Gate 3: under periodic 5xx injection the workload still answers
-/// identically, and `retries` lands in the records and the report CSV.
-fn assert_fault_recovery_is_metered() {
+/// Under periodic 5xx injection the workload still answers identically,
+/// and `retries` lands in the records and the report CSV.
+#[test]
+fn fault_recovery_is_metered() {
     let setup = small_setup(20_000);
-    let faulty = serve(&setup, Duration::ZERO, "5xx:3".parse().expect("plan"));
+    let plan = FaultPlan::Periodic {
+        fault: Fault::Status5xx,
+        every: 3,
+    };
+    let faulty = serve(&setup, Duration::ZERO, plan);
     let method = Method::Approx { phi: 0.05 };
 
     let zone = cached_zone(&setup.spec);
@@ -515,10 +418,11 @@ fn zipf_workload(domain: &Rect, n: usize, bases: usize, seed: u64) -> Workload {
 /// run while the transport shrinks — strictly fewer GETs each session, and
 /// the hot third session at or below 25 % of the uncached GETs and wire
 /// bytes.
-fn assert_cache_reexploration_win() {
+#[test]
+fn cache_reexploration_win() {
     let mut setup = small_setup(50_000);
     setup.workload = zipf_workload(&setup.spec.domain, 30, 12, 77);
-    let store = serve(&setup, gate_latency(), FaultPlan::Off);
+    let store = serve(&setup, GATE_LATENCY, FaultPlan::Off);
     let open = || HttpFile::open(store.addr(), OBJECT, HttpOptions::default()).expect("open http");
 
     let zone = cached_zone(&setup.spec);
@@ -590,12 +494,7 @@ fn assert_cache_reexploration_win() {
     );
     // The working set: what the ample cache held after its cold session.
     let working_set = sessions[0].io.cache_mem_bytes;
-    let mut rows = vec![("uncached".to_string(), uncached)];
-    for (i, s) in sessions.into_iter().enumerate() {
-        rows.push((format!("cached session={}", i + 1), s));
-    }
-    assert_constrained_cache_sessions(&setup, &open, working_set, &mut rows);
-    write_cache_json(&rows);
+    assert_constrained_cache_sessions(&setup, &open, working_set);
 }
 
 /// The constrained leg of the cache gate, shaped like the repo benchmark's
@@ -609,7 +508,6 @@ fn assert_constrained_cache_sessions(
     setup: &Fig2Setup,
     open: &dyn Fn() -> HttpFile,
     working_set: u64,
-    rows: &mut Vec<(String, Outcome)>,
 ) {
     let uncached = run_session(&open(), setup, 8, 1, true);
     let budget = working_set / 4;
@@ -657,42 +555,4 @@ fn assert_constrained_cache_sessions(
         sessions[1].io.cache_evictions,
         sessions[2].io.cache_evictions
     );
-    rows.push(("constrained uncached".to_string(), uncached));
-    for (i, s) in sessions.into_iter().enumerate() {
-        rows.push((format!("constrained session={}", i + 1), s));
-    }
 }
-
-fn bench_remote(c: &mut Criterion) {
-    let mut rows = Vec::new();
-    assert_coalescing_and_pushdown_win(&mut rows);
-    assert_overlap_win(&mut rows);
-    assert_adaptive_sizing_wins(&mut rows);
-    assert_fault_recovery_is_metered();
-    assert_cache_reexploration_win();
-    write_bench_json(&rows);
-
-    // Timing: the pushdown truth scan over HTTP, no injected latency.
-    let setup = small_setup(50_000);
-    let store = serve(&setup, Duration::ZERO, FaultPlan::Off);
-    let zone = cached_zone(&setup.spec);
-    let naive = HttpFile::open(store.addr(), OBJECT, HttpOptions::naive()).expect("open");
-    let coalesced = HttpFile::open(store.addr(), OBJECT, HttpOptions::default()).expect("open");
-    let window = pai_query::Workload::centered_window(&setup.spec.domain, 0.02);
-
-    let mut group = c.benchmark_group("http_truth");
-    group.sample_size(10);
-    group.bench_with_input(BenchmarkId::new("local-zone", "2%"), &window, |b, w| {
-        b.iter(|| window_truth(&zone, w, &[2]).expect("truth")[0].selected)
-    });
-    group.bench_with_input(BenchmarkId::new("http-naive", "2%"), &window, |b, w| {
-        b.iter(|| window_truth(&naive, w, &[2]).expect("truth")[0].selected)
-    });
-    group.bench_with_input(BenchmarkId::new("http-coalesced", "2%"), &window, |b, w| {
-        b.iter(|| window_truth(&coalesced, w, &[2]).expect("truth")[0].selected)
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_remote);
-criterion_main!(benches);

@@ -1,9 +1,7 @@
-//! Multi-session server benchmarks: the query server's acceptance gates.
-//!
-//! Three gates run once at startup against a full remote stack — zone
-//! image on an [`ObjectStore`] with injected per-request latency, HTTP
-//! ranged GETs, one shared tiered block cache, a `SharedIndex`, and a
-//! [`PaiServer`] on top:
+//! Multi-session server gates against a full remote stack — zone image on
+//! an [`ObjectStore`] with 500 µs injected per request, HTTP ranged GETs,
+//! one shared tiered block cache, a `SharedIndex`, and a [`PaiServer`] on
+//! top:
 //!
 //! * **bitwise** — a sequential client's served answers (values, CIs,
 //!   error bounds, met-constraint flags) are *bit-identical* to an
@@ -19,28 +17,19 @@
 //!   observed, counted, and equal to the server's own meter), every
 //!   client still completes every query (no hangs, no dropped
 //!   connections, no dropped replies), and the client-observed p99 stays
-//!   within `PAI_BENCH_SERVER_P99_MULT` × p50 (merged from per-client
-//!   log-bucketed histograms — the merge is the point).
+//!   within [`P99_MULT`] × p50 (merged from per-client log-bucketed
+//!   histograms — the merge is the point).
 //!
-//! Every gated configuration's QPS, p50/p99, served/busy counts, and
-//! wall-clock land in a `BENCH_server.json` artifact at the repo root
-//! (override the path with `PAI_BENCH_SERVER_JSON_PATH`); CI archives it.
-//!
-//! The criterion group then times a warmed metadata-only query served
-//! over the wire against the same query answered in-process, with no
-//! injected latency — the protocol + scheduler overhead in isolation.
-//!
-//! Knobs: `PAI_BENCH_SERVER_SESSIONS`, `PAI_BENCH_SERVER_CLIENTS`,
-//! `PAI_BENCH_SERVER_QUERIES`, `PAI_BENCH_SERVER_QUEUE`,
-//! `PAI_BENCH_SERVER_P99_MULT`, plus `PAI_BENCH_HTTP_LATENCY_US` for the
-//! injected GET latency (floored at 500 µs for the gates).
+//! The bitwise gate runs in debug builds too. The other two compare
+//! wall-clock and run in release builds only:
+//! `cargo test --release -p pai-bench --test server_gates --
+//! --include-ignored --test-threads=1`.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use pai_bench::{cached_zone, server_load_knobs, small_setup, Fig2Setup, ServerLoadKnobs};
+use pai_bench::{cached_zone, small_setup, Fig2Setup};
 use pai_common::geometry::Rect;
 use pai_common::{AggregateFunction, AggregateValue, Interval, LatencyHistogram};
 use pai_core::{ApproxResult, EngineConfig, SharedIndex};
@@ -51,22 +40,31 @@ use pai_storage::{
     BlockCache, CacheConfig, CachedFile, FaultPlan, HttpFile, HttpOptions, ObjectStore,
 };
 
+/// Named sessions the closed loop's clients spread over (zipf-popular).
+const SESSIONS: usize = 6;
+/// Concurrent client connections in the scaling leg; the saturation leg
+/// uses 8× this (at least 64).
+const CLIENTS: usize = 24;
+/// Queries each client issues before disconnecting.
+const QUERIES_PER_CLIENT: usize = 8;
+/// Per-session queue depth of the saturation leg (small on purpose so
+/// backpressure fires).
+const QUEUE_DEPTH: usize = 2;
+/// Saturation gate: client-observed p99 must stay within this multiple of
+/// p50. The histogram buckets are powers of two, so the bound tolerates
+/// the 2× bucket over-estimate; an unbounded-queueing bug shows up as
+/// 1000×+.
+const P99_MULT: u64 = 128;
+
+/// Injected per-request GET latency: the round-trip cost the worker pool
+/// must overlap.
+const GATE_LATENCY: Duration = Duration::from_micros(500);
+
 const OBJECT: &str = "server-bench.paizone";
 const PHI: f64 = 0.05;
 
 fn aggs() -> Vec<AggregateFunction> {
     vec![AggregateFunction::Count, AggregateFunction::Mean(2)]
-}
-
-/// Injected per-request GET latency (`PAI_BENCH_HTTP_LATENCY_US`, floored
-/// at 500 µs) — the round-trip cost the worker pool must overlap.
-fn gate_latency() -> Duration {
-    let us = std::env::var("PAI_BENCH_HTTP_LATENCY_US")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0u64)
-        .max(500);
-    Duration::from_micros(us)
 }
 
 /// Serves the bench dataset's zone image on a dedicated store.
@@ -76,6 +74,13 @@ fn serve(setup: &Fig2Setup, latency: Duration) -> ObjectStore {
     let store = ObjectStore::serve_with(latency, FaultPlan::Off).expect("start object store");
     store.put(OBJECT, bytes);
     store
+}
+
+/// The gates' dataset and its store, serving with the injected latency.
+fn gate_store() -> (Fig2Setup, ObjectStore) {
+    let setup = small_setup(50_000);
+    let store = serve(&setup, GATE_LATENCY);
+    (setup, store)
 }
 
 /// The engine configuration every stack runs — pinned (not env-derived)
@@ -240,51 +245,6 @@ fn run_closed_loop(addr: SocketAddr, plans: &[ClientPlan]) -> LoopOutcome {
     }
 }
 
-/// One gated configuration's measurements, destined for
-/// `BENCH_server.json`.
-struct BenchRow {
-    config: String,
-    workers: usize,
-    clients: usize,
-    sessions: usize,
-    qps: f64,
-    p50_us: u64,
-    p99_us: u64,
-    served: u64,
-    busy: u64,
-    wall_secs: f64,
-}
-
-/// Writes the per-config measurement artifact (hand-rolled JSON — the
-/// workspace deliberately carries no serialization dependency).
-fn write_server_json(rows: &[BenchRow]) {
-    let path = std::env::var("PAI_BENCH_SERVER_JSON_PATH").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_server.json").to_string()
-    });
-    let mut s = String::from("{\n  \"bench\": \"server\",\n  \"configs\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"config\": \"{}\", \"workers\": {}, \"clients\": {}, \
-             \"sessions\": {}, \"qps\": {:.1}, \"p50_us\": {}, \"p99_us\": {}, \
-             \"served\": {}, \"busy\": {}, \"wall_secs\": {:.6}}}{}\n",
-            r.config,
-            r.workers,
-            r.clients,
-            r.sessions,
-            r.qps,
-            r.p50_us,
-            r.p99_us,
-            r.served,
-            r.busy,
-            r.wall_secs,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(&path, s).expect("write BENCH_server.json");
-    println!("server bench artifact: {path}");
-}
-
 fn bits(v: &AggregateValue) -> u64 {
     match v {
         AggregateValue::Count(c) => *c,
@@ -297,13 +257,11 @@ fn ci_bits(ci: &Option<Interval>) -> Option<(u64, u64)> {
     ci.as_ref().map(|i| (i.lo().to_bits(), i.hi().to_bits()))
 }
 
-/// Gate 1: a sequential served run is bit-identical to a library run of
-/// the same query sequence over an identically-constructed fresh stack.
-fn assert_served_matches_library_bitwise(
-    setup: &Fig2Setup,
-    store: &ObjectStore,
-    rows: &mut Vec<BenchRow>,
-) {
+/// A sequential served run is bit-identical to a library run of the same
+/// query sequence over an identically-constructed fresh stack.
+#[test]
+fn served_matches_library_bitwise() {
+    let (setup, store) = gate_store();
     let domain = setup.spec.domain;
     let windows: Vec<Rect> = (0..3)
         .flat_map(|s| (0..8).map(move |q| (s, q)))
@@ -314,7 +272,7 @@ fn assert_served_matches_library_bitwise(
     // Served run: one worker, one session, strictly sequential — the
     // server evaluates in exactly the order the library run will.
     let mut server = PaiServer::serve(
-        fresh_stack(setup, store),
+        fresh_stack(&setup, &store),
         ServerConfig {
             workers: 1,
             ..ServerConfig::default()
@@ -336,7 +294,7 @@ fn assert_served_matches_library_bitwise(
 
     // Library run: a second stack built the same way answers the same
     // sequence in-process.
-    let lib_engine = fresh_stack(setup, store);
+    let lib_engine = fresh_stack(&setup, &store);
     let lib: Vec<ApproxResult> = windows
         .iter()
         .map(|w| lib_engine.evaluate(w, &aggs, PHI).expect("evaluate"))
@@ -367,42 +325,28 @@ fn assert_served_matches_library_bitwise(
         windows.len(),
         wall
     );
-    rows.push(BenchRow {
-        config: "sequential workers=1".into(),
-        workers: 1,
-        clients: 1,
-        sessions: 1,
-        qps: windows.len() as f64 / wall.as_secs_f64(),
-        p50_us: stats.service_hist.p50_us(),
-        p99_us: stats.service_hist.p99_us(),
-        served: stats.queries_served,
-        busy: 0,
-        wall_secs: wall.as_secs_f64(),
-    });
 }
 
-/// Gate 2: the same zipf closed loop finishes at strictly higher QPS
-/// with four workers than with one — the worker pool overlaps the
-/// injected GET latency across sessions.
-fn assert_parallel_workers_win(
-    setup: &Fig2Setup,
-    store: &ObjectStore,
-    knobs: &ServerLoadKnobs,
-    rows: &mut Vec<BenchRow>,
-) {
+/// The same zipf closed loop finishes at strictly higher QPS with four
+/// workers than with one — the worker pool overlaps the injected GET
+/// latency across sessions.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "wall-clock gate: run with --release")]
+fn parallel_workers_win() {
+    let (setup, store) = gate_store();
     let plans = make_plans(
         &setup.spec.domain,
-        knobs.clients,
-        knobs.sessions,
-        knobs.queries_per_client,
+        CLIENTS,
+        SESSIONS,
+        QUERIES_PER_CLIENT,
         99,
     );
-    let expected = (knobs.clients * knobs.queries_per_client) as u64;
+    let expected = (CLIENTS * QUERIES_PER_CLIENT) as u64;
 
     let mut outcomes = Vec::new();
     for workers in [1usize, 4] {
         let mut server = PaiServer::serve(
-            fresh_stack(setup, store),
+            fresh_stack(&setup, &store),
             ServerConfig {
                 workers,
                 queue_depth: 64,
@@ -421,18 +365,6 @@ fn assert_parallel_workers_win(
         assert_eq!(stats.queries_served, expected);
         assert_eq!(stats.dropped_replies, 0);
         assert_eq!(stats.errors, 0);
-        rows.push(BenchRow {
-            config: format!("closed-loop workers={workers}"),
-            workers,
-            clients: knobs.clients,
-            sessions: knobs.sessions,
-            qps: o.qps(),
-            p50_us: o.hist.p50_us(),
-            p99_us: o.hist.p99_us(),
-            served: o.answers,
-            busy: o.busy,
-            wall_secs: o.wall.as_secs_f64(),
-        });
         outcomes.push(o);
     }
     let (one, four) = (&outcomes[0], &outcomes[1]);
@@ -455,24 +387,22 @@ fn assert_parallel_workers_win(
     );
 }
 
-/// Gate 3: hundreds of clients against two sessions behind a tiny queue.
+/// Hundreds of clients against two sessions behind a tiny queue.
 /// Backpressure must be explicit (`Busy` frames, metered identically on
 /// both ends), nothing may hang or drop, and the merged client-observed
-/// p99 stays within `p99_mult` × p50.
-fn assert_saturation_is_graceful(
-    setup: &Fig2Setup,
-    store: &ObjectStore,
-    knobs: &ServerLoadKnobs,
-    rows: &mut Vec<BenchRow>,
-) {
+/// p99 stays within [`P99_MULT`] × p50.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "wall-clock gate: run with --release")]
+fn saturation_is_graceful() {
+    let (setup, store) = gate_store();
     let domain = setup.spec.domain;
-    let sessions = knobs.sessions.min(2);
-    let sat_clients = (knobs.clients * 8).max(64);
+    let sessions = SESSIONS.min(2);
+    let sat_clients = (CLIENTS * 8).max(64);
     let mut server = PaiServer::serve(
-        fresh_stack(setup, store),
+        fresh_stack(&setup, &store),
         ServerConfig {
             workers: 2,
-            queue_depth: knobs.queue_depth,
+            queue_depth: QUEUE_DEPTH,
             inflight_cap: 1,
             ..ServerConfig::default()
         },
@@ -485,7 +415,7 @@ fn assert_saturation_is_graceful(
     {
         let mut warm = PaiClient::connect(server.addr(), "explorer-0").expect("connect");
         for s in 0..sessions {
-            for q in 0..knobs.queries_per_client {
+            for q in 0..QUERIES_PER_CLIENT {
                 let w = session_window(&domain, sessions, s, q);
                 loop {
                     match warm.query(&w, &aggs(), PHI).expect("warm query") {
@@ -501,14 +431,8 @@ fn assert_saturation_is_graceful(
         }
     }
 
-    let plans = make_plans(
-        &domain,
-        sat_clients,
-        sessions,
-        knobs.queries_per_client,
-        173,
-    );
-    let expected = (sat_clients * knobs.queries_per_client) as u64;
+    let plans = make_plans(&domain, sat_clients, sessions, QUERIES_PER_CLIENT, 173);
+    let expected = (sat_clients * QUERIES_PER_CLIENT) as u64;
     let o = run_closed_loop(server.addr(), &plans);
     let stats = server.stats();
     server.shutdown();
@@ -519,7 +443,7 @@ fn assert_saturation_is_graceful(
         o.busy > 0,
         "{} clients behind a {}-deep queue must trip backpressure",
         sat_clients,
-        knobs.queue_depth
+        QUEUE_DEPTH
     );
     assert_eq!(
         stats.busy_rejections, o.busy,
@@ -529,10 +453,10 @@ fn assert_saturation_is_graceful(
     assert_eq!(stats.errors, 0);
     let (p50, p99) = (o.hist.p50_us().max(1), o.hist.p99_us());
     assert!(
-        p99 <= knobs.p99_mult * p50,
+        p99 <= P99_MULT * p50,
         "saturated tail blew the gate: p99 {} µs > {} × p50 {} µs",
         p99,
-        knobs.p99_mult,
+        P99_MULT,
         p50
     );
     println!(
@@ -540,68 +464,11 @@ fn assert_saturation_is_graceful(
          {:.1} QPS, {} busy rejections, p50 {} µs, p99 {} µs (bound {}x)",
         sat_clients,
         sessions,
-        knobs.queue_depth,
+        QUEUE_DEPTH,
         o.qps(),
         o.busy,
         p50,
         p99,
-        knobs.p99_mult
+        P99_MULT
     );
-    rows.push(BenchRow {
-        config: format!("saturation queue={}", knobs.queue_depth),
-        workers: 2,
-        clients: sat_clients,
-        sessions,
-        qps: o.qps(),
-        p50_us: o.hist.p50_us(),
-        p99_us: p99,
-        served: o.answers,
-        busy: o.busy,
-        wall_secs: o.wall.as_secs_f64(),
-    });
 }
-
-fn bench_server(c: &mut Criterion) {
-    let setup = small_setup(50_000);
-    let knobs = server_load_knobs();
-    let store = serve(&setup, gate_latency());
-    let mut rows = Vec::new();
-    assert_served_matches_library_bitwise(&setup, &store, &mut rows);
-    assert_parallel_workers_win(&setup, &store, &knobs, &mut rows);
-    assert_saturation_is_graceful(&setup, &store, &knobs, &mut rows);
-    write_server_json(&rows);
-
-    // Timing: one warmed metadata-only query, served vs in-process, no
-    // injected latency — the wire + scheduler overhead in isolation.
-    let fast = serve(&setup, Duration::ZERO);
-    let window = session_window(&setup.spec.domain, 1, 0, 0);
-    let aggs = aggs();
-
-    let lib_engine = fresh_stack(&setup, &fast);
-    lib_engine.evaluate(&window, &aggs, PHI).expect("warm lib");
-
-    let server =
-        PaiServer::serve(fresh_stack(&setup, &fast), ServerConfig::default()).expect("serve");
-    let mut client = PaiClient::connect(server.addr(), "timing").expect("connect");
-    match client.query(&window, &aggs, PHI).expect("warm served") {
-        ServedReply::Answer(_) => {}
-        other => panic!("warmup rejected: {other:?}"),
-    }
-
-    let mut group = c.benchmark_group("server_roundtrip");
-    group.sample_size(20);
-    group.bench_function("library", |b| {
-        b.iter(|| lib_engine.evaluate(&window, &aggs, PHI).expect("evaluate"))
-    });
-    group.bench_function("served", |b| {
-        b.iter(|| match client.query(&window, &aggs, PHI).expect("query") {
-            ServedReply::Answer(a) => a,
-            other => panic!("rejected: {other:?}"),
-        })
-    });
-    group.finish();
-    drop(client);
-}
-
-criterion_group!(benches, bench_server);
-criterion_main!(benches);

@@ -1,37 +1,28 @@
-//! Synopsis-first evaluation: the tentpole acceptance gates.
-//!
-//! Three gates run once at startup against a `PaiZone` v2 image whose
-//! synopsis section is built with the `PAI_BENCH_SYNOPSIS_*` knobs:
+//! Synopsis-first evaluation gates, against a `PaiZone` v2 image whose
+//! synopsis section is built with the default [`SynopsisSpec`]:
 //!
 //! * **zero-I/O covered window** — on the http backend, a window covering
 //!   every block answers entirely from the header synopses: **zero** ranged
 //!   GETs, zero objects/bytes read, `fetch_wall_us == 0`, `synopsis_hits`
 //!   metered, and the answer's CIs contain the ground truth;
-//! * **cold start** — with `MetadataPolicy::None` and ≥ 500 µs injected
+//! * **cold start** — with `MetadataPolicy::None` and 500 µs injected
 //!   per-request latency, the first answer of a synopsis-enabled session
 //!   arrives strictly faster than the no-synopsis baseline's (which must
 //!   refine every partial tile over the wire before it can bound anything);
 //! * **converged equivalence** — at φ = 0 the whole exploration sequence
 //!   is byte-identical with synopses on vs off (values, CIs, bounds,
 //!   trajectories): the synopsis pass may only short-circuit, never drift;
-//!   and at the knob φ every synopsis-enabled answer's CI still contains
+//!   and at φ = [`PHI`] every synopsis-enabled answer's CI still contains
 //!   the ground truth.
 //!
-//! Every gated configuration's wall-clock, GETs, wire bytes, data objects,
-//! and synopsis hits land in a `BENCH_synopsis.json` artifact at the repo
-//! root (override with `PAI_BENCH_SYNOPSIS_JSON_PATH`); CI archives it.
-//!
-//! The criterion group then times the covered-window synopsis hit against
-//! a metadata-only answer on the refined index (local zone, no latency).
-//!
-//! Knobs: `PAI_BENCH_SYNOPSIS_BUCKETS`, `PAI_BENCH_SYNOPSIS_SAMPLES`,
-//! `PAI_BENCH_SYNOPSIS_PHI`, `PAI_BENCH_HTTP_LATENCY_US` (floored at
-//! 500 µs for the cold-start gate).
+//! The cold-start gate compares wall-clock and runs in release builds only:
+//! `cargo test --release -p pai-bench --test synopsis_gates --
+//! --include-ignored --test-threads=1`. The other two run in debug builds
+//! too.
 
 use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use pai_bench::{cached_csv, small_setup, synopsis_phi, synopsis_spec, Fig2Setup};
+use pai_bench::{cached_csv, small_setup, Fig2Setup};
 use pai_common::geometry::Rect;
 use pai_common::{AggregateFunction, Interval, IoSnapshot};
 use pai_core::verify::verify_against_truth;
@@ -41,26 +32,24 @@ use pai_index::MetadataPolicy;
 use pai_storage::ground_truth::window_truth;
 use pai_storage::zone::DEFAULT_BLOCK_ROWS;
 use pai_storage::{
-    convert_to_zone_spec, FaultPlan, HttpFile, HttpOptions, ObjectStore, RawFile, ZoneFile,
+    convert_to_zone_spec, FaultPlan, HttpFile, HttpOptions, ObjectStore, RawFile, SynopsisSpec,
+    ZoneFile,
 };
+
+/// The CI target φ the gates answer under.
+const PHI: f64 = 0.05;
+
+/// Injected per-request latency: the round-trip cost the cold-start win
+/// must beat.
+const GATE_LATENCY: Duration = Duration::from_micros(500);
 
 const OBJECT: &str = "synopsis-bench.paizone";
 
-/// The zone image for `setup`, synopses built with the knob parameters.
-fn knob_image(setup: &Fig2Setup) -> Vec<u8> {
+/// The zone image for `setup`, synopses built with the default spec.
+fn synopsis_image(setup: &Fig2Setup) -> Vec<u8> {
     let csv = cached_csv(&setup.spec);
-    convert_to_zone_spec(&csv, DEFAULT_BLOCK_ROWS, &synopsis_spec()).expect("encode zone image")
-}
-
-/// Injected per-request latency, floored at 500 µs so the cold-start win
-/// the gate claims always has a real round-trip cost to beat.
-fn gate_latency() -> Duration {
-    let us = std::env::var("PAI_BENCH_HTTP_LATENCY_US")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0u64)
-        .max(500);
-    Duration::from_micros(us)
+    convert_to_zone_spec(&csv, DEFAULT_BLOCK_ROWS, &SynopsisSpec::default())
+        .expect("encode zone image")
 }
 
 /// A window strictly containing the whole data domain: every block is
@@ -83,63 +72,15 @@ fn ci_contains(ci: Option<Interval>, truth: f64) -> bool {
     }
 }
 
-/// One gated configuration's measurements, destined for
-/// `BENCH_synopsis.json`.
-struct BenchRow {
-    config: String,
-    wall_secs: f64,
-    gets: u64,
-    wire_bytes: u64,
-    objects_read: u64,
-    synopsis_hits: u64,
-}
-
-impl BenchRow {
-    fn of(config: &str, wall: Duration, io: &IoSnapshot) -> BenchRow {
-        BenchRow {
-            config: config.to_string(),
-            wall_secs: wall.as_secs_f64(),
-            gets: io.http_requests,
-            wire_bytes: io.http_bytes,
-            objects_read: io.objects_read,
-            synopsis_hits: io.synopsis_hits,
-        }
-    }
-}
-
-/// Writes the per-config measurement artifact (hand-rolled JSON — the
-/// workspace deliberately carries no serialization dependency).
-fn write_bench_json(rows: &[BenchRow]) {
-    let path = std::env::var("PAI_BENCH_SYNOPSIS_JSON_PATH").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_synopsis.json").to_string()
-    });
-    let mut s = String::from("{\n  \"bench\": \"synopsis\",\n  \"configs\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"config\": \"{}\", \"wall_secs\": {:.6}, \"gets\": {}, \
-             \"wire_bytes\": {}, \"objects_read\": {}, \"synopsis_hits\": {}}}{}\n",
-            r.config,
-            r.wall_secs,
-            r.gets,
-            r.wire_bytes,
-            r.objects_read,
-            r.synopsis_hits,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(&path, s).expect("write BENCH_synopsis.json");
-    println!("synopsis bench artifact: {path}");
-}
-
-/// Gate 1: a covered window on the http backend answers with zero data
-/// I/O — no GET, no object, no byte, no fetch wall-clock — and the CIs
-/// contain ground truth.
-fn assert_covered_window_is_wire_free(rows: &mut Vec<BenchRow>) {
+/// A covered window on the http backend answers with zero data I/O — no
+/// GET, no object, no byte, no fetch wall-clock — and the CIs contain
+/// ground truth.
+#[test]
+fn covered_window_is_wire_free() {
     let setup = small_setup(50_000);
-    let image = knob_image(&setup);
+    let image = synopsis_image(&setup);
     let zone = ZoneFile::from_bytes(image.clone()).expect("zone twin");
-    let store = ObjectStore::serve_with(gate_latency(), FaultPlan::Off).expect("store");
+    let store = ObjectStore::serve_with(GATE_LATENCY, FaultPlan::Off).expect("store");
     store.put(OBJECT, image);
     let http = HttpFile::open(store.addr(), OBJECT, HttpOptions::default()).expect("open http");
 
@@ -160,7 +101,7 @@ fn assert_covered_window_is_wire_free(rows: &mut Vec<BenchRow>) {
         AggregateFunction::Sum(2),
         AggregateFunction::Mean(2),
     ];
-    let phi = synopsis_phi();
+    let phi = PHI;
     http.counters().reset();
     let t0 = Instant::now();
     let res = engine.evaluate(&window, &aggs, phi).expect("evaluate");
@@ -192,15 +133,16 @@ fn assert_covered_window_is_wire_free(rows: &mut Vec<BenchRow>) {
         "synopsis gate (covered window): {} blocks consulted, {} GETs, answered in {:?}",
         io.synopsis_blocks, io.http_requests, wall
     );
-    rows.push(BenchRow::of("covered-window synopsis", wall, &io));
 }
 
-/// Gate 2: metadata-free cold start — time-to-first-answer with synopses
-/// strictly beats the no-synopsis baseline under injected latency.
-fn assert_cold_start_beats_baseline(rows: &mut Vec<BenchRow>) {
+/// Metadata-free cold start — time-to-first-answer with synopses strictly
+/// beats the no-synopsis baseline under injected latency.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "wall-clock gate: run with --release")]
+fn cold_start_beats_baseline() {
     let setup = small_setup(50_000);
-    let image = knob_image(&setup);
-    let store = ObjectStore::serve_with(gate_latency(), FaultPlan::Off).expect("store");
+    let image = synopsis_image(&setup);
+    let store = ObjectStore::serve_with(GATE_LATENCY, FaultPlan::Off).expect("store");
     store.put(OBJECT, image);
     let init = InitConfig {
         metadata: MetadataPolicy::None,
@@ -208,7 +150,7 @@ fn assert_cold_start_beats_baseline(rows: &mut Vec<BenchRow>) {
     };
     let window = covered_window(&setup);
     let aggs = [AggregateFunction::Mean(2)];
-    let phi = synopsis_phi();
+    let phi = PHI;
 
     let ttfa = |synopsis: bool| -> (Duration, ApproxResult, IoSnapshot) {
         let http = HttpFile::open(store.addr(), OBJECT, HttpOptions::default()).expect("open");
@@ -249,16 +191,15 @@ fn assert_cold_start_beats_baseline(rows: &mut Vec<BenchRow>) {
         base_io.http_requests,
         base_wall.as_secs_f64() / syn_wall.as_secs_f64()
     );
-    rows.push(BenchRow::of("cold-start synopsis", syn_wall, &syn_io));
-    rows.push(BenchRow::of("cold-start baseline", base_wall, &base_io));
 }
 
-/// Gate 3: converged equivalence. At φ = 0 the whole exploration sequence
-/// is byte-identical with synopses on vs off; at the knob φ every
+/// Converged equivalence. At φ = 0 the whole exploration sequence is
+/// byte-identical with synopses on vs off; at φ = [`PHI`] every
 /// synopsis-enabled answer's CI still contains ground truth.
-fn assert_converged_answers_identical(rows: &mut Vec<BenchRow>) {
+#[test]
+fn converged_answers_identical() {
     let setup = small_setup(50_000);
-    let image = knob_image(&setup);
+    let image = synopsis_image(&setup);
 
     let run = |synopsis: bool, phi: f64| -> (Vec<ApproxResult>, Duration, IoSnapshot) {
         let zone = ZoneFile::from_bytes(image.clone()).expect("zone");
@@ -300,9 +241,9 @@ fn assert_converged_answers_identical(rows: &mut Vec<BenchRow>) {
         "φ = 0 refinement must move identical data either way"
     );
 
-    // Accuracy-constrained leg: soundness under the knob φ, checked
+    // Accuracy-constrained leg: soundness under φ = PHI, checked
     // against a full ground-truth scan per query.
-    let phi = synopsis_phi();
+    let phi = PHI;
     let (approx, ..) = run(true, phi);
     let zone = ZoneFile::from_bytes(image.clone()).expect("zone");
     for (q, res) in setup.workload.queries.iter().zip(&approx) {
@@ -319,43 +260,4 @@ fn assert_converged_answers_identical(rows: &mut Vec<BenchRow>) {
         on_wall,
         off_wall
     );
-    rows.push(BenchRow::of("converged synopsis φ=0", on_wall, &on_io));
-    rows.push(BenchRow::of("converged baseline φ=0", off_wall, &off_io));
 }
-
-fn bench_synopsis(c: &mut Criterion) {
-    let mut rows = Vec::new();
-    assert_covered_window_is_wire_free(&mut rows);
-    assert_cold_start_beats_baseline(&mut rows);
-    assert_converged_answers_identical(&mut rows);
-    write_bench_json(&rows);
-
-    // Timing: the covered-window synopsis hit vs a metadata answer on the
-    // already-refined index (local zone, no latency in the way).
-    let setup = small_setup(50_000);
-    let image = knob_image(&setup);
-    let zone = ZoneFile::from_bytes(image).expect("zone");
-    let window = covered_window(&setup);
-    let aggs = [AggregateFunction::Mean(2)];
-    let phi = synopsis_phi();
-
-    let (index, _) = build(&zone, &setup.init).expect("init");
-    let cfg = EngineConfig {
-        synopsis: true,
-        ..setup.engine.clone()
-    };
-    let mut engine = ApproximateEngine::new(index, &zone, cfg).expect("engine");
-
-    let mut group = c.benchmark_group("synopsis");
-    group.sample_size(20);
-    group.bench_function("covered_window_hit", |b| {
-        b.iter(|| {
-            let res = engine.evaluate(&window, &aggs, phi).expect("evaluate");
-            std::hint::black_box(res.error_bound)
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_synopsis);
-criterion_main!(benches);

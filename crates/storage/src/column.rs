@@ -46,7 +46,6 @@
 use std::fs::File;
 use std::io::{BufReader, Cursor, Read};
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
 use std::sync::Arc;
 
 use pai_common::geometry::Rect;
@@ -72,70 +71,6 @@ pub(crate) const PAGE_ROWS: u64 = 4096;
 /// Upper bound on the column count a header may declare; anything above is
 /// treated as corruption (real schemas top out in the dozens).
 const MAX_COLUMNS: usize = 65_536;
-
-/// Which raw-file representation backs a dataset.
-///
-/// Used by benches and tools that must construct "the same dataset" behind
-/// either backend (e.g. the `PAI_BENCH_BACKEND` knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StorageBackend {
-    /// Text CSV, accessed in situ ([`crate::CsvFile`] / [`crate::MemFile`]).
-    #[default]
-    Csv,
-    /// Binary columnar `PaiBin` ([`BinFile`]).
-    Bin,
-    /// `PaiBin` behind a zero-copy memory mapping
-    /// ([`BinFile::open_mapped`]).
-    Mmap,
-    /// Zone-mapped compressed columnar `PaiZone` ([`crate::ZoneFile`]).
-    Zone,
-    /// `PaiZone` behind a simulated high-latency link
-    /// ([`crate::LatencyFile`]) — the remote cost model without a wire.
-    Latency,
-    /// `PaiZone` served over real HTTP range requests from an object store
-    /// ([`crate::HttpFile`]) — the remote transport.
-    Http,
-}
-
-impl StorageBackend {
-    /// Short lowercase tag (`csv` / `bin` / `mmap` / `zone` / `latency` /
-    /// `http`), stable for cache keys and CLI output.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            StorageBackend::Csv => "csv",
-            StorageBackend::Bin => "bin",
-            StorageBackend::Mmap => "mmap",
-            StorageBackend::Zone => "zone",
-            StorageBackend::Latency => "latency",
-            StorageBackend::Http => "http",
-        }
-    }
-}
-
-impl std::fmt::Display for StorageBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.tag())
-    }
-}
-
-impl FromStr for StorageBackend {
-    type Err = PaiError;
-
-    fn from_str(s: &str) -> Result<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "csv" => Ok(StorageBackend::Csv),
-            "bin" | "paibin" | "binary" => Ok(StorageBackend::Bin),
-            "mmap" | "bin-mmap" => Ok(StorageBackend::Mmap),
-            "zone" | "paizone" => Ok(StorageBackend::Zone),
-            "latency" | "remote" => Ok(StorageBackend::Latency),
-            "http" | "objstore" => Ok(StorageBackend::Http),
-            other => Err(PaiError::config(format!(
-                "unknown storage backend '{other}' (expected one of \
-                 'csv', 'bin', 'mmap', 'zone', 'latency', 'http')"
-            ))),
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Header encoding/decoding.
@@ -963,39 +898,6 @@ mod tests {
         .unwrap();
         assert_eq!(rows, 0);
         assert!(f.partitions(4).unwrap().is_empty());
-    }
-
-    #[test]
-    fn backend_parses_and_prints() {
-        assert_eq!(
-            "csv".parse::<StorageBackend>().unwrap(),
-            StorageBackend::Csv
-        );
-        assert_eq!(
-            "BIN".parse::<StorageBackend>().unwrap(),
-            StorageBackend::Bin
-        );
-        assert_eq!(
-            "paibin".parse::<StorageBackend>().unwrap(),
-            StorageBackend::Bin
-        );
-        assert_eq!(
-            "zone".parse::<StorageBackend>().unwrap(),
-            StorageBackend::Zone
-        );
-        assert_eq!(
-            "mmap".parse::<StorageBackend>().unwrap(),
-            StorageBackend::Mmap
-        );
-        assert_eq!(
-            "remote".parse::<StorageBackend>().unwrap(),
-            StorageBackend::Latency
-        );
-        assert!("parquet".parse::<StorageBackend>().is_err());
-        assert_eq!(StorageBackend::Bin.to_string(), "bin");
-        assert_eq!(StorageBackend::Zone.to_string(), "zone");
-        assert_eq!(StorageBackend::Latency.to_string(), "latency");
-        assert_eq!(StorageBackend::default(), StorageBackend::Csv);
     }
 
     #[test]

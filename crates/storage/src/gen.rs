@@ -18,7 +18,8 @@
 //! metadata is what bounds the confidence interval. `SmoothField` (spatially
 //! correlated values + bounded noise, e.g. prices/ratings/sensor readings)
 //! gives tiles narrow value ranges; `UniformNoise` is the adversarial case.
-//! Benchmarks default to `SmoothField` and ablate the choice (DESIGN.md A4).
+//! Benchmarks default to `SmoothField` and ablate the choice (the `ablations`
+//! bin's A4 row).
 
 use std::f64::consts::PI;
 use std::path::Path;

@@ -97,7 +97,7 @@ pub mod zone;
 
 pub use batch::{read_row_groups, RowBatch};
 pub use cache::{BlockCache, CacheConfig, CacheMode, CachedFile};
-pub use column::{convert_to_bin, write_bin, BinFile, StorageBackend};
+pub use column::{convert_to_bin, write_bin, BinFile};
 pub use csv::{CsvFormat, CsvWriter};
 pub use delta::{AppendableFile, DELTA_BLOCK_ROWS};
 pub use gen::{morton_key, DatasetSpec, PointDistribution, RowOrder, ValueModel};

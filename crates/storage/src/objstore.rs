@@ -35,12 +35,11 @@ use std::io::{BufReader, Write};
 
 use crate::netio::ConnBuf;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use pai_common::{PaiError, Result};
+use pai_common::Result;
 
 /// One injectable fault, applied to a single request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,26 +53,13 @@ pub enum Fault {
     ShortRead,
 }
 
-impl Fault {
-    fn parse(s: &str) -> Result<Fault> {
-        match s {
-            "5xx" | "503" => Ok(Fault::Status5xx),
-            "drop" => Ok(Fault::Drop),
-            "short" | "short-read" => Ok(Fault::ShortRead),
-            other => Err(PaiError::config(format!(
-                "unknown fault kind '{other}' (expected '5xx', 'drop', or 'short')"
-            ))),
-        }
-    }
-}
-
 /// When the server injects faults.
 ///
-/// Parses from the `PAI_BENCH_HTTP_FAULT` knob syntax: `off` (the default),
-/// or `<kind>:<n>` — inject `<kind>` on every `n`-th request (1-based, so
-/// `5xx:5` fails requests 5, 10, 15, …). Scripted one-shot faults for unit
-/// tests are queued with [`ObjectStore::push_fault`] and always take
-/// priority over the periodic plan.
+/// [`FaultPlan::Off`] (the default), or a periodic plan that injects its
+/// fault on every `every`-th request (1-based, so `every: 5` fails requests
+/// 5, 10, 15, …). Scripted one-shot faults for unit tests are queued with
+/// [`ObjectStore::push_fault`] and always take priority over the periodic
+/// plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FaultPlan {
     /// Never inject (scripted faults still fire).
@@ -87,32 +73,6 @@ pub enum FaultPlan {
         /// the client's bounded retry turns it into a hard error).
         every: u64,
     },
-}
-
-impl FromStr for FaultPlan {
-    type Err = PaiError;
-
-    fn from_str(s: &str) -> Result<FaultPlan> {
-        let s = s.trim();
-        if s.is_empty() || s.eq_ignore_ascii_case("off") || s.eq_ignore_ascii_case("none") {
-            return Ok(FaultPlan::Off);
-        }
-        let (kind, every) = s.split_once(':').ok_or_else(|| {
-            PaiError::config(format!(
-                "bad fault spec '{s}' (expected 'off' or '<5xx|drop|short>:<n>')"
-            ))
-        })?;
-        let every: u64 = every
-            .parse()
-            .map_err(|_| PaiError::config(format!("bad fault period in '{s}'")))?;
-        if every == 0 {
-            return Err(PaiError::config("fault period must be >= 1"));
-        }
-        Ok(FaultPlan::Periodic {
-            fault: Fault::parse(kind)?,
-            every,
-        })
-    }
 }
 
 /// One stored object: its bytes plus a generation number that becomes the
@@ -616,27 +576,12 @@ mod tests {
     }
 
     #[test]
-    fn periodic_fault_plan_parses_and_fires() {
-        assert_eq!("off".parse::<FaultPlan>().unwrap(), FaultPlan::Off);
-        assert_eq!("".parse::<FaultPlan>().unwrap(), FaultPlan::Off);
-        assert_eq!(
-            "5xx:3".parse::<FaultPlan>().unwrap(),
-            FaultPlan::Periodic {
-                fault: Fault::Status5xx,
-                every: 3
-            }
-        );
-        assert_eq!(
-            "short:2".parse::<FaultPlan>().unwrap(),
-            FaultPlan::Periodic {
-                fault: Fault::ShortRead,
-                every: 2
-            }
-        );
-        assert!("bogus".parse::<FaultPlan>().is_err());
-        assert!("5xx:0".parse::<FaultPlan>().is_err());
-
-        let store = ObjectStore::serve_with(Duration::ZERO, "5xx:2".parse().unwrap()).unwrap();
+    fn periodic_fault_plan_fires() {
+        let plan = FaultPlan::Periodic {
+            fault: Fault::Status5xx,
+            every: 2,
+        };
+        let store = ObjectStore::serve_with(Duration::ZERO, plan).unwrap();
         store.put("blob", vec![1u8; 4]);
         let (head, _) = raw_get(store.addr(), "blob", None);
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");

@@ -51,8 +51,8 @@
 //! | [`pai_query`] | exploration model: sessions, workloads, analytics, runners |
 //! | [`pai_server`] | multi-session socket server over `SharedIndex` with admission control |
 //!
-//! See `DESIGN.md` for the full system inventory and `EXPERIMENTS.md` for
-//! paper-vs-measured results.
+//! See `docs/ARCHITECTURE.md` for the full system inventory and
+//! `docs/BENCHMARKS.md` for how the paper's results are reproduced.
 
 pub use pai_common;
 pub use pai_core;
@@ -84,8 +84,8 @@ pub mod prelude {
         convert_to_bin, convert_to_zone, convert_to_zone_spec, write_bin, write_zone, BinFile,
         BlockCache, BlockStats, BlockSynopsis, CacheConfig, CachedFile, ColumnSynopsis, CsvFile,
         CsvFormat, DatasetSpec, Fault, FaultPlan, HttpFile, HttpOptions, LatencyFile, MemFile,
-        ObjectStore, PointDistribution, RawFile, RowBatch, RowOrder, Schema, StorageBackend,
-        SynopsisSpec, ValueModel, ZoneFile,
+        ObjectStore, PointDistribution, RawFile, RowBatch, RowOrder, Schema, SynopsisSpec,
+        ValueModel, ZoneFile,
     };
 }
 

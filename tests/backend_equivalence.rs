@@ -334,11 +334,11 @@ fn http_backend_with_faults_matches_zone_exactly() {
     let spec = dataset(600, 3, 4);
     let csv = spec.build_mem(CsvFormat::default()).unwrap();
     let zone = ZoneFile::from_bytes(convert_to_zone(&csv).unwrap()).unwrap();
-    let store = ObjectStore::serve_with(
-        std::time::Duration::ZERO,
-        "5xx:4".parse().expect("fault plan"),
-    )
-    .unwrap();
+    let plan = FaultPlan::Periodic {
+        fault: Fault::Status5xx,
+        every: 4,
+    };
+    let store = ObjectStore::serve_with(std::time::Duration::ZERO, plan).unwrap();
     store.put("data.paizone", convert_to_zone(&csv).unwrap());
     let http = HttpFile::open(store.addr(), "data.paizone", HttpOptions::default()).unwrap();
 

@@ -450,12 +450,16 @@ fn shared_index_asks_the_index_before_the_synopses() {
 /// span was lost, duplicated, or torn mid-stream.
 #[test]
 fn overlapped_pipeline_recovers_from_midstream_faults() {
-    for plan in ["5xx:3", "drop:5", "short:4"] {
+    for (fault, every) in [
+        (Fault::Status5xx, 3),
+        (Fault::Drop, 5),
+        (Fault::ShortRead, 4),
+    ] {
+        let plan = FaultPlan::Periodic { fault, every };
         let spec = dataset(700, 21, 4);
         let csv = spec.build_mem(CsvFormat::default()).unwrap();
         let zone = ZoneFile::from_bytes(convert_to_zone(&csv).unwrap()).unwrap();
-        let store =
-            ObjectStore::serve_with(std::time::Duration::ZERO, plan.parse().unwrap()).unwrap();
+        let store = ObjectStore::serve_with(std::time::Duration::ZERO, plan).unwrap();
         store.put("data.paizone", convert_to_zone(&csv).unwrap());
         // Tiny parts force many ranged GETs, so the periodic fault plans
         // actually trip mid-stream while later groups are in flight.
@@ -472,10 +476,13 @@ fn overlapped_pipeline_recovers_from_midstream_faults() {
         let seq = run_sequence_overlapped(&zone, &spec, &windows, 0.02, 8, 1);
         let ovl = run_sequence_overlapped(&http, &spec, &windows, 0.02, 8, 8);
         assert_overlap_equivalent(&seq, &ovl, 8);
-        assert!(store.faults_injected() > 0, "{plan}: faults actually fired");
+        assert!(
+            store.faults_injected() > 0,
+            "{plan:?}: faults actually fired"
+        );
         assert!(
             http.counters().retries() > 0,
-            "{plan}: the retry path carried the workload"
+            "{plan:?}: the retry path carried the workload"
         );
     }
 }

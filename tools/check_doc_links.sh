@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Fails when an intra-repo markdown link in README.md, ROADMAP.md, or
-# docs/*.md points at a file or anchor-less path that does not exist.
+# docs/*.md points at a file or anchor-less path that does not exist, or
+# when a `NAME.md` / `docs/NAME.md` reference in a .rs file under src/,
+# crates/, tests/ or examples/ does not resolve from the repo root.
 # External links (http/https/mailto) are ignored. No dependencies beyond
 # grep/sed.
 set -euo pipefail
@@ -32,6 +34,23 @@ for file in README.md ROADMAP.md docs/*.md; do
 $targets
 EOF
 done
+
+# Doc references in the code: an upper-case markdown name, bare or under
+# docs/, not itself the tail of a longer path (benchmark/README.md is not
+# one).
+refs=$(grep -rnoE --include='*.rs' '(^|[^A-Za-z0-9_./-])(docs/)?[A-Z][A-Z0-9_]*\.md' \
+  src crates tests examples 2>/dev/null || true)
+while IFS= read -r ref; do
+  [ -n "$ref" ] || continue
+  loc=${ref%:*}                                # file:line
+  name=$(printf '%s' "${ref##*:}" | sed 's/^[^A-Za-z]//')
+  if [ ! -e "$name" ]; then
+    echo "BROKEN: $loc -> $name (no such path from the repo root)" >&2
+    status=1
+  fi
+done <<EOF
+$refs
+EOF
 
 if [ "$status" -ne 0 ]; then
   echo "doc link check failed" >&2
