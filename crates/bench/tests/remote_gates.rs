@@ -13,9 +13,6 @@
 //!   than the sequential client at batch sizes 1 and 8, with byte-identical
 //!   answers, CIs, trajectories, *and logical meters* (the request pattern
 //!   is identical; only wall-clock and `fetch_inflight_peak` move);
-//! * **adaptive sizing** — the per-object adaptive part sizer issues no
-//!   more ranged GETs than the best hand-tuned static part size from a
-//!   sweep, with no answer drift;
 //! * **fault recovery** — with periodic 5xx injection on, the same queries
 //!   still return identical answers, and the retries are metered into the
 //!   per-query records and the report CSV;
@@ -31,6 +28,11 @@
 //!   byte-identical, session 2 strictly cheaper in GETs than session 1,
 //!   and fewer pages evicted than fetched after every session (a scan
 //!   cycles one slot instead of flushing the tier).
+//!
+//! Every transport mechanism the client keeps is held to a gate here or to
+//! its unit tests in `pai_storage::remote`; the naive client
+//! (`HttpOptions::naive`) stays as the baseline the coalescing gate
+//! measures against.
 //!
 //! The first two compare wall-clock and run in release builds only:
 //! `cargo test --release -p pai-bench --test remote_gates --
@@ -266,60 +268,6 @@ fn overlap_win() {
             ovl.io.overlap_ratio()
         );
     }
-}
-
-/// Adaptive-sizing gate: on the fig2-style workload the per-object adaptive
-/// sizer must issue no more ranged GETs than the best hand-tuned static
-/// part size from a sweep, with no answer drift.
-#[test]
-fn adaptive_sizing_wins() {
-    let setup = small_setup(50_000);
-    let store = serve(&setup, Duration::ZERO, FaultPlan::Off);
-    let open = |opts: HttpOptions| HttpFile::open(store.addr(), OBJECT, opts).expect("open http");
-
-    let mut best: Option<(u64, u64)> = None; // (GETs, part bytes)
-    let mut reference: Option<Outcome> = None;
-    for part_kb in [16u64, 32, 64, 128, 256] {
-        let o = run_verified(
-            &open(HttpOptions::with_part_bytes(part_kb * 1024)),
-            &setup,
-            8,
-            1,
-        );
-        if best.is_none_or(|(r, _)| o.requests < r) {
-            best = Some((o.requests, part_kb * 1024));
-        }
-        reference.get_or_insert(o);
-    }
-    let (best_requests, best_part) = best.expect("sweep ran");
-    let adaptive = run_verified(
-        &open(HttpOptions::default().with_adaptive(true)),
-        &setup,
-        8,
-        1,
-    );
-    assert_equivalent(
-        "adaptive vs static sizing",
-        &adaptive,
-        reference.as_ref().expect("sweep ran"),
-    );
-    assert!(
-        adaptive.requests <= best_requests,
-        "adaptive sizing must issue no more GETs than the best static part \
-         ({} bytes): {} vs {}",
-        best_part,
-        adaptive.requests,
-        best_requests
-    );
-    assert!(
-        adaptive.io.parts_resized > 0,
-        "the sizer actually adapted its parameters"
-    );
-    println!(
-        "remote gate (adaptive sizing): best static part {} bytes -> {} GETs, \
-         adaptive -> {} GETs ({} resizes)",
-        best_part, best_requests, adaptive.requests, adaptive.io.parts_resized
-    );
 }
 
 /// Under periodic 5xx injection the workload still answers identically,

@@ -89,7 +89,6 @@ fn engine_cfg(setup: &Fig2Setup) -> EngineConfig {
     EngineConfig {
         adapt_batch: 8,
         fetch_workers: 2,
-        cache: None, // the shared BlockCache is bound below, once per stack
         ..setup.engine.clone()
     }
 }

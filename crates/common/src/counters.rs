@@ -186,9 +186,6 @@ meters! {
     /// Wall-clock microseconds the caller waited on span-batch fetches; see
     /// [`IoSnapshot::overlap_ratio`].
     fetch_wall_us: Total, add_fetch_wall_us;
-    /// Times the adaptive part sizer changed an object's coalescing
-    /// parameters after observing a new span-gap distribution.
-    parts_resized: Total, add_parts_resized;
     /// Page lookups the block cache served instead of the transport, one
     /// per distinct page of each span batch (0 when no cache is attached).
     cache_hits: Total, add_cache_hits;
@@ -246,7 +243,6 @@ mod tests {
         c.note_fetch_inflight(1);
         c.add_fetch_request_us(900);
         c.add_fetch_wall_us(300);
-        c.add_parts_resized(1);
         c.add_cache_hits(6);
         c.add_cache_misses(2);
         c.add_cache_evictions(1);
@@ -276,7 +272,6 @@ mod tests {
         assert_eq!(c.fetch_inflight_peak(), 3);
         assert_eq!(c.fetch_request_us(), 900);
         assert_eq!(c.fetch_wall_us(), 300);
-        assert_eq!(c.parts_resized(), 1);
         assert_eq!(c.cache_hits(), 6);
         assert_eq!(c.cache_misses(), 2);
         assert_eq!(c.cache_evictions(), 1);
@@ -321,7 +316,6 @@ mod tests {
         c.note_fetch_inflight(2);
         c.add_fetch_request_us(50);
         c.add_fetch_wall_us(40);
-        c.add_parts_resized(2);
         c.add_cache_hits(5);
         c.add_cache_misses(3);
         c.add_cache_evictions(2);
@@ -348,7 +342,6 @@ mod tests {
         assert_eq!(d.fetch_inflight_peak, 2);
         assert_eq!(d.fetch_request_us, 50);
         assert_eq!(d.fetch_wall_us, 40);
-        assert_eq!(d.parts_resized, 2);
         assert_eq!(d.cache_hits, 5);
         assert_eq!(d.cache_misses, 3);
         assert_eq!(d.cache_evictions, 2);

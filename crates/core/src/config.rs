@@ -2,7 +2,6 @@
 
 use pai_common::{PaiError, Result};
 use pai_index::AdaptConfig;
-use pai_storage::CacheConfig;
 
 use crate::bound::NormalizationMode;
 use crate::policy::SelectionPolicy;
@@ -55,14 +54,6 @@ pub struct EngineConfig {
     /// and every logical meter are identical at any worker count. `1` (the
     /// default) is the strictly sequential fetch-then-apply path.
     pub fetch_workers: usize,
-    /// Tiered block cache for the raw file's remote transport (memory +
-    /// disk-spill budgets, see `pai_storage::CacheConfig`). `None` (the
-    /// default) is uncached. The engine itself takes an already-built
-    /// file, so harnesses consume this when constructing the backend
-    /// (wrapping it in `pai_storage::CachedFile`); it lives here so one
-    /// config object describes a full evaluation setup. Transport-only:
-    /// answers, CIs, trajectories, and logical meters are unaffected.
-    pub cache: Option<CacheConfig>,
     /// Block synopses as a second zero-I/O tier: when the tile index's own
     /// metadata answer misses φ, and before any fetch is planned, try to
     /// answer the accuracy-constrained query from the backend's per-block
@@ -87,7 +78,6 @@ impl Default for EngineConfig {
             eager: EagerRefinement::Off,
             adapt_batch: 1,
             fetch_workers: 1,
-            cache: None,
             synopsis: false,
         }
     }
@@ -110,20 +100,6 @@ impl EngineConfig {
         self
     }
 
-    /// This config with a tiered block cache of the given budgets.
-    /// `spill_dir = None` spills under the system temp directory.
-    pub fn with_cache(
-        mut self,
-        mem_bytes: u64,
-        disk_bytes: u64,
-        spill_dir: Option<std::path::PathBuf>,
-    ) -> Self {
-        let mut cfg = CacheConfig::new(mem_bytes, disk_bytes);
-        cfg.spill_dir = spill_dir;
-        self.cache = Some(cfg);
-        self
-    }
-
     /// Validates every nested knob.
     pub fn validate(&self) -> Result<()> {
         self.adapt.validate()?;
@@ -142,14 +118,6 @@ impl EngineConfig {
             return Err(PaiError::config(
                 "fetch_workers must be >= 1 (1 = sequential fetch-then-apply)",
             ));
-        }
-        if let Some(cache) = &self.cache {
-            if cache.mem_bytes == 0 {
-                return Err(PaiError::config(
-                    "cache.mem_bytes must be > 0 (the disk tier only holds \
-                     memory-tier victims); omit the cache to disable it",
-                ));
-            }
         }
         Ok(())
     }
@@ -194,18 +162,6 @@ mod tests {
             ..Default::default()
         };
         assert!(cfg.validate().is_ok());
-    }
-
-    #[test]
-    fn cache_config_validated() {
-        let cfg = EngineConfig::default().with_cache(1 << 20, 0, None);
-        assert!(cfg.validate().is_ok());
-        assert_eq!(cfg.cache.as_ref().unwrap().mem_bytes, 1 << 20);
-        let cfg = EngineConfig::default().with_cache(0, 1 << 20, None);
-        assert!(cfg.validate().is_err(), "memory tier is mandatory");
-        let dir = std::path::PathBuf::from("/tmp/spill");
-        let cfg = EngineConfig::default().with_cache(1024, 2048, Some(dir.clone()));
-        assert_eq!(cfg.cache.unwrap().spill_dir, Some(dir));
     }
 
     #[test]

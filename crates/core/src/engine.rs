@@ -591,8 +591,8 @@ fn fetch_units(plans: &[BatchPlan]) -> (Vec<FetchUnit<'_>>, Vec<(usize, usize)>)
 /// * The same fetch units are issued — grouping, pushdown, and the
 ///   `read_row_groups` call per unit are byte-identical to the sequential
 ///   path, and units are *claimed* in the sequential issue order — so every
-///   logical meter (and, absent adaptive sizing, every transport meter)
-///   lands on the same totals.
+///   logical meter (and, on an uncached file, every request count) lands
+///   on the same totals.
 /// * `on_plan` runs in strict plan order 0, 1, 2, …, so apply-side state,
 ///   answers, CIs, and trajectories cannot observe fetch completion order.
 /// * Every unit is fetched unless something fails: an `on_plan` early-out

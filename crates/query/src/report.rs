@@ -31,7 +31,6 @@ const COLUMNS: &[Column] = &[
     ("retries", io!(retries)),
     ("fetch_inflight_peak", io!(fetch_inflight_peak)),
     ("overlap_ratio", |r| format!("{:.3}", r.stats.io.overlap_ratio())),
-    ("parts_resized", io!(parts_resized)),
     ("fetch_p50_us", io!(fetch_hist.p50_us())),
     ("fetch_p99_us", io!(fetch_hist.p99_us())),
     ("cache_hits", io!(cache_hits)),
@@ -305,7 +304,7 @@ mod tests {
             lines.next().unwrap(),
             "query,exact_time_ms,exact_objects,exact_bytes,exact_read_calls,exact_blocks_read,\
              exact_blocks_skipped,exact_http_requests,exact_http_bytes,exact_retries,\
-             exact_fetch_inflight_peak,exact_overlap_ratio,exact_parts_resized,\
+             exact_fetch_inflight_peak,exact_overlap_ratio,\
              exact_fetch_p50_us,exact_fetch_p99_us,\
              exact_cache_hits,exact_cache_misses,exact_cache_evictions,\
              exact_cache_spill_bytes,exact_cache_mem_bytes,\
@@ -316,7 +315,7 @@ mod tests {
              exact_lock_wait_ms,phi=5%_time_ms,phi=5%_objects,phi=5%_bytes,\
              phi=5%_read_calls,phi=5%_blocks_read,phi=5%_blocks_skipped,phi=5%_http_requests,\
              phi=5%_http_bytes,phi=5%_retries,phi=5%_fetch_inflight_peak,phi=5%_overlap_ratio,\
-             phi=5%_parts_resized,phi=5%_fetch_p50_us,phi=5%_fetch_p99_us,\
+             phi=5%_fetch_p50_us,phi=5%_fetch_p99_us,\
              phi=5%_cache_hits,phi=5%_cache_misses,phi=5%_cache_evictions,\
              phi=5%_cache_spill_bytes,phi=5%_cache_mem_bytes,\
              phi=5%_synopsis_hits,phi=5%_synopsis_blocks,phi=5%_synopsis_bytes,\
@@ -326,8 +325,8 @@ mod tests {
         );
         assert_eq!(
             lines.next().unwrap(),
-            "1,10.000,100,4096,2,4,1,3,512,1,1,1.000,0,0,0,0,0,0,0,0,0,0,0,7,5,2,6,3,24576,0.000,\
-             5.000,50,2048,2,4,1,3,512,1,1,1.000,0,0,0,0,0,0,0,0,0,0,0,7,5,2,6,3,12288,0.000"
+            "1,10.000,100,4096,2,4,1,3,512,1,1,1.000,0,0,0,0,0,0,0,0,0,0,7,5,2,6,3,24576,0.000,\
+             5.000,50,2048,2,4,1,3,512,1,1,1.000,0,0,0,0,0,0,0,0,0,0,7,5,2,6,3,12288,0.000"
         );
         assert_eq!(csv.lines().count(), 3);
 
@@ -338,8 +337,8 @@ mod tests {
         ];
         assert_eq!(
             to_csv(&runs).lines().nth(2).unwrap(),
-            "2,20.000,200,8192,2,4,1,3,512,1,1,1.000,0,0,0,0,0,0,0,0,0,0,0,7,5,2,6,3,49152,0.000,\
-             ,,,,,,,,,,,,,,,,,,,,,,,,,,,,"
+            "2,20.000,200,8192,2,4,1,3,512,1,1,1.000,0,0,0,0,0,0,0,0,0,0,7,5,2,6,3,49152,0.000,\
+             ,,,,,,,,,,,,,,,,,,,,,,,,,,,"
         );
     }
 

@@ -47,8 +47,9 @@
 //! backend, binds a (possibly shared) [`BlockCache`] to the inner
 //! transport via [`RawFile::attach_cache`], and delegates every access.
 //! Backends without a cache-capable transport delegate inertly — wrapping
-//! a local file is harmless. Per-file private caches come from
-//! [`crate::HttpOptions`] carrying a [`CacheConfig`].
+//! a local file is harmless. A private cache is [`CachedFile::with_config`];
+//! below the file level, [`crate::HttpBlob::attach_cache`] binds one to a
+//! bare blob.
 
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;

@@ -57,16 +57,6 @@ impl LatencyFile {
         }
     }
 
-    /// The configured per-access delay.
-    pub fn per_call(&self) -> Duration {
-        self.per_call
-    }
-
-    /// The configured per-seek delay.
-    pub fn per_seek(&self) -> Duration {
-        self.per_seek
-    }
-
     /// Stalls for one finished access: the per-call round trip plus
     /// `per_seek` for every not-yet-charged seek on the shared counter.
     /// The high-water mark hands each seek to exactly one concurrent

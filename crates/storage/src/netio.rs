@@ -1,5 +1,5 @@
-//! Shared socket plumbing: per-connection scratch buffers and
-//! length-prefixed framing.
+//! Shared socket plumbing: per-connection scratch buffers, a bounded
+//! HTTP head reader and length-prefixed framing.
 //!
 //! Both in-process servers in this workspace — the HTTP/1.1
 //! [`ObjectStore`](crate::ObjectStore) and the `pai-server` query
@@ -15,8 +15,73 @@
 //! by the payload. [`ConnBuf::read_frame`] distinguishes clean EOF at
 //! a frame boundary (`Ok(None)`, the peer hung up between requests)
 //! from truncation mid-frame (an error).
+//!
+//! Both ends of the HTTP transport read a head — the object store its
+//! requests, the remote client its responses — with one rule, so neither
+//! takes a peer's word for how long a line or a head is:
+//! [`read_head_line`] reads at most [`MAX_HEAD_LINE`] bytes of a line and
+//! [`read_headers`] at most [`MAX_HEADERS`] header lines.
 
 use std::io::{BufRead, ErrorKind, Read, Write};
+
+/// Longest line an HTTP head may carry, line end included: a peer that
+/// never sends `\n` costs one bounded read, not an unbounded `String`.
+pub const MAX_HEAD_LINE: u64 = 8 * 1024;
+
+/// Most header lines an HTTP head may carry before its blank line.
+pub const MAX_HEADERS: usize = 64;
+
+/// Reads one line of an HTTP head into `line` (cleared first), at most
+/// [`MAX_HEAD_LINE`] bytes of it; a longer line is `InvalidData`. `line`
+/// is left empty on a connection closed before the line.
+pub fn read_head_line<R: BufRead>(reader: &mut R, line: &mut String) -> std::io::Result<()> {
+    line.clear();
+    reader.by_ref().take(MAX_HEAD_LINE).read_line(line)?;
+    if line.len() as u64 == MAX_HEAD_LINE && !line.ends_with('\n') {
+        return Err(std::io::Error::new(
+            ErrorKind::InvalidData,
+            format!("head line over {MAX_HEAD_LINE} bytes"),
+        ));
+    }
+    Ok(())
+}
+
+/// Reads the header lines of an HTTP head, through its blank line, with
+/// `line` as scratch, handing each `key: value` header to `each` (value
+/// trimmed). Returns the bytes read. More than [`MAX_HEADERS`] lines is
+/// `InvalidData`; a connection closed before the blank line is
+/// `UnexpectedEof`.
+pub fn read_headers<R: BufRead>(
+    reader: &mut R,
+    line: &mut String,
+    mut each: impl FnMut(&str, &str),
+) -> std::io::Result<u64> {
+    let mut bytes = 0u64;
+    for n in 0.. {
+        read_head_line(reader, line)?;
+        if line.is_empty() {
+            return Err(std::io::Error::new(
+                ErrorKind::UnexpectedEof,
+                "connection closed inside a head",
+            ));
+        }
+        bytes += line.len() as u64;
+        let header = line.trim_end();
+        if header.is_empty() {
+            break;
+        }
+        if n == MAX_HEADERS {
+            return Err(std::io::Error::new(
+                ErrorKind::InvalidData,
+                format!("head over {MAX_HEADERS} header lines"),
+            ));
+        }
+        if let Some((key, value)) = header.split_once(':') {
+            each(key, value.trim());
+        }
+    }
+    Ok(bytes)
+}
 
 /// Hard ceiling on accepted frame payloads. Anything larger is treated
 /// as a protocol error rather than an allocation request — a garbage
@@ -40,14 +105,21 @@ impl ConnBuf {
         Self::default()
     }
 
-    /// Reads one `\n`-terminated line, reusing the internal `String`.
-    /// Returns `Ok(None)` on EOF before any byte of the line.
+    /// Reads one line of an HTTP head ([`read_head_line`]), reusing the
+    /// internal `String`. Returns `Ok(None)` on EOF before any byte of the
+    /// line.
     pub fn read_line<R: BufRead>(&mut self, reader: &mut R) -> std::io::Result<Option<&str>> {
-        self.line.clear();
-        if reader.read_line(&mut self.line)? == 0 {
-            return Ok(None);
-        }
-        Ok(Some(self.line.as_str()))
+        read_head_line(reader, &mut self.line)?;
+        Ok((!self.line.is_empty()).then_some(self.line.as_str()))
+    }
+
+    /// [`read_headers`] with the internal `String` as scratch.
+    pub fn read_headers<R: BufRead>(
+        &mut self,
+        reader: &mut R,
+        each: impl FnMut(&str, &str),
+    ) -> std::io::Result<u64> {
+        read_headers(reader, &mut self.line, each)
     }
 
     /// Reads one length-prefixed frame (u32-LE length, then payload),
@@ -170,6 +242,42 @@ mod tests {
         );
         assert_eq!(buf.read_line(&mut r).unwrap().map(str::trim_end), Some(""));
         assert_eq!(buf.read_line(&mut r).unwrap(), None);
+    }
+
+    #[test]
+    fn head_lines_and_heads_are_bounded() {
+        // A line of exactly the cap, line end included, is read whole; one
+        // byte more is an error after reading no more than the cap.
+        let fits = format!("{}\n", "x".repeat(MAX_HEAD_LINE as usize - 1));
+        let mut line = String::new();
+        read_head_line(&mut Cursor::new(fits.as_bytes()), &mut line).unwrap();
+        assert_eq!(line, fits);
+        let long = format!("x{fits}");
+        let mut r = Cursor::new(long.as_bytes());
+        let err = read_head_line(&mut r, &mut line).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        assert_eq!(r.position(), MAX_HEAD_LINE);
+
+        let head = |lines: usize| {
+            let mut head = "K: v\r\n".repeat(lines);
+            head.push_str("\r\n");
+            head
+        };
+        let mut seen = 0;
+        let bytes = read_headers(&mut Cursor::new(head(MAX_HEADERS)), &mut line, |k, v| {
+            assert_eq!((k, v), ("K", "v"));
+            seen += 1;
+        })
+        .unwrap();
+        assert_eq!((seen, bytes), (MAX_HEADERS, 6 * MAX_HEADERS as u64 + 2));
+        let err = read_headers(
+            &mut Cursor::new(head(MAX_HEADERS + 1)),
+            &mut line,
+            |_, _| {},
+        );
+        assert_eq!(err.unwrap_err().kind(), ErrorKind::InvalidData);
+        let err = read_headers(&mut Cursor::new("K: v\r\n"), &mut line, |_, _| {});
+        assert_eq!(err.unwrap_err().kind(), ErrorKind::UnexpectedEof);
     }
 
     #[test]

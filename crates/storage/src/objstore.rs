@@ -26,7 +26,10 @@
 //!
 //! The server is test infrastructure, not a production artifact: it buffers
 //! objects in memory, parses only the request subset the client emits, and
-//! answers everything else with `400`/`404`/`405`.
+//! answers everything else with `400`/`404`/`405`. It still holds a peer to
+//! bounds: a request head is read with [`crate::netio`]'s bounded reader,
+//! and a connection silent for 120 s is closed, so no peer holds a
+//! connection thread for as long as the store lives.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -92,7 +95,16 @@ struct Shared {
     shutdown: AtomicBool,
     requests: AtomicU64,
     faults_injected: AtomicU64,
+    /// Read timeout of every accepted socket ([`READ_TIMEOUT`]; tests
+    /// shorten it).
+    read_timeout: Duration,
 }
+
+/// How long an accepted connection may stay silent before the store closes
+/// it. Far longer than any pause between a client's requests, so a pooled
+/// keep-alive connection is never closed under a working client (which
+/// would cost it a metered retry).
+const READ_TIMEOUT: Duration = Duration::from_secs(120);
 
 impl Shared {
     /// The fault (if any) to apply to the request numbered `n` (1-based).
@@ -138,6 +150,17 @@ impl ObjectStore {
 
     /// Starts an empty store with a per-request stall and a fault plan.
     pub fn serve_with(latency: Duration, plan: FaultPlan) -> Result<ObjectStore> {
+        ObjectStore::start(latency, plan, READ_TIMEOUT)
+    }
+
+    /// An empty store that closes a connection silent for `timeout` instead
+    /// of [`READ_TIMEOUT`], so a test of a silent peer takes milliseconds.
+    #[cfg(test)]
+    fn serve_with_read_timeout(timeout: Duration) -> Result<ObjectStore> {
+        ObjectStore::start(Duration::ZERO, FaultPlan::Off, timeout)
+    }
+
+    fn start(latency: Duration, plan: FaultPlan, read_timeout: Duration) -> Result<ObjectStore> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -148,6 +171,7 @@ impl ObjectStore {
             shutdown: AtomicBool::new(false),
             requests: AtomicU64::new(0),
             faults_injected: AtomicU64::new(0),
+            read_timeout,
         });
         let accept_state = Arc::clone(&shared);
         std::thread::Builder::new()
@@ -161,6 +185,7 @@ impl ObjectStore {
                     // Responses are written head-then-body in small pieces;
                     // without nodelay each exchange stalls on delayed ACKs.
                     let _ = stream.set_nodelay(true);
+                    let _ = stream.set_read_timeout(Some(accept_state.read_timeout));
                     let state = Arc::clone(&accept_state);
                     let _ = std::thread::Builder::new()
                         .name("pai-objstore-conn".into())
@@ -250,7 +275,8 @@ struct Request {
 /// Reads and parses one request off the stream, reusing `buf`'s
 /// scratch line between requests (the connection loop's only per-request
 /// allocation is the object path itself). `Ok(None)` = clean EOF
-/// (client closed the keep-alive connection).
+/// (client closed the keep-alive connection); a head over the bounds of
+/// [`crate::netio`], or a peer silent past the read timeout, is an error.
 fn read_request(
     reader: &mut BufReader<TcpStream>,
     buf: &mut ConnBuf,
@@ -263,24 +289,13 @@ fn read_request(
     let path = parts.next().unwrap_or("").to_string();
     let mut range = None;
     let mut close = false;
-    loop {
-        let Some(header) = buf.read_line(reader)? else {
-            return Ok(None);
-        };
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
+    buf.read_headers(reader, |key, value| {
+        if key.eq_ignore_ascii_case("range") {
+            range = parse_range(value);
+        } else if key.eq_ignore_ascii_case("connection") && value.eq_ignore_ascii_case("close") {
+            close = true;
         }
-        if let Some((key, value)) = header.split_once(':') {
-            let value = value.trim();
-            if key.eq_ignore_ascii_case("range") {
-                range = parse_range(value);
-            } else if key.eq_ignore_ascii_case("connection") && value.eq_ignore_ascii_case("close")
-            {
-                close = true;
-            }
-        }
-    }
+    })?;
     if !method_is_get {
         // Signal unsupported methods with an empty name; the responder
         // turns that into a 405.
@@ -588,6 +603,86 @@ mod tests {
         let (head, _) = raw_get(store.addr(), "blob", None);
         assert!(head.starts_with("HTTP/1.1 503"), "{head}");
         assert_eq!(store.faults_injected(), 1);
+    }
+
+    /// Whether the store has ended `stream`'s connection: a read sees EOF or
+    /// a reset within five seconds, not a timeout.
+    fn ended_by_store(stream: &mut TcpStream) -> bool {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut buf = [0u8; 1024];
+        loop {
+            match stream.read(&mut buf) {
+                Ok(0) => return true,
+                Ok(_) => continue,
+                Err(e) => {
+                    return !matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    )
+                }
+            }
+        }
+    }
+
+    /// A ranged GET on a connection of its own is answered.
+    fn assert_served(store: &ObjectStore) {
+        let (head, body) = raw_get(store.addr(), "blob", Some((10, 19)));
+        assert!(head.starts_with("HTTP/1.1 206"), "{head}");
+        assert_eq!(body, (10u8..20).collect::<Vec<u8>>());
+    }
+
+    #[test]
+    fn an_endless_request_line_ends_its_connection() {
+        let store = ObjectStore::serve().unwrap();
+        store.put("blob", (0u8..100).collect::<Vec<u8>>());
+        let mut hostile = TcpStream::connect(store.addr()).unwrap();
+        let mut line = b"GET /".to_vec();
+        line.resize(64 * 1024, b'x');
+        // Fails once the store hangs up mid-line, as it should.
+        let _ = hostile.write_all(&line);
+        assert_served(&store);
+        assert!(ended_by_store(&mut hostile), "a line past the cap ends it");
+        assert_eq!(store.requests_served(), 1, "only the well-formed GET");
+    }
+
+    #[test]
+    fn a_flood_of_header_lines_ends_its_connection() {
+        let store = ObjectStore::serve().unwrap();
+        store.put("blob", (0u8..100).collect::<Vec<u8>>());
+        let mut hostile = TcpStream::connect(store.addr()).unwrap();
+        let flood = "GET /blob HTTP/1.1\r\n".to_string() + &"X-Flood: 1\r\n".repeat(1000);
+        let _ = hostile.write_all(flood.as_bytes());
+        assert_served(&store);
+        assert!(ended_by_store(&mut hostile), "a head past the cap ends it");
+        assert_eq!(store.requests_served(), 1, "only the well-formed GET");
+    }
+
+    #[test]
+    fn a_silent_peer_is_disconnected_after_the_read_timeout() {
+        let timeout = Duration::from_millis(200);
+        let store = ObjectStore::serve_with_read_timeout(timeout).unwrap();
+        store.put("blob", (0u8..100).collect::<Vec<u8>>());
+        let t0 = std::time::Instant::now();
+        let mut silent = TcpStream::connect(store.addr()).unwrap();
+        assert_served(&store);
+        assert!(ended_by_store(&mut silent), "silence ends it");
+        assert!(t0.elapsed() >= timeout, "{:?}", t0.elapsed());
+        // A keep-alive connection that goes quiet after a request is closed
+        // the same way.
+        let mut quiet = TcpStream::connect(store.addr()).unwrap();
+        write!(
+            quiet,
+            "GET /blob HTTP/1.1\r\nHost: t\r\nRange: bytes=0-9\r\n\r\n"
+        )
+        .unwrap();
+        let mut reader = BufReader::new(quiet.try_clone().unwrap());
+        let mut status = String::new();
+        reader.read_line(&mut status).unwrap();
+        assert!(status.starts_with("HTTP/1.1 206"), "{status}");
+        assert!(ended_by_store(&mut quiet), "idle keep-alive ends too");
+        assert_served(&store);
     }
 
     #[test]

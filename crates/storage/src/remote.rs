@@ -5,20 +5,20 @@
 //! that lives behind an HTTP object store (in tests and benches, the
 //! bundled [`crate::objstore::ObjectStore`]) and implements the full
 //! [`crate::RawFile`] surface — scans, positional reads, zone-map pushdown —
-//! by fetching byte ranges on demand. Seven client-side mechanisms make
+//! by fetching byte ranges on demand. Six client-side mechanisms make
 //! that viable when every request pays a round trip:
 //!
 //! * **Request coalescing** ([`HttpBlob::lend_spans`]) — the decode layers
 //!   hand the client *batches* of byte spans (one per block run), and the
-//!   client merges spans that are adjacent or nearly so (gap ≤
-//!   [`HttpOptions::coalesce_gap`]) into single ranged GETs. How far a
-//!   merge may grow depends on what the batch is: a positional read's stops
-//!   at [`HttpOptions::part_bytes`], which bounds its over-fetch and its
-//!   retry size; a streaming scan's runs are wanted whole and merge up to
-//!   1 MiB whatever the part size, so a scan partition costs one GET per
-//!   column run — sequential I/O, as on a local file. Skipped zone-map
-//!   blocks never enter a batch, so pushdown translates directly into GETs
-//!   never issued.
+//!   client merges spans that are adjacent or nearly so (gap ≤ 256 bytes,
+//!   about what one more request would cost in head bytes) into single
+//!   ranged GETs. How far a merge may grow depends on what the batch is: a
+//!   positional read's stops at [`HttpOptions::part_bytes`], which bounds
+//!   its over-fetch and its retry size; a streaming scan's runs are wanted
+//!   whole and merge up to 1 MiB whatever the part size, so a scan
+//!   partition costs one GET per column run — sequential I/O, as on a
+//!   local file. Skipped zone-map blocks never enter a batch, so pushdown
+//!   translates directly into GETs never issued.
 //! * **The response is the buffer** ([`SpanBatch`]) — a GET's body is read
 //!   once, into unzeroed capacity, and the batch's spans are lent out of it
 //!   (or out of the resident cache page that holds them): a scan decodes its
@@ -32,8 +32,8 @@
 //!   [`HttpOptions::backoff`] each attempt. Every retry is metered. Every
 //!   socket carries connect, read and write timeouts, so a peer that stalls
 //!   is one more transient failure, and what a response head may claim is
-//!   bounded before it is believed: a line of at most 8 KiB, a
-//!   `Content-Length` of at most the range asked for.
+//!   bounded before it is believed: the lines of [`crate::netio`]'s bounded
+//!   head reader, a `Content-Length` of at most the range asked for.
 //! * **Overlapped fetching** ([`HttpOptions::fetch_workers`]) — a bounded
 //!   pool of scoped worker threads issues a span batch's merged GETs
 //!   concurrently and hands each completed body through a channel back to
@@ -41,15 +41,9 @@
 //!   starts, so the request pattern (and every logical meter) is
 //!   byte-identical to the sequential path — only wall-clock changes.
 //!   `fetch_workers = 1` is exactly the old sequential loop.
-//! * **Adaptive part sizing** ([`HttpOptions::adaptive`]) — instead of
-//!   trusting the static `coalesce_gap`/`part_bytes` knobs, the client
-//!   learns an effective gap and part size per object from the observed
-//!   span-gap distribution (EWMA over recent batches), floored at the
-//!   static knobs so it only ever merges *more* aggressively. Every
-//!   parameter change is metered as `parts_resized`.
-//! * **Page cache** ([`HttpOptions::cache`], [`crate::CachedFile`]) — with
-//!   a [`crate::cache::BlockCache`] bound, a batch's spans are mapped to
-//!   their covering [`PAGE_BYTES`] pages, resident pages are subtracted,
+//! * **Page cache** ([`crate::CachedFile`], [`HttpBlob::attach_cache`]) —
+//!   with a [`crate::cache::BlockCache`] bound, a batch's spans are mapped
+//!   to their covering [`PAGE_BYTES`] pages, resident pages are subtracted,
 //!   the *missing pages* take the very same coalesce → fetch path above
 //!   (adjacent pages merge up to the batch's size limit), and the spans are
 //!   lent out of the responses and the resident pages. The cached request
@@ -62,13 +56,13 @@
 //! the transport meters make the remote story visible end-to-end:
 //! `http_requests` (ranged GETs issued), `http_bytes` (bytes on the wire in
 //! both directions, headers included), `retries`, plus the pipeline meters
-//! `fetch_inflight_peak`, `fetch_request_us`/`fetch_wall_us` (whose ratio
-//! is the overlap factor), and `parts_resized`. The naive and coalesced
-//! clients share one group-fetch path ([`HttpBlob::read_spans`] treats a
-//! naive batch as single-span groups), so retry/backoff metering is
-//! identical in both modes by construction.
+//! `fetch_inflight_peak` and `fetch_request_us`/`fetch_wall_us` (whose
+//! ratio is the overlap factor). The naive and coalesced clients share one
+//! group-fetch path ([`HttpBlob::read_spans`] treats a naive batch as
+//! single-span groups), so retry/backoff metering is identical in both
+//! modes by construction.
 
-use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
@@ -78,8 +72,9 @@ use pai_common::geometry::Rect;
 use pai_common::{AttrId, IoCounters, PaiError, Result, RowLocator};
 
 use crate::batch::RowBatch;
-use crate::cache::{BlockCache, CacheConfig, CacheMode, Page, PAGE_BYTES};
+use crate::cache::{BlockCache, CacheMode, Page, PAGE_BYTES};
 use crate::column::{BinFile, PAIBIN_MAGIC};
+use crate::netio::{read_head_line, read_headers};
 use crate::raw::{BatchHandler, BlockStats, BlockSynopsis, RawFile, ScanPartition, ScanRequest};
 use crate::schema::Schema;
 use crate::zone::{ZoneFile, PAIZONE_MAGIC, PAIZONE_MAGIC_V2};
@@ -97,13 +92,9 @@ pub struct HttpOptions {
     /// merge up to 1 MiB (or this, if larger); it also sizes the open-time
     /// probe and header read-ahead.
     pub part_bytes: u64,
-    /// Maximum gap (bytes) bridged when merging adjacent spans into one
-    /// request. Gap bytes are fetched and discarded, so this should stay
-    /// near the per-request overhead (~250 wire bytes) they save.
-    pub coalesce_gap: u64,
     /// Whether to coalesce at all. `false` is the naive client: one ranged
-    /// GET per span, exactly as requested (the baseline `remote_bench`
-    /// measures against).
+    /// GET per span, exactly as requested (the baseline the coalescing
+    /// gate and the retry-metering test measure against).
     pub coalesce: bool,
     /// How many times a transiently-failed request is retried before the
     /// error surfaces.
@@ -115,21 +106,6 @@ pub struct HttpOptions {
     /// into the caller while later GETs are in flight. `1` (the default)
     /// is the sequential loop; values are clamped to the group count.
     pub fetch_workers: usize,
-    /// Learn the effective `coalesce_gap`/`part_bytes` per object from the
-    /// observed span-gap distribution (EWMA over recent batches) instead
-    /// of trusting the static knobs. The learned values are floored at the
-    /// static ones, so adaptive sizing only ever merges more aggressively
-    /// (never more GETs than the static configuration would issue on the
-    /// same batch).
-    pub adaptive: bool,
-    /// Build a private tiered block cache for this object (see
-    /// [`crate::cache`]): a span batch's resident pages are served locally
-    /// and subtracted *before* coalescing, so repeat visits to hot regions
-    /// issue GETs only for the missing pages. `None` (the default) is
-    /// uncached.
-    /// For a cache *shared* across files, wrap with
-    /// [`crate::CachedFile`] instead.
-    pub cache: Option<CacheConfig>,
     /// How long cached pages may be served without re-checking the remote
     /// object's `ETag`. `None` (the default) never proactively revalidates:
     /// a fully-cached batch does zero HTTP work, and a mutation is only
@@ -147,13 +123,10 @@ impl Default for HttpOptions {
     fn default() -> Self {
         HttpOptions {
             part_bytes: 64 * 1024,
-            coalesce_gap: 256,
             coalesce: true,
             max_retries: 4,
             backoff: Duration::from_millis(1),
             fetch_workers: 1,
-            adaptive: false,
-            cache: None,
             revalidate_ttl: None,
         }
     }
@@ -183,19 +156,6 @@ impl HttpOptions {
     /// These options with `n` overlapped fetch workers (min 1).
     pub fn with_fetch_workers(mut self, n: usize) -> Self {
         self.fetch_workers = n.max(1);
-        self
-    }
-
-    /// These options with adaptive part sizing switched on or off.
-    pub fn with_adaptive(mut self, adaptive: bool) -> Self {
-        self.adaptive = adaptive;
-        self
-    }
-
-    /// These options with a private tiered block cache of the given
-    /// budgets (see [`CacheConfig`]).
-    pub fn with_cache(mut self, cache: CacheConfig) -> Self {
-        self.cache = Some(cache);
         self
     }
 
@@ -256,10 +216,6 @@ pub struct HttpClient {
 /// for the *next* bytes, not a whole response, so it need not scale with
 /// the request size.
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
-/// Longest status or header line a response head may carry.
-const MAX_HEAD_LINE: u64 = 8 * 1024;
-/// Most header lines a response head may carry.
-const MAX_HEADERS: usize = 64;
 /// The longest 5xx error body drained to keep a connection reusable; past
 /// it the connection is dropped instead.
 const MAX_ERROR_BODY: u64 = 64 * 1024;
@@ -445,105 +401,58 @@ impl HttpClient {
     }
 }
 
-/// Reads one line of a response head into `line` (cleared first), at most
-/// [`MAX_HEAD_LINE`] bytes of it: a peer that never sends `\n` costs one
-/// bounded read, not an unbounded `String`. Empty on a closed connection.
-fn read_head_line(conn: &mut Conn, line: &mut String) -> std::result::Result<(), String> {
-    line.clear();
-    conn.take(MAX_HEAD_LINE)
-        .read_line(line)
-        .map_err(|e| format!("recv: {e}"))?;
-    if line.len() as u64 == MAX_HEAD_LINE && !line.ends_with('\n') {
-        return Err(format!("response head line over {MAX_HEAD_LINE} bytes"));
-    }
-    Ok(())
-}
-
-/// Reads a status line plus headers. Errors are transient (connection-level).
+/// Reads a status line plus headers, each line bounded by
+/// [`read_head_line`]'s rule. Errors are transient (connection-level).
 fn read_head(conn: &mut Conn) -> std::result::Result<ResponseHead, String> {
+    let recv = |e: std::io::Error| format!("recv: {e}");
     let mut line = String::new();
-    let mut head_bytes = 0u64;
-    read_head_line(conn, &mut line)?;
+    read_head_line(conn, &mut line).map_err(recv)?;
     if line.is_empty() {
         return Err("connection closed before any response".into());
     }
-    head_bytes += line.len() as u64;
     let status: u16 = line
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| format!("malformed status line {line:?}"))?;
-    let mut content_length = None;
-    let mut range = None;
-    let mut total = None;
-    let mut etag = None;
-    let mut header = String::new();
-    for n in 0.. {
-        read_head_line(conn, &mut header)?;
-        if header.is_empty() {
-            return Err("connection closed inside the response head".into());
-        }
-        head_bytes += header.len() as u64;
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if n == MAX_HEADERS {
-            return Err(format!("response head over {MAX_HEADERS} header lines"));
-        }
-        if let Some((key, value)) = header.split_once(':') {
-            let value = value.trim();
-            if key.eq_ignore_ascii_case("content-length") {
-                content_length = value.parse().ok();
-            } else if key.eq_ignore_ascii_case("content-range") {
-                // `bytes a-b/total` or `bytes */total`.
-                let (span, size) = value.rsplit_once('/').unwrap_or((value, ""));
-                total = size.parse().ok();
-                range = span
-                    .trim_start_matches("bytes")
-                    .trim()
-                    .split_once('-')
-                    .and_then(|(a, b)| {
-                        Some((a.parse().ok()?, b.parse::<u64>().ok()?.checked_add(1)?))
-                    });
-            } else if key.eq_ignore_ascii_case("etag") {
-                etag = Some(value.trim_matches('"').to_string());
-            }
-        }
-    }
-    Ok(ResponseHead {
+    let mut head = ResponseHead {
         status,
-        content_length,
-        range,
-        total,
-        etag,
-        head_bytes,
+        content_length: None,
+        range: None,
+        total: None,
+        etag: None,
+        head_bytes: line.len() as u64,
+    };
+    let bytes = read_headers(conn, &mut line, |key, value| {
+        if key.eq_ignore_ascii_case("content-length") {
+            head.content_length = value.parse().ok();
+        } else if key.eq_ignore_ascii_case("content-range") {
+            (head.range, head.total) = parse_content_range(value);
+        } else if key.eq_ignore_ascii_case("etag") {
+            head.etag = Some(value.trim_matches('"').to_string());
+        }
     })
+    .map_err(recv)?;
+    head.head_bytes += bytes;
+    Ok(head)
 }
 
-/// Per-object adaptive-sizing state: EWMAs over the span batches this blob
-/// has served. Gaps feed the effective coalesce gap, cluster extents feed
-/// the effective part size.
-#[derive(Debug, Default)]
-struct Sizer {
-    /// EWMA of bridgeable inter-span gaps (gaps small enough that fetching
-    /// them as waste beats a second round trip).
-    gap_ewma: f64,
-    /// EWMA of the largest contiguous span-cluster extent per batch.
-    extent_ewma: f64,
-    /// The `(gap, part)` pair last handed out, for `parts_resized`.
-    last: Option<(u64, u64)>,
+/// `Content-Range: bytes a-b/total` (or `bytes */total`) as the bytes
+/// `[a, b + 1)` and the total.
+fn parse_content_range(value: &str) -> (Option<(u64, u64)>, Option<u64>) {
+    let (span, size) = value.rsplit_once('/').unwrap_or((value, ""));
+    let range = span.trim_start_matches("bytes").trim().split_once('-');
+    let range =
+        range.and_then(|(a, b)| Some((a.parse().ok()?, b.parse::<u64>().ok()?.checked_add(1)?)));
+    (range, size.parse().ok())
 }
 
-/// Smoothing factor for the sizer EWMAs: recent batches dominate, but one
-/// odd batch cannot whipsaw the parameters.
-const SIZER_ALPHA: f64 = 0.25;
-/// Gaps above this are cluster breaks, not bridgeable waste — they never
-/// feed the gap EWMA and the learned gap never exceeds it.
-const SIZER_GAP_CEILING: u64 = 16 * 1024;
-/// What an object store serves well in one request: the learned part size
-/// never exceeds it, and a streaming scan's contiguous runs merge up to it
-/// (see [`HttpBlob::lend_spans`]).
+/// The widest gap (bytes) bridged when merging spans into one request.
+/// Gap bytes are fetched and thrown away, so it matches what a merge saves:
+/// the ≈ 250 wire bytes of one more request's head.
+const COALESCE_GAP: u64 = 256;
+/// What an object store serves well in one request: a streaming scan's
+/// contiguous runs merge up to it (see [`HttpBlob::lend_spans`]).
 const PART_CEILING: u64 = 1 << 20;
 
 /// The bytes of one span batch, held in the buffers they arrived in: the
@@ -600,10 +509,9 @@ pub struct HttpBlob {
     /// that also learns the total size: magic sniffing and header decoding
     /// start from this buffer instead of re-fetching offset 0.
     prefix: Vec<u8>,
-    /// Adaptive-sizing state (used only when `opts.adaptive`).
-    sizer: Mutex<Sizer>,
     /// Bound block cache, if any: a batch's resident pages are served from
-    /// it and subtracted before coalescing. Set once, at open or attach time.
+    /// it and subtracted before coalescing. Set once, by
+    /// [`HttpBlob::attach_cache`].
     cache: OnceLock<CacheBinding>,
     /// When the object's ETag was last proactively checked (see
     /// [`HttpOptions::revalidate_ttl`]).
@@ -648,18 +556,13 @@ impl HttpBlob {
     fn open_client(client: HttpClient) -> Result<HttpBlob> {
         let chunk = client.opts.part_bytes.clamp(4096, 1 << 20);
         let (prefix, len) = client.get_range(0, chunk)?;
-        let blob = HttpBlob {
+        Ok(HttpBlob {
             client,
             len,
             prefix,
-            sizer: Mutex::new(Sizer::default()),
             cache: OnceLock::new(),
             last_validated: Mutex::new(Instant::now()),
-        };
-        if let Some(cfg) = blob.client.opts.cache.clone() {
-            blob.attach_cache(Arc::new(BlockCache::new(cfg)));
-        }
-        Ok(blob)
+        })
     }
 
     /// Binds a block cache to this blob's span-fetch path (at most once
@@ -669,11 +572,6 @@ impl HttpBlob {
     pub fn attach_cache(&self, cache: Arc<BlockCache>) -> bool {
         let object = cache.object_id(&self.client.object);
         self.cache.set(CacheBinding { cache, object }).is_ok()
-    }
-
-    /// The bound block cache, if any.
-    pub fn cache(&self) -> Option<&Arc<BlockCache>> {
-        self.cache.get().map(|b| &b.cache)
     }
 
     /// The leading bytes captured at open time (up to one part).
@@ -754,17 +652,17 @@ impl HttpBlob {
     ///   [`HttpOptions::part_bytes`], which bounds what a merge over-fetches
     ///   across gaps and what one failed request costs to retry. A
     ///   [`CacheMode::Stream`] batch is a scan: every byte between its first
-    ///   and last is wanted, so contiguous wanted bytes (the same
-    ///   [`HttpOptions::coalesce_gap`] rule: a block the zone maps skipped
-    ///   is still never fetched) merge up to 1 MiB (`PART_CEILING`), whatever
-    ///   `part_bytes` says. A scan partition's column run is then one GET,
-    ///   as it is one sequential read on a local file.
+    ///   and last is wanted, so contiguous wanted bytes (the same 256-byte
+    ///   gap rule: a block the zone maps skipped is still never fetched)
+    ///   merge up to 1 MiB (`PART_CEILING`), whatever `part_bytes` says. A
+    ///   scan partition's column run is then one GET, as it is one
+    ///   sequential read on a local file.
     /// * *Admission*, when a cache is bound (see [`CacheMode`]).
     ///
     /// When a cache is bound, the batch is served page by page (see
     /// [`crate::cache::PAGE_BYTES`]): the spans' covering pages are looked
-    /// up *before* sorting, adaptive sizing, and coalescing, so only the
-    /// missing pages shape the merged GETs. A fully-cached batch does zero
+    /// up *before* sorting and coalescing, so only the missing pages shape
+    /// the merged GETs. A fully-cached batch does zero
     /// HTTP work (and adds zero fetch wall time). The request pattern of a
     /// cached client is therefore page-aligned, not the uncached client's;
     /// what the tests and the `remote_bench` gates pin instead is that a
@@ -955,17 +853,12 @@ impl HttpBlob {
         let opts = &self.client.opts;
         let mut idx: Vec<usize> = (0..reqs.len()).filter(|&i| reqs[i].1 > 0).collect();
         idx.sort_by_key(|&i| reqs[i].0);
-        let (gap, part) = if opts.adaptive && opts.coalesce {
-            self.adapt_sizing(reqs, &idx)
-        } else {
-            (opts.coalesce_gap, opts.part_bytes)
-        };
         let part = match mode {
-            CacheMode::Admit => part,
-            CacheMode::Stream => part.max(PART_CEILING),
+            CacheMode::Admit => opts.part_bytes,
+            CacheMode::Stream => opts.part_bytes.max(PART_CEILING),
         };
-        // Greedy merge over offset-sorted requests: bridge gaps up to the
-        // effective gap, stop growing a GET at the effective part size.
+        // Greedy merge over offset-sorted requests: bridge gaps up to
+        // `COALESCE_GAP`, stop growing a GET at the batch's part size.
         let mut groups: Vec<(u64, u64)> = Vec::new();
         let mut at = vec![(0usize, 0usize); reqs.len()];
         for &i in &idx {
@@ -974,7 +867,7 @@ impl HttpBlob {
             match groups.last_mut() {
                 Some((g_start, g_end))
                     if opts.coalesce
-                        && off <= g_end.saturating_add(gap)
+                        && off <= g_end.saturating_add(COALESCE_GAP)
                         && end.max(*g_end) - *g_start <= part =>
                 {
                     *g_end = (*g_end).max(end);
@@ -994,62 +887,6 @@ impl HttpBlob {
             result?;
         }
         Ok(Fetched { bodies, at })
-    }
-
-    /// Learns the effective `(gap, part)` for this batch: feeds the batch's
-    /// bridgeable gaps and largest cluster extent into the per-object
-    /// EWMAs, then returns the learned values floored at the static knobs.
-    /// `idx` is the offset-sorted non-empty span order.
-    fn adapt_sizing(&self, spans: &[(u64, u64)], idx: &[usize]) -> (u64, u64) {
-        let opts = &self.client.opts;
-        let mut sizer = self.sizer.lock().expect("sizer");
-        let mut gap_sum = 0u64;
-        let mut gap_n = 0u64;
-        for pair in idx.windows(2) {
-            let prev_end = spans[pair[0]].0 + spans[pair[0]].1;
-            let gap = spans[pair[1]].0.saturating_sub(prev_end);
-            if gap <= SIZER_GAP_CEILING {
-                gap_sum += gap;
-                gap_n += 1;
-            }
-        }
-        if gap_n > 0 {
-            let mean = gap_sum as f64 / gap_n as f64;
-            sizer.gap_ewma += SIZER_ALPHA * (mean - sizer.gap_ewma);
-        }
-        // Bridge comfortably past the typical gap, but never a cluster
-        // break, and never less than the static knob.
-        let gap = (opts.coalesce_gap.max((sizer.gap_ewma * 4.0) as u64)).min(SIZER_GAP_CEILING);
-        // Largest contiguous cluster extent under that gap (ignoring the
-        // part cap): the part size that would serve it in one GET.
-        let mut max_extent = 0u64;
-        let mut c_start = 0u64;
-        let mut c_end = 0u64;
-        for (k, &i) in idx.iter().enumerate() {
-            let (off, len) = spans[i];
-            let end = off + len;
-            if k == 0 || off > c_end.saturating_add(gap) {
-                c_start = off;
-                c_end = end;
-            } else {
-                c_end = c_end.max(end);
-            }
-            max_extent = max_extent.max(c_end - c_start);
-        }
-        if max_extent > 0 {
-            sizer.extent_ewma += SIZER_ALPHA * (max_extent as f64 - sizer.extent_ewma);
-        }
-        // Twice the typical worst cluster, capped at what a store serves
-        // well, floored at the static knob.
-        let part = ((sizer.extent_ewma * 2.0) as u64)
-            .min(PART_CEILING)
-            .max(opts.part_bytes);
-        let eff = (gap, part);
-        if sizer.last != Some(eff) {
-            self.client.counters.add_parts_resized(1);
-            sizer.last = Some(eff);
-        }
-        eff
     }
 
     /// Fetches every merged group's body. Sequential when one worker
@@ -1235,11 +1072,6 @@ impl HttpFile {
         matches!(self.inner, HttpInner::Zone(_))
     }
 
-    /// The underlying blob (length, transport meters, options).
-    pub fn blob(&self) -> &HttpBlob {
-        &self.blob
-    }
-
     fn as_raw(&self) -> &dyn RawFile {
         match &self.inner {
             HttpInner::Zone(z) => z,
@@ -1307,6 +1139,8 @@ impl RawFile for HttpFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{CacheConfig, CachedFile};
+    use crate::netio::MAX_HEAD_LINE;
     use crate::objstore::{Fault, FaultPlan, ObjectStore};
     use crate::zone::encode_zone_rows_with;
     use crate::Schema;
@@ -1527,15 +1361,15 @@ mod tests {
         store.put("blob", (0..=255u8).cycle().take(4096).collect::<Vec<u8>>());
         let opts = HttpOptions {
             part_bytes: 1024,
-            coalesce_gap: 16,
             ..HttpOptions::default()
         };
         let blob = HttpBlob::open(store.addr(), "blob", opts, IoCounters::new()).unwrap();
         assert_eq!(blob.len(), 4096);
         let probe_reqs = blob.counters().http_requests();
 
-        // Three spans, gaps of 8 bytes: one merged GET.
-        let spans = [(0u64, 32u64), (40, 32), (80, 32)];
+        // Three spans, gaps of exactly the bridgeable gap: one merged GET.
+        let step = 32 + COALESCE_GAP;
+        let spans = [(0u64, 32u64), (step, 32), (2 * step, 32)];
         let bufs = blob.read_spans(&spans).unwrap();
         assert_eq!(blob.counters().http_requests() - probe_reqs, 1);
         for (&(off, len), buf) in spans.iter().zip(&bufs) {
@@ -1543,9 +1377,9 @@ mod tests {
             assert_eq!(buf[0], (off % 256) as u8, "correct slice out of the merge");
         }
 
-        // A gap beyond the threshold splits the request.
+        // A gap one byte beyond it splits the request.
         let before = blob.counters().http_requests();
-        blob.read_spans(&[(0, 32), (1000, 32)]).unwrap();
+        blob.read_spans(&[(0, 32), (step + 1, 32)]).unwrap();
         assert_eq!(blob.counters().http_requests() - before, 2);
 
         // The part-size cap stops a merge from growing unboundedly.
@@ -1572,11 +1406,10 @@ mod tests {
         store.put("blob", (0..=255u8).cycle().take(8192).collect::<Vec<u8>>());
         let opts = HttpOptions {
             part_bytes: 256,
-            coalesce_gap: 16,
             ..HttpOptions::default()
         };
-        // Eight well-separated spans: eight groups at part 256 / gap 16.
-        let spans: Vec<(u64, u64)> = (0..8).map(|i| (i * 1000, 64)).collect();
+        // Eight spans further apart than the bridgeable gap: eight groups.
+        let spans: Vec<(u64, u64)> = (0..8).map(|i| (i * (64 + 3 * COALESCE_GAP), 64)).collect();
 
         let seq = HttpBlob::open(store.addr(), "blob", opts.clone(), IoCounters::new()).unwrap();
         let seq_before = seq.counters().http_requests();
@@ -1646,13 +1479,15 @@ mod tests {
         store.put("blob", payload.clone());
         let opts = HttpOptions {
             part_bytes: 256,
-            coalesce_gap: 16,
             backoff: Duration::ZERO,
             ..HttpOptions::default()
         }
         .with_fetch_workers(4);
         let blob = HttpBlob::open(store.addr(), "blob", opts, IoCounters::new()).unwrap();
-        let spans: Vec<(u64, u64)> = (0..12).map(|i| (i * 1200, 128)).collect();
+        // Twelve spans further apart than the bridgeable gap: twelve groups.
+        let spans: Vec<(u64, u64)> = (0..12)
+            .map(|i| (i * (128 + 4 * COALESCE_GAP), 128))
+            .collect();
         store.push_fault(Fault::Status5xx);
         store.push_fault(Fault::Drop);
         store.push_fault(Fault::ShortRead);
@@ -1678,7 +1513,6 @@ mod tests {
             max_retries: 1,
             backoff: Duration::ZERO,
             part_bytes: 256,
-            coalesce_gap: 16,
             ..HttpOptions::default()
         }
         .with_fetch_workers(4);
@@ -1688,64 +1522,12 @@ mod tests {
         match HttpBlob::open(store.addr(), "blob", opts, IoCounters::new()) {
             Err(e) => assert!(e.to_string().contains("retries"), "{e}"),
             Ok(blob) => {
-                let spans: Vec<(u64, u64)> = (0..8).map(|i| (i * 1000, 64)).collect();
+                let spans: Vec<(u64, u64)> =
+                    (0..8).map(|i| (i * (64 + 3 * COALESCE_GAP), 64)).collect();
                 let err = blob.read_spans(&spans).unwrap_err();
                 assert!(err.to_string().contains("retries"), "{err}");
             }
         }
-    }
-
-    #[test]
-    fn adaptive_sizing_merges_at_least_as_well_as_static() {
-        let store = ObjectStore::serve().unwrap();
-        let payload: Vec<u8> = (0..=255u8).cycle().take(65536).collect();
-        store.put("blob", payload.clone());
-        // Gaps of 936 bytes: above the static coalesce_gap (256), well
-        // below the sizer's cluster-break ceiling — the static client
-        // cannot merge these, the adaptive one learns to.
-        let spans: Vec<(u64, u64)> = (0..16).map(|i| (i * 1000, 64)).collect();
-        let base = HttpOptions {
-            part_bytes: 4096,
-            ..HttpOptions::default()
-        };
-
-        let fixed = HttpBlob::open(store.addr(), "blob", base.clone(), IoCounters::new()).unwrap();
-        let before = fixed.counters().http_requests();
-        let fixed_bufs = fixed.read_spans(&spans).unwrap();
-        let fixed_reqs = fixed.counters().http_requests() - before;
-        assert_eq!(fixed.counters().parts_resized(), 0);
-
-        let adaptive = HttpBlob::open(
-            store.addr(),
-            "blob",
-            base.with_adaptive(true),
-            IoCounters::new(),
-        )
-        .unwrap();
-        let before = adaptive.counters().http_requests();
-        let adaptive_bufs = adaptive.read_spans(&spans).unwrap();
-        let adaptive_reqs = adaptive.counters().http_requests() - before;
-
-        assert_eq!(fixed_bufs, adaptive_bufs, "sizing never changes bytes");
-        assert!(
-            adaptive_reqs < fixed_reqs,
-            "learned gap merges what the static gap cannot: {adaptive_reqs} vs {fixed_reqs}"
-        );
-        assert!(
-            adaptive.counters().parts_resized() >= 1,
-            "the resize was metered"
-        );
-
-        // Repeating the workload never regresses, and once the EWMAs have
-        // converged the parameters stop changing.
-        for _ in 0..60 {
-            let before = adaptive.counters().http_requests();
-            adaptive.read_spans(&spans).unwrap();
-            assert!(adaptive.counters().http_requests() - before <= adaptive_reqs);
-        }
-        let resized = adaptive.counters().parts_resized();
-        adaptive.read_spans(&spans).unwrap();
-        assert_eq!(adaptive.counters().parts_resized(), resized, "converged");
     }
 
     #[test]
@@ -1780,18 +1562,16 @@ mod tests {
         // No server-side way to count connections directly, but the pool
         // keeps at most a handful open; assert the blob answered everything
         // without error and the pool is bounded.
-        assert!(f.blob().client.pool.lock().unwrap().len() <= 8);
+        assert!(f.blob.client.pool.lock().unwrap().len() <= 8);
     }
 
     #[test]
     fn cached_blob_serves_repeat_reads_without_gets() {
         let (store, local) = serve_zone(256, 4);
-        let cached = HttpFile::open(
-            store.addr(),
-            "data.paizone",
-            HttpOptions::default().with_cache(CacheConfig::new(1 << 20, 0)),
-        )
-        .unwrap();
+        let cached = CachedFile::with_config(
+            Box::new(HttpFile::open(store.addr(), "data.paizone", HttpOptions::default()).unwrap()),
+            CacheConfig::new(1 << 20, 0),
+        );
         let uncached =
             HttpFile::open(store.addr(), "data.paizone", HttpOptions::default()).unwrap();
         let locs: Vec<RowLocator> = (40..80).map(RowLocator::new).collect();
@@ -1840,8 +1620,14 @@ mod tests {
         let len = 3 * PAGE_BYTES as usize + 500;
         let store = ObjectStore::serve().unwrap();
         store.put("blob", vec![0xAAu8; len]);
-        let opts = HttpOptions::default().with_cache(CacheConfig::new(1 << 20, 0));
-        let blob = HttpBlob::open(store.addr(), "blob", opts, IoCounters::new()).unwrap();
+        let blob = HttpBlob::open(
+            store.addr(),
+            "blob",
+            HttpOptions::default(),
+            IoCounters::new(),
+        )
+        .unwrap();
+        blob.attach_cache(Arc::new(BlockCache::new(CacheConfig::new(1 << 20, 0))));
 
         // Pages 0 and 1 (the second span straddles their boundary).
         let spans = [(0u64, 64u64), (PAGE_BYTES - 32, 64), (PAGE_BYTES + 512, 64)];
@@ -1906,12 +1692,10 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("pai-remote-spill-{}", std::process::id()));
         let cfg = CacheConfig::new(4 * PAGE_BYTES, 16 * PAGE_BYTES).with_spill_dir(&dir);
-        let f = HttpFile::open(
-            store.addr(),
-            "wide.paizone",
-            HttpOptions::default().with_cache(cfg),
-        )
-        .unwrap();
+        let f = CachedFile::with_config(
+            Box::new(HttpFile::open(store.addr(), "wide.paizone", HttpOptions::default()).unwrap()),
+            cfg,
+        );
         let spill_files = || std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
 
         // A build-style scan, then 30 overlapping windowed reads.
@@ -1923,7 +1707,7 @@ mod tests {
                 local.read_rows(&locs, &[1, 2]).unwrap(),
                 "window {w}"
             );
-            let cache = f.blob().cache().unwrap();
+            let cache = f.cache();
             assert!(cache.mem_used() <= 4 * PAGE_BYTES && cache.disk_used() <= 16 * PAGE_BYTES);
         }
         assert!(f.counters().cache_spill_bytes() > 0, "victims spilled");
@@ -1955,10 +1739,10 @@ mod tests {
     fn revalidate_ttl_catches_mutation_on_fully_cached_batches() {
         let store = ObjectStore::serve().unwrap();
         store.put("blob", vec![0x11u8; 2048]);
-        let opts = HttpOptions::default()
-            .with_cache(CacheConfig::new(1 << 20, 0))
-            .with_revalidate_ttl(Some(Duration::ZERO)); // probe every batch
+        // Probe every batch.
+        let opts = HttpOptions::default().with_revalidate_ttl(Some(Duration::ZERO));
         let blob = HttpBlob::open(store.addr(), "blob", opts, IoCounters::new()).unwrap();
+        blob.attach_cache(Arc::new(BlockCache::new(CacheConfig::new(1 << 20, 0))));
         let spans = [(0u64, 64u64), (128, 64)];
         blob.read_spans(&spans).unwrap();
 
@@ -2030,16 +1814,26 @@ mod tests {
         }
     }
 
-    fn scan_opts(part_bytes: u64, cached: bool) -> HttpOptions {
-        let opts = HttpOptions {
+    fn scan_opts(part_bytes: u64) -> HttpOptions {
+        HttpOptions {
             part_bytes,
             backoff: Duration::ZERO,
             ..HttpOptions::default()
-        };
+        }
+    }
+
+    /// An ample page cache: nothing a test reads is ever evicted.
+    fn ample_cache() -> Arc<BlockCache> {
+        Arc::new(BlockCache::new(CacheConfig::new(64 << 20, 0)))
+    }
+
+    /// The served fixture over HTTP, behind an ample page cache if `cached`.
+    fn open_wide(store: &ObjectStore, part_bytes: u64, cached: bool) -> Box<dyn RawFile> {
+        let f = Box::new(HttpFile::open(store.addr(), "wide", scan_opts(part_bytes)).unwrap());
         if cached {
-            opts.with_cache(CacheConfig::new(64 << 20, 0))
+            Box::new(CachedFile::new(f, ample_cache()))
         } else {
-            opts
+            f
         }
     }
 
@@ -2074,8 +1868,7 @@ mod tests {
             for cached in [false, true] {
                 for part_bytes in [4 << 10, 64 << 10, 1 << 20] {
                     let label = format!("zone={zone} cached={cached} part_bytes={part_bytes}");
-                    let f = HttpFile::open(store.addr(), "wide", scan_opts(part_bytes, cached))
-                        .unwrap();
+                    let f = open_wide(&store, part_bytes, cached);
                     let open = f.counters().snapshot();
                     let (rows, gets) = scan_by_partition(&f);
                     assert!(rows == expect_rows, "{label}: rows differ");
@@ -2115,7 +1908,7 @@ mod tests {
         let expect = scan(local.as_ref());
         assert_eq!(expect.len() as u64, 10 * ZONE_BLOCK_ROWS as u64);
         for part_bytes in [4 << 10, 1 << 20] {
-            let f = HttpFile::open(store.addr(), "wide", scan_opts(part_bytes, false)).unwrap();
+            let f = open_wide(&store, part_bytes, false);
             let open = f.counters().snapshot();
             assert_eq!(scan(&f), expect);
             let io = f.counters().snapshot().since(&open);
@@ -2131,7 +1924,7 @@ mod tests {
             );
             // Page-aligned, the cached client may fetch a little more of each
             // block's neighbours, but no more requests.
-            let cached = HttpFile::open(store.addr(), "wide", scan_opts(part_bytes, true)).unwrap();
+            let cached = open_wide(&store, part_bytes, true);
             let open = cached.counters().snapshot();
             assert_eq!(scan(&cached), expect);
             let io = cached.counters().snapshot().since(&open);
@@ -2151,9 +1944,13 @@ mod tests {
             for coalesce in [true, false] {
                 let opts = HttpOptions {
                     coalesce,
-                    ..scan_opts(128 << 10, cached)
+                    ..scan_opts(128 << 10)
                 };
                 let blob = HttpBlob::open(store.addr(), "blob", opts, IoCounters::new()).unwrap();
+                let cache = ample_cache();
+                if cached {
+                    blob.attach_cache(Arc::clone(&cache));
+                }
                 let gets = |mode| {
                     let before = blob.counters().http_requests();
                     let batch = blob.lend_spans(&spans, mode).unwrap();
@@ -2175,7 +1972,7 @@ mod tests {
                 assert_eq!(gets(CacheMode::Stream), stream, "{label}: stream");
                 if cached {
                     // The scan's first touch admitted nothing.
-                    assert_eq!(blob.cache().unwrap().entries(), 0, "{label}");
+                    assert_eq!(cache.entries(), 0, "{label}");
                 }
                 assert_eq!(gets(CacheMode::Admit), admit, "{label}: positional");
             }
@@ -2193,8 +1990,7 @@ mod tests {
                 store.put("wide", image.clone());
                 for cached in [false, true] {
                     let label = format!("zone={zone} {fault:?} cached={cached}");
-                    let f =
-                        HttpFile::open(store.addr(), "wide", scan_opts(64 << 10, cached)).unwrap();
+                    let f = open_wide(&store, 64 << 10, cached);
                     let open = f.counters().snapshot();
                     let (rows, gets) = scan_by_partition(&f);
                     assert!(rows == expect_rows, "{label}: rows differ");
@@ -2273,7 +2069,7 @@ mod tests {
         let client = HttpClient::new(
             peer.addr,
             "blob".into(),
-            scan_opts(64 << 10, false),
+            scan_opts(64 << 10),
             IoCounters::new(),
         );
         HttpBlob::open_client(client.with_timeout(timeout))
@@ -2292,7 +2088,7 @@ mod tests {
         let client = HttpClient::new(
             peer.addr,
             "blob".into(),
-            scan_opts(64 << 10, false),
+            scan_opts(64 << 10),
             IoCounters::new(),
         );
         let counters = client.counters.clone();
@@ -2324,7 +2120,7 @@ mod tests {
         let client = HttpClient::new(
             peer.addr,
             "blob".into(),
-            scan_opts(64 << 10, false),
+            scan_opts(64 << 10),
             IoCounters::new(),
         );
         let err = client.get_range(16, 48).unwrap_err();
@@ -2355,7 +2151,7 @@ mod tests {
         let client = HttpClient::new(
             peer.addr,
             "blob".into(),
-            scan_opts(64 << 10, false),
+            scan_opts(64 << 10),
             IoCounters::new(),
         );
         let counters = client.counters.clone();

@@ -7,13 +7,20 @@
 //! runs cut into blocks, `CacheMode::Stream`, lent out of the responses
 //! instead of copied — are held to the same slices, to one GET per run of
 //! missing pages whatever the part size, and to the one-touch admission rule.
+//! Above the blob, every file wrapper forwards the seam that binds a cache
+//! to the transport and drops its pages again.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use std::time::Duration;
 
-use pai_common::IoCounters;
+use pai_common::{IoCounters, RowLocator};
 use pai_storage::cache::PAGE_BYTES;
-use pai_storage::{BlockCache, CacheConfig, CacheMode, HttpBlob, HttpOptions, ObjectStore};
+use pai_storage::zone::encode_zone_rows_with;
+use pai_storage::{
+    AppendableFile, BlockCache, CacheConfig, CacheMode, CachedFile, HttpBlob, HttpFile,
+    HttpOptions, LatencyFile, ObjectStore, RawFile, Schema,
+};
 use proptest::prelude::*;
 
 /// Deterministic filler: position-dependent, so a slice served from the
@@ -298,4 +305,58 @@ fn a_streamed_page_enters_at_the_cold_end() {
         1,
         "the scan's page left"
     );
+}
+
+/// `CachedFile` is the one way to bind a cache to a file, so every wrapper
+/// between it and the transport must forward `attach_cache` and
+/// `invalidate_cache`: over an `HttpFile` bare, boxed as `dyn RawFile`,
+/// behind a `LatencyFile` and behind an `AppendableFile`, the cache binds,
+/// serves a repeated full read, and drops the object's pages on request.
+/// The full read is positional: a scan is one-touch, so its first pass
+/// admits nothing (see `a_streamed_page_enters_at_the_cold_end`).
+#[test]
+fn every_wrapper_carries_the_cache_seam() {
+    const ROWS: u64 = 4096;
+    let rows = (0..ROWS).map(|i| vec![i as f64, (i % 7) as f64, (i * 10) as f64]);
+    let image = encode_zone_rows_with(&Schema::synthetic(3), rows, 256).unwrap();
+    let store = ObjectStore::serve().unwrap();
+    store.put("seam.paizone", image);
+    let open = || HttpFile::open(store.addr(), "seam.paizone", HttpOptions::default()).unwrap();
+    let boxed: Box<dyn RawFile> = Box::new(open());
+    let latency = LatencyFile::new(Box::new(open()), Duration::ZERO, Duration::ZERO);
+    let appendable = AppendableFile::with_base_rows(open(), ROWS).unwrap();
+    let wrapped: [(&str, Box<dyn RawFile>); 4] = [
+        ("HttpFile", Box::new(open())),
+        ("Box<dyn RawFile>", Box::new(boxed)),
+        ("LatencyFile", Box::new(latency)),
+        ("AppendableFile", Box::new(appendable)),
+    ];
+    let every_row: Vec<RowLocator> = (0..ROWS).map(RowLocator::new).collect();
+    for (label, inner) in wrapped {
+        let cache = Arc::new(BlockCache::new(CacheConfig::new(64 << 20, 0)));
+        let file = CachedFile::new(inner, Arc::clone(&cache));
+        assert!(
+            file.is_attached(),
+            "{label}: the cache reached the transport"
+        );
+        let full_read = || {
+            let before = file.counters().snapshot();
+            let rows = file.read_rows(&every_row, &[0, 1, 2]).unwrap();
+            (rows, file.counters().snapshot().since(&before))
+        };
+        let (cold_rows, cold) = full_read();
+        let (warm_rows, warm) = full_read();
+        assert_eq!(warm_rows, cold_rows, "{label}");
+        assert!(
+            warm.http_requests < cold.http_requests,
+            "{label}: {} GETs warm vs {} cold",
+            warm.http_requests,
+            cold.http_requests
+        );
+        assert!(warm.cache_hits > 0, "{label}");
+        let resident = cache.entries() as u64;
+        assert!(resident > 0, "{label}");
+        assert_eq!(file.invalidate_cache(), resident, "{label}: every page");
+        assert_eq!(cache.entries(), 0, "{label}");
+    }
 }

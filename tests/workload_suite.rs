@@ -73,7 +73,7 @@ fn summary_and_csv_over_real_runs() {
     assert!(csv.starts_with(
         "query,exact_time_ms,exact_objects,exact_bytes,exact_read_calls,exact_blocks_read,\
          exact_blocks_skipped,exact_http_requests,exact_http_bytes,exact_retries,\
-         exact_fetch_inflight_peak,exact_overlap_ratio,exact_parts_resized,\
+         exact_fetch_inflight_peak,exact_overlap_ratio,\
          exact_fetch_p50_us,exact_fetch_p99_us,\
          exact_cache_hits,exact_cache_misses,exact_cache_evictions,exact_cache_spill_bytes,\
          exact_cache_mem_bytes,exact_synopsis_hits,exact_synopsis_blocks,exact_synopsis_bytes,\
@@ -82,7 +82,7 @@ fn summary_and_csv_over_real_runs() {
          exact_predicted_bytes,exact_lock_wait_ms,phi=5%_time_ms,phi=5%_objects,\
          phi=5%_bytes,phi=5%_read_calls,phi=5%_blocks_read,phi=5%_blocks_skipped,\
          phi=5%_http_requests,phi=5%_http_bytes,phi=5%_retries,phi=5%_fetch_inflight_peak,\
-         phi=5%_overlap_ratio,phi=5%_parts_resized,phi=5%_fetch_p50_us,phi=5%_fetch_p99_us,\
+         phi=5%_overlap_ratio,phi=5%_fetch_p50_us,phi=5%_fetch_p99_us,\
          phi=5%_cache_hits,phi=5%_cache_misses,phi=5%_cache_evictions,phi=5%_cache_spill_bytes,\
          phi=5%_cache_mem_bytes,phi=5%_synopsis_hits,phi=5%_synopsis_blocks,\
          phi=5%_synopsis_bytes,phi=5%_rows_ingested,phi=5%_delta_blocks,phi=5%_compactions,\
