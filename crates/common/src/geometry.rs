@@ -72,11 +72,6 @@ impl Rect {
         }
     }
 
-    /// Rectangle spanning two corner points (in any order).
-    pub fn from_corners(a: Point2, b: Point2) -> Self {
-        Rect::new(a.x.min(b.x), a.x.max(b.x), a.y.min(b.y), a.y.max(b.y))
-    }
-
     /// Extent along x.
     #[inline]
     pub fn width(&self) -> f64 {

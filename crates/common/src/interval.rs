@@ -103,12 +103,6 @@ impl Interval {
         Interval::new(self.lo + other.lo, self.hi + other.hi)
     }
 
-    /// Adds an exactly known value to both endpoints.
-    #[inline]
-    pub fn add_scalar(&self, v: f64) -> Interval {
-        Interval::new(self.lo + v, self.hi + v)
-    }
-
     /// Scales by a non-negative factor (e.g. `count(t∩Q)`).
     ///
     /// # Panics
@@ -133,18 +127,6 @@ impl Interval {
     #[inline]
     pub fn hull(&self, other: &Interval) -> Interval {
         Interval::new(self.lo.min(other.lo), self.hi.max(other.hi))
-    }
-
-    /// Elementwise min: interval of `min(X, Y)` given `X ∈ self, Y ∈ other`.
-    #[inline]
-    pub fn elementwise_min(&self, other: &Interval) -> Interval {
-        Interval::new(self.lo.min(other.lo), self.hi.min(other.hi))
-    }
-
-    /// Elementwise max: interval of `max(X, Y)` given `X ∈ self, Y ∈ other`.
-    #[inline]
-    pub fn elementwise_max(&self, other: &Interval) -> Interval {
-        Interval::new(self.lo.max(other.lo), self.hi.max(other.hi))
     }
 
     /// Intersection of two intervals when they overlap.
@@ -223,15 +205,6 @@ mod tests {
         assert_eq!(a.scale(0.0), Interval::zero());
         assert_eq!(a.div_scalar(2.0), Interval::new(0.5, 1.0));
         assert_eq!(a.hull(&b), Interval::new(-1.0, 3.0));
-        assert_eq!(a.add_scalar(10.0), Interval::new(11.0, 12.0));
-    }
-
-    #[test]
-    fn elementwise_min_max() {
-        let a = Interval::new(1.0, 5.0);
-        let b = Interval::new(2.0, 3.0);
-        assert_eq!(a.elementwise_min(&b), Interval::new(1.0, 3.0));
-        assert_eq!(a.elementwise_max(&b), Interval::new(2.0, 5.0));
     }
 
     #[test]

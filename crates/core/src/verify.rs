@@ -8,7 +8,7 @@
 //!    error bound.
 
 use pai_common::geometry::Rect;
-use pai_common::{AggregateFunction, AggregateValue, PaiError, Result};
+use pai_common::{AggregateFunction, PaiError, Result};
 use pai_storage::ground_truth::window_truth;
 use pai_storage::raw::RawFile;
 
@@ -163,26 +163,6 @@ pub fn assert_verified(
     }
 }
 
-/// Sanity helper for result arity (used by the query runner).
-pub fn check_arity(aggs: &[AggregateFunction], result: &ApproxResult) -> Result<()> {
-    if aggs.len() != result.values.len() || aggs.len() != result.cis.len() {
-        return Err(PaiError::internal(format!(
-            "result arity mismatch: {} aggs, {} values, {} cis",
-            aggs.len(),
-            result.values.len(),
-            result.cis.len()
-        )));
-    }
-    for (agg, v) in aggs.iter().zip(&result.values) {
-        if matches!(agg, AggregateFunction::Count) && !matches!(v, AggregateValue::Count(_)) {
-            return Err(PaiError::internal(
-                "count aggregate produced non-count value",
-            ));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,7 +206,6 @@ mod tests {
             let window = Rect::new(x0, (x0 + w).min(1000.0), y0, (y0 + h).min(1000.0));
             let phi = [0.0, 0.01, 0.05, 0.2][i % 4];
             let res = eng.evaluate(&window, &aggs, phi).unwrap();
-            check_arity(&aggs, &res).unwrap();
             assert_verified(&file, &window, &aggs, &res, NormalizationMode::Estimate);
         }
         eng.index().validate_invariants().unwrap();

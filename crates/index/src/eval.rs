@@ -107,13 +107,6 @@ pub struct QueryStats {
     pub plan_conflicts: usize,
 }
 
-/// Result of an exact evaluation: one value per requested aggregate.
-#[derive(Debug, Clone)]
-pub struct ExactResult {
-    pub values: Vec<AggregateValue>,
-    pub stats: QueryStats,
-}
-
 /// Validates a query's aggregates against a schema; returns the distinct
 /// non-axis attributes that must be read from the file.
 pub fn query_attrs(

@@ -79,25 +79,6 @@ pub fn to_csv(runs: &[MethodRun]) -> String {
     out
 }
 
-/// A compact fixed-width table of per-query times (ms).
-pub fn time_table(runs: &[MethodRun]) -> String {
-    let n = runs.iter().map(|r| r.records.len()).max().unwrap_or(0);
-    let mut out = format!("{:>5} ", "query");
-    for r in runs {
-        out.push_str(&format!("{:>14} ", format!("{} (ms)", r.label)));
-    }
-    out.push('\n');
-    for i in 0..n {
-        out.push_str(&format!("{:>5} ", i + 1));
-        for r in runs {
-            let cell = r.records.get(i).map_or("-".into(), COLUMNS[0].1); // time_ms
-            out.push_str(&format!("{cell:>14} "));
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// Renders several series as an ASCII line chart (queries on the x-axis),
 /// one plot character per series: the Figure 2 look, in a terminal.
 pub fn ascii_chart(series: &[(String, Vec<f64>)], width: usize, height: usize) -> String {
@@ -398,17 +379,6 @@ mod tests {
                 "row {i} must carry the metered byte and call counts: {line}"
             );
         }
-    }
-
-    #[test]
-    fn table_contains_all_methods() {
-        let runs = vec![
-            fake_run("exact", &[10], &[1], &[64]),
-            fake_run("phi=1%", &[3], &[1], &[64]),
-        ];
-        let t = time_table(&runs);
-        assert!(t.contains("exact (ms)"));
-        assert!(t.contains("phi=1% (ms)"));
     }
 
     #[test]

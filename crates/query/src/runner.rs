@@ -102,11 +102,6 @@ impl MethodRun {
     pub fn objects_series(&self) -> Vec<f64> {
         self.series(|s| s.io.objects_read as f64)
     }
-
-    /// Per-query bytes-read series (the backend-comparison cost metric).
-    pub fn bytes_series(&self) -> Vec<f64> {
-        self.series(|s| s.io.bytes_read as f64)
-    }
 }
 
 /// Runs `workload` under one method, building a fresh index first.
@@ -270,7 +265,6 @@ mod tests {
         assert!(run.total_bytes_read() > 0);
         // Same accounting for objects: the init scan touched every row once.
         assert_eq!(run.total_objects_read(), total.objects_read - 4000);
-        assert_eq!(run.bytes_series().len(), wl.len());
     }
 
     #[test]

@@ -60,10 +60,7 @@ use pai_common::geometry::Rect;
 use pai_common::{AttrId, IoCounters, Result, RowLocator};
 
 use crate::batch::RowBatch;
-use crate::raw::{
-    AppendReceipt, BatchHandler, BlockStats, BlockSynopsis, CompactionReport, RawFile,
-    ScanPartition, ScanRequest,
-};
+use crate::raw::{BatchHandler, RawFile, ScanRequest};
 use crate::schema::Schema;
 
 /// The cache unit: page `p` of an object is its bytes
@@ -565,39 +562,8 @@ impl RawFile for CachedFile {
         self.inner.read_rows_into(locators, attrs, window, out)
     }
 
-    fn partitions(&self, n: usize) -> Result<Vec<ScanPartition>> {
-        self.inner.partitions(n)
-    }
-
-    fn block_stats(&self) -> Option<&[BlockStats]> {
-        self.inner.block_stats()
-    }
-
-    fn block_synopses(&self) -> Option<&[BlockSynopsis]> {
-        self.inner.block_synopses()
-    }
-
-    fn value_bytes_hint(&self) -> Option<f64> {
-        self.inner.value_bytes_hint()
-    }
-
-    fn attach_cache(&self, cache: Arc<BlockCache>) -> bool {
-        self.inner.attach_cache(cache)
-    }
-
-    fn append_rows(&self, rows: &[Vec<f64>]) -> Result<AppendReceipt> {
-        self.inner.append_rows(rows)
-    }
-
-    fn invalidate_cache(&self) -> u64 {
-        // The inner backend owns the cache binding (it knows its object
-        // id), so invalidation routes through it — not through `cache`
-        // directly, which may back other files too.
-        self.inner.invalidate_cache()
-    }
-
-    fn compact_once(&self, domain: &Rect, min_run: usize) -> Result<Option<CompactionReport>> {
-        self.inner.compact_once(domain, min_run)
+    fn inner(&self) -> Option<&dyn RawFile> {
+        Some(&*self.inner)
     }
 }
 

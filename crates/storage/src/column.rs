@@ -44,8 +44,8 @@
 //!   full CSV line.
 
 use std::fs::File;
-use std::io::{BufReader, Cursor, Read};
-use std::path::{Path, PathBuf};
+use std::io::Read;
+use std::path::Path;
 use std::sync::Arc;
 
 use pai_common::geometry::Rect;
@@ -53,12 +53,13 @@ use pai_common::{AttrId, IoCounters, PaiError, Result, RowLocator};
 
 use crate::batch::RowBatch;
 use crate::cache::CacheMode;
-use crate::fetch::{SpanFetcher, SpanMeters};
+use crate::fetch::{Source, SpanMeters};
+use crate::mapped::Mapping;
 use crate::raw::{
     buffer_columns, check_attrs, distinct_columns, BatchHandler, BatchLocators, RawFile, ScanBatch,
     ScanPartition, ScanRequest,
 };
-use crate::remote::{BlobReader, HttpBlob};
+use crate::remote::HttpBlob;
 use crate::schema::{Column, Schema};
 
 /// File magic, including the format version.
@@ -248,15 +249,6 @@ pub fn write_bin(src: &dyn RawFile, path: impl AsRef<Path>) -> Result<BinFile> {
 // BinFile.
 // ---------------------------------------------------------------------------
 
-/// Where the PaiBin bytes live.
-#[derive(Debug, Clone)]
-enum BinSource {
-    Disk(PathBuf),
-    Mem(Arc<Vec<u8>>),
-    Mapped(Arc<crate::mapped::Mapping>),
-    Remote(Arc<HttpBlob>),
-}
-
 /// A PaiBin binary columnar file. Locators are row ids.
 ///
 /// Cloning is cheap and clones share the same [`IoCounters`]; each access
@@ -264,7 +256,7 @@ enum BinSource {
 /// like [`crate::CsvFile`].
 #[derive(Debug, Clone)]
 pub struct BinFile {
-    source: BinSource,
+    source: Source,
     schema: Schema,
     n_rows: u64,
     data_start: u64,
@@ -275,20 +267,7 @@ pub struct BinFile {
 impl BinFile {
     /// Opens an existing PaiBin file, validating header and size.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let size = std::fs::metadata(&path)?.len();
-        let mut reader = BufReader::new(File::open(&path)?);
-        let header = decode_header(&mut reader)?;
-        let file = BinFile {
-            source: BinSource::Disk(path),
-            schema: header.schema,
-            n_rows: header.n_rows,
-            data_start: header.data_start,
-            size_bytes: size,
-            counters: IoCounters::new(),
-        };
-        file.validate_size()?;
-        Ok(file)
+        Self::over(Source::Disk(path.as_ref().to_path_buf()))
     }
 
     /// Opens an existing PaiBin file through a zero-copy memory mapping
@@ -298,19 +277,7 @@ impl BinFile {
     /// of seek+read syscalls, which is exactly what the batched adaptation
     /// fetch wants.
     pub fn open_mapped(path: impl AsRef<Path>) -> Result<Self> {
-        let mapping = Arc::new(crate::mapped::Mapping::map(path)?);
-        let size = mapping.len() as u64;
-        let header = decode_header(&mut Cursor::new(&mapping[..]))?;
-        let file = BinFile {
-            source: BinSource::Mapped(mapping),
-            schema: header.schema,
-            n_rows: header.n_rows,
-            data_start: header.data_start,
-            size_bytes: size,
-            counters: IoCounters::new(),
-        };
-        file.validate_size()?;
-        Ok(file)
+        Self::over(Source::Mapped(Arc::new(Mapping::map(path)?)))
     }
 
     /// Opens a PaiBin image that lives behind a remote object store. The
@@ -318,16 +285,27 @@ impl BinFile {
     /// demand through the blob's coalescing span reads. The file shares the
     /// blob's [`IoCounters`].
     pub fn open_remote(blob: Arc<HttpBlob>) -> Result<Self> {
-        let size = blob.len();
-        let header = decode_header(&mut BlobReader::new(&blob))?;
-        let counters = blob.counters().clone();
+        Self::over(Source::Remote(blob))
+    }
+
+    /// Wraps in-memory PaiBin bytes (tests, examples, converters).
+    pub fn from_bytes(bytes: impl Into<Vec<u8>>) -> Result<Self> {
+        Self::over(Source::Mem(Arc::new(bytes.into())))
+    }
+
+    /// Decodes the header at the start of `source` and checks the size.
+    fn over(source: Source) -> Result<Self> {
+        let (size, header) = {
+            let (size, mut reader) = source.open()?;
+            (size, decode_header(&mut reader)?)
+        };
         let file = BinFile {
-            source: BinSource::Remote(blob),
+            counters: source.counters(),
+            source,
             schema: header.schema,
             n_rows: header.n_rows,
             data_start: header.data_start,
             size_bytes: size,
-            counters,
         };
         file.validate_size()?;
         Ok(file)
@@ -335,29 +313,7 @@ impl BinFile {
 
     /// Whether reads go through a zero-copy memory mapping.
     pub fn is_mapped(&self) -> bool {
-        matches!(self.source, BinSource::Mapped(_))
-    }
-
-    /// Whether reads go out as HTTP range requests to a remote object.
-    pub fn is_remote(&self) -> bool {
-        matches!(self.source, BinSource::Remote(_))
-    }
-
-    /// Wraps in-memory PaiBin bytes (tests, examples, converters).
-    pub fn from_bytes(bytes: impl Into<Vec<u8>>) -> Result<Self> {
-        let bytes: Vec<u8> = bytes.into();
-        let size = bytes.len() as u64;
-        let header = decode_header(&mut Cursor::new(bytes.as_slice()))?;
-        let file = BinFile {
-            source: BinSource::Mem(Arc::new(bytes)),
-            schema: header.schema,
-            n_rows: header.n_rows,
-            data_start: header.data_start,
-            size_bytes: size,
-            counters: IoCounters::new(),
-        };
-        file.validate_size()?;
-        Ok(file)
+        matches!(self.source, Source::Mapped(_))
     }
 
     /// Encodes numeric rows directly into an in-memory PaiBin file.
@@ -376,10 +332,7 @@ impl BinFile {
     /// Location on disk, when file-backed. Mappings do not advertise a
     /// path (grab it before calling [`BinFile::open_mapped`]).
     pub fn path(&self) -> Option<&Path> {
-        match &self.source {
-            BinSource::Disk(p) => Some(p),
-            _ => None,
-        }
+        self.source.path()
     }
 
     fn validate_size(&self) -> Result<()> {
@@ -398,17 +351,6 @@ impl BinFile {
             )));
         }
         Ok(())
-    }
-
-    /// The span reader for one logical access: a fresh local handle, or
-    /// the shared remote blob (coalescing ranged GETs).
-    fn fetcher(&self) -> Result<SpanFetcher<'_>> {
-        Ok(match &self.source {
-            BinSource::Disk(path) => SpanFetcher::File(File::open(path)?),
-            BinSource::Mem(bytes) => SpanFetcher::Bytes(bytes),
-            BinSource::Mapped(map) => SpanFetcher::Bytes(map),
-            BinSource::Remote(blob) => SpanFetcher::remote(blob),
-        })
     }
 
     /// Byte position of `(row, col)` — the O(1) addressing PaiBin exists for.
@@ -441,7 +383,7 @@ impl BinFile {
         }
         check_attrs(request.attrs, self.schema.len())?;
         let cols = distinct_columns(request.attrs);
-        let mut fetcher = self.fetcher()?;
+        let mut fetcher = self.source.fetcher()?;
         // Paged reading, a group of pages per fetch call — as many as a
         // partition holds at most (`partitions`), so a partition is one
         // group: one span per (column, page), ordered column-major, so a
@@ -557,7 +499,7 @@ impl RawFile for BinFile {
             return Ok(());
         }
 
-        let mut fetcher = self.fetcher()?;
+        let mut fetcher = self.source.fetcher()?;
         let mut m = SpanMeters::default();
         let mut blocks = 0u64;
         // Per-run decode work deferred until the attribute's span batch is

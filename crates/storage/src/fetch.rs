@@ -2,6 +2,12 @@
 //! backends ([`crate::column::BinFile`], [`crate::zone::ZoneFile`]) pull
 //! byte spans from wherever their bytes live.
 //!
+//! Where they live is one [`Source`]: a file on disk, a buffer, a mapping
+//! or a remote object. Both backends open through it (its size and a
+//! header reader), take their meters from it and ask it for a
+//! [`SpanFetcher`] per logical access, so neither knows the four places
+//! apart.
+//!
 //! A source already in memory (a buffer, a mapping) lends each span as a
 //! slice of itself; a file on disk serves each span with a seek + an exact
 //! read into a buffer the caller keeps across batches. The remote source
@@ -24,12 +30,70 @@
 //! transport-only.
 
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
+use std::io::{BufReader, Cursor, Read, Seek, SeekFrom};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use pai_common::{PaiError, Result};
+use pai_common::{IoCounters, PaiError, Result};
 
 use crate::cache::CacheMode;
-use crate::remote::{HttpBlob, SpanBatch};
+use crate::mapped::Mapping;
+use crate::remote::{BlobReader, HttpBlob, SpanBatch};
+
+/// Where a binary backend's bytes live.
+#[derive(Debug, Clone)]
+pub(crate) enum Source {
+    Disk(PathBuf),
+    Mem(Arc<Vec<u8>>),
+    Mapped(Arc<Mapping>),
+    Remote(Arc<HttpBlob>),
+}
+
+impl Source {
+    /// The source's size in bytes and a reader positioned at byte 0, for
+    /// decoding the header at open time.
+    pub fn open(&self) -> Result<(u64, Box<dyn Read + '_>)> {
+        Ok(match self {
+            Source::Disk(path) => {
+                let size = std::fs::metadata(path)?.len();
+                (size, Box::new(BufReader::new(File::open(path)?)))
+            }
+            Source::Mem(bytes) => (bytes.len() as u64, Box::new(Cursor::new(&bytes[..]))),
+            Source::Mapped(map) => (map.len() as u64, Box::new(Cursor::new(&map[..]))),
+            Source::Remote(blob) => (blob.len(), Box::new(BlobReader::new(blob))),
+        })
+    }
+
+    /// The meters a file over this source reports into: the blob's for a
+    /// remote source, so logical and transport meters land together; fresh
+    /// ones otherwise.
+    pub fn counters(&self) -> IoCounters {
+        match self {
+            Source::Remote(blob) => blob.counters().clone(),
+            _ => IoCounters::new(),
+        }
+    }
+
+    /// Location on disk, when file-backed. Mappings do not advertise a path.
+    pub fn path(&self) -> Option<&Path> {
+        match self {
+            Source::Disk(path) => Some(path),
+            _ => None,
+        }
+    }
+
+    /// The span reader for one logical access: a fresh local handle, the
+    /// bytes themselves, or the shared remote blob (whose client coalesces
+    /// span batches into ranged GETs and retries transient faults).
+    pub fn fetcher(&self) -> Result<SpanFetcher<'_>> {
+        Ok(match self {
+            Source::Disk(path) => SpanFetcher::File(File::open(path)?),
+            Source::Mem(bytes) => SpanFetcher::Bytes(bytes),
+            Source::Mapped(map) => SpanFetcher::Bytes(map),
+            Source::Remote(blob) => SpanFetcher::Remote(blob, SpanBatch::default()),
+        })
+    }
+}
 
 /// Byte/seek accumulators for one logical access (flushed to the shared
 /// counters once per call by the owning backend).
@@ -86,12 +150,7 @@ fn short() -> PaiError {
     PaiError::internal("data region shorter than header claims")
 }
 
-impl<'a> SpanFetcher<'a> {
-    /// The fetcher over a remote object.
-    pub fn remote(blob: &'a HttpBlob) -> Self {
-        SpanFetcher::Remote(blob, SpanBatch::default())
-    }
-
+impl SpanFetcher<'_> {
     /// Fetches a batch of `(offset, len)` spans. Metering is per span — one
     /// seek plus `len` bytes each, identical to reading the spans one at a
     /// time — but a remote source coalesces adjacent spans of the batch

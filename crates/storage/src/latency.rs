@@ -31,11 +31,15 @@ use pai_common::geometry::Rect;
 use pai_common::{AttrId, IoCounters, Result, RowLocator};
 
 use crate::batch::RowBatch;
-use crate::raw::{BatchHandler, BlockStats, BlockSynopsis, RawFile, ScanPartition, ScanRequest};
+use crate::raw::{AppendReceipt, BatchHandler, RawFile, ScanRequest};
 use crate::schema::Schema;
 
 /// A [`RawFile`] that adds configurable per-operation latency to another
 /// backend. See the module docs for the cost model.
+///
+/// Scans, positional reads and appends stall; every other call answers from
+/// the inner file with no stall. A compaction rewrites inside the wrapped
+/// backend, so it pays no link round trip beyond what its own accesses pay.
 pub struct LatencyFile {
     inner: Box<dyn RawFile>,
     per_call: Duration,
@@ -108,44 +112,14 @@ impl RawFile for LatencyFile {
         res
     }
 
-    fn partitions(&self, n: usize) -> Result<Vec<ScanPartition>> {
-        self.inner.partitions(n)
+    fn inner(&self) -> Option<&dyn RawFile> {
+        Some(&*self.inner)
     }
 
-    fn block_stats(&self) -> Option<&[BlockStats]> {
-        self.inner.block_stats()
-    }
-
-    fn block_synopses(&self) -> Option<&[BlockSynopsis]> {
-        self.inner.block_synopses()
-    }
-
-    fn value_bytes_hint(&self) -> Option<f64> {
-        self.inner.value_bytes_hint()
-    }
-
-    fn attach_cache(&self, cache: std::sync::Arc<crate::cache::BlockCache>) -> bool {
-        self.inner.attach_cache(cache)
-    }
-
-    fn append_rows(&self, rows: &[Vec<f64>]) -> Result<crate::raw::AppendReceipt> {
+    fn append_rows(&self, rows: &[Vec<f64>]) -> Result<AppendReceipt> {
         let res = self.inner.append_rows(rows);
         self.stall();
         res
-    }
-
-    fn invalidate_cache(&self) -> u64 {
-        self.inner.invalidate_cache()
-    }
-
-    fn compact_once(
-        &self,
-        domain: &Rect,
-        min_run: usize,
-    ) -> Result<Option<crate::raw::CompactionReport>> {
-        // The rewrite happens inside the wrapped backend (no extra link
-        // round trip beyond what its own accesses pay), so no stall here.
-        self.inner.compact_once(domain, min_run)
     }
 }
 

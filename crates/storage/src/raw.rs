@@ -618,6 +618,14 @@ pub struct CompactionReport {
 /// above `pai-storage` speaks only this trait; CSV text files, binary
 /// columnar files, and in-memory buffers all slot in behind it, as can any
 /// future backend (mmap, compressed columns, remote object stores).
+///
+/// Five methods are required; the rest are optional capabilities with one
+/// delegation rule. A wrapper that serves another file's rows unchanged
+/// (a cache binding, a latency model, a box) names that file in
+/// [`RawFile::inner`], and every optional method it does not override
+/// answers from the inner file. A file with no inner file — every backend —
+/// gets the documented fallback. A wrapper only writes the required five,
+/// `inner`, and the overrides that change behaviour.
 pub trait RawFile: Send + Sync {
     /// Column schema of the file.
     fn schema(&self) -> &Schema;
@@ -697,6 +705,12 @@ pub trait RawFile: Send + Sync {
         out: &mut RowBatch,
     ) -> Result<()>;
 
+    /// The file this one wraps, when it serves that file's rows unchanged
+    /// (see the trait docs). `None`, the default, for every backend.
+    fn inner(&self) -> Option<&dyn RawFile> {
+        None
+    }
+
     /// Splits the sequential scan into about `n` independently scannable
     /// shards, in file order (for the pipelined index build): at most `n`,
     /// unless it takes more to keep every shard within one scan block
@@ -709,67 +723,71 @@ pub trait RawFile: Send + Sync {
     /// [`ScanPartition::WHOLE`] partition, which makes a partitioned scan
     /// degrade gracefully to a serial one.
     fn partitions(&self, n: usize) -> Result<Vec<ScanPartition>> {
-        let _ = n;
-        Ok(vec![ScanPartition::WHOLE])
+        match self.inner() {
+            Some(inner) => inner.partitions(n),
+            None => Ok(vec![ScanPartition::WHOLE]),
+        }
     }
 
     /// Per-block zone maps, when the backend maintains them. `None` (the
-    /// default) means the file has no block structure — CSV text, for
+    /// fallback) means the file has no block structure — CSV text, for
     /// example — and every pushdown path degrades to unfiltered behavior.
     fn block_stats(&self) -> Option<&[BlockStats]> {
-        None
+        self.inner()?.block_stats()
     }
 
     /// Per-block answer-bearing synopses, when the backend maintains (or can
-    /// derive) them. `None` (the default) means the engine's synopsis tier
+    /// derive) them. `None` (the fallback) means the engine's synopsis tier
     /// is unavailable and every query the index's metadata cannot answer
-    /// pays data I/O. PaiZone v2 files decode
-    /// synopses from the header; CSV backends compute them lazily with one
-    /// metered scan; wrappers forward to their inner file.
+    /// pays data I/O. PaiZone v2 files decode synopses from the header; CSV
+    /// backends compute them lazily with one metered scan.
     fn block_synopses(&self) -> Option<&[BlockSynopsis]> {
-        None
+        self.inner()?.block_synopses()
     }
 
     /// Expected logical bytes a positional read pays per (row, attribute)
     /// value, when the backend can estimate it cheaply — the seam cost
     /// prediction uses to turn "objects to read" into "bytes to read".
-    /// `None` (the default) means the caller must fall back to file-level
+    /// `None` (the fallback) means the caller must fall back to file-level
     /// averages (`size_bytes` over total rows).
     fn value_bytes_hint(&self) -> Option<f64> {
-        None
+        self.inner()?.value_bytes_hint()
     }
 
     /// Binds a shared [`crate::cache::BlockCache`] to this backend's
     /// transport, so span-batch fetches serve hits from the cache and
     /// subtract them before issuing transport requests. Returns `true` if
-    /// this call installed the cache; the default (local backends, which
+    /// this call installed the cache; the fallback (local backends, which
     /// have no remote transport to cache) ignores it and returns `false`.
-    /// Wrappers forward to their inner file. A backend accepts at most one
-    /// cache for its lifetime — later calls are no-ops returning `false`.
-    fn attach_cache(&self, cache: std::sync::Arc<crate::cache::BlockCache>) -> bool {
-        let _ = cache;
-        false
+    /// A backend accepts at most one cache for its lifetime — later calls
+    /// are no-ops returning `false`.
+    fn attach_cache(&self, cache: Arc<crate::cache::BlockCache>) -> bool {
+        self.inner().is_some_and(|inner| inner.attach_cache(cache))
     }
 
     /// Appends `rows` (each `schema().len()` wide) to the file, returning
     /// where they landed. Only appendable backends
     /// ([`crate::delta::AppendableFile`]) accept rows; every sealed backend
-    /// keeps the default, which refuses with an `unsupported` error — static
-    /// files stay provably immutable.
+    /// keeps the fallback, which refuses with an `unsupported` error —
+    /// static files stay provably immutable.
     fn append_rows(&self, rows: &[Vec<f64>]) -> Result<AppendReceipt> {
-        let _ = rows;
-        Err(PaiError::unsupported(
-            "backend is sealed (no append path); wrap it in an AppendableFile",
-        ))
+        match self.inner() {
+            Some(inner) => inner.append_rows(rows),
+            None => Err(PaiError::unsupported(
+                "backend is sealed (no append path); wrap it in an AppendableFile",
+            )),
+        }
     }
 
     /// Drops every cached span belonging to this file from its attached
     /// [`crate::cache::BlockCache`], returning how many entries were
     /// invalidated. Called after a rewrite (compaction) so the cache cannot
-    /// serve spans from a retired generation. The default — backends with no
-    /// cache binding — is a no-op.
+    /// serve spans from a retired generation. The fallback — backends with
+    /// no cache binding — is a no-op. The backend that bound the cache owns
+    /// the binding (it knows its object id), so a wrapper's call reaches it
+    /// rather than the cache, which may back other files too.
     fn invalidate_cache(&self) -> u64 {
-        0
+        self.inner().map_or(0, |inner| inner.invalidate_cache())
     }
 
     /// Runs one compaction pass if at least `min_run` sealed delta blocks
@@ -777,18 +795,20 @@ pub trait RawFile: Send + Sync {
     /// Morton key as [`crate::gen::morton_key`]), swaps the rewritten blocks
     /// in behind a generation bump, and invalidates stale cached spans.
     /// Returns `Ok(None)` when there is nothing to compact — which is the
-    /// default for every backend without delta state, so a background
+    /// fallback for every backend without delta state, so a background
     /// compactor can drive any engine without knowing its backend.
     fn compact_once(&self, domain: &Rect, min_run: usize) -> Result<Option<CompactionReport>> {
-        let _ = (domain, min_run);
-        Ok(None)
+        match self.inner() {
+            Some(inner) => inner.compact_once(domain, min_run),
+            None => Ok(None),
+        }
     }
 }
 
 /// Boxed files are files: lets APIs hold `Box<dyn RawFile>` (e.g. a
 /// backend chosen at runtime) and still pass `&file` everywhere a
 /// `&dyn RawFile` is expected.
-impl<T: RawFile + ?Sized> RawFile for Box<T> {
+impl RawFile for Box<dyn RawFile> {
     fn schema(&self) -> &Schema {
         (**self).schema()
     }
@@ -819,36 +839,8 @@ impl<T: RawFile + ?Sized> RawFile for Box<T> {
         (**self).read_rows_into(locators, attrs, window, out)
     }
 
-    fn partitions(&self, n: usize) -> Result<Vec<ScanPartition>> {
-        (**self).partitions(n)
-    }
-
-    fn block_stats(&self) -> Option<&[BlockStats]> {
-        (**self).block_stats()
-    }
-
-    fn block_synopses(&self) -> Option<&[BlockSynopsis]> {
-        (**self).block_synopses()
-    }
-
-    fn value_bytes_hint(&self) -> Option<f64> {
-        (**self).value_bytes_hint()
-    }
-
-    fn attach_cache(&self, cache: std::sync::Arc<crate::cache::BlockCache>) -> bool {
-        (**self).attach_cache(cache)
-    }
-
-    fn append_rows(&self, rows: &[Vec<f64>]) -> Result<AppendReceipt> {
-        (**self).append_rows(rows)
-    }
-
-    fn invalidate_cache(&self) -> u64 {
-        (**self).invalidate_cache()
-    }
-
-    fn compact_once(&self, domain: &Rect, min_run: usize) -> Result<Option<CompactionReport>> {
-        (**self).compact_once(domain, min_run)
+    fn inner(&self) -> Option<&dyn RawFile> {
+        Some(&**self)
     }
 }
 

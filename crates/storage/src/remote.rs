@@ -75,7 +75,7 @@ use crate::batch::RowBatch;
 use crate::cache::{BlockCache, CacheMode, Page, PAGE_BYTES};
 use crate::column::{BinFile, PAIBIN_MAGIC};
 use crate::netio::{read_head_line, read_headers};
-use crate::raw::{BatchHandler, BlockStats, BlockSynopsis, RawFile, ScanPartition, ScanRequest};
+use crate::raw::{BatchHandler, RawFile, ScanRequest};
 use crate::schema::Schema;
 use crate::zone::{ZoneFile, PAIZONE_MAGIC, PAIZONE_MAGIC_V2};
 
@@ -1111,20 +1111,8 @@ impl RawFile for HttpFile {
         self.as_raw().read_rows_into(locators, attrs, window, out)
     }
 
-    fn partitions(&self, n: usize) -> Result<Vec<ScanPartition>> {
-        self.as_raw().partitions(n)
-    }
-
-    fn block_stats(&self) -> Option<&[BlockStats]> {
-        self.as_raw().block_stats()
-    }
-
-    fn block_synopses(&self) -> Option<&[BlockSynopsis]> {
-        self.as_raw().block_synopses()
-    }
-
-    fn value_bytes_hint(&self) -> Option<f64> {
-        self.as_raw().value_bytes_hint()
+    fn inner(&self) -> Option<&dyn RawFile> {
+        Some(self.as_raw())
     }
 
     fn attach_cache(&self, cache: Arc<BlockCache>) -> bool {

@@ -57,9 +57,8 @@
 //! "no synopses". A block whose values are all equal (width 0) is answered
 //! entirely from the header — constant columns cost zero data I/O.
 
-use std::fs::File;
-use std::io::{BufReader, Cursor, Read};
-use std::path::{Path, PathBuf};
+use std::io::Read;
+use std::path::Path;
 use std::sync::Arc;
 
 use pai_common::geometry::Rect;
@@ -67,14 +66,14 @@ use pai_common::{AttrId, IoCounters, PaiError, Result, RowLocator};
 
 use crate::batch::RowBatch;
 use crate::cache::CacheMode;
-use crate::fetch::{SpanFetcher, SpanMeters};
+use crate::fetch::{Source, SpanMeters};
 use crate::mapped::Mapping;
 use crate::raw::{
     buffer_columns, build_block_synopses, check_attrs, distinct_columns, BatchHandler,
     BatchLocators, BlockStats, BlockSynopsis, RawFile, ScanBatch, ScanPartition, ScanRequest,
     SynopsisSpec,
 };
-use crate::remote::{BlobReader, HttpBlob};
+use crate::remote::HttpBlob;
 use crate::schema::{Column, Schema};
 
 mod codec;
@@ -645,21 +644,6 @@ where
     encode_zone_columns(schema, &columns, block_rows)
 }
 
-/// [`encode_zone_rows_with`] with explicit synopsis parameters (histogram
-/// resolution, per-block sample budget) — the benches' knob seam.
-pub fn encode_zone_rows_spec<I>(
-    schema: &Schema,
-    rows: I,
-    block_rows: u32,
-    spec: &SynopsisSpec,
-) -> Result<Vec<u8>>
-where
-    I: IntoIterator<Item = Vec<f64>>,
-{
-    let columns = buffer_rows(schema, rows)?;
-    encode_zone_columns_spec(schema, &columns, block_rows, spec)
-}
-
 /// One-pass converter: scans `src` once (metered on `src`'s counters),
 /// buffering each column, and returns the dataset re-encoded as PaiZone
 /// bytes with the default block size. Numeric-only, like `PaiBin`.
@@ -696,15 +680,6 @@ pub fn write_zone(src: &dyn RawFile, path: impl AsRef<Path>) -> Result<ZoneFile>
 // ZoneFile.
 // ---------------------------------------------------------------------------
 
-/// Where the PaiZone bytes live.
-#[derive(Debug, Clone)]
-enum ZoneSource {
-    Disk(PathBuf),
-    Mem(Arc<Vec<u8>>),
-    Mapped(Arc<Mapping>),
-    Remote(Arc<HttpBlob>),
-}
-
 /// Rows-per-block group a sequential scan prefetches per span batch: big
 /// enough that a remote source merges many adjacent block spans into one
 /// ranged GET, small enough that the decode working set stays tiny.
@@ -718,7 +693,7 @@ const SCAN_GROUP_BLOCKS: usize = 16;
 /// so a `ZoneFile` serves concurrent readers.
 #[derive(Debug, Clone)]
 pub struct ZoneFile {
-    source: ZoneSource,
+    source: Source,
     schema: Schema,
     n_rows: u64,
     block_rows: u32,
@@ -732,11 +707,7 @@ pub struct ZoneFile {
 impl ZoneFile {
     /// Opens an existing PaiZone file, validating header, widths, and size.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let size = std::fs::metadata(&path)?.len();
-        let mut reader = BufReader::new(File::open(&path)?);
-        let header = decode_header(&mut reader, size)?;
-        Ok(Self::assemble(ZoneSource::Disk(path), header, size))
+        Self::over(Source::Disk(path.as_ref().to_path_buf()))
     }
 
     /// Opens an existing PaiZone file through a zero-copy memory mapping
@@ -744,22 +715,12 @@ impl ZoneFile {
     /// identical to [`ZoneFile::open`]; positional reads become pointer
     /// arithmetic instead of seek+read syscalls.
     pub fn open_mapped(path: impl AsRef<Path>) -> Result<Self> {
-        let mapping = Arc::new(Mapping::map(path)?);
-        let size = mapping.len() as u64;
-        let header = decode_header(&mut Cursor::new(&mapping[..]), size)?;
-        Ok(Self::assemble(ZoneSource::Mapped(mapping), header, size))
+        Self::over(Source::Mapped(Arc::new(Mapping::map(path)?)))
     }
 
     /// Wraps in-memory PaiZone bytes (tests, examples, converters).
     pub fn from_bytes(bytes: impl Into<Vec<u8>>) -> Result<Self> {
-        let bytes: Vec<u8> = bytes.into();
-        let size = bytes.len() as u64;
-        let header = decode_header(&mut Cursor::new(bytes.as_slice()), size)?;
-        Ok(Self::assemble(
-            ZoneSource::Mem(Arc::new(bytes)),
-            header,
-            size,
-        ))
+        Self::over(Source::Mem(Arc::new(bytes.into())))
     }
 
     /// Opens a PaiZone image that lives behind a remote object store.
@@ -768,12 +729,26 @@ impl ZoneFile {
     /// the blob's coalescing span reads. The file shares the blob's
     /// [`IoCounters`], so logical and transport meters land together.
     pub fn open_remote(blob: Arc<HttpBlob>) -> Result<Self> {
-        let size = blob.len();
-        let header = decode_header(&mut BlobReader::new(&blob), size)?;
-        let counters = blob.counters().clone();
-        let mut file = Self::assemble(ZoneSource::Remote(blob), header, size);
-        file.counters = counters;
-        Ok(file)
+        Self::over(Source::Remote(blob))
+    }
+
+    /// Decodes and validates the header at the start of `source`.
+    fn over(source: Source) -> Result<Self> {
+        let (size, header) = {
+            let (size, mut reader) = source.open()?;
+            (size, decode_header(&mut reader, size)?)
+        };
+        Ok(ZoneFile {
+            counters: source.counters(),
+            source,
+            schema: header.schema,
+            n_rows: header.n_rows,
+            block_rows: header.block_rows,
+            size_bytes: size,
+            cols: Arc::new(header.cols),
+            stats: Arc::new(header.stats),
+            synopses: header.synopses.map(Arc::new),
+        })
     }
 
     /// Encodes numeric rows directly into an in-memory PaiZone file with
@@ -795,20 +770,6 @@ impl ZoneFile {
         ZoneFile::from_bytes(encode_zone_columns(schema, &columns, block_rows)?)
     }
 
-    fn assemble(source: ZoneSource, header: ZoneHeader, size: u64) -> ZoneFile {
-        ZoneFile {
-            source,
-            schema: header.schema,
-            n_rows: header.n_rows,
-            block_rows: header.block_rows,
-            size_bytes: size,
-            cols: Arc::new(header.cols),
-            stats: Arc::new(header.stats),
-            synopses: header.synopses.map(Arc::new),
-            counters: IoCounters::new(),
-        }
-    }
-
     /// Number of data rows in the file.
     pub fn n_rows(&self) -> u64 {
         self.n_rows
@@ -827,20 +788,12 @@ impl ZoneFile {
     /// Location on disk, when file-backed. Mappings do not advertise a
     /// path (grab it before calling [`ZoneFile::open_mapped`]).
     pub fn path(&self) -> Option<&Path> {
-        match &self.source {
-            ZoneSource::Disk(p) => Some(p),
-            _ => None,
-        }
+        self.source.path()
     }
 
     /// Whether reads go through a zero-copy memory mapping.
     pub fn is_mapped(&self) -> bool {
-        matches!(self.source, ZoneSource::Mapped(_))
-    }
-
-    /// Whether reads go out as HTTP range requests to a remote object.
-    pub fn is_remote(&self) -> bool {
-        matches!(self.source, ZoneSource::Remote(_))
+        matches!(self.source, Source::Mapped(_))
     }
 
     /// Mean compressed bits per value over the whole file (diagnostics).
@@ -859,18 +812,6 @@ impl ZoneFile {
         } else {
             bits as f64 / values as f64
         }
-    }
-
-    /// The span reader for one logical access: a fresh local handle, or the
-    /// shared remote blob (whose client coalesces span batches into ranged
-    /// GETs and retries transient faults).
-    fn fetcher(&self) -> Result<SpanFetcher<'_>> {
-        Ok(match &self.source {
-            ZoneSource::Disk(path) => SpanFetcher::File(File::open(path)?),
-            ZoneSource::Mem(bytes) => SpanFetcher::Bytes(bytes),
-            ZoneSource::Mapped(map) => SpanFetcher::Bytes(map),
-            ZoneSource::Remote(blob) => SpanFetcher::remote(blob),
-        })
     }
 
     /// Decodes one fetched (column, block) buffer into `page` (cleared
@@ -920,7 +861,7 @@ impl ZoneFile {
         check_attrs(request.attrs, self.schema.len())?;
         let cols = distinct_columns(request.attrs);
         let (xi, yi) = (self.schema.x_axis(), self.schema.y_axis());
-        let mut fetcher = self.fetcher()?;
+        let mut fetcher = self.source.fetcher()?;
         let mut pages: Vec<Vec<f64>> = vec![Vec::new(); self.schema.len()];
         let mut m = SpanMeters::default();
         let first_blk = start / self.block_rows as u64;
@@ -1060,7 +1001,7 @@ impl RawFile for ZoneFile {
         }
 
         let (xi, yi) = (self.schema.x_axis(), self.schema.y_axis());
-        let mut fetcher = self.fetcher()?;
+        let mut fetcher = self.source.fetcher()?;
         let mut sm = SpanMeters::default();
         // Per-run decode work deferred until its batch of spans is fetched:
         // (first request index, one-past-last, block, bits into the span's
@@ -1343,7 +1284,7 @@ mod tests {
         // A whole file that short is refused at open, so hand the kernels
         // the payload directly: block 1 of column 2, one byte short.
         let f = ZoneFile::from_rows_with_block(&Schema::synthetic(5), golden_rows(), 4).unwrap();
-        let ZoneSource::Mem(bytes) = &f.source else {
+        let Source::Mem(bytes) = &f.source else {
             panic!("from_rows builds in memory");
         };
         let meta = &f.cols[2][1];

@@ -7,19 +7,21 @@
 //! runs cut into blocks, `CacheMode::Stream`, lent out of the responses
 //! instead of copied — are held to the same slices, to one GET per run of
 //! missing pages whatever the part size, and to the one-touch admission rule.
-//! Above the blob, every file wrapper forwards the seam that binds a cache
-//! to the transport and drops its pages again.
+//! Above the blob, every file wrapper carries the seam that binds a cache
+//! to the transport and drops its pages again, and answers every other
+//! optional `RawFile` call from the file it wraps.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pai_common::{IoCounters, RowLocator};
+use pai_common::geometry::Rect;
+use pai_common::{IoCounters, PaiError, RowLocator};
 use pai_storage::cache::PAGE_BYTES;
 use pai_storage::zone::encode_zone_rows_with;
 use pai_storage::{
     AppendableFile, BlockCache, CacheConfig, CacheMode, CachedFile, HttpBlob, HttpFile,
-    HttpOptions, LatencyFile, ObjectStore, RawFile, Schema,
+    HttpOptions, LatencyFile, ObjectStore, RawFile, Schema, ZoneFile, DELTA_BLOCK_ROWS,
 };
 use proptest::prelude::*;
 
@@ -307,11 +309,13 @@ fn a_streamed_page_enters_at_the_cold_end() {
     );
 }
 
-/// `CachedFile` is the one way to bind a cache to a file, so every wrapper
-/// between it and the transport must forward `attach_cache` and
-/// `invalidate_cache`: over an `HttpFile` bare, boxed as `dyn RawFile`,
-/// behind a `LatencyFile` and behind an `AppendableFile`, the cache binds,
-/// serves a repeated full read, and drops the object's pages on request.
+/// `CachedFile` is the one way to bind a cache to a file, so `attach_cache`
+/// and `invalidate_cache` must reach the transport through every file in
+/// between: the box and `LatencyFile` answer from their inner file
+/// (`RawFile::inner`), `AppendableFile` forwards to its base by hand. Over
+/// an `HttpFile` bare, boxed as `dyn RawFile`, behind a `LatencyFile` and
+/// behind an `AppendableFile`, the cache binds, serves a repeated full
+/// read, and drops the object's pages on request.
 /// The full read is positional: a scan is one-touch, so its first pass
 /// admits nothing (see `a_streamed_page_enters_at_the_cold_end`).
 #[test]
@@ -358,5 +362,119 @@ fn every_wrapper_carries_the_cache_seam() {
         assert!(resident > 0, "{label}");
         assert_eq!(file.invalidate_cache(), resident, "{label}: every page");
         assert_eq!(cache.entries(), 0, "{label}");
+    }
+}
+
+/// A wrapper cannot forget a capability: `HttpFile`, a box, `LatencyFile`
+/// and `CachedFile` answer every optional `RawFile` call from the file they
+/// wrap (`RawFile::inner`), with no hand-written forward to drop. Over a
+/// PaiZone v2 image each reports the zone maps, synopses, cost hint and
+/// partitions of the local `ZoneFile` of the same bytes, and keeps a sealed
+/// file's refusals; over an `AppendableFile` appends and compactions land.
+/// `AppendableFile` itself is not such a wrapper: it changes what the file
+/// holds, so it reports no zone maps or synopses although its base has both.
+#[test]
+fn a_wrapper_cannot_forget_a_capability() {
+    const ROWS: u64 = 4096;
+    let rows = (0..ROWS).map(|i| vec![i as f64, (i % 7) as f64, (i * 10) as f64]);
+    let image = encode_zone_rows_with(&Schema::synthetic(3), rows, 256).unwrap();
+    let local = || ZoneFile::from_bytes(image.clone()).unwrap();
+    let reference = local();
+    let stats = reference
+        .block_stats()
+        .expect("a PaiZone file has zone maps");
+    let synopses = reference.block_synopses().expect("a v2 image has synopses");
+    let store = ObjectStore::serve().unwrap();
+    store.put("caps.paizone", image.clone());
+    let open = || HttpFile::open(store.addr(), "caps.paizone", HttpOptions::default()).unwrap();
+    let cache = || Arc::new(BlockCache::new(CacheConfig::new(64 << 20, 0)));
+    let boxed: Box<dyn RawFile> = Box::new(open());
+    let wrapped: [(&str, Box<dyn RawFile>); 4] = [
+        ("HttpFile", Box::new(open())),
+        ("Box<dyn RawFile>", Box::new(boxed)),
+        (
+            "LatencyFile",
+            Box::new(LatencyFile::new(
+                Box::new(open()),
+                Duration::ZERO,
+                Duration::ZERO,
+            )),
+        ),
+        (
+            "CachedFile",
+            Box::new(CachedFile::new(Box::new(open()), cache())),
+        ),
+    ];
+    let domain = Rect::new(0.0, 2.0 * ROWS as f64, 0.0, 8.0);
+    for (label, file) in &wrapped {
+        let file: &dyn RawFile = &**file;
+        let got = file
+            .block_stats()
+            .unwrap_or_else(|| panic!("{label}: zone maps"));
+        assert_eq!(got.len(), stats.len(), "{label}");
+        assert!(got.iter().zip(stats).all(|(a, b)| a == b), "{label}");
+        let got = file
+            .block_synopses()
+            .unwrap_or_else(|| panic!("{label}: synopses"));
+        assert_eq!(got.len(), synopses.len(), "{label}");
+        assert!(got.iter().zip(synopses).all(|(a, b)| a == b), "{label}");
+        assert_eq!(
+            file.value_bytes_hint(),
+            reference.value_bytes_hint(),
+            "{label}"
+        );
+        assert_eq!(
+            file.partitions(4).unwrap(),
+            reference.partitions(4).unwrap(),
+            "{label}"
+        );
+        assert!(
+            matches!(
+                file.append_rows(&[vec![0.0; 3]]),
+                Err(PaiError::UnsupportedQuery(_))
+            ),
+            "{label}: a sealed file refuses appends"
+        );
+        assert_eq!(file.compact_once(&domain, 1).unwrap(), None, "{label}");
+    }
+
+    let appendable = || AppendableFile::with_base_rows(local(), ROWS).unwrap();
+    let plain = appendable();
+    assert!(
+        plain.block_stats().is_none(),
+        "appended rows have no base zone maps"
+    );
+    assert!(
+        plain.block_synopses().is_none(),
+        "appended rows have no base synopses"
+    );
+    let over_appendable: [(&str, Box<dyn RawFile>); 2] = [
+        (
+            "LatencyFile",
+            Box::new(LatencyFile::new(
+                Box::new(appendable()),
+                Duration::ZERO,
+                Duration::ZERO,
+            )),
+        ),
+        (
+            "CachedFile",
+            Box::new(CachedFile::new(Box::new(appendable()), cache())),
+        ),
+    ];
+    let batch: Vec<Vec<f64>> = (0..DELTA_BLOCK_ROWS as u64)
+        .map(|i| vec![(ROWS + i) as f64, (i % 5) as f64, 1.0])
+        .collect();
+    for (label, file) in &over_appendable {
+        let file: &dyn RawFile = &**file;
+        let receipt = file.append_rows(&batch).unwrap();
+        assert_eq!(receipt.start_row, ROWS, "{label}");
+        assert_eq!(receipt.locators.len(), batch.len(), "{label}");
+        let report = file
+            .compact_once(&domain, 1)
+            .unwrap()
+            .unwrap_or_else(|| panic!("{label}: the sealed block reached the compactor"));
+        assert_eq!(report.blocks_rewritten, 1, "{label}");
+        assert!(file.block_stats().is_none(), "{label}");
     }
 }
