@@ -26,7 +26,7 @@ use pai_bench::{cached_csv, small_setup, Fig2Setup};
 use pai_common::geometry::Rect;
 use pai_common::{AggregateFunction, Interval, IoSnapshot};
 use pai_core::verify::verify_against_truth;
-use pai_core::{ApproxResult, ApproximateEngine, EngineConfig, NormalizationMode};
+use pai_core::{ApproxResult, ApproximateEngine, EngineConfig};
 use pai_index::init::{build, InitConfig};
 use pai_index::MetadataPolicy;
 use pai_storage::ground_truth::window_truth;
@@ -248,9 +248,7 @@ fn converged_answers_identical() {
     let zone = ZoneFile::from_bytes(image.clone()).expect("zone");
     for (q, res) in setup.workload.queries.iter().zip(&approx) {
         assert!(res.met_constraint && res.error_bound <= phi + 1e-12);
-        let report =
-            verify_against_truth(&zone, &q.window, &q.aggs, res, NormalizationMode::Estimate)
-                .expect("verify");
+        let report = verify_against_truth(&zone, &q.window, &q.aggs, res).expect("verify");
         assert!(report.all_ok(), "φ = {phi} answer unsound: {report:?}");
     }
     println!(

@@ -2,62 +2,35 @@
 //!
 //! The paper derives the bound "by normalizing the maximum difference
 //! between the approximate value computed and the query confidence interval
-//! bounds" but leaves the normalization denominator open. We default to the
+//! bounds" but leaves the normalization denominator open. We use the
 //! magnitude of the approximate value (the usual relative-error reading),
-//! with a documented fallback chain for near-zero estimates; both choices
-//! are configurable so the benchmark harness can ablate them.
-
-/// Denominator used to turn the absolute CI half-width into a relative
-/// error bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NormalizationMode {
-    /// `|estimate|`, falling back to the largest CI endpoint magnitude when
-    /// the estimate is ~0, and to plain absolute error when the whole
-    /// interval is ~0. The default.
-    #[default]
-    Estimate,
-    /// Largest endpoint magnitude `max(|lo|, |hi|)` — stable when estimates
-    /// cross zero.
-    IntervalMagnitude,
-    /// No normalization: the bound is the absolute maximum deviation.
-    Absolute,
-}
+//! falling back to the largest interval endpoint magnitude when the
+//! estimate is ~0, and to plain absolute error when the whole interval is
+//! ~0.
 
 /// Magnitudes below this are treated as zero for normalization purposes.
 const EPS: f64 = 1e-12;
 
-impl NormalizationMode {
-    /// The denominator for an estimate `v` inside interval `[lo, hi]`.
-    /// Returns `None` when the mode degrades to absolute error.
-    fn denominator(&self, v: f64, lo: f64, hi: f64) -> Option<f64> {
-        match self {
-            NormalizationMode::Absolute => None,
-            NormalizationMode::IntervalMagnitude => {
-                let m = lo.abs().max(hi.abs());
-                (m > EPS).then_some(m)
-            }
-            NormalizationMode::Estimate => {
-                if v.abs() > EPS {
-                    Some(v.abs())
-                } else {
-                    let m = lo.abs().max(hi.abs());
-                    (m > EPS).then_some(m)
-                }
-            }
-        }
+/// The denominator for an estimate `v` inside interval `[lo, hi]`: `|v|`,
+/// else `max(|lo|, |hi|)`. `None` degrades to absolute error.
+fn denominator(v: f64, lo: f64, hi: f64) -> Option<f64> {
+    if v.abs() > EPS {
+        return Some(v.abs());
     }
+    let m = lo.abs().max(hi.abs());
+    (m > EPS).then_some(m)
 }
 
 /// The upper error bound for an estimate `v` with confidence interval
 /// `[lo, hi]`: the worst-case deviation of the true value from `v`,
-/// normalized per `mode`.
+/// normalized by [`denominator`].
 ///
 /// Guarantees: for any true value `t ∈ [lo, hi]`,
-/// `relative_error(v, t, ...) <= upper_error_bound(v, lo, hi, ...)`.
-pub fn upper_error_bound(v: f64, lo: f64, hi: f64, mode: NormalizationMode) -> f64 {
+/// `relative_error(v, t, lo, hi) <= upper_error_bound(v, lo, hi)`.
+pub fn upper_error_bound(v: f64, lo: f64, hi: f64) -> f64 {
     debug_assert!(lo <= hi, "inverted interval [{lo}, {hi}]");
     let max_dev = (v - lo).abs().max((hi - v).abs());
-    match mode.denominator(v, lo, hi) {
+    match denominator(v, lo, hi) {
         Some(d) => max_dev / d,
         None => max_dev,
     }
@@ -65,9 +38,9 @@ pub fn upper_error_bound(v: f64, lo: f64, hi: f64, mode: NormalizationMode) -> f
 
 /// The realized error of estimate `v` against the true value, normalized the
 /// same way as [`upper_error_bound`] (so the two are directly comparable).
-pub fn relative_error(v: f64, truth: f64, lo: f64, hi: f64, mode: NormalizationMode) -> f64 {
+pub fn relative_error(v: f64, truth: f64, lo: f64, hi: f64) -> f64 {
     let dev = (v - truth).abs();
-    match mode.denominator(v, lo, hi) {
+    match denominator(v, lo, hi) {
         Some(d) => dev / d,
         None => dev,
     }
@@ -81,82 +54,52 @@ mod tests {
     #[test]
     fn bound_basics() {
         // Estimate 10 in [8, 14]: max deviation 4, relative 0.4.
-        let b = upper_error_bound(10.0, 8.0, 14.0, NormalizationMode::Estimate);
+        let b = upper_error_bound(10.0, 8.0, 14.0);
         assert!((b - 0.4).abs() < 1e-12);
-        let abs = upper_error_bound(10.0, 8.0, 14.0, NormalizationMode::Absolute);
-        assert_eq!(abs, 4.0);
     }
 
     #[test]
     fn point_interval_gives_zero_bound() {
-        assert_eq!(
-            upper_error_bound(5.0, 5.0, 5.0, NormalizationMode::Estimate),
-            0.0
-        );
+        assert_eq!(upper_error_bound(5.0, 5.0, 5.0), 0.0);
     }
 
     #[test]
     fn near_zero_estimate_falls_back_to_interval_magnitude() {
-        let b = upper_error_bound(0.0, -2.0, 4.0, NormalizationMode::Estimate);
+        let b = upper_error_bound(0.0, -2.0, 4.0);
         // max deviation 4, magnitude 4 -> 1.0
         assert!((b - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn all_zero_degrades_to_absolute() {
-        let b = upper_error_bound(0.0, 0.0, 0.0, NormalizationMode::Estimate);
-        assert_eq!(b, 0.0);
-    }
-
-    #[test]
-    fn interval_magnitude_mode() {
-        let b = upper_error_bound(1.0, -10.0, 2.0, NormalizationMode::IntervalMagnitude);
-        assert!((b - 1.1).abs() < 1e-12); // max dev 11, magnitude 10
+        assert_eq!(upper_error_bound(0.0, 0.0, 0.0), 0.0);
+        // A deviation below the threshold is reported as is, unnormalized.
+        let b = upper_error_bound(0.0, -1e-13, 1e-13);
+        assert_eq!(b, 1e-13);
     }
 
     #[test]
     fn realized_error_comparable() {
         let (v, lo, hi) = (10.0, 8.0, 14.0);
-        let e = relative_error(v, 12.0, lo, hi, NormalizationMode::Estimate);
+        let e = relative_error(v, 12.0, lo, hi);
         assert!((e - 0.2).abs() < 1e-12);
     }
 
     proptest! {
-        /// The bound dominates the realized error for every truth in the CI,
-        /// in every normalization mode.
+        /// The bound dominates the realized error for every truth in the CI.
         #[test]
         fn prop_bound_dominates_error(
             lo in -1e6f64..1e6,
             w in 0.0f64..1e6,
             fv in 0.0f64..=1.0,
             ft in 0.0f64..=1.0,
-            mode_ix in 0usize..3,
         ) {
             let hi = lo + w;
             let v = lo + fv * w;
             let truth = lo + ft * w;
-            let mode = [
-                NormalizationMode::Estimate,
-                NormalizationMode::IntervalMagnitude,
-                NormalizationMode::Absolute,
-            ][mode_ix];
-            let bound = upper_error_bound(v, lo, hi, mode);
-            let err = relative_error(v, truth, lo, hi, mode);
+            let bound = upper_error_bound(v, lo, hi);
+            let err = relative_error(v, truth, lo, hi);
             prop_assert!(err <= bound + 1e-9, "err={err} bound={bound}");
-        }
-
-        /// Midpoint estimates minimize the bound over all in-interval
-        /// estimates (for absolute normalization).
-        #[test]
-        fn prop_midpoint_minimizes_absolute_bound(
-            lo in -1e6f64..1e6, w in 0.0f64..1e6, f in 0.0f64..=1.0,
-        ) {
-            let hi = lo + w;
-            let mid = lo + w / 2.0;
-            let v = lo + f * w;
-            let bm = upper_error_bound(mid, lo, hi, NormalizationMode::Absolute);
-            let bv = upper_error_bound(v, lo, hi, NormalizationMode::Absolute);
-            prop_assert!(bm <= bv + 1e-9);
         }
     }
 }

@@ -104,7 +104,7 @@ impl<F: RawFile> SharedIndex<F> {
         let t0 = Instant::now();
         let index = self.index.read();
         let wait = t0.elapsed();
-        let mut res = estimate_readonly(&index, &self.config, window, aggs)?;
+        let mut res = estimate_readonly(&index, window, aggs)?;
         res.stats.lock_wait = wait;
         Ok(res)
     }
@@ -136,7 +136,6 @@ impl<F: RawFile> SharedIndex<F> {
         let Some(hit) = synopsis_hit(
             &index,
             &self.file,
-            &self.config,
             blocks,
             window,
             aggs,

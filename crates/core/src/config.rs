@@ -3,7 +3,6 @@
 use pai_common::{PaiError, Result};
 use pai_index::AdaptConfig;
 
-use crate::bound::NormalizationMode;
 use crate::policy::SelectionPolicy;
 
 /// Extra adaptation after the accuracy constraint is met.
@@ -29,11 +28,6 @@ pub struct EngineConfig {
     pub adapt: AdaptConfig,
     /// Tile-selection policy (paper: score greedy with α = 1).
     pub policy: SelectionPolicy,
-    /// Error-bound normalization (paper leaves the denominator open).
-    pub normalization: NormalizationMode,
-    /// Assume attribute values contain no NULLs (the paper's setting).
-    /// Disable for conservative interval handling on dirty data.
-    pub assume_non_null: bool,
     /// Post-constraint adaptation (paper future work; default off).
     pub eager: EagerRefinement,
     /// Candidate tiles planned and fetched together per adaptation
@@ -73,8 +67,6 @@ impl Default for EngineConfig {
         EngineConfig {
             adapt: AdaptConfig::default(),
             policy: SelectionPolicy::default(),
-            normalization: NormalizationMode::default(),
-            assume_non_null: true,
             eager: EagerRefinement::Off,
             adapt_batch: 1,
             fetch_workers: 1,

@@ -284,7 +284,7 @@ impl<H: IndexHandle> EvalCtx<'_, H> {
                     }
                     stats.stages.classify += clock.lap();
                     if assess_each {
-                        (estimates, bound) = assess(config, aggs, &state);
+                        (estimates, bound) = assess(aggs, &state);
                     }
                     // The synopses are the second zero-I/O tier: consulted
                     // once, on the first round, only when the index's own
@@ -295,9 +295,8 @@ impl<H: IndexHandle> EvalCtx<'_, H> {
                     {
                         if bound > *phi {
                             let selected = classification.selected_total;
-                            let hit = synopsis_hit(
-                                index, file, config, blocks, window, aggs, selected, *phi,
-                            );
+                            let hit =
+                                synopsis_hit(index, file, blocks, window, aggs, selected, *phi);
                             if let Some(hit) = hit {
                                 return Ok(ControlFlow::Break(hit));
                             }
@@ -432,7 +431,7 @@ impl<H: IndexHandle> EvalCtx<'_, H> {
                 stats.stages.apply += clock.lap();
                 step += 1;
                 if assess_each {
-                    (estimates, bound) = assess(config, aggs, &state);
+                    (estimates, bound) = assess(aggs, &state);
                     let estimate = estimates.first().and_then(|e| e.value.as_f64());
                     push_step(trace.as_deref_mut(), file, &io0, step, bound, estimate);
                     stopped = stop.met(bound, step);
@@ -446,7 +445,7 @@ impl<H: IndexHandle> EvalCtx<'_, H> {
             }
         }
         if !assess_each {
-            (estimates, bound) = assess(config, aggs, &state);
+            (estimates, bound) = assess(aggs, &state);
         }
         let (phi, met_constraint) = match stop {
             StopRule::Accuracy { phi, .. } => (phi, bound <= phi),
@@ -676,11 +675,9 @@ fn fetch_plans_each(
 /// is done with zero data I/O, and the synopsis meters have been ticked
 /// (a miss ticks none). The returned result carries default stats — the
 /// caller owns the timing/I/O accounting.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn synopsis_hit(
     index: &ValinorIndex,
     file: &dyn RawFile,
-    config: &EngineConfig,
     blocks: &[BlockSynopsis],
     window: &Rect,
     aggs: &[AggregateFunction],
@@ -695,7 +692,6 @@ pub(crate) fn synopsis_hit(
         window,
         selected_total,
         aggs,
-        config,
         phi,
     )?;
     let counters = file.counters();
@@ -714,30 +710,23 @@ pub(crate) fn synopsis_hit(
 }
 
 /// Current estimates and the combined (max-over-aggregates) bound.
-fn assess(
-    config: &EngineConfig,
-    aggs: &[AggregateFunction],
-    state: &QueryState,
-) -> (Vec<AggregateEstimate>, f64) {
+fn assess(aggs: &[AggregateFunction], state: &QueryState) -> (Vec<AggregateEstimate>, f64) {
     let estimates: Vec<AggregateEstimate> = aggs
         .iter()
-        .map(|agg| estimate_aggregate(agg, state, config.assume_non_null))
+        .map(|agg| estimate_aggregate(agg, state))
         .collect();
-    let bound = estimates
-        .iter()
-        .map(|e| bound_of(config, e))
-        .fold(0.0f64, f64::max);
+    let bound = estimates.iter().map(bound_of).fold(0.0f64, f64::max);
     (estimates, bound)
 }
 
 /// One aggregate's upper error bound: infinite when unbounded, 0 for an
 /// empty selection.
-pub(crate) fn bound_of(config: &EngineConfig, e: &AggregateEstimate) -> f64 {
+pub(crate) fn bound_of(e: &AggregateEstimate) -> f64 {
     if e.unbounded {
         return f64::INFINITY;
     }
     match (&e.ci, e.value.as_f64()) {
-        (Some(ci), Some(v)) => upper_error_bound(v, ci.lo(), ci.hi(), config.normalization),
+        (Some(ci), Some(v)) => upper_error_bound(v, ci.lo(), ci.hi()),
         // Empty selection: nothing to be wrong about.
         _ => 0.0,
     }
@@ -764,7 +753,7 @@ fn candidate_views(
     for agg in aggs {
         let per_agg: Vec<f64> = subset
             .iter()
-            .map(|&i| contribution_width(config, agg, state, &state.candidates[i]))
+            .map(|&i| contribution_width(agg, state, &state.candidates[i]))
             .collect();
         let max = per_agg.iter().copied().fold(0.0f64, f64::max);
         if max == 0.0 {
@@ -804,16 +793,14 @@ fn candidate_views(
 /// Width of one candidate's contribution interval for one aggregate — the
 /// `w(t)` of the selection score.
 fn contribution_width(
-    config: &EngineConfig,
     agg: &AggregateFunction,
     state: &QueryState,
     c: &crate::state::Candidate,
 ) -> f64 {
-    let assume = config.assume_non_null;
     match *agg {
         AggregateFunction::Count => 0.0,
         AggregateFunction::Sum(a) | AggregateFunction::Mean(a) => c
-            .sum_bounds(state.attr_pos(a), assume)
+            .sum_bounds(state.attr_pos(a))
             .map_or(f64::INFINITY, |iv| iv.width()),
         AggregateFunction::Min(a)
         | AggregateFunction::Max(a)
@@ -829,7 +816,6 @@ fn contribution_width(
 /// only. This is what concurrent readers and overview UIs use.
 pub fn estimate_readonly(
     index: &ValinorIndex,
-    config: &EngineConfig,
     window: &Rect,
     aggs: &[AggregateFunction],
 ) -> Result<ApproxResult> {
@@ -837,7 +823,7 @@ pub fn estimate_readonly(
     let attrs = query_attrs(index.schema(), aggs)?;
     let classification = index.classify(window);
     let state = QueryState::from_classification(index, &classification, &attrs)?;
-    let (estimates, bound) = assess(config, aggs, &state);
+    let (estimates, bound) = assess(aggs, &state);
     let (values, cis) = estimates.into_iter().map(|e| (e.value, e.ci)).unzip();
     Ok(ApproxResult {
         values,
@@ -960,7 +946,7 @@ impl<'f> ApproximateEngine<'f> {
     /// Metadata-only estimate against the engine's current index state
     /// (no I/O, no adaptation).
     pub fn estimate(&self, window: &Rect, aggs: &[AggregateFunction]) -> Result<ApproxResult> {
-        estimate_readonly(&self.index, &self.config, window, aggs)
+        estimate_readonly(&self.index, window, aggs)
     }
 }
 
@@ -1221,13 +1207,7 @@ mod tests {
         assert!(res.met_constraint);
         // Fully-resolved answers give point CIs; compare with the tolerant
         // verifier (float merge order differs from the sequential scan).
-        crate::verify::assert_verified(
-            &file,
-            &window,
-            &aggs,
-            &res,
-            crate::bound::NormalizationMode::Estimate,
-        );
+        crate::verify::assert_verified(&file, &window, &aggs, &res);
     }
 
     #[test]
@@ -1769,15 +1749,7 @@ mod tests {
                 AggregateFunction::Count,
             ];
             let phi = [0.0, 0.01, 0.05][phi_pick];
-            let verify = |r: &ApproxResult| {
-                crate::verify::assert_verified(
-                    &file,
-                    &window,
-                    &aggs,
-                    r,
-                    crate::bound::NormalizationMode::Estimate,
-                )
-            };
+            let verify = |r: &ApproxResult| crate::verify::assert_verified(&file, &window, &aggs, r);
 
             let (mut on, mut off) = synopses_on_off(&file, &spec, MetadataPolicy::AllNumeric);
             let a = on.evaluate(&window, &aggs, phi).unwrap();

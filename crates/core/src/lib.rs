@@ -11,8 +11,8 @@
 //! score `s(t) = α·w(t) + (1−α)/count(t∩Q)` with both terms normalized.
 //!
 //! Module map:
-//! * [`config`] — engine knobs (α, normalization, eager refinement, NULL
-//!   assumption);
+//! * [`config`] — engine knobs (selection policy, eager refinement, batch
+//!   and fetch widths, the synopsis tier);
 //! * [`state`] — the per-query bookkeeping: exact accumulators plus the
 //!   still-bounded candidate tiles;
 //! * [`ci`] — confidence-interval assembly and approximate-value estimation
@@ -44,7 +44,7 @@ pub mod state;
 pub mod synopsis;
 pub mod verify;
 
-pub use bound::{relative_error, upper_error_bound, NormalizationMode};
+pub use bound::{relative_error, upper_error_bound};
 pub use ci::AggregateEstimate;
 pub use compactor::{
     compact_now, spawn_compactor, CompactorConfig, CompactorHandle, CompactorStats,

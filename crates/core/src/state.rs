@@ -46,14 +46,14 @@ impl Candidate {
     }
 
     /// Bounds on the sum of query-attribute `i` over the selected objects.
-    pub fn sum_bounds(&self, i: usize, assume_non_null: bool) -> Option<Interval> {
+    pub fn sum_bounds(&self, i: usize) -> Option<Interval> {
         self.meta[i]
             .as_ref()
-            .and_then(|m| m.sum_bounds(self.selected, assume_non_null))
+            .and_then(|m| m.sum_bounds(self.selected))
     }
 
     /// Whether attribute `i` certainly has a non-NULL value in every object
-    /// (needed for min/max upper bounds under conservative NULL handling).
+    /// (what lets a tile certify a MIN/MAX bound and count toward MEAN).
     pub fn certainly_non_null(&self, i: usize) -> bool {
         self.meta[i]
             .as_ref()
@@ -167,7 +167,7 @@ impl QueryState {
     }
 
     /// Metadata view per query attribute: the tile's own metadata when
-    /// present, else the global column bounds demoted to `Bounded`.
+    /// present, else the global column bounds as `Bounded` metadata.
     fn meta_view(index: &ValinorIndex, tile: TileId, attrs: &[AttrId]) -> Vec<Option<AttrMeta>> {
         attrs
             .iter()
@@ -177,7 +177,7 @@ impl QueryState {
                     .meta
                     .get(a)
                     .cloned()
-                    .or_else(|| index.global_bounds(a).map(AttrMeta::Bounded))
+                    .or_else(|| index.global_meta(a))
             })
             .collect()
     }
@@ -276,7 +276,7 @@ mod tests {
         assert_eq!(c.selected, 2);
         assert_eq!(c.value_bounds(0), Some(Interval::new(20.0, 30.0)));
         assert_eq!(
-            c.sum_bounds(0, true),
+            c.sum_bounds(0),
             Some(Interval::new(40.0, 60.0)),
             "2 selected x [20,30]"
         );
@@ -366,7 +366,7 @@ mod tests {
     #[test]
     fn candidate_sum_width_metric() {
         let (_, state) = test_state(true);
-        let width = |c: &Candidate| c.sum_bounds(0, true).map_or(f64::INFINITY, |iv| iv.width());
+        let width = |c: &Candidate| c.sum_bounds(0).map_or(f64::INFINITY, |iv| iv.width());
         let w = width(&state.candidates[0]);
         assert!((w - 20.0).abs() < 1e-12, "2 x (30-20)");
         let unbounded = Candidate {

@@ -62,7 +62,6 @@ pub(crate) struct SynopsisAnswer {
 /// selected total) or when some aggregate's bound exceeds `phi` — the caller
 /// then falls through to the normal adaptation path. The pass stops at the
 /// first such aggregate; `phi = f64::INFINITY` composes every one.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn try_answer(
     blocks: &[BlockSynopsis],
     x_axis: AttrId,
@@ -70,15 +69,14 @@ pub(crate) fn try_answer(
     window: &Rect,
     selected_total: u64,
     aggs: &[AggregateFunction],
-    config: &EngineConfig,
     phi: f64,
 ) -> Option<SynopsisAnswer> {
     let (covered, partial) = classify_blocks(blocks, x_axis, y_axis, window, selected_total)?;
     let mut estimates = Vec::with_capacity(aggs.len());
     let mut bound = 0.0f64;
     for agg in aggs {
-        let e = estimate_one(agg, blocks, &covered, &partial, selected_total, config)?;
-        let b = bound_of(config, &e);
+        let e = estimate_one(agg, blocks, &covered, &partial, selected_total)?;
+        let b = bound_of(&e);
         if b > phi {
             return None;
         }
@@ -161,9 +159,7 @@ fn estimate_one(
     covered: &[usize],
     partial: &[(usize, u64, u64)],
     n: u64,
-    config: &EngineConfig,
 ) -> Option<AggregateEstimate> {
-    let non_null = config.assume_non_null;
     if let AggregateFunction::Count = agg {
         return Some(AggregateEstimate {
             value: AggregateValue::Count(n),
@@ -189,10 +185,13 @@ fn estimate_one(
     }
     match *agg {
         AggregateFunction::Count => unreachable!("handled above"),
-        AggregateFunction::Sum(a) => sum_estimate(a, blocks, covered, partial),
+        AggregateFunction::Sum(a) => sum_estimate(a, blocks, covered, partial).map(|s| s.0),
         AggregateFunction::Mean(a) => {
+            // As `ci`'s MEAN: with no NULL in any contributing block the sum
+            // adds up exactly `n` values; otherwise the value hull, once
+            // some selected value certainly exists.
+            let (sum, non_null) = sum_estimate(a, blocks, covered, partial)?;
             if non_null {
-                let sum = sum_estimate(a, blocks, covered, partial)?;
                 let ci = sum.ci?.div_scalar(n as f64);
                 let v = match sum.value {
                     AggregateValue::Float(v) => ci.clamp(v / n as f64),
@@ -204,6 +203,13 @@ fn estimate_one(
                     unbounded: false,
                 })
             } else {
+                let some_value = covered.iter().any(|&i| blocks[i].cols[a].count > 0)
+                    || partial
+                        .iter()
+                        .any(|&(i, c_lo, _)| c_lo >= 1 && null_free(&blocks[i], a));
+                if !some_value {
+                    return None;
+                }
                 let h = value_hull(a, blocks, covered, partial)?;
                 Some(AggregateEstimate {
                     value: AggregateValue::Float(h.midpoint()),
@@ -212,10 +218,8 @@ fn estimate_one(
                 })
             }
         }
-        AggregateFunction::Min(a) => extremum_estimate(a, blocks, covered, partial, non_null, true),
-        AggregateFunction::Max(a) => {
-            extremum_estimate(a, blocks, covered, partial, non_null, false)
-        }
+        AggregateFunction::Min(a) => extremum_estimate(a, blocks, covered, partial, true),
+        AggregateFunction::Max(a) => extremum_estimate(a, blocks, covered, partial, false),
         AggregateFunction::Variance(a) => variance_estimate(a, blocks, covered, partial, false),
         AggregateFunction::StdDev(a) => variance_estimate(a, blocks, covered, partial, true),
     }
@@ -228,17 +232,26 @@ fn envelope(col: &ColumnSynopsis) -> Option<Interval> {
     (col.count > 0 && col.min <= col.max).then(|| Interval::new(col.min, col.max))
 }
 
+/// True when column `a` holds a value in every row of the block: the
+/// synopsis counts its non-NULL values.
+fn null_free(b: &BlockSynopsis, a: AttrId) -> bool {
+    b.cols[a].count == b.rows()
+}
+
 /// Sum: exact moments over covered blocks plus sign-aware
 /// `count-interval × value-envelope` contributions over partial blocks.
+/// Also returns whether every contributing block is NULL-free.
 fn sum_estimate(
     a: AttrId,
     blocks: &[BlockSynopsis],
     covered: &[usize],
     partial: &[(usize, u64, u64)],
-) -> Option<AggregateEstimate> {
+) -> Option<(AggregateEstimate, bool)> {
     let mut exact = 0.0;
+    let mut non_null = true;
     for &i in covered {
         exact += blocks[i].cols[a].sum;
+        non_null &= null_free(&blocks[i], a);
     }
     let mut ci = Interval::point(exact);
     let mut estimate = exact;
@@ -246,12 +259,14 @@ fn sum_estimate(
         let iv = partial_sum_bounds(&blocks[i], a, c_lo, c_hi)?;
         estimate += iv.midpoint();
         ci = ci.add(&iv);
+        non_null &= null_free(&blocks[i], a);
     }
-    Some(AggregateEstimate {
+    let estimate = AggregateEstimate {
         value: AggregateValue::Float(ci.clamp(estimate)),
         ci: Some(ci),
         unbounded: false,
-    })
+    };
+    Some((estimate, non_null))
 }
 
 /// Bounds on the sum contributed by a partial block whose selected count
@@ -265,7 +280,7 @@ fn partial_sum_bounds(b: &BlockSynopsis, a: AttrId, c_lo: u64, c_hi: u64) -> Opt
         return Some(Interval::point(0.0));
     }
     let mut iv = envelope(col)?;
-    if col.count < b.rows() {
+    if !null_free(b, a) {
         iv = iv.hull(&Interval::point(0.0));
     }
     let (vl, vh) = (iv.lo(), iv.hi());
@@ -312,7 +327,6 @@ fn extremum_estimate(
     blocks: &[BlockSynopsis],
     covered: &[usize],
     partial: &[(usize, u64, u64)],
-    assume_non_null: bool,
     is_min: bool,
 ) -> Option<AggregateEstimate> {
     let mut outer: Option<f64> = None;
@@ -352,7 +366,7 @@ fn extremum_estimate(
         fold(&mut outer, if is_min { iv.lo() } else { iv.hi() });
         // At least one selected row with a real value: certain worst case
         // is the envelope's opposite endpoint.
-        if c_lo >= 1 && (assume_non_null || col.count == blocks[i].rows()) {
+        if c_lo >= 1 && null_free(&blocks[i], a) {
             fold(&mut certain, if is_min { iv.hi() } else { iv.lo() });
         }
         fold(&mut estv, iv.midpoint());
@@ -423,7 +437,8 @@ fn variance_estimate(
 
 /// Seeds global value envelopes for every queried attribute that has none,
 /// hulled from the synopses' per-block column envelopes — the
-/// `MetadataPolicy::None` cold-start fix. Existing envelopes are never
+/// `MetadataPolicy::None` cold-start fix — and NULL-free when every block
+/// counts a value in each of its rows. Existing envelopes are never
 /// touched (see [`ValinorIndex::seed_global_bounds`]). Returns how many
 /// attributes were seeded.
 pub fn seed_missing_global_bounds(
@@ -437,7 +452,8 @@ pub fn seed_missing_global_bounds(
             continue;
         }
         if let Some(h) = column_hull(blocks, a) {
-            if index.seed_global_bounds(a, h) {
+            let non_null = blocks.iter().all(|b| null_free(b, a));
+            if index.seed_global_bounds(a, h, non_null) {
                 seeded += 1;
             }
         }
@@ -533,10 +549,6 @@ mod tests {
         build_block_synopses(&[x, y, v], 4, &SynopsisSpec::default())
     }
 
-    fn cfg() -> EngineConfig {
-        EngineConfig::default()
-    }
-
     #[test]
     fn covered_window_composes_exact_moments() {
         let blocks = striped_blocks();
@@ -555,7 +567,6 @@ mod tests {
                 AggregateFunction::Max(2),
                 AggregateFunction::Count,
             ],
-            &cfg(),
             f64::INFINITY,
         )
         .expect("fully covered window answers from synopses");
@@ -582,7 +593,6 @@ mod tests {
             &w,
             8,
             &[AggregateFunction::Sum(2), AggregateFunction::Mean(2)],
-            &cfg(),
             f64::INFINITY,
         )
         .expect("partial windows still bound");
@@ -616,7 +626,7 @@ mod tests {
         let w = Rect::new(0.0, 8.0, 0.0, 2.0);
         // Claimed selected_total (99) exceeds what the synopses allow.
         let count = [AggregateFunction::Count];
-        assert!(try_answer(&blocks, 0, 1, &w, 99, &count, &cfg(), f64::INFINITY).is_none());
+        assert!(try_answer(&blocks, 0, 1, &w, 99, &count, f64::INFINITY).is_none());
     }
 
     #[test]
@@ -630,7 +640,6 @@ mod tests {
             &w,
             0,
             &[AggregateFunction::Sum(2), AggregateFunction::Mean(2)],
-            &cfg(),
             f64::INFINITY,
         )
         .unwrap();
@@ -660,9 +669,20 @@ mod tests {
         let seeded = seed_missing_global_bounds(&mut idx, &blocks, &[2]);
         assert_eq!(seeded, 1);
         assert_eq!(idx.global_bounds(2), Some(Interval::new(0.0, 110.0)));
+        assert!(idx.global_meta(2).unwrap().certainly_non_null());
         // Second call is a no-op: the envelope exists now.
         assert_eq!(seed_missing_global_bounds(&mut idx, &blocks, &[2]), 0);
         assert_eq!(idx.global_bounds(2), Some(Interval::new(0.0, 110.0)));
+
+        // One block counts a NULL: the seeded envelope certifies nothing.
+        let x: Vec<f64> = (0..12).map(|i| i as f64).collect();
+        let mut v: Vec<f64> = (0..12).map(|i| i as f64 * 10.0).collect();
+        v[5] = f64::NAN;
+        let with_null = build_block_synopses(&[x, vec![1.0; 12], v], 4, &SynopsisSpec::default());
+        let schema = pai_storage::Schema::synthetic(3);
+        let mut idx = ValinorIndex::new(schema, Rect::new(0.0, 12.0, 0.0, 2.0), 2, 1).unwrap();
+        assert_eq!(seed_missing_global_bounds(&mut idx, &with_null, &[2]), 1);
+        assert!(!idx.global_meta(2).unwrap().certainly_non_null());
     }
 
     /// [`classify_blocks`] without the envelope skip: every block goes
@@ -707,17 +727,13 @@ mod tests {
         window: &Rect,
         selected_total: u64,
         aggs: &[AggregateFunction],
-        config: &EngineConfig,
     ) -> Option<SynopsisAnswer> {
         let (covered, partial) = classify_all(blocks, window, selected_total)?;
         let estimates = aggs
             .iter()
-            .map(|agg| estimate_one(agg, blocks, &covered, &partial, selected_total, config))
+            .map(|agg| estimate_one(agg, blocks, &covered, &partial, selected_total))
             .collect::<Option<Vec<_>>>()?;
-        let bound = estimates
-            .iter()
-            .map(|e| bound_of(config, e))
-            .fold(0.0f64, f64::max);
+        let bound = estimates.iter().map(bound_of).fold(0.0f64, f64::max);
         let bytes = covered
             .iter()
             .copied()
@@ -776,7 +792,6 @@ mod tests {
             window in (-0.2f64..1.2, 0.0f64..1.4, -0.2f64..1.2, 0.0f64..1.4),
             phi_pick in 0usize..6,
             agg_picks in prop::collection::vec(0usize..8, 1..5),
-            non_null in any::<bool>(),
         ) {
             // Axes on a 1/16 grid, so values tie and land on bucket edges.
             let grid = |v: f64| (v * 16.0).floor() / 16.0;
@@ -818,15 +833,14 @@ mod tests {
                 AggregateFunction::Sum(0),
             ];
             let aggs: Vec<_> = agg_picks.iter().map(|&i| all_aggs[i]).collect();
-            let config = EngineConfig { assume_non_null: non_null, ..EngineConfig::default() };
             let phi = [0.0, 0.01, 0.05, 0.25, 1.0, f64::INFINITY][phi_pick];
 
             prop_assert_eq!(
                 classify_blocks(&blocks, 0, 1, &window, total),
                 classify_all(&blocks, &window, total)
             );
-            let got = try_answer(&blocks, 0, 1, &window, total, &aggs, &config, phi);
-            let want = accept_all(&blocks, &window, total, &aggs, &config);
+            let got = try_answer(&blocks, 0, 1, &window, total, &aggs, phi);
+            let want = accept_all(&blocks, &window, total, &aggs);
             prop_assert_eq!(got.is_some(), want.as_ref().is_some_and(|w| w.bound <= phi));
             if let (Some(got), Some(want)) = (&got, &want) {
                 assert_same(got, want);
@@ -835,8 +849,8 @@ mod tests {
             // A window clear of every block answers COUNT = 0 from no block.
             let away = Rect::new(5.0, 6.0, 5.0, 6.0);
             let count = [AggregateFunction::Count];
-            let got = try_answer(&blocks, 0, 1, &away, 0, &count, &config, phi).unwrap();
-            assert_same(&got, &accept_all(&blocks, &away, 0, &count, &config).unwrap());
+            let got = try_answer(&blocks, 0, 1, &away, 0, &count, phi).unwrap();
+            assert_same(&got, &accept_all(&blocks, &away, 0, &count).unwrap());
             prop_assert_eq!(got.estimates[0].value, AggregateValue::Count(0));
             prop_assert_eq!(got.estimates[0].ci, Some(Interval::point(0.0)));
             prop_assert_eq!((got.blocks, got.bytes), (0, 0));

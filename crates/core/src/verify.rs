@@ -12,7 +12,7 @@ use pai_common::{AggregateFunction, PaiError, Result};
 use pai_storage::ground_truth::window_truth;
 use pai_storage::raw::RawFile;
 
-use crate::bound::{relative_error, NormalizationMode};
+use crate::bound::relative_error;
 use crate::engine::ApproxResult;
 
 /// Verification outcome for one aggregate.
@@ -57,7 +57,6 @@ pub fn verify_against_truth(
     window: &Rect,
     aggs: &[AggregateFunction],
     result: &ApproxResult,
-    normalization: NormalizationMode,
 ) -> Result<VerifyReport> {
     if aggs.len() != result.values.len() {
         return Err(PaiError::internal(
@@ -120,7 +119,7 @@ pub fn verify_against_truth(
                 iv.contains(t)
                     || (t - iv.lo()).abs() <= 1e-9 * (1.0 + t.abs())
                     || (t - iv.hi()).abs() <= 1e-9 * (1.0 + t.abs()),
-                relative_error(v, t, iv.lo(), iv.hi(), normalization),
+                relative_error(v, t, iv.lo(), iv.hi()),
             ),
             (None, None, _) => (true, 0.0), // both empty: consistent
             // Truth exists but result says empty (or vice versa): fail.
@@ -145,10 +144,8 @@ pub fn assert_verified(
     window: &Rect,
     aggs: &[AggregateFunction],
     result: &ApproxResult,
-    normalization: NormalizationMode,
 ) {
-    let report =
-        verify_against_truth(file, window, aggs, result, normalization).expect("verification ran");
+    let report = verify_against_truth(file, window, aggs, result).expect("verification ran");
     for c in &report.checks {
         assert!(
             c.truth_in_ci,
@@ -206,7 +203,7 @@ mod tests {
             let window = Rect::new(x0, (x0 + w).min(1000.0), y0, (y0 + h).min(1000.0));
             let phi = [0.0, 0.01, 0.05, 0.2][i % 4];
             let res = eng.evaluate(&window, &aggs, phi).unwrap();
-            assert_verified(&file, &window, &aggs, &res, NormalizationMode::Estimate);
+            assert_verified(&file, &window, &aggs, &res);
         }
         eng.index().validate_invariants().unwrap();
     }
@@ -230,8 +227,7 @@ mod tests {
         let window = Rect::new(100.0, 800.0, 100.0, 800.0);
         let aggs = [AggregateFunction::Sum(2)];
         let res = eng.evaluate(&window, &aggs, 0.05).unwrap();
-        let report =
-            verify_against_truth(&file, &window, &aggs, &res, NormalizationMode::Estimate).unwrap();
+        let report = verify_against_truth(&file, &window, &aggs, &res).unwrap();
         assert!(report.all_ok());
         assert_eq!(report.checks.len(), 1);
         assert!(report.max_realized_error() <= res.error_bound + 1e-9);
@@ -256,8 +252,7 @@ mod tests {
         let window = Rect::new(-50.0, -10.0, -50.0, -10.0);
         let aggs = [AggregateFunction::Count, AggregateFunction::Mean(2)];
         let res = eng.evaluate(&window, &aggs, 0.01).unwrap();
-        let report =
-            verify_against_truth(&file, &window, &aggs, &res, NormalizationMode::Estimate).unwrap();
+        let report = verify_against_truth(&file, &window, &aggs, &res).unwrap();
         assert!(report.all_ok(), "{report:?}");
     }
 }

@@ -37,6 +37,13 @@ use crate::index::ValinorIndex;
 use crate::metadata::AttrMeta;
 use crate::tile::TileId;
 
+/// Tiles whose width or height would drop below this are not split.
+const MIN_TILE_EXTENT: f64 = 1e-9;
+
+/// Hard cap on nesting depth: a leaf this deep is read but not split (a
+/// safety valve against degenerate data).
+const MAX_DEPTH: u16 = 32;
+
 /// What processing one tile produced.
 #[derive(Debug, Clone)]
 pub struct ProcessOutcome {
@@ -280,18 +287,13 @@ pub fn apply_plan(
     // Exact in-window statistics, from the positionally aligned rows.
     let stats = plan.in_window_stats(values)?;
 
-    // Split decision: worth it only for populous, still-divisible tiles,
-    // and only while the memory budget (if any) has headroom.
-    let within_budget = cfg
-        .max_index_bytes
-        .is_none_or(|budget| index.memory_bytes() < budget);
+    // Split decision: worth it only for populous, still-divisible tiles.
     let (mut new_leaves, mut child_of) = (Vec::new(), Vec::new());
-    if within_budget && plan.entries.len() as u64 >= cfg.min_split_objects && depth < cfg.max_depth
-    {
+    if plan.entries.len() as u64 >= cfg.min_split_objects && depth < MAX_DEPTH {
         if let Some(rects) = cfg.split.child_rects(&tile_rect, query, &plan.entries) {
             let extent_ok = rects
                 .iter()
-                .all(|r| r.width() >= cfg.min_tile_extent && r.height() >= cfg.min_tile_extent);
+                .all(|r| r.width() >= MIN_TILE_EXTENT && r.height() >= MIN_TILE_EXTENT);
             if extent_ok && rects.len() >= 2 {
                 (new_leaves, child_of) = index.split_leaf(plan.tile, rects)?;
             }
@@ -566,9 +568,6 @@ mod tests {
             split,
             read,
             min_split_objects: 1,
-            min_tile_extent: 1e-9,
-            max_depth: 16,
-            max_index_bytes: None,
         }
     }
 
@@ -758,12 +757,18 @@ mod tests {
         let (f, mut idx) = setup();
         let q = Rect::new(11.0, 15.0, 11.0, 16.0);
         let centre = idx.leaf_for_point(Point2::new(15.0, 15.0)).unwrap();
-        let cfg = AdaptConfig {
-            max_depth: 0,
-            ..adapt_cfg(SplitPolicy::QueryAligned, ReadPolicy::WindowOnly)
-        };
+        let cfg = adapt_cfg(SplitPolicy::QueryAligned, ReadPolicy::WindowOnly);
+        // One level above the cap the tile still splits...
+        let mut shallower = idx.clone();
+        shallower.tile_mut(centre).depth = MAX_DEPTH - 1;
+        let out = process_tile(&mut shallower, &f, centre, &q, &[2], &cfg).unwrap();
+        assert!(out.did_split);
+        // ...at the cap it is read but not split.
+        idx.tile_mut(centre).depth = MAX_DEPTH;
         let out = process_tile(&mut idx, &f, centre, &q, &[2], &cfg).unwrap();
-        assert!(!out.did_split, "depth 0 tiles are at max_depth already");
+        assert!(!out.did_split, "a leaf at MAX_DEPTH is not split");
+        assert_eq!(out.in_window[0].sum(), 40.0, "but it is read");
+        assert!(idx.tile(centre).is_leaf());
     }
 
     #[test]
@@ -1014,39 +1019,6 @@ mod tests {
         let cfg = adapt_cfg(SplitPolicy::QueryAligned, ReadPolicy::WindowOnly);
         process_tile(&mut idx, &f, centre, &q, &[2], &cfg).unwrap();
         assert!(process_tile(&mut idx, &f, centre, &q, &[2], &cfg).is_err());
-    }
-
-    #[test]
-    fn memory_budget_blocks_splits_but_not_reads() {
-        let (f, mut idx) = setup();
-        let q = Rect::new(11.0, 15.0, 11.0, 16.0);
-        let centre = idx.leaf_for_point(Point2::new(15.0, 15.0)).unwrap();
-        let cfg = AdaptConfig {
-            // Budget below the current footprint: splitting is off.
-            max_index_bytes: Some(1),
-            ..adapt_cfg(SplitPolicy::QueryAligned, ReadPolicy::WindowOnly)
-        };
-        let out = process_tile(&mut idx, &f, centre, &q, &[2], &cfg).unwrap();
-        assert!(!out.did_split, "budget exhausted: no structural growth");
-        assert_eq!(
-            out.in_window[0].sum(),
-            40.0,
-            "reads still happen; answers exact"
-        );
-        assert!(idx.tile(centre).is_leaf());
-    }
-
-    #[test]
-    fn generous_budget_allows_splits() {
-        let (f, mut idx) = setup();
-        let q = Rect::new(11.0, 15.0, 11.0, 16.0);
-        let centre = idx.leaf_for_point(Point2::new(15.0, 15.0)).unwrap();
-        let cfg = AdaptConfig {
-            max_index_bytes: Some(64 * 1024 * 1024),
-            ..adapt_cfg(SplitPolicy::QueryAligned, ReadPolicy::WindowOnly)
-        };
-        let out = process_tile(&mut idx, &f, centre, &q, &[2], &cfg).unwrap();
-        assert!(out.did_split);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Configuration of index construction and adaptation.
 
-use pai_common::{AttrId, PaiError, Result};
+use pai_common::{AttrId, Result};
 
 use crate::split::SplitPolicy;
 
@@ -16,8 +16,6 @@ pub enum MetadataPolicy {
     /// paper's assumption that sum/min/max metadata is available per tile).
     #[default]
     AllNumeric,
-    /// Exact stats only for the listed columns.
-    Attrs(Vec<AttrId>),
     /// No value parsing at initialization: entries + counts only. The AQP
     /// engine then falls back to global column bounds (if available) or
     /// must process every partial tile.
@@ -26,21 +24,10 @@ pub enum MetadataPolicy {
 
 impl MetadataPolicy {
     /// Resolves the concrete attribute list for a schema.
-    pub fn resolve(&self, schema: &pai_storage::Schema) -> Result<Vec<AttrId>> {
+    pub fn resolve(&self, schema: &pai_storage::Schema) -> Vec<AttrId> {
         match self {
-            MetadataPolicy::AllNumeric => Ok(schema.non_axis_numeric()),
-            MetadataPolicy::Attrs(attrs) => {
-                for &a in attrs {
-                    schema.require_numeric(a)?;
-                    if schema.is_axis(a) {
-                        return Err(PaiError::schema(format!(
-                            "axis column {a} needs no metadata (values are in the index)"
-                        )));
-                    }
-                }
-                Ok(attrs.clone())
-            }
-            MetadataPolicy::None => Ok(Vec::new()),
+            MetadataPolicy::AllNumeric => schema.non_axis_numeric(),
+            MetadataPolicy::None => Vec::new(),
         }
     }
 }
@@ -69,16 +56,6 @@ pub struct AdaptConfig {
     /// would not be repaid; mirrors the paper's "considers factors related
     /// to I/O cost in order to decide whether to perform a split").
     pub min_split_objects: u64,
-    /// Tiles whose width or height would drop below this are not split.
-    pub min_tile_extent: f64,
-    /// Hard cap on nesting depth (safety valve against degenerate data).
-    pub max_depth: u16,
-    /// Resource-aware adaptation (the VETI paper's concern, which this
-    /// paper's index inherits): once the index's estimated main-memory
-    /// footprint exceeds this budget, tiles are still *read* (answers stay
-    /// correct and bounded) but no longer *split*, so the structure stops
-    /// growing. `None` = unbounded (default).
-    pub max_index_bytes: Option<usize>,
 }
 
 impl Default for AdaptConfig {
@@ -87,9 +64,6 @@ impl Default for AdaptConfig {
             split: SplitPolicy::default(),
             read: ReadPolicy::default(),
             min_split_objects: 32,
-            min_tile_extent: 1e-9,
-            max_depth: 32,
-            max_index_bytes: None,
         }
     }
 }
@@ -97,14 +71,6 @@ impl Default for AdaptConfig {
 impl AdaptConfig {
     /// Validates parameter sanity.
     pub fn validate(&self) -> Result<()> {
-        if self.min_tile_extent < 0.0 || !self.min_tile_extent.is_finite() {
-            return Err(PaiError::config("min_tile_extent must be finite and >= 0"));
-        }
-        if self.max_index_bytes == Some(0) {
-            return Err(PaiError::config(
-                "max_index_bytes = 0 cannot hold any index; use None for unbounded",
-            ));
-        }
         self.split.validate()
     }
 }
@@ -117,27 +83,12 @@ mod tests {
     #[test]
     fn metadata_policy_resolution() {
         let s = Schema::synthetic(5);
-        assert_eq!(
-            MetadataPolicy::AllNumeric.resolve(&s).unwrap(),
-            vec![2, 3, 4]
-        );
-        assert_eq!(MetadataPolicy::Attrs(vec![3]).resolve(&s).unwrap(), vec![3]);
-        assert!(MetadataPolicy::None.resolve(&s).unwrap().is_empty());
-        assert!(MetadataPolicy::Attrs(vec![0]).resolve(&s).is_err(), "axis");
-        assert!(MetadataPolicy::Attrs(vec![99]).resolve(&s).is_err());
+        assert_eq!(MetadataPolicy::AllNumeric.resolve(&s), vec![2, 3, 4]);
+        assert!(MetadataPolicy::None.resolve(&s).is_empty());
     }
 
     #[test]
     fn default_config_is_valid() {
         assert!(AdaptConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    fn negative_extent_rejected() {
-        let cfg = AdaptConfig {
-            min_tile_extent: -1.0,
-            ..Default::default()
-        };
-        assert!(cfg.validate().is_err());
     }
 }

@@ -52,6 +52,10 @@ pub struct ValinorIndex {
     /// Global per-column value bounds observed at initialization; the
     /// fallback envelope for tiles without their own metadata.
     global_bounds: Vec<Option<Interval>>,
+    /// Per column: whether a NULL was ever observed (at initialization, in
+    /// a seeding source, or ingested). Only a column without one hands out
+    /// a NULL-free fallback envelope.
+    global_nulls: Vec<bool>,
     total_objects: u64,
     /// Cumulative number of leaf splits performed (adaptation effort).
     splits_performed: u64,
@@ -88,6 +92,7 @@ impl ValinorIndex {
             tiles,
             root,
             global_bounds: vec![None; n_cols],
+            global_nulls: vec![false; n_cols],
             total_objects: 0,
             splits_performed: 0,
             version: 0,
@@ -153,16 +158,28 @@ impl ValinorIndex {
         self.global_bounds.get(attr).copied().flatten()
     }
 
+    /// The global envelope of a column as the metadata of a tile that has
+    /// none of its own: `Bounded`, and NULL-free only while no NULL of the
+    /// column was ever observed.
+    pub fn global_meta(&self, attr: AttrId) -> Option<AttrMeta> {
+        self.global_bounds(attr).map(|range| AttrMeta::Bounded {
+            range,
+            non_null: !self.global_nulls[attr],
+        })
+    }
+
     /// Installs a global value envelope for `attr` when none was observed
-    /// at initialization (the `MetadataPolicy::None` cold start). An
+    /// at initialization (the `MetadataPolicy::None` cold start); `non_null`
+    /// says whether the envelope's source proved the column NULL-free. An
     /// existing envelope always wins — seeding never overwrites or widens
     /// bounds the scan actually measured. Returns whether the seed was
     /// installed. Synopsis-first evaluation uses this to hand metadata-free
     /// sessions a sound fallback envelope with zero data I/O.
-    pub fn seed_global_bounds(&mut self, attr: AttrId, bounds: Interval) -> bool {
+    pub fn seed_global_bounds(&mut self, attr: AttrId, bounds: Interval, non_null: bool) -> bool {
         match self.global_bounds.get_mut(attr) {
             Some(slot @ None) => {
                 *slot = Some(bounds);
+                self.global_nulls[attr] |= !non_null;
                 self.version = self.version.wrapping_add(1);
                 true
             }
@@ -170,8 +187,11 @@ impl ValinorIndex {
         }
     }
 
+    /// Folds one observed value into the global envelope of `attr`; a NaN
+    /// records a NULL instead.
     pub(crate) fn fold_global_bound(&mut self, attr: AttrId, value: f64) {
         if value.is_nan() {
+            self.global_nulls[attr] = true;
             return;
         }
         let slot = &mut self.global_bounds[attr];
@@ -634,7 +654,7 @@ impl ValinorIndex {
                     stats.merge(s);
                     nulls += n;
                 }
-                AttrMeta::Bounded(_) => return None,
+                AttrMeta::Bounded { .. } => return None,
             }
         }
         Some(AttrMeta::Exact { stats, nulls })
@@ -1108,8 +1128,13 @@ mod tests {
         assert_eq!(idx.global_bounds(2), None);
         idx.fold_global_bound(2, 5.0);
         idx.fold_global_bound(2, -1.0);
+        assert!(idx.global_meta(2).unwrap().certainly_non_null());
         idx.fold_global_bound(2, f64::NAN);
         assert_eq!(idx.global_bounds(2), Some(Interval::new(-1.0, 5.0)));
+        assert!(
+            !idx.global_meta(2).unwrap().certainly_non_null(),
+            "the NULL is recorded, not dropped"
+        );
     }
 
     #[test]

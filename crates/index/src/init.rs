@@ -413,7 +413,7 @@ fn build_with(
 ) -> Result<(ValinorIndex, InitReport)> {
     let start = Instant::now();
     let schema = file.schema().clone();
-    let attrs = config.metadata.resolve(&schema)?;
+    let attrs = config.metadata.resolve(&schema);
     let (domain, row_hint) = match (clip, config.domain) {
         (Some(region), _) if region.is_empty() => {
             return Err(PaiError::config("clip region must have positive area"));
@@ -483,11 +483,15 @@ pub fn build_clipped(
 /// column bounds.
 fn install_cells(index: &mut ValinorIndex, accs: Vec<CellAcc>, attrs: &[usize]) {
     for (cell, acc) in accs.into_iter().enumerate() {
-        // Fold global bounds from the per-cell stats (min/max suffice).
-        for (i, s) in acc.stats.iter().enumerate() {
+        // Fold global bounds from the per-cell stats (min/max suffice) and
+        // record the cell's NULLs.
+        for ((&attr, s), &nulls) in attrs.iter().zip(&acc.stats).zip(&acc.nulls) {
             if let (Some(lo), Some(hi)) = (s.min(), s.max()) {
-                index.fold_global_bound(attrs[i], lo);
-                index.fold_global_bound(attrs[i], hi);
+                index.fold_global_bound(attr, lo);
+                index.fold_global_bound(attr, hi);
+            }
+            if nulls > 0 {
+                index.fold_global_bound(attr, f64::NAN);
             }
         }
         if acc.entries.is_empty() {
@@ -626,18 +630,19 @@ mod tests {
     }
 
     #[test]
-    fn metadata_selected_attrs_only() {
-        let rows = vec![vec![1.0, 1.0, 5.0, 7.0]];
+    fn global_bounds_record_the_builds_nulls() {
+        // col2 is NULL in the second cell; col3 never is.
+        let rows = vec![vec![1.0, 1.0, 5.0, 7.0], vec![9.0, 9.0, f64::NAN, 8.0]];
         let f = MemFile::from_rows(Schema::synthetic(4), CsvFormat::default(), rows).unwrap();
         let cfg = InitConfig {
-            grid: GridSpec::Fixed { nx: 1, ny: 1 },
-            domain: Some(Rect::new(0.0, 2.0, 0.0, 2.0)),
-            metadata: MetadataPolicy::Attrs(vec![3]),
+            grid: GridSpec::Fixed { nx: 2, ny: 2 },
+            domain: Some(Rect::new(0.0, 10.0, 0.0, 10.0)),
+            metadata: MetadataPolicy::AllNumeric,
         };
         let (idx, _) = build(&f, &cfg).unwrap();
-        let t = idx.leaf_for_point(Point2::new(1.0, 1.0)).unwrap();
-        assert!(idx.tile(t).meta.get(2).is_none());
-        assert!(idx.tile(t).meta.has_exact(3));
+        assert_eq!(idx.global_bounds(2), Some(Interval::point(5.0)));
+        assert!(!idx.global_meta(2).unwrap().certainly_non_null());
+        assert!(idx.global_meta(3).unwrap().certainly_non_null());
     }
 
     #[test]

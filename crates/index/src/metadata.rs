@@ -11,9 +11,13 @@
 //!   range. This still yields a sound (wider) confidence interval, which is
 //!   exactly how the AQP engine prices "inaccurate" tiles.
 //!
-//! Exact metadata also tracks how many of the tile's objects had NULL (NaN)
-//! values for the attribute; when NULLs are present, sum bounds are widened
-//! to include 0-contributions so the interval stays sound.
+//! NULLs (NaN values) are counted, never assumed away. Exact metadata
+//! counts them; bounded metadata records whether its source proved the
+//! tile's values NULL-free. Only metadata that is
+//! [certainly NULL-free](AttrMeta::certainly_non_null) lets every selected
+//! object contribute a value: otherwise sum bounds widen to include
+//! 0-contributions and MIN/MAX/MEAN give up the guarantees that need a value
+//! per object.
 
 use pai_common::{AttrId, Interval, RunningStats};
 
@@ -23,8 +27,10 @@ pub enum AttrMeta {
     /// Stats computed from the attribute values of *all* objects in the tile.
     /// `nulls` counts objects whose value was NaN (excluded from `stats`).
     Exact { stats: RunningStats, nulls: u64 },
-    /// Only outer bounds on the attribute's values in this tile.
-    Bounded(Interval),
+    /// Only outer bounds on the attribute's values in this tile. `non_null`
+    /// is true when the source of the envelope proved every one of those
+    /// values non-NULL.
+    Bounded { range: Interval, non_null: bool },
 }
 
 impl AttrMeta {
@@ -47,7 +53,7 @@ impl AttrMeta {
     pub fn value_bounds(&self) -> Option<Interval> {
         match self {
             AttrMeta::Exact { stats, .. } => stats.range(),
-            AttrMeta::Bounded(iv) => Some(*iv),
+            AttrMeta::Bounded { range, .. } => Some(*range),
         }
     }
 
@@ -55,71 +61,69 @@ impl AttrMeta {
     /// selected objects of the tile.
     ///
     /// This is the per-tile term of the paper's query confidence interval:
-    /// `[count·min, count·max]`. With NULLs known present — or possible, for
-    /// `Bounded` metadata when `assume_non_null` is false — the interval is
+    /// `[count·min, count·max]`. Unless the tile is
+    /// [certainly NULL-free](Self::certainly_non_null), the interval is
     /// widened to include 0 per object, since a NULL contributes nothing to
-    /// the true sum. The paper's setting (and our default) is NULL-free
-    /// data, i.e. `assume_non_null = true`.
-    pub fn sum_bounds(&self, count: u64, assume_non_null: bool) -> Option<Interval> {
-        let vb = self.value_bounds()?;
-        let k = count as f64;
-        let base = vb.scale(k);
-        let may_have_nulls = match self {
-            AttrMeta::Exact { nulls, .. } => *nulls > 0,
-            AttrMeta::Bounded(_) => !assume_non_null,
-        };
-        if may_have_nulls {
+    /// the true sum.
+    pub fn sum_bounds(&self, count: u64) -> Option<Interval> {
+        let base = self.value_bounds()?.scale(count as f64);
+        if self.certainly_non_null() {
+            Some(base)
+        } else {
             // Each object contributes either its value or 0, so the sum of
             // `count` objects lies within the hull of [0,0] and count·[min,max].
             Some(base.hull(&Interval::point(0.0)))
-        } else {
-            Some(base)
         }
     }
 
     /// True when this metadata certifies that the tile's values contain no
-    /// NULLs (exact stats with a zero null count). `Bounded` metadata can
-    /// never certify this on its own.
+    /// NULLs: exact stats with a zero null count, or an envelope whose
+    /// source proved it.
     pub fn certainly_non_null(&self) -> bool {
-        matches!(self, AttrMeta::Exact { nulls: 0, .. })
+        matches!(
+            self,
+            AttrMeta::Exact { nulls: 0, .. } | AttrMeta::Bounded { non_null: true, .. }
+        )
     }
 
     /// The exact sum over the whole tile, if exactly known.
     pub fn exact_sum(&self) -> Option<f64> {
-        match self {
-            AttrMeta::Exact { stats, .. } => Some(stats.sum()),
-            AttrMeta::Bounded(_) => None,
-        }
+        self.exact_stats().map(RunningStats::sum)
     }
 
     /// Exact whole-tile stats, if available.
     pub fn exact_stats(&self) -> Option<&RunningStats> {
         match self {
             AttrMeta::Exact { stats, .. } => Some(stats),
-            AttrMeta::Bounded(_) => None,
+            AttrMeta::Bounded { .. } => None,
         }
     }
 
-    /// Number of known-NULL values (0 for `Bounded`, which is agnostic).
+    /// Number of known-NULL values (0 for `Bounded`, which does not count).
     pub fn nulls(&self) -> u64 {
         match self {
             AttrMeta::Exact { nulls, .. } => *nulls,
-            AttrMeta::Bounded(_) => 0,
+            AttrMeta::Bounded { .. } => 0,
         }
     }
 
     /// Metadata a child tile inherits when the parent splits without the
     /// child's values being read: the parent's value envelope, demoted to
-    /// `Bounded` (child min/max can only be tighter than the parent's).
+    /// `Bounded` (child min/max can only be tighter than the parent's), and
+    /// NULL-free when the parent certainly was.
     pub fn demote_to_bounds(&self) -> Option<AttrMeta> {
-        self.value_bounds().map(AttrMeta::Bounded)
+        self.value_bounds().map(|range| AttrMeta::Bounded {
+            range,
+            non_null: self.certainly_non_null(),
+        })
     }
 
     /// Folds one newly ingested value in place, keeping the metadata's
     /// claim true as the tile grows: exact stats absorb the value (NaN
     /// counts as one more NULL, exactly like the initialization scan),
-    /// bounded envelopes widen to cover it (NaN leaves the envelope
-    /// untouched — a NULL has no value to cover).
+    /// bounded envelopes widen to cover it (a NaN leaves the envelope
+    /// untouched — a NULL has no value to cover — but the tile is no longer
+    /// NULL-free).
     pub fn fold_value(&mut self, v: f64) {
         match self {
             AttrMeta::Exact { stats, nulls } => {
@@ -129,9 +133,11 @@ impl AttrMeta {
                     stats.push(v);
                 }
             }
-            AttrMeta::Bounded(iv) => {
-                if !v.is_nan() {
-                    *iv = iv.hull(&Interval::point(v));
+            AttrMeta::Bounded { range, non_null } => {
+                if v.is_nan() {
+                    *non_null = false;
+                } else {
+                    *range = range.hull(&Interval::point(v));
                 }
             }
         }
@@ -221,6 +227,13 @@ impl TileMetadata {
 mod tests {
     use super::*;
 
+    fn bounds(lo: f64, hi: f64) -> AttrMeta {
+        AttrMeta::Bounded {
+            range: Interval::new(lo, hi),
+            non_null: true,
+        }
+    }
+
     #[test]
     fn exact_from_values_tracks_nulls() {
         let m = AttrMeta::exact_from_values(&[1.0, f64::NAN, 3.0]);
@@ -233,57 +246,96 @@ mod tests {
     #[test]
     fn sum_bounds_without_nulls() {
         let m = AttrMeta::exact_from_values(&[2.0, 4.0]);
-        assert_eq!(m.sum_bounds(3, true), Some(Interval::new(6.0, 12.0)));
-        assert_eq!(m.sum_bounds(3, false), Some(Interval::new(6.0, 12.0)));
-        assert_eq!(m.sum_bounds(0, true), Some(Interval::point(0.0)));
+        assert_eq!(m.sum_bounds(3), Some(Interval::new(6.0, 12.0)));
+        assert_eq!(m.sum_bounds(0), Some(Interval::point(0.0)));
         assert!(m.certainly_non_null());
     }
 
     #[test]
     fn sum_bounds_with_nulls_include_zero() {
         let m = AttrMeta::exact_from_values(&[2.0, f64::NAN]);
-        // min=max=2, but a selected object could be the NULL one — widened
-        // regardless of the engine-level assumption (nulls are *known*).
-        assert_eq!(m.sum_bounds(2, true), Some(Interval::new(0.0, 4.0)));
-        assert_eq!(m.sum_bounds(2, false), Some(Interval::new(0.0, 4.0)));
+        // min=max=2, but a selected object could be the NULL one.
+        assert_eq!(m.sum_bounds(2), Some(Interval::new(0.0, 4.0)));
         assert!(!m.certainly_non_null());
     }
 
     #[test]
     fn sum_bounds_negative_values_with_nulls() {
         let m = AttrMeta::exact_from_values(&[-3.0, f64::NAN]);
-        assert_eq!(m.sum_bounds(2, true), Some(Interval::new(-6.0, 0.0)));
+        assert_eq!(m.sum_bounds(2), Some(Interval::new(-6.0, 0.0)));
     }
 
     #[test]
     fn bounded_meta_behaviour() {
-        let m = AttrMeta::Bounded(Interval::new(2.0, 10.0));
-        assert!(!m.is_exact());
-        assert!(!m.certainly_non_null());
-        assert_eq!(m.exact_sum(), None);
-        assert_eq!(m.value_bounds(), Some(Interval::new(2.0, 10.0)));
-        // Under the paper's NULL-free assumption the bounds scale directly.
-        assert_eq!(m.sum_bounds(5, true), Some(Interval::new(10.0, 50.0)));
-        // Conservative mode widens to include possible NULL contributions.
-        assert_eq!(m.sum_bounds(5, false), Some(Interval::new(0.0, 50.0)));
+        let range = Interval::new(2.0, 10.0);
+        let proven = AttrMeta::Bounded {
+            range,
+            non_null: true,
+        };
+        assert!(!proven.is_exact());
+        assert!(proven.certainly_non_null());
+        assert_eq!(proven.exact_sum(), None);
+        assert_eq!(proven.value_bounds(), Some(range));
+        // A source that proved the values NULL-free: the bounds scale directly.
+        assert_eq!(proven.sum_bounds(5), Some(Interval::new(10.0, 50.0)));
+        // Otherwise the sum widens to include possible NULL contributions.
+        let unproven = AttrMeta::Bounded {
+            range,
+            non_null: false,
+        };
+        assert!(!unproven.certainly_non_null());
+        assert_eq!(unproven.sum_bounds(5), Some(Interval::new(0.0, 50.0)));
     }
 
     #[test]
     fn empty_exact_meta_has_no_bounds() {
         let m = AttrMeta::exact_from_values(&[]);
         assert_eq!(m.value_bounds(), None);
-        assert_eq!(m.sum_bounds(1, true), None);
+        assert_eq!(m.sum_bounds(1), None);
         assert_eq!(m.exact_sum(), Some(0.0), "empty sum is 0");
     }
 
     #[test]
     fn demotion() {
+        let range = Interval::new(1.0, 5.0);
         let m = AttrMeta::exact_from_values(&[1.0, 5.0]);
         let d = m.demote_to_bounds().unwrap();
-        assert_eq!(d, AttrMeta::Bounded(Interval::new(1.0, 5.0)));
+        assert_eq!(
+            d,
+            AttrMeta::Bounded {
+                range,
+                non_null: true
+            }
+        );
+        // A parent with NULLs hands down an envelope that cannot certify.
+        let with_null = AttrMeta::exact_from_values(&[1.0, f64::NAN, 5.0]);
+        let d = with_null.demote_to_bounds().unwrap();
+        assert_eq!(
+            d,
+            AttrMeta::Bounded {
+                range,
+                non_null: false
+            }
+        );
+        // Demoting bounds again inherits their record.
+        assert_eq!(d.demote_to_bounds(), Some(d));
         assert!(AttrMeta::exact_from_values(&[])
             .demote_to_bounds()
             .is_none());
+    }
+
+    #[test]
+    fn folding_a_null_into_bounds_clears_the_record() {
+        let mut m = AttrMeta::Bounded {
+            range: Interval::new(1.0, 5.0),
+            non_null: true,
+        };
+        m.fold_value(7.0);
+        assert_eq!(m.value_bounds(), Some(Interval::new(1.0, 7.0)));
+        assert!(m.certainly_non_null());
+        m.fold_value(f64::NAN);
+        assert_eq!(m.value_bounds(), Some(Interval::new(1.0, 7.0)));
+        assert!(!m.certainly_non_null());
     }
 
     #[test]
@@ -301,12 +353,18 @@ mod tests {
     fn set_if_better_keeps_exact() {
         let mut tm = TileMetadata::new(3);
         tm.set(1, AttrMeta::exact_from_values(&[1.0, 2.0]));
-        tm.set_if_better(1, AttrMeta::Bounded(Interval::new(0.0, 10.0)));
+        tm.set_if_better(
+            1,
+            AttrMeta::Bounded {
+                range: Interval::new(0.0, 10.0),
+                non_null: true,
+            },
+        );
         assert!(tm.has_exact(1), "bounds must not overwrite exact stats");
         tm.set_if_better(1, AttrMeta::exact_from_values(&[5.0]));
         assert_eq!(tm.get(1).unwrap().exact_sum(), Some(5.0));
         // Bounds land happily in empty slots.
-        tm.set_if_better(2, AttrMeta::Bounded(Interval::new(0.0, 1.0)));
+        tm.set_if_better(2, bounds(0.0, 1.0));
         assert!(tm.get(2).is_some());
     }
 
@@ -314,23 +372,17 @@ mod tests {
     fn inherited_demotes_everything() {
         let mut tm = TileMetadata::new(3);
         tm.set(1, AttrMeta::exact_from_values(&[1.0, 9.0]));
-        tm.set(2, AttrMeta::Bounded(Interval::new(-1.0, 1.0)));
+        tm.set(2, bounds(-1.0, 1.0));
         let inh = tm.inherited();
-        assert_eq!(
-            inh.get(1),
-            Some(&AttrMeta::Bounded(Interval::new(1.0, 9.0)))
-        );
-        assert_eq!(
-            inh.get(2),
-            Some(&AttrMeta::Bounded(Interval::new(-1.0, 1.0)))
-        );
+        assert_eq!(inh.get(1), Some(&bounds(1.0, 9.0)));
+        assert_eq!(inh.get(2), Some(&bounds(-1.0, 1.0)));
         assert_eq!(inh.get(0), None);
     }
 
     #[test]
     fn set_grows_slots() {
         let mut tm = TileMetadata::new(1);
-        tm.set(5, AttrMeta::Bounded(Interval::point(0.0)));
+        tm.set(5, bounds(0.0, 0.0));
         assert!(tm.get(5).is_some());
         assert_eq!(tm.len(), 6);
     }

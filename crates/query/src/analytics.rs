@@ -59,7 +59,7 @@ pub fn heatmap(
     for rect in window.split_grid(ny, nx) {
         let classification = index.classify(&rect);
         let state = QueryState::from_classification(index, &classification, &attrs)?;
-        let est = estimate_aggregate(&agg, &state, true);
+        let est = estimate_aggregate(&agg, &state);
         cells.push(HeatCell {
             rect,
             count: classification.selected_total,

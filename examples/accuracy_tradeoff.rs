@@ -50,13 +50,7 @@ fn main() -> Result<()> {
             // Ground-truth verification on every 5th query (full scans are
             // the expensive part of *verification*, not of the method).
             if i % 5 == 0 {
-                let report = verify_against_truth(
-                    &file,
-                    &q.window,
-                    &q.aggs,
-                    &res,
-                    NormalizationMode::Estimate,
-                )?;
+                let report = verify_against_truth(&file, &q.window, &q.aggs, &res)?;
                 assert!(report.all_ok(), "guarantee violated at query {i}");
                 max_realized = max_realized.max(report.max_realized_error());
             }

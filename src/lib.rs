@@ -70,7 +70,7 @@ pub mod prelude {
     };
     pub use pai_core::{
         predict_query_io, ApproxResult, ApproximateEngine, EagerRefinement, EngineConfig,
-        IoPrediction, NormalizationMode, SelectionPolicy, SharedIndex,
+        IoPrediction, SelectionPolicy, SharedIndex,
     };
     pub use pai_index::init::{build, build_clipped, build_parallel, GridSpec, InitConfig};
     pub use pai_index::{AdaptConfig, MetadataPolicy, ReadPolicy, SplitPolicy, ValinorIndex};

@@ -96,9 +96,7 @@ fn on_disk_approximate_engine_guarantees_hold() {
         let phi = [0.01, 0.05, 0.1][i % 3];
         let res = engine.evaluate(&q.window, &q.aggs, phi).unwrap();
         assert!(res.met_constraint, "query {i} phi {phi}");
-        let report =
-            verify_against_truth(&file, &q.window, &q.aggs, &res, NormalizationMode::Estimate)
-                .unwrap();
+        let report = verify_against_truth(&file, &q.window, &q.aggs, &res).unwrap();
         assert!(report.all_ok(), "query {i}: {report:?}");
     }
     engine.index().validate_invariants().unwrap();

@@ -6,6 +6,9 @@
 //!   3. processing more tiles never widens an interval (monotonicity);
 //!   4. index structural invariants survive arbitrary query sequences;
 //!   5. exact engine ≡ full-scan ground truth.
+//!
+//! The first and the last also run over data with a drawn share of blank
+//! (NULL) value fields.
 
 use pai_core::verify::verify_against_truth;
 use pai_storage::build_block_synopses;
@@ -16,24 +19,79 @@ use proptest::prelude::*;
 
 /// A small clustered dataset; proptest shrinks over windows/phis, not data.
 fn fixture(seed: u64) -> (MemFile, DatasetSpec) {
-    let spec = DatasetSpec {
-        rows: 1_500,
-        columns: 4,
-        seed,
-        ..Default::default()
-    };
+    let spec = fixture_spec(seed);
     let file = spec.build_mem(CsvFormat::default()).unwrap();
     (file, spec)
 }
 
-fn build_index(file: &MemFile, spec: &DatasetSpec, n: usize) -> ValinorIndex {
+fn fixture_spec(seed: u64) -> DatasetSpec {
+    DatasetSpec {
+        rows: 1_500,
+        columns: 4,
+        seed,
+        ..Default::default()
+    }
+}
+
+/// [`fixture`]'s rows with about `null_pct` % of the value fields blank
+/// (NULL), as CSV and as a PaiZone image of the same rows.
+fn fixture_with_nulls(seed: u64, null_pct: u64) -> (MemFile, ZoneFile, DatasetSpec) {
+    let spec = fixture_spec(seed);
+    let mut rows = spec.rows_physical();
+    for (r, row) in rows.iter_mut().enumerate() {
+        for (c, v) in row.iter_mut().enumerate().skip(2) {
+            // SplitMix64 of (seed, row, column): a stable pick per field.
+            let mut z =
+                ((seed << 40) ^ ((r as u64) << 8) ^ c as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            if (z ^ (z >> 31)) % 100 < null_pct {
+                *v = f64::NAN;
+            }
+        }
+    }
+    let zone = ZoneFile::from_rows(&spec.schema(), rows.clone()).unwrap();
+    // The CSV writer renders a NULL as `NaN`; a blank field is the CSV NULL.
+    let csv = MemFile::from_rows(spec.schema(), CsvFormat::default(), rows).unwrap();
+    let text = String::from_utf8(csv.bytes().to_vec())
+        .unwrap()
+        .replace("NaN", "");
+    let file = MemFile::from_text(text, spec.schema(), CsvFormat::default());
+    (file, zone, spec)
+}
+
+fn null_pct_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), 1u64..70]
+}
+
+fn build_index(file: &dyn RawFile, spec: &DatasetSpec, n: usize) -> ValinorIndex {
+    build_index_with(file, spec, n, MetadataPolicy::AllNumeric)
+}
+
+fn build_index_with(
+    file: &dyn RawFile,
+    spec: &DatasetSpec,
+    n: usize,
+    metadata: MetadataPolicy,
+) -> ValinorIndex {
     let cfg = InitConfig {
         grid: GridSpec::Fixed { nx: n, ny: n },
         domain: Some(spec.domain),
-        metadata: MetadataPolicy::AllNumeric,
+        metadata,
     };
     build(file, &cfg).unwrap().0
 }
+
+/// Every aggregate the NULL rules touch, over both value columns.
+const NULL_AGGS: [AggregateFunction; 7] = [
+    AggregateFunction::Count,
+    AggregateFunction::Sum(2),
+    AggregateFunction::Mean(2),
+    AggregateFunction::Min(2),
+    AggregateFunction::Max(3),
+    AggregateFunction::Mean(3),
+    AggregateFunction::Sum(3),
+];
 
 fn window_strategy() -> impl Strategy<Value = Rect> {
     (0.0f64..900.0, 0.0f64..900.0, 10.0f64..600.0, 10.0f64..600.0)
@@ -43,31 +101,34 @@ fn window_strategy() -> impl Strategy<Value = Rect> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Guarantee 1 + 2 over random windows, phis, and grids.
+    /// Guarantee 1 + 2 over random windows, phis, grids and NULL shares;
+    /// the second leg runs the same rows as a PaiZone file with the
+    /// synopsis tier on, from either metadata policy.
     #[test]
     fn prop_ci_contains_truth(
         window in window_strategy(),
         phi in prop_oneof![Just(0.0), 0.001f64..0.3],
         grid in 2usize..9,
         seed in 0u64..4,
+        null_pct in null_pct_strategy(),
+        zone_metadata in prop_oneof![Just(MetadataPolicy::AllNumeric), Just(MetadataPolicy::None)],
     ) {
-        let (file, spec) = fixture(seed);
+        let (file, zone, spec) = fixture_with_nulls(seed, null_pct);
         let index = build_index(&file, &spec, grid);
         let mut engine =
             ApproximateEngine::new(index, &file, EngineConfig::paper_evaluation()).unwrap();
-        let aggs = [
-            AggregateFunction::Count,
-            AggregateFunction::Sum(2),
-            AggregateFunction::Mean(2),
-            AggregateFunction::Min(3),
-            AggregateFunction::Max(3),
-        ];
-        let res = engine.evaluate(&window, &aggs, phi).unwrap();
+        let res = engine.evaluate(&window, &NULL_AGGS, phi).unwrap();
         prop_assert!(res.met_constraint);
-        let report = verify_against_truth(
-            &file, &window, &aggs, &res, NormalizationMode::Estimate,
-        ).unwrap();
+        let report = verify_against_truth(&file, &window, &NULL_AGGS, &res).unwrap();
         prop_assert!(report.all_ok(), "{report:?}");
+
+        let index = build_index_with(&zone, &spec, grid, zone_metadata);
+        let config = EngineConfig::paper_evaluation().with_synopsis();
+        let mut engine = ApproximateEngine::new(index, &zone, config).unwrap();
+        let res = engine.evaluate(&window, &NULL_AGGS, phi).unwrap();
+        prop_assert!(res.met_constraint);
+        let report = verify_against_truth(&zone, &window, &NULL_AGGS, &res).unwrap();
+        prop_assert!(report.all_ok(), "zone: {report:?}");
     }
 
     /// Guarantee 3: a tighter phi on a fresh index processes at least as
@@ -115,22 +176,37 @@ proptest! {
     }
 
     /// Guarantee 5: the exact engine equals ground truth on arbitrary
-    /// windows (sum/count; the float-exact aggregates).
+    /// windows and NULL shares: COUNT exactly, SUM and MEAN to float
+    /// round-off, MIN and MAX exactly, and a window of only NULLs has no
+    /// MEAN, MIN or MAX.
     #[test]
     fn prop_exact_engine_equals_truth(
         window in window_strategy(),
         seed in 0u64..4,
+        null_pct in null_pct_strategy(),
     ) {
-        let (file, spec) = fixture(seed);
+        let (file, _, spec) = fixture_with_nulls(seed, null_pct);
         let index = build_index(&file, &spec, 4);
         let mut engine = ApproximateEngine::new(index, &file, EngineConfig::default()).unwrap();
-        let res = engine
-            .evaluate_exact(&window, &[AggregateFunction::Count, AggregateFunction::Sum(2)])
-            .unwrap();
-        let truth = window_truth(&file, &window, &[2]).unwrap();
-        prop_assert_eq!(res.values[0], AggregateValue::Count(truth[0].selected));
-        let sum = res.values[1].as_f64().unwrap();
-        prop_assert!((sum - truth[0].stats.sum()).abs() < 1e-6 * (1.0 + sum.abs()));
+        let aggs = [
+            AggregateFunction::Count,
+            AggregateFunction::Sum(2),
+            AggregateFunction::Mean(2),
+            AggregateFunction::Min(2),
+            AggregateFunction::Max(2),
+        ];
+        let res = engine.evaluate_exact(&window, &aggs).unwrap();
+        let truth = &window_truth(&file, &window, &[2]).unwrap()[0];
+        prop_assert_eq!(res.values[0], AggregateValue::Count(truth.selected));
+        let close = |got: Option<f64>, want: Option<f64>| match (got, want) {
+            (Some(g), Some(w)) => (g - w).abs() < 1e-6 * (1.0 + w.abs()),
+            (g, w) => g == w,
+        };
+        let s = &truth.stats;
+        prop_assert!(close(res.values[1].as_f64(), Some(s.sum())), "{:?} vs {s:?}", res.values);
+        prop_assert!(close(res.values[2].as_f64(), s.mean()), "{:?} vs {s:?}", res.values);
+        prop_assert_eq!(res.values[3].as_f64(), s.min());
+        prop_assert_eq!(res.values[4].as_f64(), s.max());
     }
 
     /// Split policies all preserve objects and produce valid hierarchies.
@@ -249,9 +325,7 @@ proptest! {
                     let res = engine.evaluate(window, &aggs, *phi).unwrap();
                     index = engine.into_index();
                     prop_assert!(res.met_constraint, "step {i}");
-                    let report = verify_against_truth(
-                        &file, window, &aggs, &res, NormalizationMode::Estimate,
-                    ).unwrap();
+                    let report = verify_against_truth(&file, window, &aggs, &res).unwrap();
                     prop_assert!(report.all_ok(), "step {i} {step:?}: {report:?}");
                     if *phi == 0.0 {
                         prop_assert!(report.max_realized_error() <= 1e-9, "step {i}: {report:?}");
