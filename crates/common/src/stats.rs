@@ -52,6 +52,25 @@ impl RunningStats {
         s
     }
 
+    /// Statistics from stored moments, such as a block synopsis's record;
+    /// `None` unless they can describe `count` real values: with any value,
+    /// every field finite and `min <= max`.
+    #[inline]
+    pub fn from_moments(count: u64, sum: f64, sum_sq: f64, min: f64, max: f64) -> Option<Self> {
+        if count == 0 {
+            return Some(Self::new());
+        }
+        ([sum, sum_sq, min, max].iter().all(|v| v.is_finite()) && min <= max).then_some(
+            RunningStats {
+                count,
+                sum,
+                sum_sq,
+                min,
+                max,
+            },
+        )
+    }
+
     /// Folds one value in. NaN values are ignored (treated as SQL NULL).
     #[inline]
     pub fn push(&mut self, v: f64) {
@@ -139,6 +158,7 @@ impl RunningStats {
     }
 
     /// The `[min, max]` range as an interval; `None` when empty.
+    #[inline]
     pub fn range(&self) -> Option<Interval> {
         (self.count > 0).then(|| Interval::new(self.min, self.max))
     }

@@ -797,17 +797,15 @@ fn contribution_width(
     state: &QueryState,
     c: &crate::state::Candidate,
 ) -> f64 {
+    let Some(a) = agg.attribute() else {
+        return 0.0;
+    };
+    let Some(part) = c.contribution(state.attr_pos(a)) else {
+        return f64::INFINITY;
+    };
     match *agg {
-        AggregateFunction::Count => 0.0,
-        AggregateFunction::Sum(a) | AggregateFunction::Mean(a) => c
-            .sum_bounds(state.attr_pos(a))
-            .map_or(f64::INFINITY, |iv| iv.width()),
-        AggregateFunction::Min(a)
-        | AggregateFunction::Max(a)
-        | AggregateFunction::Variance(a)
-        | AggregateFunction::StdDev(a) => c
-            .value_bounds(state.attr_pos(a))
-            .map_or(f64::INFINITY, |iv| iv.width()),
+        AggregateFunction::Sum(_) | AggregateFunction::Mean(_) => part.sum_bounds().width(),
+        _ => part.values.map_or(0.0, |iv| iv.width()),
     }
 }
 
@@ -1769,6 +1767,27 @@ mod tests {
             proptest::prop_assert!(a.met_constraint && a.error_bound <= phi);
             verify(&a);
         }
+    }
+
+    #[test]
+    fn ingest_into_a_metadata_free_index_invents_no_envelope() {
+        // Built without metadata and without a synopsis seed: no envelope
+        // covers the 1 500 rows, and one ingested value of 1 must not become
+        // one, or MAX over the whole domain would read [1, 1].
+        let (file, spec) = dataset(1_500, 3);
+        let init = InitConfig {
+            grid: GridSpec::Fixed { nx: 4, ny: 4 },
+            domain: Some(spec.domain),
+            metadata: MetadataPolicy::None,
+        };
+        let (mut idx, _) = build(&file, &init).unwrap();
+        let (x, y) = (spec.domain.x_min, spec.domain.y_min);
+        idx.ingest_rows(&[vec![x, y, 1.0, 1.0]], &[RowLocator::new(1 << 40)])
+            .unwrap();
+        assert_eq!(idx.global_bounds(2), None);
+        let res = estimate_readonly(&idx, &spec.domain, &[AggregateFunction::Max(2)]).unwrap();
+        assert!(res.error_bound.is_infinite(), "{res:?}");
+        assert_eq!(res.cis[0], None);
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! [`QueryState`] holds both; each processing step moves one candidate into
 //! the exact part, monotonically tightening every confidence interval.
 
-use pai_common::{AttrId, Interval, Result, RunningStats};
+use pai_common::{AttrId, Result, RunningStats};
 use pai_index::{AttrMeta, Classification, TileId, ValinorIndex};
+
+use crate::ci::Contribution;
 
 /// What kind of work "processing" this candidate means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,31 +42,15 @@ pub struct Candidate {
 }
 
 impl Candidate {
-    /// Bounds on a single value of query-attribute `i` in this tile.
-    pub fn value_bounds(&self, i: usize) -> Option<Interval> {
-        self.meta[i].as_ref().and_then(|m| m.value_bounds())
-    }
-
-    /// Bounds on the sum of query-attribute `i` over the selected objects.
-    pub fn sum_bounds(&self, i: usize) -> Option<Interval> {
-        self.meta[i]
-            .as_ref()
-            .and_then(|m| m.sum_bounds(self.selected))
-    }
-
-    /// Whether attribute `i` certainly has a non-NULL value in every object
-    /// (what lets a tile certify a MIN/MAX bound and count toward MEAN).
-    pub fn certainly_non_null(&self, i: usize) -> bool {
-        self.meta[i]
-            .as_ref()
-            .is_some_and(|m| m.certainly_non_null())
-    }
-
-    /// True when any requested attribute has no bounds at all.
-    pub fn is_unbounded(&self) -> bool {
-        self.meta
-            .iter()
-            .any(|m| m.as_ref().and_then(|meta| meta.value_bounds()).is_none())
+    /// The tile's contribution to query-attribute `i`: its selected count
+    /// and its metadata's envelope; `None` when it has no bounds at all.
+    #[inline]
+    pub fn contribution(&self, i: usize) -> Option<Contribution> {
+        self.meta[i].as_ref().map(|m| Contribution {
+            count: (self.selected, self.selected),
+            values: m.value_bounds(),
+            non_null: m.certainly_non_null(),
+        })
     }
 }
 
@@ -228,6 +214,7 @@ impl QueryState {
 mod tests {
     use super::*;
     use pai_common::geometry::Rect;
+    use pai_common::Interval;
     use pai_index::{build_test_index, TestIndexSpec};
 
     /// A window's classification and the query state built from it.
@@ -274,13 +261,13 @@ mod tests {
         let c = &state.candidates[0];
         assert_eq!(c.kind, CandidateKind::Partial);
         assert_eq!(c.selected, 2);
-        assert_eq!(c.value_bounds(0), Some(Interval::new(20.0, 30.0)));
+        let part = c.contribution(0).expect("exact metadata bounds the tile");
+        assert_eq!(part.values, Some(Interval::new(20.0, 30.0)));
         assert_eq!(
-            c.sum_bounds(0),
-            Some(Interval::new(40.0, 60.0)),
+            part.sum_bounds(),
+            Interval::new(40.0, 60.0),
             "2 selected x [20,30]"
         );
-        assert!(!c.is_unbounded());
         assert_eq!(state.selected_total, 3);
     }
 
@@ -290,7 +277,8 @@ mod tests {
         // build_test_index folds global bounds even without tile metadata.
         assert!(index.global_bounds(2).is_some());
         let c = &state.candidates[0];
-        assert_eq!(c.value_bounds(0), Some(Interval::new(10.0, 40.0)));
+        let values = c.contribution(0).and_then(|part| part.values);
+        assert_eq!(values, Some(Interval::new(10.0, 40.0)));
     }
 
     #[test]
@@ -366,7 +354,10 @@ mod tests {
     #[test]
     fn candidate_sum_width_metric() {
         let (_, state) = test_state(true);
-        let width = |c: &Candidate| c.sum_bounds(0).map_or(f64::INFINITY, |iv| iv.width());
+        let width = |c: &Candidate| {
+            c.contribution(0)
+                .map_or(f64::INFINITY, |part| part.sum_bounds().width())
+        };
         let w = width(&state.candidates[0]);
         assert!((w - 20.0).abs() < 1e-12, "2 x (30-20)");
         let unbounded = Candidate {
@@ -376,7 +367,7 @@ mod tests {
             meta: vec![None],
         };
         assert!(width(&unbounded).is_infinite());
-        assert!(unbounded.is_unbounded());
+        assert_eq!(unbounded.contribution(0), None);
     }
 
     #[test]

@@ -4,39 +4,41 @@
 //! [`RawFile::block_synopses`] (count/sum/sum-of-squares moments plus an
 //! equi-width histogram per column) can *answer*. When the tile index's own
 //! metadata answer misses the query's `φ` on the first round, and before any
-//! fetch is planned, the engine composes
+//! fetch is planned, the engine feeds the blocks to the same rules
+//! [`crate::ci`] applies to tiles:
 //!
 //! * **fully-covered** blocks (envelope provably inside the half-open query
-//!   window on both axes, no NULL axis values) — their moments fold in
-//!   *exactly*, like a fully-contained tile with exact metadata;
-//! * **partially-covered** blocks — the histogram mass of the window's axis
-//!   ranges bounds the selected count to an interval, which multiplies the
-//!   column's value envelope into a sign-aware sum-contribution interval,
+//!   window on both axes, no NULL axis values) fold their moments into the
+//!   exact part, like a fully-contained tile with exact metadata;
+//! * **partially-covered** blocks are contributions: the histogram mass of
+//!   the window's axis ranges brackets the selected count, and the column's
+//!   envelope bounds the values.
 //!
-//! into one [`AggregateEstimate`] per aggregate, mirroring the paper's
-//! confidence-interval formulas in [`crate::ci`] block-wise instead of
-//! tile-wise. Blocks whose axis envelope provably misses the window are
-//! skipped before any histogram is read. The exact selected count
-//! (`count(t∩Q)` from indexed axis values) tightens every partial block's
-//! count interval globally: the intervals must sum to the count the index
-//! already knows.
+//! Blocks whose axis envelope provably misses the window are skipped before
+//! any histogram is read. The exact selected count (`count(t∩Q)` from
+//! indexed axis values) tightens every partial block's count bracket
+//! globally: the brackets must sum to the count the index already knows,
+//! and the exact remaining count is what a MEAN divides by. A block record
+//! no block could hold (file bytes: see [`BlockSynopsis::stats`]) refuses
+//! the answer.
 //!
-//! The pass stops at the first aggregate whose bound exceeds `φ`. When every
-//! one meets it, the answer returns with **zero data I/O** — no fetch
-//! planned, no GET issued, `fetch_wall_us == 0` — and the `synopsis_hits`/
-//! `synopsis_blocks`/`synopsis_bytes` meters tick; a miss ticks none.
-//! Otherwise evaluation falls through to the normal plan → fetch → apply
-//! adaptation path unchanged. Independently of any attempt, the synopses
-//! seed global attribute bounds for `MetadataPolicy::None` cold starts (see
-//! [`seed_missing_global_bounds`]) before the first round classifies.
+//! The pass stops at the first aggregate whose bound exceeds `φ` or is
+//! unbounded. When every one meets it, the answer returns with **zero data
+//! I/O** — no fetch planned, no GET issued, `fetch_wall_us == 0` — and the
+//! `synopsis_hits`/`synopsis_blocks`/`synopsis_bytes` meters tick; a miss
+//! ticks none. Otherwise evaluation falls through to the normal plan →
+//! fetch → apply adaptation path unchanged. Independently of any attempt,
+//! the synopses seed global attribute bounds for `MetadataPolicy::None`
+//! cold starts (see [`seed_missing_global_bounds`]) before the first round
+//! classifies.
 
 use pai_common::geometry::Rect;
-use pai_common::{AggregateFunction, AggregateValue, AttrId, Interval, Result};
+use pai_common::{AggregateFunction, AttrId, Interval, Result, RunningStats};
 use pai_index::eval::query_attrs;
 use pai_index::{ReadPolicy, ValinorIndex};
-use pai_storage::raw::{BlockSynopsis, ColumnSynopsis, RawFile};
+use pai_storage::raw::{BlockSynopsis, RawFile};
 
-use crate::ci::AggregateEstimate;
+use crate::ci::{self, AggregateEstimate, Contribution};
 use crate::config::EngineConfig;
 use crate::engine::bound_of;
 use crate::state::CandidateKind;
@@ -57,11 +59,11 @@ pub(crate) struct SynopsisAnswer {
 
 /// Attempts to answer the query purely from block synopses within the
 /// constraint `phi`. Returns `None` when the synopses cannot produce a
-/// bounded estimate for some aggregate (corrupt envelope, no certain
-/// extremum contribution, or counts inconsistent with the index's exact
-/// selected total) or when some aggregate's bound exceeds `phi` — the caller
-/// then falls through to the normal adaptation path. The pass stops at the
-/// first such aggregate; `phi = f64::INFINITY` composes every one.
+/// bounded estimate for some aggregate (a record no block could hold, no
+/// certain extremum contribution, or counts inconsistent with the index's
+/// exact selected total) or when some aggregate's bound exceeds `phi` — the
+/// caller then falls through to the normal adaptation path. The pass stops
+/// at the first such aggregate; `phi = f64::INFINITY` composes every one.
 pub(crate) fn try_answer(
     blocks: &[BlockSynopsis],
     x_axis: AttrId,
@@ -75,9 +77,9 @@ pub(crate) fn try_answer(
     let mut estimates = Vec::with_capacity(aggs.len());
     let mut bound = 0.0f64;
     for agg in aggs {
-        let e = estimate_one(agg, blocks, &covered, &partial, selected_total)?;
+        let e = block_estimate(agg, blocks, &covered, &partial, selected_total)?;
         let b = bound_of(&e);
-        if b > phi {
+        if e.unbounded || b > phi {
             return None;
         }
         bound = bound.max(b);
@@ -94,6 +96,48 @@ pub(crate) fn try_answer(
         bound,
         blocks: (covered.len() + partial.len()) as u64,
         bytes,
+    })
+}
+
+/// One aggregate's estimate by [`ci`]'s rules: the covered blocks' moments
+/// are the exact part, the partial blocks the contributions, and the exact
+/// remaining count is what they select. `None` when a record is unusable.
+fn block_estimate(
+    agg: &AggregateFunction,
+    blocks: &[BlockSynopsis],
+    covered: &[usize],
+    partial: &[(usize, u64, u64)],
+    selected_total: u64,
+) -> Option<AggregateEstimate> {
+    let Some(a) = agg.attribute() else {
+        return Some(AggregateEstimate::count(selected_total));
+    };
+    let (mut exact, mut covered_rows) = (RunningStats::new(), 0);
+    for &i in covered {
+        exact.merge(&blocks[i].stats(a)?);
+        covered_rows += blocks[i].rows();
+    }
+    let contributions = partial
+        .iter()
+        .map(|&(i, lo, hi)| contribution(&blocks[i], a, (lo, hi)));
+    let pending = Some(selected_total - covered_rows);
+    Some(ci::estimate(
+        agg,
+        selected_total,
+        &exact,
+        pending,
+        contributions,
+    ))
+}
+
+/// A partial block's contribution to column `a`: its selected-count
+/// bracket and the column's envelope; `None` when the record is unusable.
+fn contribution(b: &BlockSynopsis, a: AttrId, count: (u64, u64)) -> Option<Contribution> {
+    let s = b.stats(a)?;
+    Some(Contribution {
+        count,
+        values: s.range(),
+        non_null: s.count() == b.rows(),
     })
 }
 
@@ -150,297 +194,12 @@ fn classify_blocks(
     Some((covered, partial))
 }
 
-/// One aggregate's synopsis estimate, mirroring [`crate::ci`]'s formulas
-/// block-wise. `None` means this aggregate cannot be bounded from the
-/// synopses (the whole attempt is then abandoned).
-fn estimate_one(
-    agg: &AggregateFunction,
-    blocks: &[BlockSynopsis],
-    covered: &[usize],
-    partial: &[(usize, u64, u64)],
-    n: u64,
-) -> Option<AggregateEstimate> {
-    if let AggregateFunction::Count = agg {
-        return Some(AggregateEstimate {
-            value: AggregateValue::Count(n),
-            ci: Some(Interval::point(n as f64)),
-            unbounded: false,
-        });
-    }
-    if n == 0 {
-        // Mirror `estimate_aggregate` on an empty selection: sums are
-        // exactly zero, everything else is Empty.
-        return Some(match agg {
-            AggregateFunction::Sum(_) => AggregateEstimate {
-                value: AggregateValue::Float(0.0),
-                ci: Some(Interval::point(0.0)),
-                unbounded: false,
-            },
-            _ => AggregateEstimate {
-                value: AggregateValue::Empty,
-                ci: None,
-                unbounded: false,
-            },
-        });
-    }
-    match *agg {
-        AggregateFunction::Count => unreachable!("handled above"),
-        AggregateFunction::Sum(a) => sum_estimate(a, blocks, covered, partial).map(|s| s.0),
-        AggregateFunction::Mean(a) => {
-            // As `ci`'s MEAN: with no NULL in any contributing block the sum
-            // adds up exactly `n` values; otherwise the value hull, once
-            // some selected value certainly exists.
-            let (sum, non_null) = sum_estimate(a, blocks, covered, partial)?;
-            if non_null {
-                let ci = sum.ci?.div_scalar(n as f64);
-                let v = match sum.value {
-                    AggregateValue::Float(v) => ci.clamp(v / n as f64),
-                    _ => ci.midpoint(),
-                };
-                Some(AggregateEstimate {
-                    value: AggregateValue::Float(v),
-                    ci: Some(ci),
-                    unbounded: false,
-                })
-            } else {
-                let some_value = covered.iter().any(|&i| blocks[i].cols[a].count > 0)
-                    || partial
-                        .iter()
-                        .any(|&(i, c_lo, _)| c_lo >= 1 && null_free(&blocks[i], a));
-                if !some_value {
-                    return None;
-                }
-                let h = value_hull(a, blocks, covered, partial)?;
-                Some(AggregateEstimate {
-                    value: AggregateValue::Float(h.midpoint()),
-                    ci: Some(h),
-                    unbounded: false,
-                })
-            }
-        }
-        AggregateFunction::Min(a) => extremum_estimate(a, blocks, covered, partial, true),
-        AggregateFunction::Max(a) => extremum_estimate(a, blocks, covered, partial, false),
-        AggregateFunction::Variance(a) => variance_estimate(a, blocks, covered, partial, false),
-        AggregateFunction::StdDev(a) => variance_estimate(a, blocks, covered, partial, true),
-    }
-}
-
-/// Column envelope of a block, `None` when the column holds no (non-NULL)
-/// values there. A corrupt (inverted/NaN) envelope maps to `None` too — the
-/// caller treats the attempt as unanswerable where that matters.
-fn envelope(col: &ColumnSynopsis) -> Option<Interval> {
-    (col.count > 0 && col.min <= col.max).then(|| Interval::new(col.min, col.max))
-}
-
-/// True when column `a` holds a value in every row of the block: the
-/// synopsis counts its non-NULL values.
-fn null_free(b: &BlockSynopsis, a: AttrId) -> bool {
-    b.cols[a].count == b.rows()
-}
-
-/// Sum: exact moments over covered blocks plus sign-aware
-/// `count-interval × value-envelope` contributions over partial blocks.
-/// Also returns whether every contributing block is NULL-free.
-fn sum_estimate(
-    a: AttrId,
-    blocks: &[BlockSynopsis],
-    covered: &[usize],
-    partial: &[(usize, u64, u64)],
-) -> Option<(AggregateEstimate, bool)> {
-    let mut exact = 0.0;
-    let mut non_null = true;
-    for &i in covered {
-        exact += blocks[i].cols[a].sum;
-        non_null &= null_free(&blocks[i], a);
-    }
-    let mut ci = Interval::point(exact);
-    let mut estimate = exact;
-    for &(i, c_lo, c_hi) in partial {
-        let iv = partial_sum_bounds(&blocks[i], a, c_lo, c_hi)?;
-        estimate += iv.midpoint();
-        ci = ci.add(&iv);
-        non_null &= null_free(&blocks[i], a);
-    }
-    let estimate = AggregateEstimate {
-        value: AggregateValue::Float(ci.clamp(estimate)),
-        ci: Some(ci),
-        unbounded: false,
-    };
-    Some((estimate, non_null))
-}
-
-/// Bounds on the sum contributed by a partial block whose selected count
-/// lies in `[c_lo, c_hi]`. Each selected row contributes a value inside the
-/// column envelope — or nothing at all when the column has NULLs there, so
-/// the per-value range widens to include 0.
-fn partial_sum_bounds(b: &BlockSynopsis, a: AttrId, c_lo: u64, c_hi: u64) -> Option<Interval> {
-    let col = &b.cols[a];
-    if col.count == 0 {
-        // Every value in the block is NULL: selected rows contribute 0.
-        return Some(Interval::point(0.0));
-    }
-    let mut iv = envelope(col)?;
-    if !null_free(b, a) {
-        iv = iv.hull(&Interval::point(0.0));
-    }
-    let (vl, vh) = (iv.lo(), iv.hi());
-    let lo = if vl >= 0.0 {
-        c_lo as f64 * vl
-    } else {
-        c_hi as f64 * vl
-    };
-    let hi = if vh >= 0.0 {
-        c_hi as f64 * vh
-    } else {
-        c_lo as f64 * vh
-    };
-    Some(Interval::new(lo, hi))
-}
-
-/// Hull of every contributing block's value envelope (conservative mean,
-/// variance). `None` when no block holds a value — or some envelope is
-/// corrupt.
-fn value_hull(
-    a: AttrId,
-    blocks: &[BlockSynopsis],
-    covered: &[usize],
-    partial: &[(usize, u64, u64)],
-) -> Option<Interval> {
-    let mut hull: Option<Interval> = None;
-    for i in covered.iter().copied().chain(partial.iter().map(|p| p.0)) {
-        let col = &blocks[i].cols[a];
-        if col.count == 0 {
-            continue;
-        }
-        let iv = envelope(col)?;
-        hull = Some(hull.map_or(iv, |h| h.hull(&iv)));
-    }
-    hull
-}
-
-/// Min/Max, mirroring `ci::extremum_estimate`: covered blocks contribute
-/// achieved extrema (certain on both sides); partial blocks contribute
-/// their envelope's outer endpoint always and the opposite endpoint only
-/// when the block certainly contributes a selected non-NULL value.
-fn extremum_estimate(
-    a: AttrId,
-    blocks: &[BlockSynopsis],
-    covered: &[usize],
-    partial: &[(usize, u64, u64)],
-    is_min: bool,
-) -> Option<AggregateEstimate> {
-    let mut outer: Option<f64> = None;
-    let mut certain: Option<f64> = None;
-    let mut estv: Option<f64> = None;
-    let fold = |acc: &mut Option<f64>, v: f64| {
-        *acc = Some(match *acc {
-            Some(cur) => {
-                if is_min {
-                    cur.min(v)
-                } else {
-                    cur.max(v)
-                }
-            }
-            None => v,
-        });
-    };
-    for &i in covered {
-        let col = &blocks[i].cols[a];
-        if col.count == 0 {
-            continue;
-        }
-        let iv = envelope(col)?;
-        // All of a covered block's rows are selected, so its extremum is
-        // achieved by some selected row.
-        let v = if is_min { iv.lo() } else { iv.hi() };
-        fold(&mut outer, v);
-        fold(&mut certain, v);
-        fold(&mut estv, v);
-    }
-    for &(i, c_lo, _) in partial {
-        let col = &blocks[i].cols[a];
-        if col.count == 0 {
-            continue;
-        }
-        let iv = envelope(col)?;
-        fold(&mut outer, if is_min { iv.lo() } else { iv.hi() });
-        // At least one selected row with a real value: certain worst case
-        // is the envelope's opposite endpoint.
-        if c_lo >= 1 && null_free(&blocks[i], a) {
-            fold(&mut certain, if is_min { iv.hi() } else { iv.lo() });
-        }
-        fold(&mut estv, iv.midpoint());
-    }
-    match (outer, certain) {
-        (Some(o), Some(c)) => {
-            let ci = Interval::from_unordered(o, c);
-            Some(AggregateEstimate {
-                value: AggregateValue::Float(ci.clamp(estv.unwrap_or(o))),
-                ci: Some(ci),
-                unbounded: false,
-            })
-        }
-        // No certain contribution — the extremum cannot be bounded from
-        // synopses alone.
-        _ => None,
-    }
-}
-
-/// Variance / stddev: exact population moments when every block is fully
-/// covered, else the Popoviciu bound over the value hull (as `ci.rs`).
-fn variance_estimate(
-    a: AttrId,
-    blocks: &[BlockSynopsis],
-    covered: &[usize],
-    partial: &[(usize, u64, u64)],
-    sqrt: bool,
-) -> Option<AggregateEstimate> {
-    if partial.is_empty() {
-        let (mut cnt, mut sum, mut sum_sq) = (0u64, 0.0f64, 0.0f64);
-        for &i in covered {
-            let col = &blocks[i].cols[a];
-            cnt += col.count;
-            sum += col.sum;
-            sum_sq += col.sum_sq;
-        }
-        if cnt == 0 {
-            return Some(AggregateEstimate {
-                value: AggregateValue::Empty,
-                ci: None,
-                unbounded: false,
-            });
-        }
-        let m = sum / cnt as f64;
-        let mut v = (sum_sq / cnt as f64 - m * m).max(0.0);
-        if sqrt {
-            v = v.sqrt();
-        }
-        return Some(AggregateEstimate {
-            value: AggregateValue::Float(v),
-            ci: Some(Interval::point(v)),
-            unbounded: false,
-        });
-    }
-    let h = value_hull(a, blocks, covered, partial)?;
-    let hi_var = (h.width() / 2.0).powi(2);
-    let ci = if sqrt {
-        Interval::new(0.0, hi_var.sqrt())
-    } else {
-        Interval::new(0.0, hi_var)
-    };
-    Some(AggregateEstimate {
-        value: AggregateValue::Float(ci.midpoint()),
-        ci: Some(ci),
-        unbounded: false,
-    })
-}
-
 /// Seeds global value envelopes for every queried attribute that has none,
 /// hulled from the synopses' per-block column envelopes — the
 /// `MetadataPolicy::None` cold-start fix — and NULL-free when every block
 /// counts a value in each of its rows. Existing envelopes are never
-/// touched (see [`ValinorIndex::seed_global_bounds`]). Returns how many
-/// attributes were seeded.
+/// touched (see [`ValinorIndex::seed_global_bounds`]), and a record no
+/// block could hold seeds nothing. Returns how many attributes were seeded.
 pub fn seed_missing_global_bounds(
     index: &mut ValinorIndex,
     blocks: &[BlockSynopsis],
@@ -451,8 +210,7 @@ pub fn seed_missing_global_bounds(
         if index.global_bounds(a).is_some() {
             continue;
         }
-        if let Some(h) = column_hull(blocks, a) {
-            let non_null = blocks.iter().all(|b| null_free(b, a));
+        if let Some((h, non_null)) = column_hull(blocks, a) {
             if index.seed_global_bounds(a, h, non_null) {
                 seeded += 1;
             }
@@ -461,19 +219,18 @@ pub fn seed_missing_global_bounds(
     seeded
 }
 
-/// Hull of one column's envelope over every block; `None` when the column
-/// is absent, empty everywhere, or any block's envelope is corrupt.
-fn column_hull(blocks: &[BlockSynopsis], a: AttrId) -> Option<Interval> {
-    let mut hull: Option<Interval> = None;
+/// Hull of one column's envelope over every block, and whether every block
+/// counts a value in each of its rows; `None` when no block holds a value
+/// or some block's record is unusable.
+fn column_hull(blocks: &[BlockSynopsis], a: AttrId) -> Option<(Interval, bool)> {
+    let mut column = RunningStats::new();
+    let mut non_null = true;
     for b in blocks {
-        let col = b.cols.get(a)?;
-        if col.count == 0 {
-            continue;
-        }
-        let iv = envelope(col)?;
-        hull = Some(hull.map_or(iv, |h| h.hull(&iv)));
+        let s = b.stats(a)?;
+        column.merge(&s);
+        non_null &= s.count() == b.rows();
     }
-    hull
+    Some((column.range()?, non_null))
 }
 
 /// Predicted I/O of driving one query **exact** (`φ = 0`) against the
@@ -537,7 +294,8 @@ pub fn predict_query_io(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pai_storage::raw::build_block_synopses;
+    use pai_common::AggregateValue;
+    use pai_storage::raw::{build_block_synopses, ColumnSynopsis};
     use pai_storage::SynopsisSpec;
 
     /// Three 4-row blocks: x striped 0..12, y constant 1, value = 10x.
@@ -655,9 +413,64 @@ mod tests {
         let v = vec![-2.0, -10.0, -4.0, -6.0];
         let blocks = build_block_synopses(&[x, y, v], 4, &SynopsisSpec::default());
         let b = &blocks[0];
-        let iv = partial_sum_bounds(b, 2, 2, 4).unwrap();
+        let iv = contribution(b, 2, (2, 4)).unwrap().sum_bounds();
         // lo = 4 * (-10) = -40, hi = 2 * (-2) = -4.
         assert_eq!(iv, Interval::new(-40.0, -4.0));
+    }
+
+    #[test]
+    fn mean_divides_by_the_covered_values_and_the_exact_remaining_count() {
+        // Value 10x, NULL at row 5: block 1 (rows 4..8) is covered and
+        // holds three values; x in [2, 10) cuts blocks 0 and 2, whose
+        // values are all there.
+        let x: Vec<f64> = (0..12).map(|i| i as f64).collect();
+        let mut v: Vec<f64> = (0..12).map(|i| i as f64 * 10.0).collect();
+        v[5] = f64::NAN;
+        let blocks = build_block_synopses(&[x, vec![1.0; 12], v], 4, &SynopsisSpec::default());
+        let w = Rect::new(2.0, 10.0, 0.0, 2.0);
+        let aggs = [AggregateFunction::Sum(2), AggregateFunction::Mean(2)];
+        let ans = try_answer(&blocks, 0, 1, &w, 8, &aggs, f64::INFINITY).unwrap();
+        let (sum, mean) = (ans.estimates[0].ci.unwrap(), ans.estimates[1].ci.unwrap());
+        // 3 covered values + the 4 selected rows of the cut blocks.
+        assert_eq!(mean, sum.div_scalar(7.0));
+        assert!(mean.contains(390.0 / 7.0), "{mean}");
+    }
+
+    #[test]
+    fn a_record_no_block_could_hold_yields_no_answer() {
+        let sum = [AggregateFunction::Sum(2)];
+        let count = [AggregateFunction::Count];
+        // Covered (block 0 for x < 4) and cut (x in [2, 6)) windows.
+        for w in [Rect::new(0.0, 4.0, 0.0, 2.0), Rect::new(2.0, 6.0, 0.0, 2.0)] {
+            let total = (w.x_max - w.x_min) as u64;
+            assert!(try_answer(&striped_blocks(), 0, 1, &w, total, &sum, f64::INFINITY).is_some());
+            for corrupt in [
+                |c: &mut ColumnSynopsis| (c.min, c.max) = (c.max, c.min - 1.0),
+                |c: &mut ColumnSynopsis| c.max = f64::NAN,
+                |c: &mut ColumnSynopsis| c.sum = f64::INFINITY,
+                |c: &mut ColumnSynopsis| c.count = 5,
+            ] {
+                let mut blocks = striped_blocks();
+                corrupt(&mut blocks[0].cols[2]);
+                assert!(try_answer(&blocks, 0, 1, &w, total, &sum, f64::INFINITY).is_none());
+                // COUNT reads no value column.
+                assert!(try_answer(&blocks, 0, 1, &w, total, &count, f64::INFINITY).is_some());
+            }
+        }
+    }
+
+    #[test]
+    fn an_unbounded_estimate_is_no_answer_even_at_infinite_phi() {
+        // Every value of the cut block might be NULL, and nothing is
+        // covered: MIN has no certain side.
+        let x: Vec<f64> = (0..4).map(|i| i as f64).collect();
+        let v = vec![1.0, f64::NAN, 3.0, 4.0];
+        let blocks = build_block_synopses(&[x, vec![1.0; 4], v], 4, &SynopsisSpec::default());
+        let w = Rect::new(1.0, 3.0, 0.0, 2.0);
+        let min = [AggregateFunction::Min(2)];
+        assert!(try_answer(&blocks, 0, 1, &w, 2, &min, f64::INFINITY).is_none());
+        let sum = [AggregateFunction::Sum(2)];
+        assert!(try_answer(&blocks, 0, 1, &w, 2, &sum, f64::INFINITY).is_some());
     }
 
     #[test]
@@ -731,8 +544,11 @@ mod tests {
         let (covered, partial) = classify_all(blocks, window, selected_total)?;
         let estimates = aggs
             .iter()
-            .map(|agg| estimate_one(agg, blocks, &covered, &partial, selected_total))
+            .map(|agg| block_estimate(agg, blocks, &covered, &partial, selected_total))
             .collect::<Option<Vec<_>>>()?;
+        if estimates.iter().any(|e| e.unbounded) {
+            return None;
+        }
         let bound = estimates.iter().map(bound_of).fold(0.0f64, f64::max);
         let bytes = covered
             .iter()
@@ -811,7 +627,7 @@ mod tests {
                 .zip(&y)
                 .filter(|&(&xi, &yi)| xi >= window.x_min && xi < window.x_max && yi >= window.y_min && yi < window.y_max)
                 .count() as u64;
-            let spec = SynopsisSpec { buckets: 4, ..SynopsisSpec::default() };
+            let spec = SynopsisSpec { buckets: 4 };
             let mut blocks = build_block_synopses(&[x, y, v], block_rows, &spec);
             // Another block's envelope on one axis is NaN, half NaN or
             // inverted.
@@ -855,5 +671,95 @@ mod tests {
             prop_assert_eq!(got.estimates[0].ci, Some(Interval::point(0.0)));
             prop_assert_eq!((got.blocks, got.bytes), (0, 0));
         }
+    }
+
+    /// FNV-1a over the bits of every answer over seeded NULL-free block
+    /// sets × windows × each of the seven aggregates alone and all seven
+    /// together, at two `phi`: values, CIs, unbounded flags, bounds and block
+    /// counts (not the bytes meter), pinned where the tier still composed
+    /// its own copy of the aggregate formulas.
+    #[test]
+    fn null_free_answers_did_not_move() {
+        use pai_common::geometry::Point2;
+        use AggregateFunction::*;
+        const AGGS: [AggregateFunction; 7] = [
+            Count,
+            Sum(2),
+            Mean(2),
+            Min(2),
+            Max(2),
+            Variance(2),
+            StdDev(2),
+        ];
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |v: u64| {
+            for b in v.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for set in 0..12usize {
+            let n = 40 + 37 * set;
+            // Even sets stripe x with the row, so whole blocks fall inside
+            // a window; odd sets scatter it.
+            let x: Vec<f64> = (0..n)
+                .map(|i| match set % 2 {
+                    0 => (i as f64 + next()) / n as f64,
+                    _ => next(),
+                })
+                .collect();
+            let y: Vec<f64> = (0..n).map(|_| next()).collect();
+            let v: Vec<f64> = (0..n).map(|_| (next() - 0.3) * 200.0).collect();
+            let spec = SynopsisSpec {
+                buckets: [4, 8, 16][set % 3],
+            };
+            let block_rows = [5, 8, 16, 33][set % 4];
+            let blocks = build_block_synopses(&[x.clone(), y.clone(), v], block_rows, &spec);
+            for w in 0..10 {
+                let window = match w {
+                    0 => Rect::new(0.0, 1.0, 0.0, 1.0),
+                    1 => Rect::new(2.0, 3.0, 2.0, 3.0),
+                    _ => {
+                        let (x0, y0) = (next() * 0.8 - 0.1, next() * 0.6 - 0.1);
+                        Rect::new(x0, x0 + 0.05 + next() * 0.6, y0, y0 + 0.3 + next() * 0.8)
+                    }
+                };
+                let total = x
+                    .iter()
+                    .zip(&y)
+                    .filter(|&(&xi, &yi)| window.contains_point(Point2::new(xi, yi)))
+                    .count() as u64;
+                for phi in [f64::INFINITY, 0.05] {
+                    for aggs in AGGS.chunks(1).chain([&AGGS[..]]) {
+                        let Some(a) = try_answer(&blocks, 0, 1, &window, total, aggs, phi) else {
+                            eat(0);
+                            continue;
+                        };
+                        eat(1);
+                        eat(a.bound.to_bits());
+                        eat(a.blocks);
+                        for e in &a.estimates {
+                            match e.value {
+                                AggregateValue::Count(c) => (eat(1), eat(c)),
+                                AggregateValue::Float(f) => (eat(2), eat(f.to_bits())),
+                                AggregateValue::Empty => (eat(3), ()),
+                            };
+                            match e.ci {
+                                Some(c) => (eat(c.lo().to_bits()), eat(c.hi().to_bits())),
+                                None => (eat(4), ()),
+                            };
+                            eat(e.unbounded as u64);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(h, 0x94f8_8d9a_06d5_571c);
     }
 }

@@ -56,6 +56,13 @@ pub struct ValinorIndex {
     /// a seeding source, or ingested). Only a column without one hands out
     /// a NULL-free fallback envelope.
     global_nulls: Vec<bool>,
+    /// Per column: how many rows the envelope (and the NULL record) has
+    /// seen. While that is every row the index holds — after a full
+    /// metadata build, after a synopsis seed, or while the index holds no
+    /// rows — ingest keeps the envelope covering them; an envelope that
+    /// missed some row is never created by ingest, since it would bound
+    /// rows it never saw.
+    global_rows: Vec<u64>,
     total_objects: u64,
     /// Cumulative number of leaf splits performed (adaptation effort).
     splits_performed: u64,
@@ -93,6 +100,7 @@ impl ValinorIndex {
             root,
             global_bounds: vec![None; n_cols],
             global_nulls: vec![false; n_cols],
+            global_rows: vec![0; n_cols],
             total_objects: 0,
             splits_performed: 0,
             version: 0,
@@ -180,6 +188,7 @@ impl ValinorIndex {
             Some(slot @ None) => {
                 *slot = Some(bounds);
                 self.global_nulls[attr] |= !non_null;
+                self.global_rows[attr] = self.total_objects;
                 self.version = self.version.wrapping_add(1);
                 true
             }
@@ -187,18 +196,21 @@ impl ValinorIndex {
         }
     }
 
-    /// Folds one observed value into the global envelope of `attr`; a NaN
-    /// records a NULL instead.
+    /// Folds one observed row's value into the global envelope of `attr`;
+    /// a NaN records a NULL instead.
     pub(crate) fn fold_global_bound(&mut self, attr: AttrId, value: f64) {
-        if value.is_nan() {
-            self.global_nulls[attr] = true;
-            return;
+        self.fold_global_stats(attr, &RunningStats::of(value), value.is_nan() as u64);
+    }
+
+    /// Folds the values of `stats.count() + nulls` observed rows into the
+    /// global envelope of `attr`: their range, and their NULLs.
+    pub(crate) fn fold_global_stats(&mut self, attr: AttrId, stats: &RunningStats, nulls: u64) {
+        self.global_rows[attr] += stats.count() + nulls;
+        self.global_nulls[attr] |= nulls > 0;
+        if let Some(range) = stats.range() {
+            let slot = &mut self.global_bounds[attr];
+            *slot = Some(slot.map_or(range, |iv| iv.hull(&range)));
         }
-        let slot = &mut self.global_bounds[attr];
-        *slot = Some(match slot {
-            Some(iv) => Interval::new(iv.lo().min(value), iv.hi().max(value)),
-            None => Interval::point(value),
-        });
     }
 
     /// Fallback value envelope for an attribute in a tile: the tile's own
@@ -253,8 +265,10 @@ impl ValinorIndex {
     ///   stay exact, bounded envelopes widen to cover the new value (see
     ///   [`AttrMeta::fold_value`](crate::metadata::AttrMeta)) — and each
     ///   passed tile's subtree count grows by one;
-    /// * global column bounds fold the values in, so the `Bounded`
-    ///   fallback envelope stays sound for every row ever seen.
+    /// * global column bounds fold the values in while they cover every
+    ///   row the index holds, so the `Bounded` fallback envelope stays
+    ///   sound for every row ever seen; a column whose rows no envelope
+    ///   covered gets none from ingested rows alone.
     ///
     /// `row` is the full schema-width value row the entry's locator
     /// resolves to (NaN = NULL). Errors if the point lies outside the
@@ -341,7 +355,9 @@ impl ValinorIndex {
                 ))
             })?;
         for &a in attrs {
-            self.fold_global_bound(a, row[a]);
+            if self.global_rows[a] >= self.total_objects {
+                self.fold_global_bound(a, row[a]);
+            }
         }
         path.push(leaf);
         for &id in path.iter() {
@@ -914,7 +930,9 @@ mod tests {
         let m = idx.tile(t).meta.get(2).unwrap();
         assert_eq!(m.exact_sum(), Some(42.0), "exact stats absorbed the row");
         assert_eq!(m.exact_stats().unwrap().count(), 2);
-        assert_eq!(idx.global_bounds(2), Some(Interval::new(32.0, 32.0)));
+        // No envelope saw the five rows `small_index` holds, so the row does
+        // not make one: [32, 32] would bound rows it never saw.
+        assert_eq!(idx.global_bounds(2), None);
 
         // After a split, ingest descends into the owning child leaf.
         let rect = idx.tile(t).rect;
@@ -971,8 +989,33 @@ mod tests {
         assert_eq!(idx.version(), v0 + 1, "one bump a batch");
         let t = idx.leaf_for_point(Point2::new(6.0, 6.0)).unwrap();
         assert_eq!(idx.tile(t).entries().last().unwrap().locator, loc[1]);
-        assert_eq!(idx.global_bounds(2), Some(Interval::point(1.0)));
+        // Nor does a batch make an envelope for rows no envelope saw.
+        assert_eq!(idx.global_bounds(2), None);
         idx.validate_invariants().unwrap();
+    }
+
+    #[test]
+    fn ingest_widens_only_an_envelope_that_covers_every_row() {
+        let row = |v: f64| vec![6.0, 6.0, v];
+        let one = [RowLocator::new(900)];
+        // No rows yet: the empty envelope covers them all, and grows.
+        let mut idx =
+            ValinorIndex::new(Schema::synthetic(3), Rect::new(0.0, 30.0, 0.0, 30.0), 3, 3).unwrap();
+        idx.ingest_rows(&[row(1.0)], &one).unwrap();
+        idx.ingest_rows(&[row(f64::NAN)], &one).unwrap();
+        idx.ingest_rows(&[row(5.0)], &one).unwrap();
+        assert_eq!(idx.global_bounds(2), Some(Interval::new(1.0, 5.0)));
+        assert!(!idx.global_meta(2).unwrap().certainly_non_null());
+
+        // Rows no envelope saw: ingest makes none.
+        let mut idx = small_index();
+        idx.ingest_rows(&[row(1.0)], &one).unwrap();
+        assert_eq!(idx.global_bounds(2), None);
+        // A seed covers every row the index holds; ingest widens it.
+        assert!(idx.seed_global_bounds(2, Interval::new(2.0, 3.0), true));
+        idx.ingest_rows(&[row(9.0)], &one).unwrap();
+        assert_eq!(idx.global_bounds(2), Some(Interval::new(2.0, 9.0)));
+        assert!(idx.global_meta(2).unwrap().certainly_non_null());
     }
 
     /// Splits the cell holding (5,5) into quadrants, then its lower-left

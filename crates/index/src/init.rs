@@ -483,16 +483,10 @@ pub fn build_clipped(
 /// column bounds.
 fn install_cells(index: &mut ValinorIndex, accs: Vec<CellAcc>, attrs: &[usize]) {
     for (cell, acc) in accs.into_iter().enumerate() {
-        // Fold global bounds from the per-cell stats (min/max suffice) and
-        // record the cell's NULLs.
+        // Fold global bounds from the per-cell stats and record the cell's
+        // NULLs.
         for ((&attr, s), &nulls) in attrs.iter().zip(&acc.stats).zip(&acc.nulls) {
-            if let (Some(lo), Some(hi)) = (s.min(), s.max()) {
-                index.fold_global_bound(attr, lo);
-                index.fold_global_bound(attr, hi);
-            }
-            if nulls > 0 {
-                index.fold_global_bound(attr, f64::NAN);
-            }
+            index.fold_global_stats(attr, s, nulls);
         }
         if acc.entries.is_empty() {
             continue;

@@ -13,11 +13,10 @@
 //!
 //! NULLs (NaN values) are counted, never assumed away. Exact metadata
 //! counts them; bounded metadata records whether its source proved the
-//! tile's values NULL-free. Only metadata that is
-//! [certainly NULL-free](AttrMeta::certainly_non_null) lets every selected
-//! object contribute a value: otherwise sum bounds widen to include
-//! 0-contributions and MIN/MAX/MEAN give up the guarantees that need a value
-//! per object.
+//! tile's values NULL-free. A tile's envelope and that record are what it
+//! contributes to a query's confidence intervals (`pai-core`'s `ci` rules):
+//! only metadata that is [certainly NULL-free](AttrMeta::certainly_non_null)
+//! lets every selected object contribute a value.
 
 use pai_common::{AttrId, Interval, RunningStats};
 
@@ -50,6 +49,7 @@ impl AttrMeta {
     /// Outer bounds on a *single* value of this attribute in the tile, if
     /// any value exists. For `Exact` metadata with at least one non-null
     /// value this is `[min, max]`; for `Bounded` it is the envelope.
+    #[inline]
     pub fn value_bounds(&self) -> Option<Interval> {
         match self {
             AttrMeta::Exact { stats, .. } => stats.range(),
@@ -57,28 +57,10 @@ impl AttrMeta {
         }
     }
 
-    /// Sound outer bounds on the **sum** of this attribute over `count`
-    /// selected objects of the tile.
-    ///
-    /// This is the per-tile term of the paper's query confidence interval:
-    /// `[count·min, count·max]`. Unless the tile is
-    /// [certainly NULL-free](Self::certainly_non_null), the interval is
-    /// widened to include 0 per object, since a NULL contributes nothing to
-    /// the true sum.
-    pub fn sum_bounds(&self, count: u64) -> Option<Interval> {
-        let base = self.value_bounds()?.scale(count as f64);
-        if self.certainly_non_null() {
-            Some(base)
-        } else {
-            // Each object contributes either its value or 0, so the sum of
-            // `count` objects lies within the hull of [0,0] and count·[min,max].
-            Some(base.hull(&Interval::point(0.0)))
-        }
-    }
-
     /// True when this metadata certifies that the tile's values contain no
     /// NULLs: exact stats with a zero null count, or an envelope whose
     /// source proved it.
+    #[inline]
     pub fn certainly_non_null(&self) -> bool {
         matches!(
             self,
@@ -244,28 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn sum_bounds_without_nulls() {
-        let m = AttrMeta::exact_from_values(&[2.0, 4.0]);
-        assert_eq!(m.sum_bounds(3), Some(Interval::new(6.0, 12.0)));
-        assert_eq!(m.sum_bounds(0), Some(Interval::point(0.0)));
-        assert!(m.certainly_non_null());
-    }
-
-    #[test]
-    fn sum_bounds_with_nulls_include_zero() {
-        let m = AttrMeta::exact_from_values(&[2.0, f64::NAN]);
-        // min=max=2, but a selected object could be the NULL one.
-        assert_eq!(m.sum_bounds(2), Some(Interval::new(0.0, 4.0)));
-        assert!(!m.certainly_non_null());
-    }
-
-    #[test]
-    fn sum_bounds_negative_values_with_nulls() {
-        let m = AttrMeta::exact_from_values(&[-3.0, f64::NAN]);
-        assert_eq!(m.sum_bounds(2), Some(Interval::new(-6.0, 0.0)));
-    }
-
-    #[test]
     fn bounded_meta_behaviour() {
         let range = Interval::new(2.0, 10.0);
         let proven = AttrMeta::Bounded {
@@ -276,22 +236,18 @@ mod tests {
         assert!(proven.certainly_non_null());
         assert_eq!(proven.exact_sum(), None);
         assert_eq!(proven.value_bounds(), Some(range));
-        // A source that proved the values NULL-free: the bounds scale directly.
-        assert_eq!(proven.sum_bounds(5), Some(Interval::new(10.0, 50.0)));
-        // Otherwise the sum widens to include possible NULL contributions.
         let unproven = AttrMeta::Bounded {
             range,
             non_null: false,
         };
         assert!(!unproven.certainly_non_null());
-        assert_eq!(unproven.sum_bounds(5), Some(Interval::new(0.0, 50.0)));
+        assert_eq!(unproven.value_bounds(), Some(range));
     }
 
     #[test]
     fn empty_exact_meta_has_no_bounds() {
         let m = AttrMeta::exact_from_values(&[]);
         assert_eq!(m.value_bounds(), None);
-        assert_eq!(m.sum_bounds(1), None);
         assert_eq!(m.exact_sum(), Some(0.0), "empty sum is 0");
     }
 

@@ -33,7 +33,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 use pai_common::geometry::Rect;
-use pai_common::{AttrId, IoCounters, PaiError, Result, RowId, RowLocator};
+use pai_common::{AttrId, IoCounters, PaiError, Result, RowId, RowLocator, RunningStats};
 
 use crate::batch::RowBatch;
 use crate::csv::{self, CsvFormat};
@@ -275,22 +275,16 @@ impl BlockStats {
 /// counts are comparable across backends.
 pub const SYNOPSIS_BLOCK_ROWS: u32 = 4096;
 
-/// Build parameters for per-block synopses: histogram resolution and the
-/// per-block row-sample budget.
+/// Build parameters for per-block synopses: the histogram resolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SynopsisSpec {
     /// Equi-width histogram buckets per column (at least 1).
     pub buckets: usize,
-    /// Row samples retained per block (0 disables sampling).
-    pub sample_rows: usize,
 }
 
 impl Default for SynopsisSpec {
     fn default() -> Self {
-        SynopsisSpec {
-            buckets: 8,
-            sample_rows: 4,
-        }
+        SynopsisSpec { buckets: 8 }
     }
 }
 
@@ -434,8 +428,8 @@ impl ColumnSynopsis {
     }
 }
 
-/// Answer-bearing per-block synopsis: one [`ColumnSynopsis`] per column plus
-/// a handful of sampled rows. Where [`BlockStats`] can only *prune* a block,
+/// Answer-bearing per-block synopsis: one [`ColumnSynopsis`] per column.
+/// Where [`BlockStats`] can only *prune* a block,
 /// a `BlockSynopsis` can *answer* from it — fully-covered blocks compose
 /// their moments exactly, partially-covered blocks bound their selected mass
 /// through the histograms.
@@ -447,15 +441,28 @@ pub struct BlockSynopsis {
     pub row_end: RowId,
     /// Per-column synopses, indexed by `AttrId`.
     pub cols: Vec<ColumnSynopsis>,
-    /// Deterministically stride-sampled rows (each `cols.len()` wide; may
-    /// contain NaN fields). Empty when sampling is disabled.
-    pub samples: Vec<Vec<f64>>,
 }
 
 impl BlockSynopsis {
     /// Number of rows the block covers.
     pub fn rows(&self) -> u64 {
         self.row_end - self.row_start
+    }
+
+    /// Column `a`'s moments as exact statistics over the block's non-NULL
+    /// values; `None` when the column is absent or its record cannot
+    /// summarize the block (the record comes from file bytes): more values
+    /// than rows, a non-finite field, an inverted envelope, or an envelope
+    /// past `±f64::MAX / 2^53`, beyond which a count of rows times a value
+    /// could overflow a sum.
+    #[inline]
+    pub fn stats(&self, a: AttrId) -> Option<RunningStats> {
+        const MAX_VALUE: f64 = f64::MAX / 9_007_199_254_740_992.0;
+        let c = self.cols.get(a).filter(|c| c.count <= self.rows())?;
+        let s = RunningStats::from_moments(c.count, c.sum, c.sum_sq, c.min, c.max)?;
+        s.range()
+            .is_none_or(|r| r.lo() >= -MAX_VALUE && r.hi() <= MAX_VALUE)
+            .then_some(s)
     }
 
     /// Whether **every** row of this block provably falls inside `window`:
@@ -487,7 +494,9 @@ impl BlockSynopsis {
         let (xl, xu) = axis(x_axis, window.x_min, window.x_max);
         let (yl, yu) = axis(y_axis, window.y_min, window.y_max);
         let upper = xu.min(yu).min(rows);
-        let lower = (xl + yl).saturating_sub(rows).min(upper);
+        let lower = (xl.min(rows) + yl.min(rows))
+            .saturating_sub(rows)
+            .min(upper);
         (lower, upper)
     }
 
@@ -495,15 +504,14 @@ impl BlockSynopsis {
     /// `synopsis_bytes` meter charges per consultation).
     pub fn approx_bytes(&self) -> u64 {
         let cols: u64 = self.cols.iter().map(|c| 40 + 8 * c.hist.len() as u64).sum();
-        let samples: u64 = self.samples.iter().map(|s| 8 * s.len() as u64).sum();
-        16 + cols + samples
+        16 + cols
     }
 }
 
 /// Builds per-block synopses from fully-buffered columns — the shared engine
 /// behind the PaiZone writer's one-pass build and the CSV backends' lazy
-/// computation. Row samples are taken at a deterministic even stride (no
-/// RNG, so identical inputs always produce identical synopses).
+/// computation. Deterministic: identical inputs always produce identical
+/// synopses.
 pub fn build_block_synopses(
     columns: &[Vec<f64>],
     block_rows: u32,
@@ -516,22 +524,14 @@ pub fn build_block_synopses(
     for b in 0..n_blocks {
         let start = b * block_rows as usize;
         let end = (start + block_rows as usize).min(n_rows);
-        let rows = end - start;
         let cols: Vec<ColumnSynopsis> = columns
             .iter()
             .map(|c| ColumnSynopsis::from_values(&c[start..end], spec.buckets))
             .collect();
-        let n_samples = spec.sample_rows.min(rows);
-        let mut samples = Vec::with_capacity(n_samples);
-        for k in 0..n_samples {
-            let r = start + k * rows / n_samples;
-            samples.push(columns.iter().map(|c| c[r]).collect());
-        }
         out.push(BlockSynopsis {
             row_start: start as RowId,
             row_end: end as RowId,
             cols,
-            samples,
         });
     }
     out
@@ -1077,6 +1077,7 @@ pub(crate) fn part_request(partition: ScanPartition, attrs: &[AttrId]) -> ScanRe
 mod tests {
     use super::*;
     use crate::schema::{Column, Schema};
+    use pai_common::Interval;
 
     fn sample() -> MemFile {
         let schema = Schema::synthetic(3);
@@ -1459,12 +1460,35 @@ mod tests {
         let (lo, hi) = blocks[0].selected_mass(0, 1, &partial);
         assert!(lo <= 2 && 2 <= hi, "({lo}, {hi})");
         assert!(blocks[0].approx_bytes() > 0);
-        // Samples: deterministic, within the block, schema-wide.
-        assert_eq!(blocks[0].samples.len(), 4);
-        for s in &blocks[0].samples {
-            assert_eq!(s.len(), 2);
-            assert!(s[0] >= 0.0 && s[0] < 4.0);
+        // The moments as exact statistics: x = 0..3 in block 0.
+        let x = blocks[0].stats(0).unwrap();
+        assert_eq!(
+            (x.count(), x.sum(), x.range()),
+            (4, 6.0, Some(Interval::new(0.0, 3.0)))
+        );
+        assert_eq!(blocks[0].stats(2), None, "no such column");
+    }
+
+    #[test]
+    fn block_stats_refuse_records_no_block_could_hold() {
+        let blocks = build_block_synopses(&[vec![1.0, 2.0, f64::NAN]], 3, &SynopsisSpec::default());
+        let with = |edit: &dyn Fn(&mut ColumnSynopsis)| {
+            let mut b = blocks[0].clone();
+            edit(&mut b.cols[0]);
+            b.stats(0)
+        };
+        assert_eq!(with(&|_| {}).map(|s| s.count()), Some(2));
+        assert_eq!(with(&|c| c.count = 4), None, "more values than rows");
+        assert_eq!(with(&|c| (c.min, c.max) = (2.0, 1.0)), None, "inverted");
+        assert_eq!(with(&|c| c.max = 1e300), None, "past the sum-safe range");
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(with(&|c| c.min = bad), None, "{bad}");
+            assert_eq!(with(&|c| c.sum = bad), None, "{bad}");
+            assert_eq!(with(&|c| c.sum_sq = bad), None, "{bad}");
         }
+        // No value: the envelope's NaN convention is no claim at all.
+        let none = with(&|c| c.count = 0).unwrap();
+        assert_eq!((none.count(), none.range()), (0, None));
     }
 
     #[test]

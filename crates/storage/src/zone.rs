@@ -45,12 +45,16 @@
 //! ```text
 //! sect_len   u64 LE     bytes of the section after this field
 //! n_buckets  u32 LE     histogram buckets per column (1..=4096)
-//! sample_cap u32 LE     row-sample budget per block (<= 65536)
+//! sample_cap u32 LE     row-sample budget per block (<= 65536; written 0)
 //! per column, per block (column-major, like the block table):
 //!            min f64, max f64, count u64, sum f64, sum_sq f64,
 //!            hist n_buckets × u64            (all LE; floats as IEEE bits)
 //! per block: n_samples u32 LE, then n_samples × n_cols × f64 LE
 //! ```
+//!
+//! Row samples are a relic: the writer emits none (`sample_cap = 0`, every
+//! `n_samples = 0`), and the reader bounds-checks and skips an older
+//! image's.
 //!
 //! The decoder consumes exactly `sect_len` bytes and errors (never panics)
 //! on truncated, oversized, or mismatched sections; v1 files simply read as
@@ -249,7 +253,6 @@ fn decode_synopsis_section<R: Read>(
             row_start: b * block_rows as u64,
             row_end: b * block_rows as u64 + rows_in_block(n_rows, block_rows, b),
             cols: Vec::with_capacity(n_cols),
-            samples: Vec::new(),
         })
         .collect();
     for c in 0..n_cols {
@@ -274,9 +277,11 @@ fn decode_synopsis_section<R: Read>(
             });
         }
     }
-    for (b, block) in blocks.iter_mut().enumerate() {
+    // Row samples: an older writer's, bounds-checked and skipped (nothing
+    // reads them).
+    for b in 0..n_blocks {
         let n_samples = read_u32!(format!("sample count (block {b})"));
-        let rows = rows_in_block(n_rows, block_rows, b as u64);
+        let rows = rows_in_block(n_rows, block_rows, b);
         if n_samples as u64 > rows || n_samples > sample_cap {
             return Err(corrupt(format!(
                 "block {b} declares {n_samples} samples (budget {sample_cap}, {rows} rows)"
@@ -288,13 +293,8 @@ fn decode_synopsis_section<R: Read>(
                 "synopsis samples of block {b} exceed the declared section"
             )));
         }
-        block.samples.reserve(n_samples as usize);
-        for _ in 0..n_samples {
-            let mut row = Vec::with_capacity(n_cols);
-            for _ in 0..n_cols {
-                row.push(read_f64!(format!("sample (block {b})")));
-            }
-            block.samples.push(row);
+        for _ in 0..n_samples as u64 * n_cols as u64 {
+            let _ = read_u64!(format!("sample (block {b})"));
         }
     }
     if consumed != sect_len {
@@ -557,12 +557,12 @@ fn encode_zone_columns_spec(
     // converter's one scan of the source pays for both layers.
     let spec = SynopsisSpec {
         buckets: spec.buckets.clamp(1, MAX_SYNOPSIS_BUCKETS as usize),
-        sample_rows: spec.sample_rows.min(MAX_SYNOPSIS_SAMPLES as usize),
     };
     let synopses = build_block_synopses(columns, block_rows, &spec);
     let mut sect = Vec::new();
     sect.extend_from_slice(&(spec.buckets as u32).to_le_bytes());
-    sect.extend_from_slice(&(spec.sample_rows as u32).to_le_bytes());
+    // No row samples: a zero budget, and a zero count per block below.
+    sect.extend_from_slice(&0u32.to_le_bytes());
     for c in 0..schema.len() {
         for s in &synopses {
             let col = &s.cols[c];
@@ -576,13 +576,8 @@ fn encode_zone_columns_spec(
             }
         }
     }
-    for s in &synopses {
-        sect.extend_from_slice(&(s.samples.len() as u32).to_le_bytes());
-        for row in &s.samples {
-            for &v in row {
-                sect.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-        }
+    for _ in &synopses {
+        sect.extend_from_slice(&0u32.to_le_bytes());
     }
     out.extend_from_slice(&(sect.len() as u64).to_le_bytes());
     out.extend_from_slice(&sect);
@@ -1128,8 +1123,12 @@ mod tests {
         ]
     }
 
-    /// `(length, FNV-1a)` of `golden_rows()` encoded at 4 rows a block.
-    const GOLDEN_IMAGE: (usize, u64) = (5303, 0xccd9_0ec6_b22b_ce88);
+    /// `(length, FNV-1a)` of `golden_rows()` encoded at 4 rows a block: the
+    /// image the byte-at-a-time packer wrote, with the synopsis section's
+    /// row samples (then four a block) taken out as the writer now leaves
+    /// them out — a zero budget and a zero count a block. The image with
+    /// them was `(5303, 0xccd9_0ec6_b22b_ce88)`.
+    const GOLDEN_IMAGE: (usize, u64) = (4383, 0x8e32_62c3_b6ea_d14b);
 
     fn sample() -> ZoneFile {
         ZoneFile::from_rows(&Schema::synthetic(3), rows()).unwrap()
@@ -1228,7 +1227,8 @@ mod tests {
         let rows = golden_rows();
         let bytes = encode_zone_rows_with(&schema, rows.clone(), 4).unwrap();
         // The image the byte-at-a-time packer wrote before the word kernels
-        // replaced it (length and FNV-1a, taken at that commit).
+        // replaced it (length and FNV-1a, taken at that commit, less the
+        // row samples).
         assert_eq!((bytes.len(), fnv1a(&bytes)), GOLDEN_IMAGE);
 
         // The data region, rebuilt with the reference packer.
@@ -1712,8 +1712,6 @@ mod tests {
         assert_eq!(syn[1].cols[0].sum, 22.0);
         assert_eq!(syn[1].cols[0].sum_sq, 126.0);
         assert_eq!(syn[1].cols[0].hist.iter().sum::<u64>(), 4);
-        assert_eq!(syn[0].samples.len(), 4, "default sample budget");
-        assert_eq!(syn[0].samples[0].len(), 3, "samples are schema-wide");
 
         // Disk + mmap round trips preserve the section bit-exactly.
         let dir = std::env::temp_dir().join("pai_zone_test");
@@ -1725,6 +1723,48 @@ mod tests {
         let mapped = ZoneFile::open_mapped(&path).unwrap();
         assert_eq!(mapped.block_synopses().unwrap(), from_disk.as_slice());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn images_carrying_row_samples_still_open() {
+        // The writer emits no samples: a zero budget, a zero count a block.
+        let bytes = encode_zone_rows_with(
+            &Schema::synthetic(3),
+            (0..12)
+                .map(|i| vec![i as f64, (i % 7) as f64, i as f64 * 10.0])
+                .collect::<Vec<_>>(),
+            4,
+        )
+        .unwrap();
+        let pos = sect_len_pos(3, 3);
+        let sect_len = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap()) as usize;
+        let n_buckets = u32::from_le_bytes(bytes[pos + 8..pos + 12].try_into().unwrap()) as usize;
+        assert_eq!(bytes[pos + 12..pos + 16], [0; 4], "sample budget");
+        let counts_at = pos + 16 + 3 * 3 * (40 + 8 * n_buckets);
+        assert_eq!(counts_at + 3 * 4, pos + 8 + sect_len);
+        assert!(bytes[counts_at..counts_at + 12].iter().all(|&b| b == 0));
+
+        // An older writer's image: budget 2, two schema-wide samples in the
+        // last block. It opens, and reads as the image without them.
+        let mut old = bytes.clone();
+        old[pos + 12..pos + 16].copy_from_slice(&2u32.to_le_bytes());
+        let last = counts_at + 8;
+        old[last..last + 4].copy_from_slice(&2u32.to_le_bytes());
+        let rows: Vec<u8> = (0..6)
+            .flat_map(|i| (i as f64).to_bits().to_le_bytes())
+            .collect();
+        old.splice(last + 4..last + 4, rows);
+        old[pos..pos + 8].copy_from_slice(&(sect_len as u64 + 48).to_le_bytes());
+        let (old, new) = (
+            ZoneFile::from_bytes(old).unwrap(),
+            ZoneFile::from_bytes(bytes).unwrap(),
+        );
+        assert_eq!(old.block_synopses(), new.block_synopses());
+        let all: Vec<RowLocator> = (0..12).map(RowLocator::new).collect();
+        assert_eq!(
+            old.read_rows(&all, &[0, 1, 2]).unwrap(),
+            new.read_rows(&all, &[0, 1, 2]).unwrap()
+        );
     }
 
     #[test]

@@ -98,6 +98,133 @@ fn window_strategy() -> impl Strategy<Value = Rect> {
         .prop_map(|(x0, y0, w, h)| Rect::new(x0, (x0 + w).min(1000.0), y0, (y0 + h).min(1000.0)))
 }
 
+/// Every answer the synopsis tier composes on its own — φ = ∞, all of
+/// [`NULL_AGGS`] at once and each alone — over `file` contains the truth.
+fn synopsis_answers_hold<F: RawFile + Clone>(
+    file: &F,
+    spec: &DatasetSpec,
+    grid: usize,
+    window: &Rect,
+) {
+    let index = build_index_with(file, spec, grid, MetadataPolicy::None);
+    let shared = SharedIndex::new(index, file.clone(), EngineConfig::paper_evaluation()).unwrap();
+    for aggs in std::iter::once(&NULL_AGGS[..]).chain(NULL_AGGS.chunks(1)) {
+        if let Some(res) = shared.estimate_synopsis(window, aggs).unwrap() {
+            let report = verify_against_truth(file, window, aggs, &res).unwrap();
+            assert!(report.all_ok(), "{aggs:?}: {report:?}");
+        }
+    }
+}
+
+/// Byte offset of the synopsis section of a PaiZone v2 image, just past
+/// its `sect_len`, `n_buckets` and `sample_cap` fields (docs/FORMATS.md:
+/// a 32-byte fixed header, the column names, then a 17-byte block-table
+/// entry per column and block).
+fn synopsis_records_at(schema: &Schema, n_blocks: usize) -> usize {
+    let names: usize = schema.columns().iter().map(|c| 2 + c.name.len()).sum();
+    32 + names + schema.len() * n_blocks * 17 + 16
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The synopsis tier is sound on every query it answers, not only on
+    /// the hits the adaptive path happens to try: CSV and PaiZone, with a
+    /// drawn NULL share.
+    #[test]
+    fn prop_synopsis_answers_contain_truth(
+        window in window_strategy(),
+        grid in 2usize..9,
+        seed in 0u64..4,
+        null_pct in null_pct_strategy(),
+    ) {
+        let (file, zone, spec) = fixture_with_nulls(seed, null_pct);
+        synopsis_answers_hold(&file, &spec, grid, &window);
+        synopsis_answers_hold(&zone, &spec, grid, &window);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Hostile synopsis records — inverted, NaN or infinite envelopes and
+    /// moments, counts above the rows — in a PaiZone image: opening it,
+    /// evaluating with the synopsis tier on and asking the synopses alone
+    /// each return `Ok` or `Err`, never panic.
+    #[test]
+    fn prop_hostile_synopsis_records_never_panic(
+        every_block in (2usize..4, 0usize..5, 0usize..7),
+        edits in prop::collection::vec((0usize..4, 0usize..24, 0usize..5, 0usize..7), 0..8),
+        window in window_strategy(),
+        phi in prop_oneof![Just(0.0), Just(0.05), Just(0.5)],
+        metadata in prop_oneof![Just(MetadataPolicy::AllNumeric), Just(MetadataPolicy::None)],
+    ) {
+        // Z-ordered rows in 64-row blocks: windows cover whole blocks.
+        let spec = DatasetSpec { order: RowOrder::ZOrder, ..fixture_spec(1) };
+        let schema = spec.schema();
+        let mut bytes =
+            pai_storage::zone::encode_zone_rows_with(&schema, spec.rows_physical(), 64).unwrap();
+        let at = synopsis_records_at(&schema, 24);
+        let n_buckets = u32::from_le_bytes(bytes[at - 8..at - 4].try_into().unwrap()) as usize;
+        // One field of a value column in every block, then a few single
+        // records of any column.
+        let (col, field, pick) = every_block;
+        let all = (0..24).map(|block| (col, block, field, pick));
+        for (col, block, field, pick) in all.chain(edits) {
+            // Fields: min, max, count, sum, sum_sq.
+            let off = at + (col * 24 + block) * (40 + 8 * n_buckets) + 8 * field;
+            let old = f64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
+            let new = match field {
+                2 => [65, 1 << 40, u64::MAX, 0, 5, 64, 63][pick],
+                _ => [
+                    f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    -old,
+                    old + 1e9,
+                    -1e300,
+                    f64::MAX,
+                ][pick]
+                .to_bits(),
+            };
+            bytes[off..off + 8].copy_from_slice(&new.to_le_bytes());
+        }
+        // A rejected image or build is an answer too.
+        if let Ok(zone) = ZoneFile::from_bytes(bytes) {
+            let cfg = InitConfig {
+                grid: GridSpec::Fixed { nx: 4, ny: 4 },
+                domain: Some(spec.domain),
+                metadata,
+            };
+            if let Ok((index, _)) = build(&zone, &cfg) {
+                hostile_queries_return(index, zone, &window, phi);
+            }
+        }
+    }
+}
+
+/// Runs every aggregate over `zone` with the synopsis tier on, adaptively
+/// and from the synopses alone, ignoring what each call returns.
+fn hostile_queries_return(index: ValinorIndex, zone: ZoneFile, window: &Rect, phi: f64) {
+    let aggs = [
+        AggregateFunction::Count,
+        AggregateFunction::Sum(2),
+        AggregateFunction::Mean(3),
+        AggregateFunction::Min(2),
+        AggregateFunction::Max(3),
+        AggregateFunction::Variance(2),
+        AggregateFunction::StdDev(3),
+    ];
+    let config = EngineConfig::paper_evaluation().with_synopsis();
+    let mut engine = ApproximateEngine::new(index.clone(), &zone, config.clone()).unwrap();
+    let _ = engine.evaluate(window, &aggs, phi);
+    let shared = SharedIndex::new(index, zone, config).unwrap();
+    let _ = shared.estimate_synopsis(window, &aggs);
+    for agg in aggs {
+        let _ = shared.estimate_synopsis(window, &[agg]);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -478,7 +605,7 @@ proptest! {
         let window = Rect::new(wx.0, wx.0 + wx.1, wy.0, wy.0 + wy.1);
         let xs: Vec<f64> = points.iter().map(|p| p.0).collect();
         let ys: Vec<f64> = points.iter().map(|p| p.1).collect();
-        let spec = SynopsisSpec { buckets, sample_rows: 2 };
+        let spec = SynopsisSpec { buckets };
         let blocks = build_block_synopses(&[xs.clone(), ys.clone()], block_rows, &spec);
         prop_assert_eq!(
             blocks.iter().map(|b| b.rows()).sum::<u64>(),
@@ -530,7 +657,7 @@ proptest! {
             base,
             spec.rows,
             block_rows,
-            SynopsisSpec { buckets, sample_rows: 2 },
+            SynopsisSpec { buckets },
         )
         .unwrap();
         let appended: Vec<Vec<f64>> =
