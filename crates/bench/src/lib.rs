@@ -14,13 +14,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use pai_common::geometry::Rect;
-use pai_common::AggregateFunction;
+use pai_common::{AggregateFunction, AttrId, IoCounters, RowLocator};
 use pai_core::EngineConfig;
 use pai_index::init::{GridSpec, InitConfig};
 use pai_index::MetadataPolicy;
 use pai_query::Workload;
 use pai_storage::{
-    BinFile, CsvFile, CsvFormat, DatasetSpec, PointDistribution, RawFile, ValueModel, ZoneFile,
+    BatchHandler, CsvFile, CsvFormat, DatasetSpec, PointDistribution, RawFile, RowBatch,
+    ScanRequest, Schema, ValueModel, ZoneFile,
 };
 
 /// Everything a Figure 2 style run needs.
@@ -182,20 +183,6 @@ pub fn cached_csv(spec: &DatasetSpec) -> CsvFile {
     open().expect("open bench dataset")
 }
 
-/// Writes (or reuses) the binary columnar file for `spec` and opens it.
-/// Opening validates header and exact size, so a stale file is simply
-/// regenerated.
-pub fn cached_bin(spec: &DatasetSpec) -> BinFile {
-    let path = cache_dir().join(cache_key(spec, "paibin"));
-    if let Ok(file) = BinFile::open(&path) {
-        if file.n_rows() == spec.rows {
-            return file;
-        }
-    }
-    publish(&path, |tmp| spec.write_bin(tmp));
-    BinFile::open(&path).expect("open bench dataset")
-}
-
 /// Writes (or reuses) the zone-mapped compressed file for `spec` and opens
 /// it. Opening validates header, widths, and exact size, so a stale file is
 /// simply regenerated.
@@ -208,6 +195,51 @@ pub fn cached_zone(spec: &DatasetSpec) -> ZoneFile {
     }
     publish(&path, |tmp| spec.write_zone(tmp));
     ZoneFile::open(&path).expect("open bench dataset")
+}
+
+/// A file read with no window pushed down: scans and positional reads reach
+/// the wrapped file without their window, so its zone maps prove nothing
+/// dead. The baseline the pushdown gates measure the same image against.
+pub struct NoPushdown<F>(pub F);
+
+impl<F: RawFile> RawFile for NoPushdown<F> {
+    fn schema(&self) -> &Schema {
+        self.0.schema()
+    }
+
+    fn counters(&self) -> &IoCounters {
+        self.0.counters()
+    }
+
+    fn size_bytes(&self) -> u64 {
+        self.0.size_bytes()
+    }
+
+    fn scan_batches(
+        &self,
+        request: &ScanRequest<'_>,
+        handler: &mut BatchHandler<'_>,
+    ) -> pai_common::Result<()> {
+        let request = ScanRequest {
+            window: None,
+            ..*request
+        };
+        self.0.scan_batches(&request, handler)
+    }
+
+    fn read_rows_into(
+        &self,
+        locators: &[RowLocator],
+        attrs: &[AttrId],
+        _window: Option<&Rect>,
+        out: &mut RowBatch,
+    ) -> pai_common::Result<()> {
+        self.0.read_rows_into(locators, attrs, None, out)
+    }
+
+    fn inner(&self) -> Option<&dyn RawFile> {
+        Some(&self.0)
+    }
 }
 
 #[cfg(test)]
@@ -268,12 +300,11 @@ mod tests {
     fn every_backend_serves_the_same_dataset() {
         let spec = default_spec(250, 31);
         let reference = collect(&cached_csv(&spec), spec.columns);
-        let bin = cached_bin(&spec);
-        assert_eq!(collect(&bin, spec.columns), reference, "bin");
-        let mapped = BinFile::open_mapped(bin.path().expect("cached bin is on disk")).expect("map");
-        assert_eq!(collect(&mapped, spec.columns), reference, "mmap");
         let zone = cached_zone(&spec);
         assert_eq!(collect(&zone, spec.columns), reference, "zone");
+        let mapped =
+            ZoneFile::open_mapped(zone.path().expect("cached zone is on disk")).expect("map");
+        assert_eq!(collect(&mapped, spec.columns), reference, "mmap");
         let latency = LatencyFile::new(
             Box::new(zone),
             std::time::Duration::ZERO,
@@ -281,31 +312,28 @@ mod tests {
         );
         assert_eq!(collect(&latency, spec.columns), reference, "latency");
         let (_store, http) = served_zone(&spec);
-        assert!(http.is_zone(), "the store serves the zone image");
         assert_eq!(collect(&http, spec.columns), reference, "http");
         assert!(
             http.counters().http_requests() > 0,
             "http reads went over the wire"
         );
-        // The zone cache is block-compressed: strictly smaller than bin.
-        assert!(cached_zone(&spec).size_bytes() < cached_bin(&spec).size_bytes());
     }
 
     #[test]
-    fn csv_and_bin_caches_coexist_with_equal_content() {
+    fn csv_and_zone_caches_coexist_with_equal_content() {
         let spec = default_spec(400, 23);
         let csv = cached_csv(&spec);
-        let bin = cached_bin(&spec);
-        assert_eq!(bin.n_rows(), 400);
+        let zone = cached_zone(&spec);
+        assert_eq!(zone.n_rows(), 400);
         assert!(
-            bin.size_bytes() < csv.size_bytes() * 2,
+            zone.size_bytes() < csv.size_bytes() * 2,
             "sanity: both caches materialized"
         );
         // Same rows in the same order under both representations.
-        assert_eq!(collect(&csv, spec.columns), collect(&bin, spec.columns));
+        assert_eq!(collect(&csv, spec.columns), collect(&zone, spec.columns));
         // Second call hits the cache (open validates, no rewrite).
-        let again = cached_bin(&spec);
-        assert_eq!(again.size_bytes(), bin.size_bytes());
+        let again = cached_zone(&spec);
+        assert_eq!(again.size_bytes(), zone.size_bytes());
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! Storage-backend gates over the **same dataset** behind CSV, the binary
-//! columnar (`PaiBin`) format, and the zone-mapped compressed (`PaiZone`)
-//! format.
+//! Storage-backend gates over the **same dataset** behind CSV and the
+//! zone-mapped compressed binary columnar format (`PaiZone`).
 //!
-//! The same query workload executed end to end on every backend must
-//! produce identical approximate answers while `PaiBin` reads strictly fewer
-//! bytes than CSV, and `PaiZone` — including the per-query ground-truth
-//! verification pass, which exercises zone-map pushdown — reads strictly
-//! fewer bytes *and blocks* than `PaiBin`. Every gate compares meters, not
+//! The same query workload executed end to end on both backends must
+//! produce identical approximate answers while `PaiZone` reads strictly
+//! fewer bytes than CSV; and `PaiZone` with its windows pushed down —
+//! including the per-query ground-truth verification pass, which exercises
+//! zone-map pushdown — reads strictly fewer bytes *and blocks* than the same
+//! image read with no window pushed down. Every gate compares meters, not
 //! wall-clock, so all of them run in debug builds too.
 
-use pai_bench::{cached_bin, cached_csv, cached_zone, small_setup};
+use pai_bench::{cached_csv, cached_zone, small_setup, NoPushdown};
 use pai_common::RowLocator;
 use pai_query::{run_workload, Method, MethodRun};
 use pai_storage::ground_truth::window_truth;
@@ -33,49 +33,49 @@ fn locators_of(file: &dyn RawFile) -> Vec<RowLocator> {
 fn binary_backend_io_advantage() {
     let setup = small_setup(20_000);
     let csv = cached_csv(&setup.spec);
-    let bin = cached_bin(&setup.spec);
+    let zone = cached_zone(&setup.spec);
     let method = Method::Approx { phi: 0.05 };
 
     csv.counters().reset();
     let run_csv =
         run_workload(&csv, &setup.init, &setup.engine, &setup.workload, method).expect("csv run");
-    bin.counters().reset();
-    let run_bin =
-        run_workload(&bin, &setup.init, &setup.engine, &setup.workload, method).expect("bin run");
+    zone.counters().reset();
+    let run_zone =
+        run_workload(&zone, &setup.init, &setup.engine, &setup.workload, method).expect("zone run");
 
-    for (c, b) in run_csv.records.iter().zip(&run_bin.records) {
+    for (c, z) in run_csv.records.iter().zip(&run_zone.records) {
         assert_eq!(
             c.values[0].as_f64(),
-            b.values[0].as_f64(),
+            z.values[0].as_f64(),
             "query {}: backends must answer identically",
             c.query_index
         );
         assert_eq!(
-            c.stats.io.objects_read, b.stats.io.objects_read,
+            c.stats.io.objects_read, z.stats.io.objects_read,
             "query {}",
             c.query_index
         );
     }
-    let (cb, bb) = (run_csv.total_bytes_read(), run_bin.total_bytes_read());
-    assert!(run_bin.total_objects_read() > 0, "workload must adapt");
+    let (cb, zb) = (run_csv.total_bytes_read(), run_zone.total_bytes_read());
+    assert!(run_zone.total_objects_read() > 0, "workload must adapt");
     assert!(
-        bb < cb,
-        "binary backend must read strictly fewer bytes: bin {bb} vs csv {cb}"
+        zb < cb,
+        "binary backend must read strictly fewer bytes: zone {zb} vs csv {cb}"
     );
     println!(
-        "backend I/O gate: identical answers; adaptation bytes csv={cb} bin={bb} ({:.1}x less)",
-        cb as f64 / bb.max(1) as f64
+        "backend I/O gate: identical answers; adaptation bytes csv={cb} zone={zb} ({:.1}x less)",
+        cb as f64 / zb.max(1) as f64
     );
 }
 
-/// Identical answers and CIs on `PaiZone`, strictly fewer bytes and blocks
-/// than `PaiBin` once the workload's per-query ground-truth verification
-/// (the pushdown-scanning consumer) is included, and zone maps actually
-/// skipping.
+/// Identical answers and CIs on `PaiZone` with and without its windows
+/// pushed down, strictly fewer bytes and blocks with them once the
+/// workload's per-query ground-truth verification (the pushdown-scanning
+/// consumer) is included, and zone maps actually skipping.
 #[test]
 fn zone_backend_io_advantage() {
     let setup = small_setup(20_000);
-    let bin = cached_bin(&setup.spec);
+    let unpushed = NoPushdown(cached_zone(&setup.spec));
     let zone = cached_zone(&setup.spec);
     let method = Method::Approx { phi: 0.05 };
 
@@ -97,78 +97,81 @@ fn zone_backend_io_advantage() {
             .collect();
         (run, truths)
     };
-    let (run_bin, truth_bin) = verified_run(&bin);
-    let bin_io = bin.counters().snapshot();
+    let (run_unpushed, truth_unpushed) = verified_run(&unpushed);
+    let unpushed_io = unpushed.counters().snapshot();
     let (run_zone, truth_zone) = verified_run(&zone);
     let zone_io = zone.counters().snapshot();
 
-    for (b, z) in run_bin.records.iter().zip(&run_zone.records) {
+    for (u, z) in run_unpushed.records.iter().zip(&run_zone.records) {
         assert_eq!(
-            b.values[0].as_f64(),
+            u.values[0].as_f64(),
             z.values[0].as_f64(),
             "query {}: identical answers",
-            b.query_index
+            u.query_index
         );
         assert_eq!(
-            b.error_bound, z.error_bound,
+            u.error_bound, z.error_bound,
             "query {}: identical CI bounds",
-            b.query_index
+            u.query_index
         );
         assert_eq!(
-            b.stats.io.objects_read, z.stats.io.objects_read,
+            u.stats.io.objects_read, z.stats.io.objects_read,
             "query {}",
-            b.query_index
+            u.query_index
         );
     }
-    assert_eq!(truth_bin, truth_zone, "pushdown must not change the truth");
+    assert_eq!(
+        truth_unpushed, truth_zone,
+        "pushdown must not change the truth"
+    );
     assert!(run_zone.total_objects_read() > 0, "workload must adapt");
     assert!(
-        zone_io.bytes_read < bin_io.bytes_read,
+        zone_io.bytes_read < unpushed_io.bytes_read,
         "zone must read strictly fewer bytes: {} vs {}",
         zone_io.bytes_read,
-        bin_io.bytes_read
+        unpushed_io.bytes_read
     );
     assert!(
-        zone_io.blocks_read < bin_io.blocks_read,
+        zone_io.blocks_read < unpushed_io.blocks_read,
         "zone must read strictly fewer blocks: {} vs {}",
         zone_io.blocks_read,
-        bin_io.blocks_read
+        unpushed_io.blocks_read
     );
     assert!(
-        zone_io.blocks_skipped > 0 && bin_io.blocks_skipped == 0,
-        "only the zone-mapped backend can prove blocks dead"
+        zone_io.blocks_skipped > 0 && unpushed_io.blocks_skipped == 0,
+        "only pushed-down windows can prove blocks dead"
     );
     println!(
-        "zone I/O gate: identical answers/CIs; bytes bin={} zone={} ({:.1}x less), \
-         blocks bin={} zone={} (+{} skipped)",
-        bin_io.bytes_read,
+        "zone I/O gate: identical answers/CIs; bytes unpushed={} zone={} ({:.1}x less), \
+         blocks unpushed={} zone={} (+{} skipped)",
+        unpushed_io.bytes_read,
         zone_io.bytes_read,
-        bin_io.bytes_read as f64 / zone_io.bytes_read.max(1) as f64,
-        bin_io.blocks_read,
+        unpushed_io.bytes_read as f64 / zone_io.bytes_read.max(1) as f64,
+        unpushed_io.blocks_read,
         zone_io.blocks_read,
         zone_io.blocks_skipped,
     );
 }
 
 /// One positional sweep (every seventh row) per backend: the identical
-/// logical read costs strictly fewer bytes on `PaiBin` than on CSV.
+/// logical read costs strictly fewer bytes on `PaiZone` than on CSV.
 #[test]
 fn binary_positional_sweep_is_cheaper_in_bytes() {
     let setup = small_setup(50_000);
     let csv = cached_csv(&setup.spec);
-    let bin = cached_bin(&setup.spec);
+    let zone = cached_zone(&setup.spec);
     let csv_locs = locators_of(&csv);
-    let bin_locs = locators_of(&bin);
+    let zone_locs = locators_of(&zone);
 
     let sweep: Vec<usize> = (0..csv_locs.len()).step_by(7).collect();
     let cl: Vec<RowLocator> = sweep.iter().map(|&i| csv_locs[i]).collect();
-    let bl: Vec<RowLocator> = sweep.iter().map(|&i| bin_locs[i]).collect();
+    let zl: Vec<RowLocator> = sweep.iter().map(|&i| zone_locs[i]).collect();
     csv.counters().reset();
     csv.read_rows(&cl, &READ_ATTRS).unwrap();
-    bin.counters().reset();
-    bin.read_rows(&bl, &READ_ATTRS).unwrap();
+    zone.counters().reset();
+    zone.read_rows(&zl, &READ_ATTRS).unwrap();
     assert!(
-        bin.counters().bytes_read() < csv.counters().bytes_read(),
+        zone.counters().bytes_read() < csv.counters().bytes_read(),
         "binary positional sweep must be cheaper in bytes"
     );
 }

@@ -5,8 +5,9 @@
 //! * **batched fetch** — the same workload with `adapt_batch = 8` must beat
 //!   `adapt_batch = 1` outright: coalescing tiles into one `read_rows`
 //!   call dodges per-call round trips;
-//! * **pushdown** — per-query ground-truth scans on `PaiZone` must beat
-//!   `PaiBin`: skipped blocks are round trips never paid.
+//! * **pushdown** — per-query ground-truth scans on `PaiZone` must beat the
+//!   same image scanned with no window pushed down: skipped blocks are round
+//!   trips never paid.
 //!
 //! Both compare wall-clock, so both run in release builds only:
 //! `cargo test --release -p pai-bench --test pushdown_gates --
@@ -14,7 +15,7 @@
 
 use std::time::{Duration, Instant};
 
-use pai_bench::{cached_bin, cached_zone, small_setup};
+use pai_bench::{cached_zone, small_setup, NoPushdown};
 use pai_core::EngineConfig;
 use pai_query::{run_workload, Method};
 use pai_storage::ground_truth::window_truth;
@@ -83,8 +84,8 @@ fn pushdown_wins_under_latency() {
         }
         t0.elapsed()
     };
-    let bin = seek_bound_remote(Box::new(cached_bin(&setup.spec)));
-    let bin_elapsed = timed_truth(&bin);
+    let unpushed = seek_bound_remote(Box::new(NoPushdown(cached_zone(&setup.spec))));
+    let unpushed_elapsed = timed_truth(&unpushed);
     let zone = seek_bound_remote(Box::new(cached_zone(&setup.spec)));
     let zone_elapsed = timed_truth(&zone);
     assert!(
@@ -92,13 +93,13 @@ fn pushdown_wins_under_latency() {
         "the truth pass must exercise zone-map skipping"
     );
     assert!(
-        zone_elapsed < bin_elapsed,
-        "pushdown must dodge remote round trips: {zone_elapsed:?} vs {bin_elapsed:?}"
+        zone_elapsed < unpushed_elapsed,
+        "pushdown must dodge remote round trips: {zone_elapsed:?} vs {unpushed_elapsed:?}"
     );
     println!(
-        "latency gate (pushdown): bin {bin_elapsed:?}, zone {zone_elapsed:?} \
+        "latency gate (pushdown): unpushed {unpushed_elapsed:?}, zone {zone_elapsed:?} \
          ({:.2}x faster, {} blocks skipped)",
-        bin_elapsed.as_secs_f64() / zone_elapsed.as_secs_f64(),
+        unpushed_elapsed.as_secs_f64() / zone_elapsed.as_secs_f64(),
         zone.counters().blocks_skipped()
     );
 }

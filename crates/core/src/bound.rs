@@ -23,7 +23,8 @@ fn denominator(v: f64, lo: f64, hi: f64) -> Option<f64> {
 
 /// The upper error bound for an estimate `v` with confidence interval
 /// `[lo, hi]`: the worst-case deviation of the true value from `v`,
-/// normalized by [`denominator`].
+/// divided by `|v|`, else by `max(|lo|, |hi|)`, and left absolute when both
+/// are ~0 (see the module docs).
 ///
 /// Guarantees: for any true value `t ∈ [lo, hi]`,
 /// `relative_error(v, t, lo, hi) <= upper_error_bound(v, lo, hi)`.

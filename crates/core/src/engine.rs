@@ -956,7 +956,7 @@ mod tests {
     use pai_index::init::{build, GridSpec, InitConfig};
     use pai_index::MetadataPolicy;
     use pai_storage::ground_truth::window_truth;
-    use pai_storage::{CsvFormat, DatasetSpec, MemFile};
+    use pai_storage::{CsvFormat, DatasetSpec, MemFile, ZoneFile};
 
     fn dataset(rows: u64, seed: u64) -> (MemFile, DatasetSpec) {
         let spec = DatasetSpec {
@@ -1348,7 +1348,7 @@ mod tests {
             ..Default::default()
         };
         let csv = spec.build_mem(CsvFormat::default()).unwrap();
-        let bin = spec.build_bin_mem().unwrap();
+        let zone = spec.build_zone_mem().unwrap();
         let init = InitConfig {
             grid: GridSpec::Fixed { nx: 6, ny: 6 },
             domain: Some(spec.domain),
@@ -1361,30 +1361,30 @@ mod tests {
         let mut ce = ApproximateEngine::new(ci, &csv, EngineConfig::paper_evaluation()).unwrap();
         let rc = ce.evaluate(&window, &aggs, 0.05).unwrap();
 
-        let (bi, _) = build(&bin, &init).unwrap();
-        let mut be = ApproximateEngine::new(bi, &bin, EngineConfig::paper_evaluation()).unwrap();
-        let rb = be.evaluate(&window, &aggs, 0.05).unwrap();
+        let (zi, _) = build(&zone, &init).unwrap();
+        let mut ze = ApproximateEngine::new(zi, &zone, EngineConfig::paper_evaluation()).unwrap();
+        let rz = ze.evaluate(&window, &aggs, 0.05).unwrap();
 
         // Same scan order, same values, same adaptation loop: identical
         // approximate answers and trajectory on either backend.
-        for (c, b) in rc.values.iter().zip(&rb.values) {
-            assert_eq!(c.as_f64(), b.as_f64());
+        for (c, z) in rc.values.iter().zip(&rz.values) {
+            assert_eq!(c.as_f64(), z.as_f64());
         }
-        assert_eq!(rc.error_bound, rb.error_bound);
-        assert_eq!(rc.stats.tiles_processed, rb.stats.tiles_processed);
-        assert_eq!(rc.stats.tiles_split, rb.stats.tiles_split);
-        assert_eq!(rc.stats.io.objects_read, rb.stats.io.objects_read);
+        assert_eq!(rc.error_bound, rz.error_bound);
+        assert_eq!(rc.stats.tiles_processed, rz.stats.tiles_processed);
+        assert_eq!(rc.stats.tiles_split, rz.stats.tiles_split);
+        assert_eq!(rc.stats.io.objects_read, rz.stats.io.objects_read);
         // The binary backend fetches values, not whole text records.
-        assert!(rb.stats.io.objects_read > 0, "workload must adapt");
+        assert!(rz.stats.io.objects_read > 0, "workload must adapt");
         assert!(
-            rb.stats.io.bytes_read < rc.stats.io.bytes_read,
+            rz.stats.io.bytes_read < rc.stats.io.bytes_read,
             "binary adaptation reads must be cheaper: {} vs {}",
-            rb.stats.io.bytes_read,
+            rz.stats.io.bytes_read,
             rc.stats.io.bytes_read
         );
         // The CI really contains the truth on the binary path too.
-        let truth = window_truth(&bin, &window, &[2]).unwrap();
-        assert!(rb.cis[0].unwrap().contains(truth[0].stats.sum()));
+        let truth = window_truth(&zone, &window, &[2]).unwrap();
+        assert!(rz.cis[0].unwrap().contains(truth[0].stats.sum()));
     }
 
     #[test]
@@ -1395,7 +1395,9 @@ mod tests {
             seed: 7,
             ..Default::default()
         };
-        let bin = spec.build_bin_mem().unwrap();
+        // The same rows in 256-row blocks: another block layout.
+        let schema = spec.schema();
+        let small = ZoneFile::from_rows_with_block(&schema, spec.rows_physical(), 256).unwrap();
         let zone = spec.build_zone_mem().unwrap();
         let init = InitConfig {
             grid: GridSpec::Fixed { nx: 6, ny: 6 },
@@ -1405,9 +1407,9 @@ mod tests {
         let window = Rect::new(150.0, 650.0, 200.0, 700.0);
         let aggs = [AggregateFunction::Sum(2), AggregateFunction::Mean(3)];
 
-        let (bi, _) = build(&bin, &init).unwrap();
-        let mut be = ApproximateEngine::new(bi, &bin, EngineConfig::paper_evaluation()).unwrap();
-        let rb = be.evaluate(&window, &aggs, 0.05).unwrap();
+        let (si, _) = build(&small, &init).unwrap();
+        let mut se = ApproximateEngine::new(si, &small, EngineConfig::paper_evaluation()).unwrap();
+        let rs = se.evaluate(&window, &aggs, 0.05).unwrap();
 
         let (zi, _) = build(&zone, &init).unwrap();
         let mut ze = ApproximateEngine::new(zi, &zone, EngineConfig::paper_evaluation()).unwrap();
@@ -1415,23 +1417,24 @@ mod tests {
 
         // Identical answers and trajectory — the compression and pushdown
         // are invisible except through the meters.
-        for (b, z) in rb.values.iter().zip(&rz.values) {
-            assert_eq!(b.as_f64(), z.as_f64());
+        for (s, z) in rs.values.iter().zip(&rz.values) {
+            assert_eq!(s.as_f64(), z.as_f64());
         }
-        assert_eq!(rb.error_bound, rz.error_bound);
-        assert_eq!(rb.stats.tiles_processed, rz.stats.tiles_processed);
-        assert_eq!(rb.stats.io.objects_read, rz.stats.io.objects_read);
+        assert_eq!(rs.error_bound, rz.error_bound);
+        assert_eq!(rs.stats.tiles_processed, rz.stats.tiles_processed);
+        assert_eq!(rs.stats.io.objects_read, rz.stats.io.objects_read);
         assert!(rz.stats.io.objects_read > 0, "workload must adapt");
-        // Bit-packed fetches move fewer bytes than 8-byte-per-value PaiBin.
+        // Bit-packed fetches move fewer bytes than 8 a value of the two
+        // attributes read.
+        let raw_bytes = 8 * 2 * rz.stats.io.objects_read;
         assert!(
-            rz.stats.io.bytes_read < rb.stats.io.bytes_read,
-            "zone adaptation reads must be cheaper: {} vs {}",
-            rz.stats.io.bytes_read,
-            rb.stats.io.bytes_read
+            rz.stats.io.bytes_read < raw_bytes,
+            "zone adaptation reads must be cheaper: {} vs {raw_bytes}",
+            rz.stats.io.bytes_read
         );
-        // Both block-structured backends meter their block touches.
+        // Both block layouts meter their block touches.
         assert!(rz.stats.io.blocks_read > 0);
-        assert!(rb.stats.io.blocks_read > 0);
+        assert!(rs.stats.io.blocks_read > 0);
         let truth = window_truth(&zone, &window, &[2]).unwrap();
         assert!(rz.cis[0].unwrap().contains(truth[0].stats.sum()));
     }

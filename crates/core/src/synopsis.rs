@@ -20,7 +20,8 @@
 //! globally: the brackets must sum to the count the index already knows,
 //! and the exact remaining count is what a MEAN divides by. A block record
 //! no block could hold (file bytes: see [`BlockSynopsis::stats`]) refuses
-//! the answer.
+//! the answer, and so does an axis record of a block the window reaches
+//! whose histogram buckets do not add up to its count.
 //!
 //! The pass stops at the first aggregate whose bound exceeds `φ` or is
 //! unbounded. When every one meets it, the answer returns with **zero data
@@ -168,6 +169,11 @@ fn classify_blocks(
             || b.cols[y_axis].misses(window.y_min, window.y_max)
         {
             continue;
+        }
+        // An axis record whose buckets do not add up to its count brackets
+        // nothing: no answer.
+        if !b.cols[x_axis].hist_adds_up() || !b.cols[y_axis].hist_adds_up() {
+            return None;
         }
         if b.covered_by(x_axis, y_axis, window) {
             covered_rows += b.rows();

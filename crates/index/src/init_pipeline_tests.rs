@@ -7,8 +7,8 @@ use super::*;
 use pai_common::IoSnapshot;
 use pai_storage::zone::encode_zone_rows_with;
 use pai_storage::{
-    AppendableFile, BinFile, CacheConfig, CachedFile, CsvFormat, DatasetSpec, HttpFile,
-    HttpOptions, MemFile, ObjectStore, RowOrder, ScanPartition, Schema, ZoneFile,
+    AppendableFile, CacheConfig, CachedFile, CsvFormat, DatasetSpec, HttpFile, HttpOptions,
+    MemFile, ObjectStore, RowOrder, ScanPartition, Schema, ZoneFile,
 };
 
 use crate::tile::TileId;
@@ -211,9 +211,9 @@ fn every_backend_builds_the_same_bits(spec: &DatasetSpec) {
     assert_width_invariant("mem", &cfg, 7, &|| {
         Box::new(spec.build_mem(CsvFormat::default()).unwrap())
     });
-    // 20 000 rows are five 4096-row pages: page-aligned shards.
-    assert_width_invariant("bin", &cfg, 4, &|| {
-        Box::new(BinFile::from_rows(&schema, rows.clone()).unwrap())
+    // 20 000 rows are five default 4096-row blocks: block-aligned shards.
+    assert_width_invariant("zone 4096", &cfg, 4, &|| {
+        Box::new(ZoneFile::from_rows(&schema, rows.clone()).unwrap())
     });
 
     // 256-row blocks: 79 of them, so shards hold several scan groups.

@@ -42,8 +42,8 @@ pub struct QueryRecord {
     /// What the engine measured: time, I/O meters (`stats.io`), tiles.
     pub stats: QueryStats,
     /// Bytes an exact (`φ = 0`) evaluation of this query was *predicted*
-    /// to read, from zone maps + classification before evaluation (exact on
-    /// fixed-stride backends, priced at the mean row or block elsewhere).
+    /// to read, from zone maps + classification before evaluation (priced
+    /// at the mean row on CSV, at the mean bits per value on PaiZone).
     pub predicted_bytes: u64,
     /// Reported upper error bound (0 for the exact method).
     pub error_bound: f64,

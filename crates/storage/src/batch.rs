@@ -146,13 +146,13 @@ pub(crate) fn read_window(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BinFile, Schema};
+    use crate::{Schema, ZoneFile};
 
-    fn sample(rows: u64) -> BinFile {
+    fn sample(rows: u64) -> ZoneFile {
         let data: Vec<Vec<f64>> = (0..rows)
             .map(|i| vec![i as f64, 0.5, i as f64 * 10.0])
             .collect();
-        BinFile::from_rows(&Schema::synthetic(3), data).unwrap()
+        ZoneFile::from_rows(&Schema::synthetic(3), data).unwrap()
     }
 
     /// Reads `groups` into a fresh batch; the rows and where each group starts.
@@ -236,7 +236,7 @@ mod tests {
         // Zone-backed groups with a window: rows in provably-dead blocks
         // come back NaN without I/O, in-window groups are untouched.
         let data: Vec<Vec<f64>> = (0..32).map(|i| vec![i as f64, 0.5, i as f64]).collect();
-        let f = crate::ZoneFile::from_rows_with_block(&Schema::synthetic(3), data, 4).unwrap();
+        let f = ZoneFile::from_rows_with_block(&Schema::synthetic(3), data, 4).unwrap();
         let (dead, live) = (locs(0..4), locs(20..24));
         let window = Rect::new(20.0, 24.0, 0.0, 1.0);
         let (out, _) = grouped(&f, &[&dead, &live], &[2], Some(&window));

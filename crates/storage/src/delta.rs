@@ -74,7 +74,7 @@ const DELTA_FLAG: u64 = 1 << 63;
 /// Sentinel block index for rows still in the open (unsealed) tail.
 const OPEN_BLOCK: u32 = u32::MAX;
 
-/// Rows per sealed delta block by default — matches the zone/bin block size
+/// Rows per sealed delta block by default — matches the PaiZone block size
 /// so delta-block meters are comparable with static backends.
 pub const DELTA_BLOCK_ROWS: u32 = 4096;
 

@@ -1,19 +1,18 @@
 //! Crate-internal span fetching: the seam through which the binary
-//! backends ([`crate::column::BinFile`], [`crate::zone::ZoneFile`]) pull
-//! byte spans from wherever their bytes live.
+//! backend ([`crate::zone::ZoneFile`]) pulls byte spans from wherever its
+//! bytes live.
 //!
 //! Where they live is one [`Source`]: a file on disk, a buffer, a mapping
-//! or a remote object. Both backends open through it (its size and a
-//! header reader), take their meters from it and ask it for a
-//! [`SpanFetcher`] per logical access, so neither knows the four places
-//! apart.
+//! or a remote object. The backend opens through it (its size and a header
+//! reader), takes its meters from it and asks it for a [`SpanFetcher`] per
+//! logical access, so it does not know the four places apart.
 //!
 //! A source already in memory (a buffer, a mapping) lends each span as a
 //! slice of itself; a file on disk serves each span with a seek + an exact
 //! read into a buffer the caller keeps across batches. The remote source
 //! hands the whole batch to
 //! [`crate::remote::HttpBlob::lend_spans`], which coalesces adjacent spans
-//! into as few ranged GETs as possible — which is why the backends collect
+//! into as few ranged GETs as possible — which is why the backend collects
 //! spans into batches before decoding instead of reading one span at a
 //! time — and lends each span out of the response (or the cached page) it
 //! arrived in. Logical metering (bytes, seeks) is identical either way: one

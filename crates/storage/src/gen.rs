@@ -29,7 +29,6 @@ use pai_common::Result;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::column::BinFile;
 use crate::csv::{CsvFormat, CsvWriter};
 use crate::raw::{CsvFile, MemFile};
 use crate::schema::Schema;
@@ -242,19 +241,6 @@ impl DatasetSpec {
     /// Materializes the dataset in memory (tests / small examples).
     pub fn build_mem(&self, fmt: CsvFormat) -> Result<MemFile> {
         MemFile::from_rows(self.schema(), fmt, self.rows_physical())
-    }
-
-    /// Writes the dataset in the binary columnar format to `path` and opens
-    /// it as a [`BinFile`].
-    pub fn write_bin(&self, path: &Path) -> Result<BinFile> {
-        let bytes = crate::column::encode_rows(&self.schema(), self.rows_physical())?;
-        std::fs::write(path, &bytes)?;
-        BinFile::open(path)
-    }
-
-    /// Materializes the dataset as an in-memory binary columnar file.
-    pub fn build_bin_mem(&self) -> Result<BinFile> {
-        BinFile::from_rows(&self.schema(), self.rows_physical())
     }
 
     /// Writes the dataset in the zone-mapped compressed columnar format to
@@ -538,17 +524,17 @@ mod tests {
     }
 
     #[test]
-    fn bin_build_matches_generated_rows() {
+    fn zone_build_matches_generated_rows() {
         let spec = DatasetSpec {
             rows: 40,
             columns: 4,
             ..Default::default()
         };
-        let bin = spec.build_bin_mem().unwrap();
-        assert_eq!(bin.n_rows(), 40);
+        let zone = spec.build_zone_mem().unwrap();
+        assert_eq!(zone.n_rows(), 40);
         let expected: Vec<_> = spec.rows_iter().collect();
         let mut i = 0;
-        bin.scan(&mut |_, _, rec| {
+        zone.scan(&mut |_, _, rec| {
             let mut got = Vec::new();
             rec.extract_f64(&[0, 1, 2, 3], &mut got)?;
             assert_eq!(got, expected[i], "row {i} must round-trip bit-exactly");
@@ -561,10 +547,10 @@ mod tests {
         // The on-disk variant opens to the same content.
         let dir = std::env::temp_dir().join("pai_gen_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("gen.paibin");
-        let disk = spec.write_bin(&path).unwrap();
+        let path = dir.join("gen.paizone");
+        let disk = spec.write_zone(&path).unwrap();
         assert_eq!(disk.n_rows(), 40);
-        assert_eq!(disk.size_bytes(), bin.size_bytes());
+        assert_eq!(disk.size_bytes(), zone.size_bytes());
         std::fs::remove_file(&path).ok();
     }
 

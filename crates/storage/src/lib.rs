@@ -17,19 +17,18 @@
 //! * **CSV** ([`CsvFile`] on disk, [`MemFile`] in memory) — text records
 //!   accessed in situ, locators are byte offsets, every positional read
 //!   re-parses the wanted fields of a line, in place in a block read;
-//! * **PaiBin** ([`BinFile`], [`mod@column`]) — fixed-stride binary columnar,
-//!   locators are row ids, positional reads are `row_id * stride`
-//!   arithmetic fetching exactly the requested values; opens zero-copy via
-//!   [`BinFile::open_mapped`];
-//! * **PaiZone** ([`ZoneFile`], [`mod@zone`]) — zone-mapped compressed
-//!   columnar: frame-of-reference + bit-packed blocks with per-block
-//!   min/max in the header, so scans and fetches carrying a query window
-//!   skip blocks the zone maps prove irrelevant;
+//! * **PaiZone** ([`ZoneFile`], [`mod@zone`]) — the one binary format:
+//!   zone-mapped compressed columnar, frame-of-reference + bit-packed
+//!   blocks with per-block min/max in the header, so scans and fetches
+//!   carrying a query window skip blocks the zone maps prove irrelevant;
+//!   locators are row ids, values are lossless `f64` (NaN is NULL), and it
+//!   opens from disk, memory, a zero-copy mapping
+//!   ([`ZoneFile::open_mapped`]) or a remote object;
 //! * **Latency** ([`LatencyFile`]) — any backend behind a simulated remote
 //!   link (per-call + per-seek delay), the object-store *cost model*;
-//! * **HTTP** ([`HttpFile`], [`mod@remote`]) — a PaiBin or PaiZone image
-//!   served from a real object store over HTTP/1.1 range requests, the
-//!   object-store *transport*: coalesced ranged GETs, connection reuse,
+//! * **HTTP** ([`HttpFile`], [`mod@remote`]) — a PaiZone image served from
+//!   a real object store over HTTP/1.1 range requests, the object-store
+//!   *transport*: coalesced ranged GETs, connection reuse,
 //!   bounded retry with backoff, and `http_requests`/`http_bytes`/`retries`
 //!   transport meters. The bundled test server lives in [`mod@objstore`];
 //! * **Cached** ([`CachedFile`], [`mod@cache`]) — any backend (primarily
@@ -44,8 +43,6 @@
 //! * [`raw`] — the [`RawFile`] abstraction: batch scans of a partition,
 //!   batched locator-based random access, block stats + pushdown, with the
 //!   CSV implementations;
-//! * [`mod@column`] — the binary columnar backend and the one-pass CSV→binary
-//!   converter ([`column::convert_to_bin`] / [`column::write_bin`]);
 //! * [`mod@delta`] — streaming ingest: [`AppendableFile`] wraps any sealed
 //!   backend with append-order delta blocks (zone maps + synopses derived at
 //!   seal time) and an online Z-order compaction pass behind a generation
@@ -79,7 +76,6 @@
 
 pub mod batch;
 pub mod cache;
-pub mod column;
 pub mod csv;
 pub mod delta;
 mod fetch;
@@ -97,7 +93,6 @@ pub mod zone;
 
 pub use batch::{read_row_groups, RowBatch};
 pub use cache::{BlockCache, CacheConfig, CacheMode, CachedFile};
-pub use column::{convert_to_bin, write_bin, BinFile};
 pub use csv::{CsvFormat, CsvWriter};
 pub use delta::{AppendableFile, DELTA_BLOCK_ROWS};
 pub use gen::{morton_key, DatasetSpec, PointDistribution, RowOrder, ValueModel};

@@ -1,12 +1,12 @@
 //! Read-only memory mapping with a portable fallback.
 //!
-//! The binary backends ([`crate::BinFile`], [`crate::ZoneFile`]) can serve
+//! The binary backend ([`crate::ZoneFile`]) can serve
 //! reads straight out of a page-cache-backed mapping instead of
 //! seek+`read(2)` pairs: positional access becomes pointer arithmetic into
 //! [`Mapping`]'s byte slice and hot pages are shared between every clone and
 //! thread. On Unix this is a real `mmap(2)` (declared directly against the
 //! C runtime — no external crate); elsewhere it degrades to buffering the
-//! file in memory behind the same API, which keeps the backends portable.
+//! file in memory behind the same API, which keeps the backend portable.
 //!
 //! I/O metering note: mapped access still ticks the same [`pai_common::
 //! IoCounters`] the streaming readers do (bytes/seeks describe the *logical*

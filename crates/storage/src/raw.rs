@@ -22,8 +22,9 @@
 //!
 //! What a locator *means* is private to the backend: [`CsvFile`] hands out
 //! byte offsets (records are variable-length text), while the binary
-//! columnar backend ([`crate::column::BinFile`]) hands out row ids and
-//! resolves them with `row_id * stride` arithmetic. [`MemFile`] serves tests
+//! columnar backend ([`crate::zone::ZoneFile`]) hands out row ids and
+//! resolves them to a block (`row_id / block_rows`) and a bit-packed slot in
+//! it. [`MemFile`] serves tests
 //! and examples with CSV semantics over an in-memory buffer (including
 //! metering and line-aligned partitions — the same scanner, [`crate::scan`]).
 
@@ -271,7 +272,7 @@ impl BlockStats {
 }
 
 /// Rows per synthetic block when a block-less backend (CSV text) computes
-/// synopses lazily. Matches the zone/bin block size so `synopsis_blocks`
+/// synopses lazily. Matches the PaiZone block size so `synopsis_blocks`
 /// counts are comparable across backends.
 pub const SYNOPSIS_BLOCK_ROWS: u32 = 4096;
 
@@ -368,6 +369,13 @@ impl ColumnSynopsis {
         }
     }
 
+    /// Whether the histogram's buckets add up, without overflow, to
+    /// `count` — the rule a record must keep to be used at all, since its
+    /// bytes may come from a file.
+    pub fn hist_adds_up(&self) -> bool {
+        self.hist.iter().try_fold(0u64, |s, &c| s.checked_add(c)) == Some(self.count)
+    }
+
     /// Whether the envelope provably misses the half-open interval
     /// `[lo, hi)` (closed envelope vs half-open interval, the same boundary
     /// logic as zone-map pruning), so that no value falls in it. A NaN or
@@ -385,8 +393,9 @@ impl ColumnSynopsis {
     /// use the *same* monotone bucket-assignment function the histogram was
     /// built with: a bucket strictly between `lo`'s and `hi`'s buckets holds
     /// only values strictly inside `(lo, hi)`, and every selected value lands
-    /// in a bucket between them inclusively. NaN interval endpoints or an
-    /// unusable envelope degrade to the conservative `(0, count)`.
+    /// in a bucket between them inclusively. NaN interval endpoints, an
+    /// unusable envelope or buckets that do not add up to `count` degrade
+    /// to the conservative `(0, count)`.
     pub fn mass_in(&self, lo: f64, hi: f64) -> (u64, u64) {
         if self.count == 0 || self.misses(lo, hi) {
             return (0, 0);
@@ -396,6 +405,7 @@ impl ColumnSynopsis {
             || self.min.is_nan()
             || self.max.is_nan()
             || self.min > self.max
+            || !self.hist_adds_up()
         {
             return (0, self.count);
         }
@@ -452,13 +462,17 @@ impl BlockSynopsis {
     /// Column `a`'s moments as exact statistics over the block's non-NULL
     /// values; `None` when the column is absent or its record cannot
     /// summarize the block (the record comes from file bytes): more values
-    /// than rows, a non-finite field, an inverted envelope, or an envelope
-    /// past `±f64::MAX / 2^53`, beyond which a count of rows times a value
-    /// could overflow a sum.
+    /// than rows, buckets that do not add up to its count
+    /// ([`ColumnSynopsis::hist_adds_up`]), a non-finite field, an inverted
+    /// envelope, or an envelope past `±f64::MAX / 2^53`, beyond which a
+    /// count of rows times a value could overflow a sum.
     #[inline]
     pub fn stats(&self, a: AttrId) -> Option<RunningStats> {
         const MAX_VALUE: f64 = f64::MAX / 9_007_199_254_740_992.0;
-        let c = self.cols.get(a).filter(|c| c.count <= self.rows())?;
+        let c = self
+            .cols
+            .get(a)
+            .filter(|c| c.count <= self.rows() && c.hist_adds_up())?;
         let s = RunningStats::from_moments(c.count, c.sum, c.sum_sq, c.min, c.max)?;
         s.range()
             .is_none_or(|r| r.lo() >= -MAX_VALUE && r.hi() <= MAX_VALUE)
@@ -552,16 +566,16 @@ pub(crate) fn scan_columns(file: &dyn RawFile) -> Result<Vec<Vec<f64>>> {
     Ok(columns)
 }
 
-/// The one pass of a converter to the numeric-only `format`: the schema and
+/// The one pass of the converter to PaiZone (numeric only): the schema and
 /// every column of `src` (the row-major → column-major turn needs either
 /// full buffering or one pass per column; this spends one `f64` per value to
 /// keep the scan single). A text column is refused by name before anything
 /// is scanned.
-pub(crate) fn buffer_columns(src: &dyn RawFile, format: &str) -> Result<(Schema, Vec<Vec<f64>>)> {
+pub(crate) fn buffer_columns(src: &dyn RawFile) -> Result<(Schema, Vec<Vec<f64>>)> {
     let schema = src.schema().clone();
     if let Some(col) = schema.columns().iter().find(|c| !c.ty.is_numeric()) {
         return Err(PaiError::schema(format!(
-            "cannot convert column '{}' to {format}: not numeric",
+            "cannot convert column '{}' to PaiZone: not numeric",
             col.name
         )));
     }
@@ -1435,6 +1449,18 @@ mod tests {
         // Infinite envelope cannot be bucketed; still sound.
         let inf = ColumnSynopsis::from_values(&[0.0, f64::INFINITY], 4);
         assert_eq!(inf.mass_in(-1.0, 1.0), (0, 2));
+
+        // Buckets that do not add up to the count (file bytes) bracket
+        // nothing, and summing them cannot overflow.
+        for hist in [vec![u64::MAX, 1], vec![1 << 63, 1 << 63], vec![3, 3]] {
+            let s = ColumnSynopsis {
+                count: 5,
+                hist,
+                ..ColumnSynopsis::from_values(&[1.0, 20.0], 2)
+            };
+            assert!(!s.hist_adds_up(), "{:?}", s.hist);
+            assert_eq!(s.mass_in(-1.0, 20.0), (0, 5), "{:?}", s.hist);
+        }
     }
 
     #[test]
@@ -1486,8 +1512,15 @@ mod tests {
             assert_eq!(with(&|c| c.sum = bad), None, "{bad}");
             assert_eq!(with(&|c| c.sum_sq = bad), None, "{bad}");
         }
+        // Buckets that do not add up to the count, or overflow adding up.
+        assert_eq!(with(&|c| c.hist[0] += 1), None, "buckets over the count");
+        assert_eq!(with(&|c| c.hist[0] = u64::MAX), None, "overflowing buckets");
         // No value: the envelope's NaN convention is no claim at all.
-        let none = with(&|c| c.count = 0).unwrap();
+        let none = with(&|c| {
+            c.count = 0;
+            c.hist.fill(0);
+        })
+        .unwrap();
         assert_eq!((none.count(), none.range()), (0, None));
     }
 

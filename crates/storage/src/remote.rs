@@ -1,7 +1,7 @@
 //! `HttpFile`: a real remote object-store backend over HTTP/1.1 ranged GETs.
 //!
 //! [`crate::LatencyFile`] simulates the remote *cost model*; this module is
-//! the remote *transport*. An [`HttpFile`] serves a PaiBin or PaiZone image
+//! the remote *transport*. An [`HttpFile`] serves a PaiZone image
 //! that lives behind an HTTP object store (in tests and benches, the
 //! bundled [`crate::objstore::ObjectStore`]) and implements the full
 //! [`crate::RawFile`] surface — scans, positional reads, zone-map pushdown —
@@ -51,7 +51,7 @@
 //!   than the uncached one on the gated workloads, and warm it costs none.
 //!
 //! Metering: the wrapped file's logical meters (`bytes_read`, `seeks`,
-//! `blocks_read`, …) tick exactly as they do on a local `ZoneFile`/`BinFile`
+//! `blocks_read`, …) tick exactly as they do on a local `ZoneFile`
 //! — answers and logical I/O are byte-identical by construction — while
 //! the transport meters make the remote story visible end-to-end:
 //! `http_requests` (ranged GETs issued), `http_bytes` (bytes on the wire in
@@ -73,11 +73,10 @@ use pai_common::{AttrId, IoCounters, PaiError, Result, RowLocator};
 
 use crate::batch::RowBatch;
 use crate::cache::{BlockCache, CacheMode, Page, PAGE_BYTES};
-use crate::column::{BinFile, PAIBIN_MAGIC};
 use crate::netio::{read_head_line, read_headers};
 use crate::raw::{BatchHandler, RawFile, ScanRequest};
 use crate::schema::Schema;
-use crate::zone::{ZoneFile, PAIZONE_MAGIC, PAIZONE_MAGIC_V2};
+use crate::zone::ZoneFile;
 
 /// Client-side tuning for a remote object.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1026,71 +1025,41 @@ impl Seek for BlobReader<'_> {
     }
 }
 
-/// Which format the remote object decoded as.
-#[derive(Debug, Clone)]
-enum HttpInner {
-    /// A PaiZone image: compressed blocks + zone-map pushdown over HTTP.
-    Zone(ZoneFile),
-    /// A PaiBin image: fixed-stride columns over HTTP.
-    Bin(BinFile),
-}
-
 /// A raw file whose bytes live in a remote object store, fetched with
 /// coalesced, retried HTTP range requests. See the module docs.
 ///
 /// Cloning is cheap; clones share the connection pool and every meter.
 #[derive(Debug, Clone)]
 pub struct HttpFile {
-    inner: HttpInner,
+    zone: ZoneFile,
     blob: Arc<HttpBlob>,
 }
 
 impl HttpFile {
-    /// Opens the object `object` on the store at `addr`, sniffing the
-    /// format from its magic (PaiZone and PaiBin images are supported).
+    /// Opens the object `object` on the store at `addr` as a PaiZone image;
+    /// an object that is not one is an error.
     pub fn open(
         addr: impl ToSocketAddrs,
         object: impl Into<String>,
         opts: HttpOptions,
     ) -> Result<HttpFile> {
         let blob = Arc::new(HttpBlob::open(addr, object, opts, IoCounters::new())?);
-        let magic = blob.prefix().get(..8).unwrap_or_default();
-        let inner = if magic == PAIZONE_MAGIC || magic == PAIZONE_MAGIC_V2 {
-            HttpInner::Zone(ZoneFile::open_remote(Arc::clone(&blob))?)
-        } else if magic == PAIBIN_MAGIC {
-            HttpInner::Bin(BinFile::open_remote(Arc::clone(&blob))?)
-        } else {
-            return Err(PaiError::internal(
-                "remote object is neither a PaiZone nor a PaiBin image",
-            ));
-        };
-        Ok(HttpFile { inner, blob })
-    }
-
-    /// Whether the remote image decoded as PaiZone (zone maps + pushdown).
-    pub fn is_zone(&self) -> bool {
-        matches!(self.inner, HttpInner::Zone(_))
-    }
-
-    fn as_raw(&self) -> &dyn RawFile {
-        match &self.inner {
-            HttpInner::Zone(z) => z,
-            HttpInner::Bin(b) => b,
-        }
+        let zone = ZoneFile::open_remote(Arc::clone(&blob))?;
+        Ok(HttpFile { zone, blob })
     }
 }
 
 impl RawFile for HttpFile {
     fn schema(&self) -> &Schema {
-        self.as_raw().schema()
+        self.zone.schema()
     }
 
     fn counters(&self) -> &IoCounters {
-        self.as_raw().counters()
+        self.zone.counters()
     }
 
     fn size_bytes(&self) -> u64 {
-        self.as_raw().size_bytes()
+        self.zone.size_bytes()
     }
 
     fn scan_batches(
@@ -1098,7 +1067,7 @@ impl RawFile for HttpFile {
         request: &ScanRequest<'_>,
         handler: &mut BatchHandler<'_>,
     ) -> Result<()> {
-        self.as_raw().scan_batches(request, handler)
+        self.zone.scan_batches(request, handler)
     }
 
     fn read_rows_into(
@@ -1108,11 +1077,11 @@ impl RawFile for HttpFile {
         window: Option<&Rect>,
         out: &mut RowBatch,
     ) -> Result<()> {
-        self.as_raw().read_rows_into(locators, attrs, window, out)
+        self.zone.read_rows_into(locators, attrs, window, out)
     }
 
     fn inner(&self) -> Option<&dyn RawFile> {
-        Some(self.as_raw())
+        Some(&self.zone)
     }
 
     fn attach_cache(&self, cache: Arc<BlockCache>) -> bool {
@@ -1169,7 +1138,6 @@ mod tests {
     fn http_zone_round_trips_scans_and_reads() {
         let (store, local) = serve_zone(64, 4);
         let f = HttpFile::open(store.addr(), "data.paizone", HttpOptions::default()).unwrap();
-        assert!(f.is_zone());
         assert_eq!(f.schema().len(), 3);
         assert_eq!(f.size_bytes(), local.size_bytes());
         assert_eq!(collect_rows(&f), collect_rows(&local), "scan parity");
@@ -1192,37 +1160,44 @@ mod tests {
         assert_eq!(f.counters().blocks_read(), local.counters().blocks_read());
     }
 
-    #[test]
-    fn http_bin_round_trips() {
-        let store = ObjectStore::serve().unwrap();
-        let schema = Schema::synthetic(3);
-        store.put(
-            "data.paibin",
-            crate::column::encode_rows(&schema, striped_rows(20)).unwrap(),
-        );
-        let local = BinFile::from_rows(&schema, striped_rows(20)).unwrap();
-        let f = HttpFile::open(store.addr(), "data.paibin", HttpOptions::default()).unwrap();
-        assert!(!f.is_zone());
-        assert_eq!(collect_rows(&f), collect_rows(&local));
-        let locs: Vec<RowLocator> = (0..20).rev().map(RowLocator::new).collect();
-        assert_eq!(
-            f.read_rows(&locs, &[1]).unwrap(),
-            local.read_rows(&locs, &[1]).unwrap()
-        );
-        assert!(f.counters().http_requests() > 0);
+    /// A well-formed image of the fixed-stride `PAIBIN01` format the
+    /// library once also read: two columns `x`, `y` (the axes), two rows.
+    fn paibin_image() -> Vec<u8> {
+        let mut out = b"PAIBIN01".to_vec();
+        for word in [2u32, 0, 1] {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+        out.extend_from_slice(&2u64.to_le_bytes());
+        for name in [b"x", b"y"] {
+            out.extend_from_slice(&1u16.to_le_bytes());
+            out.extend_from_slice(name);
+        }
+        for v in [1.0f64, 2.0, 3.0, 4.0] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        out
     }
 
     #[test]
     fn unknown_or_foreign_objects_fail_cleanly() {
         let store = ObjectStore::serve().unwrap();
-        store.put(
-            "not-a-pai-file",
-            b"hello world, definitely not columnar".to_vec(),
-        );
         assert!(HttpFile::open(store.addr(), "missing", HttpOptions::default()).is_err());
-        let err =
-            HttpFile::open(store.addr(), "not-a-pai-file", HttpOptions::default()).unwrap_err();
-        assert!(err.to_string().contains("neither"), "{err}");
+        // Anything but a PaiZone image is refused by its magic: prose, a
+        // `PAIBIN01` image, CSV, an object too short to hold a magic.
+        let foreign = [
+            (
+                "not-a-pai-file",
+                b"hello world, definitely not columnar".to_vec(),
+            ),
+            ("paibin", paibin_image()),
+            ("csv", b"x,y,v\n1,2,3\n4,5,6\n".to_vec()),
+            ("tiny", b"PAI".to_vec()),
+        ];
+        for (object, bytes) in foreign {
+            store.put(object, bytes);
+            let err = HttpFile::open(store.addr(), object, HttpOptions::default()).unwrap_err();
+            assert!(err.to_string().contains("PaiZone"), "{object}: {err}");
+        }
     }
 
     #[test]
@@ -1799,18 +1774,12 @@ mod tests {
     }
 
     /// The fixture as an image to serve and its local twin.
-    fn wide_image(zone: bool) -> (Vec<u8>, Box<dyn RawFile>) {
+    fn wide_image() -> (Vec<u8>, Box<dyn RawFile>) {
         let schema = Schema::synthetic(3);
-        if zone {
-            let rows = wide_rows(ZONE_BLOCK_ROWS as u64);
-            let image = encode_zone_rows_with(&schema, rows.clone(), ZONE_BLOCK_ROWS).unwrap();
-            let local = ZoneFile::from_rows_with_block(&schema, rows, ZONE_BLOCK_ROWS).unwrap();
-            (image, Box::new(local))
-        } else {
-            let rows = wide_rows(crate::column::PAGE_ROWS);
-            let image = crate::column::encode_rows(&schema, rows.clone()).unwrap();
-            (image, Box::new(BinFile::from_rows(&schema, rows).unwrap()))
-        }
+        let rows = wide_rows(ZONE_BLOCK_ROWS as u64);
+        let image = encode_zone_rows_with(&schema, rows.clone(), ZONE_BLOCK_ROWS).unwrap();
+        let local = ZoneFile::from_rows_with_block(&schema, rows, ZONE_BLOCK_ROWS).unwrap();
+        (image, Box::new(local))
     }
 
     fn scan_opts(part_bytes: u64) -> HttpOptions {
@@ -1859,39 +1828,37 @@ mod tests {
 
     #[test]
     fn a_scan_issues_one_get_per_column_run_whatever_the_part_size() {
-        for zone in [true, false] {
-            let (image, local) = wide_image(zone);
-            let store = ObjectStore::serve().unwrap();
-            store.put("wide", image);
-            let (expect_rows, _) = scan_by_partition(local.as_ref());
-            for cached in [false, true] {
-                for part_bytes in [4 << 10, 64 << 10, 1 << 20] {
-                    let label = format!("zone={zone} cached={cached} part_bytes={part_bytes}");
-                    let f = open_wide(&store, part_bytes, cached);
-                    let open = f.counters().snapshot();
-                    let (rows, gets) = scan_by_partition(&f);
-                    assert!(rows == expect_rows, "{label}: rows differ");
-                    // Four partitions of ten blocks; a partition's run of one
-                    // column is contiguous, some tens of kilobytes, and far
-                    // from the next column's: one GET each, whether the
-                    // client was told parts of 4 KiB or of 1 MiB, and whether
-                    // the runs went out as block spans or as 16 KiB pages.
-                    assert_eq!(gets, [3, 3, 3, 3], "{label}");
-                    let io = f.counters().snapshot().since(&open);
-                    assert_eq!(
-                        [io.bytes_read, io.seeks, io.objects_read, io.blocks_read],
-                        logical_meters(local.as_ref()),
-                        "{label}: logical meters"
-                    );
-                    assert_eq!(io.retries, 0, "{label}");
-                }
+        let (image, local) = wide_image();
+        let store = ObjectStore::serve().unwrap();
+        store.put("wide", image);
+        let (expect_rows, _) = scan_by_partition(local.as_ref());
+        for cached in [false, true] {
+            for part_bytes in [4 << 10, 64 << 10, 1 << 20] {
+                let label = format!("cached={cached} part_bytes={part_bytes}");
+                let f = open_wide(&store, part_bytes, cached);
+                let open = f.counters().snapshot();
+                let (rows, gets) = scan_by_partition(&f);
+                assert!(rows == expect_rows, "{label}: rows differ");
+                // Four partitions of ten blocks; a partition's run of one
+                // column is contiguous, some tens of kilobytes, and far
+                // from the next column's: one GET each, whether the
+                // client was told parts of 4 KiB or of 1 MiB, and whether
+                // the runs went out as block spans or as 16 KiB pages.
+                assert_eq!(gets, [3, 3, 3, 3], "{label}");
+                let io = f.counters().snapshot().since(&open);
+                assert_eq!(
+                    [io.bytes_read, io.seeks, io.objects_read, io.blocks_read],
+                    logical_meters(local.as_ref()),
+                    "{label}: logical meters"
+                );
+                assert_eq!(io.retries, 0, "{label}");
             }
         }
     }
 
     #[test]
     fn a_window_scan_issues_no_get_for_a_skipped_block() {
-        let (image, local) = wide_image(true);
+        let (image, local) = wide_image();
         let store = ObjectStore::serve().unwrap();
         store.put("wide", image);
         // Band 0: blocks 0, 4, 8, …, 36 survive, three skipped between each.
@@ -1980,30 +1947,28 @@ mod tests {
 
     #[test]
     fn scans_survive_periodic_faults_inside_the_large_gets() {
-        for zone in [true, false] {
-            let (image, local) = wide_image(zone);
-            let (expect_rows, _) = scan_by_partition(local.as_ref());
-            for fault in [Fault::ShortRead, Fault::Status5xx, Fault::Drop] {
-                let plan = FaultPlan::Periodic { fault, every: 3 };
-                let store = ObjectStore::serve_with(Duration::ZERO, plan).unwrap();
-                store.put("wide", image.clone());
-                for cached in [false, true] {
-                    let label = format!("zone={zone} {fault:?} cached={cached}");
-                    let f = open_wide(&store, 64 << 10, cached);
-                    let open = f.counters().snapshot();
-                    let (rows, gets) = scan_by_partition(&f);
-                    assert!(rows == expect_rows, "{label}: rows differ");
-                    let io = f.counters().snapshot().since(&open);
-                    assert_eq!(
-                        [io.bytes_read, io.seeks, io.objects_read, io.blocks_read],
-                        logical_meters(local.as_ref()),
-                        "{label}: logical meters"
-                    );
-                    // Twelve column runs, every third request faulted: each
-                    // failed attempt is one metered retry on top of them.
-                    assert!(io.retries >= 4, "{label}: {} retries", io.retries);
-                    assert_eq!(gets.iter().sum::<u64>(), 12 + io.retries, "{label}");
-                }
+        let (image, local) = wide_image();
+        let (expect_rows, _) = scan_by_partition(local.as_ref());
+        for fault in [Fault::ShortRead, Fault::Status5xx, Fault::Drop] {
+            let plan = FaultPlan::Periodic { fault, every: 3 };
+            let store = ObjectStore::serve_with(Duration::ZERO, plan).unwrap();
+            store.put("wide", image.clone());
+            for cached in [false, true] {
+                let label = format!("{fault:?} cached={cached}");
+                let f = open_wide(&store, 64 << 10, cached);
+                let open = f.counters().snapshot();
+                let (rows, gets) = scan_by_partition(&f);
+                assert!(rows == expect_rows, "{label}: rows differ");
+                let io = f.counters().snapshot().since(&open);
+                assert_eq!(
+                    [io.bytes_read, io.seeks, io.objects_read, io.blocks_read],
+                    logical_meters(local.as_ref()),
+                    "{label}: logical meters"
+                );
+                // Twelve column runs, every third request faulted: each
+                // failed attempt is one metered retry on top of them.
+                assert!(io.retries >= 4, "{label}: {} retries", io.retries);
+                assert_eq!(gets.iter().sum::<u64>(), 12 + io.retries, "{label}");
             }
         }
     }

@@ -1,7 +1,7 @@
 //! `PaiZone`: a zone-mapped, compressed binary columnar raw-file format.
 //!
-//! `PaiBin` made positional reads O(1) arithmetic; `PaiZone` adds the two
-//! levers the exploration workload still leaves on the table:
+//! `PaiZone` is the one binary format: positional reads are arithmetic on a
+//! row id, and two levers serve the exploration workload beyond that:
 //!
 //! * **Compression** — values are stored frame-of-reference: per block, each
 //!   value is an unsigned delta from the block's minimum, bit-packed at the
@@ -97,12 +97,11 @@ const MAX_SYNOPSIS_BUCKETS: u32 = 4096;
 /// Upper bound on the per-block row-sample budget a v2 header may declare.
 const MAX_SYNOPSIS_SAMPLES: u32 = 65_536;
 
-/// Default rows per block. Matches `PaiBin`'s scan page so `blocks_read`
-/// counts are comparable across the binary backends.
+/// Default rows per block: the unit `blocks_read` and `blocks_skipped`
+/// count in.
 pub const DEFAULT_BLOCK_ROWS: u32 = 4096;
 
-/// Upper bound on the column count a header may declare (same guard as
-/// `PaiBin`).
+/// Upper bound on the column count a header may declare.
 const MAX_COLUMNS: usize = 65_536;
 
 /// Upper bound on rows per block a header may declare; anything above is
@@ -620,8 +619,7 @@ where
 }
 
 /// Encodes an iterator of numeric rows (each `schema.len()` wide) as
-/// PaiZone bytes with the default block size — the `PaiZone` analog of
-/// [`crate::column::encode_rows`].
+/// PaiZone bytes with the default block size.
 pub fn encode_zone_rows<I>(schema: &Schema, rows: I) -> Result<Vec<u8>>
 where
     I: IntoIterator<Item = Vec<f64>>,
@@ -641,7 +639,7 @@ where
 
 /// One-pass converter: scans `src` once (metered on `src`'s counters),
 /// buffering each column, and returns the dataset re-encoded as PaiZone
-/// bytes with the default block size. Numeric-only, like `PaiBin`.
+/// bytes with the default block size. Numeric columns only.
 pub fn convert_to_zone(src: &dyn RawFile) -> Result<Vec<u8>> {
     convert_to_zone_with(src, DEFAULT_BLOCK_ROWS)
 }
@@ -649,7 +647,7 @@ pub fn convert_to_zone(src: &dyn RawFile) -> Result<Vec<u8>> {
 /// [`convert_to_zone`] with an explicit rows-per-block (small blocks = finer
 /// pushdown granularity, bigger header).
 pub fn convert_to_zone_with(src: &dyn RawFile, block_rows: u32) -> Result<Vec<u8>> {
-    let (schema, columns) = buffer_columns(src, "PaiZone")?;
+    let (schema, columns) = buffer_columns(src)?;
     encode_zone_columns(&schema, &columns, block_rows)
 }
 
@@ -659,13 +657,13 @@ pub fn convert_to_zone_spec(
     block_rows: u32,
     spec: &SynopsisSpec,
 ) -> Result<Vec<u8>> {
-    let (schema, columns) = buffer_columns(src, "PaiZone")?;
+    let (schema, columns) = buffer_columns(src)?;
     encode_zone_columns_spec(&schema, &columns, block_rows, spec)
 }
 
 /// Converts `src` to PaiZone on disk at `path` and opens the result.
 pub fn write_zone(src: &dyn RawFile, path: impl AsRef<Path>) -> Result<ZoneFile> {
-    let (schema, columns) = buffer_columns(src, "PaiZone")?;
+    let (schema, columns) = buffer_columns(src)?;
     let bytes = encode_zone_columns(&schema, &columns, DEFAULT_BLOCK_ROWS)?;
     std::fs::write(path.as_ref(), &bytes)?;
     ZoneFile::open(path)
@@ -680,8 +678,7 @@ pub fn write_zone(src: &dyn RawFile, path: impl AsRef<Path>) -> Result<ZoneFile>
 /// ranged GET, small enough that the decode working set stays tiny.
 const SCAN_GROUP_BLOCKS: usize = 16;
 
-/// A PaiZone compressed columnar file. Locators are row ids, exactly like
-/// [`crate::BinFile`].
+/// A PaiZone compressed columnar file. Locators are row ids.
 ///
 /// Cloning is cheap and clones share the same [`IoCounters`] and decoded
 /// header; each access opens its own handle (or reuses the shared mapping),
@@ -1335,8 +1332,7 @@ mod tests {
         assert_eq!(f.counters().full_scans(), 1);
         assert_eq!(f.counters().objects_read(), 4);
         assert_eq!(f.counters().blocks_read(), 3, "one block per column");
-        // Compression: the whole scan moved fewer bytes than PaiBin's
-        // 8/value data region.
+        // Compression: the whole scan moved fewer bytes than 8 a value.
         assert!(f.counters().bytes_read() < 3 * 4 * 8);
     }
 
@@ -1847,7 +1843,7 @@ mod tests {
     }
 
     #[test]
-    fn compression_beats_paibin_on_clustered_values() {
+    fn compression_beats_raw_f64_on_clustered_values() {
         // The bench generator's shape: values clustering inside a block.
         let data: Vec<Vec<f64>> = (0..4096)
             .map(|i| {
@@ -1859,26 +1855,26 @@ mod tests {
                 ]
             })
             .collect();
-        let zone = ZoneFile::from_rows(&Schema::synthetic(3), data.clone()).unwrap();
-        let bin = crate::BinFile::from_rows(&Schema::synthetic(3), data).unwrap();
+        // The whole file, header and zone maps included, is smaller than
+        // the values alone at 8 bytes each.
+        let raw_bytes = 8 * 3 * data.len() as u64;
+        let zone = ZoneFile::from_rows(&Schema::synthetic(3), data).unwrap();
         assert!(
-            zone.size_bytes() < bin.size_bytes(),
-            "zone {} vs bin {}",
-            zone.size_bytes(),
-            bin.size_bytes()
+            zone.size_bytes() < raw_bytes,
+            "zone {} vs raw {raw_bytes}",
+            zone.size_bytes()
         );
         assert!(zone.mean_bits_per_value() < 64.0);
 
-        // A coalesced positional run also moves fewer bytes.
+        // A coalesced positional run also moves fewer than 8 bytes a value.
         let locs: Vec<RowLocator> = (100..600).map(RowLocator::new).collect();
         zone.counters().reset();
         zone.read_rows(&locs, &[2]).unwrap();
-        bin.read_rows(&locs, &[2]).unwrap();
         assert!(
-            zone.counters().bytes_read() < bin.counters().bytes_read(),
-            "zone {} vs bin {}",
+            zone.counters().bytes_read() < 8 * locs.len() as u64,
+            "zone {} vs raw {}",
             zone.counters().bytes_read(),
-            bin.counters().bytes_read()
+            8 * locs.len()
         );
     }
 }

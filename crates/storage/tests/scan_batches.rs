@@ -11,7 +11,7 @@ use pai_common::geometry::{Point2, Rect};
 use pai_common::IoSnapshot;
 use pai_storage::zone::encode_zone_rows_with;
 use pai_storage::{
-    AppendableFile, BinFile, CacheConfig, CachedFile, CsvFile, CsvFormat, DatasetSpec, HttpFile,
+    AppendableFile, CacheConfig, CachedFile, CsvFile, CsvFormat, DatasetSpec, HttpFile,
     HttpOptions, LatencyFile, ObjectStore, RawFile, RowOrder, ScanPartition, ScanRequest, ZoneFile,
 };
 
@@ -188,15 +188,6 @@ fn batches_lend_what_the_row_scan_shows_on_every_backend() {
         "mem",
         &|| Box::new(spec.build_mem(CsvFormat::default()).unwrap()),
         false,
-    );
-
-    let bin_path = dir.join("data.paibin");
-    spec.write_bin(&bin_path).unwrap();
-    check_backend("bin", &|| Box::new(BinFile::open(&bin_path).unwrap()), true);
-    check_backend(
-        "mapped bin",
-        &|| Box::new(BinFile::open_mapped(&bin_path).unwrap()),
-        true,
     );
 
     // 256-row blocks: a block is a batch, and windows skip whole blocks.

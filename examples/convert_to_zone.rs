@@ -1,12 +1,12 @@
-//! Converts a CSV dataset to the binary columnar (`PaiBin`) and the
-//! zone-mapped compressed (`PaiZone`) formats, then runs the quickstart
-//! workload against all three backends (plus `PaiBin` behind a zero-copy
-//! memory mapping), printing the I/O deltas — bytes, blocks, and the
+//! Converts a CSV dataset to the zone-mapped compressed binary columnar
+//! format (`PaiZone`), then runs the quickstart workload against the CSV
+//! file, the converted file and the converted file behind a zero-copy
+//! memory mapping, printing the I/O deltas — bytes, blocks, and the
 //! zone-map skips of a ground-truth verification pass.
 //!
 //! Run with:
 //! ```text
-//! cargo run --release --example convert_to_bin
+//! cargo run --release --example convert_to_zone
 //! ```
 
 use partial_adaptive_indexing::prelude::*;
@@ -78,7 +78,7 @@ fn main() -> Result<()> {
         order: RowOrder::ZOrder,
         ..Default::default()
     };
-    let dir = std::env::temp_dir().join("pai_convert_to_bin");
+    let dir = std::env::temp_dir().join("pai_convert_to_zone");
     std::fs::create_dir_all(&dir)?;
     let csv_path = dir.join("dataset.csv");
     println!("generating {} rows of CSV ...", spec.rows);
@@ -89,16 +89,7 @@ fn main() -> Result<()> {
         csv.size_bytes() as f64 / (1024.0 * 1024.0)
     );
 
-    // --- 2. One-pass conversions ---------------------------------------------
-    let bin_path = dir.join("dataset.paibin");
-    let t0 = std::time::Instant::now();
-    let bin = write_bin(&csv, &bin_path)?;
-    println!(
-        "bin:  {} ({:.1} MiB), converted in {:.2?}",
-        bin_path.display(),
-        bin.size_bytes() as f64 / (1024.0 * 1024.0),
-        t0.elapsed()
-    );
+    // --- 2. One-pass conversion ----------------------------------------------
     let zone_path = dir.join("dataset.paizone");
     let t0 = std::time::Instant::now();
     let zone = write_zone(&csv, &zone_path)?;
@@ -109,46 +100,43 @@ fn main() -> Result<()> {
         zone.mean_bits_per_value(),
         t0.elapsed()
     );
-    let mapped = BinFile::open_mapped(&bin_path)?;
+    let mapped = ZoneFile::open_mapped(&zone_path)?;
     csv.counters().reset();
 
     // --- 3. The same workload on every backend -------------------------------
     println!("\nrunning the quickstart workload on each backend:");
     let cc = run_workload("csv ", &csv, &spec)?;
-    let bc = run_workload("bin ", &bin, &spec)?;
-    let mc = run_workload("mmap", &mapped, &spec)?;
     let zc = run_workload("zone", &zone, &spec)?;
+    let mc = run_workload("mmap", &mapped, &spec)?;
 
     // --- 4. The I/O delta ---------------------------------------------------
     println!("\n== I/O delta (same queries, same answers) ==");
-    assert_eq!(bc.objects, mc.objects, "mapped reads mirror streamed reads");
+    assert_eq!(zc.objects, mc.objects, "mapped reads mirror streamed reads");
+    assert_eq!(zc.bytes, mc.bytes, "mapped reads mirror streamed reads");
     println!(
-        "objects read : csv {} / bin {} / zone {} (zone's pushdown verification never touches dead blocks)",
-        cc.objects, bc.objects, zc.objects
+        "objects read : csv {} / zone {} (zone's pushdown verification never touches dead blocks)",
+        cc.objects, zc.objects
     );
     println!(
-        "bytes read   : csv {} vs bin {} vs zone {}  (bin {:.1}x, zone {:.1}x less than csv)",
+        "bytes read   : csv {} vs zone {}  ({:.1}x less)",
         cc.bytes,
-        bc.bytes,
         zc.bytes,
-        cc.bytes as f64 / bc.bytes.max(1) as f64,
         cc.bytes as f64 / zc.bytes.max(1) as f64
     );
     println!(
-        "blocks read  : bin {} vs zone {} (+{} proven dead and skipped)",
-        bc.blocks, zc.blocks, zc.blocks_skipped
+        "blocks read  : zone {} (+{} proven dead and skipped)",
+        zc.blocks, zc.blocks_skipped
     );
-    if bc.secs > 0.0 && zc.secs > 0.0 {
+    if zc.secs > 0.0 && mc.secs > 0.0 {
         println!(
-            "wall clock   : csv {:.4}s, bin {:.4}s, mmap {:.4}s, zone {:.4}s",
-            cc.secs, bc.secs, mc.secs, zc.secs
+            "wall clock   : csv {:.4}s, zone {:.4}s, mmap {:.4}s",
+            cc.secs, zc.secs, mc.secs
         );
     }
-    assert!(zc.bytes < bc.bytes, "zone must move fewer bytes");
-    assert!(zc.blocks < bc.blocks, "zone must touch fewer blocks");
+    assert!(zc.bytes < cc.bytes, "zone must move fewer bytes");
+    assert!(zc.blocks_skipped > 0, "zone maps must prove blocks dead");
 
     std::fs::remove_file(&csv_path).ok();
-    std::fs::remove_file(&bin_path).ok();
     std::fs::remove_file(&zone_path).ok();
     Ok(())
 }

@@ -81,11 +81,10 @@ pub mod prelude {
         PaiClient, PaiServer, ServeEngine, ServedAnswer, ServedReply, ServerConfig, ServerStats,
     };
     pub use pai_storage::{
-        convert_to_bin, convert_to_zone, convert_to_zone_spec, write_bin, write_zone, BinFile,
-        BlockCache, BlockStats, BlockSynopsis, CacheConfig, CachedFile, ColumnSynopsis, CsvFile,
-        CsvFormat, DatasetSpec, Fault, FaultPlan, HttpFile, HttpOptions, LatencyFile, MemFile,
-        ObjectStore, PointDistribution, RawFile, RowBatch, RowOrder, Schema, SynopsisSpec,
-        ValueModel, ZoneFile,
+        convert_to_zone, convert_to_zone_spec, write_zone, BlockCache, BlockStats, BlockSynopsis,
+        CacheConfig, CachedFile, ColumnSynopsis, CsvFile, CsvFormat, DatasetSpec, Fault, FaultPlan,
+        HttpFile, HttpOptions, LatencyFile, MemFile, ObjectStore, PointDistribution, RawFile,
+        RowBatch, RowOrder, Schema, SynopsisSpec, ValueModel, ZoneFile,
     };
 }
 

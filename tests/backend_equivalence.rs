@@ -1,22 +1,24 @@
 //! Backend-equivalence properties: the engine must not be able to tell the
 //! storage backends apart — except through the I/O meters.
 //!
-//! For generated datasets, the CSV representation, its binary columnar
-//! (`PaiBin`) and zone-mapped compressed (`PaiZone`) conversions, and the
-//! zone image served over HTTP ranged GETs (`HttpFile`) must yield, under
-//! the same configuration and query sequence:
+//! For generated datasets, the CSV representation, its zone-mapped
+//! compressed binary columnar (`PaiZone`) conversion, and the zone image
+//! served over HTTP ranged GETs (`HttpFile`) must yield, under the same
+//! configuration and query sequence:
 //!   1. identical approximate answers and error bounds;
 //!   2. the same adaptation trajectory (tiles processed/split, objects
 //!      read, final leaf count);
-//!   3. fewer (or equal) bytes read on the binary backends — strictly
+//!   3. fewer (or equal) bytes read on the binary backend — strictly
 //!      fewer whenever the workload actually reads objects — and, on
 //!      spatially clustered layouts, strictly fewer bytes *and blocks* on
-//!      `PaiZone` than on `PaiBin` (zone-map pushdown).
+//!      `PaiZone` with its windows pushed down than on the same image read
+//!      without them (zone-map pushdown).
 //!
 //! All backends scan rows in the same order and round-trip `f64` values
-//! bit-exactly (CSV via shortest-repr printing, PaiBin/PaiZone natively),
-//! so the comparisons below are exact, not approximate.
+//! bit-exactly (CSV via shortest-repr printing, PaiZone natively), so the
+//! comparisons below are exact, not approximate.
 
+use pai_bench::NoPushdown;
 use partial_adaptive_indexing::prelude::*;
 use proptest::prelude::*;
 
@@ -98,7 +100,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Query-result and adaptation-trajectory equivalence between the CSV
-    /// backend and its binary conversion, plus the byte advantage.
+    /// backend and its binary conversion (local, remote, cached remote),
+    /// plus the byte advantage.
     #[test]
     fn prop_backends_equivalent(
         rows in 200u64..900,
@@ -113,9 +116,7 @@ proptest! {
         let csv = spec.build_mem(CsvFormat::default()).unwrap();
         // Convert the *CSV file* (not the generator) so the converter paths
         // themselves are under test.
-        let bin = BinFile::from_bytes(convert_to_bin(&csv).unwrap()).unwrap();
         let zone = ZoneFile::from_bytes(convert_to_zone(&csv).unwrap()).unwrap();
-        prop_assert_eq!(bin.n_rows(), rows);
         prop_assert_eq!(zone.n_rows(), rows);
         // The same zone image served over HTTP ranged GETs.
         let store = ObjectStore::serve().unwrap();
@@ -130,31 +131,21 @@ proptest! {
 
         let windows = [w1, w2, w3];
         let (rc, co, cb, cl) = run_sequence(&csv, &spec, grid, &windows, phi);
-        let (rb, bo, bb, bl) = run_sequence(&bin, &spec, grid, &windows, phi);
         let (rz, zo, zb, zl) = run_sequence(&zone, &spec, grid, &windows, phi);
         let (rh, ho, hb, hl) = run_sequence(&http, &spec, grid, &windows, phi);
         let (rq, qo, qb, ql) = run_sequence(&cached, &spec, grid, &windows, phi);
 
-        for (i, (((c, b), z), h)) in rc.iter().zip(&rb).zip(&rz).zip(&rh).enumerate() {
-            for (((cv, bv), zv), hv) in
-                c.values.iter().zip(&b.values).zip(&z.values).zip(&h.values)
-            {
-                prop_assert_eq!(cv.as_f64(), bv.as_f64(), "query {} answer", i);
+        for (i, ((c, z), h)) in rc.iter().zip(&rz).zip(&rh).enumerate() {
+            for ((cv, zv), hv) in c.values.iter().zip(&z.values).zip(&h.values) {
                 prop_assert_eq!(cv.as_f64(), zv.as_f64(), "query {} zone answer", i);
                 prop_assert_eq!(cv.as_f64(), hv.as_f64(), "query {} http answer", i);
             }
-            for (((cc, bc), zc), hc) in c.cis.iter().zip(&b.cis).zip(&z.cis).zip(&h.cis) {
-                prop_assert_eq!(cc, bc, "query {} CI", i);
+            for ((cc, zc), hc) in c.cis.iter().zip(&z.cis).zip(&h.cis) {
                 prop_assert_eq!(cc, zc, "query {} zone CI", i);
                 prop_assert_eq!(cc, hc, "query {} http CI", i);
             }
-            prop_assert_eq!(c.error_bound, b.error_bound, "query {} bound", i);
             prop_assert_eq!(c.error_bound, z.error_bound, "query {} zone bound", i);
             prop_assert_eq!(c.error_bound, h.error_bound, "query {} http bound", i);
-            prop_assert_eq!(
-                c.stats.tiles_processed, b.stats.tiles_processed,
-                "query {} trajectory", i
-            );
             prop_assert_eq!(
                 c.stats.tiles_processed, z.stats.tiles_processed,
                 "query {} zone trajectory", i
@@ -163,10 +154,9 @@ proptest! {
                 c.stats.tiles_processed, h.stats.tiles_processed,
                 "query {} http trajectory", i
             );
-            prop_assert_eq!(c.stats.tiles_split, b.stats.tiles_split, "query {} splits", i);
             prop_assert_eq!(c.stats.tiles_split, z.stats.tiles_split, "query {} zone splits", i);
             prop_assert_eq!(c.stats.tiles_split, h.stats.tiles_split, "query {} http splits", i);
-            prop_assert_eq!(c.stats.selected, b.stats.selected, "query {} selection", i);
+            prop_assert_eq!(c.stats.selected, z.stats.selected, "query {} selection", i);
         }
         // The cached remote leg is indistinguishable except in transport:
         // same answers, CIs, bounds, and trajectory as every other backend.
@@ -184,11 +174,9 @@ proptest! {
             );
         }
         // Same splits in, same tree out.
-        prop_assert_eq!(cl, bl, "final leaf counts must match");
         prop_assert_eq!(cl, zl, "zone leaf count must match");
         prop_assert_eq!(cl, hl, "http leaf count must match");
         prop_assert_eq!(cl, ql, "cached http leaf count must match");
-        prop_assert_eq!(co, bo, "object meters must match");
         prop_assert_eq!(co, zo, "zone object meter must match");
         prop_assert_eq!(co, ho, "http object meter must match");
         prop_assert_eq!(co, qo, "cached http object meter must match");
@@ -211,12 +199,11 @@ proptest! {
             0u64,
             "an uncached file must report zero cache traffic"
         );
-        // The tentpole claim: binary positional reads are never more
+        // The binary format's claim: positional reads are never more
         // expensive in bytes, and strictly cheaper once anything is read.
-        prop_assert!(bb <= cb, "bin bytes {} > csv bytes {}", bb, cb);
+        prop_assert!(zb <= cb, "zone bytes {} > csv bytes {}", zb, cb);
         if co > 0 {
-            prop_assert!(bb < cb, "expected a strict byte advantage: {} vs {}", bb, cb);
-            prop_assert!(zb < cb, "expected zone below csv: {} vs {}", zb, cb);
+            prop_assert!(zb < cb, "expected a strict byte advantage: {} vs {}", zb, cb);
         }
     }
 
@@ -230,15 +217,9 @@ proptest! {
     ) {
         let spec = dataset(rows, seed, 3);
         let csv = spec.build_mem(CsvFormat::default()).unwrap();
-        let bin = BinFile::from_bytes(convert_to_bin(&csv).unwrap()).unwrap();
         let zone = ZoneFile::from_bytes(convert_to_zone(&csv).unwrap()).unwrap();
         let tc = pai_storage::ground_truth::window_truth(&csv, &window, &[2]).unwrap();
-        let tb = pai_storage::ground_truth::window_truth(&bin, &window, &[2]).unwrap();
         let tz = pai_storage::ground_truth::window_truth(&zone, &window, &[2]).unwrap();
-        prop_assert_eq!(tc[0].selected, tb[0].selected);
-        prop_assert_eq!(tc[0].stats.sum(), tb[0].stats.sum());
-        prop_assert_eq!(tc[0].stats.min(), tb[0].stats.min());
-        prop_assert_eq!(tc[0].stats.max(), tb[0].stats.max());
         prop_assert_eq!(tc[0].selected, tz[0].selected);
         prop_assert_eq!(tc[0].stats.sum(), tz[0].stats.sum());
         prop_assert_eq!(tc[0].stats.min(), tz[0].stats.min());
@@ -248,9 +229,9 @@ proptest! {
     /// On a spatially clustered layout (the realistic converted-archive
     /// case), `PaiZone` answers the same workload **plus its per-query
     /// ground-truth verification** with identical results while moving
-    /// strictly fewer bytes than `PaiBin`; blocks never exceed `PaiBin`'s
-    /// (same 4096-row granularity) and are strictly fewer whenever the
-    /// zone maps prove anything dead.
+    /// strictly fewer bytes than the same image read with no window pushed
+    /// down; blocks never exceed that baseline's and are strictly fewer
+    /// whenever the zone maps prove anything dead.
     #[test]
     fn prop_zone_pushdown_cheaper_on_clustered_layout(
         rows in 12_288u64..20_000,
@@ -265,7 +246,7 @@ proptest! {
         };
         // One physical order for every backend: equivalence by construction.
         let rows_phys = spec.rows_physical();
-        let bin = BinFile::from_rows(&spec.schema(), rows_phys.clone()).unwrap();
+        let unpushed = NoPushdown(ZoneFile::from_rows(&spec.schema(), rows_phys.clone()).unwrap());
         let zone = ZoneFile::from_rows(&spec.schema(), rows_phys).unwrap();
 
         let windows = [w1, w2];
@@ -281,47 +262,52 @@ proptest! {
                 .collect();
             (results, truths, file.counters().snapshot())
         };
-        let (rb, tb, sb) = run_verified(&bin);
+        let (ru, tu, su) = run_verified(&unpushed);
         let (rz, tz, sz) = run_verified(&zone);
 
-        for (i, (b, z)) in rb.iter().zip(&rz).enumerate() {
-            for (bv, zv) in b.values.iter().zip(&z.values) {
-                prop_assert_eq!(bv.as_f64(), zv.as_f64(), "query {} answer", i);
+        for (i, (u, z)) in ru.iter().zip(&rz).enumerate() {
+            for (uv, zv) in u.values.iter().zip(&z.values) {
+                prop_assert_eq!(uv.as_f64(), zv.as_f64(), "query {} answer", i);
             }
-            for (bc, zc) in b.cis.iter().zip(&z.cis) {
-                prop_assert_eq!(bc, zc, "query {} CI", i);
+            for (uc, zc) in u.cis.iter().zip(&z.cis) {
+                prop_assert_eq!(uc, zc, "query {} CI", i);
             }
-            prop_assert_eq!(b.error_bound, z.error_bound, "query {} bound", i);
+            prop_assert_eq!(u.error_bound, z.error_bound, "query {} bound", i);
             prop_assert_eq!(
-                b.stats.tiles_processed, z.stats.tiles_processed,
+                u.stats.tiles_processed, z.stats.tiles_processed,
                 "query {} trajectory", i
             );
             prop_assert_eq!(
-                b.stats.io.objects_read, z.stats.io.objects_read,
+                u.stats.io.objects_read, z.stats.io.objects_read,
                 "query {} engine objects", i
             );
         }
-        prop_assert_eq!(tb, tz, "verification truths must agree");
+        prop_assert_eq!(tu, tz, "verification truths must agree");
         // (Total objects differ by design: pruned truth scans never even
         // touch the records of dead blocks.)
         prop_assert!(
-            sz.bytes_read < sb.bytes_read,
-            "zone must move strictly fewer bytes: {} vs {}",
-            sz.bytes_read, sb.bytes_read
+            sz.bytes_read <= su.bytes_read,
+            "zone must never move more bytes: {} vs {}",
+            sz.bytes_read, su.bytes_read
         );
         prop_assert!(
-            sz.blocks_read <= sb.blocks_read,
+            sz.blocks_read <= su.blocks_read,
             "zone must never touch more blocks: {} vs {}",
-            sz.blocks_read, sb.blocks_read
+            sz.blocks_read, su.blocks_read
         );
         if sz.blocks_skipped > 0 {
             prop_assert!(
-                sz.blocks_read < sb.blocks_read,
+                sz.bytes_read < su.bytes_read,
+                "zone must move strictly fewer bytes: {} vs {}",
+                sz.bytes_read, su.bytes_read
+            );
+            prop_assert!(
+                sz.blocks_read < su.blocks_read,
                 "skipped blocks must show up as strictly fewer reads: {} vs {} (+{})",
-                sz.blocks_read, sb.blocks_read, sz.blocks_skipped
+                sz.blocks_read, su.blocks_read, sz.blocks_skipped
             );
         }
-        prop_assert_eq!(sb.blocks_skipped, 0, "PaiBin cannot skip");
+        prop_assert_eq!(su.blocks_skipped, 0, "no window, no skip");
     }
 }
 
@@ -439,7 +425,8 @@ fn cached_http_matches_zone_and_warm_rerun_stays_off_the_wire() {
 /// Deterministic strict version of the pushdown claim (the acceptance
 /// gate's shape, as a plain test): on the clustered layout, a corner-bound
 /// exploration plus its verification reads strictly fewer blocks and bytes
-/// on `PaiZone` than on `PaiBin`, for identical answers and CIs.
+/// on `PaiZone` with its windows pushed down than on the same image read
+/// without them, for identical answers and CIs.
 #[test]
 fn zone_pushdown_strictly_cheaper_deterministic() {
     let spec = DatasetSpec {
@@ -450,7 +437,7 @@ fn zone_pushdown_strictly_cheaper_deterministic() {
         ..Default::default()
     };
     let rows_phys = spec.rows_physical();
-    let bin = BinFile::from_rows(&spec.schema(), rows_phys.clone()).unwrap();
+    let unpushed = NoPushdown(ZoneFile::from_rows(&spec.schema(), rows_phys.clone()).unwrap());
     let zone = ZoneFile::from_rows(&spec.schema(), rows_phys).unwrap();
 
     // A corner-anchored pan: far corners of the Z-curve stay provably dead.
@@ -467,33 +454,33 @@ fn zone_pushdown_strictly_cheaper_deterministic() {
         }
         (results, file.counters().snapshot())
     };
-    let (rb, sb) = run_verified(&bin);
+    let (ru, su) = run_verified(&unpushed);
     let (rz, sz) = run_verified(&zone);
 
-    for (b, z) in rb.iter().zip(&rz) {
-        for (bv, zv) in b.values.iter().zip(&z.values) {
-            assert_eq!(bv.as_f64(), zv.as_f64());
+    for (u, z) in ru.iter().zip(&rz) {
+        for (uv, zv) in u.values.iter().zip(&z.values) {
+            assert_eq!(uv.as_f64(), zv.as_f64());
         }
-        for (bc, zc) in b.cis.iter().zip(&z.cis) {
-            assert_eq!(bc, zc);
+        for (uc, zc) in u.cis.iter().zip(&z.cis) {
+            assert_eq!(uc, zc);
         }
-        assert_eq!(b.error_bound, z.error_bound);
-        assert_eq!(b.stats.io.objects_read, z.stats.io.objects_read);
+        assert_eq!(u.error_bound, z.error_bound);
+        assert_eq!(u.stats.io.objects_read, z.stats.io.objects_read);
     }
     // (Total objects are incomparable: pruned truth scans never touch the
     // records of dead blocks at all.)
     assert!(sz.blocks_skipped > 0, "zone maps must prove blocks dead");
     assert!(
-        sz.blocks_read < sb.blocks_read,
-        "strictly fewer blocks: zone {} vs bin {}",
+        sz.blocks_read < su.blocks_read,
+        "strictly fewer blocks: zone {} vs unpushed {}",
         sz.blocks_read,
-        sb.blocks_read
+        su.blocks_read
     );
     assert!(
-        sz.bytes_read < sb.bytes_read,
-        "strictly fewer bytes: zone {} vs bin {}",
+        sz.bytes_read < su.bytes_read,
+        "strictly fewer bytes: zone {} vs unpushed {}",
         sz.bytes_read,
-        sb.bytes_read
+        su.bytes_read
     );
 }
 
@@ -538,11 +525,11 @@ fn run_sequence_cfg(
 /// adapt-batch × fetch-workers combination — from a statically-built file
 /// holding the same rows in the same order.
 ///
-/// Each backend (mem/bin/zone/http) is wrapped in an `AppendableFile` with
+/// Each backend (mem/zone/http) is wrapped in an `AppendableFile` with
 /// a deliberately small delta-block size, fed the same delta stream in
 /// uneven batches (so the run ends with several sealed blocks *and* a
 /// non-empty open tail), and then driven through the standard query
-/// sequence. The static twin is a `BinFile` built from base + delta rows in
+/// sequence. The static twin is a `ZoneFile` built from base + delta rows in
 /// append order: pre-compaction the appendable scans base-then-deltas in
 /// exactly that order, so index build, adaptation trajectory, and every
 /// float fold are identical by construction — the comparisons below are on
@@ -562,7 +549,7 @@ fn streamed_ingest_matches_statically_built_file_on_every_backend() {
         .collect();
     let mut all_rows = spec.rows_physical();
     all_rows.extend(delta.iter().cloned());
-    let twin = BinFile::from_rows(&spec.schema(), all_rows).unwrap();
+    let twin = ZoneFile::from_rows(&spec.schema(), all_rows).unwrap();
 
     let store = ObjectStore::serve().unwrap();
     store.put("ingest.paizone", convert_to_zone(&csv).unwrap());
@@ -585,18 +572,6 @@ fn streamed_ingest_matches_statically_built_file_on_every_backend() {
                 Box::new(
                     pai_storage::AppendableFile::with_layout(
                         spec.build_mem(CsvFormat::default()).unwrap(),
-                        spec.rows,
-                        64,
-                        SynopsisSpec::default(),
-                    )
-                    .unwrap(),
-                ),
-            ),
-            (
-                "bin",
-                Box::new(
-                    pai_storage::AppendableFile::with_layout(
-                        BinFile::from_bytes(convert_to_bin(&csv).unwrap()).unwrap(),
                         spec.rows,
                         64,
                         SynopsisSpec::default(),
@@ -690,7 +665,6 @@ fn streamed_ingest_matches_statically_built_file_on_every_backend() {
 fn metadata_free_cold_start_converges_on_every_backend() {
     let spec = dataset(900, 7, 4);
     let csv = spec.build_mem(CsvFormat::default()).unwrap();
-    let bin = BinFile::from_bytes(convert_to_bin(&csv).unwrap()).unwrap();
     let zone = ZoneFile::from_bytes(convert_to_zone(&csv).unwrap()).unwrap();
     let store = ObjectStore::serve().unwrap();
     store.put("cold.paizone", convert_to_zone(&csv).unwrap());
@@ -705,7 +679,6 @@ fn metadata_free_cold_start_converges_on_every_backend() {
 
     for (label, file) in [
         ("csv", &csv as &dyn RawFile),
-        ("bin", &bin),
         ("zone", &zone),
         ("http", &http),
     ] {

@@ -6,16 +6,15 @@
 //! size hint — no file access. These tests pin how tightly that prediction
 //! tracks the real meters per backend:
 //!
-//! * **PaiBin** — fixed 8-byte values, run-coalesced exact reads: the
-//!   prediction is *exact* in both objects and bytes;
 //! * **PaiZone / HTTP** — bit-packed blocks priced at the file's mean bits
 //!   per value: objects exact, bytes within a relative tolerance (per-block
 //!   widths vary around the mean, and packed runs carry byte-alignment
 //!   padding);
 //! * **CSV** — objects exact, bytes priced at the mean row length, so a
 //!   small tolerance absorbs row-length variance;
-//! * an accuracy-constrained run (`φ > 0`) stops early, so on the
-//!   exactly-priced backend the prediction is a hard upper bound.
+//! * an accuracy-constrained run (`φ > 0`) stops early, so the predicted
+//!   objects are a hard upper bound, and the predicted bytes one within
+//!   the pricing tolerance.
 //!
 //! The `predicted_bytes` report column exposes the same prediction per
 //! query; `tests/workload_suite.rs` pins its CSV plumbing.
@@ -71,18 +70,6 @@ fn run_predicted(file: &dyn RawFile, phi: f64) -> Vec<(IoPrediction, u64, u64)> 
 }
 
 #[test]
-fn bin_prediction_is_exact() {
-    let csv = spec().build_mem(CsvFormat::default()).unwrap();
-    let bin = BinFile::from_bytes(convert_to_bin(&csv).unwrap()).unwrap();
-    let runs = run_predicted(&bin, 0.0);
-    assert!(runs.iter().any(|(_, o, _)| *o > 0), "the ladder read data");
-    for (i, (p, objects, bytes)) in runs.iter().enumerate() {
-        assert_eq!(p.objects, *objects, "query {i}: predicted objects");
-        assert_eq!(p.bytes, *bytes, "query {i}: predicted bytes");
-    }
-}
-
-#[test]
 fn zone_and_http_predictions_track_metered_bytes() {
     let csv = spec().build_mem(CsvFormat::default()).unwrap();
     let image = convert_to_zone(&csv).unwrap();
@@ -93,6 +80,10 @@ fn zone_and_http_predictions_track_metered_bytes() {
 
     for (label, file) in [("zone", &zone as &dyn RawFile), ("http", &http)] {
         let runs = run_predicted(file, 0.0);
+        assert!(
+            runs.iter().any(|(_, o, _)| *o > 0),
+            "{label}: the ladder read data"
+        );
         for (i, (p, objects, bytes)) in runs.iter().enumerate() {
             assert_eq!(p.objects, *objects, "{label} query {i}: predicted objects");
             // Mean-width pricing vs per-block widths + byte-aligned packed
@@ -127,11 +118,12 @@ fn csv_prediction_tracks_mean_row_pricing() {
 
 #[test]
 fn prediction_is_an_upper_bound_for_accuracy_runs() {
-    // φ > 0 stops refining early; on the exactly-priced backend the
-    // prediction must therefore never under-estimate.
+    // φ > 0 stops refining early; the prediction prices the exact drive,
+    // so it must never under-estimate the objects, nor the bytes beyond
+    // the mean-width pricing tolerance.
     let csv = spec().build_mem(CsvFormat::default()).unwrap();
-    let bin = BinFile::from_bytes(convert_to_bin(&csv).unwrap()).unwrap();
-    let runs = run_predicted(&bin, 0.05);
+    let zone = ZoneFile::from_bytes(convert_to_zone(&csv).unwrap()).unwrap();
+    let runs = run_predicted(&zone, 0.05);
     let mut stopped_early = false;
     for (i, (p, objects, bytes)) in runs.iter().enumerate() {
         assert!(
@@ -140,7 +132,7 @@ fn prediction_is_an_upper_bound_for_accuracy_runs() {
             p.objects
         );
         assert!(
-            *bytes <= p.bytes,
+            *bytes as f64 <= 1.35 * p.bytes as f64 + 1024.0,
             "query {i}: metered bytes {bytes} exceed prediction {}",
             p.bytes
         );

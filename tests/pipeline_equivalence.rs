@@ -14,8 +14,8 @@
 //!    the stop rule after every tile and discards plans fetched past the
 //!    stop point — while issuing **strictly fewer `read_rows` calls**
 //!    whenever any query processes two or more tiles;
-//! 3. all of this holds on every storage backend (CSV, `PaiBin`,
-//!    `PaiZone`, `PaiZone` served over HTTP ranged GETs, and the remote
+//! 3. all of this holds on every storage backend (CSV, `PaiZone`,
+//!    `PaiZone` served over HTTP ranged GETs, and the remote
 //!    file behind the tiered block cache), and the backends still agree
 //!    with each other at every batch size — compression, zone-map
 //!    pushdown, the remote transport, and the cache tiers are invisible
@@ -504,7 +504,6 @@ proptest! {
     ) {
         let spec = dataset(rows, seed, 4);
         let csv = spec.build_mem(CsvFormat::default()).unwrap();
-        let bin = BinFile::from_bytes(convert_to_bin(&csv).unwrap()).unwrap();
         let zone = ZoneFile::from_bytes(convert_to_zone(&csv).unwrap()).unwrap();
         let store = ObjectStore::serve().unwrap();
         store.put("data.paizone", convert_to_zone(&csv).unwrap());
@@ -514,10 +513,6 @@ proptest! {
         let csv_seq = run_sequence(&csv, &spec, &windows, phi, 1);
         let csv_batch = run_sequence(&csv, &spec, &windows, phi, batch);
         assert_batch_equivalent(&csv_seq, &csv_batch, batch);
-
-        let bin_seq = run_sequence(&bin, &spec, &windows, phi, 1);
-        let bin_batch = run_sequence(&bin, &spec, &windows, phi, batch);
-        assert_batch_equivalent(&bin_seq, &bin_batch, batch);
 
         let zone_seq = run_sequence(&zone, &spec, &windows, phi, 1);
         let zone_batch = run_sequence(&zone, &spec, &windows, phi, batch);
@@ -530,28 +525,19 @@ proptest! {
         // Backends agree with each other at the batched size too (the
         // sequential cross-backend agreement is backend_equivalence.rs's
         // job).
-        for (i, (((c, b), z), h)) in csv_batch
+        for (i, ((c, z), h)) in csv_batch
             .results
             .iter()
-            .zip(&bin_batch.results)
             .zip(&zone_batch.results)
             .zip(&http_batch.results)
             .enumerate()
         {
-            for (((cv, bv), zv), hv) in
-                c.values.iter().zip(&b.values).zip(&z.values).zip(&h.values)
-            {
-                prop_assert_eq!(cv.as_f64(), bv.as_f64(), "query {} cross-backend", i);
+            for ((cv, zv), hv) in c.values.iter().zip(&z.values).zip(&h.values) {
                 prop_assert_eq!(cv.as_f64(), zv.as_f64(), "query {} zone cross-backend", i);
                 prop_assert_eq!(cv.as_f64(), hv.as_f64(), "query {} http cross-backend", i);
             }
-            prop_assert_eq!(c.error_bound, b.error_bound, "query {} cross-backend bound", i);
             prop_assert_eq!(c.error_bound, z.error_bound, "query {} zone cross-backend bound", i);
             prop_assert_eq!(c.error_bound, h.error_bound, "query {} http cross-backend bound", i);
-            prop_assert_eq!(
-                c.stats.io.read_calls, b.stats.io.read_calls,
-                "query {} cross-backend call count", i
-            );
             prop_assert_eq!(
                 c.stats.io.read_calls, z.stats.io.read_calls,
                 "query {} zone cross-backend call count", i
@@ -583,15 +569,13 @@ proptest! {
                 "query {} cached call count", i
             );
         }
-        prop_assert_eq!(csv_batch.leaf_count, bin_batch.leaf_count);
         prop_assert_eq!(csv_batch.leaf_count, zone_batch.leaf_count);
         prop_assert_eq!(csv_batch.leaf_count, http_batch.leaf_count);
         prop_assert_eq!(http_batch.leaf_count, cached_batch.leaf_count);
         prop_assert_eq!(http_batch.objects_read, cached_batch.objects_read);
-        // Zone answers the same fetch workload in fewer or equal bytes than
-        // PaiBin at every batch size (bit-packed values vs 8-byte values);
-        // CSV is the byte ceiling. The remote transport changes none of it.
-        prop_assert!(zone_batch.objects_read == bin_batch.objects_read);
+        // Every backend reads the same objects at every batch size; the
+        // remote transport changes none of it.
+        prop_assert!(zone_batch.objects_read == csv_batch.objects_read);
         prop_assert!(http_batch.objects_read == zone_batch.objects_read);
     }
 
@@ -610,14 +594,12 @@ proptest! {
     ) {
         let spec = dataset(rows, seed, 4);
         let csv = spec.build_mem(CsvFormat::default()).unwrap();
-        let bin = BinFile::from_bytes(convert_to_bin(&csv).unwrap()).unwrap();
         let zone = ZoneFile::from_bytes(convert_to_zone(&csv).unwrap()).unwrap();
         let store = ObjectStore::serve().unwrap();
         store.put("data.paizone", convert_to_zone(&csv).unwrap());
         let windows = [w1, w2];
 
-        let backends: [(&str, &dyn RawFile); 3] =
-            [("csv", &csv), ("bin", &bin), ("zone", &zone)];
+        let backends: [(&str, &dyn RawFile); 2] = [("csv", &csv), ("zone", &zone)];
         for (name, file) in backends {
             let seq = run_sequence_overlapped(file, &spec, &windows, phi, batch, 1);
             for workers in [2usize, 8] {

@@ -148,12 +148,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Hostile synopsis records — inverted, NaN or infinite envelopes and
-    /// moments, counts above the rows — in a PaiZone image: opening it,
-    /// evaluating with the synopsis tier on and asking the synopses alone
-    /// each return `Ok` or `Err`, never panic.
+    /// moments, counts above the rows, histogram buckets that overflow or do
+    /// not add up to the count — in a PaiZone image: opening it, evaluating
+    /// with the synopsis tier on and asking the synopses alone each return
+    /// `Ok` or `Err`, never panic.
     #[test]
     fn prop_hostile_synopsis_records_never_panic(
         every_block in (2usize..4, 0usize..5, 0usize..7),
+        axis_buckets in (0usize..3, 0usize..3),
         edits in prop::collection::vec((0usize..4, 0usize..24, 0usize..5, 0usize..7), 0..8),
         window in window_strategy(),
         phi in prop_oneof![Just(0.0), Just(0.05), Just(0.5)],
@@ -188,6 +190,22 @@ proptest! {
                 .to_bits(),
             };
             bytes[off..off + 8].copy_from_slice(&new.to_le_bytes());
+        }
+        // The buckets of one axis column (2: none) in every block: one at
+        // u64::MAX, a pair at 2^63, or the first one more than the count.
+        let (axis, kind) = axis_buckets;
+        for block in (0..24).filter(|_| axis < 2) {
+            let first = at + (axis * 24 + block) * (40 + 8 * n_buckets) + 40;
+            let bucket = |i: usize| first + 8 * i..first + 8 * i + 8;
+            let one_more = u64::from_le_bytes(bytes[bucket(0)].try_into().unwrap()) + 1;
+            let set: &[(usize, u64)] = match kind {
+                0 => &[(0, u64::MAX)],
+                1 => &[(0, 1 << 63), (1, 1 << 63)],
+                _ => &[(0, one_more)],
+            };
+            for &(i, v) in set {
+                bytes[bucket(i)].copy_from_slice(&v.to_le_bytes());
+            }
         }
         // A rejected image or build is an answer too.
         if let Ok(zone) = ZoneFile::from_bytes(bytes) {

@@ -1,13 +1,22 @@
 #!/usr/bin/env bash
 # Fails when an intra-repo markdown link in README.md, ROADMAP.md, or
-# docs/*.md points at a file or anchor-less path that does not exist, or
-# when a `NAME.md` / `docs/NAME.md` reference in a .rs file under src/,
-# crates/, tests/ or examples/ does not resolve from the repo root.
-# External links (http/https/mailto) are ignored. No dependencies beyond
-# grep/sed.
+# docs/*.md points at a path that does not exist, or at a `#anchor` that no
+# heading of the target markdown file (the linking file itself for a bare
+# `#anchor`) produces, or when a `NAME.md` / `docs/NAME.md` reference in a
+# .rs file under src/, crates/, tests/ or examples/ does not resolve from
+# the repo root. Anchors follow GitHub's slug rule: lower-case, drop every
+# character but [a-z0-9 _-], spaces become '-'. External links
+# (http/https/mailto) are ignored. No dependencies beyond grep/sed/awk.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+# The anchors a markdown file's headings produce, one a line (headings inside
+# fenced code blocks are not headings).
+slugs() {
+  awk '/^```/ { fence = !fence; next } !fence && /^#+ / { sub(/^#+ +/, ""); print }' "$1" |
+    tr 'A-Z' 'a-z' | LC_ALL=C sed 's/[^a-z0-9 _-]//g; s/ /-/g'
+}
 
 status=0
 for file in README.md ROADMAP.md docs/*.md; do
@@ -18,16 +27,22 @@ for file in README.md ROADMAP.md docs/*.md; do
   while IFS= read -r target; do
     [ -n "$target" ] || continue
     case "$target" in
-      http://*|https://*|mailto:*|\#*) continue ;;
+      http://*|https://*|mailto:*) continue ;;
     esac
-    path=${target%%#*}                       # strip anchors
-    [ -n "$path" ] || continue
+    path=${target%%#*}                       # strip the anchor
+    anchor=""
+    [ "$path" = "$target" ] || anchor=${target#*#}
     case "$path" in
+      "") resolved="$file" ;;                # same-file anchor
       /*) resolved=".$path" ;;               # repo-absolute
       *) resolved="$dir/$path" ;;            # relative to the file
     esac
     if [ ! -e "$resolved" ]; then
       echo "BROKEN: $file -> $target (no such path: $resolved)" >&2
+      status=1
+    elif [ -n "$anchor" ] && [[ "$resolved" == *.md ]] &&
+      ! slugs "$resolved" | grep -qxF -- "$anchor"; then
+      echo "BROKEN: $file -> $target (no heading of $resolved has that anchor)" >&2
       status=1
     fi
   done <<EOF
