@@ -338,7 +338,7 @@ mod tests {
 
     #[test]
     fn cached_backend_serves_the_dataset_through_the_block_cache() {
-        // The served zone image behind the tiered block cache serves the
+        // The served zone image behind the block cache serves the
         // same rows as the raw zone file.
         let spec = default_spec(250, 31);
         let (_store, http) = served_zone(&spec);

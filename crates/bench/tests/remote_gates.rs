@@ -18,7 +18,7 @@
 //!   per-query records and the report CSV;
 //! * **cache re-exploration** — a zipf-skewed revisit workload runs three
 //!   exploration sessions (fresh engine + index each) over one shared
-//!   tiered block cache: every session's answers, CIs, trajectories, and
+//!   block cache: every session's answers, CIs, trajectories, and
 //!   logical meters are byte-identical to the uncached run, each session
 //!   issues strictly fewer ranged GETs than the previous one, and the hot
 //!   third session stays at or below 25 % of the uncached GETs *and* wire
@@ -325,7 +325,7 @@ fn fault_recovery_is_metered() {
 /// popularity via inverse-CDF sampling over a hand-rolled LCG (the
 /// workspace carries no RNG dependency). Hot windows recur many times —
 /// the analyst returning to the same regions — which is the access pattern
-/// the tiered block cache exists for.
+/// the block cache exists for.
 fn zipf_workload(domain: &Rect, n: usize, bases: usize, seed: u64) -> Workload {
     let windows: Vec<Rect> = (0..bases)
         .map(|i| {
@@ -362,7 +362,7 @@ fn zipf_workload(domain: &Rect, n: usize, bases: usize, seed: u64) -> Workload {
 }
 
 /// Cache gate: three exploration sessions (fresh engine + index each) over
-/// one shared tiered block cache must stay byte-identical to the uncached
+/// one shared block cache must stay byte-identical to the uncached
 /// run while the transport shrinks — strictly fewer GETs each session, and
 /// the hot third session at or below 25 % of the uncached GETs and wire
 /// bytes.
@@ -384,7 +384,7 @@ fn cache_reexploration_win() {
     );
 
     // One shared cache, generous enough to hold the hot set in memory;
-    // eviction and spill are gated by the storage tests, not here.
+    // eviction is gated by the storage tests, not here.
     let cached = CachedFile::with_config(Box::new(open()), CacheConfig::new(64 << 20, 0));
     assert!(cached.is_attached(), "http backend binds the cache");
     let sessions: Vec<Outcome> = (0..3)

@@ -1,6 +1,6 @@
 //! Multi-session server gates against a full remote stack — zone image on
 //! an [`ObjectStore`] with 500 µs injected per request, HTTP ranged GETs,
-//! one shared tiered block cache, a `SharedIndex`, and a [`PaiServer`] on
+//! one shared block cache, a `SharedIndex`, and a [`PaiServer`] on
 //! top:
 //!
 //! * **bitwise** — a sequential client's served answers (values, CIs,

@@ -191,9 +191,10 @@ meters! {
     cache_hits: Total, add_cache_hits;
     /// Page lookups the block cache handed to the transport.
     cache_misses: Total, add_cache_misses;
-    /// Cache entries evicted to stay inside the memory + disk budgets.
+    /// Cache pages evicted to stay inside the memory budget.
     cache_evictions: Total, add_cache_evictions;
-    /// Bytes written to the cache's disk-spill tier.
+    /// Always 0: the cache has no disk-spill tier any more. Kept until the
+    /// benchmark drops `storage.cache_spill_mb`.
     cache_spill_bytes: Total, add_cache_spill_bytes;
     /// Bytes resident in the cache's memory tier (a gauge, not a total).
     cache_mem_bytes: Gauge, set_cache_mem_bytes;

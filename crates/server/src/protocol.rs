@@ -452,6 +452,11 @@ impl Response {
                         0 => None,
                         1 => {
                             let (lo, hi) = (c.f64()?, c.f64()?);
+                            // `Interval::new` asserts: a NaN or inverted
+                            // pair off the wire is the frame's fault.
+                            if lo.is_nan() || hi.is_nan() || lo > hi {
+                                return Err(PaiError::internal("malformed interval in answer"));
+                            }
                             Some(Interval::new(lo, hi))
                         }
                         t => return Err(PaiError::internal(format!("unknown CI tag {t}"))),
@@ -490,10 +495,10 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn requests_roundtrip() {
-        let reqs = [
+    fn sample_requests() -> Vec<Request> {
+        vec![
             Request::Hello {
                 version: PROTOCOL_VERSION,
                 session: "analyst-7".into(),
@@ -517,26 +522,13 @@ mod tests {
                 rows: vec![],
             },
             Request::Close,
-        ];
-        for r in &reqs {
-            let back = Request::decode(&r.encode()).unwrap();
-            // NaN != NaN, so compare ingest payloads bitwise.
-            if let (Request::Ingest { rows: a, .. }, Request::Ingest { rows: b, .. }) = (r, &back) {
-                assert_eq!(a.len(), b.len());
-                for (x, y) in a.iter().flatten().zip(b.iter().flatten()) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            } else {
-                assert_eq!(&back, r);
-            }
-        }
+        ]
     }
 
-    #[test]
-    fn responses_roundtrip_bit_exact() {
-        // Deliberately awkward floats: negative zero, subnormal, ulp
-        // neighbours — to_bits framing must preserve all of them.
-        let resps = [
+    /// Deliberately awkward floats: negative zero, subnormal, ulp
+    /// neighbours — to_bits framing must preserve all of them.
+    fn sample_responses() -> Vec<Response> {
+        vec![
             Response::HelloOk {
                 version: PROTOCOL_VERSION,
                 session_id: 9,
@@ -573,8 +565,28 @@ mod tests {
                 id: 0,
                 msg: "bad window".into(),
             },
-        ];
-        for r in &resps {
+        ]
+    }
+
+    #[test]
+    fn requests_roundtrip() {
+        for r in &sample_requests() {
+            let back = Request::decode(&r.encode()).unwrap();
+            // NaN != NaN, so compare ingest payloads bitwise.
+            if let (Request::Ingest { rows: a, .. }, Request::Ingest { rows: b, .. }) = (r, &back) {
+                assert_eq!(a.len(), b.len());
+                for (x, y) in a.iter().flatten().zip(b.iter().flatten()) {
+                    assert_eq!(x.to_bits(), y.to_bits());
+                }
+            } else {
+                assert_eq!(&back, r);
+            }
+        }
+    }
+
+    #[test]
+    fn responses_roundtrip_bit_exact() {
+        for r in &sample_responses() {
             let back = Response::decode(&r.encode()).unwrap();
             assert_eq!(&back, r);
             if let (Response::Answer { values: a, .. }, Response::Answer { values: b, .. }) =
@@ -627,5 +639,82 @@ mod tests {
         huge.extend_from_slice(&u32::MAX.to_le_bytes());
         huge.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(Request::decode(&huge).is_err());
+        // An answer whose CI is inverted or has a NaN endpoint is refused,
+        // not handed to `Interval::new` (which asserts).
+        for (lo, hi) in [(1.0, 0.0), (f64::NAN, 1.0), (0.0, f64::NAN)] {
+            let mut frame = Response::Answer {
+                id: 1,
+                values: vec![],
+                cis: vec![Some(Interval::new(0.0, 0.0))],
+                error_bound: 0.0,
+                met_constraint: true,
+                server_us: 0,
+            }
+            .encode();
+            // Tag, id, value count, CI count, CI tag: the endpoints start at 18.
+            frame[18..26].copy_from_slice(&lo.to_bits().to_le_bytes());
+            frame[26..34].copy_from_slice(&hi.to_bits().to_le_bytes());
+            let err = Response::decode(&frame).unwrap_err();
+            assert!(err.to_string().contains("malformed interval"), "{err}");
+        }
+    }
+
+    /// One hostile edit of an encoded frame, picked by `kind`: truncate at
+    /// `at`, flip the byte there, overwrite the 8 bytes there with NaN, ±∞
+    /// or `u32::MAX` (as a u64, so a u32 field there reads `u32::MAX` too),
+    /// or append bytes.
+    fn mutate(frame: &[u8], kind: u32, at: usize, byte: u8) -> Vec<u8> {
+        let mut f = frame.to_vec();
+        let at = at % f.len();
+        let word = match kind {
+            0 => {
+                f.truncate(at);
+                return f;
+            }
+            1 => {
+                f[at] ^= byte.max(1);
+                return f;
+            }
+            2 => f64::NAN.to_bits(),
+            3 => f64::INFINITY.to_bits(),
+            4 => f64::NEG_INFINITY.to_bits(),
+            5 => u64::from(u32::MAX),
+            _ => {
+                f.extend(std::iter::repeat_n(byte, 1 + at % 16));
+                return f;
+            }
+        };
+        let end = (at + 8).min(f.len());
+        f[at..end].copy_from_slice(&word.to_le_bytes()[..end - at]);
+        f
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// No mutation of a valid frame panics the decoder, and a mutated
+        /// frame that still decodes re-encodes to a frame that decodes to
+        /// the same message, bit for bit.
+        #[test]
+        fn prop_mutated_frames_decode_or_err_never_panic(
+            kind in 0u32..7,
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        ) {
+            for req in sample_requests() {
+                let frame = mutate(&req.encode(), kind, at, byte);
+                if let Ok(m) = Request::decode(&frame) {
+                    let again = Request::decode(&m.encode()).unwrap();
+                    prop_assert_eq!(again.encode(), m.encode(), "{:?}", m);
+                }
+            }
+            for resp in sample_responses() {
+                let frame = mutate(&resp.encode(), kind, at, byte);
+                if let Ok(m) = Response::decode(&frame) {
+                    let again = Response::decode(&m.encode()).unwrap();
+                    prop_assert_eq!(again.encode(), m.encode(), "{:?}", m);
+                }
+            }
+        }
     }
 }

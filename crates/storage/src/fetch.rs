@@ -25,7 +25,7 @@
 //! [`CacheMode::Stream`]. A remote source sizes its requests by it (a scan's
 //! contiguous runs are wanted whole) and, with a bound block cache, serves
 //! hits locally and admits misses under that rule; the per-span logical
-//! metering here is deliberately tier-blind, which is what keeps the cache
+//! metering here is deliberately cache-blind, which is what keeps the cache
 //! transport-only.
 
 use std::fs::File;

@@ -32,8 +32,8 @@
 //!   bounded retry with backoff, and `http_requests`/`http_bytes`/`retries`
 //!   transport meters. The bundled test server lives in [`mod@objstore`];
 //! * **Cached** ([`CachedFile`], [`mod@cache`]) — any backend (primarily
-//!   `HttpFile`) behind a bounded two-tier block cache: memory + disk
-//!   spill, adaptation-aware admission, hits subtracted from span batches
+//!   `HttpFile`) behind a bounded page cache in memory,
+//!   adaptation-aware admission, hits subtracted from span batches
 //!   *before* GETs are coalesced and issued. Transport-only: answers and
 //!   logical meters are byte-identical to the unwrapped file.
 //!
@@ -51,7 +51,7 @@
 //!   ([`zone::convert_to_zone`] / [`zone::write_zone`]);
 //! * [`mapped`] — read-only memory mapping with a portable fallback;
 //! * [`latency`] — the latency-injecting wrapper backend;
-//! * [`mod@cache`] — the tiered block cache ([`BlockCache`]) and its
+//! * [`mod@cache`] — the block cache ([`BlockCache`]) and its
 //!   [`CachedFile`] wrapper;
 //! * [`mod@remote`] — the HTTP range-request client ([`HttpBlob`]) and the
 //!   [`HttpFile`] backend over it;

@@ -1644,72 +1644,6 @@ mod tests {
     }
 
     #[test]
-    fn spill_tier_holds_pages_not_spans() {
-        // Wide, incompressible columns, so the image is comfortably past
-        // 64 pages.
-        let rows: Vec<Vec<f64>> = (0..120_000u64)
-            .map(|i| {
-                let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                vec![i as f64, (h >> 40) as f64, (h >> 32 & 0xFF_FFFF) as f64]
-            })
-            .collect();
-        let schema = Schema::synthetic(3);
-        let image = encode_zone_rows_with(&schema, rows.clone(), 1024).unwrap();
-        assert!(
-            image.len() as u64 >= 64 * PAGE_BYTES,
-            "{} bytes",
-            image.len()
-        );
-        let local = ZoneFile::from_rows_with_block(&schema, rows, 1024).unwrap();
-        let store = ObjectStore::serve().unwrap();
-        store.put("wide.paizone", image);
-
-        let dir = std::env::temp_dir().join(format!("pai-remote-spill-{}", std::process::id()));
-        let cfg = CacheConfig::new(4 * PAGE_BYTES, 16 * PAGE_BYTES).with_spill_dir(&dir);
-        let f = CachedFile::with_config(
-            Box::new(HttpFile::open(store.addr(), "wide.paizone", HttpOptions::default()).unwrap()),
-            cfg,
-        );
-        let spill_files = || std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
-
-        // A build-style scan, then 30 overlapping windowed reads.
-        assert_eq!(collect_rows(&f).len(), 120_000);
-        for w in 0..30u64 {
-            let locs: Vec<RowLocator> = (w * 700..w * 700 + 2_000).map(RowLocator::new).collect();
-            assert_eq!(
-                f.read_rows(&locs, &[1, 2]).unwrap(),
-                local.read_rows(&locs, &[1, 2]).unwrap(),
-                "window {w}"
-            );
-            let cache = f.cache();
-            assert!(cache.mem_used() <= 4 * PAGE_BYTES && cache.disk_used() <= 16 * PAGE_BYTES);
-        }
-        assert!(f.counters().cache_spill_bytes() > 0, "victims spilled");
-        assert!(
-            (1..=17).contains(&spill_files()),
-            "at most disk_bytes / PAGE_BYTES spill files (+ a short last page): {}",
-            spill_files()
-        );
-
-        // Replay the last ten windows as one batch per column: every page
-        // hits, and there are more of them than the memory tier holds, so
-        // spilled pages were read back — and byte-exact.
-        let locs: Vec<RowLocator> = (20 * 700..29 * 700 + 2_000).map(RowLocator::new).collect();
-        let before = f.counters().snapshot();
-        assert_eq!(
-            f.read_rows(&locs, &[1, 2]).unwrap(),
-            local.read_rows(&locs, &[1, 2]).unwrap()
-        );
-        let replay = f.counters().snapshot().since(&before);
-        assert_eq!(replay.http_requests, 0, "served from the two tiers");
-        assert!(replay.cache_hits > 4, "{} page hits", replay.cache_hits);
-        assert_eq!(replay.cache_spill_bytes, 0, "hits spill nothing");
-        drop(f);
-        assert_eq!(spill_files(), 0, "spill files removed on drop");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn revalidate_ttl_catches_mutation_on_fully_cached_batches() {
         let store = ObjectStore::serve().unwrap();
         store.put("blob", vec![0x11u8; 2048]);

@@ -122,7 +122,7 @@ proptest! {
         let store = ObjectStore::serve().unwrap();
         store.put("data.paizone", convert_to_zone(&csv).unwrap());
         let http = HttpFile::open(store.addr(), "data.paizone", HttpOptions::default()).unwrap();
-        // ... and the same remote file behind the tiered block cache.
+        // ... and the same remote file behind the block cache.
         let cached = CachedFile::with_config(
             Box::new(HttpFile::open(store.addr(), "data.paizone", HttpOptions::default()).unwrap()),
             CacheConfig::new(4 << 20, 0),
@@ -352,7 +352,7 @@ fn http_backend_with_faults_matches_zone_exactly() {
     );
 }
 
-/// A remote `PaiZone` behind the tiered block cache answers exactly like
+/// A remote `PaiZone` behind the block cache answers exactly like
 /// its uncached twin in both a cold and a warm session; the cold session
 /// never issues more GETs than the uncached run (intra-session revisits
 /// are already served locally), and a warm re-run (fresh engine + index,

@@ -16,7 +16,7 @@
 //!    whenever any query processes two or more tiles;
 //! 3. all of this holds on every storage backend (CSV, `PaiZone`,
 //!    `PaiZone` served over HTTP ranged GETs, and the remote
-//!    file behind the tiered block cache), and the backends still agree
+//!    file behind the block cache), and the backends still agree
 //!    with each other at every batch size — compression, zone-map
 //!    pushdown, the remote transport, and the cache tiers are invisible
 //!    to the answers too;
@@ -547,7 +547,7 @@ proptest! {
                 "query {} http cross-backend call count", i
             );
         }
-        // The tiered block cache is invisible to the batched pipeline too:
+        // The block cache is invisible to the batched pipeline too:
         // batch-1 vs batch-k equivalence holds on the cached remote file
         // (the batched run rides a cache the sequential run warmed), and
         // its batched run agrees with the uncached one on answers and
