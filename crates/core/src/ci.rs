@@ -8,7 +8,21 @@
 //! [`AggregateEstimate`] guaranteed to contain the exact answer:
 //!
 //! * `sum` — the exact sum plus each contribution's
-//!   [`Contribution::sum_bounds`], the paper's `count·[min, max]`;
+//!   [`Contribution::sum_bounds`]. Two rules bound it, and it takes their
+//!   intersection. The **direct** rule is the paper's `count·[min, max]`.
+//!   The **complement** rule applies when the contribution is certainly
+//!   NULL-free and knows its whole tile or block: `n` objects summing to
+//!   `S`. The selected sum is then `S` minus the unselected rest,
+//!   `S − (n − count)·[min, max]`. Together they are
+//!   `min(k, n − k)·(max − min)` wide for `k` selected, and (up to the
+//!   slack) a point when the window takes the whole tile. A count bracket
+//!   `[k_lo, k_hi]` leaves `[n − k_hi, n − k_lo]` unselected; each rule
+//!   pairs a count end with the envelope end it moves outward, by sign.
+//!   The complement is widened by a rounding slack, `(n + 4)²·ε·max|v|`
+//!   plus a floor of `2⁻¹⁰²²` for products that underflow. It covers
+//!   Higham's bound on the error of whatever summation order produced `S`
+//!   (`γ_n·n·max|v|`) and the rule's own roundings. Should rounding ever
+//!   leave the two rules disjoint, the direct rule stands alone;
 //! * `mean` — the sum interval divided by the number of values it sums;
 //! * `min`/`max` — the exact extrema joined with the envelopes;
 //! * `count` — always exact (axis values live in the index);
@@ -33,6 +47,7 @@
 //! to anything else. On NULL-free data the rules are the paper's.
 
 use pai_common::{AggregateFunction, AggregateValue, Interval, RunningStats};
+use pai_index::AttrMeta;
 
 use crate::state::QueryState;
 
@@ -97,13 +112,35 @@ pub struct Contribution {
     pub values: Option<Interval>,
     /// True when every object it selects certainly has a value.
     pub non_null: bool,
+    /// The whole tile or block it is part of, `(n, S)`: how many objects
+    /// it holds and the sum of their values, when the source knows both
+    /// and proved them NULL-free. `None` leaves the paper's rule alone.
+    pub whole: Option<(u64, f64)>,
 }
 
 impl Contribution {
+    /// `selected` objects of a tile with metadata `meta`. Exact metadata
+    /// without NULLs knows the tile's whole `(n, S)`.
+    pub fn of_tile(selected: u64, meta: &AttrMeta) -> Contribution {
+        let whole = match meta {
+            AttrMeta::Exact { stats, nulls: 0 } => Some((stats.count(), stats.sum())),
+            _ => None,
+        };
+        Contribution {
+            count: (selected, selected),
+            values: meta.value_bounds(),
+            non_null: meta.certainly_non_null(),
+            whole,
+        }
+    }
+
     /// Bounds on the sum of the selected values — the one function that
     /// computes a contribution's sum interval. Each selected object adds a
     /// value inside the envelope, or 0 unless the contribution is certainly
-    /// NULL-free; the count bracket multiplies in sign-aware.
+    /// NULL-free; the count bracket multiplies in sign-aware. When the
+    /// whole `(n, S)` is known, the sum also lies in what `S` leaves after
+    /// the unselected rest (the complement rule), and the two rules
+    /// intersect.
     #[inline]
     pub fn sum_bounds(&self) -> Interval {
         let Some(v) = self.values else {
@@ -114,11 +151,62 @@ impl Contribution {
         } else {
             v.hull(&Interval::point(0.0))
         };
-        let (lo, hi) = (self.count.0 as f64, self.count.1 as f64);
-        let lo_k = if v.lo() >= 0.0 { lo } else { hi };
-        let hi_k = if v.hi() >= 0.0 { hi } else { lo };
-        Interval::new(lo_k * v.lo(), hi_k * v.hi())
+        let (lo, hi) = scale_bracket(self.count, v);
+        let whole = self.whole.filter(|_| self.non_null);
+        match whole.and_then(|whole| complement(whole, self.count, v)) {
+            // Disjoint only if rounding parted them: the direct rule stands.
+            Some((c_lo, c_hi)) if lo.max(c_lo) <= hi.min(c_hi) => {
+                Interval::new(lo.max(c_lo), hi.min(c_hi))
+            }
+            _ => Interval::new(lo, hi),
+        }
     }
+}
+
+/// `[lo, hi]·v`: each end of a count bracket paired with the envelope end
+/// it moves outward, by the envelope end's sign.
+#[inline]
+fn scale_bracket((lo, hi): (u64, u64), v: Interval) -> (f64, f64) {
+    let (lo, hi) = (lo as f64, hi as f64);
+    let lo_k = if v.lo() >= 0.0 { lo } else { hi };
+    let hi_k = if v.hi() >= 0.0 { hi } else { lo };
+    (lo_k * v.lo(), hi_k * v.hi())
+}
+
+/// The complement rule: `k` of `n` values in `v` selected, summing to `S`
+/// in all, leave the selected sum in `S − (n−k)·v`, widened by
+/// [`sum_slack`]. `None` when it cannot be formed soundly: a count past
+/// `n`, a tile past the slack's reach, or an end that is not finite.
+#[inline]
+fn complement((n, s): (u64, f64), (k_lo, k_hi): (u64, u64), v: Interval) -> Option<(f64, f64)> {
+    let (rest_lo, rest_hi) = scale_bracket((n.checked_sub(k_hi)?, n.checked_sub(k_lo)?), v);
+    let slack = sum_slack(n, v.lo().abs().max(v.hi().abs()))?;
+    let (lo, hi) = (s - rest_hi - slack, s - rest_lo + slack);
+    (lo.is_finite() && hi.is_finite()).then_some((lo, hi))
+}
+
+/// How far a stored sum of `n` values of magnitude at most `m` may lie from
+/// their true sum, whatever order folded it — sequential [`push`]es,
+/// parallel-build [`merge`]s, ingest — with room for the complement rule's
+/// own three roundings (one product, two subtractions). Higham's bound on
+/// any summation order, `|S − Σx| ≤ γ_{n−1}·Σ|x| ≤ γ_n·n·m` with
+/// `γ_n = n·u/(1 − n·u)`, stays below `2·n²·u·m` for `n < 2³²`; the three
+/// roundings add at most `5·n·u·m`. `(n + 4)²·ε·m` (`ε = 2u`) covers both.
+/// Products that underflow lose at most `2⁻¹⁰⁷⁵` each; the floor `2⁻¹⁰²²`
+/// ([`f64::MIN_POSITIVE`]) covers them. That floor is the smallest normal
+/// number, not a subnormal multiple of `2⁻¹⁰⁷⁴`: arithmetic on subnormals
+/// is an order of magnitude slower on common CPUs, and this runs for every
+/// candidate of every query. `None` past `2³²` values.
+///
+/// [`push`]: RunningStats::push
+/// [`merge`]: RunningStats::merge
+#[inline]
+pub fn sum_slack(n: u64, m: f64) -> Option<f64> {
+    if n >= 1 << 32 {
+        return None;
+    }
+    let n = (n + 4) as f64;
+    Some(n * n * m * f64::EPSILON + f64::MIN_POSITIVE)
 }
 
 /// Computes the approximate value and confidence interval for one aggregate
@@ -377,7 +465,7 @@ fn hull(
 mod tests {
     use super::*;
     use crate::state::{Candidate, CandidateKind};
-    use pai_index::{AttrMeta, TileId};
+    use pai_index::TileId;
 
     fn cand(selected: u64, lo: f64, hi: f64) -> Candidate {
         cand_with(selected, lo, hi, true)
@@ -390,10 +478,13 @@ mod tests {
             tile: TileId(0),
             selected,
             kind: CandidateKind::Partial,
-            meta: vec![Some(AttrMeta::Bounded {
-                range: Interval::new(lo, hi),
-                non_null,
-            })],
+            parts: vec![Some(Contribution::of_tile(
+                selected,
+                &AttrMeta::Bounded {
+                    range: Interval::new(lo, hi),
+                    non_null,
+                },
+            ))],
         }
     }
 
@@ -412,7 +503,7 @@ mod tests {
             tile: TileId(1),
             selected,
             kind: CandidateKind::Partial,
-            meta: vec![None],
+            parts: vec![None],
         }
     }
 
@@ -540,15 +631,9 @@ mod tests {
         assert_eq!(e3.ci, Some(Interval::new(0.0, 10.0)));
     }
 
-    /// A candidate selecting `selected` objects of a tile with `meta`.
+    /// `selected` objects of a tile with `meta`.
     fn tile(selected: u64, meta: AttrMeta) -> Contribution {
-        let c = Candidate {
-            tile: TileId(0),
-            selected,
-            kind: CandidateKind::Partial,
-            meta: vec![Some(meta)],
-        };
-        c.contribution(0).unwrap()
+        Contribution::of_tile(selected, &meta)
     }
 
     #[test]
@@ -587,6 +672,7 @@ mod tests {
             count: (2, 4),
             values: Some(values),
             non_null,
+            whole: None,
         };
         let neg = Interval::new(-10.0, -2.0);
         assert_eq!(part(neg, true).sum_bounds(), Interval::new(-40.0, -4.0));
@@ -598,6 +684,7 @@ mod tests {
             count: (2, 4),
             values: None,
             non_null: false,
+            whole: None,
         };
         assert_eq!(nulls.sum_bounds(), Interval::point(0.0));
     }
@@ -612,6 +699,7 @@ mod tests {
             count: (lo, hi),
             values: Some(Interval::new(0.0, 10.0)),
             non_null: true,
+            whole: None,
         };
         let parts = [Some(part(1, 3)), Some(part(1, 3))];
         let mean = AggregateFunction::Mean(2);
@@ -636,6 +724,7 @@ mod tests {
             count: (0, 10),
             values: Some(Interval::new(15.0, 16.0)),
             non_null: true,
+            whole: None,
         });
         let mean = AggregateFunction::Mean(2);
         // NULL-free: the paper's divided sum, [30, 350] / 12.
@@ -654,11 +743,13 @@ mod tests {
             count: (2, 2),
             values: None,
             non_null: false,
+            whole: None,
         });
         let value = Some(Contribution {
             count: (1, 1),
             values: Some(Interval::new(0.0, 5.0)),
             non_null: true,
+            whole: None,
         });
         let parts = [nulls, value];
         let at = |agg| estimate(&agg, 5, &exact, None, parts.iter().copied());
@@ -769,6 +860,7 @@ mod tests {
             count: (0, 2),
             values: Some(Interval::new(0.0, 10.0)),
             non_null: true,
+            whole: None,
         };
         let var = AggregateFunction::Variance(2);
         let none = RunningStats::new();
@@ -855,6 +947,268 @@ mod tests {
             let e = estimate_aggregate(&agg, &state());
             let (v, ci) = (e.value.as_f64().unwrap(), e.ci.unwrap());
             assert!(ci.contains(v), "{agg}: {v} not in {ci}");
+        }
+    }
+
+    #[test]
+    fn the_complement_rule_falls_back_to_the_direct_rule() {
+        let direct = Interval::new(20.0, 40.0);
+        let part = |count, whole| Contribution {
+            count,
+            values: Some(Interval::new(10.0, 20.0)),
+            non_null: true,
+            whole,
+        };
+        assert_eq!(part((2, 2), None).sum_bounds(), direct);
+        // Two of three values in [10, 20] summing to 45: 45 - [10, 20].
+        let both = part((2, 2), Some((3, 45.0))).sum_bounds();
+        assert!(both.contains_interval(&Interval::new(25.0, 35.0)) && both.width() < 10.0 + 1e-9);
+        for whole in [
+            // More selected than the whole holds.
+            (1, 15.0),
+            // A sum that no values in the envelope reach: the two rules
+            // are disjoint.
+            (3, 500.0),
+            (3, f64::INFINITY),
+            (3, f64::NAN),
+            // Past the slack's reach.
+            (1 << 32, 15.0),
+        ] {
+            assert_eq!(part((2, 2), Some(whole)).sum_bounds(), direct, "{whole:?}");
+        }
+        // Not certainly NULL-free: the whole does not bound the rest.
+        let unproven = Contribution {
+            non_null: false,
+            ..part((2, 2), Some((3, 45.0)))
+        };
+        assert_eq!(unproven.sum_bounds(), Interval::new(0.0, 40.0));
+        // An envelope too wide for `n·max` leaves the direct rule.
+        let huge = Contribution {
+            values: Some(Interval::new(-f64::MAX, f64::MAX)),
+            ..part((1, 1), Some((3, 0.0)))
+        };
+        assert_eq!(huge.sum_bounds(), Interval::new(-f64::MAX, f64::MAX));
+    }
+
+    /// `2^e` exactly, for `-1074 <= e <= 1023`.
+    fn pow2(e: i32) -> f64 {
+        if e >= -1022 {
+            f64::from_bits(((e + 1023) as u64) << 52)
+        } else {
+            f64::from_bits(1u64 << (e + 1074))
+        }
+    }
+
+    /// `x` against the fixed-point value `t·2^e`, exactly.
+    fn cmp_fixed(x: f64, t: i128, e: i32) -> std::cmp::Ordering {
+        use std::cmp::Ordering;
+        let bits = x.abs().to_bits();
+        let (biased, frac) = ((bits >> 52) as i32, bits & ((1 << 52) - 1));
+        let (mant, exp) = match biased {
+            0 => (frac, -1074),
+            b => (frac | 1 << 52, b - 1075),
+        };
+        // |x| in units of 2^e: a whole part and whether a fraction is left.
+        let (whole, fraction) = match exp - e {
+            s if s >= 0 => (
+                if s > 72 {
+                    i128::MAX
+                } else {
+                    (mant as i128) << s
+                },
+                false,
+            ),
+            s if s <= -64 => (0, mant != 0),
+            s => ((mant >> -s) as i128, mant & ((1 << -s) - 1) != 0),
+        };
+        let against = |v: i128| match whole.cmp(&v) {
+            Ordering::Equal if fraction => Ordering::Greater,
+            o => o,
+        };
+        if x >= 0.0 {
+            against(t)
+        } else {
+            against(-t).reverse()
+        }
+    }
+
+    /// Whether `iv` holds the fixed-point value `t·2^e`, exactly.
+    fn holds(iv: Interval, t: i128, e: i32) -> bool {
+        cmp_fixed(iv.lo(), t, e).is_le() && cmp_fixed(iv.hi(), t, e).is_ge()
+    }
+
+    /// A tile of `n` values, each `fixed[i]·2^e` exactly, folded into its
+    /// exact metadata in one of three orders (`fold`): row order, the
+    /// order `perm` gives, or a tree of merged chunks like a parallel
+    /// build's. `perm`'s first `k` rows are the selected ones, under each
+    /// count bracket of `counts`. Returns how many of those brackets the
+    /// complement rule tightened.
+    fn check_tile(
+        fixed: &[i128],
+        e: i32,
+        fold: usize,
+        perm: &[usize],
+        counts: &[(u64, u64)],
+        k: usize,
+    ) -> usize {
+        let values: Vec<f64> = fixed.iter().map(|&f| f as f64 * pow2(e)).collect();
+        let stats = match fold {
+            0 => RunningStats::from_values(&values),
+            1 => perm.iter().fold(RunningStats::new(), |mut s, &i| {
+                s.push(values[i]);
+                s
+            }),
+            _ => {
+                let mut level: Vec<RunningStats> = values
+                    .chunks(1 + perm[0] % 7)
+                    .map(RunningStats::from_values)
+                    .collect();
+                while level.len() > 1 {
+                    level = level
+                        .chunks(2)
+                        .map(|p| {
+                            p.iter().fold(RunningStats::new(), |mut s, c| {
+                                s.merge(c);
+                                s
+                            })
+                        })
+                        .collect();
+                }
+                level[0]
+            }
+        };
+        let truth: i128 = perm[..k].iter().map(|&i| fixed[i]).sum();
+        // The exact engine's answer: the truth rounded once, then divided.
+        let truth_f64 = truth as f64 * pow2(e);
+        let meta = AttrMeta::Exact { stats, nulls: 0 };
+        let mut tightened = 0;
+        for &count in counts {
+            assert!(count.0 as usize <= k && k <= count.1 as usize);
+            let part = Contribution {
+                count,
+                ..Contribution::of_tile(k as u64, &meta)
+            };
+            let paper = Contribution {
+                whole: None,
+                ..part
+            };
+            let iv = part.sum_bounds();
+            assert!(
+                holds(iv, truth, e),
+                "{count:?}: {iv:?} misses {truth}·2^{e}"
+            );
+            assert!(
+                paper.sum_bounds().contains_interval(&iv),
+                "{count:?}: {iv:?}"
+            );
+            tightened += usize::from(iv.width() < paper.sum_bounds().width());
+            let at = |agg, c: Contribution| {
+                estimate(
+                    &agg,
+                    k as u64,
+                    &RunningStats::new(),
+                    Some(k as u64),
+                    [Some(c)].into_iter(),
+                )
+            };
+            let sum = at(AggregateFunction::Sum(2), part).ci.unwrap();
+            assert!(
+                holds(sum, truth, e),
+                "{count:?}: SUM {sum:?} misses {truth}·2^{e}"
+            );
+            if k > 0 {
+                let mean = at(AggregateFunction::Mean(2), part).ci.unwrap();
+                let paper_mean = at(AggregateFunction::Mean(2), paper).ci.unwrap();
+                let truth_mean = truth_f64 / k as f64;
+                assert!(
+                    mean.contains(truth_mean),
+                    "{count:?}: MEAN {mean:?} misses {truth_mean}"
+                );
+                assert!(
+                    paper_mean.contains_interval(&mean),
+                    "{count:?}: MEAN {mean:?}"
+                );
+            }
+        }
+        tightened
+    }
+
+    /// A permutation of `0..n` from a xorshift stream seeded with `seed`.
+    fn permutation(n: usize, mut seed: u64) -> Vec<usize> {
+        let mut perm: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            perm.swap(i, (seed % (i as u64 + 1)) as usize);
+        }
+        perm
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Every SUM and MEAN interval holds the truth, computed in `i128`
+        /// fixed point, and lies inside the paper's rule alone. Values are
+        /// `m·2^(e + shift)` with 30-bit `m`, so the direct rule's products
+        /// stay exact and only the complement's slack is under test; `e`
+        /// puts them among subnormals, near 1 or past 2^900, all of one
+        /// sign or mixed, so that sums cancel.
+        #[test]
+        fn sum_and_mean_intervals_hold_the_truth(
+            raw in prop::collection::vec((-(1i64 << 30)..(1i64 << 30), 0u32..40), 1..300),
+            (scale, signs, fold) in (0usize..3, 0usize..3, 0usize..3),
+            (k_pick, lo_pick, hi_pick, seed) in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, any::<u64>()),
+        ) {
+            let e = [-1074, -40, 900][scale];
+            let fixed: Vec<i128> = raw
+                .iter()
+                .map(|&(m, shift)| {
+                    let m = match signs {
+                        0 => m.abs(),
+                        1 => -m.abs(),
+                        _ => m,
+                    };
+                    (m as i128) << shift
+                })
+                .collect();
+            let n = fixed.len();
+            let k = ((k_pick * (n + 1) as f64) as usize).min(n);
+            let k_lo = k - (lo_pick * k as f64) as usize;
+            let k_hi = k + (hi_pick * (n - k) as f64) as usize;
+            let perm = permutation(n, seed | 1);
+            let counts = [(k as u64, k as u64), (k_lo as u64, k_hi as u64)];
+            check_tile(&fixed, e, fold, &perm, &counts, k);
+        }
+    }
+
+    /// A synopsis shape where pairing a count end with the wrong envelope
+    /// end inverts the interval: values in [86.3, 104.3], 378..=1337 of
+    /// 4 096 rows selected, and the same negated.
+    #[test]
+    fn count_brackets_pair_with_the_envelope_ends_they_move_outward() {
+        let fixed: Vec<i128> = (0..4096u64)
+            .map(|i| {
+                let spread = ((i * 2_654_435_761) % 4096) as f64 / 4095.0;
+                ((86.3 + 18.0 * spread) * pow2(40)) as i128
+            })
+            .collect();
+        let negated: Vec<i128> = fixed.iter().map(|f| -f).collect();
+        for values in [&fixed, &negated] {
+            for (k, seed) in [(378, 3), (800, 5), (1337, 7)] {
+                let perm = permutation(4096, seed);
+                for fold in 0..3 {
+                    let counts = [(k as u64, k as u64), (378, 1337)];
+                    check_tile(values, -40, fold, &perm, &counts, k);
+                }
+            }
+            // Most of the block selected: the complement rule is the
+            // tighter one, and a bracket around the count keeps it so.
+            let perm = permutation(4096, 11);
+            let counts = [(3900, 3900), (3800, 4000)];
+            assert_eq!(check_tile(values, -40, 2, &perm, &counts, 3900), 2);
         }
     }
 }

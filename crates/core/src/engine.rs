@@ -230,7 +230,7 @@ impl<H: IndexHandle> EvalCtx<'_, H> {
         // The backend's per-block synopses, when configured: the first round
         // may answer from them (after the index's metadata missed phi), and
         // they seed global attribute bounds for metadata-free cold starts,
-        // which must happen before candidates capture their metadata view.
+        // which must happen before candidates build their contributions.
         // The exhaustive rule reads every candidate anyway: it neither
         // derives nor seeds from them.
         let exhaustive = matches!(stop, StopRule::Exhaustive);

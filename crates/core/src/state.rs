@@ -34,23 +34,19 @@ pub struct Candidate {
     /// `count(t∩Q)` — exact, from indexed axis values.
     pub selected: u64,
     pub kind: CandidateKind,
-    /// Per-query-attribute metadata view (tile metadata, falling back to
-    /// global column bounds). `None` means no bounds exist at all for that
-    /// attribute, making the query CI unbounded until this tile is
-    /// processed.
-    pub meta: Vec<Option<AttrMeta>>,
+    /// Its contribution per query attribute, built once from the tile's
+    /// metadata (falling back to global column bounds). `None` means no
+    /// bounds exist at all for that attribute, making the query CI
+    /// unbounded until this tile is processed.
+    pub parts: Vec<Option<Contribution>>,
 }
 
 impl Candidate {
-    /// The tile's contribution to query-attribute `i`: its selected count
-    /// and its metadata's envelope; `None` when it has no bounds at all.
+    /// The tile's contribution to query-attribute `i`; `None` when it has
+    /// no bounds at all.
     #[inline]
     pub fn contribution(&self, i: usize) -> Option<Contribution> {
-        self.meta[i].as_ref().map(|m| Contribution {
-            count: (self.selected, self.selected),
-            values: m.value_bounds(),
-            non_null: m.certainly_non_null(),
-        })
+        self.parts[i]
     }
 }
 
@@ -128,7 +124,7 @@ impl QueryState {
                         tile: tid,
                         selected: tile.object_count(),
                         kind: CandidateKind::FullBounded,
-                        meta: Self::meta_view(index, tid, attrs),
+                        parts: Self::parts(index, tid, tile.object_count(), attrs),
                     });
                 }
             });
@@ -146,24 +142,29 @@ impl QueryState {
                 tile: pt.tile,
                 selected: pt.selected,
                 kind: CandidateKind::Partial,
-                meta: Self::meta_view(index, pt.tile, attrs),
+                parts: Self::parts(index, pt.tile, pt.selected, attrs),
             });
         }
         Ok(state)
     }
 
-    /// Metadata view per query attribute: the tile's own metadata when
-    /// present, else the global column bounds as `Bounded` metadata.
-    fn meta_view(index: &ValinorIndex, tile: TileId, attrs: &[AttrId]) -> Vec<Option<AttrMeta>> {
+    /// Contributions of `selected` objects of `tile`, per query attribute:
+    /// from the tile's own metadata when present, else from the global
+    /// column bounds.
+    fn parts(
+        index: &ValinorIndex,
+        tile: TileId,
+        selected: u64,
+        attrs: &[AttrId],
+    ) -> Vec<Option<Contribution>> {
+        let meta = &index.tile(tile).meta;
         attrs
             .iter()
-            .map(|&a| {
-                index
-                    .tile(tile)
-                    .meta
-                    .get(a)
-                    .cloned()
-                    .or_else(|| index.global_meta(a))
+            .map(|&a| match meta.get(a) {
+                Some(m) => Some(Contribution::of_tile(selected, m)),
+                None => index
+                    .global_meta(a)
+                    .map(|m| Contribution::of_tile(selected, &m)),
             })
             .collect()
     }
@@ -263,11 +264,18 @@ mod tests {
         assert_eq!(c.selected, 2);
         let part = c.contribution(0).expect("exact metadata bounds the tile");
         assert_eq!(part.values, Some(Interval::new(20.0, 30.0)));
-        assert_eq!(
-            part.sum_bounds(),
-            Interval::new(40.0, 60.0),
-            "2 selected x [20,30]"
-        );
+        // The paper's rule alone: 2 selected x [20,30].
+        let paper = Contribution {
+            whole: None,
+            ..part
+        };
+        assert_eq!(paper.sum_bounds(), Interval::new(40.0, 60.0));
+        // The window takes both of the tile's objects, whose sum is 50: the
+        // complement rule leaves only its rounding slack around it.
+        assert_eq!(part.whole, Some((2, 50.0)));
+        let slack = crate::ci::sum_slack(2, 30.0).unwrap();
+        let sum = part.sum_bounds();
+        assert!(sum.contains(50.0) && sum.width() < 3.0 * slack, "{sum}");
         assert_eq!(state.selected_total, 3);
     }
 
@@ -358,13 +366,24 @@ mod tests {
             c.contribution(0)
                 .map_or(f64::INFINITY, |part| part.sum_bounds().width())
         };
-        let w = width(&state.candidates[0]);
-        assert!((w - 20.0).abs() < 1e-12, "2 x (30-20)");
+        // Both of the tile's objects are selected: the complement rule
+        // leaves its rounding slack, the paper's rule alone 2 x (30-20).
+        let c = &state.candidates[0];
+        let w = width(c);
+        assert!(w > 0.0 && w < 3.0 * crate::ci::sum_slack(2, 30.0).unwrap());
+        let paper = Candidate {
+            parts: vec![c.contribution(0).map(|part| Contribution {
+                whole: None,
+                ..part
+            })],
+            ..c.clone()
+        };
+        assert!((width(&paper) - 20.0).abs() < 1e-12, "2 x (30-20)");
         let unbounded = Candidate {
             tile: TileId(0),
             selected: 1,
             kind: CandidateKind::Partial,
-            meta: vec![None],
+            parts: vec![None],
         };
         assert!(width(&unbounded).is_infinite());
         assert_eq!(unbounded.contribution(0), None);

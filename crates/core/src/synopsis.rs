@@ -132,13 +132,16 @@ fn block_estimate(
 }
 
 /// A partial block's contribution to column `a`: its selected-count
-/// bracket and the column's envelope; `None` when the record is unusable.
+/// bracket, the column's envelope and, when every row holds a value, the
+/// block's whole `(rows, sum)`; `None` when the record is unusable.
 fn contribution(b: &BlockSynopsis, a: AttrId, count: (u64, u64)) -> Option<Contribution> {
     let s = b.stats(a)?;
+    let non_null = s.count() == b.rows();
     Some(Contribution {
         count,
         values: s.range(),
-        non_null: s.count() == b.rows(),
+        non_null,
+        whole: non_null.then(|| (s.count(), s.sum())),
     })
 }
 
@@ -418,10 +421,22 @@ mod tests {
         let y = vec![0.5; 4];
         let v = vec![-2.0, -10.0, -4.0, -6.0];
         let blocks = build_block_synopses(&[x, y, v], 4, &SynopsisSpec::default());
-        let b = &blocks[0];
-        let iv = contribution(b, 2, (2, 4)).unwrap().sum_bounds();
-        // lo = 4 * (-10) = -40, hi = 2 * (-2) = -4.
-        assert_eq!(iv, Interval::new(-40.0, -4.0));
+        let part = contribution(&blocks[0], 2, (2, 4)).unwrap();
+        // The paper's rule alone: lo = 4 * (-10) = -40, hi = 2 * (-2) = -4.
+        let paper = Contribution {
+            whole: None,
+            ..part
+        };
+        assert_eq!(paper.sum_bounds(), Interval::new(-40.0, -4.0));
+        // With the block's whole sum -22: 0..=2 rows unselected add
+        // [2 * (-10), 0 * (-2)] = [-20, 0], so the selected sum lies in
+        // [-22, -2], widened by the rounding slack; its intersection with
+        // the paper's is [-22 - slack, -4].
+        let slack = crate::ci::sum_slack(4, 10.0).unwrap();
+        assert_eq!(part.whole, Some((4, -22.0)));
+        let iv = part.sum_bounds();
+        assert_eq!(iv.hi(), -4.0);
+        assert!(iv.lo() < -22.0 && iv.lo() >= -22.0 - 2.0 * slack, "{iv}");
     }
 
     #[test]
@@ -679,11 +694,95 @@ mod tests {
         }
     }
 
+    /// [`block_estimate`] under the paper's rule alone: no partial block
+    /// knows its whole `(rows, sum)`.
+    fn paper_block_estimate(
+        agg: &AggregateFunction,
+        blocks: &[BlockSynopsis],
+        covered: &[usize],
+        partial: &[(usize, u64, u64)],
+        selected_total: u64,
+    ) -> Option<AggregateEstimate> {
+        let Some(a) = agg.attribute() else {
+            return Some(AggregateEstimate::count(selected_total));
+        };
+        let (mut exact, mut covered_rows) = (RunningStats::new(), 0);
+        for &i in covered {
+            exact.merge(&blocks[i].stats(a)?);
+            covered_rows += blocks[i].rows();
+        }
+        let contributions = partial.iter().map(|&(i, lo, hi)| {
+            contribution(&blocks[i], a, (lo, hi)).map(|c| Contribution { whole: None, ..c })
+        });
+        let pending = Some(selected_total - covered_rows);
+        Some(ci::estimate(
+            agg,
+            selected_total,
+            &exact,
+            pending,
+            contributions,
+        ))
+    }
+
+    /// [`accept_all`] under the paper's rule alone.
+    fn paper_accept_all(
+        blocks: &[BlockSynopsis],
+        window: &Rect,
+        selected_total: u64,
+        aggs: &[AggregateFunction],
+    ) -> Option<SynopsisAnswer> {
+        let (covered, partial) = classify_all(blocks, window, selected_total)?;
+        let estimates = aggs
+            .iter()
+            .map(|agg| paper_block_estimate(agg, blocks, &covered, &partial, selected_total))
+            .collect::<Option<Vec<_>>>()?;
+        if estimates.iter().any(|e| e.unbounded) {
+            return None;
+        }
+        let bound = estimates.iter().map(bound_of).fold(0.0f64, f64::max);
+        Some(SynopsisAnswer {
+            estimates,
+            bound,
+            blocks: (covered.len() + partial.len()) as u64,
+            bytes: 0,
+        })
+    }
+
+    /// Folds one answer (or its absence) into an FNV-1a hash: values, CIs,
+    /// unbounded flags, bound and block count (not the bytes meter).
+    fn fnv_answer(h: &mut u64, answer: Option<&SynopsisAnswer>) {
+        let mut eat = |v: u64| {
+            for b in v.to_le_bytes() {
+                *h = (*h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        let Some(a) = answer else {
+            eat(0);
+            return;
+        };
+        eat(1);
+        eat(a.bound.to_bits());
+        eat(a.blocks);
+        for e in &a.estimates {
+            match e.value {
+                AggregateValue::Count(c) => (eat(1), eat(c)),
+                AggregateValue::Float(f) => (eat(2), eat(f.to_bits())),
+                AggregateValue::Empty => (eat(3), ()),
+            };
+            match e.ci {
+                Some(c) => (eat(c.lo().to_bits()), eat(c.hi().to_bits())),
+                None => (eat(4), ()),
+            };
+            eat(e.unbounded as u64);
+        }
+    }
+
     /// FNV-1a over the bits of every answer over seeded NULL-free block
     /// sets × windows × each of the seven aggregates alone and all seven
-    /// together, at two `phi`: values, CIs, unbounded flags, bounds and block
-    /// counts (not the bytes meter), pinned where the tier still composed
-    /// its own copy of the aggregate formulas.
+    /// together, at two `phi`. Two pins: the paper's rule alone still
+    /// hashes to the value pinned where the tier composed its own copy of
+    /// the aggregate formulas, and the answers with the complement rule in
+    /// hash to their own. Every CI of the second lies inside the first's.
     #[test]
     fn null_free_answers_did_not_move() {
         use pai_common::geometry::Point2;
@@ -697,12 +796,7 @@ mod tests {
             Variance(2),
             StdDev(2),
         ];
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        let (mut paper_hash, mut hash) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
         let mut rng = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = || {
             rng ^= rng << 13;
@@ -710,6 +804,7 @@ mod tests {
             rng ^= rng << 17;
             (rng >> 11) as f64 / (1u64 << 53) as f64
         };
+        let mut tightened = 0;
         for set in 0..12usize {
             let n = 40 + 37 * set;
             // Even sets stripe x with the row, so whole blocks fall inside
@@ -743,29 +838,27 @@ mod tests {
                     .count() as u64;
                 for phi in [f64::INFINITY, 0.05] {
                     for aggs in AGGS.chunks(1).chain([&AGGS[..]]) {
-                        let Some(a) = try_answer(&blocks, 0, 1, &window, total, aggs, phi) else {
-                            eat(0);
-                            continue;
-                        };
-                        eat(1);
-                        eat(a.bound.to_bits());
-                        eat(a.blocks);
-                        for e in &a.estimates {
-                            match e.value {
-                                AggregateValue::Count(c) => (eat(1), eat(c)),
-                                AggregateValue::Float(f) => (eat(2), eat(f.to_bits())),
-                                AggregateValue::Empty => (eat(3), ()),
+                        let paper = paper_accept_all(&blocks, &window, total, aggs);
+                        let got = try_answer(&blocks, 0, 1, &window, total, aggs, phi);
+                        fnv_answer(&mut paper_hash, paper.as_ref().filter(|p| p.bound <= phi));
+                        fnv_answer(&mut hash, got.as_ref());
+                        let Some(got) = got else { continue };
+                        let paper = paper.expect("the paper's rule bounds what the two rules do");
+                        for (e, p) in got.estimates.iter().zip(&paper.estimates) {
+                            let (Some(ci), Some(paper_ci)) = (e.ci, p.ci) else {
+                                assert_eq!((e.ci, e.value), (None, AggregateValue::Empty));
+                                assert_eq!((p.ci, p.value), (None, AggregateValue::Empty));
+                                continue;
                             };
-                            match e.ci {
-                                Some(c) => (eat(c.lo().to_bits()), eat(c.hi().to_bits())),
-                                None => (eat(4), ()),
-                            };
-                            eat(e.unbounded as u64);
+                            assert!(paper_ci.contains_interval(&ci), "{ci} outside {paper_ci}");
+                            tightened += usize::from(ci.width() < paper_ci.width());
                         }
                     }
                 }
             }
         }
-        assert_eq!(h, 0x94f8_8d9a_06d5_571c);
+        assert_eq!(paper_hash, 0x94f8_8d9a_06d5_571c);
+        assert_eq!(hash, 0x8161_9934_adc8_86c6);
+        assert!(tightened > 0, "the complement rule tightened no CI");
     }
 }

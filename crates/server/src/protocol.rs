@@ -178,6 +178,11 @@ impl<'a> Cursor<'a> {
             .map_err(|_| PaiError::internal("non-UTF-8 string in protocol frame"))
     }
 
+    /// Bytes not yet read.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn finish(self) -> Result<()> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -331,6 +336,16 @@ impl Request {
                 // keep a hostile header from pre-allocating past it.
                 if n_rows > 1 << 20 || n_cols > 4096 {
                     return Err(PaiError::internal("oversized ingest batch"));
+                }
+                // A row with no columns takes no bytes, so a 17-byte frame
+                // could claim a million of them; and every value takes 8
+                // bytes, so the header may claim no more than the frame
+                // still carries.
+                if n_rows > 0 && n_cols == 0 {
+                    return Err(PaiError::internal("ingest rows without columns"));
+                }
+                if n_rows.saturating_mul(n_cols).saturating_mul(8) > c.remaining() {
+                    return Err(PaiError::internal("truncated protocol frame"));
                 }
                 let mut rows = Vec::with_capacity(n_rows);
                 for _ in 0..n_rows {
@@ -639,6 +654,21 @@ mod tests {
         huge.extend_from_slice(&u32::MAX.to_le_bytes());
         huge.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(Request::decode(&huge).is_err());
+        // A 17-byte header claiming 2^20 rows of no columns is refused, not
+        // decoded into a million empty rows; so is one whose rows the
+        // frame does not carry, before anything is allocated for them.
+        for (n_rows, n_cols) in [(1u32 << 20, 0u32), (1 << 20, 4096), (2, 1)] {
+            let mut hostile = vec![4u8];
+            hostile.extend_from_slice(&1u64.to_le_bytes());
+            hostile.extend_from_slice(&n_rows.to_le_bytes());
+            hostile.extend_from_slice(&n_cols.to_le_bytes());
+            hostile.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
+            assert!(
+                Request::decode(&hostile[..17]).is_err(),
+                "{n_rows} x {n_cols}"
+            );
+            assert!(Request::decode(&hostile).is_err(), "{n_rows} x {n_cols}");
+        }
         // An answer whose CI is inverted or has a NaN endpoint is refused,
         // not handed to `Interval::new` (which asserts).
         for (lo, hi) in [(1.0, 0.0), (f64::NAN, 1.0), (0.0, f64::NAN)] {

@@ -17,6 +17,9 @@
 //! the same adapting writers: every estimate handed out mid-race must
 //! still bound the ground truth. One leg pins the point of the lock
 //! strategy: readers complete while a writer's fetches stall on a slow file.
+//! The ingest leg also recounts every exact metadata claim from the file
+//! after each batch (`check_exact_metadata`): the CIs' complement rule leans
+//! on those sums.
 //!
 //! CI runs this suite in **release mode** as a dedicated step so
 //! lock-ordering and optimistic-apply bugs surface under optimized timing,
@@ -25,7 +28,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use pai_common::{AttrId, PaiError};
+use pai_core::ci::sum_slack;
 use pai_core::SharedIndex;
+use pai_index::{AttrMeta, TileId};
 use pai_storage::ground_truth::window_truth;
 use partial_adaptive_indexing::prelude::*;
 
@@ -67,6 +73,160 @@ fn ci_sound(ci: Option<Interval>, truth: f64) -> bool {
         }
         None => false,
     }
+}
+
+/// Recomputes every exact metadata claim of `index` from `file` — each
+/// tile's value count, NULL count, min, max and sum, for leaves and inner
+/// tiles alike — and errors on the first that does not hold. A stored sum
+/// may lie off the recomputed one by no more than the rounding slack the
+/// CI's complement rule allows: past it, an interval built on the stored
+/// sum could miss the truth. Reads every indexed row once.
+fn check_exact_metadata(index: &ValinorIndex, file: &dyn RawFile) -> pai_common::Result<()> {
+    let tiles: Vec<TileId> = (0..index.tile_count() as u32).map(TileId).collect();
+    let attrs: Vec<AttrId> = (0..index.schema().len())
+        .filter(|&a| tiles.iter().any(|&t| index.tile(t).meta.has_exact(a)))
+        .collect();
+    if attrs.is_empty() {
+        return Ok(());
+    }
+    let leaves: Vec<TileId> = tiles
+        .iter()
+        .copied()
+        .filter(|&t| index.tile(t).is_leaf())
+        .collect();
+    let locators: Vec<_> = leaves
+        .iter()
+        .flat_map(|&t| index.tile(t).entries().iter().map(|e| e.locator))
+        .collect();
+    let rows = file.read_rows(&locators, &attrs)?;
+    let mut recomputed: Vec<Option<Vec<Recount>>> = vec![None; tiles.len()];
+    let mut next_row = 0;
+    for &leaf in &leaves {
+        let mut counts = vec![Recount::default(); attrs.len()];
+        for _ in index.tile(leaf).entries() {
+            for (c, &v) in counts.iter_mut().zip(rows.row(next_row)) {
+                c.push(v);
+            }
+            next_row += 1;
+        }
+        recomputed[leaf.index()] = Some(counts);
+    }
+    for &t in &tiles {
+        let counts = recount(index, t, &mut recomputed, attrs.len());
+        for (c, &a) in counts.iter().zip(&attrs) {
+            let Some(AttrMeta::Exact { stats, nulls }) = index.tile(t).meta.get(a) else {
+                continue;
+            };
+            let n = stats.count();
+            let sum_off = (stats.sum() - c.sum()).abs();
+            let holds = (n, *nulls) == (c.values, c.nulls)
+                && stats.min() == c.min()
+                && stats.max() == c.max()
+                && sum_off <= sum_slack(n, c.max_abs).unwrap_or(f64::INFINITY);
+            if !holds {
+                return Err(PaiError::internal(format!(
+                    "tile {} attribute {a}: exact metadata claims {n} values, {nulls} \
+                     NULLs, range {:?}..{:?}, sum {}; the file holds {} values, {} \
+                     NULLs, range {:?}..{:?}, sum {}",
+                    t.index(),
+                    stats.min(),
+                    stats.max(),
+                    stats.sum(),
+                    c.values,
+                    c.nulls,
+                    c.min(),
+                    c.max(),
+                    c.sum()
+                )));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One attribute's values recounted from the file: a compensated
+/// (Neumaier) sum, so that it stands in for the true sum.
+#[derive(Debug, Clone, Copy, Default)]
+struct Recount {
+    values: u64,
+    nulls: u64,
+    sum: f64,
+    compensation: f64,
+    min: f64,
+    max: f64,
+    max_abs: f64,
+}
+
+impl Recount {
+    fn push(&mut self, v: f64) {
+        if v.is_nan() {
+            self.nulls += 1;
+            return;
+        }
+        (self.min, self.max) = match self.values {
+            0 => (v, v),
+            _ => (self.min.min(v), self.max.max(v)),
+        };
+        self.values += 1;
+        self.max_abs = self.max_abs.max(v.abs());
+        self.add(v);
+    }
+
+    fn add(&mut self, v: f64) {
+        let t = self.sum + v;
+        self.compensation += if self.sum.abs() >= v.abs() {
+            (self.sum - t) + v
+        } else {
+            (v - t) + self.sum
+        };
+        self.sum = t;
+    }
+
+    fn merge(&mut self, other: &Recount) {
+        if other.values > 0 {
+            (self.min, self.max) = match self.values {
+                0 => (other.min, other.max),
+                _ => (self.min.min(other.min), self.max.max(other.max)),
+            };
+        }
+        self.values += other.values;
+        self.nulls += other.nulls;
+        self.max_abs = self.max_abs.max(other.max_abs);
+        self.add(other.sum);
+        self.add(other.compensation);
+    }
+
+    fn sum(&self) -> f64 {
+        self.sum + self.compensation
+    }
+
+    fn min(&self) -> Option<f64> {
+        (self.values > 0).then_some(self.min)
+    }
+
+    fn max(&self) -> Option<f64> {
+        (self.values > 0).then_some(self.max)
+    }
+}
+
+/// Tile `t`'s recounts: a leaf's from its rows, an inner tile's merged
+/// from its children's.
+fn recount<'a>(
+    index: &ValinorIndex,
+    t: TileId,
+    memo: &'a mut [Option<Vec<Recount>>],
+    width: usize,
+) -> &'a [Recount] {
+    if memo[t.index()].is_none() {
+        let mut counts = vec![Recount::default(); width];
+        for &child in index.tile(t).children() {
+            for (c, o) in counts.iter_mut().zip(recount(index, child, memo, width)) {
+                c.merge(o);
+            }
+        }
+        memo[t.index()] = Some(counts);
+    }
+    memo[t.index()].as_deref().expect("filled above")
 }
 
 /// The heart of the stress: N writers over overlapping windows + M readers,
@@ -529,6 +689,9 @@ fn readers_complete_inside_a_writers_evaluate() {
 /// reader scans the base through its own handle on the same sliver-budget
 /// cache.
 ///
+/// After every batch an appender also recounts each tile's exact metadata
+/// from the file (`check_exact_metadata`): the CIs lean on those sums.
+///
 /// Soundness against the *final* row set is made checkable mid-race by
 /// construction: every appended row carries `0.0` in the summed column, so
 /// the Sum ground truth of the final row set equals the truth at every
@@ -639,6 +802,11 @@ fn ingest_while_explore_race_stays_sound_over_one_shared_cache() {
                     let rows = delta_batch(writer, batch);
                     let receipt = shared.ingest(&rows).unwrap();
                     assert_eq!(receipt.locators.len(), BATCH_ROWS, "appender {writer}");
+                    // The sums the CIs' complement rule leans on still
+                    // describe each tile's rows, ingested ones included.
+                    shared
+                        .with_index(|idx| check_exact_metadata(idx, shared.file()))
+                        .unwrap_or_else(|e| panic!("appender {writer} batch {batch}: {e}"));
                 }
             });
         }
@@ -722,6 +890,9 @@ fn ingest_while_explore_race_stays_sound_over_one_shared_cache() {
         "the delta store was never re-clustered"
     );
     shared.with_index(|idx| idx.validate_invariants().unwrap());
+    shared
+        .with_index(|idx| check_exact_metadata(idx, shared.file()))
+        .unwrap();
 
     // Quiesced: exact answers must hit the final row set on the nose.
     for (w, &(_, final_count, sum)) in windows.iter().zip(&truths) {
@@ -736,6 +907,9 @@ fn ingest_while_explore_race_stays_sound_over_one_shared_cache() {
     // Counts, parent links and every exact claim up the hierarchy survived
     // the race and the quiesced enrichments.
     shared.with_index(|idx| idx.validate_invariants().unwrap());
+    shared
+        .with_index(|idx| check_exact_metadata(idx, shared.file()))
+        .unwrap();
     assert!(
         shared.file().counters().cache_hits() > 0,
         "the shared cache actually served spans"
@@ -887,5 +1061,51 @@ fn synopsis_readers_stay_sound_while_writers_adapt() {
         let res = shared.evaluate(w, &aggs, 0.05).unwrap();
         assert!(res.met_constraint);
         assert!(ci_sound(res.cis[0], count) && ci_sound(res.cis[1], sum));
+    }
+}
+
+/// `check_exact_metadata` itself: it holds on an adapted index with inner
+/// tiles, passes an honest ingest and fails a stale sum.
+#[test]
+fn exact_metadata_recount_catches_a_stale_sum() {
+    use pai_index::ObjectEntry;
+    use pai_storage::AppendableFile;
+    let spec = DatasetSpec {
+        rows: 2000,
+        columns: 4,
+        seed: 8,
+        ..Default::default()
+    };
+    let base = spec.build_mem(CsvFormat::default()).unwrap();
+    let file = AppendableFile::with_layout(base, 2000, 64, SynopsisSpec::default()).unwrap();
+    let init = InitConfig {
+        grid: GridSpec::Fixed { nx: 4, ny: 4 },
+        domain: Some(spec.domain),
+        metadata: MetadataPolicy::AllNumeric,
+    };
+    let (idx, _) = build(&file, &init).unwrap();
+    let mut eng = ApproximateEngine::new(idx, &file, EngineConfig::paper_evaluation()).unwrap();
+    let window = Rect::new(130.0, 610.0, 170.0, 720.0);
+    eng.evaluate_exact(&window, &[AggregateFunction::Sum(2)])
+        .unwrap();
+    let mut idx = eng.into_index();
+    assert!(idx.splits_performed() > 0, "inner tiles are checked too");
+    check_exact_metadata(&idx, &file).unwrap();
+
+    // An ingested row the index folds as the file holds it: still true.
+    // One whose value the index folds 1.0 off what the file holds — a
+    // stale sum under the right count, min and max — fails the check.
+    let mid = idx.global_bounds(2).unwrap().midpoint();
+    for (folded, holds) in [(mid, true), (mid + 1.0, false)] {
+        let row = vec![500.0, 500.0, mid, mid];
+        let locator = file
+            .append_rows(std::slice::from_ref(&row))
+            .unwrap()
+            .locators[0];
+        let entry = ObjectEntry::new(row[0], row[1], locator);
+        idx.ingest_entry(entry, &[row[0], row[1], folded, mid])
+            .unwrap();
+        let checked = check_exact_metadata(&idx, &file);
+        assert_eq!(checked.is_ok(), holds, "{checked:?}");
     }
 }
