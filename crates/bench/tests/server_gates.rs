@@ -11,7 +11,8 @@
 //! * **scaling** — a closed-loop fleet of clients spread zipf-style over
 //!   named map-exploration sessions finishes the same schedule at
 //!   strictly higher QPS with `workers = 4` than with `workers = 1`
-//!   (the injected GET latency is what the worker pool overlaps);
+//!   (the injected GET latency, behind a cache of one part, is what the
+//!   worker pool overlaps);
 //! * **saturation** — hundreds of clients hammer two sessions behind a
 //!   deliberately tiny queue: backpressure must answer (`Busy` frames
 //!   observed, counted, and equal to the server's own meter), every
@@ -93,12 +94,26 @@ fn engine_cfg(setup: &Fig2Setup) -> EngineConfig {
     }
 }
 
-/// A fresh serving stack: HTTP file over `store`, one shared block cache,
-/// a crude initial index, and the `SharedIndex` every session evaluates
-/// through. Constructed identically every call, so two stacks adapt
+/// Block cache of the bitwise and saturation gates: it holds the whole image.
+const WARM_CACHE_BYTES: u64 = 64 << 20;
+
+/// Block cache of the scaling gate: one 64 KiB part, so a query's reads go
+/// to the wire and the closed loop waits on GETs, which is what the worker
+/// pool overlaps. Behind the warm cache a leg issued about 8 GETs and the
+/// gate compared CPU time on a 2-core box, where 4 workers lost to 1 in about
+/// one run in ten.
+const COLD_CACHE_BYTES: u64 = 64 << 10;
+
+/// A fresh serving stack: HTTP file over `store`, one shared block cache of
+/// `cache_bytes`, a crude initial index, and the `SharedIndex` every session
+/// evaluates through. Constructed identically every call, so two stacks adapt
 /// identically under the same query sequence.
-fn fresh_stack(setup: &Fig2Setup, store: &ObjectStore) -> Arc<SharedIndex<CachedFile>> {
-    let cache = Arc::new(BlockCache::new(CacheConfig::new(64 << 20, 0)));
+fn fresh_stack(
+    setup: &Fig2Setup,
+    store: &ObjectStore,
+    cache_bytes: u64,
+) -> Arc<SharedIndex<CachedFile>> {
+    let cache = Arc::new(BlockCache::new(CacheConfig::new(cache_bytes, 0)));
     let file = CachedFile::new(
         Box::new(HttpFile::open(store.addr(), OBJECT, HttpOptions::default()).expect("open http")),
         cache,
@@ -271,7 +286,7 @@ fn served_matches_library_bitwise() {
     // Served run: one worker, one session, strictly sequential — the
     // server evaluates in exactly the order the library run will.
     let mut server = PaiServer::serve(
-        fresh_stack(&setup, &store),
+        fresh_stack(&setup, &store, WARM_CACHE_BYTES),
         ServerConfig {
             workers: 1,
             ..ServerConfig::default()
@@ -293,7 +308,7 @@ fn served_matches_library_bitwise() {
 
     // Library run: a second stack built the same way answers the same
     // sequence in-process.
-    let lib_engine = fresh_stack(&setup, &store);
+    let lib_engine = fresh_stack(&setup, &store, WARM_CACHE_BYTES);
     let lib: Vec<ApproxResult> = windows
         .iter()
         .map(|w| lib_engine.evaluate(w, &aggs, PHI).expect("evaluate"))
@@ -328,7 +343,8 @@ fn served_matches_library_bitwise() {
 
 /// The same zipf closed loop finishes at strictly higher QPS with four
 /// workers than with one — the worker pool overlaps the injected GET
-/// latency across sessions.
+/// latency across sessions. Both legs run behind a cold cache
+/// ([`COLD_CACHE_BYTES`]) so that latency is what a leg waits on.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "wall-clock gate: run with --release")]
 fn parallel_workers_win() {
@@ -345,7 +361,7 @@ fn parallel_workers_win() {
     let mut outcomes = Vec::new();
     for workers in [1usize, 4] {
         let mut server = PaiServer::serve(
-            fresh_stack(&setup, &store),
+            fresh_stack(&setup, &store, COLD_CACHE_BYTES),
             ServerConfig {
                 workers,
                 queue_depth: 64,
@@ -398,7 +414,7 @@ fn saturation_is_graceful() {
     let sessions = SESSIONS.min(2);
     let sat_clients = (CLIENTS * 8).max(64);
     let mut server = PaiServer::serve(
-        fresh_stack(&setup, &store),
+        fresh_stack(&setup, &store, WARM_CACHE_BYTES),
         ServerConfig {
             workers: 2,
             queue_depth: QUEUE_DEPTH,

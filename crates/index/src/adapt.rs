@@ -35,7 +35,7 @@ use pai_common::{AttrId, PaiError, Result, RowLocator, RunningStats};
 use crate::config::{AdaptConfig, ReadPolicy};
 use crate::index::ValinorIndex;
 use crate::metadata::AttrMeta;
-use crate::tile::TileId;
+use crate::tile::{Cover, TileId};
 
 /// Tiles whose width or height would drop below this are not split.
 const MIN_TILE_EXTENT: f64 = 1e-9;
@@ -205,20 +205,29 @@ pub fn plan_tile(
 
     // The tile's metadata is enriched with exactly the query's attributes.
     let read_attrs = attrs.to_vec();
-    // One walk over the entries: window membership, and which objects to
-    // read from the file, remembering each locator's entry so fetched rows
-    // align back positionally.
+    // One walk over the entries, a zone-map block at a time: window
+    // membership (whole for a block inside or outside the window, entry by
+    // entry where its edge crosses), and which objects to read from the
+    // file, remembering each locator's entry so fetched rows align back
+    // positionally.
     let whole_tile = cfg.read == ReadPolicy::FullTile;
     let mut in_window = Vec::with_capacity(entries.len());
     let (mut locators, mut entry_of) = (Vec::new(), Vec::new());
-    let mut selected = 0u64;
-    for (i, e) in entries.iter().enumerate() {
-        let sel = e.in_window(query);
-        in_window.push(sel);
-        selected += u64::from(sel);
-        if sel || whole_tile {
-            locators.push(e.locator);
-            entry_of.push(i as u32);
+    let (mut selected, mut i) = (0u64, 0u32);
+    for (block, cover) in tile.blocks(query) {
+        for e in block {
+            let sel = match cover {
+                Cover::All => true,
+                Cover::None => false,
+                Cover::Some => e.in_window(query),
+            };
+            in_window.push(sel);
+            selected += u64::from(sel);
+            if sel || whole_tile {
+                locators.push(e.locator);
+                entry_of.push(i);
+            }
+            i += 1;
         }
     }
     let attr_pos: Vec<usize> = attrs

@@ -11,7 +11,7 @@ use pai_storage::Schema;
 
 use crate::entry::ObjectEntry;
 use crate::metadata::AttrMeta;
-use crate::tile::{Tile, TileId, TileState};
+use crate::tile::{Leaf, Tile, TileId, TileState};
 
 /// A partially-contained tile in a query's classification, along with the
 /// paper's `count(t∩Q)` (computed from indexed axis values, no file I/O).
@@ -237,7 +237,7 @@ impl ValinorIndex {
 
     /// Inserts one entry during initialization (index must still be a pure
     /// grid of leaves in the touched cell path, which `init` guarantees).
-    /// The bulk path is [`Self::extend_cell`]; this one serves tests and
+    /// The bulk path is [`Self::install_cell`]; this one serves tests and
     /// hand-built demonstration indexes.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn insert_entry(&mut self, entry: ObjectEntry) {
@@ -245,7 +245,7 @@ impl ValinorIndex {
         let tid = self.root[cell];
         self.version = self.version.wrapping_add(1);
         match &mut self.tiles[tid.index()].state {
-            TileState::Leaf { entries } => entries.push(entry),
+            TileState::Leaf(leaf) => leaf.push(entry),
             TileState::Inner { .. } => {
                 unreachable!("insert_entry is only used while initializing a flat grid")
             }
@@ -368,7 +368,7 @@ impl ValinorIndex {
                 }
             }
             match &mut tile.state {
-                TileState::Leaf { entries } => entries.push(entry),
+                TileState::Leaf(leaf) => leaf.push(entry),
                 TileState::Inner { count, .. } => *count += 1,
             }
         }
@@ -376,23 +376,17 @@ impl ValinorIndex {
         Ok(leaf)
     }
 
-    /// Hands a root cell the entries accumulated for it (the bulk
-    /// initialization path). An empty leaf — every cell of a fresh index —
-    /// takes the vector itself, trimmed of its growth slack in place, so
-    /// installing a built index copies no entries.
-    pub(crate) fn extend_cell(&mut self, cell: usize, mut batch: Vec<ObjectEntry>) {
+    /// Hands a still-empty root cell its leaf (the bulk initialization
+    /// path): the entries accumulated for it, which the leaf took without a
+    /// copy, and their zone map.
+    pub(crate) fn install_cell(&mut self, cell: usize, leaf: Leaf) {
         let tid = self.root[cell];
-        let n = batch.len() as u64;
         self.version = self.version.wrapping_add(1);
+        self.total_objects += leaf.entries().len() as u64;
         match &mut self.tiles[tid.index()].state {
-            TileState::Leaf { entries } if entries.is_empty() => {
-                batch.shrink_to_fit();
-                *entries = batch;
-            }
-            TileState::Leaf { entries } => entries.extend(batch),
-            TileState::Inner { .. } => unreachable!("init-time cells are leaves"),
+            TileState::Leaf(empty) if empty.entries().is_empty() => *empty = leaf,
+            _ => unreachable!("init-time cells are empty leaves"),
         }
-        self.total_objects += n;
     }
 
     /// Number of root cells (`nx × ny`).
@@ -425,7 +419,7 @@ impl ValinorIndex {
         let mut id = self.root[self.root_cell(p)];
         loop {
             let children = match &self.tile(id).state {
-                TileState::Leaf { .. } => return Some(id),
+                TileState::Leaf(_) => return Some(id),
                 TileState::Inner { children, .. } => children,
             };
             passed(id);
@@ -546,7 +540,8 @@ impl ValinorIndex {
     // -- mutation -----------------------------------------------------------
 
     /// Splits a leaf into the given child rectangles, redistributing its
-    /// entries and installing inherited (demoted) metadata on each child.
+    /// entries (each child builds its zone map over the ones it takes) and
+    /// installing inherited (demoted) metadata on each child.
     /// The split tile keeps its own metadata and its object count: the same
     /// objects are below it as were in it.
     ///
@@ -564,7 +559,7 @@ impl ValinorIndex {
         let parent_rect = self.tile(id).rect;
         let inherited = self.tile(id).meta.inherited();
         let entries = match &mut self.tile_mut(id).state {
-            TileState::Leaf { entries } => std::mem::take(entries),
+            TileState::Leaf(leaf) => std::mem::take(leaf).into_entries(),
             TileState::Inner { .. } => {
                 return Err(PaiError::internal(format!("split of non-leaf tile {id:?}")))
             }
@@ -590,6 +585,7 @@ impl ValinorIndex {
         // to closed containment.
         let count = entries.len() as u64;
         let mut child_of = Vec::with_capacity(entries.len());
+        let mut taken = vec![Vec::new(); child_rects.len()];
         for e in entries {
             let p = e.point();
             let slot = child_rects
@@ -600,10 +596,10 @@ impl ValinorIndex {
                     PaiError::internal(format!("entry at {p:?} fits no child of {parent_rect}"))
                 })?;
             child_of.push(slot as u32);
-            match &mut self.tile_mut(child_ids[slot]).state {
-                TileState::Leaf { entries } => entries.push(e),
-                TileState::Inner { .. } => unreachable!("children are fresh leaves"),
-            }
+            taken[slot].push(e);
+        }
+        for (&cid, entries) in child_ids.iter().zip(taken) {
+            self.tile_mut(cid).state = TileState::Leaf(Leaf::from_entries(entries));
         }
 
         self.tile_mut(id).state = TileState::Inner {
@@ -684,7 +680,12 @@ impl ValinorIndex {
         let entries: usize = self
             .tiles
             .iter()
-            .map(|t| std::mem::size_of_val(t.entries()))
+            .map(|t| match &t.state {
+                TileState::Leaf(leaf) => {
+                    std::mem::size_of_val(leaf.entries()) + std::mem::size_of_val(leaf.zones())
+                }
+                TileState::Inner { .. } => 0,
+            })
             .sum();
         let meta: usize = self
             .tiles
@@ -696,8 +697,9 @@ impl ValinorIndex {
 
     /// Checks structural invariants; used by tests and debug assertions.
     ///
-    /// Verified: entry containment (closed) in its leaf, children partition
-    /// their parent's area and link back to it, an inner tile's count is the
+    /// Verified: entry containment (closed) in its leaf, each leaf's zone map
+    /// (its box count, every entry inside its block's box), children
+    /// partition their parent's area and link back to it, an inner tile's count is the
     /// sum of its children's, every exact metadata slot — on a leaf or an
     /// inner tile — accounts for exactly the tile's objects, object
     /// conservation, root coverage of the domain.
@@ -705,9 +707,9 @@ impl ValinorIndex {
         let mut seen_objects = 0u64;
         for (i, tile) in self.tiles.iter().enumerate() {
             match &tile.state {
-                TileState::Leaf { entries } => {
-                    seen_objects += entries.len() as u64;
-                    for e in entries {
+                TileState::Leaf(leaf) => {
+                    seen_objects += leaf.entries().len() as u64;
+                    for e in leaf.entries() {
                         if !tile.rect.contains_point_closed(e.point()) {
                             return Err(PaiError::internal(format!(
                                 "entry {e:?} outside leaf {i} rect {}",
@@ -715,6 +717,8 @@ impl ValinorIndex {
                             )));
                         }
                     }
+                    leaf.check_zones()
+                        .map_err(|why| PaiError::internal(format!("leaf {i}: {why}")))?;
                 }
                 TileState::Inner { children, count } => {
                     let area: f64 = children.iter().map(|&c| self.tile(c).rect.area()).sum();

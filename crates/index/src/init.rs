@@ -37,6 +37,7 @@ use crate::config::MetadataPolicy;
 use crate::entry::ObjectEntry;
 use crate::index::ValinorIndex;
 use crate::metadata::AttrMeta;
+use crate::tile::{zones_of, Leaf};
 
 /// How many initial grid cells to create.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -428,7 +429,7 @@ fn build_with(
     let (nx, ny) = resolve_grid(config.grid, row_hint)?;
     let mut index = ValinorIndex::new(schema, domain, nx, ny)?;
     let accs = accumulate_cells(file, &index, &attrs, clip.is_some(), shape)?;
-    install_cells(&mut index, accs, &attrs);
+    install_cells(&mut index, accs, &attrs, shape.width)?;
     let report = InitReport {
         rows: index.total_objects(),
         grid_nx: nx,
@@ -480,9 +481,26 @@ pub fn build_clipped(
 }
 
 /// Moves accumulated entries/metadata into the index tiles and folds global
-/// column bounds.
-fn install_cells(index: &mut ValinorIndex, accs: Vec<CellAcc>, attrs: &[usize]) {
-    for (cell, acc) in accs.into_iter().enumerate() {
+/// column bounds. The cells' zone maps, a pass over every entry, are built
+/// first on `width` threads, a cell at a time.
+fn install_cells(
+    index: &mut ValinorIndex,
+    accs: Vec<CellAcc>,
+    attrs: &[usize],
+    width: usize,
+) -> Result<()> {
+    let mut zones = Vec::with_capacity(accs.len());
+    run_ordered(
+        accs.len(),
+        width,
+        width + 1,
+        |cell| Ok(zones_of(&accs[cell].entries)),
+        |_, z| {
+            zones.push(z);
+            Ok(())
+        },
+    )?;
+    for ((cell, mut acc), zones) in accs.into_iter().enumerate().zip(zones) {
         // Fold global bounds from the per-cell stats and record the cell's
         // NULLs.
         for ((&attr, s), &nulls) in attrs.iter().zip(&acc.stats).zip(&acc.nulls) {
@@ -501,9 +519,11 @@ fn install_cells(index: &mut ValinorIndex, accs: Vec<CellAcc>, attrs: &[usize]) 
                 },
             );
         }
-        index.extend_cell(cell, acc.entries);
+        acc.entries.shrink_to_fit();
+        index.install_cell(cell, Leaf::from_parts(acc.entries, zones));
     }
     debug_assert!(index.validate_invariants().is_ok());
+    Ok(())
 }
 
 #[cfg(test)]

@@ -121,12 +121,12 @@ fn describe(index: &ValinorIndex, id: TileId, depth: usize, out: &mut String) {
         meta_desc.join(",")
     };
     match &tile.state {
-        TileState::Leaf { entries } => {
+        TileState::Leaf(leaf) => {
             out.push_str(&format!(
                 "{indent}leaf {} rect {} objects {} meta [{}]\n",
                 id.0,
                 tile.rect,
-                entries.len(),
+                leaf.entries().len(),
                 meta_str
             ));
         }
