@@ -33,7 +33,7 @@ pub enum PaiError {
     /// Schema-level misuse (unknown column, axis/non-axis mixup, ...).
     Schema(String),
     /// A query referenced something the engine cannot satisfy
-    /// (e.g. an AQP query with non-axis filters).
+    /// (e.g. an aggregate over an axis column, or no aggregate at all).
     UnsupportedQuery(String),
     /// Invalid configuration (α outside \[0,1\], φ ≤ 0, degenerate grid, ...).
     Config(String),

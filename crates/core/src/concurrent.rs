@@ -421,8 +421,7 @@ mod tests {
         assert!(res.met_constraint);
         let truth = window_truth(shared.file(), &window, &[2]).unwrap();
         // Fully-resolved answers give point CIs whose float merge order can
-        // differ from the sequential scan's; compare with endpoint slack
-        // (same tolerance the I/O-budget engine test uses).
+        // differ from the sequential scan's; compare with endpoint slack.
         let ci = res.cis[0].unwrap();
         let t = truth[0].stats.sum();
         assert!(

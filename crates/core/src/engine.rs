@@ -15,17 +15,14 @@
 //!
 //! The loop exists once, generic over how it reaches the index: a single
 //! owner's plain borrows here, or the read-write lock of
-//! [`crate::SharedIndex`]. Three stop rules drive it:
-//! * accuracy-constrained (the paper: [`ApproximateEngine::evaluate`],
+//! [`crate::SharedIndex`]. Two stop rules drive it, one per method of the
+//! paper:
+//! * accuracy-constrained ([`ApproximateEngine::evaluate`],
 //!   [`crate::SharedIndex::evaluate`]), followed by any configured
 //!   [`EagerRefinement`];
-//! * exhaustive ([`ApproximateEngine::evaluate_exact`]) — the paper's exact
+//! * exhaustive ([`ApproximateEngine::evaluate_exact`]) — the exact
 //!   adaptive-indexing baseline: every partially contained tile, and every
-//!   covered tile lacking exact metadata, is processed;
-//! * [`ApproximateEngine::evaluate_with_io_budget`] — the dual problem:
-//!   spend at most a given number of object reads and report the best
-//!   achievable bound (interactivity-first, as the paper's introduction
-//!   motivates).
+//!   covered tile lacking exact metadata, is processed.
 //!
 //! [`estimate_readonly`] answers from metadata only — zero I/O, no
 //! adaptation — for concurrent readers and overview visualizations.
@@ -99,11 +96,11 @@ pub struct ApproxResult {
     pub cis: Vec<Option<Interval>>,
     /// Achieved upper error bound (max over aggregates).
     pub error_bound: f64,
-    /// The constraint the query ran under (`f64::INFINITY` for budgeted or
-    /// read-only evaluations, which impose no accuracy constraint).
+    /// The constraint the query ran under: 0 for the exact method,
+    /// `f64::INFINITY` for a read-only estimate, which imposes none.
     pub phi: f64,
-    /// Whether `error_bound <= phi` was reached. Budgeted/read-only
-    /// evaluations report `true` vacuously.
+    /// Whether `error_bound <= phi` was reached. The exact method and a
+    /// read-only estimate report `true`.
     pub met_constraint: bool,
     /// Execution metrics (I/O deltas, tiles processed/split/enriched, time).
     pub stats: QueryStats,
@@ -119,8 +116,6 @@ enum StopRule {
         extra: usize,
         met_at: Option<usize>,
     },
-    /// Until the next candidate would exceed the remaining object budget.
-    IoBudget { remaining: u64 },
     /// Until no candidate is left: the exact baseline. No bound ends it, so
     /// it takes candidates in classification order, never asks the synopses,
     /// and assesses the answer once, at the end (after every tile only for a
@@ -139,7 +134,6 @@ impl StopRule {
                 }
                 step >= *met_at.get_or_insert(step) + *extra
             }
-            StopRule::IoBudget { .. } => bound <= 0.0,
             StopRule::Exhaustive => false,
         }
     }
@@ -320,26 +314,6 @@ impl<H: IndexHandle> EvalCtx<'_, H> {
                         config.adapt_batch,
                         |alive| candidate_views(index, config, aggs, &state, alive),
                     ),
-                    StopRule::IoBudget { ref mut remaining } => {
-                        // Costs must be re-checked against the shrinking
-                        // budget per tile, so budgeted evaluation stays
-                        // tile-at-a-time. Among candidates that fit the
-                        // budget, let the policy choose; stop when nothing
-                        // fits.
-                        let all: Vec<usize> = (0..state.candidates.len()).collect();
-                        let views = candidate_views(index, config, aggs, &state, &all);
-                        let affordable: Vec<usize> = (0..views.len())
-                            .filter(|&i| views[i].cost <= *remaining)
-                            .collect();
-                        if affordable.is_empty() {
-                            return Ok(ControlFlow::Continue(Vec::new()));
-                        }
-                        let sub: Vec<CandidateView> =
-                            affordable.iter().map(|&i| views[i]).collect();
-                        let chosen = affordable[config.policy.pick(&sub, step)];
-                        *remaining = remaining.saturating_sub(views[chosen].cost);
-                        vec![chosen]
-                    }
                     StopRule::Exhaustive => {
                         let n = state.candidates.len();
                         (n.saturating_sub(config.adapt_batch)..n).rev().collect()
@@ -449,7 +423,6 @@ impl<H: IndexHandle> EvalCtx<'_, H> {
         }
         let (phi, met_constraint) = match stop {
             StopRule::Accuracy { phi, .. } => (phi, bound <= phi),
-            StopRule::IoBudget { .. } => (f64::INFINITY, true),
             StopRule::Exhaustive => (0.0, true),
         };
 
@@ -922,25 +895,6 @@ impl<'f> ApproximateEngine<'f> {
         self.ctx().run(window, aggs, StopRule::Exhaustive, None)
     }
 
-    /// The dual problem: evaluate under an **I/O budget** instead of an
-    /// accuracy constraint. Processes tiles (in policy order) only while the
-    /// next tile's read cost fits into `max_objects`, then reports the best
-    /// bound achieved. `max_objects = 0` is the pure metadata answer.
-    ///
-    /// Costs are exact for `ReadPolicy::WindowOnly` partial tiles (selected
-    /// counts are known from the index) and for whole-tile reads.
-    pub fn evaluate_with_io_budget(
-        &mut self,
-        window: &Rect,
-        aggs: &[AggregateFunction],
-        max_objects: u64,
-    ) -> Result<ApproxResult> {
-        let stop = StopRule::IoBudget {
-            remaining: max_objects,
-        };
-        self.ctx().run(window, aggs, stop, None)
-    }
-
     /// Metadata-only estimate against the engine's current index state
     /// (no I/O, no adaptation).
     pub fn estimate(&self, window: &Rect, aggs: &[AggregateFunction]) -> Result<ApproxResult> {
@@ -1234,67 +1188,6 @@ mod tests {
             r2.stats.io.objects_read,
             r1.stats.io.objects_read
         );
-    }
-
-    // ---- I/O-budget mode ---------------------------------------------------
-
-    #[test]
-    fn io_budget_is_respected_exactly() {
-        let (file, spec) = dataset(4000, 91);
-        let window = Rect::new(150.0, 650.0, 150.0, 650.0);
-        let aggs = [AggregateFunction::Sum(2)];
-        for budget in [0u64, 50, 200, 1000, u64::MAX] {
-            let mut eng = engine(&file, &spec, 6);
-            file.counters().reset();
-            let res = eng.evaluate_with_io_budget(&window, &aggs, budget).unwrap();
-            assert!(
-                res.stats.io.objects_read <= budget,
-                "budget {budget}: read {}",
-                res.stats.io.objects_read
-            );
-            assert!(res.met_constraint, "budget mode has no constraint to miss");
-            assert_eq!(res.phi, f64::INFINITY);
-            // Whatever was achieved, the CI still contains the truth.
-            let truth = window_truth(&file, &window, &[2]).unwrap();
-            if let Some(ci) = res.cis[0] {
-                assert!(
-                    ci.contains(truth[0].stats.sum())
-                        || (truth[0].stats.sum() - ci.lo()).abs() < 1e-9 * (1.0 + ci.lo().abs())
-                        || (truth[0].stats.sum() - ci.hi()).abs() < 1e-9 * (1.0 + ci.hi().abs()),
-                    "budget {budget}: truth escaped CI"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn larger_budget_tightens_bound() {
-        let (file, spec) = dataset(4000, 92);
-        let window = Rect::new(150.0, 650.0, 150.0, 650.0);
-        let aggs = [AggregateFunction::Mean(2)];
-        let mut bounds = Vec::new();
-        for budget in [0u64, 100, 500, 5000] {
-            let mut eng = engine(&file, &spec, 6);
-            let res = eng.evaluate_with_io_budget(&window, &aggs, budget).unwrap();
-            bounds.push(res.error_bound);
-        }
-        for w in bounds.windows(2) {
-            assert!(w[1] <= w[0] + 1e-12, "bounds must tighten: {bounds:?}");
-        }
-        assert!(bounds[0] > bounds[3], "extremes must differ: {bounds:?}");
-    }
-
-    #[test]
-    fn zero_budget_equals_readonly_estimate() {
-        let (file, spec) = dataset(2000, 93);
-        let window = Rect::new(200.0, 700.0, 200.0, 700.0);
-        let aggs = [AggregateFunction::Sum(2)];
-        let mut eng = engine(&file, &spec, 5);
-        let ro = eng.estimate(&window, &aggs).unwrap();
-        let budget0 = eng.evaluate_with_io_budget(&window, &aggs, 0).unwrap();
-        assert_eq!(ro.values[0].as_f64(), budget0.values[0].as_f64());
-        assert_eq!(ro.error_bound, budget0.error_bound);
-        assert_eq!(budget0.stats.io.objects_read, 0);
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl SelectionPolicy {
     ///
     /// # Panics
     /// Panics on an empty candidate slice — the engine never asks then.
-    pub fn pick(&self, candidates: &[CandidateView], step: usize) -> usize {
+    fn pick(&self, candidates: &[CandidateView], step: usize) -> usize {
         assert!(!candidates.is_empty(), "policy asked to pick from nothing");
         // Unbounded candidates block any finite error bound: handle first.
         if let Some(i) = candidates.iter().position(|c| c.width.is_infinite()) {

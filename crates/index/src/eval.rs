@@ -6,12 +6,12 @@
 //! constraint — run through one loop in `pai-core` (`EvalCtx::run`, under a
 //! stop rule per method) and report the same [`QueryStats`], timed stage by
 //! stage with a [`StageClock`]. [`query_attrs`] validates a query's
-//! aggregates; [`finalize_aggregates`] turns merged statistics into values.
+//! aggregates.
 
 use std::time::{Duration, Instant};
 
 use pai_common::counters::IoSnapshot;
-use pai_common::{AggregateFunction, AggregateValue, AttrId, PaiError, Result, RunningStats};
+use pai_common::{AggregateFunction, AttrId, PaiError, Result};
 
 /// Where one query's time went, stage by stage; the stages add up to
 /// [`QueryStats::elapsed`].
@@ -122,8 +122,9 @@ pub fn query_attrs(
             schema.require_numeric(a)?;
             if schema.is_axis(a) {
                 return Err(PaiError::unsupported(format!(
-                    "aggregating axis column {a} — axis values live in the \
-                     index; use the analytics helpers in pai-query instead"
+                    "aggregating axis column {a}: axis values live in the \
+                     index's entries, and tile metadata covers only the \
+                     non-axis columns"
                 )));
             }
             if !attrs.contains(&a) {
@@ -132,44 +133,4 @@ pub fn query_attrs(
         }
     }
     Ok(attrs)
-}
-
-/// Converts merged per-attribute stats into the requested aggregate values.
-///
-/// `selected` is the exact window count (used for `Count`; `Mean` uses the
-/// non-null count inside the stats).
-pub fn finalize_aggregates(
-    aggs: &[AggregateFunction],
-    attrs: &[AttrId],
-    stats: &[RunningStats],
-    selected: u64,
-) -> Vec<AggregateValue> {
-    let stat_for = |a: AttrId| {
-        let i = attrs
-            .iter()
-            .position(|&x| x == a)
-            .expect("attr was collected");
-        &stats[i]
-    };
-    aggs.iter()
-        .map(|agg| match *agg {
-            AggregateFunction::Count => AggregateValue::Count(selected),
-            AggregateFunction::Sum(a) => AggregateValue::Float(stat_for(a).sum()),
-            AggregateFunction::Mean(a) => stat_for(a)
-                .mean()
-                .map_or(AggregateValue::Empty, AggregateValue::Float),
-            AggregateFunction::Min(a) => stat_for(a)
-                .min()
-                .map_or(AggregateValue::Empty, AggregateValue::Float),
-            AggregateFunction::Max(a) => stat_for(a)
-                .max()
-                .map_or(AggregateValue::Empty, AggregateValue::Float),
-            AggregateFunction::Variance(a) => stat_for(a)
-                .variance()
-                .map_or(AggregateValue::Empty, AggregateValue::Float),
-            AggregateFunction::StdDev(a) => stat_for(a)
-                .std_dev()
-                .map_or(AggregateValue::Empty, AggregateValue::Float),
-        })
-        .collect()
 }

@@ -1,156 +1,22 @@
 //! Window queries: the unit of interaction in the exploration model.
 //!
 //! A [`WindowQuery`] is a 2D range over the axis attributes plus a list of
-//! aggregates over non-axis attributes, optionally restricted by value
-//! [`Filter`]s. Filters are supported by the exact analytics path only —
-//! the paper's confidence intervals require `count(t∩Q)` to be computable
-//! from the axis values stored in the index, which value predicates break.
+//! aggregates over non-axis attributes — what the engine answers within an
+//! accuracy constraint φ. `pai_index::eval::query_attrs` is the one check of
+//! its aggregates against a schema.
 
 use pai_common::geometry::Rect;
-use pai_common::{AggregateFunction, AttrId, Interval, PaiError, Result};
-use pai_storage::Schema;
+use pai_common::AggregateFunction;
 
-/// A value predicate on a non-axis attribute.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Filter {
-    pub attr: AttrId,
-    /// Values must fall inside this closed interval.
-    pub range: Interval,
-}
-
-impl Filter {
-    pub fn new(attr: AttrId, lo: f64, hi: f64) -> Self {
-        Filter {
-            attr,
-            range: Interval::from_unordered(lo, hi),
-        }
-    }
-
-    #[inline]
-    pub fn accepts(&self, v: f64) -> bool {
-        !v.is_nan() && self.range.contains(v)
-    }
-}
-
-/// A 2D window query with aggregates (and optional filters).
+/// A 2D window query with aggregates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowQuery {
     pub window: Rect,
     pub aggs: Vec<AggregateFunction>,
-    pub filters: Vec<Filter>,
 }
 
 impl WindowQuery {
-    /// A filter-free query.
     pub fn new(window: Rect, aggs: Vec<AggregateFunction>) -> Self {
-        WindowQuery {
-            window,
-            aggs,
-            filters: Vec::new(),
-        }
-    }
-
-    /// Adds a filter (builder style).
-    pub fn with_filter(mut self, filter: Filter) -> Self {
-        self.filters.push(filter);
-        self
-    }
-
-    /// Validates the query against a schema. `allow_filters` distinguishes
-    /// the exact analytics path (true) from the AQP engines (false).
-    pub fn validate(&self, schema: &Schema, allow_filters: bool) -> Result<()> {
-        if self.aggs.is_empty() {
-            return Err(PaiError::unsupported("query requests no aggregates"));
-        }
-        for agg in &self.aggs {
-            if let Some(a) = agg.attribute() {
-                schema.require_numeric(a)?;
-                if schema.is_axis(a) {
-                    return Err(PaiError::unsupported(format!(
-                        "aggregating axis column {a}"
-                    )));
-                }
-            }
-        }
-        if !self.filters.is_empty() && !allow_filters {
-            return Err(PaiError::unsupported(
-                "non-axis filters require exact evaluation; the approximate \
-                 engine cannot bound filtered counts from the index \
-                 (see analytics::filtered_aggregate)",
-            ));
-        }
-        for f in &self.filters {
-            schema.require_numeric(f.attr)?;
-        }
-        Ok(())
-    }
-
-    /// Distinct non-axis attributes used by aggregates and filters.
-    pub fn attrs(&self) -> Vec<AttrId> {
-        let mut out = Vec::new();
-        for agg in &self.aggs {
-            if let Some(a) = agg.attribute() {
-                if !out.contains(&a) {
-                    out.push(a);
-                }
-            }
-        }
-        for f in &self.filters {
-            if !out.contains(&f.attr) {
-                out.push(f.attr);
-            }
-        }
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn q() -> WindowQuery {
-        WindowQuery::new(
-            Rect::new(0.0, 1.0, 0.0, 1.0),
-            vec![AggregateFunction::Mean(2), AggregateFunction::Count],
-        )
-    }
-
-    #[test]
-    fn filter_accepts() {
-        let f = Filter::new(3, 10.0, 5.0); // unordered, swaps
-        assert!(f.accepts(7.0));
-        assert!(f.accepts(5.0));
-        assert!(!f.accepts(4.9));
-        assert!(!f.accepts(f64::NAN));
-    }
-
-    #[test]
-    fn validation_paths() {
-        let schema = Schema::synthetic(4);
-        assert!(q().validate(&schema, false).is_ok());
-        let filtered = q().with_filter(Filter::new(3, 0.0, 1.0));
-        assert!(filtered.validate(&schema, true).is_ok());
-        assert!(
-            filtered.validate(&schema, false).is_err(),
-            "AQP rejects filters"
-        );
-        let axis = WindowQuery::new(q().window, vec![AggregateFunction::Sum(0)]);
-        assert!(axis.validate(&schema, true).is_err());
-        let empty = WindowQuery::new(q().window, vec![]);
-        assert!(empty.validate(&schema, true).is_err());
-    }
-
-    #[test]
-    fn attrs_dedup_and_include_filters() {
-        let query = WindowQuery::new(
-            Rect::new(0.0, 1.0, 0.0, 1.0),
-            vec![
-                AggregateFunction::Mean(2),
-                AggregateFunction::Sum(2),
-                AggregateFunction::Max(3),
-            ],
-        )
-        .with_filter(Filter::new(5, 0.0, 1.0));
-        assert_eq!(query.attrs(), vec![2, 3, 5]);
+        WindowQuery { window, aggs }
     }
 }

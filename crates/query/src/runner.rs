@@ -10,6 +10,7 @@ use std::time::Duration;
 
 use pai_common::{AggregateValue, PaiError, Result};
 use pai_core::{ApproximateEngine, EngineConfig};
+use pai_index::eval::query_attrs;
 use pai_index::init::{build, InitConfig};
 use pai_index::QueryStats;
 use pai_storage::raw::RawFile;
@@ -113,7 +114,7 @@ pub fn run_workload(
     method: Method,
 ) -> Result<MethodRun> {
     for q in &workload.queries {
-        q.validate(file.schema(), false)?;
+        query_attrs(file.schema(), &q.aggs)?;
     }
     let (index, init_report) = build(file, init_cfg)?;
     let mut engine = ApproximateEngine::new(index, file, engine_cfg.clone())?;
@@ -268,12 +269,13 @@ mod tests {
     }
 
     #[test]
-    fn filtered_workload_rejected() {
+    fn invalid_workload_refused_before_the_build() {
         let (file, _, init, mut wl) = setup();
-        wl.queries[0] = wl.queries[0]
-            .clone()
-            .with_filter(crate::query::Filter::new(3, 0.0, 1.0));
+        // Column 0 is the x axis, which no aggregate may name.
+        wl.queries[3].aggs = vec![AggregateFunction::Sum(0)];
+        file.counters().reset();
         let cfg = EngineConfig::paper_evaluation();
         assert!(run_workload(&file, &init, &cfg, &wl, Method::Exact).is_err());
+        assert_eq!(file.counters().snapshot().full_scans, 0, "no build ran");
     }
 }

@@ -100,7 +100,7 @@ struct SealedBlock {
     cols: Vec<Vec<f64>>,
     /// Zone map over every column (row range in global row ids).
     stats: BlockStats,
-    /// Answer-bearing synopsis, same derivation as a PaiZone v2 block.
+    /// Answer-bearing synopsis, same derivation as a PaiZone block.
     synopsis: BlockSynopsis,
 }
 

@@ -753,7 +753,7 @@ pub trait RawFile: Send + Sync {
     /// Per-block answer-bearing synopses, when the backend maintains (or can
     /// derive) them. `None` (the fallback) means the engine's synopsis tier
     /// is unavailable and every query the index's metadata cannot answer
-    /// pays data I/O. PaiZone v2 files decode synopses from the header; CSV
+    /// pays data I/O. PaiZone files decode synopses from the header; CSV
     /// backends compute them lazily with one metered scan.
     fn block_synopses(&self) -> Option<&[BlockSynopsis]> {
         self.inner()?.block_synopses()

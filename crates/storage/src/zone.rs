@@ -22,7 +22,7 @@
 //! ## On-disk layout
 //!
 //! ```text
-//! magic      8  bytes   b"PAIZONE2" (v1 files, b"PAIZONE1", still open)
+//! magic      8  bytes   b"PAIZONE2"
 //! n_cols     u32 LE
 //! x_axis     u32 LE     axis column ids (see `Schema`)
 //! y_axis     u32 LE
@@ -31,15 +31,15 @@
 //! per column: name_len u16 LE, then `name_len` UTF-8 bytes
 //! block table: per column, per block:
 //!              min_enc u64 LE, max_enc u64 LE, bit_width u8 (≤ 64)
-//! synopses   v2 only — see "Synopsis section" below; absent in v1
+//! synopses   see "Synopsis section" below
 //! data       per column, per block: ceil(rows_in_block · bit_width / 8)
 //!            bytes of little-endian bit-packed deltas (byte-aligned per
 //!            block; width-0 blocks store no bytes at all)
 //! ```
 //!
-//! ### Synopsis section (v2)
+//! ### Synopsis section
 //!
-//! Between the block table and the data region, v2 files carry per-block
+//! Between the block table and the data region, every file carries per-block
 //! answer-bearing synopses ([`crate::raw::BlockSynopsis`]):
 //!
 //! ```text
@@ -57,9 +57,9 @@
 //! image's.
 //!
 //! The decoder consumes exactly `sect_len` bytes and errors (never panics)
-//! on truncated, oversized, or mismatched sections; v1 files simply read as
-//! "no synopses". A block whose values are all equal (width 0) is answered
-//! entirely from the header — constant columns cost zero data I/O.
+//! on truncated, oversized, or mismatched sections. A block whose values
+//! are all equal (width 0) is answered entirely from the header — constant
+//! columns cost zero data I/O.
 
 use std::io::Read;
 use std::path::Path;
@@ -84,17 +84,15 @@ mod codec;
 
 use codec::packed_len;
 
-/// v1 file magic: no synopsis section (still readable).
-pub const PAIZONE_MAGIC: [u8; 8] = *b"PAIZONE1";
+/// The file magic. An image with any other first eight bytes — the
+/// synopsis-free `PAIZONE1` layout of an earlier writer included — is
+/// refused as corrupt.
+pub const PAIZONE_MAGIC: [u8; 8] = *b"PAIZONE2";
 
-/// v2 file magic: a synopsis section sits between the block table and the
-/// data region. This is what the writer emits.
-pub const PAIZONE_MAGIC_V2: [u8; 8] = *b"PAIZONE2";
-
-/// Upper bound on histogram buckets a v2 header may declare.
+/// Upper bound on histogram buckets a header may declare.
 const MAX_SYNOPSIS_BUCKETS: u32 = 4096;
 
-/// Upper bound on the per-block row-sample budget a v2 header may declare.
+/// Upper bound on the per-block row-sample budget a header may declare.
 const MAX_SYNOPSIS_SAMPLES: u32 = 65_536;
 
 /// Default rows per block: the unit `blocks_read` and `blocks_skipped`
@@ -172,8 +170,8 @@ struct ZoneHeader {
     cols: Vec<Vec<BlockMeta>>,
     /// Per row-block zone maps across all columns (the trait-level view).
     stats: Vec<BlockStats>,
-    /// Per row-block answer-bearing synopses (v2 files only).
-    synopses: Option<Vec<BlockSynopsis>>,
+    /// Per row-block answer-bearing synopses.
+    synopses: Vec<BlockSynopsis>,
 }
 
 fn block_count(n_rows: u64, block_rows: u32) -> u64 {
@@ -185,7 +183,7 @@ fn rows_in_block(n_rows: u64, block_rows: u32, blk: u64) -> u64 {
     (n_rows - start).min(block_rows as u64)
 }
 
-/// Decodes the v2 synopsis section (everything after `sect_len`), verifying
+/// Decodes the synopsis section (everything after `sect_len`), verifying
 /// it consumes exactly `sect_len` bytes. Allocation guards mirror the block
 /// table's: nothing is allocated beyond what `sect_len` can physically hold.
 fn decode_synopsis_section<R: Read>(
@@ -309,8 +307,7 @@ fn decode_header<R: Read>(reader: &mut R, file_size: u64) -> Result<ZoneHeader> 
     reader
         .read_exact(&mut magic)
         .map_err(|_| corrupt("truncated magic"))?;
-    let v2 = magic == PAIZONE_MAGIC_V2;
-    if !v2 && magic != PAIZONE_MAGIC {
+    if magic != PAIZONE_MAGIC {
         return Err(corrupt("bad magic (not a PaiZone file?)"));
     }
     let mut u32buf = [0u8; 4];
@@ -421,26 +418,20 @@ fn decode_header<R: Read>(reader: &mut R, file_size: u64) -> Result<ZoneHeader> 
     }
     pos += table_bytes;
 
-    // v2: the synopsis section sits between the block table and the data
+    // The synopsis section sits between the block table and the data
     // region and participates in the exact-size accounting below.
-    let synopses = if v2 {
-        let mut u64buf = [0u8; 8];
-        reader
-            .read_exact(&mut u64buf)
-            .map_err(|_| corrupt("truncated synopsis section length"))?;
-        let sect_len = u64::from_le_bytes(u64buf);
-        pos += 8;
-        if pos.checked_add(sect_len).is_none_or(|v| v > file_size) {
-            return Err(corrupt(format!(
-                "synopsis section ({sect_len} bytes) exceeds the file"
-            )));
-        }
-        let blocks = decode_synopsis_section(reader, sect_len, n_cols, n_rows, block_rows)?;
-        pos += sect_len;
-        Some(blocks)
-    } else {
-        None
-    };
+    reader
+        .read_exact(&mut u64buf)
+        .map_err(|_| corrupt("truncated synopsis section length"))?;
+    let sect_len = u64::from_le_bytes(u64buf);
+    pos += 8;
+    if pos.checked_add(sect_len).is_none_or(|v| v > file_size) {
+        return Err(corrupt(format!(
+            "synopsis section ({sect_len} bytes) exceeds the file"
+        )));
+    }
+    let synopses = decode_synopsis_section(reader, sect_len, n_cols, n_rows, block_rows)?;
+    pos += sect_len;
 
     // Resolve per-block data offsets (column-major, blocks consecutive)
     // with checked arithmetic.
@@ -476,13 +467,13 @@ fn decode_header<R: Read>(reader: &mut R, file_size: u64) -> Result<ZoneHeader> 
 // Encoding (the one-pass converter).
 // ---------------------------------------------------------------------------
 
-/// Serializes fully-buffered columns into PaiZone v2 bytes with the default
+/// Serializes fully-buffered columns into PaiZone bytes with the default
 /// synopsis parameters.
 fn encode_zone_columns(schema: &Schema, columns: &[Vec<f64>], block_rows: u32) -> Result<Vec<u8>> {
     encode_zone_columns_spec(schema, columns, block_rows, &SynopsisSpec::default())
 }
 
-/// Serializes fully-buffered columns into PaiZone v2 bytes, building the
+/// Serializes fully-buffered columns into PaiZone bytes, building the
 /// synopsis section from the same buffers in the same pass.
 fn encode_zone_columns_spec(
     schema: &Schema,
@@ -507,7 +498,7 @@ fn encode_zone_columns_spec(
     let n_blocks = block_count(n_rows, block_rows);
 
     let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(&PAIZONE_MAGIC_V2);
+    out.extend_from_slice(&PAIZONE_MAGIC);
     out.extend_from_slice(&(schema.len() as u32).to_le_bytes());
     out.extend_from_slice(&(schema.x_axis() as u32).to_le_bytes());
     out.extend_from_slice(&(schema.y_axis() as u32).to_le_bytes());
@@ -552,7 +543,7 @@ fn encode_zone_columns_spec(
         mins.push(col_mins);
     }
 
-    // Synopsis section (v2): derived from the same buffered columns, so the
+    // Synopsis section: derived from the same buffered columns, so the
     // converter's one scan of the source pays for both layers.
     let spec = SynopsisSpec {
         buckets: spec.buckets.clamp(1, MAX_SYNOPSIS_BUCKETS as usize),
@@ -692,7 +683,7 @@ pub struct ZoneFile {
     size_bytes: u64,
     cols: Arc<Vec<Vec<BlockMeta>>>,
     stats: Arc<Vec<BlockStats>>,
-    synopses: Option<Arc<Vec<BlockSynopsis>>>,
+    synopses: Arc<Vec<BlockSynopsis>>,
     counters: IoCounters,
 }
 
@@ -739,7 +730,7 @@ impl ZoneFile {
             size_bytes: size,
             cols: Arc::new(header.cols),
             stats: Arc::new(header.stats),
-            synopses: header.synopses.map(Arc::new),
+            synopses: Arc::new(header.synopses),
         })
     }
 
@@ -1095,7 +1086,7 @@ impl RawFile for ZoneFile {
     }
 
     fn block_synopses(&self) -> Option<&[BlockSynopsis]> {
-        self.synopses.as_ref().map(|s| s.as_slice())
+        Some(&self.synopses)
     }
 
     fn value_bytes_hint(&self) -> Option<f64> {
@@ -1251,29 +1242,21 @@ mod tests {
             );
         }
 
-        // And it decodes to the bits that went in, as v2 and as v1.
-        let pos = sect_len_pos(5, 6);
-        let sect_len = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap()) as usize;
-        let mut v1 = bytes.clone();
-        v1.drain(pos..pos + 8 + sect_len);
-        v1[..8].copy_from_slice(&PAIZONE_MAGIC);
-        for image in [bytes, v1] {
-            let f = ZoneFile::from_bytes(image).unwrap();
-            let mut got = Vec::new();
-            f.scan(&mut |_, _, rec| {
-                let mut v = Vec::new();
-                rec.extract_f64(&[0, 1, 2, 3, 4], &mut v)?;
-                got.push(v);
-                Ok(())
-            })
-            .unwrap();
-            let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
-                rows.iter()
-                    .map(|r| r.iter().map(|v| v.to_bits()).collect())
-                    .collect()
-            };
-            assert_eq!(bits(&got), bits(&rows));
-        }
+        // And it decodes to the bits that went in.
+        let mut got = Vec::new();
+        f.scan(&mut |_, _, rec| {
+            let mut v = Vec::new();
+            rec.extract_f64(&[0, 1, 2, 3, 4], &mut v)?;
+            got.push(v);
+            Ok(())
+        })
+        .unwrap();
+        let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            rows.iter()
+                .map(|r| r.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(&got), bits(&rows));
     }
 
     #[test]
@@ -1697,7 +1680,7 @@ mod tests {
     #[test]
     fn v2_round_trips_synopses() {
         let f = striped(12); // 3 blocks of 4 rows
-        let syn = f.block_synopses().expect("v2 files carry synopses");
+        let syn = f.block_synopses().expect("every image carries synopses");
         assert_eq!(syn.len(), 3);
         assert_eq!(syn[1].row_start, 4);
         assert_eq!(syn[1].row_end, 8);
@@ -1764,10 +1747,9 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_read_as_no_synopses() {
-        // Rewrite a v2 image as v1 by dropping the synopsis section; the
-        // decoder must accept it and everything but synopses still works.
-        let f = striped(12);
+    fn paizone1_images_are_refused() {
+        // The synopsis-free layout an earlier writer emitted: a current
+        // image with its synopsis section cut out and the old magic.
         let bytes = encode_zone_rows_with(
             &Schema::synthetic(3),
             (0..12)
@@ -1780,15 +1762,14 @@ mod tests {
         let sect_len = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap()) as usize;
         let mut v1 = bytes.clone();
         v1.drain(pos..pos + 8 + sect_len);
-        v1[..8].copy_from_slice(&PAIZONE_MAGIC);
-        let old = ZoneFile::from_bytes(v1).unwrap();
-        assert!(old.block_synopses().is_none(), "v1 = no synopses");
-        assert!(old.block_stats().is_some(), "zone maps survive");
-        let vals = old.read_rows(&[RowLocator::new(5)], &[2]).unwrap();
-        assert_eq!(vals.values(), [50.0]);
-        // And the v2 original answers identically.
-        let vals2 = f.read_rows(&[RowLocator::new(5)], &[2]).unwrap();
-        assert_eq!(vals, vals2);
+        v1[..8].copy_from_slice(b"PAIZONE1");
+        // And the current layout under the old magic.
+        let mut relabelled = bytes;
+        relabelled[..8].copy_from_slice(b"PAIZONE1");
+        for image in [v1, relabelled] {
+            let err = ZoneFile::from_bytes(image).unwrap_err().to_string();
+            assert!(err.contains("bad magic"), "{err}");
+        }
     }
 
     #[test]

@@ -6,10 +6,15 @@
 //! from a mapping — and every logical meter is what the format's arithmetic
 //! says: one seek and `ceil(end_bit / 8) - floor(start_bit / 8)` bytes per
 //! run of consecutive rows of a stored block, nothing for a constant one.
+//!
+//! And hostile bytes: a small image, truncated, flipped, with a field
+//! overwritten or bytes appended, opens as `Ok` or `Err`; when it opens, a
+//! whole scan, a read of every row and its synopses each return, never
+//! panic.
 
 use pai_common::{IoSnapshot, RowLocator};
 use pai_storage::zone::{enc_f64, encode_zone_rows_with};
-use pai_storage::{RawFile, ScanRequest, Schema, ZoneFile};
+use pai_storage::{RawFile, ScanPartition, ScanRequest, Schema, ZoneFile};
 use proptest::prelude::*;
 
 /// Packed width of every `(column, block)`, recomputed from the values.
@@ -220,5 +225,96 @@ proptest! {
             }
         }
         std::fs::remove_file(&path).ok();
+    }
+}
+
+/// A small image with synopses: three columns, 11 rows in three blocks of
+/// four, a constant (width-0) block, and a NaN among the values.
+fn small_image() -> Vec<u8> {
+    let rows = (0..11u64).map(|i| {
+        let v = match i {
+            0..=3 => 7.0,
+            6 => f64::NAN,
+            _ => i as f64 * 1.5,
+        };
+        vec![i as f64 * 90.0, (i * 37 % 11) as f64 * 80.0, v]
+    });
+    encode_zone_rows_with(&Schema::synthetic(3), rows, 4).unwrap()
+}
+
+/// Applies one mutation of `kind` to `image`, steered by the draws `a`, `b`:
+/// truncate, flip bytes, overwrite a 4- or 8-byte field with 0, `u32::MAX`,
+/// `u64::MAX` or NaN bits, append bytes.
+fn mutate(image: &mut Vec<u8>, kind: usize, a: u64, b: u64) {
+    let len = image.len() as u64;
+    match kind {
+        0 => image.truncate((a % (len + 1)) as usize),
+        1 if len > 0 => {
+            for k in 0..=b % 8 {
+                let at = (a.rotate_left(8 * k as u32) % len) as usize;
+                image[at] ^= (b >> (8 * k)) as u8 | 1;
+            }
+        }
+        2 => {
+            let width = if b & 1 == 0 { 4 } else { 8 };
+            if len >= width {
+                let at = (a % (len - width + 1)) as usize;
+                let value = match (b >> 1) % 4 {
+                    0 => 0,
+                    1 => u32::MAX as u64,
+                    2 => u64::MAX,
+                    _ if width == 4 => f32::NAN.to_bits() as u64,
+                    _ => f64::NAN.to_bits(),
+                };
+                image[at..at + width as usize]
+                    .copy_from_slice(&value.to_le_bytes()[..width as usize]);
+            }
+        }
+        _ => image.extend((0..=b % 64).map(|k| (a.rotate_left(k as u32) >> 5) as u8)),
+    }
+}
+
+/// Everything a reader does with an image that opened; each call may fail,
+/// none may panic. Rows are read 4096 at a time, so a header that claims
+/// many rows costs time, not memory.
+fn exercise(file: &ZoneFile) {
+    let attrs: Vec<usize> = (0..file.schema().len()).collect();
+    let request = ScanRequest {
+        partition: ScanPartition::WHOLE,
+        window: None,
+        attrs: &attrs,
+    };
+    let _ = file.scan_batches(&request, &mut |_| Ok(()));
+    let n = file.n_rows();
+    for start in (0..n).step_by(4096) {
+        let chunk: Vec<RowLocator> = (start..n.min(start + 4096)).map(RowLocator::new).collect();
+        if file.read_rows(&chunk, &attrs).is_err() {
+            break;
+        }
+    }
+    let _ = file.block_synopses();
+}
+
+#[test]
+fn the_unmutated_image_opens_and_reads() {
+    let file = ZoneFile::from_bytes(small_image()).unwrap();
+    assert_eq!(file.block_synopses().map(|s| s.len()), Some(3));
+    exercise(&file);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn mutated_images_are_ok_or_err_never_a_panic(
+        mutations in prop::collection::vec((0usize..4, any::<u64>(), any::<u64>()), 1..4),
+    ) {
+        let mut image = small_image();
+        for &(kind, a, b) in &mutations {
+            mutate(&mut image, kind, a, b);
+        }
+        if let Ok(file) = ZoneFile::from_bytes(image) {
+            exercise(&file);
+        }
     }
 }

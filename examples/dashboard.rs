@@ -2,8 +2,6 @@
 //!
 //! * a UI thread runs accuracy-constrained queries (the user's brush),
 //! * linked views run concurrent metadata-only estimates (no file I/O),
-//! * a latency-sensitive widget uses the **I/O-budget** mode — the dual of
-//!   the paper's problem: fix the cost, report the best bound achieved,
 //! * and a progressive renderer replays the per-tile convergence trace.
 //!
 //! Run with:
@@ -94,25 +92,11 @@ fn main() -> Result<()> {
     let linked_total = shared.with_index(|idx| idx.leaf_count());
     println!("  index now has {linked_total} leaf tiles (adapted by the brush)\n");
 
-    // --- I/O-budget mode: "spend at most 500 object reads" ------------------
-    println!("-- latency-first widget: fixed I/O budgets on a fresh index --");
-    let (index2, _) = build(&file, &init)?;
-    let mut budgeted = ApproximateEngine::new(index2, &file, EngineConfig::paper_evaluation())?;
-    let hot = Rect::new(420.0, 620.0, 380.0, 580.0);
-    for budget in [0u64, 100, 500, 5_000] {
-        let res = budgeted.evaluate_with_io_budget(&hot, &[AggregateFunction::Mean(3)], budget)?;
-        println!(
-            "  budget {:>5} objects -> read {:>5}, bound {:>7.3}%",
-            budget,
-            res.stats.io.objects_read,
-            res.error_bound * 100.0
-        );
-    }
-
     // --- progressive rendering: per-tile convergence trace ------------------
-    println!("\n-- progressive convergence of one tight query (phi = 0.5%) --");
-    let (index3, _) = build(&file, &init)?;
-    let mut tracer = ApproximateEngine::new(index3, &file, EngineConfig::paper_evaluation())?;
+    println!("-- progressive convergence of one tight query (phi = 0.5%) --");
+    let (index2, _) = build(&file, &init)?;
+    let mut tracer = ApproximateEngine::new(index2, &file, EngineConfig::paper_evaluation())?;
+    let hot = Rect::new(420.0, 620.0, 380.0, 580.0);
     let (res, trace) = tracer.evaluate_traced(&hot, &[AggregateFunction::Mean(3)], 0.005)?;
     for step in trace.iter().take(8) {
         println!(

@@ -2,15 +2,15 @@
 //! under an interactive accuracy constraint — the paper's motivating
 //! use case (§2.1), on a real on-disk CSV with parallel initialization.
 //!
-//! Shows the full analytics surface: approximate window aggregates with
-//! intervals, a metadata-only heatmap, an exact histogram, a filtered
-//! aggregate, and Pearson correlation.
+//! Shows approximate window aggregates with intervals, a metadata-only
+//! heatmap, and the viewport's answer checked against a full scan.
 //!
 //! Run with:
 //! ```text
 //! cargo run --release --example map_exploration
 //! ```
 
+use partial_adaptive_indexing::pai_storage::ground_truth::window_truth;
 use partial_adaptive_indexing::prelude::*;
 
 fn main() -> Result<()> {
@@ -53,7 +53,8 @@ fn main() -> Result<()> {
         index.leaf_count()
     );
 
-    // Interactive session: overview at phi=5%, aggregating the rating.
+    // Interactive session: overview at phi=5%, aggregating the rating, the
+    // hotel count and the price.
     let rating = AggregateFunction::Mean(2);
     let start = Workload::centered_window(&spec.domain, 0.04);
     let mut session = ExplorationSession::new(
@@ -61,7 +62,7 @@ fn main() -> Result<()> {
         &file,
         EngineConfig::paper_evaluation(),
         start,
-        vec![rating, AggregateFunction::Count],
+        vec![rating, AggregateFunction::Count, AggregateFunction::Mean(3)],
         0.05,
     )?;
 
@@ -72,13 +73,13 @@ fn main() -> Result<()> {
     session.pan(0.0, 0.15)?;
     session.zoom(0.5)?;
     for (i, step) in session.history().iter().enumerate() {
-        let mean = &step.result.values[0];
-        let count = &step.result.values[1];
+        let v = &step.result.values;
         println!(
-            "step {i}: window {}  mean rating {}  ({} hotels)  bound {:.3}%  {} objects read  {:.2?}",
+            "step {i}: window {}  mean rating {}  ({} hotels, mean price {})  bound {:.3}%  {} objects read  {:.2?}",
             step.window,
-            mean,
-            count,
+            v[0],
+            v[1],
+            v[2],
             step.result.error_bound * 100.0,
             step.result.stats.io.objects_read,
             step.result.stats.elapsed,
@@ -110,24 +111,31 @@ fn main() -> Result<()> {
         println!("  {}", line.join(" "));
     }
 
-    // Exact analytics over the viewport (these do read the file).
-    let window = *session.window();
-    let idx = session.index();
-    println!("\n-- exact analytics over the viewport --");
-    let hist = analytics::histogram(idx, &file, &window, 2, 8, None)?;
-    println!("rating histogram: {:?}", hist.counts);
-    let q = WindowQuery::new(
-        window,
-        vec![AggregateFunction::Count, AggregateFunction::Mean(3)],
-    )
-    .with_filter(Filter::new(2, 60.0, 100.0)); // only highly-rated hotels
-    let vals = analytics::filtered_aggregate(idx, &file, &q)?;
+    // The viewport's hotels and their mean price, within the session's phi:
+    // each interval holds the value a full scan of the file finds.
+    let answer = &session
+        .history()
+        .last()
+        .expect("the session evaluated")
+        .result;
+    let truth = &window_truth(&file, session.window(), &[3])?[0];
+    let exact = [
+        truth.selected as f64,
+        truth.stats.mean().unwrap_or(f64::NAN),
+    ];
     println!(
-        "hotels rated 60+: {}  mean price among them: {}",
-        vals[0], vals[1]
+        "\n-- the viewport within phi = {}% --",
+        session.phi() * 100.0
     );
-    if let Some(r) = analytics::pearson(idx, &file, &window, 2, 3)? {
-        println!("rating-price Pearson correlation: {r:.3}");
+    for (k, (name, exact)) in ["hotels", "mean price"].into_iter().zip(exact).enumerate() {
+        let ci = answer.cis[k + 1].expect("the viewport holds hotels");
+        println!(
+            "{name}: {}  in [{:.3}, {:.3}]  (full scan: {exact:.3})",
+            answer.values[k + 1],
+            ci.lo(),
+            ci.hi()
+        );
+        assert!(ci.contains(exact), "{name}: {exact} outside {ci}");
     }
 
     std::fs::remove_file(&path).ok();

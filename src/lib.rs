@@ -48,7 +48,7 @@
 //! | [`pai_storage`] | raw CSV files: schema, parsing, offset reads, generators |
 //! | [`pai_index`] | VALINOR tile index: init, exact adaptation, metadata |
 //! | [`pai_core`] | the paper's contribution: CIs, error bounds, partial adaptation |
-//! | [`pai_query`] | exploration model: sessions, workloads, analytics, runners |
+//! | [`pai_query`] | exploration model: sessions, workloads, heatmaps, runners, reports |
 //! | [`pai_server`] | multi-session socket server over `SharedIndex` with admission control |
 //!
 //! See `docs/ARCHITECTURE.md` for the full system inventory and
@@ -74,9 +74,7 @@ pub mod prelude {
     };
     pub use pai_index::init::{build, build_clipped, build_parallel, GridSpec, InitConfig};
     pub use pai_index::{AdaptConfig, MetadataPolicy, ReadPolicy, SplitPolicy, ValinorIndex};
-    pub use pai_query::{
-        analytics, report, trace, ExplorationSession, Filter, Method, WindowQuery, Workload,
-    };
+    pub use pai_query::{analytics, report, ExplorationSession, Method, WindowQuery, Workload};
     pub use pai_server::{
         PaiClient, PaiServer, ServeEngine, ServedAnswer, ServedReply, ServerConfig, ServerStats,
     };

@@ -1,6 +1,5 @@
-//! Integration tests for the workload/runner/report layer: determinism,
-//! trace round-trips through the runner, and the report summary math over
-//! real runs.
+//! Integration tests for the workload/runner/report layer: determinism and
+//! the report summary math over real runs.
 
 use pai_query::report::{summarize, to_csv};
 use pai_query::{compare_methods, run_workload};
@@ -40,19 +39,6 @@ fn runs_are_deterministic_in_io() {
         assert_eq!(ra.values[0].as_f64(), rb.values[0].as_f64());
         assert_eq!(ra.error_bound, rb.error_bound);
     }
-}
-
-#[test]
-fn trace_round_trip_preserves_run_behaviour() {
-    let (file, _, init, wl) = setup();
-    let text = pai_query::trace::to_text(&wl);
-    let replayed = pai_query::trace::from_text(&text).unwrap();
-    assert_eq!(wl.queries, replayed.queries);
-
-    let cfg = EngineConfig::paper_evaluation();
-    let a = run_workload(&file, &init, &cfg, &wl, Method::Approx { phi: 0.05 }).unwrap();
-    let b = run_workload(&file, &init, &cfg, &replayed, Method::Approx { phi: 0.05 }).unwrap();
-    assert_eq!(a.objects_series(), b.objects_series());
 }
 
 #[test]
