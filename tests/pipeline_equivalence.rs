@@ -350,6 +350,133 @@ fn shared_index_equals_engine_bit_for_bit() {
     }
 }
 
+/// `(metadata, split, read, FNV-1a)` of one fixed adaptation session under
+/// every pairing of metadata, split and read policy, run on a CSV and a
+/// PaiZone copy of the same data (see `adaptation_trajectory_did_not_move`).
+/// Taken while covered leaves were still refined by a plan type of their
+/// own; refactors of the refinement plan keep every bit of it.
+const GOLDEN_TRAJECTORIES: [(&str, &str, &str, u64); 12] = [
+    ("numeric", "aligned", "window", 0xf474_7372_73e2_6ec7),
+    ("numeric", "aligned", "full", 0x8bb4_c928_dbf0_4a3b),
+    ("numeric", "grid", "window", 0x0cb8_7563_8123_d810),
+    ("numeric", "grid", "full", 0x7574_306c_e86f_1e4a),
+    ("numeric", "kd", "window", 0xdcf1_7dfb_34fb_f867),
+    ("numeric", "kd", "full", 0xbf62_3a06_4ac6_e2ff),
+    ("none", "aligned", "window", 0x9652_2ab2_d599_9585),
+    ("none", "aligned", "full", 0xeb08_b160_b8a1_8251),
+    ("none", "grid", "window", 0xd3b4_116f_8909_43b5),
+    ("none", "grid", "full", 0x5334_c2f5_57db_63c9),
+    ("none", "kd", "window", 0xbcea_1ae6_866c_c2b3),
+    ("none", "kd", "full", 0x4da6_919f_a18e_a26f),
+];
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// The whole trajectory of one session: per query every value, CI end and
+/// bound as bits, the tiles processed, split and enriched, and the objects,
+/// bytes and calls read; then the final tree's leaf count and memory.
+fn trajectory(file: &dyn RawFile, init: &InitConfig, config: EngineConfig) -> String {
+    let (index, _) = build(file, init).expect("init");
+    let mut engine = ApproximateEngine::new(index, file, config).expect("engine");
+    let windows = [
+        Rect::new(100.0, 400.0, 100.0, 400.0),
+        Rect::new(250.0, 550.0, 150.0, 450.0),
+        Rect::new(300.0, 420.0, 300.0, 420.0),
+        Rect::new(0.0, 1000.0, 0.0, 1000.0),
+        Rect::new(600.0, 900.0, 500.0, 950.0),
+        Rect::new(120.0, 880.0, 260.0, 740.0),
+        Rect::new(640.0, 760.0, 560.0, 700.0),
+        Rect::new(50.0, 300.0, 700.0, 980.0),
+        Rect::new(200.0, 800.0, 200.0, 800.0),
+    ];
+    let narrow = [AggregateFunction::Count, AggregateFunction::Sum(2)];
+    let wide = [
+        AggregateFunction::Count,
+        AggregateFunction::Sum(2),
+        AggregateFunction::Mean(3),
+        AggregateFunction::Max(3),
+    ];
+    let mut out = Vec::new();
+    for pass in 0..2 {
+        for (i, w) in windows.iter().enumerate() {
+            // A query over one attribute makes leaves exact for it
+            // alone; a later one over two reads only the missing one.
+            let aggs: &[AggregateFunction] = if (i + pass) % 2 == 0 { &narrow } else { &wide };
+            let res = match (i + pass) % 3 {
+                0 => engine.evaluate(w, aggs, 0.05),
+                1 => engine.evaluate(w, aggs, 0.0),
+                _ => engine.evaluate_exact(w, aggs),
+            }
+            .expect("evaluate");
+            let t = &res.stats;
+            out.push(format!(
+                "{:?} {} {} {} {} {} {}",
+                answer_bits(&res),
+                t.tiles_processed,
+                t.tiles_split,
+                t.tiles_enriched,
+                t.io.objects_read,
+                t.io.bytes_read,
+                t.io.read_calls,
+            ));
+        }
+    }
+    let index = engine.index();
+    out.push(format!("{} {}", index.leaf_count(), index.memory_bytes()));
+    out.join("\n")
+}
+
+#[test]
+fn adaptation_trajectory_did_not_move() {
+    let spec = dataset(3_000, 11, 4);
+    let csv = spec.build_mem(CsvFormat::default()).unwrap();
+    let zone = ZoneFile::from_bytes(convert_to_zone(&csv).unwrap()).unwrap();
+    let metas = [
+        ("numeric", MetadataPolicy::AllNumeric),
+        ("none", MetadataPolicy::None),
+    ];
+    let splits = [
+        ("aligned", SplitPolicy::QueryAligned),
+        ("grid", SplitPolicy::Grid { rows: 2, cols: 2 }),
+        ("kd", SplitPolicy::KdMedian),
+    ];
+    let reads = [
+        ("window", ReadPolicy::WindowOnly),
+        ("full", ReadPolicy::FullTile),
+    ];
+    let mut got = Vec::new();
+    for (meta_name, metadata) in &metas {
+        for (split_name, split) in splits {
+            for (read_name, read) in reads {
+                let init = InitConfig {
+                    grid: GridSpec::Fixed { nx: 5, ny: 5 },
+                    domain: Some(spec.domain),
+                    metadata: metadata.clone(),
+                };
+                let config = EngineConfig {
+                    adapt: AdaptConfig {
+                        split,
+                        read,
+                        min_split_objects: 16,
+                    },
+                    adapt_batch: 3,
+                    ..EngineConfig::paper_evaluation()
+                };
+                let files: [&dyn RawFile; 2] = [&csv, &zone];
+                let text = files
+                    .map(|f| trajectory(f, &init, config.clone()))
+                    .join("\n--\n");
+                got.push((*meta_name, split_name, read_name, fnv1a(text.as_bytes())));
+            }
+        }
+    }
+    assert_eq!(got, GOLDEN_TRAJECTORIES, "{got:#x?}");
+}
+
 /// The tier order through the lock: with synopses on, a `SharedIndex` asks
 /// the index's metadata first, exactly like the engine. Over the same
 /// windows both answer bit for bit with the same synopsis meters; a window
