@@ -35,10 +35,7 @@ use pai_common::{
     AggregateFunction, AggregateValue, AttrId, Interval, IoSnapshot, PaiError, Result, RowLocator,
 };
 use pai_index::eval::{query_attrs, QueryStats, StageClock};
-use pai_index::{
-    apply_enrich, apply_plan, fetch_window, plan_enrich, plan_tile, still_applies, EnrichPlan,
-    ReadPolicy, TileId, TilePlan, ValinorIndex,
-};
+use pai_index::{apply_plan, fetch_window, plan_tile, still_applies, TilePlan, ValinorIndex};
 use pai_storage::batch::{read_row_groups, RowBatch};
 use pai_storage::raw::{BlockSynopsis, RawFile};
 
@@ -46,7 +43,7 @@ use crate::bound::upper_error_bound;
 use crate::ci::{estimate_aggregate, AggregateEstimate};
 use crate::config::{validate_phi, EagerRefinement, EngineConfig};
 use crate::policy::CandidateView;
-use crate::state::{Candidate, CandidateKind, QueryState, ResolvedTiles};
+use crate::state::{CandidateKind, QueryState, ResolvedTiles};
 use crate::synopsis::seed_missing_global_bounds;
 
 /// One step of a progressive evaluation trace: the state of the answer
@@ -321,11 +318,14 @@ impl<H: IndexHandle> EvalCtx<'_, H> {
                 };
                 picks
                     .iter()
-                    .map(|&p| plan_candidate(index, &state.candidates[p], window, &attrs, config))
+                    .map(|&p| {
+                        let tile = state.candidates[p].tile;
+                        plan_tile(index, tile, window, &attrs, &config.adapt)
+                    })
                     .collect::<Result<_>>()
                     .map(ControlFlow::Continue)
             })?;
-            let plans: Vec<BatchPlan> = match round {
+            let plans: Vec<TilePlan> = match round {
                 ControlFlow::Continue(plans) if plans.is_empty() => break,
                 ControlFlow::Continue(plans) => plans,
                 ControlFlow::Break(hit) => {
@@ -359,29 +359,18 @@ impl<H: IndexHandle> EvalCtx<'_, H> {
                 // fetchers.
                 stats.stages.fetch += clock.lap();
                 let plan = &plans[i];
-                let exact = index.write(|index| -> Result<Option<_>> {
-                    if !still_applies(index, plan.tile(), plan.planned_version()) {
+                let out = index.write(|index| -> Result<Option<_>> {
+                    if !still_applies(index, plan.tile, plan.planned_version) {
                         return Ok(None);
                     }
                     let current = known == Some(index.version());
-                    let exact = match plan {
-                        BatchPlan::Partial(p) => {
-                            let out = apply_plan(index, p, window, &config.adapt, values)?;
-                            stats.tiles_split += usize::from(out.did_split);
-                            out.in_window
-                        }
-                        BatchPlan::Enrich(p) => {
-                            apply_enrich(index, p, values)?;
-                            stats.tiles_enriched += 1;
-                            p.resolved_stats(values)?
-                        }
-                    };
+                    let out = apply_plan(index, plan, window, &config.adapt, values)?;
                     if current {
                         known = Some(index.version());
                     }
-                    Ok(Some(exact))
+                    Ok(Some(out))
                 })?;
-                let Some(exact) = exact else {
+                let Some(out) = out else {
                     // Another writer split the tile since planning: its id
                     // never classifies again, and the region re-plans from
                     // the refined children next round.
@@ -393,13 +382,20 @@ impl<H: IndexHandle> EvalCtx<'_, H> {
                 let pick = state
                     .candidates
                     .iter()
-                    .rposition(|c| c.tile == plan.tile())
+                    .rposition(|c| c.tile == plan.tile)
                     .ok_or_else(|| {
                         PaiError::internal("batch plan names an already-resolved candidate")
                     })?;
-                state.resolve(pick, &exact);
-                if let BatchPlan::Partial(p) = plan {
-                    resolved.insert(p.tile, (p.selected, exact));
+                let kind = state.candidates[pick].kind;
+                state.resolve(pick, &out.in_window);
+                // A covered leaf is enriched, never split; a cut one is
+                // remembered for a rebuild of the state.
+                match kind {
+                    CandidateKind::FullBounded => stats.tiles_enriched += 1,
+                    CandidateKind::Partial => {
+                        stats.tiles_split += usize::from(out.did_split);
+                        resolved.insert(plan.tile, (plan.selected, out.in_window));
+                    }
                 }
                 stats.tiles_processed += 1;
                 stats.stages.apply += clock.lap();
@@ -442,79 +438,6 @@ impl<H: IndexHandle> EvalCtx<'_, H> {
     }
 }
 
-/// One candidate's refinement plan: either the full `process(t)` of a
-/// partially-contained tile or the enrichment read of a fully-contained
-/// tile with missing metadata. Both variants are pure plans computed
-/// against a shared index view, and fetched with no view held.
-enum BatchPlan {
-    Partial(TilePlan),
-    Enrich(EnrichPlan),
-}
-
-impl BatchPlan {
-    fn tile(&self) -> TileId {
-        match self {
-            BatchPlan::Partial(p) => p.tile,
-            BatchPlan::Enrich(p) => p.tile,
-        }
-    }
-
-    fn planned_version(&self) -> u64 {
-        match self {
-            BatchPlan::Partial(p) => p.planned_version,
-            BatchPlan::Enrich(p) => p.planned_version,
-        }
-    }
-
-    fn locators(&self) -> &[RowLocator] {
-        match self {
-            BatchPlan::Partial(p) => &p.locators,
-            BatchPlan::Enrich(p) => &p.locators,
-        }
-    }
-
-    fn read_attrs(&self) -> &[AttrId] {
-        match self {
-            BatchPlan::Partial(p) => &p.read_attrs,
-            BatchPlan::Enrich(p) => &p.read_attrs,
-        }
-    }
-}
-
-/// Plans the processing of one candidate (pure, `&index`).
-fn plan_candidate(
-    index: &ValinorIndex,
-    cand: &Candidate,
-    window: &Rect,
-    attrs: &[AttrId],
-    config: &EngineConfig,
-) -> Result<BatchPlan> {
-    Ok(match cand.kind {
-        CandidateKind::Partial => {
-            BatchPlan::Partial(plan_tile(index, cand.tile, window, attrs, &config.adapt)?)
-        }
-        CandidateKind::FullBounded => BatchPlan::Enrich(plan_enrich(index, cand.tile, attrs)?),
-    })
-}
-
-/// The batch's window pushdown hint. The window-only safety rule has one
-/// home: `pai_index::fetch_window`. The batch-level extension on top: an
-/// all-enrichment batch is safe under any read policy (enrich tiles are
-/// fully contained in the window, so every locator is in-window by
-/// construction).
-fn batch_pushdown<'w>(
-    plans: &[BatchPlan],
-    window: &'w Rect,
-    config: &EngineConfig,
-) -> Option<&'w Rect> {
-    fetch_window(&config.adapt, window).or_else(|| {
-        plans
-            .iter()
-            .all(|p| matches!(p, BatchPlan::Enrich(_)))
-            .then_some(window)
-    })
-}
-
 /// One fetch unit: the attribute set its plans share, and those plans.
 type FetchUnit<'p> = (&'p [AttrId], Vec<usize>);
 
@@ -523,14 +446,14 @@ type FetchUnit<'p> = (&'p [AttrId], Vec<usize>);
 /// be: its unit, and its place among the unit's members. COUNT-only style
 /// plans (no attributes to read) share a unit like any others;
 /// [`read_row_groups`] answers it with zero-width rows and no I/O.
-fn fetch_units(plans: &[BatchPlan]) -> (Vec<FetchUnit<'_>>, Vec<(usize, usize)>) {
+fn fetch_units(plans: &[TilePlan]) -> (Vec<FetchUnit<'_>>, Vec<(usize, usize)>) {
     let mut units: Vec<FetchUnit<'_>> = Vec::new();
     let mut places = Vec::with_capacity(plans.len());
     for (i, plan) in plans.iter().enumerate() {
-        let u = match units.iter().position(|(a, _)| *a == plan.read_attrs()) {
+        let u = match units.iter().position(|(a, _)| *a == plan.read_attrs) {
             Some(u) => u,
             None => {
-                units.push((plan.read_attrs(), Vec::new()));
+                units.push((&plan.read_attrs, Vec::new()));
                 units.len() - 1
             }
         };
@@ -548,12 +471,12 @@ fn fetch_units(plans: &[BatchPlan]) -> (Vec<FetchUnit<'_>>, Vec<(usize, usize)>)
 /// `config.fetch_workers > 1`.
 ///
 /// The query `window` is pushed down to the storage backend when every
-/// plan's locator set is provably window-only: enrichment plans always are
-/// (their tiles are fully contained in the window), partial-tile plans are
-/// under [`ReadPolicy::WindowOnly`] (the default). Under
-/// [`ReadPolicy::FullTile`] the hint is withheld — those plans consume
-/// out-of-window values for child enrichment, which a zone-map skip would
-/// corrupt.
+/// plan's locator set is provably window-only ([`fetch_window`]): plans of
+/// covered leaves always are, plans of cut leaves under
+/// [`pai_index::ReadPolicy::WindowOnly`] (the default). Under
+/// [`pai_index::ReadPolicy::FullTile`] a cut leaf's plan consumes
+/// out-of-window values for child metadata, which a zone-map skip would
+/// corrupt, and the hint is withheld.
 ///
 /// `scratch` holds the fetched rows, one flat batch per unit; a caller that
 /// fetches again and again (the tiles of a query) passes the same one and
@@ -575,13 +498,13 @@ fn fetch_units(plans: &[BatchPlan]) -> (Vec<FetchUnit<'_>>, Vec<(usize, usize)>)
 ///   in flight are still joined before this returns.
 fn fetch_plans_each(
     file: &dyn RawFile,
-    plans: &[BatchPlan],
+    plans: &[TilePlan],
     window: &Rect,
     config: &EngineConfig,
     scratch: &mut Vec<RowBatch>,
     mut on_plan: impl FnMut(usize, &[f64]) -> Result<()>,
 ) -> Result<()> {
-    let pushdown = batch_pushdown(plans, window, config);
+    let pushdown = fetch_window(plans, &config.adapt, window);
     if let [plan] = plans {
         // A batch of one (tile-at-a-time adaptation) is its own fetch unit:
         // the same read as below, with nothing to group.
@@ -589,14 +512,14 @@ fn fetch_plans_each(
             scratch.push(RowBatch::default());
         }
         let out = &mut scratch[0];
-        read_row_groups(file, &[plan.locators()], plan.read_attrs(), pushdown, out)?;
+        read_row_groups(file, &[&plan.locators], &plan.read_attrs, pushdown, out)?;
         return on_plan(0, out.values());
     }
     let (units, places) = fetch_units(plans);
     // One unit's coalesced read; where each member's rows start in `out`.
     let fetch = |u: usize, out: &mut RowBatch| {
         let (attrs, members) = &units[u];
-        let locs: Vec<&[RowLocator]> = members.iter().map(|&i| plans[i].locators()).collect();
+        let locs: Vec<&[RowLocator]> = members.iter().map(|&i| &plans[i].locators[..]).collect();
         read_row_groups(file, &locs, attrs, pushdown, out)
     };
     let workers = config.fetch_workers.min(units.len());
@@ -751,13 +674,7 @@ fn candidate_views(
             CandidateView {
                 width,
                 selected: c.selected,
-                cost: match (c.kind, config.adapt.read) {
-                    (CandidateKind::FullBounded, _) => index.tile(c.tile).object_count(),
-                    (CandidateKind::Partial, ReadPolicy::WindowOnly) => c.selected,
-                    (CandidateKind::Partial, ReadPolicy::FullTile) => {
-                        index.tile(c.tile).object_count()
-                    }
-                },
+                cost: c.read_cost(index, config.adapt.read),
             }
         })
         .collect()

@@ -7,7 +7,7 @@
 //! the exact part, monotonically tightening every confidence interval.
 
 use pai_common::{AttrId, Result, RunningStats};
-use pai_index::{AttrMeta, Classification, TileId, ValinorIndex};
+use pai_index::{AttrMeta, Classification, ReadPolicy, TileId, ValinorIndex};
 
 use crate::ci::Contribution;
 
@@ -47,6 +47,15 @@ impl Candidate {
     #[inline]
     pub fn contribution(&self, i: usize) -> Option<Contribution> {
         self.parts[i]
+    }
+
+    /// The objects processing this candidate reads: every object of a
+    /// covered leaf, and of a cut one as many as the read policy says.
+    pub(crate) fn read_cost(&self, index: &ValinorIndex, read: ReadPolicy) -> u64 {
+        match (self.kind, read) {
+            (CandidateKind::Partial, ReadPolicy::WindowOnly) => self.selected,
+            _ => index.tile(self.tile).object_count(),
+        }
     }
 }
 

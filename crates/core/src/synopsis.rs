@@ -36,13 +36,12 @@
 use pai_common::geometry::Rect;
 use pai_common::{AggregateFunction, AttrId, Interval, Result, RunningStats};
 use pai_index::eval::query_attrs;
-use pai_index::{ReadPolicy, ValinorIndex};
+use pai_index::ValinorIndex;
 use pai_storage::raw::{BlockSynopsis, RawFile};
 
 use crate::ci::{self, AggregateEstimate, Contribution};
 use crate::config::EngineConfig;
 use crate::engine::bound_of;
-use crate::state::CandidateKind;
 
 /// A synopsis-only answer: one estimate per aggregate, their combined
 /// bound, and the accounting the meters need.
@@ -282,11 +281,7 @@ pub fn predict_query_io(
     }
     let mut objects = 0u64;
     for c in &state.candidates {
-        objects += match (c.kind, config.adapt.read) {
-            (CandidateKind::FullBounded, _) => index.tile(c.tile).object_count(),
-            (CandidateKind::Partial, ReadPolicy::WindowOnly) => c.selected,
-            (CandidateKind::Partial, ReadPolicy::FullTile) => index.tile(c.tile).object_count(),
-        };
+        objects += c.read_cost(index, config.adapt.read);
     }
     let bytes = match file.value_bytes_hint() {
         Some(per_value) => (objects as f64 * attrs.len() as f64 * per_value).ceil() as u64,

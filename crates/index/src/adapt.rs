@@ -1,30 +1,26 @@
 //! Tile processing: the `process(t)` operation of the paper, split into a
 //! **plan → fetch → apply** pipeline.
 //!
-//! Processing a partially-contained tile does everything the problem
-//! definition in §3.1 charges for: read the needed attribute values of the
-//! tile's objects from the raw file, split the tile into subtiles
-//! (policy-driven), reorganize its entries, and compute metadata for the new
-//! subtiles. Since the refinement pipeline refactor those steps are three
-//! separable stages:
+//! Processing a leaf tile does everything the problem definition in §3.1
+//! charges for: read the needed attribute values of the leaf's objects from
+//! the raw file, and — when the query window cuts the leaf — split it into
+//! subtiles (policy-driven), reorganize its entries, and compute metadata
+//! for the new subtiles. A leaf the window covers is read, not split: its
+//! objects give it exact metadata for the attributes it lacked, the "index
+//! enrichment" of §2.2. Both are one operation in three separable stages:
 //!
-//! 1. [`plan_tile`] — **pure**, `&index` only: snapshots the tile's entries,
-//!    decides window membership and which locators/attributes must be read.
-//!    Plans from several tiles can be fetched together in one batched read
-//!    (`pai_storage::batch`), and planning never blocks concurrent readers.
+//! 1. [`plan_tile`] — **pure**, `&index` only: decides window membership
+//!    and which locators/attributes must be read. It copies nothing of the
+//!    leaf but the locators to fetch. Plans from several tiles can be
+//!    fetched together in one batched read (`pai_storage::batch`), and
+//!    planning never blocks concurrent readers.
 //! 2. The caller fetches the plan's `locators`/`read_attrs` however it likes
 //!    (single call, cross-tile batch).
-//! 3. [`apply_plan`] — installs the split, reorganized entries, and subtile
-//!    metadata, returning the [`ProcessOutcome`] with the *exact* in-window
-//!    statistics so the engine can swap this tile's contribution from a
-//!    bounded interval to an exact value. The statistics themselves are also
-//!    available without mutating anything via [`TilePlan::in_window_stats`]
-//!    (the optimistic concurrent applier uses this when the index changed
-//!    underneath a plan).
-//!
-//! [`plan_enrich`]/[`apply_enrich`] are the companion stages for
-//! fully-contained tiles whose metadata lacks the requested attribute: one
-//! whole-tile read installs exact stats (the "index enrichment" of §2.2).
+//! 3. [`apply_plan`] — checked first by [`still_applies`], reads the leaf's
+//!    entries as planned, installs the split, reorganized entries and
+//!    subtile (or in-place) metadata, and returns the [`ProcessOutcome`]
+//!    with the *exact* in-window statistics, so the engine can swap this
+//!    tile's contribution from a bounded interval to an exact value.
 //!
 //! Both of the paper's methods drive these stages from one loop in
 //! `pai-core`, which fetches the plans of several tiles together.
@@ -33,6 +29,7 @@ use pai_common::geometry::Rect;
 use pai_common::{AttrId, PaiError, Result, RowLocator, RunningStats};
 
 use crate::config::{AdaptConfig, ReadPolicy};
+use crate::entry::ObjectEntry;
 use crate::index::ValinorIndex;
 use crate::metadata::AttrMeta;
 use crate::tile::{Cover, TileId};
@@ -50,79 +47,79 @@ pub struct ProcessOutcome {
     /// Exact statistics over the tile's objects inside the query window,
     /// one per requested attribute (same order as the `attrs` argument).
     pub in_window: Vec<RunningStats>,
-    /// Objects selected by the query inside this tile (`count(t∩Q)`).
-    pub selected: u64,
-    /// Objects actually read from the raw file.
-    pub objects_read: u64,
     /// Whether the tile was split.
     pub did_split: bool,
-    /// The leaves created by the split (empty when `did_split == false`).
-    pub new_leaves: Vec<TileId>,
 }
 
-/// A pure refinement plan for one partially-contained leaf tile: everything
-/// `process(t)` needs to know *before* touching the raw file, computed
-/// against an immutable index view.
+/// A pure refinement plan for one leaf tile: everything `process(t)` needs
+/// to know *before* touching the raw file, computed against an immutable
+/// index view.
 ///
-/// The plan snapshots the tile's entries (cheap 24-byte copies), so its
-/// statistics can be computed from fetched values alone even if the index
-/// is mutated between planning and applying (see
-/// `pai-core::concurrent::SharedIndex`).
+/// The plan holds no copy of the leaf's entries: [`apply_plan`] reads the
+/// first `planned_len` of them from the index, which [`still_applies`]
+/// guarantees are the ones planned over.
 #[derive(Debug, Clone)]
 pub struct TilePlan {
     /// The planned tile.
     pub tile: TileId,
     /// Objects selected by the query inside this tile (`count(t∩Q)`).
     pub selected: u64,
-    /// Locators to fetch, in entry order (selected entries under
-    /// [`ReadPolicy::WindowOnly`], every entry under
-    /// [`ReadPolicy::FullTile`]).
+    /// Locators to fetch, in entry order: every entry of a covered leaf
+    /// (none when its metadata is already exact for the query), and of a
+    /// cut leaf the selected entries under [`ReadPolicy::WindowOnly`],
+    /// every entry under [`ReadPolicy::FullTile`].
     pub locators: Vec<RowLocator>,
-    /// Attributes to read for each locator (enrich policy already applied);
-    /// empty for COUNT-only queries, which charge no I/O.
+    /// Attributes to read for each locator: a cut leaf's query attributes,
+    /// or those a covered leaf's metadata lacks. Empty for COUNT-only
+    /// queries, which charge no I/O.
     pub read_attrs: Vec<AttrId>,
     /// Index mutation counter at plan time (optimistic-concurrency stamp).
     pub planned_version: u64,
-    /// Snapshot of the tile's entries at plan time.
-    entries: Vec<crate::entry::ObjectEntry>,
-    /// Per-entry window membership, aligned with `entries`.
-    in_window: Vec<bool>,
-    /// For each locator, the position of its entry in `entries` — the
-    /// positional alignment that replaces any per-object keyed lookup.
+    /// The leaf's entry count at plan time.
+    planned_len: usize,
+    /// For each locator of a window-only read, the position of its entry
+    /// in the leaf; empty when locator `i` is entry `i`.
     entry_of: Vec<u32>,
-    /// For each query attribute, its column within `read_attrs`.
-    attr_pos: Vec<usize>,
+    /// Whether the window covers the leaf (such a leaf is never split).
+    covered: bool,
+    /// Per query attribute: the exact statistics a covered leaf's metadata
+    /// held at plan time, or `None` for an attribute the fetch reads (the
+    /// next column of `read_attrs`).
+    known: Vec<Option<RunningStats>>,
 }
 
 impl TilePlan {
-    /// Objects the fetch stage will read for this plan (0 when no
-    /// attributes are needed).
-    pub fn objects_to_read(&self) -> u64 {
-        if self.read_attrs.is_empty() {
-            0
-        } else {
-            self.locators.len() as u64
-        }
+    /// The leaf entry a fetched row belongs to.
+    fn entry_at(&self, row: usize) -> usize {
+        self.entry_of.get(row).map_or(row, |&e| e as usize)
     }
 
-    /// Exact in-window statistics for the query's attributes, computed
-    /// purely from the fetched `values` (one row of `read_attrs` values per
-    /// locator, in locator order). Never touches the index — the data in
-    /// the raw file is immutable, so these statistics are correct even if
-    /// the tile was concurrently split after planning.
-    pub fn in_window_stats(&self, values: &[f64]) -> Result<Vec<RunningStats>> {
+    /// Exact in-window statistics for the query's attributes: the plan-time
+    /// ones, and the fetched `values` (one row of `read_attrs` values per
+    /// locator, in locator order) of the rows in the window. `entries` are
+    /// the leaf's entries as planned; only a cut leaf read whole has rows
+    /// outside the window to tell apart.
+    pub(crate) fn in_window_stats(
+        &self,
+        entries: &[ObjectEntry],
+        query: &Rect,
+        values: &[f64],
+    ) -> Result<Vec<RunningStats>> {
         let width = self.read_attrs.len();
         check_shape(self.tile, self.locators.len(), width, values)?;
-        let mut stats = vec![RunningStats::new(); self.attr_pos.len()];
-        for (vals, &ei) in rows_of(values, width).zip(&self.entry_of) {
-            if !self.in_window[ei as usize] {
-                continue;
-            }
-            for (s, &pos) in stats.iter_mut().zip(&self.attr_pos) {
-                s.push(vals[pos]);
+        let all_in = self.covered || !self.entry_of.is_empty();
+        let mut fold = ExactFold::new(width);
+        for (row, vals) in rows_of(values, width).enumerate() {
+            if all_in || entries[row].in_window(query) {
+                fold.push(vals);
             }
         }
-        Ok(stats)
+        let mut fetched = fold.stats.into_iter();
+        Ok(self
+            .known
+            .iter()
+            .map(|k| k.unwrap_or_else(|| fetched.next().expect("a column per unknown")))
+            .collect())
     }
 }
 
@@ -182,11 +179,13 @@ impl ExactFold {
     }
 }
 
-/// Plans the processing of one partially-contained leaf tile against
-/// `query` — the pure first stage of `process(t)`.
+/// Plans the processing of one leaf tile against `query` — the pure first
+/// stage of `process(t)`.
 ///
-/// `attrs` are the query's aggregate attributes; the [`AdaptConfig`] decides
-/// how much to read ([`ReadPolicy`]) and which attributes get metadata.
+/// `attrs` are the query's aggregate attributes. A leaf the window cuts
+/// reads all of them, as much of the leaf as the [`AdaptConfig`]'s
+/// [`ReadPolicy`] says; a leaf it covers reads every object, but only the
+/// attributes its metadata has no exact statistics for.
 pub fn plan_tile(
     index: &ValinorIndex,
     tile_id: TileId,
@@ -200,68 +199,82 @@ pub fn plan_tile(
             "plan_tile on non-leaf {tile_id:?}"
         )));
     }
-    // Snapshot entries: cheap copies, and they stay valid across the split.
-    let entries = tile.entries().to_vec();
-
-    // The tile's metadata is enriched with exactly the query's attributes.
-    let read_attrs = attrs.to_vec();
-    // One walk over the entries, a zone-map block at a time: window
-    // membership (whole for a block inside or outside the window, entry by
-    // entry where its edge crosses), and which objects to read from the
-    // file, remembering each locator's entry so fetched rows align back
-    // positionally.
-    let whole_tile = cfg.read == ReadPolicy::FullTile;
-    let mut in_window = Vec::with_capacity(entries.len());
-    let (mut locators, mut entry_of) = (Vec::new(), Vec::new());
-    let (mut selected, mut i) = (0u64, 0u32);
-    for (block, cover) in tile.blocks(query) {
-        for e in block {
-            let sel = match cover {
-                Cover::All => true,
-                Cover::None => false,
-                Cover::Some => e.in_window(query),
-            };
-            in_window.push(sel);
-            selected += u64::from(sel);
-            if sel || whole_tile {
-                locators.push(e.locator);
-                entry_of.push(i);
+    let entries = tile.entries();
+    let covered = query.contains_rect(&tile.rect);
+    let mut known = vec![None; attrs.len()];
+    let (mut locators, mut entry_of, mut read_attrs) = (Vec::new(), Vec::new(), Vec::new());
+    let mut selected = 0u64;
+    if covered {
+        // An empty leaf has nothing to read: its statistics are empty.
+        for (k, &a) in known.iter_mut().zip(attrs) {
+            *k = tile
+                .meta
+                .get(a)
+                .and_then(AttrMeta::exact_stats)
+                .copied()
+                .or_else(|| entries.is_empty().then(RunningStats::new));
+            if k.is_none() {
+                read_attrs.push(a);
             }
-            i += 1;
+        }
+        selected = entries.len() as u64;
+        if !read_attrs.is_empty() {
+            locators = entries.iter().map(|e| e.locator).collect();
+        }
+    } else {
+        read_attrs = attrs.to_vec();
+        // One walk over the entries, a zone-map block at a time: window
+        // membership (whole for a block inside or outside the window, entry
+        // by entry where its edge crosses), and which objects to read from
+        // the file, remembering each selected locator's entry so fetched
+        // rows align back positionally.
+        let whole_tile = cfg.read == ReadPolicy::FullTile;
+        let mut i = 0u32;
+        for (block, cover) in tile.blocks(query) {
+            for e in block {
+                let sel = match cover {
+                    Cover::All => true,
+                    Cover::None => false,
+                    Cover::Some => e.in_window(query),
+                };
+                selected += u64::from(sel);
+                if whole_tile {
+                    locators.push(e.locator);
+                } else if sel {
+                    locators.push(e.locator);
+                    entry_of.push(i);
+                }
+                i += 1;
+            }
         }
     }
-    let attr_pos: Vec<usize> = attrs
-        .iter()
-        .map(|a| {
-            read_attrs
-                .iter()
-                .position(|r| r == a)
-                .expect("attrs is a subset of read_attrs by construction")
-        })
-        .collect();
     Ok(TilePlan {
         tile: tile_id,
         selected,
         locators,
         read_attrs,
         planned_version: index.version(),
-        entries,
-        in_window,
+        planned_len: entries.len(),
         entry_of,
-        attr_pos,
+        covered,
+        known,
     })
 }
 
 /// The optimistic-concurrency applicability check, in one place: a plan
 /// computed at `planned_version` still applies if nothing changed since
-/// planning, or — since the entries a plan snapshotted never leave a leaf
-/// except by splitting it — if its tile is still a leaf. Concurrent writers
-/// call this under the write lock immediately before [`apply_plan`] /
-/// [`apply_enrich`]; a `false` means another writer split the tile
-/// underneath the plan, which must then be discarded (the region re-plans
-/// from the refined children). A leaf an ingest *grew* since planning still
-/// applies: the apply resolves the query from the fetched values and installs
-/// no whole-tile statistics, which would miss the new rows.
+/// planning, or if its tile is still a leaf. Concurrent writers call this
+/// under the write lock immediately before [`apply_plan`]; a `false` means
+/// another writer split the tile underneath the plan, which must then be
+/// discarded (the region re-plans from the refined children).
+///
+/// What makes a leaf plan exact however late it applies: ingest only
+/// appends entries to a leaf, and only a split takes any out of one. So
+/// while the tile is a leaf, its first `planned_len` entries are the ones
+/// planned over, in plan order, and [`apply_plan`] reads them from the
+/// index rather than from a copy. A leaf an ingest *grew* since planning
+/// still applies: the apply resolves the query from the fetched values and
+/// installs no whole-tile statistics, which would miss the new rows.
 pub fn still_applies(index: &ValinorIndex, tile: TileId, planned_version: u64) -> bool {
     index.version() == planned_version || index.tile(tile).is_leaf()
 }
@@ -271,11 +284,9 @@ pub fn still_applies(index: &ValinorIndex, tile: TileId, planned_version: u64) -
 /// `process(t)`.
 ///
 /// `values` must be the rows fetched for `plan.locators` (in order) with
-/// `plan.read_attrs` as columns. The caller is responsible for the tile
-/// still being a leaf; under optimistic concurrency, check
-/// `index.version()` against [`TilePlan::planned_version`] (or
-/// `index.tile(plan.tile).is_leaf()`) first and fall back to
-/// [`TilePlan::in_window_stats`] when the plan no longer applies.
+/// `plan.read_attrs` as columns. The tile must still be a leaf: under
+/// optimistic concurrency, check [`still_applies`] first and discard a
+/// plan that no longer does.
 pub fn apply_plan(
     index: &mut ValinorIndex,
     plan: &TilePlan,
@@ -290,23 +301,28 @@ pub fn apply_plan(
             plan.tile
         )));
     }
-    let tile_rect = tile.rect;
-    let depth = tile.depth;
+    let grown = tile.entries().len() != plan.planned_len;
+    let entries = &tile.entries()[..plan.planned_len];
 
     // Exact in-window statistics, from the positionally aligned rows.
-    let stats = plan.in_window_stats(values)?;
+    let stats = plan.in_window_stats(entries, query, values)?;
 
-    // Split decision: worth it only for populous, still-divisible tiles.
+    // Split decision: worth it only for populous, still-divisible leaves
+    // the window cuts, and made over the entries as planned.
+    let splittable =
+        !plan.covered && plan.planned_len as u64 >= cfg.min_split_objects && tile.depth < MAX_DEPTH;
+    let rects = splittable
+        .then(|| cfg.split.child_rects(&tile.rect, query, entries))
+        .flatten()
+        .filter(|rects| {
+            rects.len() >= 2
+                && rects
+                    .iter()
+                    .all(|r| r.width() >= MIN_TILE_EXTENT && r.height() >= MIN_TILE_EXTENT)
+        });
     let (mut new_leaves, mut child_of) = (Vec::new(), Vec::new());
-    if plan.entries.len() as u64 >= cfg.min_split_objects && depth < MAX_DEPTH {
-        if let Some(rects) = cfg.split.child_rects(&tile_rect, query, &plan.entries) {
-            let extent_ok = rects
-                .iter()
-                .all(|r| r.width() >= MIN_TILE_EXTENT && r.height() >= MIN_TILE_EXTENT);
-            if extent_ok && rects.len() >= 2 {
-                (new_leaves, child_of) = index.split_leaf(plan.tile, rects)?;
-            }
-        }
+    if let Some(rects) = rects {
+        (new_leaves, child_of) = index.split_leaf(plan.tile, rects)?;
     }
 
     let (width, did_split) = (plan.read_attrs.len(), !new_leaves.is_empty());
@@ -316,9 +332,9 @@ pub fn apply_plan(
         // `split_leaf`. The split hands the entries out in order, so one walk
         // over them folds each child's rows in that child's entry order. An
         // entry ingested since planning has no row, like one not read.
-        let mut row_of = vec![u32::MAX; plan.entries.len()];
-        for (row, &ei) in plan.entry_of.iter().enumerate() {
-            row_of[ei as usize] = row as u32;
+        let mut row_of = vec![u32::MAX; plan.planned_len];
+        for row in 0..plan.locators.len() {
+            row_of[plan.entry_at(row)] = row as u32;
         }
         let mut folds = vec![Some(ExactFold::new(width)); new_leaves.len()];
         for (ei, &child) in child_of.iter().enumerate() {
@@ -336,177 +352,42 @@ pub fn apply_plan(
                 fold.install(index, child, &plan.read_attrs);
             }
         }
-    } else if plan.locators.len() == plan.entries.len()
-        && !plan.entries.is_empty()
-        && index.tile(plan.tile).entries().len() == plan.entries.len()
-    {
-        // No split, but the whole tile was read (FullTile policy, or a
-        // window that happens to select every object): enrich in place.
-        // Locators cover every entry here, in entry order — unless an ingest
-        // grew the leaf since planning, and then its metadata, which folded
-        // the new rows in, is left alone.
+    } else if plan.locators.len() == plan.planned_len && plan.planned_len > 0 && !grown {
+        // No split, but the whole leaf was read (a covered leaf, the
+        // FullTile policy, or a window that happens to select every object):
+        // exact metadata in place for the attributes read. Locators cover
+        // every entry here, in entry order — unless an ingest grew the leaf
+        // since planning, and then its metadata, which folded the new rows
+        // in, is left alone.
         ExactFold::over(values, width).install(index, plan.tile, &plan.read_attrs);
     }
 
     Ok(ProcessOutcome {
         in_window: stats,
-        selected: plan.selected,
-        objects_read: plan.objects_to_read(),
         did_split,
-        new_leaves,
     })
 }
 
-/// The pushdown hint a tile-processing fetch may safely carry
+/// The pushdown hint a fetch of `plans` may safely carry
 /// ([`RawFile::read_rows_into`](pai_storage::raw::RawFile::read_rows_into)):
-/// the query window under [`ReadPolicy::WindowOnly`] (plan locators are all
-/// in-window, so a zone-map skip can never touch a row whose value is consumed), nothing
-/// under [`ReadPolicy::FullTile`] (out-of-window rows feed child enrichment
-/// and must be materialized, not answered with NaN).
-pub fn fetch_window<'q>(cfg: &AdaptConfig, query: &'q Rect) -> Option<&'q Rect> {
-    match cfg.read {
-        ReadPolicy::WindowOnly => Some(query),
-        ReadPolicy::FullTile => None,
-    }
-}
-
-/// Where one query attribute's exact statistics come from when an
-/// enrichment plan resolves.
-#[derive(Debug, Clone)]
-enum EnrichSource {
-    /// Already exact in the tile's metadata at plan time (snapshot).
-    Exact(RunningStats),
-    /// Column `i` of the fetched values.
-    Fetched(usize),
-}
-
-/// A pure enrichment plan for one covered leaf tile whose metadata is
-/// missing (or only bounded for) some requested attribute.
-///
-/// Like [`TilePlan`], the plan is computed against an immutable index view
-/// and carries enough snapshot state ([`EnrichPlan::resolved_stats`]) to
-/// resolve the tile's contribution even if the index changed underneath.
-#[derive(Debug, Clone)]
-pub struct EnrichPlan {
-    /// The planned tile.
-    pub tile: TileId,
-    /// Locators of every entry, in entry order (empty when nothing needs
-    /// reading).
-    pub locators: Vec<RowLocator>,
-    /// The attributes whose metadata must be read (the missing subset of
-    /// the query's attributes); empty when the tile is already fully exact.
-    pub read_attrs: Vec<AttrId>,
-    /// Index mutation counter at plan time (optimistic-concurrency stamp).
-    pub planned_version: u64,
-    /// Per query attribute: where its exact stats come from.
-    sources: Vec<EnrichSource>,
-}
-
-impl EnrichPlan {
-    /// Objects the fetch stage will read for this plan.
-    pub fn objects_to_read(&self) -> u64 {
-        if self.read_attrs.is_empty() {
-            0
-        } else {
-            self.locators.len() as u64
-        }
-    }
-
-    /// Exact whole-tile statistics per query attribute, combining the
-    /// plan-time metadata snapshot with the fetched columns. Pure — usable
-    /// even when the structural apply was skipped due to a concurrent
-    /// split.
-    pub fn resolved_stats(&self, values: &[f64]) -> Result<Vec<RunningStats>> {
-        let width = self.read_attrs.len();
-        check_shape(self.tile, self.locators.len(), width, values)?;
-        Ok(self
-            .sources
-            .iter()
-            .map(|src| match src {
-                EnrichSource::Exact(stats) => *stats,
-                EnrichSource::Fetched(col) => {
-                    let mut s = RunningStats::new();
-                    rows_of(values, width).for_each(|row| s.push(row[*col]));
-                    s
-                }
-            })
-            .collect())
-    }
-}
-
-/// Plans the enrichment read for a fully-contained tile — the pure first
-/// stage of the enrichment. The plan is empty (nothing to fetch) when
-/// every requested attribute already has exact stats, or the tile holds no
-/// objects.
-pub fn plan_enrich(index: &ValinorIndex, tile_id: TileId, attrs: &[AttrId]) -> Result<EnrichPlan> {
-    let tile = index.tile(tile_id);
-    if !tile.is_leaf() {
-        return Err(PaiError::internal(format!(
-            "plan_enrich on non-leaf {tile_id:?}"
-        )));
-    }
-    let mut read_attrs = Vec::new();
-    let mut sources = Vec::with_capacity(attrs.len());
-    for &a in attrs {
-        match tile.meta.get(a).and_then(AttrMeta::exact_stats) {
-            Some(stats) => sources.push(EnrichSource::Exact(*stats)),
-            None => {
-                sources.push(EnrichSource::Fetched(read_attrs.len()));
-                read_attrs.push(a);
-            }
-        }
-    }
-    // An empty tile needs no read and must not have empty stats installed
-    // (mirrors the pre-pipeline behaviour of skipping empty tiles).
-    let locators: Vec<RowLocator> = if read_attrs.is_empty() || tile.entries().is_empty() {
-        read_attrs.clear();
-        for src in &mut sources {
-            if matches!(src, EnrichSource::Fetched(_)) {
-                *src = EnrichSource::Exact(RunningStats::new());
-            }
-        }
-        Vec::new()
-    } else {
-        tile.entries().iter().map(|e| e.locator).collect()
-    };
-    Ok(EnrichPlan {
-        tile: tile_id,
-        locators,
-        read_attrs,
-        planned_version: index.version(),
-        sources,
-    })
-}
-
-/// Installs the fetched enrichment values as exact metadata — the mutation
-/// stage of the enrichment. Returns the number of objects the plan read.
-///
-/// A leaf an ingest grew since planning keeps its metadata as it is (it
-/// folded the new rows in; the fetched values do not hold them): the query
-/// resolves from [`EnrichPlan::resolved_stats`], the tile stays a candidate
-/// for the next one.
-pub fn apply_enrich(index: &mut ValinorIndex, plan: &EnrichPlan, values: &[f64]) -> Result<u64> {
-    if plan.read_attrs.is_empty() {
-        return Ok(0);
-    }
-    let tile = index.tile(plan.tile);
-    if !tile.is_leaf() {
-        return Err(PaiError::internal(format!(
-            "apply_enrich on non-leaf {:?} (tile split since planning?)",
-            plan.tile
-        )));
-    }
-    let width = plan.read_attrs.len();
-    check_shape(plan.tile, plan.locators.len(), width, values)?;
-    if tile.entries().len() == plan.locators.len() {
-        ExactFold::over(values, width).install(index, plan.tile, &plan.read_attrs);
-    }
-    Ok(plan.locators.len() as u64)
+/// the query window when every locator of every plan is in it — under
+/// [`ReadPolicy::WindowOnly`], or when every plan's leaf is covered — so a
+/// zone-map skip can never touch a row whose value is consumed; nothing
+/// when a cut leaf is read whole under [`ReadPolicy::FullTile`] (its
+/// out-of-window rows feed child metadata and must be materialized, not
+/// answered with NaN).
+pub fn fetch_window<'q>(
+    plans: &[TilePlan],
+    cfg: &AdaptConfig,
+    query: &'q Rect,
+) -> Option<&'q Rect> {
+    (cfg.read == ReadPolicy::WindowOnly || plans.iter().all(|p| p.covered)).then_some(query)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MetadataPolicy;
     use crate::init::{build, GridSpec, InitConfig};
     use crate::split::SplitPolicy;
     use pai_common::geometry::Point2;
@@ -530,7 +411,7 @@ mod tests {
         let cfg = InitConfig {
             grid: GridSpec::Fixed { nx: 3, ny: 3 },
             domain: Some(Rect::new(0.0, 30.0, 0.0, 30.0)),
-            metadata: crate::config::MetadataPolicy::AllNumeric,
+            metadata: MetadataPolicy::AllNumeric,
         };
         let (idx, _) = build(&f, &cfg).unwrap();
         (f, idx)
@@ -556,20 +437,20 @@ mod tests {
         apply_plan(idx, &plan, q, cfg, fetch(f, &plan).values())
     }
 
-    /// The enrichment of one covered tile: plan → fetch → apply. Returns the
-    /// objects read (none when its stats were already exact).
+    /// The processing of one leaf under a window that covers it (its own
+    /// rectangle). Returns the objects read (none when its stats were
+    /// already exact).
     fn enrich_tile(
         idx: &mut ValinorIndex,
         f: &dyn RawFile,
         tile: TileId,
         attrs: &[AttrId],
     ) -> Result<u64> {
-        let plan = plan_enrich(idx, tile, attrs)?;
-        if plan.read_attrs.is_empty() {
-            return Ok(0);
-        }
-        let values = f.read_rows(&plan.locators, &plan.read_attrs)?;
-        apply_enrich(idx, &plan, values.values())
+        let before = f.counters().objects_read();
+        let q = idx.tile(tile).rect;
+        let cfg = AdaptConfig::default();
+        process_tile(idx, f, tile, &q, attrs, &cfg)?;
+        Ok(f.counters().objects_read() - before)
     }
 
     fn adapt_cfg(split: SplitPolicy, read: ReadPolicy) -> AdaptConfig {
@@ -588,10 +469,12 @@ mod tests {
         let centre = idx.leaf_for_point(Point2::new(15.0, 15.0)).unwrap();
         f.counters().reset();
         let cfg = adapt_cfg(SplitPolicy::QueryAligned, ReadPolicy::WindowOnly);
-        let out = process_tile(&mut idx, &f, centre, &q, &[2], &cfg).unwrap();
-        assert_eq!(out.selected, 1);
+        let plan = plan_tile(&idx, centre, &q, &[2], &cfg).unwrap();
+        assert_eq!(plan.selected, 1);
+        let out = apply_plan(&mut idx, &plan, &q, &cfg, fetch(&f, &plan).values()).unwrap();
         assert_eq!(
-            out.objects_read, 1,
+            f.counters().objects_read(),
+            1,
             "window-only reads just the selected object"
         );
         assert_eq!(out.in_window[0].sum(), 40.0);
@@ -607,10 +490,15 @@ mod tests {
         f.counters().reset();
         let cfg = adapt_cfg(SplitPolicy::QueryAligned, ReadPolicy::FullTile);
         let out = process_tile(&mut idx, &f, centre, &q, &[2], &cfg).unwrap();
-        assert_eq!(out.objects_read, 2, "full-tile reads all tile objects");
+        assert_eq!(
+            f.counters().objects_read(),
+            2,
+            "full-tile reads all tile objects"
+        );
         assert!(out.did_split);
+        assert_eq!(out.in_window[0].sum(), 40.0, "only in-window rows answer");
         // Every non-empty child now has exact metadata.
-        for &c in &out.new_leaves {
+        for &c in idx.tile(centre).children() {
             if idx.tile(c).object_count() > 0 {
                 assert!(idx.tile(c).meta.has_exact(2), "child {c:?}");
             }
@@ -626,9 +514,10 @@ mod tests {
         let cfg = adapt_cfg(SplitPolicy::QueryAligned, ReadPolicy::WindowOnly);
         let out = process_tile(&mut idx, &f, t, &q, &[2], &cfg).unwrap();
         assert!(out.did_split);
+        let children = idx.tile(t).children().to_vec();
         let mut exact_children = 0;
         let mut bounded_children = 0;
-        for &c in &out.new_leaves {
+        for &c in &children {
             if idx.tile(c).object_count() == 0 {
                 continue;
             }
@@ -644,8 +533,7 @@ mod tests {
             "out-of-window child keeps parent bounds"
         );
         // Inherited bounds equal the parent's pre-split [min,max] = [10,20].
-        let bounded = out
-            .new_leaves
+        let bounded = children
             .iter()
             .find(|&&c| idx.tile(c).object_count() > 0 && !idx.tile(c).meta.has_exact(2))
             .copied()
@@ -676,17 +564,18 @@ mod tests {
         let init = InitConfig {
             grid: GridSpec::Fixed { nx: 1, ny: 1 },
             domain: Some(Rect::new(0.0, 10.0, 0.0, 10.0)),
-            metadata: crate::config::MetadataPolicy::AllNumeric,
+            metadata: MetadataPolicy::AllNumeric,
         };
         let (mut idx, _) = build(&f, &init).unwrap();
         let q = Rect::new(0.0, 5.0, 0.0, 10.0);
         let cfg = adapt_cfg(SplitPolicy::QueryAligned, ReadPolicy::WindowOnly);
         // Two attributes, so rows are wider than one value.
+        f.counters().reset();
         let out = process_tile(&mut idx, &f, TileId(0), &q, &[2, 0], &cfg).unwrap();
         assert!(out.did_split);
-        assert_eq!(out.objects_read, 4);
+        assert_eq!(f.counters().objects_read(), 4);
         let (mut exact, mut bounded) = (0, 0);
-        for &c in &out.new_leaves {
+        for &c in idx.tile(TileId(0)).children() {
             let entries = idx.tile(c).entries();
             if entries.is_empty() {
                 continue;
@@ -727,7 +616,6 @@ mod tests {
         };
         let out = process_tile(&mut idx, &f, centre, &q, &[2], &cfg).unwrap();
         assert!(!out.did_split);
-        assert!(out.new_leaves.is_empty());
         assert!(idx.tile(centre).is_leaf());
     }
 
@@ -749,12 +637,10 @@ mod tests {
         // is partial w.r.t. the window (window cuts through empty space).
         let q = Rect::new(21.0, 30.0, 0.0, 10.0);
         let t = idx.leaf_for_point(Point2::new(25.0, 5.0)).unwrap();
-        let cfg = AdaptConfig {
-            split: SplitPolicy::NoSplit,
-            ..adapt_cfg(SplitPolicy::NoSplit, ReadPolicy::WindowOnly)
-        };
-        let out = process_tile(&mut idx, &f, t, &q, &[2], &cfg).unwrap();
-        assert_eq!(out.selected, 2);
+        let cfg = adapt_cfg(SplitPolicy::NoSplit, ReadPolicy::WindowOnly);
+        let plan = plan_tile(&idx, t, &q, &[2], &cfg).unwrap();
+        assert_eq!(plan.selected, 2);
+        let out = apply_plan(&mut idx, &plan, &q, &cfg, fetch(&f, &plan).values()).unwrap();
         assert!(!out.did_split);
         // All entries were read, so the tile's metadata got refreshed.
         assert!(idx.tile(t).meta.has_exact(2));
@@ -790,6 +676,7 @@ mod tests {
         let read = enrich_tile(&mut idx, &f, t, &[2]).unwrap();
         assert_eq!(read, 2);
         assert!(idx.tile(t).meta.has_exact(2));
+        assert!(idx.tile(t).is_leaf(), "a covered leaf is read, not split");
         let again = enrich_tile(&mut idx, &f, t, &[2]).unwrap();
         assert_eq!(again, 0, "second enrichment is free");
     }
@@ -802,6 +689,8 @@ mod tests {
         let q = Rect::new(11.0, 15.0, 11.0, 16.0);
         let centre = idx.leaf_for_point(Point2::new(15.0, 15.0)).unwrap();
         let cfg = adapt_cfg(SplitPolicy::QueryAligned, ReadPolicy::WindowOnly);
+        let mut oneshot = idx.clone();
+        let want = process_tile(&mut oneshot, &f, centre, &q, &[2], &cfg).unwrap();
 
         f.counters().reset();
         let version_before = idx.version();
@@ -813,84 +702,98 @@ mod tests {
         );
         assert_eq!(idx.version(), version_before, "planning mutates nothing");
         assert_eq!(plan.selected, 1);
-        assert_eq!(plan.objects_to_read(), 1);
+        assert_eq!(plan.locators.len(), 1);
         assert_eq!(plan.read_attrs, vec![2]);
 
         let values = fetch(&f, &plan);
-        // The pure stats match what apply reports.
-        let pure = plan.in_window_stats(values.values()).unwrap();
         let out = apply_plan(&mut idx, &plan, &q, &cfg, values.values()).unwrap();
-        assert_eq!(out.in_window, pure);
+        assert_eq!(out.in_window, want.in_window);
         assert_eq!(out.in_window[0].sum(), 40.0);
         assert!(out.did_split);
         assert!(idx.version() > version_before, "apply bumps the version");
+        assert_eq!(idx.leaf_count(), oneshot.leaf_count());
         idx.validate_invariants().unwrap();
     }
 
     #[test]
-    fn stale_plan_apply_is_rejected_but_stats_survive() {
+    fn stale_plan_apply_is_rejected() {
         let (f, mut idx) = setup();
         let q = Rect::new(11.0, 15.0, 11.0, 16.0);
         let centre = idx.leaf_for_point(Point2::new(15.0, 15.0)).unwrap();
         let cfg = adapt_cfg(SplitPolicy::QueryAligned, ReadPolicy::WindowOnly);
         let plan = plan_tile(&idx, centre, &q, &[2], &cfg).unwrap();
         let values = fetch(&f, &plan);
-        let fresh = plan.in_window_stats(values.values()).unwrap();
         // Another writer splits the tile between plan and apply.
         process_tile(&mut idx, &f, centre, &q, &[2], &cfg).unwrap();
         assert!(!still_applies(&idx, plan.tile, plan.planned_version));
         let err = apply_plan(&mut idx, &plan, &q, &cfg, values.values()).unwrap_err();
         assert!(err.to_string().contains("non-leaf"), "{err}");
-        // The batch still resolves the contribution purely, to the same
-        // statistics as before the plan went stale.
-        let stats = plan.in_window_stats(values.values()).unwrap();
-        assert_eq!(stats, fresh);
-        assert_eq!(stats[0].sum(), 40.0);
     }
 
     #[test]
     fn enrich_plan_resolves_from_snapshot_and_fetch() {
         let (f, mut idx) = setup();
         let t = idx.leaf_for_point(Point2::new(25.0, 5.0)).unwrap();
+        let q = idx.tile(t).rect;
+        let cfg = adapt_cfg(SplitPolicy::QueryAligned, ReadPolicy::WindowOnly);
         // Attr 2 already exact from init metadata; plan over it is free.
-        let free = plan_enrich(&idx, t, &[2]).unwrap();
-        assert_eq!(free.objects_to_read(), 0);
-        let resolved = free.resolved_stats(&[]).unwrap();
-        assert_eq!(resolved[0].sum(), 130.0, "snapshot path");
+        let free = plan_tile(&idx, t, &q, &[2], &cfg).unwrap();
+        assert!(free.locators.is_empty() && free.read_attrs.is_empty());
+        let out = apply_plan(&mut idx, &free, &q, &cfg, &[]).unwrap();
+        assert_eq!(out.in_window[0].sum(), 130.0, "snapshot path");
 
         // Wipe metadata: the plan now fetches, and apply installs it.
         idx.tile_mut(t).meta = crate::metadata::TileMetadata::new(3);
-        let plan = plan_enrich(&idx, t, &[2]).unwrap();
-        assert_eq!(plan.objects_to_read(), 2);
-        let values = f.read_rows(&plan.locators, &plan.read_attrs).unwrap();
-        let read = apply_enrich(&mut idx, &plan, values.values()).unwrap();
-        assert_eq!(read, 2);
+        let plan = plan_tile(&idx, t, &q, &[2], &cfg).unwrap();
+        assert_eq!((plan.locators.len(), plan.read_attrs.clone()), (2, vec![2]));
+        let values = fetch(&f, &plan);
+        let out = apply_plan(&mut idx, &plan, &q, &cfg, values.values()).unwrap();
+        assert!(!out.did_split);
         assert!(idx.tile(t).meta.has_exact(2));
-        let resolved = plan.resolved_stats(values.values()).unwrap();
         assert_eq!(
-            Some(&resolved[0]),
+            Some(&out.in_window[0]),
             idx.tile(t).meta.get(2).unwrap().exact_stats(),
-            "pure resolution equals the installed metadata"
+            "the query's statistics equal the installed metadata"
         );
     }
 
-    /// A one-cell, metadata-free index over eight objects, two a quadrant,
-    /// and its appendable file.
-    fn quadrants() -> (pai_storage::AppendableFile<MemFile>, ValinorIndex) {
+    /// A one-cell index over eight objects, two a quadrant, and its
+    /// appendable file, with columns 2 and 3 both carrying the values.
+    fn quadrants_with(
+        metadata: MetadataPolicy,
+    ) -> (pai_storage::AppendableFile<MemFile>, ValinorIndex) {
         let vals = [1e16, 3.0, -1e16, 5.0, 0.1, f64::NAN, 0.2, 7.0];
         let at = [1.0, 6.0, 3.0, 8.0];
         let rows: Vec<Vec<f64>> = (0..8)
-            .map(|i| vec![at[i % 4], at[(i / 2) % 4], vals[i]])
+            .map(|i| vec![at[i % 4], at[(i / 2) % 4], vals[i], vals[7 - i]])
             .collect();
-        let base = MemFile::from_rows(Schema::synthetic(3), CsvFormat::default(), rows).unwrap();
+        let base = MemFile::from_rows(Schema::synthetic(4), CsvFormat::default(), rows).unwrap();
         let file = pai_storage::AppendableFile::new(base).unwrap();
         let init = InitConfig {
             grid: GridSpec::Fixed { nx: 1, ny: 1 },
             domain: Some(Rect::new(0.0, 10.0, 0.0, 10.0)),
-            metadata: crate::config::MetadataPolicy::None,
+            metadata,
         };
         let (idx, _) = build(&file, &init).unwrap();
         (file, idx)
+    }
+
+    fn quadrants() -> (pai_storage::AppendableFile<MemFile>, ValinorIndex) {
+        quadrants_with(MetadataPolicy::None)
+    }
+
+    /// Appends one row at `p` with `value` in both value columns, and
+    /// ingests it into the index.
+    fn ingest_at(
+        f: &pai_storage::AppendableFile<MemFile>,
+        idx: &mut ValinorIndex,
+        p: Point2,
+        value: f64,
+    ) -> TileId {
+        let row = vec![p.x, p.y, value, value];
+        let receipt = f.append_rows(std::slice::from_ref(&row)).unwrap();
+        let entry = crate::entry::ObjectEntry::new(p.x, p.y, receipt.locators[0]);
+        idx.ingest_entry(entry, &row).unwrap()
     }
 
     fn exact_stats(idx: &ValinorIndex, t: TileId, attr: AttrId) -> Option<RunningStats> {
@@ -907,9 +810,11 @@ mod tests {
             ReadPolicy::WindowOnly,
         );
         let q = Rect::new(0.0, 2.0, 0.0, 2.0);
+        f.counters().reset();
         let out = process_tile(&mut idx, &f, TileId(0), &q, &[2], &cfg).unwrap();
-        assert_eq!((out.did_split, out.objects_read), (true, 1));
-        let children = out.new_leaves;
+        assert!(out.did_split);
+        assert_eq!(f.counters().objects_read(), 1);
+        let children = idx.tile(TileId(0)).children().to_vec();
         assert!(children.iter().all(|&c| idx.tile(c).object_count() == 2));
         for &c in &children {
             assert_eq!(exact_stats(&idx, TileId(0), 2), None, "{c:?} still bounded");
@@ -929,6 +834,77 @@ mod tests {
     }
 
     #[test]
+    fn a_covered_leaf_is_never_split_and_reads_only_what_it_lacks() {
+        for split in [
+            SplitPolicy::Grid { rows: 2, cols: 2 },
+            SplitPolicy::KdMedian,
+        ] {
+            let (f, mut idx) = quadrants();
+            let cfg = adapt_cfg(split, ReadPolicy::WindowOnly);
+            let q = Rect::new(0.0, 10.0, 0.0, 10.0);
+            // A query over attribute 2 makes the leaf exact for it alone...
+            let out = process_tile(&mut idx, &f, TileId(0), &q, &[2], &cfg).unwrap();
+            assert!(!out.did_split, "{split:?}");
+            assert!(idx.tile(TileId(0)).is_leaf(), "{split:?}");
+            assert_eq!(exact_stats(&idx, TileId(0), 3), None);
+            let first = exact_stats(&idx, TileId(0), 2).expect("read whole");
+
+            // ...and one over both then reads only attribute 3.
+            let plan = plan_tile(&idx, TileId(0), &q, &[3, 2], &cfg).unwrap();
+            assert_eq!((plan.locators.len(), plan.read_attrs.clone()), (8, vec![3]));
+            f.counters().reset();
+            let values = fetch(&f, &plan);
+            let out = apply_plan(&mut idx, &plan, &q, &cfg, values.values()).unwrap();
+            assert_eq!(f.counters().objects_read(), 8);
+            assert!(!out.did_split, "{split:?}");
+            assert!(idx.tile(TileId(0)).is_leaf(), "{split:?}");
+            let third = exact_stats(&idx, TileId(0), 3).expect("enriched");
+            assert_eq!(out.in_window, vec![third, first]);
+            let truth = pai_storage::ground_truth::window_truth(&f, &q, &[3]).unwrap();
+            assert_eq!(third.sum().to_bits(), truth[0].stats.sum().to_bits());
+            idx.validate_invariants().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_split_after_an_ingest_cuts_at_the_planned_median() {
+        // Read whole, the leaf's eight entries have x median 6; the row
+        // ingested at x = 0.5 between plan and apply would move it to 3.
+        let (f, mut idx) = quadrants_with(MetadataPolicy::AllNumeric);
+        let cfg = adapt_cfg(SplitPolicy::KdMedian, ReadPolicy::FullTile);
+        let q = Rect::new(0.0, 2.0, 0.0, 2.0);
+        let plan = plan_tile(&idx, TileId(0), &q, &[2], &cfg).unwrap();
+        let values = fetch(&f, &plan);
+        assert_eq!(
+            ingest_at(&f, &mut idx, Point2::new(0.5, 0.5), 1000.0),
+            TileId(0)
+        );
+        assert!(still_applies(&idx, plan.tile, plan.planned_version));
+
+        let out = apply_plan(&mut idx, &plan, &q, &cfg, values.values()).unwrap();
+        assert!(out.did_split);
+        assert_eq!(out.in_window[0].count(), 1, "the planned rows answer");
+        let children = idx.tile(TileId(0)).children().to_vec();
+        assert_eq!(idx.tile(children[0]).rect.x_max, 6.0, "the planned median");
+        // The child that took the ingested entry has no row for it: it keeps
+        // the bounds the ingest folded the value into. The other is exact.
+        let (grown, whole) = (idx.tile(children[0]), idx.tile(children[1]));
+        assert_eq!((grown.object_count(), whole.object_count()), (5, 4));
+        assert!(!grown.meta.has_exact(2));
+        let bounds = grown.meta.get(2).unwrap().value_bounds().unwrap();
+        assert!(bounds.contains(1000.0), "{bounds:?}");
+        let locs: Vec<RowLocator> = whole.entries().iter().map(|e| e.locator).collect();
+        let own: Vec<f64> = f
+            .read_rows(&locs, &[2])
+            .unwrap()
+            .iter()
+            .map(|r| r[0])
+            .collect();
+        assert_eq!(whole.meta.get(2), Some(&AttrMeta::exact_from_values(&own)));
+        idx.validate_invariants().unwrap();
+    }
+
+    #[test]
     fn a_leaf_grown_since_planning_keeps_its_folded_metadata() {
         let (f, mut idx) = quadrants();
         let cfg = adapt_cfg(
@@ -936,30 +912,28 @@ mod tests {
             ReadPolicy::WindowOnly,
         );
         let q = Rect::new(0.0, 2.0, 0.0, 2.0);
-        let children = process_tile(&mut idx, &f, TileId(0), &q, &[2], &cfg)
-            .unwrap()
-            .new_leaves;
+        process_tile(&mut idx, &f, TileId(0), &q, &[2], &cfg).unwrap();
+        let children = idx.tile(TileId(0)).children().to_vec();
         // Three children exact, the enrichment of the fourth planned — and
         // then a row lands in it before the plan applies.
         for &c in &children[..3] {
             enrich_tile(&mut idx, &f, c, &[2]).unwrap();
         }
         let last = children[3];
-        let plan = plan_enrich(&idx, last, &[2]).unwrap();
-        let values = f.read_rows(&plan.locators, &plan.read_attrs).unwrap();
-        let p = idx.tile(last).rect.center();
-        let row = vec![p.x, p.y, 1000.0];
-        let receipt = f.append_rows(std::slice::from_ref(&row)).unwrap();
-        let entry = crate::entry::ObjectEntry::new(p.x, p.y, receipt.locators[0]);
-        assert_eq!(idx.ingest_entry(entry, &row).unwrap(), last);
+        let window = idx.tile(last).rect;
+        let plan = plan_tile(&idx, last, &window, &[2], &cfg).unwrap();
+        let values = fetch(&f, &plan);
+        let p = window.center();
+        assert_eq!(ingest_at(&f, &mut idx, p, 1000.0), last);
         assert!(still_applies(&idx, last, plan.planned_version));
 
         // The plan read two of the leaf's three objects: the query it was
         // made for resolves from them, the leaf's metadata is not touched —
         // exact stats over two objects would be a lie about three, and the
         // cell above would take the lie for its own.
-        assert_eq!(apply_enrich(&mut idx, &plan, values.values()).unwrap(), 2);
-        assert_eq!(plan.resolved_stats(values.values()).unwrap()[0].count(), 2);
+        let out = apply_plan(&mut idx, &plan, &window, &cfg, values.values()).unwrap();
+        assert_eq!(plan.locators.len(), 2);
+        assert_eq!(out.in_window[0].count(), 2);
         assert_eq!(exact_stats(&idx, last, 2), None);
         assert_eq!(exact_stats(&idx, TileId(0), 2), None);
         idx.validate_invariants().unwrap();
@@ -969,19 +943,15 @@ mod tests {
         let slice = Rect::new(5.0, 10.0, 5.0, 9.5);
         let plan = plan_tile(&idx, last, &slice, &[2], &no_split).unwrap();
         let values = fetch(&f, &plan);
-        let row = vec![p.x, p.y, -1000.0];
-        let receipt = f.append_rows(std::slice::from_ref(&row)).unwrap();
-        let entry = crate::entry::ObjectEntry::new(p.x, p.y, receipt.locators[0]);
-        idx.ingest_entry(entry, &row).unwrap();
+        ingest_at(&f, &mut idx, p, -1000.0);
         let out = apply_plan(&mut idx, &plan, &slice, &no_split, values.values()).unwrap();
-        assert_eq!((out.did_split, out.objects_read), (false, 3));
+        assert_eq!((out.did_split, plan.locators.len()), (false, 3));
         assert_eq!(exact_stats(&idx, last, 2), None);
         idx.validate_invariants().unwrap();
 
         // A following exact query over the grown leaf covers it: its
         // enrichment reads all four of its objects and equals the scan; only
         // then is the cell exact.
-        let window = idx.tile(last).rect;
         let c = idx.classify(&window);
         assert_eq!((c.full, c.partial.len()), (vec![last], 0));
         assert_eq!(enrich_tile(&mut idx, &f, last, &[2]).unwrap(), 4);
@@ -1007,17 +977,20 @@ mod tests {
         let q = Rect::new(0.0, 30.0, 0.0, 30.0);
         let t = idx.leaf_for_point(Point2::new(25.0, 5.0)).unwrap();
         let cfg = adapt_cfg(SplitPolicy::NoSplit, ReadPolicy::FullTile);
-        let plan = plan_tile(&idx, t, &q, &[2], &cfg).unwrap();
+        let mut wiped = idx.clone();
+        wiped.tile_mut(t).meta = crate::metadata::TileMetadata::new(3);
+        let plan = plan_tile(&wiped, t, &q, &[2], &cfg).unwrap();
         assert_eq!(plan.locators.len(), 2);
         let values = f.read_rows(&plan.locators, &plan.read_attrs).unwrap();
-        let stats = plan.in_window_stats(values.values()).unwrap();
-        assert_eq!(stats[0].sum(), 130.0);
-        assert_eq!(stats[0].count(), 2);
+        let out = apply_plan(&mut wiped.clone(), &plan, &q, &cfg, values.values()).unwrap();
+        assert_eq!(out.in_window[0].sum(), 130.0);
+        assert_eq!(out.in_window[0].count(), 2);
         // Wrong-shaped values are an error, not a misalignment: too few
         // rows, or rows of another width.
-        assert!(plan.in_window_stats(values.rows(0..1)).is_err());
+        let apply = |values: &[f64]| apply_plan(&mut wiped.clone(), &plan, &q, &cfg, values);
+        assert!(apply(values.rows(0..1)).is_err());
         let wide = f.read_rows(&plan.locators, &[2, 0]).unwrap();
-        assert!(plan.in_window_stats(wide.values()).is_err());
+        assert!(apply(wide.values()).is_err());
     }
 
     #[test]
@@ -1039,8 +1012,9 @@ mod tests {
             SplitPolicy::Grid { rows: 2, cols: 2 },
             ReadPolicy::WindowOnly,
         );
-        let out = process_tile(&mut idx, &f, t, &q, &[2], &cfg).unwrap();
-        assert_eq!(out.selected, 2);
+        let plan = plan_tile(&idx, t, &q, &[2], &cfg).unwrap();
+        assert_eq!(plan.selected, 2);
+        let out = apply_plan(&mut idx, &plan, &q, &cfg, fetch(&f, &plan).values()).unwrap();
         assert_eq!(out.in_window[0].count(), 2);
         assert_eq!(out.in_window[0].sum(), 90.0);
     }

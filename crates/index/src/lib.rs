@@ -40,10 +40,7 @@ pub mod split;
 pub mod testutil;
 pub mod tile;
 
-pub use adapt::{
-    apply_enrich, apply_plan, fetch_window, plan_enrich, plan_tile, still_applies, EnrichPlan,
-    ProcessOutcome, TilePlan,
-};
+pub use adapt::{apply_plan, fetch_window, plan_tile, still_applies, ProcessOutcome, TilePlan};
 pub use config::{AdaptConfig, MetadataPolicy, ReadPolicy};
 pub use entry::ObjectEntry;
 pub use eval::{QueryStats, StageTimes};

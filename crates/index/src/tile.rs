@@ -617,6 +617,11 @@ mod tests {
         );
         assert_eq!(tile.selected_locators(window), locators, "{}", ctx());
 
+        // A plan of a leaf the window covers takes every entry, as
+        // `classify` counts a covered tile whole: the zone map is not asked.
+        if window.contains_rect(&tile.rect) {
+            return;
+        }
         for read in [ReadPolicy::WindowOnly, ReadPolicy::FullTile] {
             let cfg = AdaptConfig {
                 read,
@@ -644,7 +649,9 @@ mod tests {
                     want.push(i as f64);
                 }
             }
-            let got = plan.in_window_stats(&values).unwrap()[0];
+            let got = plan
+                .in_window_stats(tile.entries(), window, &values)
+                .unwrap()[0];
             assert_eq!(
                 (got.count(), got.sum().to_bits()),
                 (want.count(), want.sum().to_bits()),
